@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check detlint ci bench-smoke bench race chaos-determinism grayfail-determinism shard-determinism bench-experiments bench-cluster bench-fleet bench-chaos bench-shard cover
+.PHONY: all build test vet fmt-check detlint ci bench-smoke bench race bench-cluster bench-fleet bench-chaos bench-shard cover
 
 all: build
 
@@ -47,94 +47,30 @@ cover:
 
 # race runs the whole test suite under the race detector: the parallel
 # run engine (internal/runner, the experiments fan-out) and the sharded
-# event kernel (sim.Sharded's persistent crew) must stay clean here. The
-# chaos, grayfail, and shard determinism checks ride along, with their
-# -race legs exercising the crash/redeliver, breaker/hedge, and
-# parallel-partition paths under the detector.
-race: chaos-determinism grayfail-determinism shard-determinism
+# event kernel (sim.Sharded's persistent crew) must stay clean here.
+# Byte-identical output is a plain test, not a shell gate: every
+# experiment is compared against its golden file in
+# internal/experiments/testdata/golden at parallel 1 and 8, and the
+# serve-* cluster experiments at shards 1, 2, 3 and GOMAXPROCS, so this
+# run also checks those paths under the detector.
+race:
 	$(GO) test -race ./...
-
-# chaos-determinism pins the fault-injection guarantee: the serve-chaos
-# experiment (rolling crash/drain/recover with lease redelivery) renders
-# byte-identically across plain runs AND under the race detector. The
-# trailing "(N experiment(s) regenerated in ...)" timing line is the one
-# wall-clock-dependent line in the output and is stripped before the
-# diff.
-chaos-determinism:
-	@tmp=$$(mktemp -d); \
-	trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/coserve experiment serve-chaos | sed '/experiment(s) regenerated in/d' > "$$tmp/a" || exit 1; \
-	$(GO) run ./cmd/coserve experiment serve-chaos | sed '/experiment(s) regenerated in/d' > "$$tmp/b" || exit 1; \
-	$(GO) run -race ./cmd/coserve experiment serve-chaos | sed '/experiment(s) regenerated in/d' > "$$tmp/c" || exit 1; \
-	cmp "$$tmp/a" "$$tmp/b" || { echo "chaos-determinism: two plain serve-chaos runs differ"; exit 1; }; \
-	cmp "$$tmp/a" "$$tmp/c" || { echo "chaos-determinism: serve-chaos differs under -race"; exit 1; }; \
-	echo "chaos-determinism: OK — serve-chaos byte-identical across runs and under -race"
-
-# grayfail-determinism pins the same guarantee for the gray-failure
-# stack: serve-grayfail (fail-slow/jitter/stall injection, health-scored
-# breaker, hedged redelivery — timer cancellation and all) renders
-# byte-identically across plain runs AND under the race detector.
-grayfail-determinism:
-	@tmp=$$(mktemp -d); \
-	trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/coserve experiment serve-grayfail | sed '/experiment(s) regenerated in/d' > "$$tmp/a" || exit 1; \
-	$(GO) run ./cmd/coserve experiment serve-grayfail | sed '/experiment(s) regenerated in/d' > "$$tmp/b" || exit 1; \
-	$(GO) run -race ./cmd/coserve experiment serve-grayfail | sed '/experiment(s) regenerated in/d' > "$$tmp/c" || exit 1; \
-	cmp "$$tmp/a" "$$tmp/b" || { echo "grayfail-determinism: two plain serve-grayfail runs differ"; exit 1; }; \
-	cmp "$$tmp/a" "$$tmp/c" || { echo "grayfail-determinism: serve-grayfail differs under -race"; exit 1; }; \
-	echo "grayfail-determinism: OK — serve-grayfail byte-identical across runs and under -race"
-
-# shard-determinism pins the parallel kernel's guarantee: experiment
-# output is byte-identical at every -shards setting. serve-shard (the
-# fleet over a non-zero interconnect — the config that engages the
-# sharded kernel and its pooled cross-partition messages) renders at
-# -shards 1, 2, 3, and GOMAXPROCS (-shards 0) plus once more under
-# -race; serve-fleet and serve-chaos render at -shards 1 and GOMAXPROCS
-# to pin that the flag leaves zero-latency configs untouched. All
-# outputs are diffed byte-for-byte against the sequential run. The odd
-# worker count (-shards 3) splits the 101 partitions unevenly, so the
-# crew's round barrier and the outbox merge see ragged rounds.
-shard-determinism:
-	@tmp=$$(mktemp -d); \
-	trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/coserve experiment -shards 1 serve-shard | sed '/experiment(s) regenerated in/d' > "$$tmp/shard1" || exit 1; \
-	$(GO) run ./cmd/coserve experiment -shards 2 serve-shard | sed '/experiment(s) regenerated in/d' > "$$tmp/shard2" || exit 1; \
-	$(GO) run ./cmd/coserve experiment -shards 3 serve-shard | sed '/experiment(s) regenerated in/d' > "$$tmp/shard3" || exit 1; \
-	$(GO) run ./cmd/coserve experiment -shards 0 serve-shard | sed '/experiment(s) regenerated in/d' > "$$tmp/shardN" || exit 1; \
-	$(GO) run -race ./cmd/coserve experiment -shards 0 serve-shard | sed '/experiment(s) regenerated in/d' > "$$tmp/shardR" || exit 1; \
-	cmp "$$tmp/shard1" "$$tmp/shard2" || { echo "shard-determinism: serve-shard differs between -shards 1 and 2"; exit 1; }; \
-	cmp "$$tmp/shard1" "$$tmp/shard3" || { echo "shard-determinism: serve-shard differs between -shards 1 and 3"; exit 1; }; \
-	cmp "$$tmp/shard1" "$$tmp/shardN" || { echo "shard-determinism: serve-shard differs between -shards 1 and GOMAXPROCS"; exit 1; }; \
-	cmp "$$tmp/shard1" "$$tmp/shardR" || { echo "shard-determinism: serve-shard differs under -race"; exit 1; }; \
-	$(GO) run ./cmd/coserve experiment -shards 1 serve-fleet | sed '/experiment(s) regenerated in/d' > "$$tmp/fleet1" || exit 1; \
-	$(GO) run ./cmd/coserve experiment -shards 0 serve-fleet | sed '/experiment(s) regenerated in/d' > "$$tmp/fleetN" || exit 1; \
-	cmp "$$tmp/fleet1" "$$tmp/fleetN" || { echo "shard-determinism: serve-fleet (zero-latency) differs across -shards"; exit 1; }; \
-	$(GO) run ./cmd/coserve experiment -shards 1 serve-chaos | sed '/experiment(s) regenerated in/d' > "$$tmp/chaos1" || exit 1; \
-	$(GO) run ./cmd/coserve experiment -shards 0 serve-chaos | sed '/experiment(s) regenerated in/d' > "$$tmp/chaosN" || exit 1; \
-	cmp "$$tmp/chaos1" "$$tmp/chaosN" || { echo "shard-determinism: serve-chaos (zero-latency) differs across -shards"; exit 1; }; \
-	echo "shard-determinism: OK — serve-shard byte-identical at shards 1/2/3/GOMAXPROCS and under -race; zero-latency experiments untouched by -shards"
 
 # bench compiles and executes every benchmark exactly once (no test
 # functions), so the benchmark harness cannot rot, and pipes the output
 # through benchguard, which fails loudly if any benchmark baselined in
-# BENCH_fleet.json, BENCH_chaos.json, or BENCH_kernel.json regresses
-# past its recorded allocs/op or bytes/op. Wall time is advisory: an
+# BENCH_fleet.json, BENCH_chaos.json, BENCH_kernel.json, or
+# BENCH_cluster.json regresses past its recorded allocs/op or bytes/op. Wall time is advisory: an
 # ns_factor breach prints a WARN line but never fails the run.
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' ./... | $(GO) run ./cmd/benchguard -baseline BENCH_fleet.json -baseline BENCH_chaos.json -baseline BENCH_kernel.json
+	$(GO) test -bench . -benchtime 1x -run '^$$' ./... | $(GO) run ./cmd/benchguard -baseline BENCH_fleet.json -baseline BENCH_chaos.json -baseline BENCH_kernel.json -baseline BENCH_cluster.json
 
-# bench-experiments reproduces the BENCH_experiments.json measurement:
-# the full experiment registry, sequential vs all cores.
-bench-experiments:
-	$(GO) test -bench BenchmarkAllExperiments -benchtime 3x -run '^$$' .
-
-# bench-cluster reproduces the BENCH_cluster.json measurement: the
-# multi-node serving path at 1 and 4 nodes (plus the bare-System
-# reference it is priced against). `make bench` (and the CI bench job)
-# already executes these once; this target is the recorded baseline's
-# regeneration recipe.
+# bench-cluster reproduces (and gates) the BENCH_cluster.json
+# measurement: the zero-latency multi-node serving path at 1 and 4
+# nodes. `make bench` (and the CI bench job) already executes these
+# once; this target is the recorded baseline's regeneration recipe.
 bench-cluster:
-	$(GO) test -bench 'BenchmarkClusterServe|BenchmarkPoissonServe$$' -benchtime 20x -run '^$$' .
+	$(GO) test -bench BenchmarkClusterServe -benchtime 20x -run '^$$' . | $(GO) run ./cmd/benchguard -baseline BENCH_cluster.json
 
 # bench-fleet reproduces (and gates) the BENCH_fleet.json measurement:
 # the 100-node / 1M-request fleet hot path in sketch + arena mode. The

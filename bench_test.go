@@ -67,8 +67,8 @@ func BenchmarkExtArrivalSweep(b *testing.B) { benchExperiment(b, "ext-arrival") 
 // registered experiment (paper figures, extensions, serve-*) on a fresh,
 // uncached context per iteration — sequentially and fanned out across
 // all cores through the parallel run engine. The wall-clock ratio of
-// the two sub-benchmarks is the speedup recorded in
-// BENCH_experiments.json; the outputs are byte-identical (asserted by
+// the two sub-benchmarks is the engine's speedup; the outputs are
+// byte-identical to the goldens (asserted by
 // TestParallelOutputByteIdentical in internal/experiments).
 func BenchmarkAllExperiments(b *testing.B) {
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {

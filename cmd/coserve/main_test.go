@@ -1,9 +1,17 @@
 package main
 
 import (
+	"flag"
 	"os"
+	"path/filepath"
+	"regexp"
 	"testing"
 )
+
+// update regenerates the CLI output goldens instead of comparing:
+//
+//	go test ./cmd/coserve -run TestServeClusterOutput -update
+var update = flag.Bool("update", false, "rewrite testdata/*.txt from the current build")
 
 // silence routes stdout to /dev/null for the duration of a test so CLI
 // output does not pollute the test log.
@@ -203,5 +211,68 @@ func TestProfilePersistAndReuse(t *testing.T) {
 	}
 	if err := run([]string{"run", "-perf", dir + "/missing.json"}); err == nil {
 		t.Error("missing perf file accepted")
+	}
+}
+
+// capture runs the CLI with stdout redirected to a temporary file and
+// returns what it printed.
+func capture(t *testing.T, args []string) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stdout
+	os.Stdout = f
+	err = run(args)
+	os.Stdout = old
+	if err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// hostDependent matches the only machine-dependent text serve prints:
+// the wall-time footer and the sharded kernel's worker count (which
+// defaults to GOMAXPROCS).
+var hostDependent = regexp.MustCompile(`\(simulated in .* of wall time\)|, \d+ workers\)`)
+
+// TestServeClusterOutput pins `coserve serve`'s full cluster report —
+// fault-free, scripted crash/recover/drain, and MTBF churn over the
+// sharded kernel — byte for byte against testdata goldens, with the
+// host-dependent text masked.
+func TestServeClusterOutput(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"serve-nodes4", []string{"serve", "-nodes", "4"}},
+		{"serve-nodes4-chaos", []string{"serve", "-nodes", "4", "-chaos", "crash@2s:1,recover@3.5s:1,drain@6s:2"}},
+		{"serve-nodes4-interconnect-mtbf", []string{"serve", "-nodes", "4", "-interconnect", "200us/100us/600us@2", "-chaos-mtbf", "3s"}},
+	}
+	for _, tc := range cases {
+		got := hostDependent.ReplaceAllString(capture(t, tc.args), "<host>")
+		path := filepath.Join("testdata", tc.name+".txt")
+		if *update {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v (run with -update to create it)", tc.name, err)
+		}
+		if got != string(want) {
+			t.Errorf("%v: output differs from %s\n--- got ---\n%s\n--- want ---\n%s", tc.args, path, got, want)
+		}
 	}
 }

@@ -1,0 +1,89 @@
+package experiments
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+// update regenerates the golden files instead of comparing against them:
+//
+//	go test ./internal/experiments -run Golden -update
+var update = flag.Bool("update", false, "rewrite testdata/golden/<id>.txt from the current build")
+
+// goldenPath is where experiment id's pinned rendering lives.
+func goldenPath(id string) string {
+	return filepath.Join("testdata", "golden", id+".txt")
+}
+
+// checkGolden compares one experiment's masked rendering against its
+// golden file (or rewrites the file under -update). A mismatch names the
+// experiment, the run that produced it, and the first differing line.
+func checkGolden(t *testing.T, id, run, rendered string) {
+	t.Helper()
+	got := maskWallClock(id, rendered)
+	path := goldenPath(id)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%s: %v (run with -update to create it)", id, err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < max(len(gl), len(wl)); i++ {
+		g, w := lineAt(gl, i), lineAt(wl, i)
+		if g != w {
+			t.Errorf("%s (%s) differs from %s at line %d:\n  got:  %q\n  want: %q", id, run, path, i+1, g, w)
+			return
+		}
+	}
+}
+
+func lineAt(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return "<EOF>"
+}
+
+// TestGoldenAtEveryShardCount renders the cluster serving experiments on
+// the sharded kernel's every interesting worker count — sequential, two,
+// an odd count that splits the partitions unevenly, and GOMAXPROCS — and
+// compares each run to the same golden file. Only serve-shard engages
+// the sharded kernel; the others pin that the setting leaves the
+// zero-latency front end untouched.
+func TestGoldenAtEveryShardCount(t *testing.T) {
+	if *update {
+		t.Skip("goldens are written by TestParallelOutputByteIdentical")
+	}
+	ids := []string{"serve-shard", "serve-chaos", "serve-grayfail", "serve-fleet"}
+	for _, shards := range []int{1, 2, 3, runtime.GOMAXPROCS(0)} {
+		ctx := NewContext()
+		ctx.SetShards(shards)
+		for _, id := range ids {
+			e, err := ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb, err := e.Run(ctx)
+			if err != nil {
+				t.Fatalf("%s at shards=%d: %v", id, shards, err)
+			}
+			checkGolden(t, id, fmt.Sprintf("shards=%d", shards), tb.Render())
+		}
+	}
+}

@@ -33,8 +33,9 @@ func maskWallClock(id, rendered string) string {
 
 // TestParallelOutputByteIdentical is the engine's core guarantee: every
 // registered experiment (paper artifacts, extensions, and the serve-*
-// family) renders byte-identically whether sweeps run on one worker or
-// fan out across eight.
+// family) renders byte-identically to its golden file
+// (testdata/golden/<id>.txt) whether sweeps run on one worker or fan out
+// across eight. Under -update the sequential run rewrites the goldens.
 func TestParallelOutputByteIdentical(t *testing.T) {
 	seq := NewContext()
 	seq.SetParallel(1)
@@ -48,14 +49,12 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s sequential: %v", e.ID, err)
 		}
+		checkGolden(t, e.ID, "parallel=1", sTab.Render())
 		pTab, err := e.Run(par)
 		if err != nil {
 			t.Fatalf("%s parallel: %v", e.ID, err)
 		}
-		s, p := maskWallClock(e.ID, sTab.Render()), maskWallClock(e.ID, pTab.Render())
-		if s != p {
-			t.Errorf("%s: parallel output differs from sequential\n--- parallel=1 ---\n%s\n--- parallel=8 ---\n%s", e.ID, s, p)
-		}
+		checkGolden(t, e.ID, "parallel=8", pTab.Render())
 	}
 }
 

@@ -69,15 +69,14 @@ func shardScenarios() []shardScenario {
 // scenarios run: a steady stream, a crash/drain/recover script, and a
 // fail-slow script under breaker + hedge. Every row hard-fails unless
 // completion accounting is exactly-once, and the rendered table is
-// byte-identical at every Context.SetShards setting — `make
-// shard-determinism` diffs it at shards 1, 2, and GOMAXPROCS.
+// byte-identical at every Context.SetShards setting — the golden test
+// compares it at shards 1, 2, 3, and GOMAXPROCS.
 func ServeShard(ctx *Context) (*Table, error) {
 	t := &Table{
 		ID: "serve-shard",
-		// The title deliberately omits the shard setting: `make
-		// shard-determinism` byte-diffs this table across worker counts,
-		// so nothing host- or setting-dependent may reach the rendered
-		// bytes.
+		// The title deliberately omits the shard setting: one golden
+		// pins this table at every worker count, so nothing host- or
+		// setting-dependent may reach the rendered bytes.
 		Title: fmt.Sprintf("Sharded kernel: 4-node fleet over a %v/%v intra/inter-board interconnect, affinity router, NUMA board A, Poisson 8 req/s (SLO %v)",
 			shardInterconnect.IntraBoard, shardInterconnect.InterNode, shardSLO),
 		Columns: []string{"scenario", "completions", "slo attainment", "p95",
