@@ -10,15 +10,13 @@ import (
 	"repro/internal/workload"
 )
 
-// chaosState is the durable-delivery bookkeeping of one fault-injected
-// stream. The cluster front end is the lease holder: every admission
-// opens a lease (with a private copy of the request's expert chain —
-// the node may recycle the request object into its arena at any time
-// after a crash), completions resolve leases exactly once, and a crash
-// voids the dead node's leases so their requests can be redelivered to
-// surviving nodes. All of it exists only when a fault plan is
-// configured; fault-free streams carry a nil *chaosState and pay
-// nothing.
+// chaosState is the durable-delivery bookkeeping of one stream. The
+// cluster front end is the lease holder: every admission opens a lease
+// (with a private copy of the request's expert chain — the request
+// object is recycled once its node is done with it), completions
+// resolve leases exactly once, and a crash voids the dead node's leases
+// so their requests can be redelivered to surviving nodes. Every stream
+// runs over it, faults or not: one lease per request in flight.
 type chaosState struct {
 	arena *coe.Arena // redelivered requests lease from here when set
 
@@ -26,8 +24,9 @@ type chaosState struct {
 	// each node's lease IDs in admission order, so a crash voids (and
 	// redelivers) them deterministically — never by map iteration, whose
 	// order would differ run to run. Entries in byNode go stale when a
-	// lease resolves; the crash walk skips IDs whose ledger entry is
-	// gone or has moved to another node.
+	// lease resolves or moves; the crash walk skips them, and track
+	// compacts them away so a list stays proportional to what its node
+	// holds rather than to the stream length.
 	ledger map[int64]*lease
 	byNode [][]int64
 
@@ -47,7 +46,7 @@ type chaosState struct {
 	// Exactly-once accounting: at every fault boundary,
 	// arrivals == completions + terminalRejected + len(ledger) + len(pending)
 	//           + offersInFlight.
-	// The last term exists only on the sharded kernel: a primary or
+	// The last term is non-zero only on the sharded kernel: a primary or
 	// redelivery offer crossing the interconnect holds its request's
 	// accounting token until the fold lands it in one of the other
 	// buckets. hedgeOffers tracks in-flight hedge copies separately —
@@ -191,8 +190,33 @@ func (cs *chaosState) open(idx int, receipt core.Lease, tr workload.TimedRequest
 	l.arrival = receipt.Issued
 	l.hedgeNode = -1
 	cs.ledger[l.id] = l
-	cs.byNode[idx] = append(cs.byNode[idx], l.id)
+	cs.track(idx, l.id)
 	return l
+}
+
+// track appends a lease ID to node idx's admission-order list. A full
+// list is compacted first: IDs that are neither a live lease held on
+// the node (as primary or hedge copy) nor an orphan on it are dropped,
+// order kept. The list grows only when more than half its entries
+// survive, so appends stay amortized O(1) and the list stays within a
+// small multiple of what the node holds.
+func (cs *chaosState) track(idx int, id int64) {
+	ids := cs.byNode[idx]
+	if len(ids) > 0 && len(ids) == cap(ids) {
+		live := ids[:0]
+		for _, held := range ids {
+			if l := cs.ledger[held]; l != nil && (l.node == idx || l.hedgeNode == idx) {
+				live = append(live, held)
+			} else if on, ok := cs.orphans[held]; ok && on == idx {
+				live = append(live, held)
+			}
+		}
+		if 2*len(live) > cap(ids) {
+			live = append(make([]int64, 0, 2*cap(ids)), live...)
+		}
+		ids = live
+	}
+	cs.byNode[idx] = append(ids, id)
 }
 
 // park records an arrival that found no routable node: a lease with no
@@ -207,6 +231,11 @@ func (cs *chaosState) park(tr workload.TimedRequest, now sim.Time) {
 	l.node = -1
 	l.voidedAt = now
 	l.hedgeNode = -1
+	cs.parkLease(l)
+}
+
+// parkLease queues a lease with no holder for the next recovery.
+func (cs *chaosState) parkLease(l *lease) {
 	cs.pending = append(cs.pending, l)
 	if len(cs.pending) > cs.pendingPeak {
 		cs.pendingPeak = len(cs.pending)
@@ -246,8 +275,7 @@ func (cs *chaosState) verify(now sim.Time, where string) {
 // node, lease voiding and redelivery for crashes, drain timing for
 // drains, and pending-queue flushing for recoveries. The exactly-once
 // invariant is checked after every event — the fault boundaries.
-func (c *Cluster) applyFault(p *sim.Proc, ev sim.FaultEvent) {
-	now := p.Now()
+func (c *Cluster) applyFault(now sim.Time, ev sim.FaultEvent) {
 	cs := c.chaos
 	n := c.nodes[ev.Node]
 	switch ev.Kind {
@@ -265,13 +293,15 @@ func (c *Cluster) applyFault(p *sim.Proc, ev sim.FaultEvent) {
 			c.drainOn[ev.Node] = false
 			c.scalerDrained[ev.Node] = false
 		}
-		// Void the node's outstanding leases in admission order, then
-		// crash the node (purging its queues and voiding its in-flight
-		// batches), then redeliver. The order matters for arena safety:
-		// by the time a redelivered request leases a possibly-recycled
-		// object, the ledger's chain copies are the only truth left from
-		// the original admission.
-		var voided []*lease
+		// Void the node's outstanding leases in admission order onto the
+		// pending queue, then crash the node (purging its queues and
+		// voiding its in-flight batches), then redeliver. The order
+		// matters for arena safety: by the time a redelivered request
+		// leases a possibly-recycled object, the ledger's chain copies
+		// are the only truth left from the original admission. Queueing
+		// before redelivering also keeps every voided lease visible to
+		// the close check while the redeliveries land.
+		parked := len(cs.pending)
 		for _, id := range cs.byNode[ev.Node] {
 			l := cs.ledger[id]
 			if l == nil {
@@ -314,21 +344,15 @@ func (c *Cluster) applyFault(p *sim.Proc, ev sim.FaultEvent) {
 			delete(cs.ledger, id)
 			l.node = -1
 			l.voidedAt = now
-			voided = append(voided, l)
+			cs.pending = append(cs.pending, l)
 		}
 		cs.byNode[ev.Node] = cs.byNode[ev.Node][:0]
-		cs.lostLeases += int64(len(voided))
+		cs.lostLeases += int64(len(cs.pending) - parked)
 		if c.health != nil {
 			c.health.resetNode(ev.Node)
 		}
-		n.sys.Crash(p)
-		for i, l := range voided {
-			if !c.redeliverOne(p, l) {
-				// No routable node: this and every remaining lease park.
-				cs.pending = append(cs.pending, voided[i:]...)
-				break
-			}
-		}
+		n.sys.CrashAt(now)
+		c.flushPending(now)
 		if len(cs.pending) > cs.pendingPeak {
 			cs.pendingPeak = len(cs.pending)
 		}
@@ -366,7 +390,7 @@ func (c *Cluster) applyFault(p *sim.Proc, ev sim.FaultEvent) {
 		}
 		n.sys.ClearGray()
 		c.unroutable--
-		c.flushPending(p)
+		c.flushPending(now)
 	case sim.FaultSlow:
 		if n.sys.State() == core.NodeDown {
 			break
@@ -397,66 +421,18 @@ func jitterSeed(ev sim.FaultEvent) int64 {
 	return int64(ev.Node+1)*1_000_000_007 + int64(ev.At)
 }
 
-// redeliverOne re-dispatches a voided (or parked) lease: it rebuilds
-// the request, routes it over the Up subset, and offers it. Reports
-// false when no node is routable — the lease stays with the caller for
-// the pending queue. A node-admission rejection is terminal: the
-// request is gone, counted once, never double-counted in the fleet
-// recorder (a lease that already counted as an arrival does not also
-// count as a rejection).
-func (c *Cluster) redeliverOne(p *sim.Proc, l *lease) bool {
-	now := p.Now()
-	if c.kernel != nil {
-		return c.shardRedeliver(now, l)
-	}
-	cs := c.chaos
-	r := cs.leaseRequest(l)
-	idx := c.pickNode(now, r)
-	if idx < 0 {
-		coe.Recycle(r)
-		return false
-	}
-	c.routed[idx]++
-	receipt, ok := c.nodes[idx].sys.Offer(p, workload.TimedRequest{Req: r, Tenant: l.tenant})
-	if ok {
-		if l.hasArrival {
-			cs.redelivered++
-			l.redeliveries++
-		} else {
-			l.hasArrival = true
-			l.arrival = receipt.Issued
-			c.recorder.Arrival(now)
-		}
-		l.node = idx
-		cs.ledger[l.id] = l
-		cs.byNode[idx] = append(cs.byNode[idx], l.id)
-		if h := c.health; h != nil {
-			h.onAdmit(idx)
-		}
-		c.armHedge(l, c.hedge.After)
-	} else {
-		cs.terminalRejected++
-		if l.hasArrival {
-			cs.redeliveredRejected++
-		} else {
-			c.recorder.Rejection(now)
-		}
-		cs.resolveLease(l)
-	}
-	return true
-}
-
-// flushPending delivers parked leases in order after a recovery,
-// stopping (and keeping the rest parked) if the fleet goes unroutable
-// again mid-flush.
-func (c *Cluster) flushPending(p *sim.Proc) {
+// flushPending delivers parked leases in order after a recovery or a
+// crash, stopping (and keeping the rest parked) if no node is routable.
+// The queue keeps every lease until the flush ends, so a redelivery
+// that lands synchronously cannot close the stream under the rest.
+func (c *Cluster) flushPending(now sim.Time) {
 	cs := c.chaos
 	if len(cs.pending) == 0 {
 		return
 	}
 	rest := cs.pending[:0]
 	for i, l := range cs.pending {
-		if !c.redeliverOne(p, l) {
+		if !c.redeliverOne(now, l) {
 			rest = append(rest, cs.pending[i:]...)
 			break
 		}

@@ -19,7 +19,15 @@
 // evaluates. Routing per stage (migrating a request between nodes
 // mid-chain) would ship activations across nodes; with the paper's
 // short chains the residency-aware first-stage decision captures
-// nearly all of the benefit without modeling an interconnect.
+// nearly all of the benefit.
+//
+// Every request travels one protocol (shard.go): the front end opens a
+// lease for it in an always-on ledger, offers it to a node, and lands
+// the node's answers — accepted, rejected, bounced, completed — as
+// folds that resolve the lease exactly once. Only the transport differs
+// between kernels: with no Interconnect the whole fleet shares one
+// environment and every hop is delivered synchronously at the sending
+// instant; with one, each hop is a timed cross-partition event.
 package cluster
 
 import (
@@ -75,12 +83,10 @@ type Config struct {
 	// Faults is the stream's fault schedule: scripted crash/drain/
 	// recover events the cluster fires deterministically, with lease-
 	// tracked at-least-once redelivery of a crashed node's in-flight
-	// requests and exactly-once completion accounting. Nil or empty — the
-	// default — injects nothing and leaves every serve path byte-
-	// identical to the fault-free cluster.
+	// requests. Nil or empty — the default — injects nothing.
 	Faults *sim.FaultPlan
-	// Arena, when set alongside Faults, leases redelivered requests from
-	// this arena (normally the same one the workload source draws from)
+	// Arena, when set, leases redelivered and hedged requests from this
+	// arena (normally the same one the workload source draws from)
 	// instead of allocating them. Optional; redelivery is correct either
 	// way.
 	Arena *coe.Arena
@@ -92,21 +98,19 @@ type Config struct {
 	Autoscaler FleetAutoscaler
 
 	// Health enables per-node health scoring and the circuit breaker —
-	// the gray-failure detector. The zero value disables it and leaves
-	// every serve path byte-identical to the health-free cluster.
+	// the gray-failure detector. The zero value disables it.
 	Health HealthConfig
 	// Hedge enables per-request deadline timeouts with hedged
-	// redelivery over the chaos layer's lease ledger. The zero value
-	// disables it.
+	// redelivery over the lease ledger. The zero value disables it.
 	Hedge HedgeConfig
 
 	// Interconnect models the dispatch latency between the front end
 	// and its nodes. Enabling it moves the cluster onto the sharded
 	// event kernel — every node in its own partition, offers and acks
 	// as timed cross-partition events — whose output is byte-identical
-	// at every Shards setting. The zero value disables the model and
-	// keeps the single shared environment, byte-identical to the
-	// latency-free cluster.
+	// at every Shards setting. The zero value disables the model: the
+	// fleet shares one environment and the same offers and acks are
+	// delivered synchronously.
 	Interconnect Interconnect
 	// Shards bounds how many node partitions simulate concurrently
 	// when the Interconnect is enabled: 0 defaults to GOMAXPROCS, 1
@@ -182,8 +186,8 @@ type Cluster struct {
 	// node's one-way hop cost.
 	kernel  *sim.Sharded
 	latency []time.Duration
-	// msgFree holds per-partition free lists of pooled cross-partition
-	// messages (index 0 the coordinator, 1+i node i) — unsynchronized,
+	// msgFree holds per-partition free lists of pooled protocol
+	// messages (index 0 the front end, 1+i node i) — unsynchronized,
 	// each touched only by its partition's executing context.
 	msgFree []*shardMsg
 
@@ -196,12 +200,12 @@ type Cluster struct {
 	routed []int64
 
 	// chaos is the per-stream durable-delivery state (lease ledger,
-	// redelivery queue, exactly-once counters); nil on fault-free
-	// streams, which therefore pay nothing for the machinery.
+	// redelivery queue, exactly-once counters).
 	chaos *chaosState
-	// closedAll records that every node's stream has been closed; with
-	// faults the close is deferred until the ledger and redelivery queue
-	// drain, so a recovered node can still receive redeliveries.
+	// closedAll records that every node's stream has been closed. The
+	// close waits until the source is exhausted and the ledger,
+	// redelivery queue and wire have drained, so a recovered node can
+	// still receive redeliveries.
 	closedAll bool
 
 	// unroutable counts nodes currently not Up. While it is zero (and
@@ -221,8 +225,8 @@ type Cluster struct {
 	delegates []nodeDelegate
 	probe     coe.Request
 
-	// draining counts nodes currently Draining; drain timing below is
-	// allocated only when faults or a fleet autoscaler are configured.
+	// draining counts nodes currently Draining; the slices below time
+	// each drain and record which ones the fleet autoscaler owns.
 	draining      int
 	drainOn       []bool     // drain in progress, completion not yet recorded
 	drainStart    []sim.Time // when the drain began
@@ -254,10 +258,13 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("cluster: Shards must be >= 0, got %d", cfg.Shards)
 	}
+	c.msgFree = make([]*shardMsg, 1+len(cfg.Nodes))
+	c.drainOn = make([]bool, len(cfg.Nodes))
+	c.drainStart = make([]sim.Time, len(cfg.Nodes))
+	c.scalerDrained = make([]bool, len(cfg.Nodes))
 	if cfg.Interconnect.Enabled() {
 		c.kernel = sim.NewSharded(1+len(cfg.Nodes), cfg.Shards, cfg.Interconnect.Lookahead(len(cfg.Nodes)))
 		c.env = c.kernel.Part(0)
-		c.msgFree = make([]*shardMsg, 1+len(cfg.Nodes))
 		c.latency = make([]time.Duration, len(cfg.Nodes))
 		for i := range c.latency {
 			c.latency[i] = cfg.Interconnect.NodeLatency(i)
@@ -314,12 +321,8 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 		nc.Percentiles = cfg.Percentiles
 		env := c.env
 		if c.kernel != nil {
-			// Each node simulates in its own partition, and request
-			// objects stay coordinator-owned: the node hands them back
-			// through the delegate's completion and drop folds instead of
-			// recycling into the shared arena from a worker partition.
+			// Each node simulates in its own partition.
 			env = c.kernel.Part(1 + i)
-			nc.ExternalRecycle = true
 		}
 		sys, err := core.NewSystemInEnv(nc, m, env)
 		if err != nil {
@@ -350,22 +353,18 @@ type nodeDelegate struct {
 	idx int
 }
 
-// RequestDone implements core.StreamDelegate. On the sharded kernel it
-// runs inside the node's partition, so the completion travels to the
-// coordinator as a fold event instead of a direct call.
+// RequestDone implements core.StreamDelegate: the completion acks the
+// request's lease with a fold to the front end (completionFold). It runs
+// in the node's context, so it may only capture and post.
 func (d *nodeDelegate) RequestDone(p *sim.Proc, r *coe.Request) {
-	if d.c.kernel != nil {
-		d.c.foldCompletion(d.idx, p.Now(), r)
-		return
-	}
-	d.c.requestDone(p, d.idx, r)
+	d.c.postFold(d.idx, p.Now(), opCompletion, 0, r, "", nil, core.Lease{})
 }
 
-// RequestDropped implements core.DropDelegate: under ExternalRecycle —
-// set exactly when the kernel is sharded — a crash-voided request
-// folds back to the coordinator for recycling.
+// RequestDropped implements core.StreamDelegate: a crash-voided request
+// folds back to the front end, which owns the arena, for recycling. The
+// node's own drop accounting already ran.
 func (d *nodeDelegate) RequestDropped(now sim.Time, r *coe.Request) {
-	d.c.postRecycle(d.idx, now, r)
+	d.c.postFold(d.idx, now, opRecycle, 0, r, "", nil, core.Lease{})
 }
 
 // Nodes exposes the fleet (read-only use).
@@ -452,10 +451,9 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 	if c.cfg.Admission != nil {
 		c.cfg.Admission.Reset(c.env.Now())
 	}
-	if c.chaos != nil {
-		plan := c.cfg.Faults
+	if plan := c.cfg.Faults; !plan.Empty() {
 		c.env.Go("cluster/chaos", func(p *sim.Proc) {
-			plan.Run(p, func(ev sim.FaultEvent) { c.applyFault(p, ev) })
+			plan.Run(p, func(ev sim.FaultEvent) { c.applyFault(p.Now(), ev) })
 		})
 	}
 	if c.cfg.Autoscaler != nil {
@@ -467,18 +465,17 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 	c.env.Go("cluster/arrivals", func(p *sim.Proc) { c.admit(p, src) })
 	c.runKernel()
 
-	if cs := c.chaos; cs != nil {
-		cs.verify(c.env.Now(), "stream end")
-		if len(cs.violations) > 0 {
-			c.broken = fmt.Errorf("cluster: exactly-once accounting violated:\n  %s",
-				strings.Join(cs.violations, "\n  "))
-			return nil, c.broken
-		}
-		if !c.closedAll {
-			c.broken = fmt.Errorf("cluster: stream %q ended with %d leases outstanding and %d requests undeliverable (no routable node remained to redeliver to)",
-				src.Name(), len(cs.ledger), len(cs.pending))
-			return nil, c.broken
-		}
+	cs := c.chaos
+	cs.verify(c.env.Now(), "stream end")
+	if len(cs.violations) > 0 {
+		c.broken = fmt.Errorf("cluster: exactly-once accounting violated:\n  %s",
+			strings.Join(cs.violations, "\n  "))
+		return nil, c.broken
+	}
+	if !c.closedAll {
+		c.broken = fmt.Errorf("cluster: stream %q ended with %d leases outstanding and %d requests undeliverable (no routable node remained to redeliver to)",
+			src.Name(), len(cs.ledger), len(cs.pending))
+		return nil, c.broken
 	}
 
 	reports := make([]*core.Report, len(c.nodes))
@@ -493,47 +490,32 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 	return c.report(src.Name(), reports), nil
 }
 
-// beginLifecycle arms the per-stream lifecycle state: a fresh chaos
-// ledger when a fault plan is configured (or hedging needs one), fresh
-// health scoring when configured, and the drain-timing buffers when
-// faults or a fleet autoscaler can drain nodes. Fault-free, scaler-free,
-// health-free streams allocate nothing here.
+// beginLifecycle arms the per-stream lifecycle state: a fresh lease
+// ledger, fresh health scoring when configured, and cleared drain
+// timing.
 func (c *Cluster) beginLifecycle() {
 	c.closedAll = false
 	c.unroutable, c.draining = 0, 0
 	c.scaleUps, c.scaleDowns = 0, 0
 	c.drainRecords = nil
-	c.chaos = nil
+	c.chaos = newChaosState(len(c.nodes), c.cfg.Arena)
 	c.health = nil
-	if !c.cfg.Faults.Empty() || c.hedge.Enabled() || c.kernel != nil {
-		// Hedging rides on the lease ledger even on a fault-free stream:
-		// a deadline can only re-lease what a lease tracks. The sharded
-		// kernel always runs over the ledger too — an offer on the wire
-		// needs a lease to land in, and close must wait for it.
-		c.chaos = newChaosState(len(c.nodes), c.cfg.Arena)
-	}
 	if c.cfg.Health.Enabled() {
 		c.health = newHealthState(c.cfg.Health.withDefaults(), len(c.nodes))
 	}
-	if c.chaos != nil || c.cfg.Autoscaler != nil {
-		if c.drainOn == nil {
-			c.drainOn = make([]bool, len(c.nodes))
-			c.drainStart = make([]sim.Time, len(c.nodes))
-			c.scalerDrained = make([]bool, len(c.nodes))
-		}
-		clear(c.drainOn)
-		clear(c.drainStart)
-		clear(c.scalerDrained)
-	}
+	clear(c.drainOn)
+	clear(c.drainStart)
+	clear(c.scalerDrained)
 }
 
 // admit is the cluster's arrival process: it walks the source, sleeps
-// until each request's due time, asks the router for a node, and offers
-// the request to that node's admission and dispatch path. When the
-// source closes it closes every node's stream so the fleet drains and
-// shuts down.
+// until each request's due time, and delivers it. When the source
+// closes, the nodes' streams close as soon as every lease has resolved
+// (maybeClose): a voided lease may still need redelivery to a node that
+// has not recovered yet.
 func (c *Cluster) admit(p *sim.Proc, src workload.Source) {
 	start := p.Now()
+	cs := c.chaos
 	for {
 		tr, ok := src.Next()
 		if !ok {
@@ -543,73 +525,35 @@ func (c *Cluster) admit(p *sim.Proc, src workload.Source) {
 		if wait := due.Sub(p.Now()); wait > 0 {
 			p.Sleep(wait)
 		}
-		if c.chaos != nil {
-			c.chaos.arrivals++
-		}
-		c.deliver(p, tr)
+		cs.arrivals++
+		c.deliver(p.Now(), tr)
 	}
-	if c.chaos == nil {
-		c.closedAll = true
-		for _, n := range c.nodes {
-			n.sys.CloseStream()
-		}
-		return
-	}
-	// With faults in play the close is deferred: a voided lease may
-	// still need redelivery to a node that has not recovered yet, so the
-	// nodes' streams stay open until every lease has resolved.
-	c.chaos.srcClosed = true
-	c.chaos.verify(p.Now(), "source exhausted")
+	cs.srcClosed = true
+	cs.verify(p.Now(), "source exhausted")
 	c.maybeClose()
 }
 
-// deliver runs one arrival through cluster admission, routing, and the
-// chosen node's offer path. With faults configured it additionally
-// opens a lease in the chaos ledger on admission, and parks the request
-// for later redelivery when no routable node exists at this instant.
-func (c *Cluster) deliver(p *sim.Proc, tr workload.TimedRequest) {
-	now := p.Now()
+// deliver runs one arrival through cluster admission and routing, and
+// offers it to the chosen node; the lease opens when the acceptance
+// lands (acceptFold). When no node is routable at this instant the
+// request is parked for redelivery on the next recovery.
+func (c *Cluster) deliver(now sim.Time, tr workload.TimedRequest) {
 	if c.cfg.Admission != nil && !c.cfg.Admission.Admit(now, c, tr.Req) {
 		c.recorder.Rejection(now)
-		if c.chaos != nil {
-			c.chaos.terminalRejected++
-		}
+		c.chaos.terminalRejected++
 		coe.Recycle(tr.Req)
 		return
 	}
 	idx := c.pickNode(now, tr.Req)
 	if idx < 0 {
-		// Chaos only: the whole fleet is down or draining. Park the
-		// request (by value — the ledger owns its own chain copy) for
-		// redelivery when a node recovers, and recycle the object.
+		// The whole fleet is down or draining. Park the request (by
+		// value — the ledger owns its own chain copy) and recycle the
+		// object.
 		c.chaos.park(tr, now)
 		coe.Recycle(tr.Req)
 		return
 	}
-	if c.kernel != nil {
-		// Sharded kernel: the offer crosses the interconnect as a timed
-		// event; admission outcome, lease, and recorder updates land on
-		// the folds.
-		c.postOffer(now, idx, offerPrimary, tr.Req, tr.Tenant, nil)
-		return
-	}
-	c.routed[idx]++
-	lease, ok := c.nodes[idx].sys.Offer(p, tr)
-	if ok {
-		c.recorder.Arrival(now)
-		if c.chaos != nil {
-			l := c.chaos.open(idx, lease, tr, now)
-			c.armHedge(l, c.hedge.After)
-		}
-		if h := c.health; h != nil {
-			h.onAdmit(idx)
-		}
-	} else {
-		c.recorder.Rejection(now)
-		if c.chaos != nil {
-			c.chaos.terminalRejected++
-		}
-	}
+	c.postOffer(now, idx, offerPrimary, tr.Req, tr.Tenant, nil)
 }
 
 // pickNode asks the router for a node. While every node is Up and no
@@ -696,77 +640,12 @@ func (c *Cluster) PredictLatency(r *coe.Request) time.Duration {
 	return best
 }
 
-// requestDone is the fleet completion hook behind every nodeDelegate:
-// node idx reports a completion into the fleet recorder, which
-// therefore holds the exact per-request latency population — fleet
-// percentiles are computed over it, not approximated from per-node
-// summaries. With the ledger armed the completion first resolves its
-// lease, which both dedups (a completion without a live lease counts
-// nothing — exactly-once) and restores the request's original arrival
-// time for redelivered work, so fleet latency spans first admission to
-// final completion. A hedged lease resolves to whichever copy acked
-// first; the loser becomes an orphan whose own completion lands in the
-// nil-lease branch as wasted work.
-func (c *Cluster) requestDone(p *sim.Proc, idx int, r *coe.Request) {
-	now := p.Now()
-	if cs := c.chaos; cs != nil {
-		l := cs.ledger[r.ID]
-		if l == nil {
-			if on, ok := cs.orphans[r.ID]; ok && on == idx {
-				delete(cs.orphans, r.ID)
-				cs.hedgeWasted++
-				return
-			}
-			cs.dupAcks++
-			return
-		}
-		c.cancelHedge(l)
-		if l.hedgeNode >= 0 {
-			// A race was on: record the loser's holder so its late
-			// completion counts as hedge waste, not as a duplicate ack.
-			if idx == l.hedgeNode {
-				cs.hedgeWins++
-				cs.orphans[r.ID] = l.node
-			} else {
-				cs.orphans[r.ID] = l.hedgeNode
-			}
-		}
-		if h := c.health; h != nil {
-			h.onComplete(idx, now.Sub(l.arrival).Seconds())
-		}
-		delete(cs.ledger, r.ID)
-		cs.completions++
-		c.recorder.Completion(l.arrival, now)
-		if l.redeliveries > 0 {
-			d := now.Sub(l.voidedAt)
-			cs.failoverSum += d
-			cs.failoverN++
-			if d > cs.failoverMax {
-				cs.failoverMax = d
-			}
-		}
-		cs.resolveLease(l)
-		if c.draining > 0 {
-			c.checkDrains(now)
-		}
-		c.maybeClose()
-		return
-	}
-	if h := c.health; h != nil {
-		h.onComplete(idx, now.Sub(r.Arrival).Seconds())
-	}
-	c.recorder.Completion(r.Arrival, now)
-	if c.draining > 0 {
-		c.checkDrains(now)
-	}
-}
-
 // maybeClose closes every node's stream once the source is exhausted
-// and no lease or parked request remains — the chaos-mode close, which
-// must wait for redelivery to finish. No-op until then.
+// and no lease, parked request, or offer on the wire remains. No-op
+// until then.
 func (c *Cluster) maybeClose() {
 	cs := c.chaos
-	if cs == nil || !cs.srcClosed || c.closedAll {
+	if !cs.srcClosed || c.closedAll {
 		return
 	}
 	if len(cs.ledger) > 0 || len(cs.pending) > 0 {
@@ -789,7 +668,7 @@ func (c *Cluster) maybeClose() {
 // the record is the time from the drain order to this instant.
 func (c *Cluster) checkDrains(now sim.Time) {
 	for i, n := range c.nodes {
-		if c.drainOn != nil && c.drainOn[i] && n.sys.State() == core.NodeDraining && n.sys.Outstanding() == 0 {
+		if c.drainOn[i] && n.sys.State() == core.NodeDraining && n.sys.Outstanding() == 0 {
 			c.drainOn[i] = false
 			c.drainRecords = append(c.drainRecords, DrainRecord{
 				Node: n.id, Took: now.Sub(c.drainStart[i]),

@@ -7,15 +7,14 @@ import (
 	"repro/internal/coe"
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // HedgeConfig enables per-request timeouts with hedged redelivery: a
 // request still leased After past its admission is speculatively
 // re-offered to a healthy node. First completion wins and resolves the
 // lease; the loser's completion finds no lease and is counted as wasted
-// work, never as a second completion — the exactly-once ledger from the
-// chaos layer is what makes hedging safe to account.
+// work, never as a second completion — the exactly-once lease ledger is
+// what makes hedging safe to account.
 type HedgeConfig struct {
 	// After is the deadline budget: a lease older than this (and not
 	// already hedged) fires a hedge. Zero disables hedging — the
@@ -68,8 +67,8 @@ func (c *Cluster) cancelHedge(l *lease) {
 }
 
 // hedgeDue is the timer callback: the lease outlived its deadline
-// budget. It runs inline on the event kernel, so the actual re-offer is
-// handed to a fresh process.
+// budget. The re-offer runs in a fresh process at the same instant,
+// after the events already due now.
 func (c *Cluster) hedgeDue(id int64) {
 	cs := c.chaos
 	l := cs.ledger[id]
@@ -80,12 +79,12 @@ func (c *Cluster) hedgeDue(id int64) {
 	c.env.Go("cluster/hedge", func(p *sim.Proc) { c.fireHedge(p, id) })
 }
 
-// fireHedge re-offers an overdue lease's request to a healthy node. On
-// success the lease tracks both copies; whichever completes first
-// resolves it and the other surfaces as wasted work. When no eligible
-// node exists (or node admission refuses the copy) the primary keeps
-// the lease untouched and the timer re-arms with exponential backoff,
-// up to MaxRetries.
+// fireHedge re-offers an overdue lease's request to a healthy node. Once
+// the acceptance lands the lease tracks both copies; whichever completes
+// first resolves it and the other surfaces as wasted work. When no
+// eligible node exists (or node admission refuses or bounces the copy)
+// the primary keeps the lease untouched and the timer re-arms with
+// exponential backoff, up to MaxRetries.
 func (c *Cluster) fireHedge(p *sim.Proc, id int64) {
 	cs := c.chaos
 	l := cs.ledger[id]
@@ -110,30 +109,11 @@ func (c *Cluster) fireHedge(p *sim.Proc, id int64) {
 		c.rearmHedge(l)
 		return
 	}
-	r := cs.leaseRequest(l)
-	if c.kernel != nil {
-		// Sharded kernel: the hedge copy crosses the interconnect like
-		// any offer. hedgesFired, the byNode entry, and the race state
-		// attach when the accept fold lands; a refusal or bounce re-arms
-		// the deadline from its fold.
-		l.hedgeInFlight = true
-		c.postOffer(now, idx, offerHedge, r, l.tenant, l)
-		cs.verify(now, fmt.Sprintf("hedge %d", id))
-		return
-	}
-	c.routed[idx]++
-	_, ok := c.nodes[idx].sys.Offer(p, workload.TimedRequest{Req: r, Tenant: l.tenant})
-	if !ok {
-		cs.hedgeRejected++
-		c.rearmHedge(l)
-		return
-	}
-	cs.hedgesFired++
-	l.hedgeNode = idx
-	cs.byNode[idx] = append(cs.byNode[idx], id)
-	if h := c.health; h != nil {
-		h.onAdmit(idx)
-	}
+	// hedgesFired, the byNode entry, and the race state attach when the
+	// accept fold lands; a refusal or bounce re-arms the deadline from
+	// its fold.
+	l.hedgeInFlight = true
+	c.postOffer(now, idx, offerHedge, cs.leaseRequest(l), l.tenant, l)
 	// A hedge moves no lease between ledger states — one arrival, one
 	// lease, still exactly one completion ahead — so the invariant must
 	// hold unchanged at this boundary.

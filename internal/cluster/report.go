@@ -114,7 +114,9 @@ type Report struct {
 	// drain order until the node had nothing outstanding.
 	TimeToDrain []DrainRecord
 	// ScaleUps and ScaleDowns count the fleet autoscaler's actions;
-	// FinalStates is each node's lifecycle state at stream end.
+	// FinalStates is each node's lifecycle state at stream end, reported
+	// when the stream ran with faults, hedging, an interconnect, or the
+	// fleet autoscaler configured.
 	ScaleUps    int
 	ScaleDowns  int
 	FinalStates []core.NodeState
@@ -201,28 +203,27 @@ func (c *Cluster) report(stream string, perNode []*core.Report) *Report {
 	if len(c.drainRecords) > 0 {
 		r.TimeToDrain = append([]DrainRecord(nil), c.drainRecords...)
 	}
-	if cs := c.chaos; cs != nil {
-		r.Faults = cs.crashes + cs.drains + cs.recoveries + cs.slows + cs.jitters + cs.stalls
-		r.Crashes, r.Drains, r.Recoveries = cs.crashes, cs.drains, cs.recoveries
-		r.Slows, r.Jitters, r.Stalls = cs.slows, cs.jitters, cs.stalls
-		r.LostLeases = cs.lostLeases
-		r.Redelivered = cs.redelivered
-		r.RedeliveredRejected = cs.redeliveredRejected
-		r.PendingPeak = cs.pendingPeak
-		r.Bounced = cs.bounced
-		r.DupAcks = cs.dupAcks
-		if cs.failoverN > 0 {
-			r.FailoverMean = cs.failoverSum / time.Duration(cs.failoverN)
-			r.FailoverMax = cs.failoverMax
-		}
-		r.HedgesFired = cs.hedgesFired
-		r.HedgeWins = cs.hedgeWins
-		r.HedgeWasted = cs.hedgeWasted
-		r.HedgeRejected = cs.hedgeRejected
-		r.HedgeRetries = cs.hedgeRetries
-		r.HedgePromoted = cs.hedgePromoted
-		r.HedgesVoided = cs.hedgesVoided
+	cs := c.chaos
+	r.Faults = cs.crashes + cs.drains + cs.recoveries + cs.slows + cs.jitters + cs.stalls
+	r.Crashes, r.Drains, r.Recoveries = cs.crashes, cs.drains, cs.recoveries
+	r.Slows, r.Jitters, r.Stalls = cs.slows, cs.jitters, cs.stalls
+	r.LostLeases = cs.lostLeases
+	r.Redelivered = cs.redelivered
+	r.RedeliveredRejected = cs.redeliveredRejected
+	r.PendingPeak = cs.pendingPeak
+	r.Bounced = cs.bounced
+	r.DupAcks = cs.dupAcks
+	if cs.failoverN > 0 {
+		r.FailoverMean = cs.failoverSum / time.Duration(cs.failoverN)
+		r.FailoverMax = cs.failoverMax
 	}
+	r.HedgesFired = cs.hedgesFired
+	r.HedgeWins = cs.hedgeWins
+	r.HedgeWasted = cs.hedgeWasted
+	r.HedgeRejected = cs.hedgeRejected
+	r.HedgeRetries = cs.hedgeRetries
+	r.HedgePromoted = cs.hedgePromoted
+	r.HedgesVoided = cs.hedgesVoided
 	if h := c.health; h != nil {
 		r.BreakerTrips = h.trips
 		r.BreakerReinstates = h.reinstates
@@ -230,7 +231,7 @@ func (c *Cluster) report(stream string, perNode []*core.Report) *Report {
 		r.BreakerBypasses = h.bypasses
 		r.HealthScores = append([]float64(nil), h.score...)
 	}
-	if c.chaos != nil || c.cfg.Autoscaler != nil {
+	if !c.cfg.Faults.Empty() || c.hedge.Enabled() || c.cfg.Interconnect.Enabled() || c.cfg.Autoscaler != nil {
 		r.FinalStates = make([]core.NodeState, len(c.nodes))
 		for i, n := range c.nodes {
 			r.FinalStates[i] = n.sys.State()

@@ -7,43 +7,44 @@ import (
 	"repro/internal/workload"
 )
 
-// This file is the cluster's side of the sharded event kernel: with
-// Config.Interconnect enabled, the front end runs in the coordinator
-// partition and every node's core.System in its own worker partition,
-// so node partitions simulate in parallel under the kernel's
-// conservative lookahead. The synchronous Offer seam cannot exist in
-// that world — admitting into a node would advance its state from the
-// coordinator's clock — so routing becomes an asynchronous
-// offer/fold protocol made of timed cross-partition events:
+// This file is the front end's request protocol, the one path every
+// offer, redelivery, hedge and completion takes on both kernels:
 //
-//	coordinator ── offer @ now+latency ──▶ node partition
-//	node        ── fold  @ now+latency ──▶ coordinator
+//	front end ── offer ──▶ node        (postOffer → nodeOffer)
+//	node      ── fold  ──▶ front end   (postFold → accept/reject/bounce/
+//	                                    completion/recycle fold)
 //
-// The offer carries the request into the node's partition, where it is
-// either bounced (node not Up), rejected by node admission, or
-// admitted; the outcome folds back to the coordinator one hop later
-// and only then touches the lease ledger, the fleet recorder, health
-// scoring, and the hedge timers. Every coordinator-side structure —
-// ledger, arena, recorder, router scratch — therefore stays owned by
-// partition 0, and node partitions touch only their own state plus the
-// request object the offer handed them.
+// The offer carries the request to the node, where it is either bounced
+// (node not Up), rejected by node admission, or admitted; the outcome
+// folds back and only then touches the lease ledger, the fleet
+// recorder, health scoring, and the hedge timers. Every front-end
+// structure — ledger, arena, recorder, router scratch — is therefore
+// touched only in front-end context, and a node touches only its own
+// state plus the request object the offer handed it.
 //
-// Control verbs flow the other way without events at all: a
+// Only the transport depends on the kernel, and only postOffer and
+// postFold know which one runs. On the classic kernel the fleet shares
+// one environment and a hop is a direct call to deliverMsg at the
+// sending instant — not a zero-delay event, which would reorder
+// same-instant events. On the sharded kernel (Config.Interconnect) the
+// front end runs in the coordinator partition and every node in its own
+// worker partition, and a hop is a timed cross-partition event one
+// interconnect latency later, which is what lets node partitions
+// simulate in parallel under the kernel's conservative lookahead.
+//
+// Control verbs flow the other way without messages at all: a
 // coordinator event runs only when every node partition has advanced
 // past its timestamp with nothing pending before it, so fault
 // injection, drains, restarts, and stream close may call into node
 // state directly — the call is race-free and lands at the node's
-// current logical instant. Only the request path pays the modeled
-// interconnect hops.
+// current logical instant.
 //
 // Every hop is a pooled shardMsg — one typed union covering the whole
-// protocol (offers out; accept/reject/bounce/completion/recycle folds
-// back) — drawn from per-partition free lists via sim.PosterPartition
-// and released into the delivering partition's list, so the
-// steady-state offer→accept→completion cycle allocates nothing: the
-// offer's message is freed into the node's list and immediately reused
-// for the fold, the fold's into the coordinator's and reused for the
-// next offer.
+// protocol — drawn from per-partition free lists and released into the
+// delivering partition's list, so the steady-state
+// offer→accept→completion cycle allocates nothing: the offer's message
+// is freed into the node's list and immediately reused for the fold,
+// the fold's into the front end's and reused for the next offer.
 type offerKind int
 
 const (
@@ -56,8 +57,7 @@ const (
 	offerHedge
 )
 
-// shardOp selects a shardMsg's handler — the cross-partition protocol's
-// full verb set.
+// shardOp selects a shardMsg's handler — the protocol's full verb set.
 type shardOp uint8
 
 const (
@@ -69,9 +69,8 @@ const (
 	opRecycle                   // node → coordinator: return a dropped request to the arena
 )
 
-// shardMsg is the pooled cross-partition event payload: one union for
-// every protocol hop, so a free list of them serves the entire
-// interconnect path. Fields beyond op are populated per-verb; receipt
+// shardMsg is the pooled protocol message: one union for every hop, so
+// a free list of them serves the entire request path. Fields beyond op are populated per-verb; receipt
 // only rides on opAccept.
 type shardMsg struct {
 	c       *Cluster
@@ -85,13 +84,13 @@ type shardMsg struct {
 	next    *shardMsg // free-list link
 }
 
-// Deliver implements sim.Message: the kernel invokes it in the target
-// partition at the scheduled instant.
+// Deliver implements sim.Message: the sharded kernel invokes it in the
+// target partition at the scheduled instant.
 func (m *shardMsg) Deliver(at sim.Time) { m.c.deliverMsg(m, at) }
 
 // newMsg draws a message from partition part's free list. part must be
-// the partition whose goroutine is executing (sim.PosterPartition) —
-// the lists are unsynchronized by design.
+// the partition whose context is executing — the lists are
+// unsynchronized by design.
 func (c *Cluster) newMsg(part int) *shardMsg {
 	m := c.msgFree[part]
 	if m == nil {
@@ -154,18 +153,17 @@ func (c *Cluster) deliverMsg(m *shardMsg, at sim.Time) {
 	}
 }
 
-// postOffer dispatches a request toward node idx as a timed
-// cross-partition event arriving one hop from now. The in-flight offer
-// is tracked so exactly-once verification and stream close account for
-// requests that are currently on the wire: a primary or redelivery
-// offer carries the request's accounting token (it is in neither the
-// ledger nor the pending queue while it flies), a hedge offer carries
-// only duplicate work. l is the lease a redelivery or hedge offer
-// belongs to, nil for primaries.
+// postOffer dispatches a request toward node idx: delivered at once on
+// the classic kernel, one hop from now on the sharded one. The offer is
+// tracked while it flies so exactly-once verification and stream close
+// account for it: a primary or redelivery offer carries the request's
+// accounting token (it is in neither the ledger nor the pending queue
+// meanwhile), a hedge offer carries only duplicate work. l is the lease
+// a redelivery or hedge offer belongs to, nil for primaries.
 //
-// Offers always originate in coordinator context — routing, bounce
-// re-routes, redelivery, and hedge timers all run on partition 0 — so
-// the message comes from the coordinator's free list unconditionally.
+// Offers always originate in front-end context — routing, bounce
+// re-routes, redelivery, and hedge timers — so the message comes from
+// the front end's free list unconditionally.
 func (c *Cluster) postOffer(now sim.Time, idx int, kind offerKind, r *coe.Request, tenant string, l *lease) {
 	cs := c.chaos
 	c.routed[idx]++
@@ -177,29 +175,41 @@ func (c *Cluster) postOffer(now sim.Time, idx int, kind offerKind, r *coe.Reques
 	m := c.newMsg(0)
 	m.op, m.kind, m.idx = opOffer, kind, idx
 	m.r, m.tenant, m.l = r, tenant, l
+	if c.kernel == nil {
+		c.deliverMsg(m, now)
+		return
+	}
 	c.kernel.PostMsg(c.env, 1+idx, now.Add(c.latency[idx]), m)
 }
 
-// postFold posts a fold verb from node idx's partition to the
-// coordinator, one hop after now. Safe from both phases: during a node
-// round it buffers in the partition outbox (the hop is >= the kernel
-// lookahead by construction) and the message comes from the node's
-// free list; from coordinator context — crash purges calling the drop
-// delegate — it inserts directly and draws from the coordinator's
-// list. PosterPartition distinguishes the two.
+// postFold posts a fold verb from node idx to the front end: delivered
+// at once on the classic kernel, one hop after now on the sharded one.
+// The sharded post is safe from both phases: during a node round it
+// buffers in the partition outbox (the hop is >= the kernel lookahead by
+// construction) and the message comes from the node's free list; from
+// coordinator context — crash purges calling the drop delegate — it
+// inserts directly and draws from the coordinator's list.
+// PosterPartition distinguishes the two.
 func (c *Cluster) postFold(idx int, now sim.Time, op shardOp, kind offerKind, r *coe.Request, tenant string, l *lease, receipt core.Lease) {
-	from := c.kernel.Part(1 + idx)
-	m := c.newMsg(c.kernel.PosterPartition(from))
+	part := 1 + idx
+	if c.kernel != nil {
+		part = c.kernel.PosterPartition(c.kernel.Part(1 + idx))
+	}
+	m := c.newMsg(part)
 	m.op, m.kind, m.idx = op, kind, idx
 	m.r, m.tenant, m.l, m.receipt = r, tenant, l, receipt
-	c.kernel.PostMsg(from, 0, now.Add(c.latency[idx]), m)
+	if c.kernel == nil {
+		c.deliverMsg(m, now)
+		return
+	}
+	c.kernel.PostMsg(c.kernel.Part(1+idx), 0, now.Add(c.latency[idx]), m)
 }
 
-// nodeOffer runs inside node idx's partition at the offer's arrival
-// instant (now). It reads and advances only node-local state, and
-// reports the outcome with a fold posted one hop back — at least the
-// kernel's lookahead after the node's now, which is what licenses the
-// node partitions to run concurrently.
+// nodeOffer runs in node idx's context at the offer's arrival instant
+// (now). It reads and advances only node-local state, and reports the
+// outcome with a fold. On the sharded kernel the fold lands one hop
+// later — at least the kernel's lookahead after the node's now, which is
+// what licenses the node partitions to run concurrently.
 func (c *Cluster) nodeOffer(now sim.Time, idx int, kind offerKind, r *coe.Request, tenant string, l *lease) {
 	sys := c.nodes[idx].sys
 	if sys.State() != core.NodeUp {
@@ -217,10 +227,10 @@ func (c *Cluster) nodeOffer(now sim.Time, idx int, kind offerKind, r *coe.Reques
 	}
 }
 
-// acceptFold lands a successful admission on the coordinator: the
-// lease ledger, fleet recorder, health scoring, and hedge arming all
-// advance here, one hop after the node issued the receipt. A node that
-// crashed after issuing the receipt already purged the request, so the
+// acceptFold lands a successful admission on the front end: the lease
+// ledger, fleet recorder, health scoring, and hedge arming all advance
+// here. On the sharded kernel a node can crash after issuing the
+// receipt, while the fold flies; it already purged the request, so the
 // lease it would hold is voided on landing instead.
 func (c *Cluster) acceptFold(now sim.Time, idx int, kind offerKind, r *coe.Request, tenant string, l *lease, receipt core.Lease) {
 	cs := c.chaos
@@ -242,7 +252,7 @@ func (c *Cluster) acceptFold(now sim.Time, idx int, kind offerKind, r *coe.Reque
 		}
 		l.node = idx
 		cs.ledger[l.id] = l
-		cs.byNode[idx] = append(cs.byNode[idx], l.id)
+		cs.track(idx, l.id)
 	case offerHedge:
 		cs.hedgeOffers--
 		l.hedgeInFlight = false
@@ -258,7 +268,7 @@ func (c *Cluster) acceptFold(now sim.Time, idx int, kind offerKind, r *coe.Reque
 		case cs.ledger[l.id] == l && l.node >= 0 && l.hedgeNode < 0:
 			cs.hedgesFired++
 			l.hedgeNode = idx
-			cs.byNode[idx] = append(cs.byNode[idx], l.id)
+			cs.track(idx, l.id)
 			if h := c.health; h != nil {
 				h.onAdmit(idx)
 			}
@@ -292,18 +302,14 @@ func (c *Cluster) voidLanded(now sim.Time, idx int, l *lease) {
 	l.node = -1
 	l.voidedAt = cs.lastCrash[idx]
 	cs.lostLeases++
-	if !c.shardRedeliver(now, l) {
-		cs.pending = append(cs.pending, l)
-		if len(cs.pending) > cs.pendingPeak {
-			cs.pendingPeak = len(cs.pending)
-		}
+	if !c.redeliverOne(now, l) {
+		cs.parkLease(l)
 	}
 }
 
-// rejectFold lands a node-admission refusal on the coordinator.
-// Rejection of a primary or first delivery is terminal and counted
-// once; a hedge refusal re-arms the deadline with backoff, exactly as
-// in the synchronous path.
+// rejectFold lands a node-admission refusal on the front end. Rejection
+// of a primary or first delivery is terminal and counted once; a hedge
+// refusal re-arms the deadline with backoff.
 func (c *Cluster) rejectFold(now sim.Time, idx int, kind offerKind, r *coe.Request, l *lease) {
 	cs := c.chaos
 	switch kind {
@@ -356,10 +362,7 @@ func (c *Cluster) bounceFold(now sim.Time, idx int, kind offerKind, r *coe.Reque
 			c.postOffer(now, j, offerRedeliver, r, tenant, l)
 			return
 		}
-		cs.pending = append(cs.pending, l)
-		if len(cs.pending) > cs.pendingPeak {
-			cs.pendingPeak = len(cs.pending)
-		}
+		cs.parkLease(l)
 	case offerHedge:
 		cs.hedgeOffers--
 		l.hedgeInFlight = false
@@ -373,23 +376,14 @@ func (c *Cluster) bounceFold(now sim.Time, idx int, kind offerKind, r *coe.Reque
 	c.maybeClose()
 }
 
-// foldCompletion ships node idx's completion ack back to the
-// coordinator as a timed fold — the sharded replacement for the
-// synchronous requestDone call. It runs in the node's partition (the
-// stream delegate fires inside the node's controller), so it may only
-// capture and post.
-func (c *Cluster) foldCompletion(idx int, now sim.Time, r *coe.Request) {
-	c.postFold(idx, now, opCompletion, 0, r, "", nil, core.Lease{})
-}
-
 // completionFold resolves a completion against the lease ledger on the
-// coordinator, one hop after the node acked. First fold wins: it
-// resolves the lease, records the fleet completion (latency spans
-// first node admission to this fold, return hop included), and
+// front end. First fold wins: it resolves the lease, records the fleet
+// completion (latency spans first node admission to this fold, return
+// hop included), restores a redelivered request's original arrival, and
 // schedules the loser of any hedge race as waste. Folds from holders
-// the ledger no longer tracks — a copy that completed on a node after
-// its lease was voided and redelivered, a race the synchronous path
-// cannot express — count as duplicate acks, never as completions.
+// the ledger no longer tracks — on the sharded kernel, a copy that
+// completed on a node after its lease was voided and redelivered —
+// count as duplicate acks, never as completions.
 func (c *Cluster) completionFold(now sim.Time, idx int, r *coe.Request) {
 	cs := c.chaos
 	l := cs.ledger[r.ID]
@@ -434,15 +428,14 @@ func (c *Cluster) completionFold(now sim.Time, idx int, r *coe.Request) {
 	c.maybeClose()
 }
 
-// shardRedeliver is redeliverOne's sharded body: route the voided
-// lease and post the offer. The offer owns the outcome from here —
-// acceptance, terminal rejection, and bounce-driven re-routing all
-// land as folds — so the caller only learns whether a routable node
-// existed at this instant (false parks the lease, exactly like the
-// synchronous path).
-func (c *Cluster) shardRedeliver(now sim.Time, l *lease) bool {
-	cs := c.chaos
-	r := cs.leaseRequest(l)
+// redeliverOne re-dispatches a voided (or parked) lease: it rebuilds the
+// request, routes it over the Up subset, and offers it. The offer owns
+// the outcome from here — acceptance, terminal rejection, and
+// bounce-driven re-routing all land as folds — so the caller only
+// learns whether a routable node existed at this instant (false: the
+// lease stays with the caller for the pending queue).
+func (c *Cluster) redeliverOne(now sim.Time, l *lease) bool {
+	r := c.chaos.leaseRequest(l)
 	idx := c.pickNode(now, r)
 	if idx < 0 {
 		coe.Recycle(r)
@@ -450,12 +443,4 @@ func (c *Cluster) shardRedeliver(now sim.Time, l *lease) bool {
 	}
 	c.postOffer(now, idx, offerRedeliver, r, l.tenant, l)
 	return true
-}
-
-// postRecycle returns a crash-voided request object to the coordinator
-// one hop after the node dropped it — the DropDelegate path under
-// ExternalRecycle. The node's own drop accounting already ran; the
-// fold only recycles, because the arena belongs to partition 0.
-func (c *Cluster) postRecycle(idx int, now sim.Time, r *coe.Request) {
-	c.postFold(idx, now, opRecycle, 0, r, "", nil, core.Lease{})
 }

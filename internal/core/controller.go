@@ -105,7 +105,7 @@ func (c *controller) admit(p *sim.Proc) {
 // exactly one mark — a rejection count (and a KindRejected trace
 // event) — and never touch a queue, the recorder's completion path, or
 // the per-tenant latency aggregates. It is the shared arrival body of
-// the node's own admit loop and the cluster's router loop (Offer).
+// the node's own admit loop and the cluster's offers (OfferAt).
 func (c *controller) offer(now sim.Time, tr workload.TimedRequest) bool {
 	s := c.sys
 	r := tr.Req
@@ -122,9 +122,9 @@ func (c *controller) offer(now sim.Time, tr workload.TimedRequest) bool {
 		}
 		// The rejection is fully recorded (counters and the trace event
 		// copy values, not the pointer), so an arena-leased request can
-		// go straight back to its free list — unless the caller owns
-		// recycling and still holds the pointer.
-		if !s.cfg.ExternalRecycle {
+		// go straight back to its free list — unless the system is
+		// joined, whose caller still holds the pointer.
+		if s.ownsEnv {
 			coe.Recycle(r)
 		}
 		return false
@@ -186,9 +186,9 @@ func (c *controller) onBatch(p *sim.Proc, r *coe.Request) {
 	// Last touch of the request: its completion is recorded, the trace
 	// event holds copies, the tenant entry is gone, and the delegate has
 	// observed it. An arena-leased request is now safe to reuse — unless
-	// the delegate took ownership (ExternalRecycle) and recycles it
-	// after its own accounting.
-	if !s.cfg.ExternalRecycle {
+	// the system is joined, whose delegate owns the object from here and
+	// recycles it after its own accounting.
+	if s.ownsEnv {
 		coe.Recycle(r)
 	}
 	if c.closed && c.completed+c.dropped == c.admitted {
@@ -200,9 +200,8 @@ func (c *controller) onBatch(p *sim.Proc, r *coe.Request) {
 // was admitted but will never complete here — its lease holder
 // redelivers it to another node. The request is recycled (the voiding
 // dispatcher copied what it needs before the crash was applied) and the
-// stream can still finish exactly: completed + dropped == admitted.
-// Under ExternalRecycle the request instead goes back to the owning
-// delegate through its DropDelegate hook.
+// stream can still finish exactly: completed + dropped == admitted. A
+// joined system hands the request back to its delegate instead.
 func (c *controller) drop(now sim.Time, r *coe.Request) {
 	s := c.sys
 	c.dropped++
@@ -214,11 +213,10 @@ func (c *controller) drop(now sim.Time, r *coe.Request) {
 			At: now.Duration(), Kind: trace.KindDropped, Request: r.ID,
 		})
 	}
-	if s.cfg.ExternalRecycle {
-		if dd, ok := c.delegate.(DropDelegate); ok {
-			dd.RequestDropped(now, r)
-		}
-	} else {
+	if c.delegate != nil {
+		c.delegate.RequestDropped(now, r)
+	}
+	if s.ownsEnv {
 		coe.Recycle(r)
 	}
 	if c.closed && c.completed+c.dropped == c.admitted {

@@ -80,7 +80,7 @@ type System struct {
 	// ownsEnv records whether this System created (and therefore drives)
 	// its simulation environment. A joined system (NewSystemInEnv) shares
 	// an external env — the cluster layer's arrangement — and is served
-	// through JoinStream/Offer/CloseStream instead of Serve.
+	// through JoinStream/OfferAt/CloseStream instead of Serve.
 	ownsEnv bool
 
 	// windowExperts collects the distinct experts dispatched since the
@@ -104,7 +104,7 @@ func NewSystem(cfg Config, m *coe.Model) (*System, error) {
 // environment: the cluster layer's node constructor. The caller owns the
 // env lifecycle — it runs the event loop and re-arms it between streams
 // — so a joined system refuses Serve/RunTask and is driven through
-// JoinStream, Offer, CloseStream, and StreamReport instead. A system
+// JoinStream, OfferAt, CloseStream, and StreamReport instead. A system
 // built by NewSystem is byte-identical to one built here on a fresh env
 // and driven through the same stream.
 func NewSystemInEnv(cfg Config, m *coe.Model, env *sim.Env) (*System, error) {
@@ -648,27 +648,22 @@ func (s *System) beginStream(src workload.Source, d StreamDelegate) {
 }
 
 // StreamDelegate observes a joined system's stream from the outside —
-// the cluster layer's completion hook. RequestDone fires once per
-// request, at the virtual instant its final stage completes, after the
-// node's own accounting.
+// the cluster layer's completion hook — and owns its request objects: a
+// joined system never recycles a request itself. RequestDone fires once
+// per admitted request, at the virtual instant its final stage
+// completes, after the node's own accounting; RequestDropped fires
+// instead when a crash voids the request. Either way the object passes
+// back to the delegate, which recycles it after its own bookkeeping. A
+// request OfferAt rejects stays with the caller.
 type StreamDelegate interface {
 	RequestDone(p *sim.Proc, r *coe.Request)
-}
-
-// DropDelegate is the optional companion of StreamDelegate under
-// Config.ExternalRecycle: when a crash voids an admitted request, the
-// node's accounting strikes it as usual and then hands the request
-// object back through RequestDropped instead of recycling it, so the
-// owning layer can return it to its arena after its own lease
-// bookkeeping.
-type DropDelegate interface {
 	RequestDropped(now sim.Time, r *coe.Request)
 }
 
 // JoinStream arms a joined system (NewSystemInEnv) for one externally
 // fed stream named stream: per-stream statistics are reset (the env
 // owner re-arms the shared env itself), the executors are launched into
-// the shared env, and subsequent Offer calls feed arrivals in. The env
+// the shared env, and subsequent OfferAt calls feed arrivals in. The env
 // owner closes the stream with CloseStream once the arrival process is
 // exhausted and collects the node's slice of the run with StreamReport
 // after the env drains.
@@ -689,30 +684,23 @@ func (s *System) JoinStream(stream string, d StreamDelegate) error {
 }
 
 // namedStream is the placeholder source of a joined stream: it only
-// carries the stream name (requests arrive through Offer, not Next).
+// carries the stream name (requests arrive through OfferAt, not Next).
 type namedStream string
 
 func (n namedStream) Name() string                      { return string(n) }
 func (namedStream) Next() (workload.TimedRequest, bool) { return workload.TimedRequest{}, false }
 
-// Offer feeds one externally routed arrival into the node's admission
-// and dispatch path at the current virtual time, exactly as the node's
-// own arrival process would. On admission it returns a lease receipt —
-// the node now holds the request and will ack its completion through
-// the stream delegate's RequestDone, unless a crash voids the lease
-// first — with ok true. A rejected request leaves only a rejection
-// mark; a node that is not Up refuses the offer outright, leaving no
-// mark at all (the dispatcher should not have routed here). Offer must
-// only be called between JoinStream and CloseStream, from a process of
-// the shared env.
-func (s *System) Offer(p *sim.Proc, tr workload.TimedRequest) (Lease, bool) {
-	return s.OfferAt(p.Now(), tr)
-}
-
-// OfferAt is Offer from event-callback context: the caller names the
-// current virtual time explicitly instead of passing a process. The
-// sharded cluster kernel delivers offers into a node's partition as
-// timed events, which run on the kernel rather than in a process.
+// OfferAt feeds one externally routed arrival into the node's admission
+// and dispatch path at virtual time now, the node's current instant,
+// exactly as the node's own arrival process would. On admission it
+// returns a lease receipt — the node now holds the request and will ack
+// its completion through the stream delegate's RequestDone, unless a
+// crash voids the lease first — with ok true. A rejected request leaves
+// only a rejection mark; a node that is not Up refuses the offer
+// outright, leaving no mark at all (the dispatcher should not have
+// routed here). OfferAt must only be called between JoinStream and
+// CloseStream, from the node's own simulation context: a process or an
+// event callback of the env it joined.
 func (s *System) OfferAt(now sim.Time, tr workload.TimedRequest) (Lease, bool) {
 	if s.state != NodeUp {
 		return Lease{}, false

@@ -16,7 +16,7 @@ const (
 	// already holds — the graceful removal path.
 	NodeDraining
 	// NodeDown: the node crashed. Queued work was voided (handed back to
-	// the lease holder for redelivery), executors have exited, and Offer
+	// the lease holder for redelivery), executors have exited, and OfferAt
 	// refuses arrivals until Restart.
 	NodeDown
 )
@@ -33,7 +33,7 @@ func (s NodeState) String() string {
 	return "unknown"
 }
 
-// Lease is the receipt Offer returns for an admitted request: the node
+// Lease is the receipt OfferAt returns for an admitted request: the node
 // holds the request until it acks completion through the stream
 // delegate's RequestDone, and a crash voids every outstanding lease so
 // the dispatcher can redeliver the requests elsewhere. The receipt
