@@ -393,7 +393,7 @@ func cmdServe(args []string) error {
 	hedgeAfter := fs.Duration("hedge-after", 0, "hedge requests still leased after this deadline to another node; first completion wins, losers count as wasted work (0 = off; needs -nodes >= 2)")
 	clusterAdmit := fs.String("cluster-admit", "", "cluster-level admission policy in front of the router: accept, bounded, token, shed (same knobs as -admit; empty = admit everything)")
 	fleetScale := fs.Float64("fleet-autoscale", 0, "drain/resume cluster nodes to track the offered rate at this many req/s per node (0 = off; needs -window and -nodes >= 2)")
-	interconnect := fs.String("interconnect", "", `cluster interconnect hop model: dispatch/intra-board/inter-node one-way latencies with an optional @board-size, e.g. "200us/100us/600us@2" (nodes past board-size pay the inter-node class); enables the sharded deterministic kernel — the front end and every node simulate in their own partitions, advanced in parallel under conservative lookahead (needs -nodes >= 2; empty = zero-latency synchronous offers on the classic single-environment kernel)`)
+	interconnect := fs.String("interconnect", "", `cluster interconnect hop model: dispatch/intra-board/inter-node one-way latencies with an optional @board-size, e.g. "200us/100us/600us@2" (nodes past board-size pay the inter-node class); enables the sharded deterministic kernel — the front end and every node simulate in their own partitions, advanced in parallel under conservative lookahead (needs -nodes >= 2; empty = zero-latency offers on the classic single-environment kernel)`)
 	shards := fs.Int("shards", 0, "sharded-kernel worker count with -interconnect (0 = GOMAXPROCS, 1 = sequential partitioned kernel); like -parallel for experiments, reports are byte-identical at every setting")
 	record := fs.String("record", "", "record the served arrival stream to this trace file (first round)")
 	traceFile := fs.String("trace", "", "arrival trace file to serve for -arrival replay")

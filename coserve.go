@@ -330,8 +330,7 @@ func ClusterPlacementByName(name string) (ClusterPlacement, error) {
 // lifecycle layer, countered by HealthConfig (windowed health scores
 // plus a circuit breaker) and HedgeConfig (deadline-fired hedged
 // redelivery, first completion wins, losers accounted as wasted work).
-// A nil or empty FaultPlan injects nothing and leaves every serve path
-// byte-identical to the fault-free cluster.
+// A nil or empty FaultPlan injects nothing.
 type (
 	FaultPlan  = sim.FaultPlan
 	FaultEvent = sim.FaultEvent

@@ -7,7 +7,6 @@ import (
 	"repro/internal/coe"
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // chaosState is the durable-delivery bookkeeping of one stream. The
@@ -98,7 +97,8 @@ type lease struct {
 	id     int64
 	class  int
 	tenant string
-	chain  []coe.ExpertID // private copy; never aliases a live request
+	chain  []coe.ExpertID  // private copy; never aliases a live request
+	buf    [4]coe.ExpertID // chain's backing array while it fits
 
 	node         int // holding node, -1 while voided/parked
 	hasArrival   bool
@@ -131,11 +131,14 @@ func newChaosState(nodes int, arena *coe.Arena) *chaosState {
 }
 
 // newLease draws a lease from the free list (chain capacity retained,
-// every other field zero) or allocates one.
+// every other field zero) or allocates one whose chain starts in its
+// own buffer.
 func (cs *chaosState) newLease() *lease {
 	l := cs.freeLease
 	if l == nil {
-		return &lease{}
+		l = &lease{}
+		l.chain = l.buf[:0]
+		return l
 	}
 	cs.freeLease = l.nextFree
 	l.nextFree = nil
@@ -177,18 +180,25 @@ func (cs *chaosState) releaseIfResolved(l *lease) {
 	}
 }
 
-// open records a fresh admission: a new lease on the admitting node,
-// with the chain copied out of the live request.
-func (cs *chaosState) open(idx int, receipt core.Lease, tr workload.TimedRequest, now sim.Time) *lease {
+// newLeaseFor draws a lease carrying the request's identity and a
+// private copy of its chain, held by no node yet.
+func (cs *chaosState) newLeaseFor(r *coe.Request, tenant string) *lease {
 	l := cs.newLease()
-	l.id = tr.Req.ID
-	l.class = tr.Req.Class
-	l.tenant = tr.Tenant
-	l.chain = append(l.chain[:0], tr.Req.Chain...)
+	l.id = r.ID
+	l.class = r.Class
+	l.tenant = tenant
+	l.chain = append(l.chain[:0], r.Chain...)
+	l.node = -1
+	l.hedgeNode = -1
+	return l
+}
+
+// open records a fresh admission on node idx at instant issued.
+func (cs *chaosState) open(idx int, r *coe.Request, tenant string, issued sim.Time) *lease {
+	l := cs.newLeaseFor(r, tenant)
 	l.node = idx
 	l.hasArrival = true
-	l.arrival = receipt.Issued
-	l.hedgeNode = -1
+	l.arrival = issued
 	cs.ledger[l.id] = l
 	cs.track(idx, l.id)
 	return l
@@ -222,15 +232,9 @@ func (cs *chaosState) track(idx int, id int64) {
 // park records an arrival that found no routable node: a lease with no
 // holder, queued for delivery on the next recovery. The caller recycles
 // the request object afterwards — the lease owns its own chain copy.
-func (cs *chaosState) park(tr workload.TimedRequest, now sim.Time) {
-	l := cs.newLease()
-	l.id = tr.Req.ID
-	l.class = tr.Req.Class
-	l.tenant = tr.Tenant
-	l.chain = append(l.chain[:0], tr.Req.Chain...)
-	l.node = -1
+func (cs *chaosState) park(r *coe.Request, tenant string, now sim.Time) {
+	l := cs.newLeaseFor(r, tenant)
 	l.voidedAt = now
-	l.hedgeNode = -1
 	cs.parkLease(l)
 }
 

@@ -549,7 +549,7 @@ func (c *Cluster) deliver(now sim.Time, tr workload.TimedRequest) {
 		// The whole fleet is down or draining. Park the request (by
 		// value — the ledger owns its own chain copy) and recycle the
 		// object.
-		c.chaos.park(tr, now)
+		c.chaos.park(tr.Req, tr.Tenant, now)
 		coe.Recycle(tr.Req)
 		return
 	}

@@ -120,6 +120,21 @@ func (c *Cluster) fireHedge(p *sim.Proc, id int64) {
 	cs.verify(now, fmt.Sprintf("hedge %d", id))
 }
 
+// hedgeMissed lands a hedge copy that did not take: refused, bounced, or
+// lost with its node. A lease still held by its primary re-arms its
+// deadline — after d, or with backoff when d is 0 — and any other is
+// released if it has resolved meanwhile.
+func (c *Cluster) hedgeMissed(l *lease, d time.Duration) {
+	switch {
+	case c.chaos.ledger[l.id] != l || l.node < 0:
+		c.chaos.releaseIfResolved(l)
+	case d > 0:
+		c.armHedge(l, d)
+	default:
+		c.rearmHedge(l)
+	}
+}
+
 // rearmHedge backs the deadline off exponentially and re-arms it, or
 // gives up after MaxRetries — the primary then simply keeps the lease.
 func (c *Cluster) rearmHedge(l *lease) {

@@ -19,8 +19,8 @@ import (
 // conservatively under a lookahead equal to the minimum modeled hop
 // latency, so partitions can run in parallel (Config.Shards) with
 // byte-identical output at every shard count. The zero value disables
-// the model entirely — offers stay synchronous on the single shared
-// environment, byte-identical to the latency-free cluster.
+// the model entirely: the fleet shares one environment and the same
+// offers and folds are delivered at the instant they are sent.
 //
 // One sharing caveat follows from the partitioning: per-node state
 // referenced from a node's core.Config (Trace sinks, admission

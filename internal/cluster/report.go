@@ -97,8 +97,8 @@ type Report struct {
 	PendingPeak int
 	// Bounced counts offers that crossed the interconnect only to find
 	// their node no longer Up, and were re-routed by the front end.
-	// Always zero without Config.Interconnect: the synchronous offer
-	// path routes and admits at the same instant.
+	// Always zero without Config.Interconnect: an offer then lands at
+	// the instant it is routed.
 	Bounced int64
 	// DupAcks counts completion acknowledgments that arrived after
 	// their lease had been voided and redelivered — work finished on a

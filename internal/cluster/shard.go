@@ -139,6 +139,16 @@ func (c *Cluster) deliverMsg(m *shardMsg, at sim.Time) {
 	} else {
 		c.freeMsg(0, m)
 	}
+	if op == opAccept || op == opReject || op == opBounce {
+		// The offer has landed: it no longer holds an accounting token
+		// (or, for a hedge, blocks the lease's next deadline).
+		if kind == offerHedge {
+			c.chaos.hedgeOffers--
+			l.hedgeInFlight = false
+		} else {
+			c.chaos.offersInFlight--
+		}
+	}
 	switch op {
 	case opAccept:
 		c.acceptFold(at, idx, kind, r, tenant, l, receipt)
@@ -237,11 +247,9 @@ func (c *Cluster) acceptFold(now sim.Time, idx int, kind offerKind, r *coe.Reque
 	crashed := cs.lastCrash[idx] > receipt.Issued
 	switch kind {
 	case offerPrimary:
-		cs.offersInFlight--
 		c.recorder.Arrival(now)
-		l = cs.open(idx, receipt, workload.TimedRequest{Req: r, Tenant: tenant}, now)
+		l = cs.open(idx, r, tenant, receipt.Issued)
 	case offerRedeliver:
-		cs.offersInFlight--
 		if l.hasArrival {
 			cs.redelivered++
 			l.redeliveries++
@@ -254,17 +262,11 @@ func (c *Cluster) acceptFold(now sim.Time, idx int, kind offerKind, r *coe.Reque
 		cs.ledger[l.id] = l
 		cs.track(idx, l.id)
 	case offerHedge:
-		cs.hedgeOffers--
-		l.hedgeInFlight = false
 		switch {
 		case crashed:
 			// The copy died with its node before the fold landed.
 			cs.hedgesVoided++
-			if cs.ledger[l.id] == l && l.node >= 0 {
-				c.armHedge(l, c.hedge.After)
-			} else {
-				cs.releaseIfResolved(l)
-			}
+			c.hedgeMissed(l, c.hedge.After)
 		case cs.ledger[l.id] == l && l.node >= 0 && l.hedgeNode < 0:
 			cs.hedgesFired++
 			l.hedgeNode = idx
@@ -314,11 +316,9 @@ func (c *Cluster) rejectFold(now sim.Time, idx int, kind offerKind, r *coe.Reque
 	cs := c.chaos
 	switch kind {
 	case offerPrimary:
-		cs.offersInFlight--
 		c.recorder.Rejection(now)
 		cs.terminalRejected++
 	case offerRedeliver:
-		cs.offersInFlight--
 		cs.terminalRejected++
 		if l.hasArrival {
 			cs.redeliveredRejected++
@@ -327,14 +327,8 @@ func (c *Cluster) rejectFold(now sim.Time, idx int, kind offerKind, r *coe.Reque
 		}
 		cs.resolveLease(l)
 	case offerHedge:
-		cs.hedgeOffers--
-		l.hedgeInFlight = false
 		cs.hedgeRejected++
-		if cs.ledger[l.id] == l && l.node >= 0 {
-			c.rearmHedge(l)
-		} else {
-			cs.releaseIfResolved(l)
-		}
+		c.hedgeMissed(l, 0)
 	}
 	coe.Recycle(r)
 	c.maybeClose()
@@ -350,27 +344,19 @@ func (c *Cluster) bounceFold(now sim.Time, idx int, kind offerKind, r *coe.Reque
 	cs.bounced++
 	switch kind {
 	case offerPrimary:
-		cs.offersInFlight--
 		if j := c.pickNode(now, r); j >= 0 {
 			c.postOffer(now, j, offerPrimary, r, tenant, nil)
 			return
 		}
-		cs.park(workload.TimedRequest{Req: r, Tenant: tenant}, now)
+		cs.park(r, tenant, now)
 	case offerRedeliver:
-		cs.offersInFlight--
 		if j := c.pickNode(now, r); j >= 0 {
 			c.postOffer(now, j, offerRedeliver, r, tenant, l)
 			return
 		}
 		cs.parkLease(l)
 	case offerHedge:
-		cs.hedgeOffers--
-		l.hedgeInFlight = false
-		if cs.ledger[l.id] == l && l.node >= 0 {
-			c.rearmHedge(l)
-		} else {
-			cs.releaseIfResolved(l)
-		}
+		c.hedgeMissed(l, 0)
 	}
 	coe.Recycle(r)
 	c.maybeClose()
