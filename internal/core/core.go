@@ -517,7 +517,7 @@ func (s *System) streamDone() bool {
 	return s.state == NodeDown || (s.ctrl != nil && s.ctrl.finished)
 }
 
-// crashEpoch is the executors' Epoch hook: it advances on every Crash,
+// crashEpoch is the executors' Epoch hook: it advances on every CrashAt,
 // letting an executor mid-batch at the crash instant discard the
 // batch's results instead of acking voided work.
 func (s *System) crashEpoch() int { return s.epoch }

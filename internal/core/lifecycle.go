@@ -91,23 +91,16 @@ func (s *System) Resume() {
 	}
 }
 
-// Crash kills the node abruptly: the state goes Down, the crash epoch
-// advances (so executors mid-batch discard their results through the
-// OnVoid path instead of acking voided work), every queued request is
-// purged and dropped — recorded, recycled, and struck from the node's
-// accounting so the stream can still finish exactly — and the executors
-// are woken to observe the down state and exit. The requests a crash
-// voids are the dispatcher's to redeliver: it held the leases. Returns
-// the number of requests dropped from the queues (in-flight batches
-// surface as drops later, when their virtual execution unwinds).
-func (s *System) Crash(p *sim.Proc) int {
-	return s.CrashAt(p.Now())
-}
-
-// CrashAt is Crash from event-callback context, naming the current
-// virtual time explicitly — the entry point for crash verbs delivered
-// into a node's partition as timed events by the sharded cluster
-// kernel.
+// CrashAt kills the node abruptly at virtual time now, the node's
+// current instant: the state goes Down, the crash epoch advances (so
+// executors mid-batch discard their results through the OnVoid path
+// instead of acking voided work), every queued request is purged and
+// dropped — struck from the node's accounting so the stream can still
+// finish exactly, and handed back to the stream delegate — and the
+// executors are woken to observe the down state and exit. The requests
+// a crash voids are the dispatcher's to redeliver: it held the leases.
+// Returns the number of requests dropped from the queues (in-flight
+// batches surface as drops later, when their virtual execution unwinds).
 func (s *System) CrashAt(now sim.Time) int {
 	if s.state == NodeDown {
 		return 0
