@@ -28,7 +28,8 @@
 //     to be ordered by the kernel itself — all parallelism flows
 //     through the shard-barrier seam (sim.Sharded's runner pool), and
 //     kernel state is owned by exactly one partition per phase, never
-//     guarded by locks. The seam's own launch points are annotated.
+//     guarded by locks. Neither package launches a goroutine: processes
+//     run as coroutines, and the crew's helpers start in internal/runner.
 //
 // A finding is silenced by a `//detlint:allow <reason>` comment on the
 // offending line or the line above it — the reason is the point: every

@@ -11,15 +11,18 @@ import (
 // Implementations receive the pool and the number of bytes that must be
 // freed, and return loaded, unpinned experts whose combined size covers
 // the need (or every candidate, if the need cannot be covered — the
-// caller detects the shortfall).
+// caller detects the shortfall). The returned slice may be a buffer the
+// pool reuses: like LoadedUnpinned's, it is valid only until the next
+// Victims call on the same pool, and callers must not retain it.
 type Policy interface {
 	Name() string
 	Victims(p *Pool, need int64) []coe.ExpertID
 }
 
-// takeUntil collects entries in order until their sizes cover need.
-func takeUntil(entries []*Entry, need int64) []coe.ExpertID {
-	var out []coe.ExpertID
+// takeUntil collects entries' IDs in order, into the pool's reused
+// victim buffer, until their sizes cover need.
+func (p *Pool) takeUntil(entries []*Entry, need int64) []coe.ExpertID {
+	out := p.victims[:0]
 	var freed int64
 	for _, e := range entries {
 		if freed >= need {
@@ -28,6 +31,7 @@ func takeUntil(entries []*Entry, need int64) []coe.ExpertID {
 		out = append(out, e.Expert.ID)
 		freed += e.Bytes
 	}
+	p.victims = out
 	return out
 }
 
@@ -48,7 +52,7 @@ func (LRU) Victims(p *Pool, need int64) []coe.ExpertID {
 		}
 		return cmp.Compare(a.LoadSeq, b.LoadSeq)
 	})
-	return takeUntil(entries, need)
+	return p.takeUntil(entries, need)
 }
 
 // FIFO evicts the earliest loaded experts first — the Samba-CoE FIFO
@@ -64,7 +68,7 @@ func (FIFO) Victims(p *Pool, need int64) []coe.ExpertID {
 	slices.SortStableFunc(entries, func(a, b *Entry) int {
 		return cmp.Compare(a.LoadSeq, b.LoadSeq)
 	})
-	return takeUntil(entries, need)
+	return p.takeUntil(entries, need)
 }
 
 // DepAware is CoServe's two-stage dependency-aware eviction (§4.3):
@@ -82,32 +86,38 @@ type DepAware struct{}
 // Name implements Policy.
 func (DepAware) Name() string { return "dep-aware" }
 
-// Victims implements Policy.
+// Victims implements Policy. It partitions the candidate buffer in
+// place, orphans first, and sorts each part by a total order whose ties
+// break on expert ID — the order a stable sort of the ID-ordered
+// candidates gives. The victims are then one walk over orphans followed
+// by the rest, and the rest is sorted only when the orphans cannot cover
+// the need.
 func (DepAware) Victims(p *Pool, need int64) []coe.ExpertID {
 	entries := p.LoadedUnpinned()
-	var orphans, rest []*Entry
-	for _, e := range entries {
+	n := 0
+	var orphanBytes int64
+	for i, e := range entries {
 		if orphaned(p, e.Expert) {
-			orphans = append(orphans, e)
-		} else {
-			rest = append(rest, e)
+			entries[n], entries[i] = e, entries[n]
+			n++
+			orphanBytes += e.Bytes
 		}
 	}
-	slices.SortStableFunc(orphans, func(a, b *Entry) int {
-		return cmp.Compare(b.Bytes, a.Bytes)
+	slices.SortFunc(entries[:n], func(a, b *Entry) int {
+		if c := cmp.Compare(b.Bytes, a.Bytes); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Expert.ID, b.Expert.ID)
 	})
-	out := takeUntil(orphans, need)
-	var freed int64
-	for _, id := range out {
-		freed += p.entry(id).Bytes
+	if orphanBytes < need {
+		slices.SortFunc(entries[n:], func(a, b *Entry) int {
+			if c := cmp.Compare(a.Expert.UsageProb, b.Expert.UsageProb); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Expert.ID, b.Expert.ID)
+		})
 	}
-	if freed >= need {
-		return out
-	}
-	slices.SortStableFunc(rest, func(a, b *Entry) int {
-		return cmp.Compare(a.Expert.UsageProb, b.Expert.UsageProb)
-	})
-	return append(out, takeUntil(rest, need-freed)...)
+	return p.takeUntil(entries, need)
 }
 
 // orphaned reports whether the expert is a subsequent expert with none
@@ -139,7 +149,7 @@ func (ProbOnly) Victims(p *Pool, need int64) []coe.ExpertID {
 	slices.SortStableFunc(entries, func(a, b *Entry) int {
 		return cmp.Compare(a.Expert.UsageProb, b.Expert.UsageProb)
 	})
-	return takeUntil(entries, need)
+	return p.takeUntil(entries, need)
 }
 
 // PolicyByName returns a policy implementation by its Name.

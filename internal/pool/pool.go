@@ -54,8 +54,8 @@ type Entry struct {
 	// LoadSeq is the monotonically increasing load sequence number —
 	// the FIFO key.
 	LoadSeq int64
-	// ready fires when an in-flight load completes; concurrent
-	// acquirers of a shared pool wait on it.
+	// ready fires when an in-flight load completes. It exists only once
+	// a concurrent acquirer of a shared pool has to wait on the load.
 	ready *sim.Event
 }
 
@@ -85,9 +85,13 @@ type Pool struct {
 	tally  []uint8
 	stride int
 
-	// scratch backs LoadedUnpinned so every eviction decision reuses one
-	// candidate buffer instead of allocating a fresh slice.
+	// scratch backs LoadedUnpinned and victims backs the policies'
+	// results, so every eviction decision reuses one candidate buffer and
+	// one victim buffer instead of allocating fresh slices.
 	scratch []*Entry
+	victims []coe.ExpertID
+	// spare holds evicted entries for Acquire to reuse.
+	spare []*Entry
 
 	// stats
 	switches  int64
@@ -244,6 +248,9 @@ func (p *Pool) Acquire(proc *sim.Proc, e *coe.Expert) bool {
 		}
 		// A sharer is loading it: wait, then re-check (the entry may
 		// have been evicted again before we got a pin on it).
+		if entry.ready == nil {
+			entry.ready = sim.NewEvent(proc.Env())
+		}
 		entry.ready.Wait(proc)
 	}
 
@@ -255,13 +262,13 @@ func (p *Pool) Acquire(proc *sim.Proc, e *coe.Expert) bool {
 		panic(fmt.Sprintf("pool %s: %v after eviction", p.name, err))
 	}
 	p.seq++
-	entry := &Entry{
+	entry := p.newEntry()
+	*entry = Entry{
 		Expert:  e,
 		Bytes:   bytes,
 		Status:  Loading,
 		LoadSeq: p.seq,
 		Pins:    1,
-		ready:   sim.NewEvent(proc.Env()),
 	}
 	p.put(entry)
 
@@ -281,8 +288,22 @@ func (p *Pool) Acquire(proc *sim.Proc, e *coe.Expert) bool {
 
 	entry.Status = Loaded
 	entry.LastUse = p.now()
-	entry.ready.Fire()
+	if entry.ready != nil {
+		entry.ready.Fire()
+		entry.ready = nil
+	}
 	return true
+}
+
+// newEntry returns an evicted entry for reuse, or a fresh one.
+func (p *Pool) newEntry() *Entry {
+	if n := len(p.spare); n > 0 {
+		e := p.spare[n-1]
+		p.spare[n-1] = nil
+		p.spare = p.spare[:n-1]
+		return e
+	}
+	return &Entry{}
 }
 
 // Release unpins the expert after a batch group finishes.
@@ -313,6 +334,7 @@ func (p *Pool) evict(need int64) {
 		p.store.demote(entry.Expert, p.tier)
 		p.evictions++
 		freed += entry.Bytes
+		p.spare = append(p.spare, entry)
 	}
 	if freed < need {
 		panic(fmt.Sprintf("pool %s: policy freed %d of %d needed bytes", p.name, freed, need))

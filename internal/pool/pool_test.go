@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -481,5 +482,242 @@ func TestTrackResidency(t *testing.T) {
 		if i%stride != 1 && c != 0 {
 			t.Fatalf("pools wrote cell %d outside their column", i)
 		}
+	}
+}
+
+// refDepAware is the two-slice, stable-sort DepAware that the in-place
+// implementation replaced, kept as the reference the equivalence test
+// compares against.
+type refDepAware struct{}
+
+func (refDepAware) Name() string { return "ref-dep-aware" }
+
+func (refDepAware) Victims(p *Pool, need int64) []coe.ExpertID {
+	takeUntil := func(entries []*Entry, need int64) []coe.ExpertID {
+		var out []coe.ExpertID
+		var freed int64
+		for _, e := range entries {
+			if freed >= need {
+				break
+			}
+			out = append(out, e.Expert.ID)
+			freed += e.Bytes
+		}
+		return out
+	}
+	var orphans, rest []*Entry
+	for _, e := range p.LoadedUnpinned() {
+		if orphaned(p, e.Expert) {
+			orphans = append(orphans, e)
+		} else {
+			rest = append(rest, e)
+		}
+	}
+	slices.SortStableFunc(orphans, func(a, b *Entry) int {
+		return cmp.Compare(b.Bytes, a.Bytes)
+	})
+	out := takeUntil(orphans, need)
+	var freed int64
+	for _, id := range out {
+		freed += p.entry(id).Bytes
+	}
+	if freed >= need {
+		return out
+	}
+	slices.SortStableFunc(rest, func(a, b *Entry) int {
+		return cmp.Compare(a.Expert.UsageProb, b.Expert.UsageProb)
+	})
+	return append(out, takeUntil(rest, need-freed)...)
+}
+
+// TestDepAwareMatchesReference draws random pools — roles, dependency
+// links, pins, loads in flight, tied usage probabilities and tied sizes
+// — and checks that DepAware picks exactly the reference's victim
+// sequence, for needs that stage 1 covers alone and needs it does not.
+func TestDepAwareMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20250314))
+	archs := []model.Architecture{model.ResNet101, model.YOLOv5m, model.YOLOv5l}
+	probs := []float64{0.05, 0.1, 0.1, 0.2, 0.3}
+	var stage1Only, stage2 int
+	for trial := 0; trial < 500; trial++ {
+		// Up to 60 experts with a per-trial subsequent share, so both
+		// parts often exceed the 12 elements below which the sort would
+		// be an insertion sort, stable whatever its tie-break.
+		n := 2 + rng.Intn(60)
+		subShare := rng.Float64()
+		b := coe.NewBuilder("prop")
+		var prelim, subs []coe.ExpertID
+		for i := 0; i < n; i++ {
+			role := coe.Preliminary
+			if rng.Float64() < subShare {
+				role = coe.Subsequent
+			}
+			id := b.AddExpert("e", archs[rng.Intn(len(archs))], role)
+			if role == coe.Preliminary {
+				prelim = append(prelim, id)
+			} else {
+				subs = append(subs, id)
+			}
+		}
+		for _, s := range subs {
+			for k := rng.Intn(3); k > 0 && len(prelim) > 0; k-- {
+				b.Link(prelim[rng.Intn(len(prelim))], s)
+			}
+		}
+		m, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range m.Experts() {
+			e.UsageProb = probs[rng.Intn(len(probs))]
+		}
+		env := sim.NewEnv()
+		store := NewStore(env, hw.NUMADevice(), 0)
+		p := newPool(env, store, int64(n)*model.YOLOv5l.WeightBytes(), DepAware{})
+		var unpinned int64
+		for _, e := range m.Experts() {
+			if rng.Intn(4) == 0 {
+				continue // absent
+			}
+			p.Preload(e)
+			switch entry := p.entry(e.ID); rng.Intn(6) {
+			case 0:
+				entry.Pins = 1
+			case 1:
+				entry.Status = Loading
+			default:
+				unpinned += entry.Bytes
+			}
+		}
+		if unpinned == 0 {
+			continue
+		}
+		for k := 0; k < 4; k++ {
+			need := 1 + rng.Int63n(unpinned+unpinned/4)
+			want := refDepAware{}.Victims(p, need)
+			got := DepAware{}.Victims(p, need)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d need %d: victims %v, reference %v", trial, need, got, want)
+			}
+			var orphanBytes int64
+			for _, e := range p.LoadedUnpinned() {
+				if orphaned(p, e.Expert) {
+					orphanBytes += e.Bytes
+				}
+			}
+			if need <= orphanBytes {
+				stage1Only++
+			} else {
+				stage2++
+			}
+		}
+	}
+	if stage1Only < 50 || stage2 < 50 {
+		t.Errorf("draws covered by stage 1 alone: %d, needing stage 2: %d; want at least 50 of each", stage1Only, stage2)
+	}
+}
+
+// TestVictimsSteadyStateAllocations pins a warm DepAware.Victims call,
+// through both stages, at zero allocations.
+func TestVictimsSteadyStateAllocations(t *testing.T) {
+	env, store, m := testWorld(t, 0, 12)
+	p := newPool(env, store, 20*rn101, DepAware{})
+	for _, e := range m.Experts() {
+		if e.ID != 0 && e.ID != 1 {
+			p.Preload(e) // the detector is orphaned: its classifiers are absent
+		}
+	}
+	for _, need := range []int64{1, 6 * rn101} {
+		DepAware{}.Victims(p, need)
+		if allocs := testing.AllocsPerRun(100, func() { DepAware{}.Victims(p, need) }); allocs != 0 {
+			t.Errorf("need %d: Victims allocated %.0f objects/op, want 0", need, allocs)
+		}
+	}
+}
+
+// TestSwitchSteadyStateAllocations pins a warm expert switch — an
+// Acquire miss that evicts and loads, then its Release — at zero
+// allocations, host-cache demotion and fetch included.
+func TestSwitchSteadyStateAllocations(t *testing.T) {
+	env, store, m := testWorld(t, 2*rn101, 5)
+	p := newPool(env, store, 3*rn101, DepAware{})
+	p.Presize(m.NumExperts())
+	classifiers := m.Experts()[:5]
+	allocs := -1.0
+	env.Go("switcher", func(proc *sim.Proc) {
+		switchOnce := func() {
+			for _, e := range classifiers {
+				if !p.Resident(e.ID) {
+					if !p.Acquire(proc, e) {
+						t.Errorf("acquire of absent expert %d was not a switch", e.ID)
+					}
+					p.Release(e.ID)
+					return
+				}
+			}
+		}
+		for i := 0; i < 10; i++ {
+			switchOnce()
+		}
+		allocs = testing.AllocsPerRun(100, switchOnce)
+	})
+	env.Run()
+	if p.Evictions() < 100 {
+		t.Fatalf("evictions = %d, want every switch to evict", p.Evictions())
+	}
+	if allocs != 0 {
+		t.Errorf("switch allocated %.0f objects/op, want 0", allocs)
+	}
+}
+
+// TestHostCacheDemoteAllocations pins a warm host-cache demotion that
+// evicts the cache's LRU entry at zero allocations.
+func TestHostCacheDemoteAllocations(t *testing.T) {
+	_, store, m := testWorld(t, 2*rn101, 3)
+	i := 0
+	demote := func() {
+		store.demote(m.Expert(coe.ExpertID(i%3)), memory.TierGPU)
+		i++
+	}
+	for k := 0; k < 10; k++ {
+		demote()
+	}
+	if allocs := testing.AllocsPerRun(100, demote); allocs != 0 {
+		t.Errorf("demote allocated %.0f objects/op, want 0", allocs)
+	}
+	if store.CacheLen() != 2 {
+		t.Errorf("cache len = %d, want 2", store.CacheLen())
+	}
+}
+
+// TestSharedAcquireWaitsForLoad: two processes acquire the same absent
+// expert on one shared pool. The first switches it in; the second waits
+// on the lazily created ready event, resumes only once the load has
+// landed, and both end up holding a pin.
+func TestSharedAcquireWaitsForLoad(t *testing.T) {
+	env, store, m := testWorld(t, 0, 2)
+	p := newPool(env, store, 4*rn101, DepAware{})
+	e := m.Expert(0)
+	var switched [2]bool
+	var at [2]sim.Time
+	for i := range switched {
+		env.Go("sharer", func(proc *sim.Proc) {
+			switched[i] = p.Acquire(proc, e)
+			at[i] = proc.Now()
+		})
+	}
+	env.Run()
+	if !switched[0] || switched[1] {
+		t.Errorf("switched = %v, want only the first acquirer to switch", switched)
+	}
+	if p.Switches() != 1 {
+		t.Errorf("switches = %d, want 1", p.Switches())
+	}
+	load := sim.Time(xfer.LoadLatency(store.Device(), xfer.FromSSD, memory.TierGPU, e.WeightBytes()))
+	if at[0] != load || at[1] != load {
+		t.Errorf("acquires returned at %v, want both at the load's end %v", at, load)
+	}
+	if pins := p.entry(e.ID).Pins; pins != 2 {
+		t.Errorf("pins = %d, want 2", pins)
 	}
 }

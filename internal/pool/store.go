@@ -104,7 +104,7 @@ func (s *Store) demote(e *coe.Expert, from memory.Tier) {
 // hostCache is an LRU cache of deserialized experts in CPU memory.
 type hostCache struct {
 	arena   *memory.Arena
-	entries map[coe.ExpertID]*cacheEntry
+	entries map[coe.ExpertID]cacheEntry
 	seq     int64
 }
 
@@ -116,7 +116,7 @@ type cacheEntry struct {
 func newHostCache(capacity int64) *hostCache {
 	return &hostCache{
 		arena:   memory.NewArena("hostcache", capacity),
-		entries: make(map[coe.ExpertID]*cacheEntry),
+		entries: make(map[coe.ExpertID]cacheEntry),
 	}
 }
 
@@ -154,13 +154,14 @@ func (c *hostCache) insert(e *coe.Expert) {
 		panic("pool: host cache accounting broken: " + err.Error())
 	}
 	c.seq++
-	c.entries[e.ID] = &cacheEntry{bytes: bytes, used: c.seq}
+	c.entries[e.ID] = cacheEntry{bytes: bytes, used: c.seq}
 }
 
 func (c *hostCache) touch(id coe.ExpertID) {
 	if entry, ok := c.entries[id]; ok {
 		c.seq++
 		entry.used = c.seq
+		c.entries[id] = entry
 	}
 }
 

@@ -208,8 +208,10 @@ func (s *Sharded) PosterPartition(from *Env) int {
 
 // Run executes all partitions to completion and returns the
 // coordinator's final clock value. Like Env.Run it drains every
-// partition afterwards, so no process goroutines are left behind. The
-// crew's helper goroutines exist only for the duration of the call.
+// partition afterwards, so no process coroutines are left behind. The
+// crew's helper goroutines exist only for the duration of the call. A
+// panic in process code leaves Run on the caller's goroutine with its
+// original value, whichever partition and worker raised it.
 func (s *Sharded) Run() Time {
 	for _, e := range s.parts {
 		if e.running {
@@ -279,7 +281,7 @@ func (s *Sharded) runRound(w Time) {
 		// during a round, and the crew's barrier orders every partition's
 		// writes before the merge below.
 		s.roundW = w
-		s.crew.Run(len(s.active))
+		s.runCrew(len(s.active))
 	}
 	s.nodePhase = false
 	for _, p := range s.active {
@@ -289,6 +291,21 @@ func (s *Sharded) runRound(w Time) {
 		s.markDirty(p)
 	}
 	s.merge()
+}
+
+// runCrew runs one round on the crew. The crew re-raises a partition's
+// panic wrapped in *runner.PanicError; runCrew unwraps it, so a panic in
+// process code leaves Run with its original value at every worker count.
+func (s *Sharded) runCrew(n int) {
+	defer func() {
+		if r := recover(); r != nil {
+			if pe, ok := r.(*runner.PanicError); ok {
+				r = pe.Value
+			}
+			panic(r)
+		}
+	}()
+	s.crew.Run(n)
 }
 
 // collectActive gathers the worker partitions with an event before w

@@ -1,11 +1,11 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel drives a set of processes — ordinary Go functions running in
-// goroutines — against a virtual clock. Exactly one process runs at a
-// time; control is handed back to the kernel whenever a process blocks in
-// Sleep, Wait, or Acquire. Events with equal timestamps fire in the order
-// they were scheduled, so a simulation is fully deterministic given
-// deterministic process code.
+// The kernel drives a set of processes — ordinary Go functions running as
+// coroutines (iter.Pull) — against a virtual clock. Exactly one process
+// runs at a time; control is handed back to the kernel whenever a process
+// blocks in Sleep, Wait, or Acquire. Events with equal timestamps fire in
+// the order they were scheduled, so a simulation is fully deterministic
+// given deterministic process code.
 //
 // The design follows the classic process-interaction style (as in SimPy):
 // CoServe's executors, transfer buses, and controllers are written as
@@ -18,12 +18,14 @@
 // — carry the *Proc to resume directly on the event instead of allocating
 // a capturing closure. Pure-callback events (After, AfterFunc) take the
 // other dispatch path and run inline on the kernel goroutine with no
-// process handoff at all.
+// process handoff at all. A process handoff is a direct coroutine
+// switch: no scheduler, no channel, no futex wake.
 package sim
 
 import (
 	"container/heap"
 	"fmt"
+	"iter"
 	"time"
 )
 
@@ -55,8 +57,8 @@ func (t Time) String() string { return time.Duration(t).String() }
 type event struct {
 	at    Time
 	seq   int64
-	fn    func()  // callback path (After, AfterFunc, process start)
-	proc  *Proc   // wake path (Sleep, Unpark) — no closure allocated
+	fn    func()  // callback path (After, AfterFunc)
+	proc  *Proc   // wake path (process start, Sleep, Unpark) — no closure allocated
 	msg   Message // typed cross-partition payload — no closure allocated
 	index int     // heap index; -1 once removed from the heap
 	next  *event  // free-list link
@@ -104,7 +106,6 @@ type Env struct {
 	now        Time
 	events     eventHeap
 	seq        int64
-	yield      chan struct{} // process -> kernel handoff
 	running    bool
 	terminated bool
 	nprocs     int
@@ -127,7 +128,7 @@ type Env struct {
 
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{yield: make(chan struct{})}
+	return &Env{}
 }
 
 // Now reports the current virtual time.
@@ -254,7 +255,7 @@ func (e *Env) popEvent() *event {
 
 // dispatch fires one popped event: wake events resume their process,
 // message events deliver their typed payload, and callback events run
-// inline with no goroutine handoff. The event is recycled before firing
+// inline with no process handoff. The event is recycled before firing
 // so the handler can immediately reuse it.
 func (e *Env) dispatch(ev *event) {
 	e.now = ev.at
@@ -277,7 +278,8 @@ func (e *Env) dispatch(ev *event) {
 // Run executes events until the queue is empty, then returns the final
 // clock value. Processes still blocked when the queue drains are woken
 // with a termination panic that the process wrapper absorbs, so Run
-// leaves no goroutines behind.
+// leaves no coroutine behind. A panic in process code unwinds out of Run
+// on the caller's goroutine with its original value.
 func (e *Env) Run() Time {
 	if e.running {
 		panic("sim: Run called re-entrantly")
@@ -313,7 +315,7 @@ func (e *Env) RunUntil(deadline Time) Time {
 type terminationSentinel struct{}
 
 // drain wakes every parked process with a termination panic so their
-// goroutines exit. Called once the event queue is empty.
+// coroutines finish. Called once the event queue is empty.
 func (e *Env) drain() {
 	e.terminated = true
 	for e.parkedHead != nil {
@@ -345,14 +347,16 @@ func (e *Env) Reopen() {
 // not yet finished.
 func (e *Env) Procs() int { return e.nprocs }
 
-// Proc is a simulation process: a goroutine that runs under the kernel's
-// control. All blocking methods must be called from the process's own
-// goroutine.
+// Proc is a simulation process: a coroutine that runs under the kernel's
+// control. All blocking methods must be called from the process itself.
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan struct{}
-	done   bool
+	env  *Env
+	name string
+	fn   func(*Proc) // the process body, until start hands it to the coroutine
+	// next runs the process until it parks or finishes; yield, called
+	// inside the process, returns control to the caller of next.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	// Intrusive parked-list links; owned by the environment.
 	parkedPrev, parkedNext *Proc
@@ -369,36 +373,36 @@ func (p *Proc) Env() *Env { return p.env }
 func (p *Proc) Now() Time { return p.env.now }
 
 // Go starts fn as a new process at the current virtual time. The process
-// begins executing when the kernel reaches its start event.
+// begins executing when the kernel reaches its start event: its first,
+// closure-free wake-up.
 func (e *Env) Go(name string, fn func(*Proc)) *Proc {
 	if e.terminated {
 		panic("sim: Go after environment drained")
 	}
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
+	p := &Proc{env: e, name: name, fn: fn}
 	e.nprocs++
-	e.schedule(e.now, func() { e.start(p, fn) })
+	e.scheduleWake(e.now, p)
 	return p
 }
 
-// start launches the process goroutine and waits for it to park or end.
-func (e *Env) start(p *Proc, fn func(*Proc)) {
-	//detlint:allow the one process-launch point of the kernel: the goroutine immediately synchronizes on the yield channel, so exactly one process runs at a time
-	go func() {
+// start creates the process coroutine. A panic other than the
+// termination sentinel passes through the coroutine and re-raises from
+// next, in the kernel's caller.
+func (e *Env) start(p *Proc) {
+	fn := p.fn
+	p.fn = nil
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			p.done = true
 			e.nprocs--
 			if r := recover(); r != nil {
 				if _, ok := r.(terminationSentinel); !ok {
-					// Re-panic on the kernel goroutine would be nicer, but
-					// a real bug in process code should crash loudly here.
 					panic(r)
 				}
 			}
-			e.yield <- struct{}{}
 		}()
 		fn(p)
-	}()
-	<-e.yield
+	})
 }
 
 // pushParked appends p to the parked list.
@@ -433,20 +437,22 @@ func (e *Env) removeParked(p *Proc) {
 	p.parked = false
 }
 
-// wake resumes a parked process on the kernel goroutine and blocks until
-// it parks again or finishes.
+// wake resumes a process's coroutine, creating it on the first wake-up,
+// and returns when the process parks again or finishes.
 func (e *Env) wake(p *Proc) {
 	e.removeParked(p)
-	p.resume <- struct{}{}
-	<-e.yield
+	if p.next == nil {
+		e.start(p)
+	}
+	p.next()
 }
 
-// park hands control to the kernel and blocks until resumed. It panics
-// with a termination sentinel if the environment drained while parked.
+// park switches back to the kernel and returns when the process is
+// woken. It panics with a termination sentinel if the environment
+// drained while parked.
 func (p *Proc) park() {
 	p.env.pushParked(p)
-	p.env.yield <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	if p.env.terminated {
 		panic(terminationSentinel{})
 	}

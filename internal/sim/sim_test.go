@@ -2,10 +2,14 @@ package sim
 
 import (
 	"container/heap"
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/runner"
 )
 
 func TestClockStartsAtZero(t *testing.T) {
@@ -293,6 +297,113 @@ func TestRunDrainsBlockedProcesses(t *testing.T) {
 	}
 }
 
+// TestRunLeavesNoGoroutines checks that draining parked processes
+// finishes their coroutines before Run returns: the goroutine count,
+// raised while they are parked, is back where it started. (A helper
+// goroutine of an earlier test may still be exiting, so the check is
+// that none is left over, not an exact count.)
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	during := 0
+	env := NewEnv()
+	ev := NewEvent(env)
+	gate := NewGate(env)
+	res := NewResource(env, "r", 1)
+	env.Go("holder", func(p *Proc) {
+		res.Acquire(p)
+		ev.Wait(p) // never fired: parked holding the resource
+	})
+	for i := 0; i < 4; i++ {
+		env.Go("waiter", func(p *Proc) { gate.Wait(p) })
+		env.Go("contender", func(p *Proc) { res.Acquire(p) })
+	}
+	env.Go("sleeper", func(p *Proc) {
+		during = runtime.NumGoroutine() // every other process is parked now
+		p.Sleep(time.Second)
+	})
+	env.Run()
+	if env.Procs() != 0 {
+		t.Errorf("procs remaining = %d, want 0", env.Procs())
+	}
+	if during <= before {
+		t.Errorf("goroutines while processes were parked = %d, want more than %d", during, before)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines after Run = %d, want at most %d", after, before)
+	}
+}
+
+// processPanic is the value process code panics with in the panic tests.
+type processPanic struct{ id int }
+
+// recoverRun calls run and returns what it panicked with, recovered on
+// the calling goroutine.
+func recoverRun(run func()) (r any) {
+	defer func() { r = recover() }()
+	run()
+	return nil
+}
+
+// TestProcessPanicLeavesRun checks that a panic in process code unwinds
+// out of Env.Run on the caller's goroutine with its original value.
+func TestProcessPanicLeavesRun(t *testing.T) {
+	got := recoverRun(func() {
+		env := NewEnv()
+		env.Go("fine", func(p *Proc) { p.Sleep(time.Second) })
+		env.Go("faulty", func(p *Proc) {
+			p.Sleep(time.Millisecond)
+			panic(processPanic{7})
+		})
+		env.Run()
+	})
+	if got != (processPanic{7}) {
+		t.Fatalf("Run panicked with %T %.80v, want processPanic{7}", got, got)
+	}
+}
+
+// TestProcessPanicCapturedByMap: since a process panic reaches the
+// caller of Run, runner.Map reports it as the failing job's error and
+// the other jobs finish.
+func TestProcessPanicCapturedByMap(t *testing.T) {
+	ends, err := runner.Map(runner.New(2), 3, func(i int) (Time, error) {
+		env := NewEnv()
+		env.Go("job", func(p *Proc) {
+			p.Sleep(time.Duration(i+1) * time.Second)
+			if i == 1 {
+				panic(processPanic{i})
+			}
+		})
+		return env.Run(), nil
+	})
+	var pe *runner.PanicError
+	if !errors.As(err, &pe) || pe.Value != (processPanic{1}) {
+		t.Fatalf("Map error = %.80v, want a *runner.PanicError carrying processPanic{1}", err)
+	}
+	if ends[0] != Time(time.Second) || ends[2] != Time(3*time.Second) {
+		t.Errorf("healthy jobs ended at %v and %v, want 1s and 3s", ends[0], ends[2])
+	}
+}
+
+// TestProcessPanicLeavesShardedRun checks the same for Sharded.Run, at
+// one worker (rounds inline) and two (rounds on the crew, where two
+// partitions are active in the panicking round).
+func TestProcessPanicLeavesShardedRun(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		got := recoverRun(func() {
+			s := NewSharded(3, workers, time.Millisecond)
+			s.Part(1).Go("fine", func(p *Proc) { p.Sleep(time.Millisecond) })
+			s.Part(2).Go("faulty", func(p *Proc) {
+				p.Sleep(time.Millisecond)
+				panic(processPanic{workers})
+			})
+			s.Run()
+		})
+		if got != (processPanic{workers}) {
+			t.Errorf("workers=%d: Run panicked with %T %.80v, want processPanic{%d}", workers, got, got, workers)
+		}
+	}
+}
+
 func TestRunUntilStopsAtDeadline(t *testing.T) {
 	env := NewEnv()
 	var ticks int
@@ -556,8 +667,8 @@ func TestHeapPopClearsIndex(t *testing.T) {
 // TestSleepSteadyStateAllocations pins the pooled, closure-free kernel
 // hot path: a full ping-pong workload (1000 sleeps across 4 processes)
 // must stay well under the ~2 allocations per sleep the closure-based
-// kernel paid. The budget covers environment construction, goroutine
-// stacks, and heap growth — not per-sleep garbage.
+// kernel paid. The budget covers environment construction, the four
+// process coroutines, and heap growth — not per-sleep garbage.
 func TestSleepSteadyStateAllocations(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, func() {
 		env := NewEnv()
@@ -573,6 +684,20 @@ func TestSleepSteadyStateAllocations(t *testing.T) {
 	if allocs > 200 {
 		t.Errorf("kernel workload allocated %.0f objects, want <= 200 (was ~2000 before event pooling)", allocs)
 	}
+}
+
+// BenchmarkProcRoundTrip prices one process wake-up: Sleep parks the
+// process, and the kernel pops its timer and switches back into it.
+func BenchmarkProcRoundTrip(b *testing.B) {
+	env := NewEnv()
+	env.Go("sleeper", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(time.Nanosecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.Run()
 }
 
 // TestEventPoolReuseAcrossReopen checks warm restarts reuse the free
