@@ -519,7 +519,7 @@ func BenchmarkFleetServe(b *testing.B) {
 	// Every offer and completion ack crossing the wire is a pooled typed
 	// message recycling through per-partition free lists, so the rows
 	// land within a few percent of the classic kernel's allocations —
-	// what remains above it is the lease ledger and the extra timed
+	// what remains above it is the leases and holds and the extra timed
 	// events, the modeled cost of distribution.
 	ic := coserve.Interconnect{
 		Dispatch:   100 * time.Microsecond,
@@ -633,7 +633,7 @@ func BenchmarkShardedKernel(b *testing.B) {
 
 // BenchmarkChaosServe measures the fault-injected serving path: a
 // 4-node cluster per iteration serving a Poisson stream with the fault
-// plan, lease ledger, and (in the gray case) health scoring, breaker,
+// plan, leases and holds, and (in the gray case) health scoring, breaker,
 // and hedging all active. The failstop sub-benchmark prices the
 // crash/redeliver machinery; the gray one prices the full mitigation
 // stack against a fail-slow straggler. Absolute allocs/op and bytes/op

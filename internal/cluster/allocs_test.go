@@ -9,8 +9,8 @@ import (
 )
 
 // TestShardedSteadyStateAllocsPin pins the sharded hot path's
-// allocation discipline: once the message pool, lease pool, arena, and
-// sketches are warm, a full stream of offer → accept fold → completion
+// allocation discipline: once the message, hold and lease pools, arena,
+// and sketches are warm, a full stream of offer → accept fold → completion
 // fold round trips across the interconnect must stay within a small
 // per-request allocation budget. A leak in any pool — messages drifting
 // between partition free lists, leases never released, requests not
@@ -40,8 +40,8 @@ func TestShardedSteadyStateAllocsPin(t *testing.T) {
 	}
 
 	// Warm everything: the first stream grows the arena to the in-flight
-	// peak, stocks the per-partition message lists and the lease free
-	// list, and sizes the recorder sketches.
+	// peak, stocks the per-partition message lists and the hold and lease
+	// pools, and sizes the recorder sketches.
 	if _, err := c.Serve(stream()); err != nil {
 		t.Fatal(err)
 	}
@@ -51,14 +51,14 @@ func TestShardedSteadyStateAllocsPin(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	// The interconnect path itself — pooled messages, pooled leases —
-	// contributes ~0 here; the budget covers what remains: per-stream
-	// fixed overhead (fresh chaosState maps, recorder reset, source
-	// construction, lease pool re-warming to the in-flight peak) and
-	// node-internal expert-cache eviction churn at under one allocation
-	// per request. The closure-era kernel's ~10 allocs/request blows
-	// through the bound seven-fold, so any message- or lease-pool leak
-	// fails loudly.
+	// The interconnect path itself — pooled messages, holds and leases,
+	// all kept across streams — contributes ~0 here; the budget covers
+	// what remains: per-stream fixed overhead (a fresh chaosState,
+	// recorder reset, source construction) and node-internal
+	// expert-cache eviction churn at under one allocation per request.
+	// The closure-era kernel's ~10 allocs/request blows through the
+	// bound seven-fold, so any message-, hold- or lease-pool leak fails
+	// loudly.
 	perReq := avg / n
 	t.Logf("allocs: %.0f total, %.3f per request", avg, perReq)
 	if perReq > 1.5 {

@@ -136,7 +136,7 @@ func (c *Cluster) applyScale(p *sim.Proc, desired, up int) {
 		c.drainOn[i] = true
 		c.drainStart[i] = now
 		c.scalerDrained[i] = true
-		c.scaleDowns++
+		c.chaos.ScaleDowns++
 		up--
 	}
 	c.checkDrains(now) // an idle node drains instantly
@@ -151,7 +151,7 @@ func (c *Cluster) applyScale(p *sim.Proc, desired, up int) {
 		c.draining--
 		c.drainOn[i] = false
 		c.scalerDrained[i] = false
-		c.scaleUps++
+		c.chaos.ScaleUps++
 		up++
 		resumed = true
 	}

@@ -10,53 +10,34 @@ import (
 )
 
 // chaosState is the durable-delivery bookkeeping of one stream. The
-// cluster front end is the lease holder: every admission opens a lease
+// cluster front end is the lease holder: every arrival opens a lease
 // (with a private copy of the request's expert chain — the request
 // object is recycled once its node is done with it), completions
 // resolve leases exactly once, and a crash voids the dead node's leases
 // so their requests can be redelivered to surviving nodes. Every stream
-// runs over it, faults or not: one lease per request in flight.
+// runs over it, faults or not: one lease per request in flight, one
+// hold per request copy a node has been handed (see hold).
 type chaosState struct {
-	arena *coe.Arena // redelivered requests lease from here when set
-
-	// ledger maps a live lease's request ID to its record; byNode holds
-	// each node's lease IDs in admission order, so a crash voids (and
-	// redelivers) them deterministically — never by map iteration, whose
-	// order would differ run to run. Entries in byNode go stale when a
-	// lease resolves or moves; the crash walk skips them, and track
-	// compacts them away so a list stays proportional to what its node
-	// holds rather than to the stream length.
-	ledger map[int64]*lease
-	byNode [][]int64
-
 	// pending holds voided (or never-delivered) leases waiting for a
 	// routable node, in void order; flushed on every recovery.
-	pending     []*lease
-	pendingPeak int
-
-	// freeLease heads the lease free list: resolved leases recycle here
-	// (chain capacity retained) so the sharded hot path's per-request
-	// allocations stay at the request object and its chain, nothing
-	// else. Release is gated on aliasing: see resolveLease.
-	freeLease *lease
+	pending []*lease
 
 	srcClosed bool
 
 	// Exactly-once accounting: at every fault boundary,
-	// arrivals == completions + terminalRejected + len(ledger) + len(pending)
+	// arrivals == completions + terminalRejected + leased + len(pending)
 	//           + offersInFlight.
-	// The last term is non-zero only on the sharded kernel: a primary or
-	// redelivery offer crossing the interconnect holds its request's
-	// accounting token until the fold lands it in one of the other
-	// buckets. hedgeOffers tracks in-flight hedge copies separately —
-	// duplicates carry no token but still gate stream close. bounced
-	// counts offers that found their node not Up and were re-routed.
+	// The last term is non-zero only on the sharded kernel: a lease's
+	// offer crossing the interconnect holds its request's accounting
+	// token until the fold lands it in one of the other buckets.
+	// hedgeOffers tracks in-flight hedge copies separately — duplicates
+	// carry no token but still gate stream close.
 	arrivals         int64 // requests the source yielded
 	completions      int64 // lease-resolved completions (each request once)
 	terminalRejected int64 // requests rejected with no lease left open
+	leased           int64 // leases whose primary copy a node holds
 	offersInFlight   int64 // primary/redelivery offers on the wire
 	hedgeOffers      int64 // hedge offers on the wire
-	bounced          int64 // offers bounced off a not-Up node
 	violations       []string
 
 	// lastCrash holds each node's latest crash instant this stream. On
@@ -64,26 +45,14 @@ type chaosState struct {
 	// crashed names an admission the crash already purged.
 	lastCrash []sim.Time
 
-	crashes, drains, recoveries int
-	slows, jitters, stalls      int   // gray fault events fired
-	lostLeases                  int64 // leases voided by crashes
-	redelivered                 int64 // successful re-admissions of voided leases
-	redeliveredRejected         int64 // voided leases a node's admission refused
-	dupAcks                     int64 // completions with no live lease (0 by design)
-
-	// Hedge accounting. A fired hedge puts a second copy of a leased
-	// request on another node; the first completion resolves the lease
-	// and the loser — tracked in orphans by holding node — surfaces as
-	// wasted work when it completes (or as a voided hedge when a crash
-	// takes it first), never as a second completion.
-	hedgesFired   int64 // hedge copies successfully admitted
-	hedgeWins     int64 // leases resolved by the hedge copy
-	hedgeWasted   int64 // loser copies that completed (work done twice)
-	hedgeRejected int64 // hedge copies node admission refused
-	hedgeRetries  int64 // deadline re-arms after a failed hedge attempt
-	hedgePromoted int64 // primaries lost to a crash, lease taken by the hedge
-	hedgesVoided  int64 // hedge copies destroyed by crashes before completing
-	orphans       map[int64]int
+	// The report's counter groups, incremented in place. Every copy a
+	// node admits ends in exactly one of Completions, HedgeWasted,
+	// DupAcks (its completion folded back) or LostLeases, HedgesVoided,
+	// HedgePromoted (a crash dropped it, counted when the drop folds
+	// back).
+	WireStats
+	ChaosStats
+	HedgeStats
 
 	failoverSum time.Duration
 	failoverMax time.Duration
@@ -91,8 +60,9 @@ type chaosState struct {
 }
 
 // lease is one request's durable-delivery record: identity, the chain
-// copy redelivery rebuilds the request from, where it currently lives,
-// and its original arrival for exactly-once latency accounting.
+// copy redelivery rebuilds the request from, the copies that currently
+// serve it, and its original arrival for exactly-once latency
+// accounting.
 type lease struct {
 	id     int64
 	class  int
@@ -100,150 +70,160 @@ type lease struct {
 	chain  []coe.ExpertID  // private copy; never aliases a live request
 	buf    [4]coe.ExpertID // chain's backing array while it fits
 
-	node         int // holding node, -1 while voided/parked
+	// primary is the copy carrying the request's accounting token — an
+	// offer on the wire or held by a node — nil while the lease is
+	// parked, voided or resolved. hedge is the speculative second copy,
+	// on the wire or held, nil while unhedged. A lease is recycled once
+	// done (completed or terminally rejected) and neither points at a
+	// hold; gen counts its recyclings so a hedge process started for an
+	// earlier use never acts on a reused lease.
+	primary *hold
+	hedge   *hold
+	gen     uint32
+	done    bool
+
 	hasArrival   bool
+	timerSet     bool     // timer is armed
 	arrival      sim.Time // first admission — the latency clock's origin
 	voidedAt     sim.Time
 	redeliveries int
 
-	// Hedging state: the node holding the speculative second copy (-1
-	// while unhedged), the pending deadline timer, and how many times
-	// the deadline has re-armed after failed hedge attempts.
-	// hedgeInFlight marks a hedge offer on the wire (sharded kernel
-	// only) so the deadline cannot launch a second copy meanwhile.
-	hedgeNode     int
-	hedgeInFlight bool
-	timer         sim.Timer
-	timerSet      bool
-	retries       int
+	// Hedging state: the pending deadline timer, the callback it runs
+	// (built on first use and kept across recyclings, so arming allocates
+	// nothing), and how many times the deadline has re-armed after failed
+	// hedge attempts.
+	timer   sim.Timer
+	due     func()
+	retries int
 
 	nextFree *lease // free-list link, meaningful only while released
 }
 
-func newChaosState(nodes int, arena *coe.Arena) *chaosState {
-	return &chaosState{
-		arena:     arena,
-		ledger:    make(map[int64]*lease),
-		byNode:    make([][]int64, nodes),
-		lastCrash: make([]sim.Time, nodes),
-		orphans:   make(map[int64]int),
-	}
+// held reports whether a node holds the lease's primary copy.
+func (l *lease) held() bool { return l.primary != nil && l.primary.held }
+
+// hold is the front end's record of one request object it has handed to
+// a node. It is taken when the offer leaves (postOffer), appended to its
+// node's hold list when the accept fold lands, unlinked when its copy
+// completes or its node crashes, and returned to the pool when the
+// object folds back for the last time: completion, reject, bounce, or
+// the recycle fold of a crash drop. The request carries the hold's pool
+// index (coe.Request.Hold), so every fold finds it without a lookup.
+type hold struct {
+	idx  int // position in Cluster.holds
+	node int
+	// l is the lease this copy serves as its primary or hedge; nil once
+	// the copy lost a hedge race (it then completes as waste) or a crash
+	// killed it.
+	l    *lease
+	held bool // on its node's hold list
+	// fate is the counter a copy a crash killed lands in once its drop
+	// folds back: LostLeases for a voided primary, HedgePromoted for a
+	// primary whose hedge took over, HedgesVoided for a hedge copy or
+	// hedge-race loser. Nil while the copy lives.
+	fate *int64
+
+	prev, next *hold // node hold list links; next doubles as the free-list link
 }
 
-// newLease draws a lease from the free list (chain capacity retained,
-// every other field zero) or allocates one whose chain starts in its
-// own buffer.
-func (cs *chaosState) newLease() *lease {
-	l := cs.freeLease
-	if l == nil {
-		l = &lease{}
-		l.chain = l.buf[:0]
-		return l
+// newHold draws a hold for a copy offered to node from the pool, which
+// grows by a block of 32 when it runs dry.
+func (c *Cluster) newHold(node int) *hold {
+	if c.freeHolds == nil {
+		block := make([]hold, 32)
+		for i := range block {
+			block[i].idx = len(c.holds)
+			c.holds = append(c.holds, &block[i])
+			c.freeHold(&block[i])
+		}
 	}
-	cs.freeLease = l.nextFree
+	h := c.freeHolds
+	c.freeHolds = h.next
+	h.node, h.next = node, nil
+	return h
+}
+
+// freeHold returns an unlinked hold to the pool.
+func (c *Cluster) freeHold(h *hold) {
+	*h = hold{idx: h.idx, next: c.freeHolds}
+	c.freeHolds = h
+}
+
+// link appends a hold to its node's hold list: accept order.
+func (c *Cluster) link(h *hold) {
+	h.held = true
+	h.prev = c.lastHeld[h.node]
+	if h.prev == nil {
+		c.firstHeld[h.node] = h
+	} else {
+		h.prev.next = h
+	}
+	c.lastHeld[h.node] = h
+}
+
+// unlink takes a hold off its node's hold list, if it is on it.
+func (c *Cluster) unlink(h *hold) {
+	if !h.held {
+		return
+	}
+	if h.prev == nil {
+		c.firstHeld[h.node] = h.next
+	} else {
+		h.prev.next = h.next
+	}
+	if h.next == nil {
+		c.lastHeld[h.node] = h.prev
+	} else {
+		h.next.prev = h.prev
+	}
+	h.held, h.prev, h.next = false, nil, nil
+}
+
+// newLease draws a lease from the pool (chain capacity retained), which
+// grows by a block of 32 when it runs dry, each chain starting in its
+// lease's own buffer.
+func (c *Cluster) newLease() *lease {
+	if c.freeLeases == nil {
+		block := make([]lease, 32)
+		for i := range block {
+			block[i].chain = block[i].buf[:0]
+			block[i].nextFree = c.freeLeases
+			c.freeLeases = &block[i]
+		}
+		c.leases += len(block)
+	}
+	l := c.freeLeases
+	c.freeLeases = l.nextFree
 	l.nextFree = nil
 	return l
 }
 
-// releaseLease returns a lease to the free list, zeroing everything but
-// the chain's backing array. Callers must go through resolveLease or
-// releaseIfResolved — releasing a lease something still points at would
-// let a recycled lease spuriously satisfy a ledger identity check.
-func (cs *chaosState) releaseLease(l *lease) {
-	chain := l.chain[:0]
-	*l = lease{chain: chain, nextFree: cs.freeLease}
-	cs.freeLease = l
-}
-
-// resolveLease retires a lease that just went terminal — completed,
-// terminally rejected, or redelivery-rejected — and recycles it unless
-// a hedge offer on the wire still aliases it. That offer's fold is then
-// the release point (releaseIfResolved); a lease whose fold cannot
-// release it (voided again meanwhile, node < 0) leaks until the stream's
-// chaosState is dropped — rare, bounded, and strictly safer than a
-// false-positive ledger match on a recycled lease.
-func (cs *chaosState) resolveLease(l *lease) {
-	if l.hedgeInFlight {
+// settle recycles a lease once it is done and no hold points at it. A
+// hedge offer still on the wire keeps a resolved lease alive until it
+// lands.
+func (c *Cluster) settle(l *lease) {
+	if !l.done || l.primary != nil || l.hedge != nil {
 		return
 	}
-	cs.releaseLease(l)
+	*l = lease{chain: l.chain[:0], gen: l.gen + 1, due: l.due, nextFree: c.freeLeases}
+	c.freeLeases = l
 }
 
-// releaseIfResolved is the hedge-fold release point: the fold just
-// cleared hedgeInFlight and found the lease no longer its ledger entry.
-// node >= 0 distinguishes a lease that went terminal while the hedge
-// flew (safe to recycle — nothing else references it) from one that was
-// voided into a redelivery (still live in pending or on the wire).
-func (cs *chaosState) releaseIfResolved(l *lease) {
-	if cs.ledger[l.id] != l && l.node >= 0 {
-		cs.releaseLease(l)
-	}
-}
-
-// newLeaseFor draws a lease carrying the request's identity and a
-// private copy of its chain, held by no node yet.
-func (cs *chaosState) newLeaseFor(r *coe.Request, tenant string) *lease {
-	l := cs.newLease()
+// openLease draws a lease carrying the request's identity and a private
+// copy of its chain, served by no copy yet.
+func (c *Cluster) openLease(r *coe.Request, tenant string) *lease {
+	l := c.newLease()
 	l.id = r.ID
 	l.class = r.Class
 	l.tenant = tenant
-	l.chain = append(l.chain[:0], r.Chain...)
-	l.node = -1
-	l.hedgeNode = -1
+	l.chain = append(l.chain, r.Chain...)
 	return l
-}
-
-// open records a fresh admission on node idx at instant issued.
-func (cs *chaosState) open(idx int, r *coe.Request, tenant string, issued sim.Time) *lease {
-	l := cs.newLeaseFor(r, tenant)
-	l.node = idx
-	l.hasArrival = true
-	l.arrival = issued
-	cs.ledger[l.id] = l
-	cs.track(idx, l.id)
-	return l
-}
-
-// track appends a lease ID to node idx's admission-order list. A full
-// list is compacted first: IDs that are neither a live lease held on
-// the node (as primary or hedge copy) nor an orphan on it are dropped,
-// order kept. The list grows only when more than half its entries
-// survive, so appends stay amortized O(1) and the list stays within a
-// small multiple of what the node holds.
-func (cs *chaosState) track(idx int, id int64) {
-	ids := cs.byNode[idx]
-	if len(ids) > 0 && len(ids) == cap(ids) {
-		live := ids[:0]
-		for _, held := range ids {
-			if l := cs.ledger[held]; l != nil && (l.node == idx || l.hedgeNode == idx) {
-				live = append(live, held)
-			} else if on, ok := cs.orphans[held]; ok && on == idx {
-				live = append(live, held)
-			}
-		}
-		if 2*len(live) > cap(ids) {
-			live = append(make([]int64, 0, 2*cap(ids)), live...)
-		}
-		ids = live
-	}
-	cs.byNode[idx] = append(ids, id)
-}
-
-// park records an arrival that found no routable node: a lease with no
-// holder, queued for delivery on the next recovery. The caller recycles
-// the request object afterwards — the lease owns its own chain copy.
-func (cs *chaosState) park(r *coe.Request, tenant string, now sim.Time) {
-	l := cs.newLeaseFor(r, tenant)
-	l.voidedAt = now
-	cs.parkLease(l)
 }
 
 // parkLease queues a lease with no holder for the next recovery.
 func (cs *chaosState) parkLease(l *lease) {
 	cs.pending = append(cs.pending, l)
-	if len(cs.pending) > cs.pendingPeak {
-		cs.pendingPeak = len(cs.pending)
-	}
+	cs.PendingPeak = max(cs.PendingPeak, len(cs.pending))
 }
 
 // leaseRequest materializes a fresh request object for a lease — from
@@ -251,9 +231,9 @@ func (cs *chaosState) parkLease(l *lease) {
 // always copied out of the lease: the object the lease originally rode
 // in may have been recycled and re-leased by anyone since, so sharing
 // backing arrays in either direction would alias live state.
-func (cs *chaosState) leaseRequest(l *lease) *coe.Request {
-	if cs.arena != nil {
-		r := cs.arena.Lease()
+func (c *Cluster) leaseRequest(l *lease) *coe.Request {
+	if c.cfg.Arena != nil {
+		r := c.cfg.Arena.Lease()
 		r.ID = l.id
 		r.Class = l.class
 		r.Chain = append(r.Chain[:0], l.chain...)
@@ -266,12 +246,12 @@ func (cs *chaosState) leaseRequest(l *lease) *coe.Request {
 // recording (not panicking on) violations so Serve can fail the stream
 // with the full list.
 func (cs *chaosState) verify(now sim.Time, where string) {
-	got := cs.completions + cs.terminalRejected + int64(len(cs.ledger)) + int64(len(cs.pending)) + cs.offersInFlight
+	got := cs.completions + cs.terminalRejected + cs.leased + int64(len(cs.pending)) + cs.offersInFlight
 	if got != cs.arrivals {
 		cs.violations = append(cs.violations, fmt.Sprintf(
 			"at %v (%s): completions %d + rejections %d + leased %d + pending %d + in-flight %d = %d, want arrivals %d",
 			now.Duration(), where, cs.completions, cs.terminalRejected,
-			len(cs.ledger), len(cs.pending), cs.offersInFlight, got, cs.arrivals))
+			cs.leased, len(cs.pending), cs.offersInFlight, got, cs.arrivals))
 	}
 }
 
@@ -288,7 +268,7 @@ func (c *Cluster) applyFault(now sim.Time, ev sim.FaultEvent) {
 		if st == core.NodeDown {
 			break
 		}
-		cs.crashes++
+		cs.Crashes++
 		cs.lastCrash[ev.Node] = now
 		if st == core.NodeUp {
 			c.unroutable++
@@ -297,74 +277,56 @@ func (c *Cluster) applyFault(now sim.Time, ev sim.FaultEvent) {
 			c.drainOn[ev.Node] = false
 			c.scalerDrained[ev.Node] = false
 		}
-		// Void the node's outstanding leases in admission order onto the
-		// pending queue, then crash the node (purging its queues and
-		// voiding its in-flight batches), then redeliver. The order
+		// Walk the node's hold list in accept order, voiding primaries
+		// onto the pending queue, then crash the node (purging its queues
+		// and voiding its in-flight batches), then redeliver. The order
 		// matters for arena safety: by the time a redelivered request
-		// leases a possibly-recycled object, the ledger's chain copies
-		// are the only truth left from the original admission. Queueing
+		// leases a possibly-recycled object, the leases' chain copies are
+		// the only truth left from the original admission. Queueing
 		// before redelivering also keeps every voided lease visible to
-		// the close check while the redeliveries land.
-		parked := len(cs.pending)
-		for _, id := range cs.byNode[ev.Node] {
-			l := cs.ledger[id]
-			if l == nil {
-				// Resolved since — but if this node holds the losing copy of
-				// a hedge race, it dies here (the node's own drop accounting
-				// records it) and is no longer expected to surface as waste.
-				if on, ok := cs.orphans[id]; ok && on == ev.Node {
-					delete(cs.orphans, id)
-					cs.hedgesVoided++
-				}
-				continue
-			}
-			if l.node != ev.Node {
-				if l.hedgeNode == ev.Node {
-					// The hedge copy dies with this node; the primary keeps
-					// the lease and may hedge again after a fresh deadline.
-					l.hedgeNode = -1
-					cs.hedgesVoided++
-					c.armHedge(l, c.hedge.After)
-				} else if on, ok := cs.orphans[id]; ok && on == ev.Node {
-					// Sharded kernel only: an orphaned duplicate (its lease
-					// was resolved or redelivered elsewhere while the copy
-					// flew) dies with the node before surfacing as waste.
-					delete(cs.orphans, id)
-					cs.hedgesVoided++
-				}
-				continue // moved since; stale byNode entry
-			}
-			if l.hedgeNode >= 0 {
+		// the close check while the redeliveries land. Each killed copy
+		// keeps its hold, marked with its fate, until its drop folds back.
+		for h := c.firstHeld[ev.Node]; h != nil; h = c.firstHeld[ev.Node] {
+			c.unlink(h)
+			l := h.l
+			h.l = nil
+			switch {
+			case l == nil:
+				// The losing copy of a hedge race dies here instead of
+				// surfacing as waste.
+				h.fate = &cs.HedgesVoided
+			case l.hedge == h:
+				// The hedge copy dies with this node; the primary keeps the
+				// lease and may hedge again after a fresh deadline.
+				h.fate = &cs.HedgesVoided
+				l.hedge = nil
+				c.armHedge(l, c.hedge.After)
+			case l.hedge != nil && l.hedge.held:
 				// The primary died but its hedge copy holds the work:
 				// promote the hedge to primary — no void, no redelivery.
-				// byNode on the hedge's node already tracks the ID.
-				l.node = l.hedgeNode
-				l.hedgeNode = -1
-				cs.hedgePromoted++
+				h.fate = &cs.HedgePromoted
+				l.primary, l.hedge = l.hedge, nil
 				c.armHedge(l, c.hedge.After)
-				continue
+			default:
+				h.fate = &cs.LostLeases
+				c.cancelHedge(l)
+				l.primary = nil
+				l.voidedAt = now
+				cs.leased--
+				cs.pending = append(cs.pending, l)
 			}
-			c.cancelHedge(l)
-			delete(cs.ledger, id)
-			l.node = -1
-			l.voidedAt = now
-			cs.pending = append(cs.pending, l)
 		}
-		cs.byNode[ev.Node] = cs.byNode[ev.Node][:0]
-		cs.lostLeases += int64(len(cs.pending) - parked)
 		if c.health != nil {
 			c.health.resetNode(ev.Node)
 		}
 		n.sys.CrashAt(now)
 		c.flushPending(now)
-		if len(cs.pending) > cs.pendingPeak {
-			cs.pendingPeak = len(cs.pending)
-		}
+		cs.PendingPeak = max(cs.PendingPeak, len(cs.pending))
 	case sim.FaultDrain:
 		if n.sys.State() != core.NodeUp {
 			break
 		}
-		cs.drains++
+		cs.Drains++
 		n.sys.Drain()
 		c.unroutable++
 		c.draining++
@@ -378,12 +340,12 @@ func (c *Cluster) applyFault(now sim.Time, ev sim.FaultEvent) {
 			if n.sys.GrayDegraded() {
 				// The gray recover: the node never left Up, the fault just
 				// stops degrading it. No routing or pending-queue work.
-				cs.recoveries++
+				cs.Recoveries++
 				n.sys.ClearGray()
 			}
 			break
 		}
-		cs.recoveries++
+		cs.Recoveries++
 		if st == core.NodeDown {
 			n.sys.Restart()
 		} else {
@@ -399,19 +361,19 @@ func (c *Cluster) applyFault(now sim.Time, ev sim.FaultEvent) {
 		if n.sys.State() == core.NodeDown {
 			break
 		}
-		cs.slows++
+		cs.Slows++
 		n.sys.SetSlow(ev.Factor)
 	case sim.FaultJitter:
 		if n.sys.State() == core.NodeDown {
 			break
 		}
-		cs.jitters++
+		cs.Jitters++
 		n.sys.SetJitter(ev.Factor, jitterSeed(ev))
 	case sim.FaultStall:
 		if n.sys.State() == core.NodeDown {
 			break
 		}
-		cs.stalls++
+		cs.Stalls++
 		n.sys.Stall(now, ev.For)
 	}
 	cs.verify(now, fmt.Sprintf("%s node%d", ev.Kind, ev.Node))

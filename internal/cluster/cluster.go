@@ -22,9 +22,10 @@
 // nearly all of the benefit.
 //
 // Every request travels one protocol (shard.go): the front end opens a
-// lease for it in an always-on ledger, offers it to a node, and lands
-// the node's answers — accepted, rejected, bounced, completed — as
-// folds that resolve the lease exactly once. Only the transport differs
+// lease for it, offers it to a node under a hold — its record of that
+// one copy — and lands the node's answers — accepted, rejected,
+// bounced, completed, dropped — as folds that resolve the lease exactly
+// once and account for every copy exactly once. Only the transport differs
 // between kernels: with no Interconnect the whole fleet shares one
 // environment and every hop is delivered synchronously at the sending
 // instant; with one, each hop is a timed cross-partition event.
@@ -101,7 +102,7 @@ type Config struct {
 	// the gray-failure detector. The zero value disables it.
 	Health HealthConfig
 	// Hedge enables per-request deadline timeouts with hedged
-	// redelivery over the lease ledger. The zero value disables it.
+	// redelivery over the leases. The zero value disables it.
 	Hedge HedgeConfig
 
 	// Interconnect models the dispatch latency between the front end
@@ -199,14 +200,25 @@ type Cluster struct {
 	// stream — the imbalance numerator.
 	routed []int64
 
-	// chaos is the per-stream durable-delivery state (lease ledger,
-	// redelivery queue, exactly-once counters).
+	// chaos is the per-stream durable-delivery state (redelivery queue,
+	// exactly-once counters).
 	chaos *chaosState
 	// closedAll records that every node's stream has been closed. The
-	// close waits until the source is exhausted and the ledger,
+	// close waits until the source is exhausted and the leases,
 	// redelivery queue and wire have drained, so a recovered node can
 	// still receive redeliveries.
 	closedAll bool
+
+	// The hold and lease pools, kept across streams so a warm serve
+	// allocates neither. holds is every hold ever made, indexed by
+	// coe.Request.Hold; firstHeld/lastHeld bound each node's hold list
+	// (accept order); leases counts the leases ever made.
+	holds      []*hold
+	freeHolds  *hold
+	firstHeld  []*hold
+	lastHeld   []*hold
+	freeLeases *lease
+	leases     int
 
 	// unroutable counts nodes currently not Up. While it is zero (and
 	// no breaker restricts a node) the router sees c.nodes directly —
@@ -232,8 +244,6 @@ type Cluster struct {
 	drainStart    []sim.Time // when the drain began
 	scalerDrained []bool     // drain owned by the fleet autoscaler
 	drainRecords  []DrainRecord
-	scaleUps      int
-	scaleDowns    int
 }
 
 // New builds a cluster for the CoE model: the placement plan is
@@ -259,6 +269,8 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: Shards must be >= 0, got %d", cfg.Shards)
 	}
 	c.msgFree = make([]*shardMsg, 1+len(cfg.Nodes))
+	c.firstHeld = make([]*hold, len(cfg.Nodes))
+	c.lastHeld = make([]*hold, len(cfg.Nodes))
 	c.drainOn = make([]bool, len(cfg.Nodes))
 	c.drainStart = make([]sim.Time, len(cfg.Nodes))
 	c.scalerDrained = make([]bool, len(cfg.Nodes))
@@ -357,14 +369,14 @@ type nodeDelegate struct {
 // request's lease with a fold to the front end (completionFold). It runs
 // in the node's context, so it may only capture and post.
 func (d *nodeDelegate) RequestDone(p *sim.Proc, r *coe.Request) {
-	d.c.postFold(d.idx, p.Now(), opCompletion, 0, r, "", nil, core.Lease{})
+	d.c.postFold(d.idx, p.Now(), opCompletion, r, core.Lease{})
 }
 
 // RequestDropped implements core.StreamDelegate: a crash-voided request
 // folds back to the front end, which owns the arena, for recycling. The
 // node's own drop accounting already ran.
 func (d *nodeDelegate) RequestDropped(now sim.Time, r *coe.Request) {
-	d.c.postFold(d.idx, now, opRecycle, 0, r, "", nil, core.Lease{})
+	d.c.postFold(d.idx, now, opRecycle, r, core.Lease{})
 }
 
 // Nodes exposes the fleet (read-only use).
@@ -474,11 +486,12 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 	}
 	if !c.closedAll {
 		c.broken = fmt.Errorf("cluster: stream %q ended with %d leases outstanding and %d requests undeliverable (no routable node remained to redeliver to)",
-			src.Name(), len(cs.ledger), len(cs.pending))
+			src.Name(), cs.leased, len(cs.pending))
 		return nil, c.broken
 	}
 
 	reports := make([]*core.Report, len(c.nodes))
+	var admitted int64
 	for i, n := range c.nodes {
 		rep, err := n.sys.StreamReport()
 		if err != nil {
@@ -486,19 +499,25 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 			return nil, err
 		}
 		reports[i] = rep
+		admitted += rep.N
+	}
+	// Every copy a node admitted ends in exactly one front-end counter.
+	if got := cs.completions + cs.HedgeWasted + cs.DupAcks + cs.LostLeases + cs.HedgesVoided + cs.HedgePromoted; got != admitted {
+		c.broken = fmt.Errorf("cluster: copy accounting violated: nodes admitted %d copies, front end accounts for %d (completions %d + wasted %d + dup acks %d + lost %d + hedges voided %d + promoted %d)",
+			admitted, got, cs.completions, cs.HedgeWasted, cs.DupAcks, cs.LostLeases, cs.HedgesVoided, cs.HedgePromoted)
+		return nil, c.broken
 	}
 	return c.report(src.Name(), reports), nil
 }
 
-// beginLifecycle arms the per-stream lifecycle state: a fresh lease
-// ledger, fresh health scoring when configured, and cleared drain
-// timing.
+// beginLifecycle arms the per-stream lifecycle state: fresh
+// durable-delivery bookkeeping, fresh health scoring when configured,
+// and cleared drain timing.
 func (c *Cluster) beginLifecycle() {
 	c.closedAll = false
 	c.unroutable, c.draining = 0, 0
-	c.scaleUps, c.scaleDowns = 0, 0
 	c.drainRecords = nil
-	c.chaos = newChaosState(len(c.nodes), c.cfg.Arena)
+	c.chaos = &chaosState{lastCrash: make([]sim.Time, len(c.nodes))}
 	c.health = nil
 	if c.cfg.Health.Enabled() {
 		c.health = newHealthState(c.cfg.Health.withDefaults(), len(c.nodes))
@@ -533,10 +552,11 @@ func (c *Cluster) admit(p *sim.Proc, src workload.Source) {
 	c.maybeClose()
 }
 
-// deliver runs one arrival through cluster admission and routing, and
-// offers it to the chosen node; the lease opens when the acceptance
-// lands (acceptFold). When no node is routable at this instant the
-// request is parked for redelivery on the next recovery.
+// deliver runs one arrival through cluster admission and routing, opens
+// its lease, and offers it to the chosen node; the node's answer lands
+// as a fold (acceptFold, rejectFold, bounceFold). When no node is
+// routable at this instant the lease is parked for redelivery on the
+// next recovery.
 func (c *Cluster) deliver(now sim.Time, tr workload.TimedRequest) {
 	if c.cfg.Admission != nil && !c.cfg.Admission.Admit(now, c, tr.Req) {
 		c.recorder.Rejection(now)
@@ -544,16 +564,16 @@ func (c *Cluster) deliver(now sim.Time, tr workload.TimedRequest) {
 		coe.Recycle(tr.Req)
 		return
 	}
+	l := c.openLease(tr.Req, tr.Tenant)
 	idx := c.pickNode(now, tr.Req)
 	if idx < 0 {
-		// The whole fleet is down or draining. Park the request (by
-		// value — the ledger owns its own chain copy) and recycle the
-		// object.
-		c.chaos.park(tr.Req, tr.Tenant, now)
+		// The whole fleet is down or draining. Park the lease (it owns
+		// its own chain copy) and recycle the object.
+		c.chaos.parkLease(l)
 		coe.Recycle(tr.Req)
 		return
 	}
-	c.postOffer(now, idx, offerPrimary, tr.Req, tr.Tenant, nil)
+	c.postOffer(now, idx, l, tr.Req, false)
 }
 
 // pickNode asks the router for a node. While every node is Up and no
@@ -596,7 +616,7 @@ func (c *Cluster) pickNode(now sim.Time, r *coe.Request) int {
 			}
 		}
 		if len(c.scratch) > 0 {
-			h.bypasses++
+			h.BreakerBypasses++
 		}
 	}
 	if len(c.scratch) == 0 {
@@ -648,7 +668,7 @@ func (c *Cluster) maybeClose() {
 	if !cs.srcClosed || c.closedAll {
 		return
 	}
-	if len(cs.ledger) > 0 || len(cs.pending) > 0 {
+	if cs.leased > 0 || len(cs.pending) > 0 {
 		return
 	}
 	if cs.offersInFlight > 0 || cs.hedgeOffers > 0 {

@@ -73,6 +73,13 @@ func buildCluster(t testing.TB, cfg Config, m *coe.Model) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// After the test's last stream, every hold and lease must be back in
+	// its pool (a broken stream legitimately strands some).
+	t.Cleanup(func() {
+		if c.broken == nil {
+			checkPools(t, c)
+		}
+	})
 	return c
 }
 

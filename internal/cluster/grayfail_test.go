@@ -190,8 +190,8 @@ func TestBreakerCapAndQuorum(t *testing.T) {
 		h.score[i] = 0.1
 	}
 	cl.breakerTick()
-	if h.restricted != 2 || h.trips != 2 {
-		t.Errorf("fleet-wide collapse: restricted = %d, trips = %d, want 2 and 2 (cap is half the fleet)", h.restricted, h.trips)
+	if h.restricted != 2 || h.BreakerTrips != 2 {
+		t.Errorf("fleet-wide collapse: restricted = %d, trips = %d, want 2 and 2 (cap is half the fleet)", h.restricted, h.BreakerTrips)
 	}
 	if got := cl.routableHealthy(); got != 2 {
 		t.Errorf("routableHealthy = %d, want 2", got)
@@ -210,8 +210,8 @@ func TestBreakerCapAndQuorum(t *testing.T) {
 	}
 	h.sk[0].Add(0.01)
 	cl.breakerTick()
-	if h.phase[0] != breakerClosed || h.reinstates != 1 {
-		t.Errorf("phase[0] = %v, reinstates = %d after quorum, want closed and 1", h.phase[0], h.reinstates)
+	if h.phase[0] != breakerClosed || h.BreakerReinstates != 1 {
+		t.Errorf("phase[0] = %v, reinstates = %d after quorum, want closed and 1", h.phase[0], h.BreakerReinstates)
 	}
 }
 

@@ -118,10 +118,7 @@ type healthState struct {
 	// router fast path stays untouched.
 	restricted int
 
-	trips      int   // closed/half-open → open transitions
-	reinstates int   // half-open → closed transitions
-	probesSent int64 // requests admitted to half-open nodes
-	bypasses   int64 // arrivals routed over a fully-quarantined Up set
+	HealthStats // the report's breaker counters, incremented in place
 }
 
 func newHealthState(cfg HealthConfig, nodes int) *healthState {
@@ -158,7 +155,7 @@ func (h *healthState) eligible(i int) bool {
 func (h *healthState) onAdmit(i int) {
 	if h.phase[i] == breakerHalfOpen {
 		h.probes[i]++
-		h.probesSent++
+		h.ProbesSent++
 	}
 }
 
@@ -287,7 +284,7 @@ func (c *Cluster) breakerTick() {
 				h.phase[i] = breakerOpen
 				h.cool[i] = h.cfg.Cooldown
 				h.restricted++
-				h.trips++
+				h.BreakerTrips++
 			}
 		case breakerOpen:
 			h.cool[i]--
@@ -306,11 +303,11 @@ func (c *Cluster) breakerTick() {
 			if h.score[i] >= h.cfg.RestoreAbove {
 				h.phase[i] = breakerClosed
 				h.restricted--
-				h.reinstates++
+				h.BreakerReinstates++
 			} else if h.score[i] < h.cfg.TripBelow {
 				h.phase[i] = breakerOpen
 				h.cool[i] = h.cfg.Cooldown
-				h.trips++
+				h.BreakerTrips++
 			}
 		}
 	}

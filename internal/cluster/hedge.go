@@ -12,9 +12,9 @@ import (
 // HedgeConfig enables per-request timeouts with hedged redelivery: a
 // request still leased After past its admission is speculatively
 // re-offered to a healthy node. First completion wins and resolves the
-// lease; the loser's completion finds no lease and is counted as wasted
-// work, never as a second completion — the exactly-once lease ledger is
-// what makes hedging safe to account.
+// lease; the loser's copy no longer serves a lease, so its completion
+// counts as wasted work, never as a second completion — one hold per
+// copy is what makes hedging safe to account.
 type HedgeConfig struct {
 	// After is the deadline budget: a lease older than this (and not
 	// already hedged) fires a hedge. Zero disables hedging — the
@@ -53,8 +53,10 @@ func (c *Cluster) armHedge(l *lease, d time.Duration) {
 	if !c.hedge.Enabled() || l.timerSet {
 		return
 	}
-	id := l.id
-	l.timer = c.env.AfterFunc(d, func() { c.hedgeDue(id) })
+	if l.due == nil {
+		l.due = func() { c.hedgeDue(l) }
+	}
+	l.timer = c.env.AfterFunc(d, l.due)
 	l.timerSet = true
 }
 
@@ -66,29 +68,36 @@ func (c *Cluster) cancelHedge(l *lease) {
 	}
 }
 
+// hedgeable reports whether the lease may fire a hedge now: its primary
+// held by a node, and no hedge copy on the wire or held.
+func hedgeable(l *lease) bool { return l.held() && l.hedge == nil }
+
 // hedgeDue is the timer callback: the lease outlived its deadline
 // budget. The re-offer runs in a fresh process at the same instant,
-// after the events already due now.
-func (c *Cluster) hedgeDue(id int64) {
-	cs := c.chaos
-	l := cs.ledger[id]
-	if l == nil || l.node < 0 || l.hedgeNode >= 0 || l.hedgeInFlight {
-		return // resolved, voided, or already hedged since arming
+// after the events already due now — by which time the lease may have
+// resolved and been reused, so the process checks its generation.
+func (c *Cluster) hedgeDue(l *lease) {
+	if !hedgeable(l) {
+		return // voided, or already hedged since arming
 	}
 	l.timerSet = false
-	c.env.Go("cluster/hedge", func(p *sim.Proc) { c.fireHedge(p, id) })
+	gen := l.gen
+	c.env.Go("cluster/hedge", func(p *sim.Proc) {
+		if l.gen == gen {
+			c.fireHedge(p, l)
+		}
+	})
 }
 
 // fireHedge re-offers an overdue lease's request to a healthy node. Once
-// the acceptance lands the lease tracks both copies; whichever completes
-// first resolves it and the other surfaces as wasted work. When no
-// eligible node exists (or node admission refuses or bounces the copy)
-// the primary keeps the lease untouched and the timer re-arms with
+// the acceptance lands the lease is served by both copies; whichever
+// completes first resolves it and the other surfaces as wasted work.
+// When no eligible node exists (or node admission refuses or bounces the
+// copy) the primary keeps the lease untouched and the timer re-arms with
 // exponential backoff, up to MaxRetries.
-func (c *Cluster) fireHedge(p *sim.Proc, id int64) {
+func (c *Cluster) fireHedge(p *sim.Proc, l *lease) {
 	cs := c.chaos
-	l := cs.ledger[id]
-	if l == nil || l.node < 0 || l.hedgeNode >= 0 || l.hedgeInFlight {
+	if !hedgeable(l) {
 		return
 	}
 	// With the breaker armed, hedge only leases whose holder is actually
@@ -99,7 +108,7 @@ func (c *Cluster) fireHedge(p *sim.Proc, id int64) {
 	// still ambiguous, so only the breaker's verdict releases a hedge.
 	// Without health armed there is no such signal and the deadline is
 	// trusted as-is.
-	if h := c.health; h != nil && h.phase[l.node] == breakerClosed {
+	if h := c.health; h != nil && h.phase[l.primary.node] == breakerClosed {
 		c.rearmHedge(l)
 		return
 	}
@@ -109,25 +118,21 @@ func (c *Cluster) fireHedge(p *sim.Proc, id int64) {
 		c.rearmHedge(l)
 		return
 	}
-	// hedgesFired, the byNode entry, and the race state attach when the
-	// accept fold lands; a refusal or bounce re-arms the deadline from
-	// its fold.
-	l.hedgeInFlight = true
-	c.postOffer(now, idx, offerHedge, cs.leaseRequest(l), l.tenant, l)
-	// A hedge moves no lease between ledger states — one arrival, one
-	// lease, still exactly one completion ahead — so the invariant must
-	// hold unchanged at this boundary.
-	cs.verify(now, fmt.Sprintf("hedge %d", id))
+	// HedgesFired and the hold list entry attach when the accept fold
+	// lands; a refusal or bounce re-arms the deadline from its fold.
+	c.postOffer(now, idx, l, c.leaseRequest(l), true)
+	// A hedge moves no lease between accounting buckets — one arrival,
+	// one lease, still exactly one completion ahead — so the invariant
+	// must hold unchanged at this boundary.
+	cs.verify(now, fmt.Sprintf("hedge %d", l.id))
 }
 
 // hedgeMissed lands a hedge copy that did not take: refused, bounced, or
 // lost with its node. A lease still held by its primary re-arms its
-// deadline — after d, or with backoff when d is 0 — and any other is
-// released if it has resolved meanwhile.
+// deadline — after d, or with backoff when d is 0.
 func (c *Cluster) hedgeMissed(l *lease, d time.Duration) {
 	switch {
-	case c.chaos.ledger[l.id] != l || l.node < 0:
-		c.chaos.releaseIfResolved(l)
+	case !l.held():
 	case d > 0:
 		c.armHedge(l, d)
 	default:
@@ -142,7 +147,7 @@ func (c *Cluster) rearmHedge(l *lease) {
 		return
 	}
 	l.retries++
-	c.chaos.hedgeRetries++
+	c.chaos.HedgeRetries++
 	c.armHedge(l, c.hedge.After<<uint(l.retries))
 }
 
@@ -153,7 +158,7 @@ func (c *Cluster) pickHedgeNode(now sim.Time, l *lease) int {
 	c.scratch = c.scratch[:0]
 	c.scratchIdx = c.scratchIdx[:0]
 	for i, n := range c.nodes {
-		if i == l.node || n.sys.State() != core.NodeUp {
+		if i == l.primary.node || n.sys.State() != core.NodeUp {
 			continue
 		}
 		if c.health != nil && c.health.phase[i] != breakerClosed {

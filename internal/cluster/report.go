@@ -70,42 +70,13 @@ type Report struct {
 	// Chaos and lifecycle accounting — all zero on fault-free,
 	// scaler-free streams.
 
-	// Faults counts fault-plan events applied; Crashes, Drains,
-	// Recoveries, and the gray kinds (Slows, Jitters, Stalls) break
-	// them down. A gray recover counts under Recoveries.
-	Faults     int
-	Crashes    int
-	Drains     int
-	Recoveries int
-	Slows      int
-	Jitters    int
-	Stalls     int
-	// LostLeases counts leases voided by crashes; Redelivered counts
-	// their successful re-admissions (≤ LostLeases: a lease can be
-	// voided and redelivered more than once, or terminally rejected).
-	// RedeliveredRejected counts voided leases a node's admission
-	// refused — terminal losses the recorder's arrival count already
-	// includes, so on streams with them N = Completions +
-	// RedeliveredRejected. Dropped sums the nodes' crash-voided request
-	// counts (queued work purged plus in-flight batches discarded).
-	LostLeases          int64
-	Redelivered         int64
-	RedeliveredRejected int64
-	Dropped             int64
-	// PendingPeak is the largest redelivery backlog observed while no
-	// node was routable.
-	PendingPeak int
-	// Bounced counts offers that crossed the interconnect only to find
-	// their node no longer Up, and were re-routed by the front end.
-	// Always zero without Config.Interconnect: an offer then lands at
-	// the instant it is routed.
-	Bounced int64
-	// DupAcks counts completion acknowledgments that arrived after
-	// their lease had been voided and redelivered — work finished on a
-	// node the ledger no longer tracked. Only the sharded kernel can
-	// produce them (an ack and a crash can cross on the wire); they
-	// never count as completions.
-	DupAcks int64
+	// Faults counts fault-plan events applied (the sum of ChaosStats'
+	// event kinds). Dropped sums the nodes' crash-voided request counts
+	// (queued work purged plus in-flight batches discarded).
+	Faults  int
+	Dropped int64
+	ChaosStats
+	WireStats
 	// FailoverMean and FailoverMax summarize the time from a lease's
 	// void (the crash) to its redelivered completion.
 	FailoverMean time.Duration
@@ -113,30 +84,87 @@ type Report struct {
 	// TimeToDrain records every completed drain: the time from the
 	// drain order until the node had nothing outstanding.
 	TimeToDrain []DrainRecord
-	// ScaleUps and ScaleDowns count the fleet autoscaler's actions;
 	// FinalStates is each node's lifecycle state at stream end, reported
 	// when the stream ran with faults, hedging, an interconnect, or the
 	// fleet autoscaler configured.
-	ScaleUps    int
-	ScaleDowns  int
 	FinalStates []core.NodeState
 
 	// Health and breaker accounting — all zero unless Config.Health is
 	// enabled. HealthScores is each node's last computed score.
+	HealthStats
+	HealthScores []float64
+
+	// Hedge accounting — all zero unless Config.Hedge is enabled.
+	HedgeStats
+}
+
+// ChaosStats counts a stream's fault events and their fallout, plus the
+// fleet autoscaler's actions.
+type ChaosStats struct {
+	// Crashes, Drains, Recoveries, and the gray kinds (Slows, Jitters,
+	// Stalls) break the applied fault events down. A gray recover
+	// counts under Recoveries.
+	Crashes    int
+	Drains     int
+	Recoveries int
+	Slows      int
+	Jitters    int
+	Stalls     int
+	// LostLeases counts primary copies crashes destroyed, their leases
+	// voided; Redelivered counts successful re-admissions of voided
+	// leases (a lease can be voided and redelivered more than once, or
+	// terminally rejected). RedeliveredRejected counts voided leases a
+	// node's admission refused — terminal losses the recorder's arrival
+	// count already includes, so on streams with them N = Completions +
+	// RedeliveredRejected.
+	LostLeases          int64
+	Redelivered         int64
+	RedeliveredRejected int64
+	// PendingPeak is the largest redelivery backlog observed while no
+	// node was routable.
+	PendingPeak int
+	// ScaleUps and ScaleDowns count the fleet autoscaler's actions.
+	ScaleUps   int
+	ScaleDowns int
+}
+
+// WireStats counts the interconnect's protocol races. Both are always
+// zero without Config.Interconnect: an offer then lands at the instant
+// it is routed and a completion at the instant it happens.
+type WireStats struct {
+	// Bounced counts offers that crossed the interconnect only to find
+	// their node no longer Up, and were re-routed by the front end.
+	Bounced int64
+	// DupAcks counts completions of copies a crash had already killed:
+	// the ack crossed the crash on the wire, after the copy's lease was
+	// voided for redelivery. They never count as completions.
+	DupAcks int64
+}
+
+// HealthStats counts the circuit breaker's moves.
+type HealthStats struct {
+	// BreakerTrips and BreakerReinstates count quarantines and
+	// reinstatements; ProbesSent counts requests admitted to half-open
+	// nodes; BreakerBypasses arrivals routed over a fully quarantined
+	// Up set.
 	BreakerTrips      int
 	BreakerReinstates int
 	ProbesSent        int64
 	BreakerBypasses   int64
-	HealthScores      []float64
+}
 
-	// Hedge accounting — all zero unless Config.Hedge is enabled.
-	// HedgesFired counts speculative copies admitted; HedgeWins the
-	// leases the copy resolved first; HedgeWasted the loser copies that
-	// completed anyway (the wasted-work bill); HedgeRejected copies
-	// node admission refused; HedgeRetries deadline re-arms after a
-	// failed attempt; HedgePromoted primaries lost to a crash whose
-	// hedge copy took over the lease; HedgesVoided copies destroyed by
-	// crashes before completing.
+// HedgeStats counts hedged redelivery. HedgesFired counts speculative
+// copies admitted; HedgeWins the leases the copy resolved first;
+// HedgeWasted the loser copies that completed anyway (the wasted-work
+// bill); HedgeRejected copies node admission refused; HedgeRetries
+// deadline re-arms after a failed attempt; HedgePromoted primaries lost
+// to a crash whose hedge copy took over the lease; HedgesVoided hedge
+// copies and hedge-race losers destroyed by crashes before completing.
+//
+// Every copy the nodes admit is counted once: the sum of PerNode[i].N
+// equals Completions + HedgeWasted + DupAcks + LostLeases +
+// HedgesVoided + HedgePromoted, and Serve fails the stream otherwise.
+type HedgeStats struct {
 	HedgesFired   int64
 	HedgeWins     int64
 	HedgeWasted   int64
@@ -199,36 +227,18 @@ func (c *Cluster) report(stream string, perNode []*core.Report) *Report {
 		r.Evictions += rep.Evictions
 		r.Dropped += rep.Dropped
 	}
-	r.ScaleUps, r.ScaleDowns = c.scaleUps, c.scaleDowns
 	if len(c.drainRecords) > 0 {
 		r.TimeToDrain = append([]DrainRecord(nil), c.drainRecords...)
 	}
 	cs := c.chaos
-	r.Faults = cs.crashes + cs.drains + cs.recoveries + cs.slows + cs.jitters + cs.stalls
-	r.Crashes, r.Drains, r.Recoveries = cs.crashes, cs.drains, cs.recoveries
-	r.Slows, r.Jitters, r.Stalls = cs.slows, cs.jitters, cs.stalls
-	r.LostLeases = cs.lostLeases
-	r.Redelivered = cs.redelivered
-	r.RedeliveredRejected = cs.redeliveredRejected
-	r.PendingPeak = cs.pendingPeak
-	r.Bounced = cs.bounced
-	r.DupAcks = cs.dupAcks
+	r.ChaosStats, r.WireStats, r.HedgeStats = cs.ChaosStats, cs.WireStats, cs.HedgeStats
+	r.Faults = cs.Crashes + cs.Drains + cs.Recoveries + cs.Slows + cs.Jitters + cs.Stalls
 	if cs.failoverN > 0 {
 		r.FailoverMean = cs.failoverSum / time.Duration(cs.failoverN)
 		r.FailoverMax = cs.failoverMax
 	}
-	r.HedgesFired = cs.hedgesFired
-	r.HedgeWins = cs.hedgeWins
-	r.HedgeWasted = cs.hedgeWasted
-	r.HedgeRejected = cs.hedgeRejected
-	r.HedgeRetries = cs.hedgeRetries
-	r.HedgePromoted = cs.hedgePromoted
-	r.HedgesVoided = cs.hedgesVoided
 	if h := c.health; h != nil {
-		r.BreakerTrips = h.trips
-		r.BreakerReinstates = h.reinstates
-		r.ProbesSent = h.probesSent
-		r.BreakerBypasses = h.bypasses
+		r.HealthStats = h.HealthStats
 		r.HealthScores = append([]float64(nil), h.score...)
 	}
 	if !c.cfg.Faults.Empty() || c.hedge.Enabled() || c.cfg.Interconnect.Enabled() || c.cfg.Autoscaler != nil {

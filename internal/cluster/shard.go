@@ -16,11 +16,13 @@ import (
 //
 // The offer carries the request to the node, where it is either bounced
 // (node not Up), rejected by node admission, or admitted; the outcome
-// folds back and only then touches the lease ledger, the fleet
+// folds back and only then touches the leases and holds, the fleet
 // recorder, health scoring, and the hedge timers. Every front-end
-// structure — ledger, arena, recorder, router scratch — is therefore
-// touched only in front-end context, and a node touches only its own
-// state plus the request object the offer handed it.
+// structure — leases, holds, arena, recorder, router scratch — is
+// therefore written only in front-end context, and a node touches only
+// its own state plus the request object the offer handed it (reading
+// the tenant off the offer's lease, which nothing writes while the
+// offer flies).
 //
 // Only the transport depends on the kernel, and only postOffer and
 // postFold know which one runs. On the classic kernel the fleet shares
@@ -45,17 +47,6 @@ import (
 // offer→accept→completion cycle allocates nothing: the offer's message
 // is freed into the node's list and immediately reused for the fold,
 // the fold's into the front end's and reused for the next offer.
-type offerKind int
-
-const (
-	// offerPrimary is a fresh arrival's first delivery.
-	offerPrimary offerKind = iota
-	// offerRedeliver re-delivers a crash-voided (or parked) lease.
-	offerRedeliver
-	// offerHedge delivers the speculative second copy of a leased
-	// request whose deadline expired.
-	offerHedge
-)
 
 // shardOp selects a shardMsg's handler — the protocol's full verb set.
 type shardOp uint8
@@ -70,16 +61,14 @@ const (
 )
 
 // shardMsg is the pooled protocol message: one union for every hop, so
-// a free list of them serves the entire request path. Fields beyond op are populated per-verb; receipt
-// only rides on opAccept.
+// a free list of them serves the entire request path. The request names
+// its hold (coe.Request.Hold), which names the node — the offer's
+// target, the fold's origin — and the lease; receipt only rides on
+// opAccept.
 type shardMsg struct {
 	c       *Cluster
 	op      shardOp
-	kind    offerKind
-	idx     int // node index: offer target, or fold origin
 	r       *coe.Request
-	tenant  string
-	l       *lease
 	receipt core.Lease
 	next    *shardMsg // free-list link
 }
@@ -104,8 +93,7 @@ func (c *Cluster) newMsg(part int) *shardMsg {
 // freeMsg returns a delivered message to partition part's free list,
 // clearing payload pointers so the list pins nothing.
 func (c *Cluster) freeMsg(part int, m *shardMsg) {
-	m.r, m.l = nil, nil
-	m.tenant = ""
+	m.r = nil
 	m.receipt = core.Lease{}
 	m.next = c.msgFree[part]
 	c.msgFree[part] = m
@@ -128,63 +116,68 @@ func (c *Cluster) freeMsg(part int, m *shardMsg) {
 // events, which never overlap a worker round, so touching a node's
 // list there is race-free under the kernel's control-verb contract.
 func (c *Cluster) deliverMsg(m *shardMsg, at sim.Time) {
-	op, kind, idx, r, tenant, l, receipt := m.op, m.kind, m.idx, m.r, m.tenant, m.l, m.receipt
+	op, r, receipt := m.op, m.r, m.receipt
+	h := c.holds[r.Hold]
 	if op == opOffer {
-		c.freeMsg(1+idx, m)
-		c.nodeOffer(at, idx, kind, r, tenant, l)
+		c.freeMsg(1+h.node, m)
+		c.nodeOffer(at, h, r)
 		return
 	}
 	if op == opCompletion {
-		c.freeMsg(1+idx, m)
+		c.freeMsg(1+h.node, m)
 	} else {
 		c.freeMsg(0, m)
 	}
+	hedge := false
 	if op == opAccept || op == opReject || op == opBounce {
 		// The offer has landed: it no longer holds an accounting token
-		// (or, for a hedge, blocks the lease's next deadline).
-		if kind == offerHedge {
+		// (or, for a hedge, counts as a copy on the wire).
+		if hedge = h.l.hedge == h; hedge {
 			c.chaos.hedgeOffers--
-			l.hedgeInFlight = false
 		} else {
 			c.chaos.offersInFlight--
 		}
 	}
 	switch op {
 	case opAccept:
-		c.acceptFold(at, idx, kind, r, tenant, l, receipt)
+		c.acceptFold(at, h, hedge, receipt)
 	case opReject:
-		c.rejectFold(at, idx, kind, r, l)
+		c.rejectFold(at, h, hedge, r)
 	case opBounce:
-		c.bounceFold(at, idx, kind, r, tenant, l)
+		c.bounceFold(at, h, hedge, r)
 	case opCompletion:
-		c.completionFold(at, idx, r)
+		c.completionFold(at, h, r)
 	case opRecycle:
-		coe.Recycle(r)
+		c.recycleFold(h, r)
 	}
 }
 
-// postOffer dispatches a request toward node idx: delivered at once on
-// the classic kernel, one hop from now on the sharded one. The offer is
-// tracked while it flies so exactly-once verification and stream close
-// account for it: a primary or redelivery offer carries the request's
-// accounting token (it is in neither the ledger nor the pending queue
-// meanwhile), a hedge offer carries only duplicate work. l is the lease
-// a redelivery or hedge offer belongs to, nil for primaries.
+// postOffer hands a copy of lease l's request to node idx — its primary
+// copy, or with hedge its speculative second one — under a fresh hold:
+// delivered at once on the classic kernel, one hop from now on the
+// sharded one. The offer is counted while it flies so exactly-once
+// verification and stream close account for it: a primary offer carries
+// the request's accounting token (its lease is in no other bucket
+// meanwhile), a hedge offer carries only duplicate work.
 //
 // Offers always originate in front-end context — routing, bounce
 // re-routes, redelivery, and hedge timers — so the message comes from
 // the front end's free list unconditionally.
-func (c *Cluster) postOffer(now sim.Time, idx int, kind offerKind, r *coe.Request, tenant string, l *lease) {
+func (c *Cluster) postOffer(now sim.Time, idx int, l *lease, r *coe.Request, hedge bool) {
 	cs := c.chaos
+	h := c.newHold(idx)
+	h.l = l
+	r.Hold = h.idx
 	c.routed[idx]++
-	if kind == offerHedge {
+	if hedge {
+		l.hedge = h
 		cs.hedgeOffers++
 	} else {
+		l.primary = h
 		cs.offersInFlight++
 	}
 	m := c.newMsg(0)
-	m.op, m.kind, m.idx = opOffer, kind, idx
-	m.r, m.tenant, m.l = r, tenant, l
+	m.op, m.r = opOffer, r
 	if c.kernel == nil {
 		c.deliverMsg(m, now)
 		return
@@ -200,14 +193,13 @@ func (c *Cluster) postOffer(now sim.Time, idx int, kind offerKind, r *coe.Reques
 // coordinator context — crash purges calling the drop delegate — it
 // inserts directly and draws from the coordinator's list.
 // PosterPartition distinguishes the two.
-func (c *Cluster) postFold(idx int, now sim.Time, op shardOp, kind offerKind, r *coe.Request, tenant string, l *lease, receipt core.Lease) {
+func (c *Cluster) postFold(idx int, now sim.Time, op shardOp, r *coe.Request, receipt core.Lease) {
 	part := 1 + idx
 	if c.kernel != nil {
 		part = c.kernel.PosterPartition(c.kernel.Part(1 + idx))
 	}
 	m := c.newMsg(part)
-	m.op, m.kind, m.idx = op, kind, idx
-	m.r, m.tenant, m.l, m.receipt = r, tenant, l, receipt
+	m.op, m.r, m.receipt = op, r, receipt
 	if c.kernel == nil {
 		c.deliverMsg(m, now)
 		return
@@ -215,203 +207,201 @@ func (c *Cluster) postFold(idx int, now sim.Time, op shardOp, kind offerKind, r 
 	c.kernel.PostMsg(c.kernel.Part(1+idx), 0, now.Add(c.latency[idx]), m)
 }
 
-// nodeOffer runs in node idx's context at the offer's arrival instant
-// (now). It reads and advances only node-local state, and reports the
+// nodeOffer runs in the context of the offer's node at its arrival
+// instant (now). It advances only node-local state, and reports the
 // outcome with a fold. On the sharded kernel the fold lands one hop
 // later — at least the kernel's lookahead after the node's now, which is
 // what licenses the node partitions to run concurrently.
-func (c *Cluster) nodeOffer(now sim.Time, idx int, kind offerKind, r *coe.Request, tenant string, l *lease) {
+func (c *Cluster) nodeOffer(now sim.Time, h *hold, r *coe.Request) {
+	idx := h.node
 	sys := c.nodes[idx].sys
 	if sys.State() != core.NodeUp {
 		// The node went down or started draining while the offer was on
 		// the wire: bounce it back unopened for the coordinator to
 		// re-route.
-		c.postFold(idx, now, opBounce, kind, r, tenant, l, core.Lease{})
+		c.postFold(idx, now, opBounce, r, core.Lease{})
 		return
 	}
-	receipt, ok := sys.OfferAt(now, workload.TimedRequest{Req: r, Tenant: tenant})
-	if ok {
-		c.postFold(idx, now, opAccept, kind, r, tenant, l, receipt)
+	if receipt, ok := sys.OfferAt(now, workload.TimedRequest{Req: r, Tenant: h.l.tenant}); ok {
+		c.postFold(idx, now, opAccept, r, receipt)
 	} else {
-		c.postFold(idx, now, opReject, kind, r, "", l, core.Lease{})
+		c.postFold(idx, now, opReject, r, core.Lease{})
 	}
 }
 
-// acceptFold lands a successful admission on the front end: the lease
-// ledger, fleet recorder, health scoring, and hedge arming all advance
-// here. On the sharded kernel a node can crash after issuing the
-// receipt, while the fold flies; it already purged the request, so the
-// lease it would hold is voided on landing instead.
-func (c *Cluster) acceptFold(now sim.Time, idx int, kind offerKind, r *coe.Request, tenant string, l *lease, receipt core.Lease) {
+// acceptFold lands a successful admission on the front end: the hold
+// joins its node's list, and the fleet recorder, health scoring, and
+// hedge arming advance. On the sharded kernel a node can crash after
+// issuing the receipt, while the fold flies; it already purged the
+// request, so the copy is marked killed and a primary's lease is voided
+// on landing instead.
+func (c *Cluster) acceptFold(now sim.Time, h *hold, hedge bool, receipt core.Lease) {
 	cs := c.chaos
-	crashed := cs.lastCrash[idx] > receipt.Issued
-	switch kind {
-	case offerPrimary:
-		c.recorder.Arrival(now)
-		l = cs.open(idx, r, tenant, receipt.Issued)
-	case offerRedeliver:
-		if l.hasArrival {
-			cs.redelivered++
-			l.redeliveries++
-		} else {
-			l.hasArrival = true
-			l.arrival = receipt.Issued
-			c.recorder.Arrival(now)
-		}
-		l.node = idx
-		cs.ledger[l.id] = l
-		cs.track(idx, l.id)
-	case offerHedge:
+	l := h.l
+	crashed := cs.lastCrash[h.node] > receipt.Issued
+	if hedge {
 		switch {
 		case crashed:
-			// The copy died with its node before the fold landed.
-			cs.hedgesVoided++
+			h.fate = &cs.HedgesVoided
+			h.l, l.hedge = nil, nil
 			c.hedgeMissed(l, c.hedge.After)
-		case cs.ledger[l.id] == l && l.node >= 0 && l.hedgeNode < 0:
-			cs.hedgesFired++
-			l.hedgeNode = idx
-			cs.track(idx, l.id)
-			if h := c.health; h != nil {
-				h.onAdmit(idx)
+			c.settle(l)
+		case l.held():
+			cs.HedgesFired++
+			c.link(h)
+			if hl := c.health; hl != nil {
+				hl.onAdmit(h.node)
 			}
 		default:
 			// The lease resolved — or was voided into a redelivery — while
-			// the hedge flew. The node admitted a duplicate nobody tracks a
-			// lease for; record it so its completion counts as hedge waste,
-			// exactly like a lost hedge race.
-			cs.orphans[r.ID] = idx
-			cs.releaseIfResolved(l)
+			// the hedge flew. The node admitted a duplicate no lease wants:
+			// it completes as hedge waste, exactly like a lost hedge race,
+			// or dies with its node.
+			h.l, l.hedge = nil, nil
+			c.link(h)
+			c.settle(l)
 		}
 		c.maybeClose()
 		return
 	}
-	if crashed {
-		c.voidLanded(now, idx, l)
+	if l.hasArrival {
+		cs.Redelivered++
+		l.redeliveries++
 	} else {
-		if h := c.health; h != nil {
-			h.onAdmit(idx)
+		l.hasArrival = true
+		l.arrival = receipt.Issued
+		c.recorder.Arrival(now)
+	}
+	if crashed {
+		// Void and redeliver the lease exactly as the crash would have
+		// had the copy been held.
+		h.fate = &cs.LostLeases
+		h.l, l.primary = nil, nil
+		l.voidedAt = cs.lastCrash[h.node]
+		if !c.redeliverOne(now, l) {
+			cs.parkLease(l)
+		}
+	} else {
+		c.link(h)
+		cs.leased++
+		if hl := c.health; hl != nil {
+			hl.onAdmit(h.node)
 		}
 		c.armHedge(l, c.hedge.After)
 	}
 	c.maybeClose()
 }
 
-// voidLanded voids and redelivers a lease whose accept fold landed after
-// its node crashed, exactly as the crash would have had it been open.
-func (c *Cluster) voidLanded(now sim.Time, idx int, l *lease) {
+// rejectFold lands a node-admission refusal on the front end. Refusing
+// a lease's primary copy is terminal and counted once; a hedge refusal
+// re-arms the deadline with backoff.
+func (c *Cluster) rejectFold(now sim.Time, h *hold, hedge bool, r *coe.Request) {
 	cs := c.chaos
-	delete(cs.ledger, l.id)
-	l.node = -1
-	l.voidedAt = cs.lastCrash[idx]
-	cs.lostLeases++
-	if !c.redeliverOne(now, l) {
-		cs.parkLease(l)
-	}
-}
-
-// rejectFold lands a node-admission refusal on the front end. Rejection
-// of a primary or first delivery is terminal and counted once; a hedge
-// refusal re-arms the deadline with backoff.
-func (c *Cluster) rejectFold(now sim.Time, idx int, kind offerKind, r *coe.Request, l *lease) {
-	cs := c.chaos
-	switch kind {
-	case offerPrimary:
-		c.recorder.Rejection(now)
-		cs.terminalRejected++
-	case offerRedeliver:
+	l := h.l
+	if hedge {
+		cs.HedgeRejected++
+		l.hedge = nil
+		c.hedgeMissed(l, 0)
+	} else {
 		cs.terminalRejected++
 		if l.hasArrival {
-			cs.redeliveredRejected++
+			cs.RedeliveredRejected++
 		} else {
 			c.recorder.Rejection(now)
 		}
-		cs.resolveLease(l)
-	case offerHedge:
-		cs.hedgeRejected++
-		c.hedgeMissed(l, 0)
+		l.primary, l.done = nil, true
 	}
+	c.freeHold(h)
+	c.settle(l)
 	coe.Recycle(r)
 	c.maybeClose()
 }
 
 // bounceFold lands an offer that found its node not Up: the request
 // never reached admission, so the coordinator re-routes it with
-// current knowledge — re-picking for primaries and redeliveries
-// (parking when nothing is routable), re-arming the deadline for
-// hedges.
-func (c *Cluster) bounceFold(now sim.Time, idx int, kind offerKind, r *coe.Request, tenant string, l *lease) {
+// current knowledge — re-picking for a primary copy (parking when
+// nothing is routable), re-arming the deadline for a hedge.
+func (c *Cluster) bounceFold(now sim.Time, h *hold, hedge bool, r *coe.Request) {
 	cs := c.chaos
-	cs.bounced++
-	switch kind {
-	case offerPrimary:
+	cs.Bounced++
+	l := h.l
+	c.freeHold(h)
+	if hedge {
+		l.hedge = nil
+		c.hedgeMissed(l, 0)
+		c.settle(l)
+	} else {
+		l.primary = nil
 		if j := c.pickNode(now, r); j >= 0 {
-			c.postOffer(now, j, offerPrimary, r, tenant, nil)
-			return
-		}
-		cs.park(r, tenant, now)
-	case offerRedeliver:
-		if j := c.pickNode(now, r); j >= 0 {
-			c.postOffer(now, j, offerRedeliver, r, tenant, l)
+			c.postOffer(now, j, l, r, false)
 			return
 		}
 		cs.parkLease(l)
-	case offerHedge:
-		c.hedgeMissed(l, 0)
 	}
 	coe.Recycle(r)
 	c.maybeClose()
 }
 
-// completionFold resolves a completion against the lease ledger on the
-// front end. First fold wins: it resolves the lease, records the fleet
+// completionFold lands a copy's completion on the front end. The first
+// copy of a lease to complete resolves it: it records the fleet
 // completion (latency spans first node admission to this fold, return
 // hop included), restores a redelivered request's original arrival, and
-// schedules the loser of any hedge race as waste. Folds from holders
-// the ledger no longer tracks — on the sharded kernel, a copy that
-// completed on a node after its lease was voided and redelivered —
-// count as duplicate acks, never as completions.
-func (c *Cluster) completionFold(now sim.Time, idx int, r *coe.Request) {
+// turns any other held copy into a hedge-race loser. A loser's
+// completion counts as hedge waste; a copy a crash already killed — on
+// the sharded kernel its completion can cross the crash on the wire,
+// after the lease was voided — counts as a duplicate ack, never as a
+// completion.
+func (c *Cluster) completionFold(now sim.Time, h *hold, r *coe.Request) {
 	cs := c.chaos
-	l := cs.ledger[r.ID]
-	if l == nil || (idx != l.node && idx != l.hedgeNode) {
-		if on, ok := cs.orphans[r.ID]; ok && on == idx {
-			delete(cs.orphans, r.ID)
-			cs.hedgeWasted++
+	c.unlink(h)
+	l, idx := h.l, h.node
+	if l == nil {
+		if h.fate != nil {
+			cs.DupAcks++
 		} else {
-			cs.dupAcks++
+			cs.HedgeWasted++
 		}
+		c.freeHold(h)
 		coe.Recycle(r)
 		return
 	}
 	c.cancelHedge(l)
-	if l.hedgeNode >= 0 {
-		if idx == l.hedgeNode {
-			cs.hedgeWins++
-			cs.orphans[r.ID] = l.node
-		} else {
-			cs.orphans[r.ID] = l.hedgeNode
+	if lose := l.hedge; lose != nil && (lose == h || lose.held) {
+		if lose == h {
+			cs.HedgeWins++
+			lose = l.primary
 		}
+		lose.l, l.hedge = nil, nil
 	}
-	if h := c.health; h != nil {
-		h.onComplete(idx, now.Sub(l.arrival).Seconds())
+	if hl := c.health; hl != nil {
+		hl.onComplete(idx, now.Sub(l.arrival).Seconds())
 	}
-	delete(cs.ledger, r.ID)
+	cs.leased--
 	cs.completions++
 	c.recorder.Completion(l.arrival, now)
 	if l.redeliveries > 0 {
 		d := now.Sub(l.voidedAt)
 		cs.failoverSum += d
 		cs.failoverN++
-		if d > cs.failoverMax {
-			cs.failoverMax = d
-		}
+		cs.failoverMax = max(cs.failoverMax, d)
 	}
-	cs.resolveLease(l)
+	l.primary, l.done = nil, true
+	c.freeHold(h)
+	c.settle(l)
 	coe.Recycle(r)
 	if c.draining > 0 {
 		c.checkDrains(now)
 	}
 	c.maybeClose()
+}
+
+// recycleFold lands a request a crash dropped: the crash walk (or an
+// accept fold that landed after the crash) set the counter its copy
+// ends in. The object returns to the arena.
+func (c *Cluster) recycleFold(h *hold, r *coe.Request) {
+	*h.fate++
+	c.freeHold(h)
+	coe.Recycle(r)
 }
 
 // redeliverOne re-dispatches a voided (or parked) lease: it rebuilds the
@@ -421,12 +411,12 @@ func (c *Cluster) completionFold(now sim.Time, idx int, r *coe.Request) {
 // learns whether a routable node existed at this instant (false: the
 // lease stays with the caller for the pending queue).
 func (c *Cluster) redeliverOne(now sim.Time, l *lease) bool {
-	r := c.chaos.leaseRequest(l)
+	r := c.leaseRequest(l)
 	idx := c.pickNode(now, r)
 	if idx < 0 {
 		coe.Recycle(r)
 		return false
 	}
-	c.postOffer(now, idx, offerRedeliver, r, l.tenant, l)
+	c.postOffer(now, idx, l, r, false)
 	return true
 }

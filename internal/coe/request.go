@@ -21,6 +21,11 @@ type Request struct {
 	// Done is stamped when the final stage completes.
 	Done sim.Time
 
+	// Hold belongs to whoever offers the request to a serving node: the
+	// cluster front end keeps the index of its record of this copy here.
+	// The data plane never reads or writes it.
+	Hold int
+
 	// arena, when non-nil, marks the request as leased from an Arena;
 	// Recycle returns it there. Plain NewRequest objects leave it nil.
 	arena *Arena

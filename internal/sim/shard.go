@@ -15,13 +15,13 @@ import (
 // simulation environments: one coordinator partition (index 0) plus N
 // worker partitions (indices 1..N), each a full *Env with its own
 // clock, heap, and processes. The partitions exchange events only
-// through Post/PostMsg, and the kernel interleaves them under the
+// through PostMsg, and the kernel interleaves them under the
 // classic conservative (CMB-style) contract:
 //
 //   - The coordinator runs one event at a time, and only when its next
 //     event is no later than every worker partition's next event. While
 //     it runs, every worker partition is strictly behind it, so the
-//     coordinator may read worker-partition state directly and may Post
+//     coordinator may read worker-partition state directly and may post
 //     events into worker partitions at any delay >= 0.
 //   - Worker partitions run in parallel rounds up to a shared exclusive
 //     window bound W = min(coordinator next, workers' next + lookahead).
@@ -46,7 +46,7 @@ import (
 // coordinator batch-steps every event up to the (unchanged) worker
 // frontier in one loop pass. Rounds run on a persistent runner.Crew —
 // helper goroutines and barrier reused across rounds — instead of a
-// per-round Map dispatch. And cross-partition payloads can be typed,
+// per-round Map dispatch. And cross-partition payloads are typed,
 // pooled Messages (PostMsg) instead of heap-allocated closures. None of
 // it changes which event runs when: outputs stay byte-identical by
 // construction.
@@ -80,9 +80,8 @@ type Sharded struct {
 const maxTime = Time(math.MaxInt64)
 
 // Message is a typed cross-partition event payload: Deliver runs in the
-// target partition at the scheduled instant, exactly like a posted
-// closure, with at the event's timestamp (== the target's Now). The
-// indirection exists for pooling — a protocol can recycle its message
+// target partition at the scheduled instant, with at the event's
+// timestamp (== the target's Now). The indirection exists for pooling — a protocol can recycle its message
 // structs on per-partition free lists, making steady-state
 // cross-partition traffic allocation-free where closures cannot be.
 type Message interface {
@@ -90,11 +89,9 @@ type Message interface {
 }
 
 // outPost is one cross-partition event buffered in a partition outbox.
-// Exactly one of fn and msg is set.
 type outPost struct {
 	target int
 	at     Time
-	fn     func()
 	msg    Message
 }
 
@@ -149,25 +146,15 @@ func (s *Sharded) Lookahead() time.Duration { return time.Duration(s.lookahead) 
 // Workers reports the configured worker bound for partition rounds.
 func (s *Sharded) Workers() int { return s.workers }
 
-// Post schedules fn at time at in partition target, from code running
-// in partition from. From the coordinator (or between rounds) the event
-// is inserted directly — the target partition is provably at an earlier
-// clock, so any at >= the poster's now is legal. From a worker
-// partition inside a round the event buffers in the partition's outbox
-// and must respect the lookahead contract: at >= from.Now() + lookahead.
-func (s *Sharded) Post(from *Env, target int, at Time, fn func()) {
-	if s.buffered(from, at) {
-		from.outbox = append(from.outbox, outPost{target: target, at: at, fn: fn})
-		return
-	}
-	s.parts[target].schedule(at, fn)
-}
-
-// PostMsg is Post for a typed Message payload: m.Deliver(at) runs in
-// the target partition at at, under exactly the ordering and lookahead
-// contract of Post. Unlike a closure the message allocates nothing
-// here, and the poster may draw it from a free list owned by the
-// partition PosterPartition reports.
+// PostMsg schedules m.Deliver(at) at time at in partition target, from
+// code running in partition from. From the coordinator (or between
+// rounds) the event is inserted directly — the target partition is
+// provably at an earlier clock, so any at >= the poster's now is legal.
+// From a worker partition inside a round the event buffers in the
+// partition's outbox and must respect the lookahead contract: at >=
+// from.Now() + lookahead. The message allocates nothing here, and the
+// poster may draw it from a free list owned by the partition
+// PosterPartition reports.
 func (s *Sharded) PostMsg(from *Env, target int, at Time, m Message) {
 	if s.buffered(from, at) {
 		from.outbox = append(from.outbox, outPost{target: target, at: at, msg: m})
@@ -182,7 +169,7 @@ func (s *Sharded) PostMsg(from *Env, target int, at Time, m Message) {
 // direct insertion into the target is legal.
 func (s *Sharded) buffered(from *Env, at Time) bool {
 	if from.shard != s {
-		panic("sim: Post from an environment outside this Sharded kernel")
+		panic("sim: PostMsg from an environment outside this Sharded kernel")
 	}
 	if !s.nodePhase || from.shardIdx == 0 {
 		return false
@@ -344,7 +331,7 @@ func (s *Sharded) merge() {
 		e := s.parts[i]
 		s.merged = append(s.merged, e.outbox...)
 		for j := range e.outbox {
-			e.outbox[j].fn, e.outbox[j].msg = nil, nil
+			e.outbox[j].msg = nil
 		}
 		e.outbox = e.outbox[:0]
 	}
@@ -357,12 +344,8 @@ func (s *Sharded) merge() {
 	slices.SortStableFunc(s.merged, func(a, b outPost) int { return cmp.Compare(a.at, b.at) })
 	for i := range s.merged {
 		p := &s.merged[i]
-		if p.msg != nil {
-			s.parts[p.target].scheduleMsg(p.at, p.msg)
-		} else {
-			s.parts[p.target].schedule(p.at, p.fn)
-		}
-		p.fn, p.msg = nil, nil
+		s.parts[p.target].scheduleMsg(p.at, p.msg)
+		p.msg = nil
 	}
 }
 

@@ -7,6 +7,12 @@ import (
 	"time"
 )
 
+// fnMsg adapts a closure to Message, so the kernel tests can post plain
+// functions across partitions.
+type fnMsg func()
+
+func (f fnMsg) Deliver(Time) { f() }
+
 // shardTrace runs a fixed cross-partition workload — coordinator
 // dispatch, per-partition service with local timers and procs, folds
 // back to the coordinator — and returns its event log. The log must be
@@ -32,18 +38,18 @@ func shardTrace(workers, rounds int) []string {
 			sendAt := time.Duration(j%17) * 3 * time.Millisecond
 			coord.After(sendAt, func() {
 				now := coord.Now()
-				s.Post(coord, target, now.Add(la), func() {
+				s.PostMsg(coord, target, now.Add(la), fnMsg(func() {
 					// Inside the worker partition: model service time with a
 					// local proc, then fold the completion back.
 					env.Go("service", func(p *Proc) {
 						p.Sleep(time.Duration(1+j%7) * time.Millisecond)
 						fin := p.Now()
-						s.Post(env, 0, fin.Add(la), func() {
+						s.PostMsg(env, 0, fin.Add(la), fnMsg(func() {
 							done++
 							log = append(log, fmt.Sprintf("%v job=%d part=%d done=%d", coord.Now(), j, target, done))
-						})
+						}))
 					})
-				})
+				}))
 			})
 		}
 		end := s.Run()
@@ -100,18 +106,18 @@ func TestShardedTimerAcrossPartitions(t *testing.T) {
 	var fired []string
 	// Coordinator timer -> cross-partition post -> worker-side echo back.
 	coord.AfterFunc(5*time.Millisecond, func() {
-		s.Post(coord, 1, coord.Now().Add(la), func() {
+		s.PostMsg(coord, 1, coord.Now().Add(la), fnMsg(func() {
 			fired = append(fired, fmt.Sprintf("w@%v", w.Now()))
-			s.Post(w, 0, w.Now().Add(la), func() {
+			s.PostMsg(w, 0, w.Now().Add(la), fnMsg(func() {
 				fired = append(fired, fmt.Sprintf("c@%v", coord.Now()))
-			})
-		})
+			}))
+		}))
 	})
 	// Worker-partition timer armed before Run, folding back on fire.
 	w.AfterFunc(7*time.Millisecond, func() {
-		s.Post(w, 0, w.Now().Add(la), func() {
+		s.PostMsg(w, 0, w.Now().Add(la), fnMsg(func() {
 			fired = append(fired, fmt.Sprintf("wt@%v", coord.Now()))
-		})
+		}))
 	})
 	// A timer cancelled before its deadline must never fire.
 	cancelled := coord.AfterFunc(20*time.Millisecond, func() {
@@ -146,9 +152,9 @@ func TestShardedLookaheadViolationPanics(t *testing.T) {
 	s := NewSharded(2, 1, 10*time.Millisecond)
 	coord, w := s.Part(0), s.Part(1)
 	coord.After(0, func() {
-		s.Post(coord, 1, 0, func() {
-			s.Post(w, 0, w.Now(), func() {})
-		})
+		s.PostMsg(coord, 1, 0, fnMsg(func() {
+			s.PostMsg(w, 0, w.Now(), fnMsg(func() {}))
+		}))
 	})
 	s.Run()
 }
@@ -167,6 +173,6 @@ func TestShardedValidation(t *testing.T) {
 	mustPanic("zero lookahead", func() { NewSharded(2, 1, 0) })
 	mustPanic("foreign env post", func() {
 		s := NewSharded(2, 1, time.Millisecond)
-		s.Post(NewEnv(), 0, 0, func() {})
+		s.PostMsg(NewEnv(), 0, 0, fnMsg(func() {}))
 	})
 }
