@@ -46,13 +46,11 @@ cover:
 	@$(GO) tool cover -func=cover.out | grep total:
 
 # race runs the whole test suite under the race detector: the parallel
-# run engine (internal/runner, the experiments fan-out) and the sharded
-# event kernel (sim.Sharded's persistent crew) must stay clean here.
-# Byte-identical output is a plain test, not a shell gate: every
+# run engine (internal/runner, the experiments fan-out) must stay clean
+# here. Byte-identical output is a plain test, not a shell gate: every
 # experiment is compared against its golden file in
-# internal/experiments/testdata/golden at parallel 1 and 8, and the
-# serve-* cluster experiments at shards 1, 2, 3 and GOMAXPROCS, so this
-# run also checks those paths under the detector.
+# internal/experiments/testdata/golden at parallel 1 and 8, so this run
+# also checks those paths under the detector.
 race:
 	$(GO) test -race ./...
 

@@ -463,7 +463,7 @@ func BenchmarkFleetServe(b *testing.B) {
 		Percentiles:  core.PercentilesSketch,
 		DisablePicks: true,
 	}
-	run := func(b *testing.B, requests int, ic coserve.Interconnect, shards int) {
+	run := func(b *testing.B, requests int, ic coserve.Interconnect) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			cl, err := coserve.NewCluster(coserve.ClusterConfig{
@@ -473,7 +473,6 @@ func BenchmarkFleetServe(b *testing.B) {
 				SLO:          node.SLO,
 				Percentiles:  core.PercentilesSketch,
 				Interconnect: ic,
-				Shards:       shards,
 			}, board.Model)
 			if err != nil {
 				b.Fatal(err)
@@ -505,46 +504,41 @@ func BenchmarkFleetServe(b *testing.B) {
 	for _, requests := range []int{100_000, 1_000_000} {
 		requests := requests
 		b.Run(fmt.Sprintf("nodes=%d/requests=%d", fleetNodes, requests), func(b *testing.B) {
-			run(b, requests, coserve.Interconnect{}, 0)
+			run(b, requests, coserve.Interconnect{})
 		})
 	}
-	// Sharded rows: the same fleet served over a minimal interconnect
+	// Sharded row: the same fleet served over a minimal interconnect
 	// (100µs dispatch, 50µs intra-board for the first 16 nodes, 300µs
 	// beyond — small against the 500ms SLO), which moves the cluster
-	// onto the sharded kernel: 101 partitions advanced in parallel
-	// under conservative lookahead. shards=1 prices the partitioned
-	// kernel sequentially (the barrier and offer/fold protocol with no
-	// parallelism to pay for them); shards=4 is the wall-clock scaling
-	// row — compare its ns/op against shards=1 on a multi-core machine.
-	// Every offer and completion ack crossing the wire is a pooled typed
-	// message recycling through per-partition free lists, so the rows
-	// land within a few percent of the classic kernel's allocations —
-	// what remains above it is the leases and holds and the extra timed
-	// events, the modeled cost of distribution.
+	// onto the sharded kernel: 101 partitions advanced in rounds under
+	// conservative lookahead. It prices the partitioned kernel and the
+	// timed offer/fold protocol against the classic rows. Every offer
+	// and completion ack crossing the wire is a pooled typed message, so
+	// the row lands within a few percent of the classic kernel's
+	// allocations — what remains above it is the extra timed events, the
+	// modeled cost of distribution. The shards=1 suffix is the name the
+	// recorded baseline row carries.
 	ic := coserve.Interconnect{
 		Dispatch:   100 * time.Microsecond,
 		IntraBoard: 50 * time.Microsecond,
 		InterNode:  300 * time.Microsecond,
 		BoardSize:  16,
 	}
-	for _, shards := range []int{1, 4} {
-		shards := shards
-		b.Run(fmt.Sprintf("nodes=%d/requests=%d/shards=%d", fleetNodes, 100_000, shards), func(b *testing.B) {
-			run(b, 100_000, ic, shards)
-		})
-	}
+	b.Run(fmt.Sprintf("nodes=%d/requests=%d/shards=1", fleetNodes, 100_000), func(b *testing.B) {
+		run(b, 100_000, ic)
+	})
 }
 
 // echoHarness is BenchmarkShardedKernel's workload: pooled messages
 // ping-ponging between worker partitions, exercising exactly the
 // kernel hot path — frontier-indexed round scheduling, coordinator
-// batch stepping, outbox merges, and per-partition message free lists —
-// with no cluster, routing, or node model on top.
+// batch stepping, outbox merges, and a message free list — with no
+// cluster, routing, or node model on top.
 type echoHarness struct {
 	s     *sim.Sharded
 	la    time.Duration
-	free  []*echoMsg
-	count []int // per-partition deliveries; summed only after Run
+	free  *echoMsg
+	count []int // per-partition deliveries
 }
 
 type echoMsg struct {
@@ -555,12 +549,12 @@ type echoMsg struct {
 	next *echoMsg
 }
 
-func (h *echoHarness) newMsg(part int) *echoMsg {
-	m := h.free[part]
+func (h *echoHarness) newMsg() *echoMsg {
+	m := h.free
 	if m == nil {
 		return &echoMsg{h: h}
 	}
-	h.free[part] = m.next
+	h.free = m.next
 	m.next = nil
 	return m
 }
@@ -571,27 +565,25 @@ func (h *echoHarness) newMsg(part int) *echoMsg {
 func (m *echoMsg) Deliver(at sim.Time) {
 	h := m.h
 	from, part, hops := m.from, m.part, m.hops
-	env := h.s.Part(part)
-	src := h.s.PosterPartition(env)
-	m.next = h.free[src]
-	h.free[src] = m
+	m.next = h.free
+	h.free = m
 	h.count[part]++
 	if hops == 0 {
 		return
 	}
-	nm := h.newMsg(src)
+	nm := h.newMsg()
 	nm.from, nm.part, nm.hops = part, from, hops-1
 	jitter := time.Duration((hops*31+part*17)%97) * time.Microsecond
-	h.s.PostMsg(env, from, at.Add(h.la+jitter), nm)
+	h.s.PostMsg(h.s.Part(part), from, at.Add(h.la+jitter), nm)
 }
 
 // BenchmarkShardedKernel prices the sharded kernel alone: parts-1
 // worker partitions exchanging pooled echo messages under conservative
-// lookahead. workers=1 runs rounds inline (pure kernel overhead);
-// workers=4 adds the crew barrier. Allocations are the regression gate
-// (BENCH_kernel.json via `make bench-shard`): the message pool and the
-// persistent crew hold the whole run to a near-constant alloc count
-// regardless of hop volume.
+// lookahead — pure kernel overhead. Allocations are the regression gate
+// (BENCH_kernel.json via `make bench-shard`): the message pool holds
+// the whole run to a near-constant alloc count regardless of hop
+// volume. The workers=1 suffix is the name the recorded baseline row
+// carries.
 func BenchmarkShardedKernel(b *testing.B) {
 	const (
 		parts  = 9
@@ -599,36 +591,32 @@ func BenchmarkShardedKernel(b *testing.B) {
 		hops   = 512
 		la     = 500 * time.Microsecond
 	)
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		b.Run(fmt.Sprintf("parts=%d/workers=%d", parts, workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				h := &echoHarness{
-					s:     sim.NewSharded(parts, workers, la),
-					la:    la,
-					free:  make([]*echoMsg, parts),
-					count: make([]int, parts),
-				}
-				coord := h.s.Part(0)
-				for c := 0; c < chains; c++ {
-					m := h.newMsg(0)
-					m.from = 1 + c%(parts-1)
-					m.part = 1 + (c*5+3)%(parts-1)
-					m.hops = hops
-					h.s.PostMsg(coord, m.part, sim.Time(0).Add(time.Duration(c)*137*time.Microsecond), m)
-				}
-				h.s.Run()
-				total := 0
-				for _, n := range h.count {
-					total += n
-				}
-				if want := chains * (hops + 1); total != want {
-					b.Fatalf("delivered %d messages, want %d", total, want)
-				}
+	b.Run(fmt.Sprintf("parts=%d/workers=1", parts), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h := &echoHarness{
+				s:     sim.NewSharded(parts, la),
+				la:    la,
+				count: make([]int, parts),
 			}
-		})
-	}
+			coord := h.s.Part(0)
+			for c := 0; c < chains; c++ {
+				m := h.newMsg()
+				m.from = 1 + c%(parts-1)
+				m.part = 1 + (c*5+3)%(parts-1)
+				m.hops = hops
+				h.s.PostMsg(coord, m.part, sim.Time(0).Add(time.Duration(c)*137*time.Microsecond), m)
+			}
+			h.s.Run()
+			total := 0
+			for _, n := range h.count {
+				total += n
+			}
+			if want := chains * (hops + 1); total != want {
+				b.Fatalf("delivered %d messages, want %d", total, want)
+			}
+		}
+	})
 }
 
 // BenchmarkChaosServe measures the fault-injected serving path: a

@@ -97,11 +97,8 @@ commands:
   list         list reproducible tables and figures
   experiment   regenerate a figure/table by id, or "all"
                (-parallel N fans independent simulations across N workers;
-               -shards N parallelizes the node partitions inside
-               interconnect-enabled simulations (serve-shard) on the
-               sharded kernel; tables are byte-identical at every
-               worker and shard count — only fig19's wall-clock
-               sched-cost cells vary run to run;
+               tables are byte-identical at every worker count — only
+               fig19's wall-clock sched-cost cells vary run to run;
                -cpuprofile/-memprofile write pprof profiles of the run)
   run          run one task under one serving system
   serve        serve an arrival stream (poisson, fixed, bursty, mix,
@@ -133,10 +130,8 @@ commands:
                -window), and -interconnect d/i/x@b models front-end→
                node dispatch latency and engages the sharded
                deterministic kernel — every node simulates in its own
-               partition, advanced in parallel under conservative
-               lookahead (-shards N bounds the kernel workers, default
-               GOMAXPROCS, 1 = sequential; reports are byte-identical
-               at every setting, like -parallel for experiments);
+               partition, advanced in rounds under conservative
+               lookahead;
                -cpuprofile/-memprofile write pprof profiles of the serve
   profile      run the offline profiler and print the performance matrix`)
 }
@@ -155,8 +150,6 @@ func cmdExperiment(args []string) error {
 	prof := profileFlags(fs, "experiment run")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker count for independent simulations (1 = fully sequential; tables are byte-identical at every setting, except fig19's wall-clock sched-cost cells which vary between any two runs)")
-	shards := fs.Int("shards", 0,
-		"sharded-kernel worker count for experiments that serve over an interconnect (serve-shard): node partitions of one simulation advanced in parallel under conservative lookahead (0 = GOMAXPROCS, 1 = sequential; tables are byte-identical at every setting — orthogonal to -parallel, which fans out whole simulations)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -166,9 +159,6 @@ func cmdExperiment(args []string) error {
 	if *parallel < 1 {
 		return fmt.Errorf("parallel must be at least 1")
 	}
-	if *shards < 0 {
-		return fmt.Errorf("shards must be >= 0 (0 = GOMAXPROCS)")
-	}
 	stop, err := prof.start()
 	if err != nil {
 		return err
@@ -176,7 +166,6 @@ func cmdExperiment(args []string) error {
 	defer stop()
 	ctx := coserve.NewExperimentContext()
 	ctx.SetParallel(*parallel)
-	ctx.SetShards(*shards)
 	ids := []string{fs.Arg(0)}
 	if fs.Arg(0) == "all" {
 		ids = nil
@@ -393,8 +382,7 @@ func cmdServe(args []string) error {
 	hedgeAfter := fs.Duration("hedge-after", 0, "hedge requests still leased after this deadline to another node; first completion wins, losers count as wasted work (0 = off; needs -nodes >= 2)")
 	clusterAdmit := fs.String("cluster-admit", "", "cluster-level admission policy in front of the router: accept, bounded, token, shed (same knobs as -admit; empty = admit everything)")
 	fleetScale := fs.Float64("fleet-autoscale", 0, "drain/resume cluster nodes to track the offered rate at this many req/s per node (0 = off; needs -window and -nodes >= 2)")
-	interconnect := fs.String("interconnect", "", `cluster interconnect hop model: dispatch/intra-board/inter-node one-way latencies with an optional @board-size, e.g. "200us/100us/600us@2" (nodes past board-size pay the inter-node class); enables the sharded deterministic kernel — the front end and every node simulate in their own partitions, advanced in parallel under conservative lookahead (needs -nodes >= 2; empty = zero-latency offers on the classic single-environment kernel)`)
-	shards := fs.Int("shards", 0, "sharded-kernel worker count with -interconnect (0 = GOMAXPROCS, 1 = sequential partitioned kernel); like -parallel for experiments, reports are byte-identical at every setting")
+	interconnect := fs.String("interconnect", "", `cluster interconnect hop model: dispatch/intra-board/inter-node one-way latencies with an optional @board-size, e.g. "200us/100us/600us@2" (nodes past board-size pay the inter-node class); enables the sharded deterministic kernel — the front end and every node simulate in their own partitions, advanced in rounds under conservative lookahead (needs -nodes >= 2; empty = zero-latency offers on the classic single-environment kernel)`)
 	record := fs.String("record", "", "record the served arrival stream to this trace file (first round)")
 	traceFile := fs.String("trace", "", "arrival trace file to serve for -arrival replay")
 	if err := fs.Parse(args); err != nil {
@@ -417,12 +405,6 @@ func cmdServe(args []string) error {
 	if (*chaosSpec != "" || *chaosMTBF > 0 || *clusterAdmit != "" || *fleetScale > 0 ||
 		*healthWindow > 0 || *hedgeAfter > 0 || *interconnect != "") && *nodes < 2 {
 		return fmt.Errorf("-chaos, -chaos-mtbf, -cluster-admit, -fleet-autoscale, -health-window, -hedge-after, and -interconnect need a cluster (-nodes >= 2)")
-	}
-	if *shards < 0 {
-		return fmt.Errorf("shards must be >= 0 (0 = GOMAXPROCS)")
-	}
-	if *shards != 0 && *interconnect == "" {
-		return fmt.Errorf("-shards needs -interconnect: without modeled cross-node latency there is no lookahead to shard under")
 	}
 	ic, err := parseInterconnect(*interconnect)
 	if err != nil {
@@ -710,15 +692,14 @@ func cmdServe(args []string) error {
 			Health:       coserve.HealthConfig{Window: *healthWindow, Breaker: *breakerOn},
 			Hedge:        coserve.HedgeConfig{After: *hedgeAfter},
 			Interconnect: ic,
-			Shards:       *shards,
 		}, board.Model)
 		if err != nil {
 			return err
 		}
 		where := fmt.Sprintf("%d×%s under %s (router %s, placement %s)",
 			*nodes, dev.Name, variant, router.Name(), placement.Name())
-		if workers, ok := cl.Sharded(); ok {
-			where += fmt.Sprintf(", sharded kernel (%d partitions, %d workers)", *nodes+1, workers)
+		if cl.Sharded() {
+			where += fmt.Sprintf(", sharded kernel (%d partitions)", *nodes+1)
 		}
 		if plan != nil && !plan.Empty() {
 			where += fmt.Sprintf(", %d faults scheduled", len(plan.Events))

@@ -238,9 +238,8 @@ func capture(t *testing.T, args []string) string {
 }
 
 // hostDependent matches the only machine-dependent text serve prints:
-// the wall-time footer and the sharded kernel's worker count (which
-// defaults to GOMAXPROCS).
-var hostDependent = regexp.MustCompile(`\(simulated in .* of wall time\)|, \d+ workers\)`)
+// the wall-time footer.
+var hostDependent = regexp.MustCompile(`\(simulated in .* of wall time\)`)
 
 // TestServeClusterOutput pins `coserve serve`'s full cluster report —
 // fault-free, scripted crash/recover/drain, and MTBF churn over the

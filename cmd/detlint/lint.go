@@ -87,11 +87,10 @@ var randConstructors = map[string]bool{
 
 // kernelDir reports whether the file lives in a package that IS the
 // deterministic kernel (internal/sim) or runs entirely inside it
-// (internal/cluster). There, concurrency is not merely a hazard to an
-// output path — any goroutine or lock off the blessed shard-barrier
-// seam (the persistent runner.Crew inside sim.Sharded, whose round
-// barrier reimposes deterministic order) destroys the
-// byte-identical-at-any-worker-count contract directly.
+// (internal/cluster). Both run on their caller's goroutine alone, so
+// concurrency there is not merely a hazard to an output path: any
+// goroutine or lock breaks the kernel's event order directly, and no
+// annotation exempts it.
 func kernelDir(path string) bool {
 	dir := filepath.ToSlash(filepath.Dir(path))
 	return strings.HasSuffix(dir, "internal/sim") || strings.HasSuffix(dir, "internal/cluster")
@@ -130,18 +129,19 @@ func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []string {
 	}
 
 	var findings []string
+	flag := func(pos token.Pos, msg string) {
+		findings = append(findings, fmt.Sprintf("%s: %s", fset.Position(pos), msg))
+	}
 	report := func(pos token.Pos, msg string) {
-		position := fset.Position(pos)
-		if allowed[position.Line] {
-			return
+		if !allowed[fset.Position(pos).Line] {
+			flag(pos, msg)
 		}
-		findings = append(findings, fmt.Sprintf("%s: %s", position, msg))
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
 			if kernel {
-				report(n.Pos(), "goroutine launched inside the deterministic kernel (internal/sim, internal/cluster); parallelism must flow through the shard-barrier seam (sim.Sharded's persistent runner.Crew), where the round barrier re-imposes deterministic event order")
+				flag(n.Pos(), "goroutine launched inside the deterministic kernel (internal/sim, internal/cluster), which runs every event on its caller's goroutine in the kernel's own order")
 			}
 		case *ast.SelectorExpr:
 			if !kernel {
@@ -149,7 +149,7 @@ func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []string {
 			}
 			if id, ok := n.X.(*ast.Ident); ok && id.Obj == nil {
 				if path := imports[id.Name]; path == "sync" || path == "sync/atomic" {
-					report(n.Pos(), fmt.Sprintf("%s.%s inside the deterministic kernel (internal/sim, internal/cluster); synchronization belongs to the shard-barrier seam only — kernel state must be touched by exactly one partition per phase, never guarded by locks", id.Name, n.Sel.Name))
+					flag(n.Pos(), fmt.Sprintf("%s.%s inside the deterministic kernel (internal/sim, internal/cluster), whose state is touched by one goroutine only and never guarded by locks", id.Name, n.Sel.Name))
 				}
 			}
 		case *ast.CallExpr:

@@ -199,16 +199,21 @@ func launch(fn func()) {
 	}
 }
 
-func TestLintKernelConcurrencyExemptable(t *testing.T) {
+func TestLintKernelConcurrencyNotExemptable(t *testing.T) {
 	findings := kernelFixture(t, `package fixture
 
+import "sync"
+
+//detlint:allow an annotation cannot exempt kernel concurrency
+var mu sync.Mutex
+
 func launch(fn func()) {
-	//detlint:allow the blessed seam: the launch synchronizes behind a barrier
+	//detlint:allow an annotation cannot exempt kernel concurrency
 	go fn()
 }
 `)
-	if len(findings) != 0 {
-		t.Fatalf("findings = %v, want the annotated launch exempted", findings)
+	if len(findings) != 2 {
+		t.Fatalf("findings = %v, want the annotated launch and sync.Mutex still flagged", findings)
 	}
 }
 

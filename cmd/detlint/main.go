@@ -23,17 +23,16 @@
 //     annotated; anything new must either neutralize the order the
 //     same way or use a slice.
 //   - goroutine launches and sync/sync.atomic use inside the kernel
-//     packages (internal/sim, internal/cluster): the sharded kernel's
-//     byte-identical-at-any-worker-count contract requires every event
-//     to be ordered by the kernel itself — all parallelism flows
-//     through the shard-barrier seam (sim.Sharded's runner pool), and
-//     kernel state is owned by exactly one partition per phase, never
-//     guarded by locks. Neither package launches a goroutine: processes
-//     run as coroutines, and the crew's helpers start in internal/runner.
+//     packages (internal/sim, internal/cluster): the kernel orders
+//     every event itself and runs them all on its caller's goroutine —
+//     processes are coroutines, and the sharded kernel steps its
+//     partitions one after another — so its state is never guarded by
+//     locks.
 //
 // A finding is silenced by a `//detlint:allow <reason>` comment on the
 // offending line or the line above it — the reason is the point: every
 // exemption documents why the order or clock cannot leak into output.
+// Kernel concurrency findings cannot be silenced.
 //
 // Usage:
 //

@@ -344,9 +344,8 @@ type (
 	// Interconnect models per-hop front-end→node dispatch latency
 	// (ClusterConfig.Interconnect). Enabling it moves the cluster onto
 	// the sharded deterministic kernel: the front end and every node
-	// simulate in their own partitions, advanced in parallel under the
-	// model's conservative lookahead, with reports byte-identical at
-	// every ClusterConfig.Shards setting.
+	// simulate in their own partitions, advanced in rounds under the
+	// model's conservative lookahead.
 	Interconnect = cluster.Interconnect
 	// NodeState is a node's lifecycle state (up, draining, down).
 	NodeState = core.NodeState

@@ -18,7 +18,7 @@ import (
 func TestShardedSteadyStateAllocsPin(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
 	arena := coe.NewArena()
-	cfg := shardConfig(t, 1, nil, HealthConfig{}, HedgeConfig{})
+	cfg := shardConfig(t, nil, HealthConfig{}, HedgeConfig{})
 	cfg.Arena = arena
 	cfg.Percentiles = core.PercentilesSketch
 	for i := range cfg.Nodes {

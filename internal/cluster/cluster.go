@@ -108,16 +108,14 @@ type Config struct {
 	// Interconnect models the dispatch latency between the front end
 	// and its nodes. Enabling it moves the cluster onto the sharded
 	// event kernel — every node in its own partition, offers and acks
-	// as timed cross-partition events — whose output is byte-identical
-	// at every Shards setting. The zero value disables the model: the
-	// fleet shares one environment and the same offers and acks are
-	// delivered synchronously.
+	// as timed cross-partition events. The zero value disables the
+	// model: the fleet shares one environment and the same offers and
+	// acks are delivered synchronously.
 	Interconnect Interconnect
-	// Shards bounds how many node partitions simulate concurrently
-	// when the Interconnect is enabled: 0 defaults to GOMAXPROCS, 1
-	// runs the partitioned kernel sequentially (same output, no
-	// parallelism). Ignored without an Interconnect — with zero modeled
-	// latency there is no lookahead to parallelize under.
+	// Shards once set the sharded kernel's worker count.
+	//
+	// Deprecated: ignored. The sharded kernel steps its partitions on
+	// the calling goroutine.
 	Shards int
 }
 
@@ -176,9 +174,7 @@ type Cluster struct {
 	// resident is the fleet's residency table: one contiguous row per
 	// expert with one byte per node, counting how many of that node's
 	// pools hold the expert (Loaded or Loading). Pools keep their own
-	// cells current on every insert and evict, so on the sharded kernel a
-	// node partition writes only its own bytes, and the coordinator reads
-	// the table only while it runs alone.
+	// cells current on every insert and evict.
 	resident []uint8
 
 	// kernel is the sharded event kernel when Config.Interconnect is
@@ -187,10 +183,8 @@ type Cluster struct {
 	// node's one-way hop cost.
 	kernel  *sim.Sharded
 	latency []time.Duration
-	// msgFree holds per-partition free lists of pooled protocol
-	// messages (index 0 the front end, 1+i node i) — unsynchronized,
-	// each touched only by its partition's executing context.
-	msgFree []*shardMsg
+	// msgFree is the free list of pooled protocol messages.
+	msgFree *shardMsg
 
 	runs    int
 	serving bool
@@ -265,17 +259,13 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 	if err := cfg.Interconnect.validate(len(cfg.Nodes)); err != nil {
 		return nil, err
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("cluster: Shards must be >= 0, got %d", cfg.Shards)
-	}
-	c.msgFree = make([]*shardMsg, 1+len(cfg.Nodes))
 	c.firstHeld = make([]*hold, len(cfg.Nodes))
 	c.lastHeld = make([]*hold, len(cfg.Nodes))
 	c.drainOn = make([]bool, len(cfg.Nodes))
 	c.drainStart = make([]sim.Time, len(cfg.Nodes))
 	c.scalerDrained = make([]bool, len(cfg.Nodes))
 	if cfg.Interconnect.Enabled() {
-		c.kernel = sim.NewSharded(1+len(cfg.Nodes), cfg.Shards, cfg.Interconnect.Lookahead(len(cfg.Nodes)))
+		c.kernel = sim.NewSharded(1+len(cfg.Nodes), cfg.Interconnect.Lookahead(len(cfg.Nodes)))
 		c.env = c.kernel.Part(0)
 		c.latency = make([]time.Duration, len(cfg.Nodes))
 		for i := range c.latency {
@@ -383,13 +373,16 @@ func (d *nodeDelegate) RequestDropped(now sim.Time, r *coe.Request) {
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 
 // Sharded reports whether the cluster runs on the sharded event
-// kernel, and under how many workers. (0, false) means the classic
-// single shared environment.
-func (c *Cluster) Sharded() (workers int, ok bool) {
+// kernel; false means the classic single shared environment.
+func (c *Cluster) Sharded() bool { return c.kernel != nil }
+
+// KernelStats reports the sharded kernel's round counters, accumulated
+// over every stream this cluster served; zero on the classic kernel.
+func (c *Cluster) KernelStats() sim.ShardStats {
 	if c.kernel == nil {
-		return 0, false
+		return sim.ShardStats{}
 	}
-	return c.kernel.Workers(), true
+	return c.kernel.Stats()
 }
 
 // runKernel drives the stream to completion on whichever kernel the

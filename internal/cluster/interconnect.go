@@ -17,16 +17,9 @@ import (
 // Enabling the interconnect switches the cluster onto the sharded
 // event kernel: each node simulates in its own partition, synchronized
 // conservatively under a lookahead equal to the minimum modeled hop
-// latency, so partitions can run in parallel (Config.Shards) with
-// byte-identical output at every shard count. The zero value disables
-// the model entirely: the fleet shares one environment and the same
-// offers and folds are delivered at the instant they are sent.
-//
-// One sharing caveat follows from the partitioning: per-node state
-// referenced from a node's core.Config (Trace sinks, admission
-// policies, autoscalers) must not be shared between nodes once the
-// interconnect is enabled, because node partitions execute
-// concurrently within a round.
+// latency. The zero value disables the model entirely: the fleet shares
+// one environment and the same offers and folds are delivered at the
+// instant they are sent.
 type Interconnect struct {
 	// Dispatch is the base per-hop dispatch latency every offer and
 	// acknowledgment pays regardless of destination.

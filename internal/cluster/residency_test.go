@@ -60,10 +60,10 @@ func (r *residencyChecker) Pick(now sim.Time, nodes []*Node, req *coe.Request) i
 // across random fleets under generated crash/recover plans, served twice
 // (the second serve a warm restart), the table equals a scan of every
 // node's pools at every routing decision and after every stream — on the
-// classic kernel and on the sharded one at 1 and 3 workers.
+// classic kernel and on the sharded one.
 func TestResidencyTableMatchesPools(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
-	for _, shards := range []int{0, 1, 3} {
+	for _, sharded := range []bool{false, true} {
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			n := 2 + rng.Intn(3)
@@ -80,33 +80,33 @@ func TestResidencyTableMatchesPools(t *testing.T) {
 				SLO:       time.Second,
 				Faults:    plan,
 			}
-			if shards > 0 {
-				cfg.Interconnect, cfg.Shards = testInterconnect, shards
+			if sharded {
+				cfg.Interconnect = testInterconnect
 			}
 			cl := buildCluster(t, cfg, board.Model)
 			chk.c = cl
 			if err := checkResidency(cl); err != nil {
-				t.Fatalf("shards=%d seed=%d after placement: %v", shards, seed, err)
+				t.Fatalf("sharded=%v seed=%d after placement: %v", sharded, seed, err)
 			}
 			for stream := int64(0); stream < 2; stream++ {
 				rate := 40 + 40*rng.Float64()
 				rep, err := cl.Serve(poissonFor(t, board, rate, 200, 10*seed+stream))
 				if err != nil {
-					t.Fatalf("shards=%d seed=%d stream %d: %v", shards, seed, stream, err)
+					t.Fatalf("sharded=%v seed=%d stream %d: %v", sharded, seed, stream, err)
 				}
 				if rep.Completions+rep.RedeliveredRejected != rep.N {
-					t.Errorf("shards=%d seed=%d stream %d: %d completions + %d rejected != %d arrivals",
-						shards, seed, stream, rep.Completions, rep.RedeliveredRejected, rep.N)
+					t.Errorf("sharded=%v seed=%d stream %d: %d completions + %d rejected != %d arrivals",
+						sharded, seed, stream, rep.Completions, rep.RedeliveredRejected, rep.N)
 				}
 				if chk.err != nil {
-					t.Fatalf("shards=%d seed=%d stream %d: %v", shards, seed, stream, chk.err)
+					t.Fatalf("sharded=%v seed=%d stream %d: %v", sharded, seed, stream, chk.err)
 				}
 				if err := checkResidency(cl); err != nil {
-					t.Fatalf("shards=%d seed=%d after stream %d: %v", shards, seed, stream, err)
+					t.Fatalf("sharded=%v seed=%d after stream %d: %v", sharded, seed, stream, err)
 				}
 			}
 			if chk.picks == 0 {
-				t.Fatalf("shards=%d seed=%d: the router was never consulted", shards, seed)
+				t.Fatalf("sharded=%v seed=%d: the router was never consulted", sharded, seed)
 			}
 		}
 	}

@@ -31,22 +31,20 @@ import (
 // same-instant events. On the sharded kernel (Config.Interconnect) the
 // front end runs in the coordinator partition and every node in its own
 // worker partition, and a hop is a timed cross-partition event one
-// interconnect latency later, which is what lets node partitions
-// simulate in parallel under the kernel's conservative lookahead.
+// interconnect latency later.
 //
 // Control verbs flow the other way without messages at all: a
 // coordinator event runs only when every node partition has advanced
 // past its timestamp with nothing pending before it, so fault
 // injection, drains, restarts, and stream close may call into node
-// state directly — the call is race-free and lands at the node's
-// current logical instant.
+// state directly — the call lands at the node's current logical
+// instant.
 //
 // Every hop is a pooled shardMsg — one typed union covering the whole
-// protocol — drawn from per-partition free lists and released into the
-// delivering partition's list, so the steady-state
-// offer→accept→completion cycle allocates nothing: the offer's message
-// is freed into the node's list and immediately reused for the fold,
-// the fold's into the front end's and reused for the next offer.
+// protocol — drawn from one free list and released on delivery, so the
+// steady-state offer→accept→completion cycle allocates nothing: the
+// offer's message is freed at the node and immediately reused for the
+// fold, the fold's for the next offer.
 
 // shardOp selects a shardMsg's handler — the protocol's full verb set.
 type shardOp uint8
@@ -77,56 +75,37 @@ type shardMsg struct {
 // target partition at the scheduled instant.
 func (m *shardMsg) Deliver(at sim.Time) { m.c.deliverMsg(m, at) }
 
-// newMsg draws a message from partition part's free list. part must be
-// the partition whose context is executing — the lists are
-// unsynchronized by design.
-func (c *Cluster) newMsg(part int) *shardMsg {
-	m := c.msgFree[part]
+// newMsg draws a message from the free list.
+func (c *Cluster) newMsg() *shardMsg {
+	m := c.msgFree
 	if m == nil {
 		return &shardMsg{c: c}
 	}
-	c.msgFree[part] = m.next
+	c.msgFree = m.next
 	m.next = nil
 	return m
 }
 
-// freeMsg returns a delivered message to partition part's free list,
-// clearing payload pointers so the list pins nothing.
-func (c *Cluster) freeMsg(part int, m *shardMsg) {
+// freeMsg returns a delivered message to the free list, clearing
+// payload pointers so the list pins nothing.
+func (c *Cluster) freeMsg(m *shardMsg) {
 	m.r = nil
 	m.receipt = core.Lease{}
-	m.next = c.msgFree[part]
-	c.msgFree[part] = m
+	m.next = c.msgFree
+	c.msgFree = m
 }
 
 // deliverMsg unpacks and dispatches one protocol hop, freeing the
 // message before the handler runs so a handler that immediately posts
 // the next hop (nodeOffer folding the outcome back, a fold routing the
 // next offer) reuses the very message that carried this one.
-//
-// Which list a message frees into is what keeps every list in balance
-// over the steady offer → accept fold → completion fold cycle: the
-// node's list supplies two folds per request but receives only the
-// offer's carcass, and the coordinator's supplies one offer but
-// receives two carcasses. So the offer frees into its node's list (the
-// only safe choice mid-round anyway), the admission folds
-// (accept/reject/bounce) free into the coordinator's — restocking the
-// next offer — and the completion fold returns to its origin node's
-// list, closing the loop at zero net drift. Folds run as coordinator
-// events, which never overlap a worker round, so touching a node's
-// list there is race-free under the kernel's control-verb contract.
 func (c *Cluster) deliverMsg(m *shardMsg, at sim.Time) {
 	op, r, receipt := m.op, m.r, m.receipt
+	c.freeMsg(m)
 	h := c.holds[r.Hold]
 	if op == opOffer {
-		c.freeMsg(1+h.node, m)
 		c.nodeOffer(at, h, r)
 		return
-	}
-	if op == opCompletion {
-		c.freeMsg(1+h.node, m)
-	} else {
-		c.freeMsg(0, m)
 	}
 	hedge := false
 	if op == opAccept || op == opReject || op == opBounce {
@@ -159,10 +138,6 @@ func (c *Cluster) deliverMsg(m *shardMsg, at sim.Time) {
 // verification and stream close account for it: a primary offer carries
 // the request's accounting token (its lease is in no other bucket
 // meanwhile), a hedge offer carries only duplicate work.
-//
-// Offers always originate in front-end context — routing, bounce
-// re-routes, redelivery, and hedge timers — so the message comes from
-// the front end's free list unconditionally.
 func (c *Cluster) postOffer(now sim.Time, idx int, l *lease, r *coe.Request, hedge bool) {
 	cs := c.chaos
 	h := c.newHold(idx)
@@ -176,7 +151,7 @@ func (c *Cluster) postOffer(now sim.Time, idx int, l *lease, r *coe.Request, hed
 		l.primary = h
 		cs.offersInFlight++
 	}
-	m := c.newMsg(0)
+	m := c.newMsg()
 	m.op, m.r = opOffer, r
 	if c.kernel == nil {
 		c.deliverMsg(m, now)
@@ -187,18 +162,12 @@ func (c *Cluster) postOffer(now sim.Time, idx int, l *lease, r *coe.Request, hed
 
 // postFold posts a fold verb from node idx to the front end: delivered
 // at once on the classic kernel, one hop after now on the sharded one.
-// The sharded post is safe from both phases: during a node round it
+// The sharded post is legal from both phases: during a node round it
 // buffers in the partition outbox (the hop is >= the kernel lookahead by
-// construction) and the message comes from the node's free list; from
-// coordinator context — crash purges calling the drop delegate — it
-// inserts directly and draws from the coordinator's list.
-// PosterPartition distinguishes the two.
+// construction); from coordinator context — crash purges calling the
+// drop delegate — it inserts directly.
 func (c *Cluster) postFold(idx int, now sim.Time, op shardOp, r *coe.Request, receipt core.Lease) {
-	part := 1 + idx
-	if c.kernel != nil {
-		part = c.kernel.PosterPartition(c.kernel.Part(1 + idx))
-	}
-	m := c.newMsg(part)
+	m := c.newMsg()
 	m.op, m.r, m.receipt = op, r, receipt
 	if c.kernel == nil {
 		c.deliverMsg(m, now)
@@ -211,7 +180,7 @@ func (c *Cluster) postFold(idx int, now sim.Time, op shardOp, r *coe.Request, re
 // instant (now). It advances only node-local state, and reports the
 // outcome with a fold. On the sharded kernel the fold lands one hop
 // later — at least the kernel's lookahead after the node's now, which is
-// what licenses the node partitions to run concurrently.
+// what lets the kernel advance node partitions in rounds.
 func (c *Cluster) nodeOffer(now sim.Time, h *hold, r *coe.Request) {
 	idx := h.node
 	sys := c.nodes[idx].sys

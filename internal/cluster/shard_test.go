@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
 
@@ -23,7 +22,7 @@ var testInterconnect = Interconnect{
 
 // shardConfig builds a 4-node sharded fleet over the hop model with
 // the given lifecycle knobs.
-func shardConfig(t testing.TB, shards int, plan *sim.FaultPlan, health HealthConfig, hedge HedgeConfig) Config {
+func shardConfig(t testing.TB, plan *sim.FaultPlan, health HealthConfig, hedge HedgeConfig) Config {
 	t.Helper()
 	return Config{
 		Nodes:        Uniform(4, nodeConfig(t, hw.NUMADevice())),
@@ -34,7 +33,6 @@ func shardConfig(t testing.TB, shards int, plan *sim.FaultPlan, health HealthCon
 		Health:       health,
 		Hedge:        hedge,
 		Interconnect: testInterconnect,
-		Shards:       shards,
 	}
 }
 
@@ -51,33 +49,38 @@ func serveSharded(t *testing.T, cfg Config, rate float64, n int, seed int64) *Re
 	return normalize(rep)
 }
 
-// shardCounts are the worker counts every determinism test sweeps:
-// sequential, two, three, and whatever the host offers.
-func shardCounts() []int {
-	return []int{1, 2, 3, runtime.GOMAXPROCS(0)}
+// deprecatedShards is the value the determinism tests give the ignored
+// Config.Shards field on their second serve. The benchmark module still
+// sets the field, so it must change nothing.
+const deprecatedShards = 3
+
+// serveTwice serves one stream on two fresh fleets built from cfg, the
+// second with the deprecated Shards field set, and fails unless the
+// reports are identical. It returns the first report.
+func serveTwice(t *testing.T, cfg Config, rate float64, n int, seed int64) *Report {
+	t.Helper()
+	want := serveSharded(t, cfg, rate, n, seed)
+	cfg.Shards = deprecatedShards
+	if got := serveSharded(t, cfg, rate, n, seed); !reflect.DeepEqual(want, got) {
+		t.Errorf("Shards=%d serve diverged from the first:\n%+v\nvs\n%+v", deprecatedShards, want, got)
+	}
+	return want
 }
 
-// TestShardedFleetDeterministicAcrossShardCounts pins the kernel's
-// core guarantee on a fault-free fleet: the full report — fleet
-// percentiles, per-node reports, imbalance — is identical at every
-// shard count, sequential included.
+// TestShardedFleetDeterministicAcrossShardCounts pins determinism on a
+// fault-free fleet: the full report — fleet percentiles, per-node
+// reports, imbalance — is identical on a second fleet, whatever the
+// deprecated Shards field says.
 func TestShardedFleetDeterministicAcrossShardCounts(t *testing.T) {
-	want := serveSharded(t, shardConfig(t, 1, nil, HealthConfig{}, HedgeConfig{}), 40, 200, 13)
-	if want.Completions == 0 || want.N == 0 {
-		t.Fatalf("reference run served nothing: %d arrivals, %d completions", want.N, want.Completions)
-	}
-	for _, shards := range shardCounts()[1:] {
-		got := serveSharded(t, shardConfig(t, shards, nil, HealthConfig{}, HedgeConfig{}), 40, 200, 13)
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("shards=%d diverged from shards=1:\n%+v\nvs\n%+v", shards, want, got)
-		}
+	rep := serveTwice(t, shardConfig(t, nil, HealthConfig{}, HedgeConfig{}), 40, 200, 13)
+	if rep.Completions == 0 || rep.N == 0 {
+		t.Fatalf("reference run served nothing: %d arrivals, %d completions", rep.N, rep.Completions)
 	}
 }
 
-// TestShardedChaosDeterministicAcrossShardCounts sweeps the crash/
-// drain/recover machinery — lease voiding, redelivery racing
-// completion folds on the wire, pending-queue flushes — across shard
-// counts.
+// TestShardedChaosDeterministicAcrossShardCounts does the same for the
+// crash/drain/recover machinery — lease voiding, redelivery racing
+// completion folds on the wire, pending-queue flushes.
 func TestShardedChaosDeterministicAcrossShardCounts(t *testing.T) {
 	plan := &sim.FaultPlan{Events: []sim.FaultEvent{
 		{At: time.Second, Node: 1, Kind: sim.FaultCrash},
@@ -85,21 +88,15 @@ func TestShardedChaosDeterministicAcrossShardCounts(t *testing.T) {
 		{At: 3 * time.Second, Node: 2, Kind: sim.FaultDrain},
 		{At: 4500 * time.Millisecond, Node: 2, Kind: sim.FaultRecover},
 	}}
-	want := serveSharded(t, shardConfig(t, 1, plan, HealthConfig{}, HedgeConfig{}), 30, 150, 9)
-	if want.LostLeases == 0 {
+	rep := serveTwice(t, shardConfig(t, plan, HealthConfig{}, HedgeConfig{}), 30, 150, 9)
+	if rep.LostLeases == 0 {
 		t.Fatal("crash voided no leases; the test exercises nothing")
-	}
-	for _, shards := range shardCounts()[1:] {
-		got := serveSharded(t, shardConfig(t, shards, plan, HealthConfig{}, HedgeConfig{}), 30, 150, 9)
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("shards=%d diverged from shards=1:\n%+v\nvs\n%+v", shards, want, got)
-		}
 	}
 }
 
-// TestShardedGrayfailDeterministicAcrossShardCounts sweeps the full
-// gray stack — slow/jitter/stall injection, breaker, hedged offers in
-// flight — across shard counts.
+// TestShardedGrayfailDeterministicAcrossShardCounts does the same for
+// the full gray stack — slow/jitter/stall injection, breaker, hedged
+// offers in flight.
 func TestShardedGrayfailDeterministicAcrossShardCounts(t *testing.T) {
 	plan := &sim.FaultPlan{Events: []sim.FaultEvent{
 		{At: time.Second, Node: 1, Kind: sim.FaultSlow, Factor: 150},
@@ -108,13 +105,7 @@ func TestShardedGrayfailDeterministicAcrossShardCounts(t *testing.T) {
 		{At: 9 * time.Second, Node: 1, Kind: sim.FaultRecover},
 		{At: 9 * time.Second, Node: 2, Kind: sim.FaultRecover},
 	}}
-	want := serveSharded(t, shardConfig(t, 1, plan, grayHealth, HedgeConfig{After: time.Second}), 8, 120, 20260807)
-	for _, shards := range shardCounts()[1:] {
-		got := serveSharded(t, shardConfig(t, shards, plan, grayHealth, HedgeConfig{After: time.Second}), 8, 120, 20260807)
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("shards=%d diverged from shards=1:\n%+v\nvs\n%+v", shards, want, got)
-		}
-	}
+	serveTwice(t, shardConfig(t, plan, grayHealth, HedgeConfig{After: time.Second}), 8, 120, 20260807)
 }
 
 // TestShardedExactlyOnceUnderChaos asserts the accounting contract on
@@ -128,7 +119,7 @@ func TestShardedExactlyOnceUnderChaos(t *testing.T) {
 		{At: 3 * time.Second, Node: 0, Kind: sim.FaultCrash},
 		{At: 4 * time.Second, Node: 0, Kind: sim.FaultRecover},
 	}}
-	rep := serveSharded(t, shardConfig(t, runtime.GOMAXPROCS(0), plan, HealthConfig{}, HedgeConfig{}), 30, 150, 11)
+	rep := serveSharded(t, shardConfig(t, plan, HealthConfig{}, HedgeConfig{}), 30, 150, 11)
 	if rep.N != 150 {
 		t.Fatalf("admitted %d of 150", rep.N)
 	}
@@ -148,8 +139,9 @@ func TestShardedExactlyOnceUnderChaos(t *testing.T) {
 // TestShardedReopenDeterministic pins warm restarts on the sharded
 // kernel: consecutive Serve calls reopen every partition (worker
 // clocks lag the coordinator between streams), hedge timers and leases
-// from the first stream never leak into the second, and both streams
-// stay shard-count-invariant.
+// from the first stream never leak into the second, and a second fleet
+// — with the deprecated Shards field set — serves both streams
+// identically.
 func TestShardedReopenDeterministic(t *testing.T) {
 	plan := &sim.FaultPlan{Events: []sim.FaultEvent{
 		{At: time.Second, Node: 1, Kind: sim.FaultCrash},
@@ -157,7 +149,9 @@ func TestShardedReopenDeterministic(t *testing.T) {
 	}}
 	board := boardFor(t, workload.BoardA())
 	run := func(shards int) []*Report {
-		cl := buildCluster(t, shardConfig(t, shards, plan, grayHealth, HedgeConfig{After: time.Second}), board.Model)
+		cfg := shardConfig(t, plan, grayHealth, HedgeConfig{After: time.Second})
+		cfg.Shards = shards
+		cl := buildCluster(t, cfg, board.Model)
 		var reps []*Report
 		for round := 0; round < 2; round++ {
 			rep, err := cl.Serve(poissonFor(t, board, 25, 100, int64(17+round)))
@@ -172,21 +166,18 @@ func TestShardedReopenDeterministic(t *testing.T) {
 		}
 		return reps
 	}
-	want := run(1)
-	for _, shards := range []int{3, runtime.GOMAXPROCS(0)} {
-		got := run(shards)
-		for round := range want {
-			if !reflect.DeepEqual(want[round], got[round]) {
-				t.Errorf("shards=%d round %d diverged:\n%+v\nvs\n%+v", shards, round, want[round], got[round])
-			}
+	want, got := run(0), run(deprecatedShards)
+	for round := range want {
+		if !reflect.DeepEqual(want[round], got[round]) {
+			t.Errorf("round %d diverged:\n%+v\nvs\n%+v", round, want[round], got[round])
 		}
 	}
 }
 
 // TestShardedZeroInterconnectUnsharded pins the engagement seam: a
 // zero-valued Interconnect keeps the classic single-environment
-// cluster regardless of Shards, byte-identical to a config that never
-// mentions either knob.
+// cluster regardless of the deprecated Shards field, byte-identical to
+// a config that never mentions either knob.
 func TestShardedZeroInterconnectUnsharded(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
 	base := Config{
@@ -196,13 +187,13 @@ func TestShardedZeroInterconnectUnsharded(t *testing.T) {
 		SLO:       time.Second,
 	}
 	plain := buildCluster(t, base, board.Model)
-	if _, ok := plain.Sharded(); ok {
+	if plain.Sharded() {
 		t.Fatal("latency-free cluster reports a sharded kernel")
 	}
 	shardy := base
 	shardy.Shards = 4
 	cl := buildCluster(t, shardy, board.Model)
-	if _, ok := cl.Sharded(); ok {
+	if cl.Sharded() {
 		t.Fatal("Shards without an Interconnect must not engage the sharded kernel")
 	}
 	a, err := plain.Serve(poissonFor(t, board, 40, 200, 13))
@@ -225,7 +216,6 @@ func TestShardedConfigValidation(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"negative shards", func(c *Config) { c.Shards = -1 }},
 		{"negative latency", func(c *Config) { c.Interconnect = Interconnect{Dispatch: -time.Millisecond} }},
 		{"zero lookahead", func(c *Config) {
 			// Enabled, but the front end's board reaches its nodes for free.
@@ -233,15 +223,14 @@ func TestShardedConfigValidation(t *testing.T) {
 		}},
 	}
 	for _, tc := range bad {
-		cfg := shardConfig(t, 1, nil, HealthConfig{}, HedgeConfig{})
+		cfg := shardConfig(t, nil, HealthConfig{}, HedgeConfig{})
 		tc.mut(&cfg)
 		if _, err := New(cfg, board.Model); err == nil {
 			t.Errorf("%s: New accepted the config", tc.name)
 		}
 	}
-	cl := buildCluster(t, shardConfig(t, 0, nil, HealthConfig{}, HedgeConfig{}), board.Model)
-	if w, ok := cl.Sharded(); !ok || w != runtime.GOMAXPROCS(0) {
-		t.Errorf("Shards=0 => workers %d, sharded %v; want GOMAXPROCS(%d), true", w, ok, runtime.GOMAXPROCS(0))
+	if cl := buildCluster(t, shardConfig(t, nil, HealthConfig{}, HedgeConfig{}), board.Model); !cl.Sharded() {
+		t.Error("an enabled Interconnect did not engage the sharded kernel")
 	}
 }
 
@@ -249,8 +238,8 @@ func TestShardedConfigValidation(t *testing.T) {
 // costs something: the same stream served with a 10x slower
 // interconnect completes with a strictly higher mean latency.
 func TestShardedLatencyShowsUp(t *testing.T) {
-	fast := serveSharded(t, shardConfig(t, 2, nil, HealthConfig{}, HedgeConfig{}), 40, 200, 13)
-	slowIC := shardConfig(t, 2, nil, HealthConfig{}, HedgeConfig{})
+	fast := serveSharded(t, shardConfig(t, nil, HealthConfig{}, HedgeConfig{}), 40, 200, 13)
+	slowIC := shardConfig(t, nil, HealthConfig{}, HedgeConfig{})
 	slowIC.Interconnect = Interconnect{
 		Dispatch:   2 * time.Millisecond,
 		IntraBoard: time.Millisecond,
@@ -287,7 +276,6 @@ func TestShardedCrashWithAcceptOnTheWire(t *testing.T) {
 		SLO:          time.Second,
 		Faults:       plan,
 		Interconnect: testInterconnect,
-		Shards:       1,
 	}
 	rep, err := buildCluster(t, cfg, board.Model).Serve(src())
 	if err != nil {

@@ -143,7 +143,6 @@ func RunAll(ctx *Context, ids []string) ([]string, error) {
 // phase instead of recomputing or racing on it.
 type Context struct {
 	par    *runner.Pool
-	shards int
 	boards runner.Memo[string, *workload.Board]
 	perf   runner.Memo[string, model.PerfMatrix]
 	grid   runner.Memo[gridKey, *core.Report]
@@ -171,23 +170,6 @@ func (c *Context) SetParallel(n int) { c.par = runner.New(n) }
 
 // Parallel reports the context's worker bound.
 func (c *Context) Parallel() int { return c.par.Workers() }
-
-// SetShards sets the worker count the sharded cluster kernel uses for
-// experiments that serve over an interconnect (n <= 0 means
-// runtime.GOMAXPROCS(0); 1 runs the partitioned kernel sequentially).
-// Orthogonal to SetParallel: Parallel fans out independent sweep
-// points, Shards parallelizes the node partitions inside one
-// simulation. Reports are byte-identical at every setting.
-func (c *Context) SetShards(n int) {
-	if n < 0 {
-		n = 0
-	}
-	c.shards = n
-}
-
-// Shards reports the kernel worker count interconnect-enabled
-// experiments run with (0 means runtime.GOMAXPROCS(0)).
-func (c *Context) Shards() int { return c.shards }
 
 // evalArchs are the architectures the evaluation uses (§5.1).
 var evalArchs = []model.Architecture{model.ResNet101, model.YOLOv5m, model.YOLOv5l}

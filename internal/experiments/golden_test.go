@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -60,30 +58,23 @@ func lineAt(lines []string, i int) string {
 	return "<EOF>"
 }
 
-// TestGoldenAtEveryShardCount renders the cluster serving experiments on
-// the sharded kernel's every interesting worker count — sequential, two,
-// an odd count that splits the partitions unevenly, and GOMAXPROCS — and
-// compares each run to the same golden file. Only serve-shard engages
-// the sharded kernel; the others pin that the setting leaves the
-// zero-latency front end untouched.
-func TestGoldenAtEveryShardCount(t *testing.T) {
+// TestServeGoldens renders the cluster serving experiments once on a
+// fresh context at the default parallelism and compares each to its
+// golden file. Only serve-shard runs the sharded kernel.
+func TestServeGoldens(t *testing.T) {
 	if *update {
 		t.Skip("goldens are written by TestParallelOutputByteIdentical")
 	}
-	ids := []string{"serve-shard", "serve-chaos", "serve-grayfail", "serve-fleet"}
-	for _, shards := range []int{1, 2, 3, runtime.GOMAXPROCS(0)} {
-		ctx := NewContext()
-		ctx.SetShards(shards)
-		for _, id := range ids {
-			e, err := ByID(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tb, err := e.Run(ctx)
-			if err != nil {
-				t.Fatalf("%s at shards=%d: %v", id, shards, err)
-			}
-			checkGolden(t, id, fmt.Sprintf("shards=%d", shards), tb.Render())
+	ctx := NewContext()
+	for _, id := range []string{"serve-shard", "serve-chaos", "serve-grayfail", "serve-fleet"} {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
 		}
+		tb, err := e.Run(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		checkGolden(t, id, "default parallelism", tb.Render())
 	}
 }

@@ -65,18 +65,13 @@ func shardScenarios() []shardScenario {
 // ServeShard serves a 4-node fleet over a non-zero interconnect — the
 // configuration that engages the sharded deterministic kernel: the
 // front end and every node simulate in their own partitions, advanced
-// in parallel under the interconnect's conservative lookahead. Three
+// in rounds under the interconnect's conservative lookahead. Three
 // scenarios run: a steady stream, a crash/drain/recover script, and a
 // fail-slow script under breaker + hedge. Every row hard-fails unless
-// completion accounting is exactly-once, and the rendered table is
-// byte-identical at every Context.SetShards setting — the golden test
-// compares it at shards 1, 2, 3, and GOMAXPROCS.
+// completion accounting is exactly-once.
 func ServeShard(ctx *Context) (*Table, error) {
 	t := &Table{
 		ID: "serve-shard",
-		// The title deliberately omits the shard setting: one golden
-		// pins this table at every worker count, so nothing host- or
-		// setting-dependent may reach the rendered bytes.
 		Title: fmt.Sprintf("Sharded kernel: 4-node fleet over a %v/%v intra/inter-board interconnect, affinity router, NUMA board A, Poisson 8 req/s (SLO %v)",
 			shardInterconnect.IntraBoard, shardInterconnect.InterNode, shardSLO),
 		Columns: []string{"scenario", "completions", "slo attainment", "p95",
@@ -93,43 +88,9 @@ func ServeShard(ctx *Context) (*Table, error) {
 		return nil, err
 	}
 	rows, err := runner.Sweep(ctx.par, shardScenarios(), func(_ int, sc shardScenario) ([]string, error) {
-		nodeCfg, err := ctx.serveConfig(hw.NUMADevice(), core.CoServe)
+		_, rep, err := serveShardScenario(ctx, board, sc)
 		if err != nil {
 			return nil, err
-		}
-		nodeCfg.SLO = shardSLO
-		router, err := cluster.RouterByName("affinity")
-		if err != nil {
-			return nil, err
-		}
-		placement, err := cluster.PlacementByName("partition")
-		if err != nil {
-			return nil, err
-		}
-		cl, err := cluster.New(cluster.Config{
-			Nodes:        cluster.Uniform(4, nodeCfg),
-			Router:       router,
-			Placement:    placement,
-			SLO:          shardSLO,
-			Faults:       sc.plan,
-			Health:       sc.health,
-			Hedge:        sc.hedge,
-			Interconnect: shardInterconnect,
-			Shards:       ctx.Shards(),
-		}, board.Model)
-		if err != nil {
-			return nil, err
-		}
-		src, err := workload.Poisson{
-			Name: "cluster-poisson", Board: board,
-			Rate: 8, N: 240, Seed: 20260730,
-		}.NewSource()
-		if err != nil {
-			return nil, err
-		}
-		rep, err := cl.Serve(src)
-		if err != nil {
-			return nil, fmt.Errorf("serve-shard %s: %w", sc.name, err)
 		}
 		// Exactly-once acceptance: every admitted request resolves exactly
 		// once even with offers, acks, and crashes racing on the wire. A
@@ -159,4 +120,47 @@ func ServeShard(ctx *Context) (*Table, error) {
 	}
 	t.Rows = rows
 	return t, nil
+}
+
+// serveShardScenario builds one scenario's fleet and serves its stream,
+// returning the cluster with its report.
+func serveShardScenario(ctx *Context, board *workload.Board, sc shardScenario) (*cluster.Cluster, *cluster.Report, error) {
+	nodeCfg, err := ctx.serveConfig(hw.NUMADevice(), core.CoServe)
+	if err != nil {
+		return nil, nil, err
+	}
+	nodeCfg.SLO = shardSLO
+	router, err := cluster.RouterByName("affinity")
+	if err != nil {
+		return nil, nil, err
+	}
+	placement, err := cluster.PlacementByName("partition")
+	if err != nil {
+		return nil, nil, err
+	}
+	cl, err := cluster.New(cluster.Config{
+		Nodes:        cluster.Uniform(4, nodeCfg),
+		Router:       router,
+		Placement:    placement,
+		SLO:          shardSLO,
+		Faults:       sc.plan,
+		Health:       sc.health,
+		Hedge:        sc.hedge,
+		Interconnect: shardInterconnect,
+	}, board.Model)
+	if err != nil {
+		return nil, nil, err
+	}
+	src, err := workload.Poisson{
+		Name: "cluster-poisson", Board: board,
+		Rate: 8, N: 240, Seed: 20260730,
+	}.NewSource()
+	if err != nil {
+		return nil, nil, err
+	}
+	rep, err := cl.Serve(src)
+	if err != nil {
+		return nil, nil, fmt.Errorf("serve-shard %s: %w", sc.name, err)
+	}
+	return cl, rep, nil
 }

@@ -131,137 +131,6 @@ func Sweep[In, Out any](p *Pool, items []In, fn func(i int, item In) (Out, error
 	return Map(p, len(items), func(i int) (Out, error) { return fn(i, items[i]) })
 }
 
-// Crew is a persistent worker team for repeated parallel rounds over
-// one fixed body: where Map builds a closure, a results slice, and a
-// WaitGroup per call, a Crew is constructed once, its helper goroutines
-// live across rounds (Start/Stop), and each Run reuses the same barrier
-// — zero allocations per round in steady state. The body receives the
-// item index and must communicate through the caller's own structures;
-// any round state it needs (a window bound, an active set) lives in
-// fields the caller updates before Run and the body reads.
-//
-// The caller's goroutine always participates as a worker, helpers are
-// signalled only when the round has items for them, and a panicking
-// body never tears the barrier: every panic is captured, the barrier
-// completes, and the first captured panic (by worker slot) re-panics on
-// the calling goroutine wrapped in *PanicError.
-//
-// A Crew is for one caller: Run must not be invoked concurrently with
-// itself, Start, or Stop.
-type Crew struct {
-	body   func(i int)
-	n      int
-	next   atomic.Int64
-	wg     sync.WaitGroup
-	starts []chan struct{} // one buffered start signal per helper; nil while stopped
-	panics []any           // captured *PanicError per worker slot (0 = caller)
-}
-
-// NewCrew builds a crew of the given worker bound (>= 2; a single
-// worker needs no barrier — callers run the loop inline) around a fixed
-// round body. No goroutines exist until Start.
-func NewCrew(workers int, body func(i int)) *Crew {
-	if workers < 2 {
-		panic("runner: NewCrew needs at least two workers")
-	}
-	if body == nil {
-		panic("runner: NewCrew needs a body")
-	}
-	return &Crew{
-		body:   body,
-		starts: make([]chan struct{}, workers-1),
-		panics: make([]any, workers),
-	}
-}
-
-// Workers reports the crew's worker bound, caller included.
-func (c *Crew) Workers() int { return len(c.starts) + 1 }
-
-// Start spawns the helper goroutines. It must be paired with Stop —
-// typically Start at the top of a driver loop and a deferred Stop — so
-// a crew owned by a long-lived structure leaves no goroutines behind
-// between drives. Starting an already started crew panics.
-func (c *Crew) Start() {
-	for j := range c.starts {
-		if c.starts[j] != nil {
-			panic("runner: Crew.Start while started")
-		}
-		ch := make(chan struct{}, 1)
-		c.starts[j] = ch
-		slot := j + 1
-		go func() {
-			for range ch {
-				c.work(slot)
-				c.wg.Done()
-			}
-		}()
-	}
-}
-
-// Stop terminates the helper goroutines. Idempotent; must not overlap a
-// Run. The crew can be started again afterwards.
-func (c *Crew) Stop() {
-	for j, ch := range c.starts {
-		if ch != nil {
-			close(ch)
-			c.starts[j] = nil
-		}
-	}
-}
-
-// Run executes body(0..n-1) across the caller and up to min(n-1,
-// workers-1) helpers and returns only when every item has finished —
-// the reusable barrier. Items execute in any order. If any body
-// panicked, the first capture (by worker slot) re-panics here after the
-// barrier completes.
-func (c *Crew) Run(n int) {
-	if n <= 0 {
-		return
-	}
-	c.n = n
-	c.next.Store(0)
-	k := len(c.starts)
-	if k > n-1 {
-		k = n - 1
-	}
-	c.wg.Add(k)
-	for j := 0; j < k; j++ {
-		if c.starts[j] == nil {
-			panic("runner: Crew.Run before Start")
-		}
-		c.starts[j] <- struct{}{}
-	}
-	c.work(0)
-	c.wg.Wait()
-	var first any
-	for slot, p := range c.panics {
-		if p != nil && first == nil {
-			first = p
-		}
-		c.panics[slot] = nil
-	}
-	if first != nil {
-		panic(first)
-	}
-}
-
-// work drains the round's item counter from one worker slot, capturing
-// a body panic instead of unwinding past the barrier.
-func (c *Crew) work(slot int) {
-	defer func() {
-		if r := recover(); r != nil {
-			c.panics[slot] = &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	for {
-		i := int(c.next.Add(1)) - 1
-		if i >= c.n {
-			return
-		}
-		c.body(i)
-	}
-}
-
 // Memo is a per-key once-only memoization table: concurrent Do calls
 // for the same key block until the single builder finishes, then share
 // its result — the pattern that lets parallel sweep points share one

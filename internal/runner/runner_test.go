@@ -187,107 +187,3 @@ func TestMemoPanickedBuildLeavesError(t *testing.T) {
 		t.Error("waiters of a panicked build must see an error, not a zero value")
 	}
 }
-
-func TestCrewRunsEveryItemExactlyOnce(t *testing.T) {
-	var counts [100]atomic.Int64
-	c := NewCrew(4, func(i int) { counts[i].Add(1) })
-	c.Start()
-	defer c.Stop()
-	for round := 0; round < 50; round++ {
-		c.Run(len(counts))
-	}
-	for i := range counts {
-		if got := counts[i].Load(); got != 50 {
-			t.Fatalf("item %d ran %d times, want 50", i, got)
-		}
-	}
-}
-
-func TestCrewSmallRoundsAndZero(t *testing.T) {
-	var total atomic.Int64
-	c := NewCrew(8, func(i int) { total.Add(int64(i) + 1) })
-	c.Start()
-	defer c.Stop()
-	c.Run(0) // no items: no helpers signalled, no barrier wait
-	c.Run(1) // caller-only
-	c.Run(3)
-	if got := total.Load(); got != 1+(1+2+3) {
-		t.Fatalf("total = %d, want 7", got)
-	}
-}
-
-func TestCrewRestartableAfterStop(t *testing.T) {
-	var n atomic.Int64
-	c := NewCrew(3, func(int) { n.Add(1) })
-	for cycle := 0; cycle < 3; cycle++ {
-		c.Start()
-		c.Run(10)
-		c.Stop()
-	}
-	c.Stop() // idempotent
-	if got := n.Load(); got != 30 {
-		t.Fatalf("ran %d items across cycles, want 30", got)
-	}
-}
-
-func TestCrewPanicCompletesBarrierThenRepanics(t *testing.T) {
-	var ran atomic.Int64
-	c := NewCrew(4, func(i int) {
-		if i == 2 {
-			panic("boom")
-		}
-		ran.Add(1)
-	})
-	c.Start()
-	defer c.Stop()
-	defer func() {
-		r := recover()
-		pe, ok := r.(*PanicError)
-		if !ok {
-			t.Fatalf("recovered %T (%v), want *PanicError", r, r)
-		}
-		if pe.Value != "boom" {
-			t.Errorf("PanicError.Value = %v, want boom", pe.Value)
-		}
-		// Every non-panicking item still ran: the barrier completed
-		// before the re-panic.
-		if got := ran.Load(); got != 7 {
-			t.Errorf("%d items completed, want 7", got)
-		}
-		// The crew stays usable after a captured panic.
-		ran.Store(0)
-		func() {
-			defer func() { recover() }()
-			c.Run(8)
-		}()
-		if got := ran.Load(); got != 7 {
-			t.Errorf("second round completed %d items, want 7", got)
-		}
-	}()
-	c.Run(8)
-}
-
-func TestCrewValidation(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		fn   func()
-	}{
-		{"one worker", func() { NewCrew(1, func(int) {}) }},
-		{"nil body", func() { NewCrew(2, nil) }},
-		{"double start", func() {
-			c := NewCrew(2, func(int) {})
-			c.Start()
-			defer c.Stop()
-			c.Start()
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", tc.name)
-				}
-			}()
-			tc.fn()
-		})
-	}
-}

@@ -4,69 +4,64 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"time"
-
-	"repro/internal/runner"
 )
 
-// Sharded is a conservatively synchronized parallel composition of
-// simulation environments: one coordinator partition (index 0) plus N
-// worker partitions (indices 1..N), each a full *Env with its own
-// clock, heap, and processes. The partitions exchange events only
-// through PostMsg, and the kernel interleaves them under the
-// classic conservative (CMB-style) contract:
+// Sharded is a conservatively synchronized composition of simulation
+// environments: one coordinator partition (index 0) plus N worker
+// partitions (indices 1..N), each a full *Env with its own clock, heap,
+// and processes. The partitions exchange events only through PostMsg,
+// and the kernel interleaves them under the classic conservative
+// (CMB-style) contract:
 //
 //   - The coordinator runs one event at a time, and only when its next
 //     event is no later than every worker partition's next event. While
 //     it runs, every worker partition is strictly behind it, so the
 //     coordinator may read worker-partition state directly and may post
 //     events into worker partitions at any delay >= 0.
-//   - Worker partitions run in parallel rounds up to a shared exclusive
-//     window bound W = min(coordinator next, workers' next + lookahead).
-//     Inside a round a partition sees only its own state; anything it
-//     sends to another partition must arrive at least lookahead after
-//     its local now, which keeps the round's partitions causally
-//     independent and makes the merge order below well defined.
+//   - Worker partitions run in rounds up to a shared exclusive window
+//     bound W = min(coordinator next, workers' next + lookahead). Inside
+//     a round a partition sees only its own state; anything it sends to
+//     another partition must arrive at least lookahead after its local
+//     now, which keeps the round's partitions causally independent and
+//     makes the merge order below well defined.
 //
-// Cross-partition events posted during a round buffer in per-partition
-// outboxes and merge at the round barrier in (time, source partition,
-// post order) order, each assigned the target's next sequence numbers
-// in that order. The phase structure — which events run in which round —
-// is a pure function of event timestamps and lookahead, never of the
-// worker count, so a Sharded simulation produces byte-identical results
-// at every Workers setting, including Workers(1).
+// The partitions active in a round step one after another on the
+// caller's goroutine, in ascending partition order. Cross-partition
+// events posted during a round buffer in per-partition outboxes and
+// merge after the round in (time, source partition, post order) order,
+// each assigned the target's next sequence numbers in that order — the
+// event order every pinned output depends on.
 //
-// The hot path is engineered around that contract rather than on top of
-// it. Worker frontiers (each partition's earliest pending timestamp)
-// live in an indexed min-heap that Env.newEvent/Env.Cancel keep
-// incrementally dirty-marked, so neither the coordinator/round decision
-// nor the round's active-set collection rescans all partitions. The
-// coordinator batch-steps every event up to the (unchanged) worker
-// frontier in one loop pass. Rounds run on a persistent runner.Crew —
-// helper goroutines and barrier reused across rounds — instead of a
-// per-round Map dispatch. And cross-partition payloads are typed,
-// pooled Messages (PostMsg) instead of heap-allocated closures. None of
-// it changes which event runs when: outputs stay byte-identical by
-// construction.
+// The rounds could run in parallel, but on every workload the
+// repository ships they would not pay: Stats counts the rounds and
+// Bound turns the counts into the most any number of workers could
+// gain, and that bound stays at or below 1.07 (see README).
+//
+// The hot path: worker frontiers (each partition's earliest pending
+// timestamp) live in an indexed min-heap that Env.newEvent/Env.Cancel
+// keep incrementally dirty-marked, so neither the coordinator/round
+// decision nor the round's active-set collection rescans all
+// partitions; the coordinator batch-steps every event up to the
+// (unchanged) worker frontier in one loop pass; and cross-partition
+// payloads are typed, pooled Messages (PostMsg) instead of
+// heap-allocated closures. None of it changes which event runs when.
 type Sharded struct {
 	parts     []*Env
 	lookahead Time
-	crew      *runner.Crew
-	workers   int
 
 	nodePhase bool  // set for the duration of a worker-partition round
 	active    []int // scratch: partition indices running this round
 	merged    []outPost
-	roundW    Time // current round's window bound, read by the crew body
+	stats     ShardStats
 
 	// The frontier index: fkey[p] is worker partition p's earliest
 	// pending timestamp (maxTime when empty), fheap an indexed binary
 	// min-heap over partitions 1..N with fpos the position of each
 	// partition inside it. Keys go stale only for partitions flagged in
-	// dirty — marked by the newEvent/Cancel hooks outside rounds and by
-	// the round barrier for the partitions that just ran — and Run
+	// dirty — marked by the newEvent/Cancel hooks outside rounds and
+	// after each round for the partitions that just ran — and Run
 	// refreshes exactly those at the top of each pass.
 	fkey    []Time
 	fheap   []int
@@ -76,14 +71,40 @@ type Sharded struct {
 	isDirty []bool
 }
 
+// ShardStats counts what a Sharded kernel did since it was built:
+// events and rounds, never wall time, so the counts are deterministic
+// and can be pinned like any other output.
+type ShardStats struct {
+	Rounds      int64 // worker-partition rounds
+	Active      int64 // partitions active, summed over rounds
+	RoundEvents int64 // events fired inside rounds
+	CoordEvents int64 // events fired by the coordinator
+	CritEvents  int64 // the busiest partition's events, summed over rounds
+	Posts       int64 // PostMsg calls
+}
+
+// Bound is the critical-path speedup bound: total events over the
+// events no parallel schedule can overlap — every coordinator event
+// plus each round's busiest partition. Running the rounds on any number
+// of workers, at zero synchronization cost, gains at most this factor
+// (1 when nothing ran).
+func (st ShardStats) Bound() float64 {
+	crit := st.CoordEvents + st.CritEvents
+	if crit == 0 {
+		return 1
+	}
+	return float64(st.CoordEvents+st.RoundEvents) / float64(crit)
+}
+
 // maxTime is the frontier key of an empty partition.
 const maxTime = Time(math.MaxInt64)
 
 // Message is a typed cross-partition event payload: Deliver runs in the
 // target partition at the scheduled instant, with at the event's
-// timestamp (== the target's Now). The indirection exists for pooling — a protocol can recycle its message
-// structs on per-partition free lists, making steady-state
-// cross-partition traffic allocation-free where closures cannot be.
+// timestamp (== the target's Now). The indirection exists for pooling:
+// a protocol can recycle its message structs on a free list, making
+// steady-state cross-partition traffic allocation-free where closures
+// cannot be.
 type Message interface {
 	Deliver(at Time)
 }
@@ -96,20 +117,15 @@ type outPost struct {
 }
 
 // NewSharded builds a sharded kernel with nparts partitions (partition
-// 0 is the coordinator) synchronized under the given lookahead, running
-// worker-partition rounds on up to workers goroutines (workers <= 0
-// means GOMAXPROCS, workers == 1 runs rounds sequentially).
-func NewSharded(nparts, workers int, lookahead time.Duration) *Sharded {
+// 0 is the coordinator) synchronized under the given lookahead.
+func NewSharded(nparts int, lookahead time.Duration) *Sharded {
 	if nparts < 2 {
 		panic("sim: NewSharded needs a coordinator plus at least one worker partition")
 	}
 	if lookahead <= 0 {
 		panic("sim: NewSharded needs a positive lookahead")
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	s := &Sharded{lookahead: Time(lookahead), workers: workers}
+	s := &Sharded{lookahead: Time(lookahead)}
 	s.parts = make([]*Env, nparts)
 	for i := range s.parts {
 		e := NewEnv()
@@ -125,11 +141,6 @@ func NewSharded(nparts, workers int, lookahead time.Duration) *Sharded {
 		s.fheap[p-1] = p
 		s.fpos[p] = p - 1
 	}
-	if workers > 1 {
-		s.crew = runner.NewCrew(workers, func(j int) {
-			s.parts[s.active[j]].runBefore(s.roundW)
-		})
-	}
 	return s
 }
 
@@ -143,8 +154,9 @@ func (s *Sharded) Parts() int { return len(s.parts) }
 // Lookahead reports the conservative synchronization horizon.
 func (s *Sharded) Lookahead() time.Duration { return time.Duration(s.lookahead) }
 
-// Workers reports the configured worker bound for partition rounds.
-func (s *Sharded) Workers() int { return s.workers }
+// Stats reports the kernel's counters, accumulated over every Run since
+// NewSharded.
+func (s *Sharded) Stats() ShardStats { return s.stats }
 
 // PostMsg schedules m.Deliver(at) at time at in partition target, from
 // code running in partition from. From the coordinator (or between
@@ -152,10 +164,9 @@ func (s *Sharded) Workers() int { return s.workers }
 // provably at an earlier clock, so any at >= the poster's now is legal.
 // From a worker partition inside a round the event buffers in the
 // partition's outbox and must respect the lookahead contract: at >=
-// from.Now() + lookahead. The message allocates nothing here, and the
-// poster may draw it from a free list owned by the partition
-// PosterPartition reports.
+// from.Now() + lookahead. The post allocates nothing.
 func (s *Sharded) PostMsg(from *Env, target int, at Time, m Message) {
+	s.stats.Posts++
 	if s.buffered(from, at) {
 		from.outbox = append(from.outbox, outPost{target: target, at: at, msg: m})
 		return
@@ -181,34 +192,17 @@ func (s *Sharded) buffered(from *Env, at Time) bool {
 	return true
 }
 
-// PosterPartition reports which partition's pooled resources the code
-// currently posting from env may safely touch: env's own partition
-// while a worker round is running it, the coordinator's (0) otherwise —
-// control verbs and crash purges call into node environments from the
-// coordinator's goroutine, and posts they trigger execute there.
-func (s *Sharded) PosterPartition(from *Env) int {
-	if s.nodePhase && from.shardIdx > 0 {
-		return from.shardIdx
-	}
-	return 0
-}
-
 // Run executes all partitions to completion and returns the
 // coordinator's final clock value. Like Env.Run it drains every
-// partition afterwards, so no process coroutines are left behind. The
-// crew's helper goroutines exist only for the duration of the call. A
-// panic in process code leaves Run on the caller's goroutine with its
-// original value, whichever partition and worker raised it.
+// partition afterwards, so no process coroutines are left behind. A
+// panic in process code leaves Run with its original value, whichever
+// partition raised it.
 func (s *Sharded) Run() Time {
 	for _, e := range s.parts {
 		if e.running {
 			panic("sim: Run called re-entrantly")
 		}
 		e.running = true
-	}
-	if s.crew != nil {
-		s.crew.Start()
-		defer s.crew.Stop()
 	}
 	coord := s.parts[0]
 	for {
@@ -235,6 +229,7 @@ func (s *Sharded) Run() Time {
 			// makes the same decisions per-event rescanning would.
 			for {
 				coord.step()
+				s.stats.CoordEvents++
 				if len(s.dirty) > 0 {
 					s.flushDirty()
 					tn = s.fkey[s.fheap[0]]
@@ -254,45 +249,27 @@ func (s *Sharded) Run() Time {
 }
 
 // runRound executes every worker partition with an event before w up to
-// (exclusive) w, in parallel, then merges the round's cross-partition
-// posts at the barrier.
+// (exclusive) w, one after another in ascending partition order, then
+// merges the round's cross-partition posts.
 func (s *Sharded) runRound(w Time) {
 	s.collectActive(w)
 	s.nodePhase = true
-	if s.crew == nil || len(s.active) == 1 {
-		for _, p := range s.active {
-			s.parts[p].runBefore(w)
-		}
-	} else {
-		// The blessed shard-barrier seam: partitions share no state
-		// during a round, and the crew's barrier orders every partition's
-		// writes before the merge below.
-		s.roundW = w
-		s.runCrew(len(s.active))
+	var crit int64
+	for _, p := range s.active {
+		n := s.parts[p].runBefore(w)
+		s.stats.RoundEvents += n
+		crit = max(crit, n)
 	}
 	s.nodePhase = false
+	s.stats.Rounds++
+	s.stats.Active += int64(len(s.active))
+	s.stats.CritEvents += crit
 	for _, p := range s.active {
-		// Round-local churn bypassed the frontier hooks (they are off
-		// during nodePhase — worker heaps are touched concurrently);
-		// refresh exactly the partitions that ran.
+		// The frontier hooks are off during a round; refresh exactly the
+		// partitions that ran.
 		s.markDirty(p)
 	}
 	s.merge()
-}
-
-// runCrew runs one round on the crew. The crew re-raises a partition's
-// panic wrapped in *runner.PanicError; runCrew unwraps it, so a panic in
-// process code leaves Run with its original value at every worker count.
-func (s *Sharded) runCrew(n int) {
-	defer func() {
-		if r := recover(); r != nil {
-			if pe, ok := r.(*runner.PanicError); ok {
-				r = pe.Value
-			}
-			panic(r)
-		}
-	}()
-	s.crew.Run(n)
 }
 
 // collectActive gathers the worker partitions with an event before w
@@ -323,8 +300,7 @@ func (s *Sharded) collectActive(w Time) {
 }
 
 // merge drains the round's outboxes into their target partitions in
-// (time, source partition, post order) order — the deterministic global
-// order the sequential kernel would have produced.
+// (time, source partition, post order) order.
 func (s *Sharded) merge() {
 	s.merged = s.merged[:0]
 	for _, i := range s.active {
@@ -351,10 +327,8 @@ func (s *Sharded) merge() {
 
 // frontierChanged is the Env hook: partition e's earliest pending event
 // changed (a push that became the new head, or the head cancelled).
-// During a round the worker heaps churn concurrently and the hook is a
-// no-op — the barrier marks the partitions that ran instead; outside
-// rounds only the coordinator's goroutine schedules or cancels, so the
-// dirty set is single-writer.
+// During a round only the running partition's own heap churns, and the
+// hook is a no-op — runRound marks the partitions that ran instead.
 func (s *Sharded) frontierChanged(e *Env) {
 	if s.nodePhase || e.shardIdx == 0 {
 		return
@@ -471,9 +445,13 @@ func (e *Env) step() {
 }
 
 // runBefore fires every pending event with a timestamp strictly before
-// w, leaving later events queued and the clock at the last fired event.
-func (e *Env) runBefore(w Time) {
+// w, leaving later events queued and the clock at the last fired event,
+// and reports how many it fired.
+func (e *Env) runBefore(w Time) int64 {
+	var n int64
 	for len(e.events) > 0 && e.events[0].at < w {
 		e.dispatch(e.popEvent())
+		n++
 	}
+	return n
 }

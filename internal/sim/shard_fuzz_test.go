@@ -3,19 +3,20 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
 
-// This file pins the pooled-message path's determinism contract the way
-// shard_test.go pins the closure path's: a randomized schedule of
-// cross-partition message chains — hops between worker partitions, hops
-// through the coordinator, self-posts, local timer churn with immediate
-// head cancels — must produce byte-identical logs and an identical
-// final clock at every worker count. All randomness is drawn up front
-// into a plain schedule value; the simulation itself reads only that
-// schedule, so any divergence is the kernel's fault, not the test's.
+// This file pins the pooled-message path's contract: a randomized
+// schedule of cross-partition message chains — hops between worker
+// partitions, hops through the coordinator, self-posts, local timer
+// churn with immediate head cancels — must deliver every posted message
+// exactly once, fire every event at its scheduled instant in
+// nondecreasing time per partition, and reproduce its log and final
+// clock when run again. All randomness is drawn up front into a plain
+// schedule value; the simulation itself reads only that schedule, so
+// any violation is the kernel's fault, not the test's.
 
 // fuzzHop is one pre-drawn step of a message chain.
 type fuzzHop struct {
@@ -34,7 +35,7 @@ type fuzzSchedule struct {
 }
 
 // genFuzzSchedule pre-draws a schedule from a seed. The draw order is
-// fixed, so one seed means one schedule — worker counts share it.
+// fixed, so one seed means one schedule.
 func genFuzzSchedule(seed int64) fuzzSchedule {
 	rng := rand.New(rand.NewSource(seed))
 	sc := fuzzSchedule{
@@ -67,46 +68,79 @@ func genFuzzSchedule(seed int64) fuzzSchedule {
 }
 
 // fuzzNet runs one schedule on one kernel, logging every delivery and
-// timer firing per partition. Messages recycle through per-partition
-// free lists exactly like a real protocol would, so the run exercises
-// allocation-free steady-state delivery.
+// timer firing per partition and recording the first contract
+// violation. Messages recycle through one free list like a real
+// protocol's, so the run exercises allocation-free steady-state
+// delivery.
 type fuzzNet struct {
-	s    *Sharded
-	sc   fuzzSchedule
-	logs [][]string
-	free []*fuzzMsg
+	s         *Sharded
+	sc        fuzzSchedule
+	logs      [][]string
+	last      []Time  // per partition: the latest instant anything fired
+	delivered [][]int // per chain and hop: deliveries
+	posted    int64
+	violation string
+	free      *fuzzMsg
 }
 
 type fuzzMsg struct {
 	n     *fuzzNet
 	chain int
 	hop   int
-	part  int // delivery partition
+	part  int  // delivery partition
+	due   Time // the instant it was posted for
 	next  *fuzzMsg
 }
 
-func (n *fuzzNet) newMsg(part int) *fuzzMsg {
-	m := n.free[part]
+func (n *fuzzNet) newMsg() *fuzzMsg {
+	m := n.free
 	if m == nil {
 		return &fuzzMsg{n: n}
 	}
-	n.free[part] = m.next
+	n.free = m.next
 	m.next = nil
 	return m
 }
 
+// post sends hop h of chain c to its target, due at.
+func (n *fuzzNet) post(from *Env, c, h int, at Time) {
+	m := n.newMsg()
+	m.chain, m.hop, m.part, m.due = c, h, n.sc.chains[c][h].target, at
+	n.posted++
+	n.s.PostMsg(from, m.part, at, m)
+}
+
+// fired checks one event of partition part against the contract: it
+// fires at its scheduled instant, with the partition's clock there, and
+// no earlier than the partition's previous event.
+func (n *fuzzNet) fired(part int, at, due Time, what string) {
+	now := n.s.Part(part).Now()
+	switch {
+	case n.violation != "":
+	case at != due || now != due:
+		n.violation = fmt.Sprintf("p%d %s fired at %v (clock %v), scheduled for %v", part, what, at, now, due)
+	case at < n.last[part]:
+		n.violation = fmt.Sprintf("p%d %s fired at %v after an event at %v", part, what, at, n.last[part])
+	}
+	n.last[part] = at
+}
+
 func (m *fuzzMsg) Deliver(at Time) {
 	n := m.n
-	chain, hop, part := m.chain, m.hop, m.part
+	chain, hop, part, due := m.chain, m.hop, m.part, m.due
+	m.next = n.free
+	n.free = m
 	env := n.s.Part(part)
-	src := n.s.PosterPartition(env)
-	m.next = n.free[src]
-	n.free[src] = m
-	n.logs[part] = append(n.logs[part], fmt.Sprintf("c%d h%d @%v", chain, hop, at.Duration()))
+	what := fmt.Sprintf("c%d h%d", chain, hop)
+	n.fired(part, at, due, what)
+	n.delivered[chain][hop]++
+	n.logs[part] = append(n.logs[part], fmt.Sprintf("%s @%v", what, at.Duration()))
 	h := n.sc.chains[chain][hop]
 	if h.local > 0 {
+		tdue := at.Add(h.local)
 		tm := env.AfterFunc(h.local, func() {
-			n.logs[part] = append(n.logs[part], fmt.Sprintf("c%d h%d timer @%v", chain, hop, env.Now().Duration()))
+			n.fired(part, env.Now(), tdue, what+" timer")
+			n.logs[part] = append(n.logs[part], fmt.Sprintf("%s timer @%v", what, env.Now().Duration()))
 		})
 		if h.cancel {
 			// Immediate cancel: arms and revokes in one instant — from the
@@ -115,27 +149,24 @@ func (m *fuzzMsg) Deliver(at Time) {
 		}
 	}
 	if hop+1 < len(n.sc.chains[chain]) {
-		nx := n.sc.chains[chain][hop+1]
-		nm := n.newMsg(src)
-		nm.chain, nm.hop, nm.part = chain, hop+1, nx.target
-		n.s.PostMsg(env, nx.target, at.Add(n.sc.la+nx.delay), nm)
+		n.post(env, chain, hop+1, at.Add(n.sc.la+n.sc.chains[chain][hop+1].delay))
 	}
 }
 
-// runFuzzNet executes the schedule at the given worker count and
-// returns the flattened per-partition logs plus the final clock.
-func runFuzzNet(sc fuzzSchedule, workers int) ([]string, Time) {
+// runFuzzNet executes the schedule and returns the finished net, its
+// flattened per-partition logs and the final clock.
+func runFuzzNet(sc fuzzSchedule) (*fuzzNet, []string, Time) {
 	n := &fuzzNet{
-		s:    NewSharded(sc.nparts, workers, sc.la),
-		sc:   sc,
-		logs: make([][]string, sc.nparts),
-		free: make([]*fuzzMsg, sc.nparts),
+		s:         NewSharded(sc.nparts, sc.la),
+		sc:        sc,
+		logs:      make([][]string, sc.nparts),
+		last:      make([]Time, sc.nparts),
+		delivered: make([][]int, len(sc.chains)),
 	}
 	coord := n.s.Part(0)
 	for c := range sc.chains {
-		m := n.newMsg(0)
-		m.chain, m.hop, m.part = c, 0, sc.chains[c][0].target
-		n.s.PostMsg(coord, m.part, Time(sc.starts[c]), m)
+		n.delivered[c] = make([]int, len(sc.chains[c]))
+		n.post(coord, c, 0, Time(sc.starts[c]))
 	}
 	end := n.s.Run()
 	var flat []string
@@ -144,33 +175,42 @@ func runFuzzNet(sc fuzzSchedule, workers int) ([]string, Time) {
 			flat = append(flat, fmt.Sprintf("p%d %s", p, line))
 		}
 	}
-	return flat, end
+	return n, flat, end
 }
 
-// checkFuzzSeed asserts one schedule is byte-identical across worker
-// counts {1, 2, 3, GOMAXPROCS}, with workers=1 as the reference.
+// checkFuzzSeed runs one schedule twice and asserts the contract on the
+// first run and identical logs and final clocks across the two.
 func checkFuzzSeed(t *testing.T, seed int64) {
 	t.Helper()
 	sc := genFuzzSchedule(seed)
-	ref, refEnd := runFuzzNet(sc, 1)
+	n, ref, refEnd := runFuzzNet(sc)
 	if len(ref) == 0 {
 		t.Fatalf("seed %d: schedule produced no deliveries", seed)
 	}
-	for _, workers := range []int{2, 3, runtime.GOMAXPROCS(0)} {
-		got, gotEnd := runFuzzNet(sc, workers)
-		if gotEnd != refEnd {
-			t.Fatalf("seed %d: final clock %v at workers=%d, want %v (workers=1)",
-				seed, gotEnd.Duration(), workers, refEnd.Duration())
-		}
-		if len(got) != len(ref) {
-			t.Fatalf("seed %d: %d log lines at workers=%d, want %d", seed, len(got), workers, len(ref))
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("seed %d: log line %d at workers=%d:\n got %q\nwant %q",
-					seed, i, workers, got[i], ref[i])
+	if n.violation != "" {
+		t.Fatalf("seed %d: %s", seed, n.violation)
+	}
+	for c, hops := range n.delivered {
+		for h, k := range hops {
+			if k != 1 {
+				t.Fatalf("seed %d: chain %d hop %d delivered %d times, want once", seed, c, h, k)
 			}
 		}
+	}
+	if posts := n.s.Stats().Posts; posts != n.posted {
+		t.Fatalf("seed %d: kernel counted %d posts, the net made %d", seed, posts, n.posted)
+	}
+	_, got, gotEnd := runFuzzNet(sc)
+	if gotEnd != refEnd {
+		t.Fatalf("seed %d: rerun ended at %v, first run at %v", seed, gotEnd.Duration(), refEnd.Duration())
+	}
+	if !slices.Equal(got, ref) {
+		for i := range min(len(got), len(ref)) {
+			if got[i] != ref[i] {
+				t.Fatalf("seed %d: rerun log line %d:\n got %q\nwant %q", seed, i, got[i], ref[i])
+			}
+		}
+		t.Fatalf("seed %d: rerun logged %d lines, first run %d", seed, len(got), len(ref))
 	}
 }
 
@@ -183,8 +223,8 @@ func TestShardedPooledMessageDeterminism(t *testing.T) {
 }
 
 // FuzzShardedPooledMessageDeterminism lets the fuzzer hunt for a
-// schedule that breaks worker-count independence; the seed corpus runs
-// under plain go test.
+// schedule that breaks the contract; the seed corpus runs under plain
+// go test.
 func FuzzShardedPooledMessageDeterminism(f *testing.F) {
 	f.Add(int64(42))
 	f.Add(int64(20260807))

@@ -153,7 +153,7 @@ func (e *Env) newEvent(at Time) *event {
 	if ev.index == 0 && e.shard != nil {
 		// The partition's frontier moved earlier: keep the Sharded
 		// kernel's frontier index in sync (a no-op outside its Run loop's
-		// coordinator phases — worker rounds refresh at the barrier).
+		// coordinator phases — worker rounds refresh after the round).
 		e.shard.frontierChanged(e)
 	}
 	return ev

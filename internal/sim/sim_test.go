@@ -384,23 +384,21 @@ func TestProcessPanicCapturedByMap(t *testing.T) {
 	}
 }
 
-// TestProcessPanicLeavesShardedRun checks the same for Sharded.Run, at
-// one worker (rounds inline) and two (rounds on the crew, where two
-// partitions are active in the panicking round).
+// TestProcessPanicLeavesShardedRun checks the same for Sharded.Run,
+// with two partitions active in the panicking round: the healthy one
+// runs first, and the panic still unwinds with its original value.
 func TestProcessPanicLeavesShardedRun(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		got := recoverRun(func() {
-			s := NewSharded(3, workers, time.Millisecond)
-			s.Part(1).Go("fine", func(p *Proc) { p.Sleep(time.Millisecond) })
-			s.Part(2).Go("faulty", func(p *Proc) {
-				p.Sleep(time.Millisecond)
-				panic(processPanic{workers})
-			})
-			s.Run()
+	got := recoverRun(func() {
+		s := NewSharded(3, time.Millisecond)
+		s.Part(1).Go("fine", func(p *Proc) { p.Sleep(time.Millisecond) })
+		s.Part(2).Go("faulty", func(p *Proc) {
+			p.Sleep(time.Millisecond)
+			panic(processPanic{2})
 		})
-		if got != (processPanic{workers}) {
-			t.Errorf("workers=%d: Run panicked with %T %.80v, want processPanic{%d}", workers, got, got, workers)
-		}
+		s.Run()
+	})
+	if got != (processPanic{2}) {
+		t.Errorf("Run panicked with %T %.80v, want processPanic{2}", got, got)
 	}
 }
 
