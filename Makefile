@@ -88,9 +88,10 @@ bench-chaos:
 
 # bench-shard reproduces (and gates) the BENCH_kernel.json measurement:
 # the classic event loop, the single-node serve loop, the scheduler
-# inner loop, and the sharded kernel's pooled-message hot path in
-# isolation (BenchmarkShardedKernel). `make bench` (and the CI bench
+# inner loop, the sharded kernel's pooled-message hot path in isolation
+# (BenchmarkShardedKernel), and a warm dependency-aware victim selection
+# (BenchmarkDepAwareEviction). `make bench` (and the CI bench
 # job) already executes these once; this target is the recorded
 # baseline's regeneration recipe.
 bench-shard:
-	$(GO) test -bench 'BenchmarkSimKernel|BenchmarkPoissonServe$$|BenchmarkMinMaxAssign|BenchmarkShardedKernel' -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchguard -baseline BENCH_kernel.json
+	$(GO) test -bench 'BenchmarkSimKernel|BenchmarkPoissonServe$$|BenchmarkMinMaxAssign|BenchmarkShardedKernel|BenchmarkDepAwareEviction' -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchguard -baseline BENCH_kernel.json

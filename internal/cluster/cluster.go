@@ -70,9 +70,8 @@ type Config struct {
 	// Percentiles selects exact or sketch latency accounting for the
 	// whole fleet. It is a cluster-level knob: New propagates it into
 	// every node config (overriding whatever the node configs carry) so
-	// per-node sketches exist exactly when the fleet sketch does and
-	// merge losslessly into the cluster report. The zero value is
-	// exact — byte-identical to the pre-sketch reports.
+	// per-node sketches exist exactly when the fleet sketch does. The
+	// zero value is exact — byte-identical to the pre-sketch reports.
 	Percentiles core.PercentileMode
 
 	// Admission, when set, is the cluster-level admission policy checked

@@ -31,13 +31,14 @@ type Report struct {
 	Throughput float64
 
 	// Latency summarizes the fleet-wide per-request latency population
-	// (seconds) — not an approximation over node summaries. In exact
-	// mode it is computed from the fleet recorder's full sample set; in
-	// sketch mode from the lossless merge of the per-node sketches,
-	// which is bucket-for-bucket identical to a single fleet sketch.
+	// (seconds), measured at the front end — not an approximation over
+	// node summaries. It counts each request once, when its result is
+	// back: losing hedge copies and work finished after a crash voided
+	// its lease are not in it. In exact mode it is computed from the
+	// fleet recorder's full sample set, in sketch mode from its sketch.
 	Latency stats.Summary
-	// LatencySketch is the merged fleet latency sketch (per-node
-	// sketches folded together). Nil in exact mode.
+	// LatencySketch is a copy of the fleet recorder's latency sketch.
+	// Nil in exact mode.
 	LatencySketch *stats.Sketch
 	// SLO echoes the fleet objective; SLOAttainment is the fraction of
 	// fleet completions meeting it (1 when no SLO is configured).
@@ -203,19 +204,8 @@ func (c *Cluster) report(stream string, perNode []*core.Report) *Report {
 	if r.Offered > 0 {
 		r.RejectionRate = float64(r.Rejected) / float64(r.Offered)
 	}
-	if c.cfg.Percentiles == core.PercentilesSketch {
-		// Demonstrate the sketch's merge property where it matters: the
-		// fleet percentiles come from folding the per-node sketches
-		// together — no per-node sample slices exist, nothing re-sorts —
-		// and the merge is lossless, so this equals the fleet recorder's
-		// own sketch bucket for bucket.
-		merged := stats.NewSketch()
-		for _, rep := range perNode {
-			merged.Merge(rep.LatencySketch)
-		}
-		r.Latency = merged.Summary()
-		r.SLOAttainment = merged.Attainment(c.cfg.SLO.Seconds())
-		r.LatencySketch = merged
+	if sk := c.recorder.Sketch(); sk != nil {
+		r.LatencySketch = sk.Clone()
 	}
 	if ws := c.recorder.Windows(); len(ws) > 0 {
 		r.Windows = append([]metrics.Window(nil), ws...)

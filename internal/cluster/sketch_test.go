@@ -8,62 +8,66 @@ import (
 	"repro/internal/coe"
 	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
-// TestClusterSketchMergeExact is the tentpole's merge contract: in
-// sketch mode the fleet percentiles are assembled by merging per-node
-// sketches, and that merge must be lossless — identical, quantile for
-// quantile, to the fleet recorder's own sketch that saw every
-// completion directly.
-func TestClusterSketchMergeExact(t *testing.T) {
+// TestClusterSketchCountsEachRequestOnce: in sketch mode the fleet
+// percentiles come from the front end's own sketch, which records each
+// request once, when its result is back. Under crash churn and hedging
+// the nodes also finish losing hedge copies and work whose lease a crash
+// voided, so their sketches together hold more samples than the fleet
+// has completions; none of those extra samples may reach the report.
+// Both kernels are checked: the classic one and, over the interconnect,
+// the partitioned one.
+func TestClusterSketchCountsEachRequestOnce(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
-	cfg := Config{
-		Nodes:       Uniform(4, nodeConfig(t, hw.NUMADevice())),
-		Router:      LeastLoaded{},
-		SLO:         500 * time.Millisecond,
-		Percentiles: core.PercentilesSketch,
-	}
-	c := buildCluster(t, cfg, board.Model)
-	rep, err := c.Serve(poissonFor(t, board, 30, 600, 2026))
+	plan, err := sim.GenerateFaultPlan(4, 2*time.Second, 500*time.Millisecond, 40*time.Second, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.LatencySketch == nil {
-		t.Fatal("sketch-mode cluster report carries no merged sketch")
-	}
-	var nodeCompletions int64
-	for _, nr := range rep.PerNode {
-		if nr.LatencySketch == nil {
-			t.Fatalf("node %s report carries no sketch — cluster mode was not propagated", nr.System)
+	for _, ic := range []Interconnect{{}, testInterconnect} {
+		c := buildCluster(t, Config{
+			Nodes:        Uniform(4, nodeConfig(t, hw.NUMADevice())),
+			Router:       Affinity{},
+			Faults:       plan,
+			Hedge:        HedgeConfig{After: 300 * time.Millisecond},
+			Interconnect: ic,
+			SLO:          500 * time.Millisecond,
+			Percentiles:  core.PercentilesSketch,
+		}, board.Model)
+		rep, err := c.Serve(poissonFor(t, board, 40, 1500, 1))
+		if err != nil {
+			t.Fatal(err)
 		}
-		nodeCompletions += nr.Completions
-	}
-	if nodeCompletions != rep.Completions {
-		t.Fatalf("node completions sum to %d, fleet reports %d", nodeCompletions, rep.Completions)
-	}
-	fleet := c.recorder.Sketch()
-	if fleet == nil {
-		t.Fatal("fleet recorder has no sketch in sketch mode")
-	}
-	merged := rep.LatencySketch
-	if merged.Count() != fleet.Count() || merged.Min() != fleet.Min() || merged.Max() != fleet.Max() {
-		t.Fatalf("merged count/min/max = %d/%v/%v, fleet recorder %d/%v/%v",
-			merged.Count(), merged.Min(), merged.Max(), fleet.Count(), fleet.Min(), fleet.Max())
-	}
-	for q := 0.0; q <= 1.0; q += 0.01 {
-		if m, f := merged.Quantile(q), fleet.Quantile(q); m != f {
-			t.Fatalf("merge not lossless: Quantile(%v) merged %v != fleet %v", q, m, f)
+		var nodeSamples int64
+		for _, nr := range rep.PerNode {
+			if nr.LatencySketch == nil {
+				t.Fatalf("node %s report carries no sketch — cluster mode was not propagated", nr.System)
+			}
+			nodeSamples += nr.LatencySketch.Count()
 		}
-	}
-	for _, lim := range []float64{0.05, 0.1, 0.25, 0.5, 1, 2} {
-		if m, f := merged.Attainment(lim), fleet.Attainment(lim); m != f {
-			t.Fatalf("merge not lossless: Attainment(%v) merged %v != fleet %v", lim, m, f)
+		t.Logf("interconnect %v: %d crashes, %d hedges fired, %d completions, %d node sketch samples",
+			ic != Interconnect{}, rep.Crashes, rep.HedgesFired, rep.Completions, nodeSamples)
+		if rep.Crashes == 0 || rep.HedgesFired == 0 || nodeSamples <= rep.Completions {
+			t.Fatal("no crash, hedge or wasted copy: the test exercises nothing")
 		}
-	}
-	if rep.Latency.P50 > rep.Latency.P95 || rep.Latency.P95 > rep.Latency.P99 {
-		t.Errorf("fleet percentiles not monotone: %+v", rep.Latency)
+		if rep.LatencySketch == nil {
+			t.Fatal("sketch-mode cluster report carries no sketch")
+		}
+		if got := rep.LatencySketch.Count(); got != rep.Completions {
+			t.Errorf("fleet sketch holds %d samples for %d completions", got, rep.Completions)
+		}
+		if int64(rep.Latency.N) != rep.Completions {
+			t.Errorf("fleet latency summary over %d samples for %d completions", rep.Latency.N, rep.Completions)
+		}
+		if want := rep.LatencySketch.Attainment(0.5); rep.SLOAttainment != want {
+			t.Errorf("SLO attainment %v, report's sketch says %v", rep.SLOAttainment, want)
+		}
+		if rep.Latency.P50 > rep.Latency.P95 || rep.Latency.P95 > rep.Latency.P99 {
+			t.Errorf("fleet percentiles not monotone: %+v", rep.Latency)
+		}
 	}
 }
 
@@ -161,10 +165,13 @@ func TestClusterArenaServe(t *testing.T) {
 	if arena.Reuses()-firstReuses < n/2 {
 		t.Error("warm-restarted fleet stream did not reuse the pool")
 	}
-	// Sanity on the merged sketch after a warm restart: counts reflect
-	// only the second stream.
+	// After a warm restart each report's sketch still describes only its
+	// own stream: the report holds a copy, not the recorder's live sketch.
 	if rep2.LatencySketch.Count() != n {
 		t.Errorf("second stream's sketch counts %d, want %d", rep2.LatencySketch.Count(), n)
+	}
+	if got := rep.LatencySketch.Summary(); got != rep.Latency || got == rep2.Latency {
+		t.Errorf("first report's sketch summary %+v changed with the second stream (%+v)", got, rep2.Latency)
 	}
 }
 

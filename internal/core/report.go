@@ -84,8 +84,7 @@ type Report struct {
 	Latency stats.Summary
 	// LatencySketch is the stream's mergeable latency sketch — an
 	// independent clone, safe to hold across warm restarts. Nil in the
-	// default exact mode; the cluster layer merges per-node sketches
-	// from here into its fleet report.
+	// default exact mode.
 	LatencySketch *stats.Sketch
 
 	// SLO echoes the configured per-request latency objective (0 when

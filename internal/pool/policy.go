@@ -86,39 +86,47 @@ type DepAware struct{}
 // Name implements Policy.
 func (DepAware) Name() string { return "dep-aware" }
 
-// Victims implements Policy. It partitions the candidate buffer in
-// place, orphans first, and sorts each part by a total order whose ties
-// break on expert ID — the order a stable sort of the ID-ordered
-// candidates gives. The victims are then one walk over orphans followed
-// by the rest, and the rest is sorted only when the orphans cannot cover
-// the need.
+// Victims implements Policy. It walks the pool's usage-ordered resident
+// list once to collect the orphans, inserting each at its place in stage
+// 1's order, and again, only when they cannot cover the need, to append
+// the other candidates in list order — stage 2's order.
 func (DepAware) Victims(p *Pool, need int64) []coe.ExpertID {
-	entries := p.LoadedUnpinned()
-	n := 0
-	var orphanBytes int64
-	for i, e := range entries {
-		if orphaned(p, e.Expert) {
-			entries[n], entries[i] = e, entries[n]
-			n++
-			orphanBytes += e.Bytes
+	cands := p.scratch[:0]
+	var covered int64
+	for _, e := range p.resident {
+		if !evictable(e) || !orphaned(p, e.Expert) {
+			continue
+		}
+		// Insertion-sort it into stage 1's order: orphans are a handful.
+		i := len(cands)
+		cands = append(cands, e)
+		for ; i > 0 && largerFirst(e, cands[i-1]); i-- {
+			cands[i] = cands[i-1]
+		}
+		cands[i] = e
+		covered += e.Bytes
+	}
+	for _, e := range p.resident {
+		if covered >= need {
+			break
+		}
+		if evictable(e) && !orphaned(p, e.Expert) {
+			cands = append(cands, e)
+			covered += e.Bytes
 		}
 	}
-	slices.SortFunc(entries[:n], func(a, b *Entry) int {
-		if c := cmp.Compare(b.Bytes, a.Bytes); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Expert.ID, b.Expert.ID)
-	})
-	if orphanBytes < need {
-		slices.SortFunc(entries[n:], func(a, b *Entry) int {
-			if c := cmp.Compare(a.Expert.UsageProb, b.Expert.UsageProb); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.Expert.ID, b.Expert.ID)
-		})
-	}
-	return p.takeUntil(entries, need)
+	p.scratch = cands
+	return p.takeUntil(cands, need)
 }
+
+// largerFirst is stage 1's order: descending size, ties on expert ID.
+func largerFirst(a, b *Entry) bool {
+	return a.Bytes > b.Bytes || a.Bytes == b.Bytes && a.Expert.ID < b.Expert.ID
+}
+
+// evictable reports whether a policy may choose the entry: it is loaded
+// and unpinned.
+func evictable(e *Entry) bool { return e.Status == Loaded && e.Pins == 0 }
 
 // orphaned reports whether the expert is a subsequent expert with none
 // of its preliminary experts resident in the pool.
@@ -143,13 +151,24 @@ type ProbOnly struct{}
 // Name implements Policy.
 func (ProbOnly) Name() string { return "prob-only" }
 
-// Victims implements Policy.
+// Victims implements Policy. The pool's resident list is already in
+// ascending (UsageProb, ID) order — what a stable sort by usage of the
+// ID-ordered candidates gives — so the victims are its first evictable
+// entries.
 func (ProbOnly) Victims(p *Pool, need int64) []coe.ExpertID {
-	entries := p.LoadedUnpinned()
-	slices.SortStableFunc(entries, func(a, b *Entry) int {
-		return cmp.Compare(a.Expert.UsageProb, b.Expert.UsageProb)
-	})
-	return p.takeUntil(entries, need)
+	out := p.victims[:0]
+	var freed int64
+	for _, e := range p.resident {
+		if freed >= need {
+			break
+		}
+		if evictable(e) {
+			out = append(out, e.Expert.ID)
+			freed += e.Bytes
+		}
+	}
+	p.victims = out
+	return out
 }
 
 // PolicyByName returns a policy implementation by its Name.

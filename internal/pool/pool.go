@@ -7,7 +7,9 @@
 package pool
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/coe"
@@ -79,15 +81,21 @@ type Pool struct {
 	// the serve path never grows it.
 	entries []*Entry
 	seq     int64
+	// resident holds the same entries in ascending (UsageProb, ID) order
+	// — stage 2's eviction order, fixed per model — so the usage-ordered
+	// policies walk it instead of sorting. An expert's UsageProb must not
+	// change while a pool holds it.
+	resident []*Entry
 
 	// tally, when set by TrackResidency, holds one residency counter per
 	// expert at tally[id*stride], kept current on every insert and evict.
 	tally  []uint8
 	stride int
 
-	// scratch backs LoadedUnpinned and victims backs the policies'
-	// results, so every eviction decision reuses one candidate buffer and
-	// one victim buffer instead of allocating fresh slices.
+	// scratch backs LoadedUnpinned and the policies' candidate lists and
+	// victims backs their results, so every eviction decision reuses one
+	// candidate buffer and one victim buffer instead of allocating fresh
+	// slices.
 	scratch []*Entry
 	victims []coe.ExpertID
 	// spare holds evicted entries for Acquire to reuse.
@@ -132,10 +140,8 @@ func (p *Pool) Presize(n int) {
 // at most 255 pools may share one tally.
 func (p *Pool) TrackResidency(cells []uint8, stride int) {
 	p.tally, p.stride = cells, stride
-	for _, e := range p.entries {
-		if e != nil {
-			p.tally[int(e.Expert.ID)*stride]++
-		}
+	for _, e := range p.resident {
+		p.tally[int(e.Expert.ID)*stride]++
 	}
 }
 
@@ -152,9 +158,20 @@ func (p *Pool) put(e *Entry) {
 	id := int(e.Expert.ID)
 	p.Presize(id + 1)
 	p.entries[id] = e
+	i, _ := slices.BinarySearchFunc(p.resident, e, byUsage)
+	p.resident = slices.Insert(p.resident, i, e)
 	if p.tally != nil {
 		p.tally[id*p.stride]++
 	}
+}
+
+// byUsage orders entries by ascending usage probability, ties broken on
+// expert ID.
+func byUsage(a, b *Entry) int {
+	if c := cmp.Compare(a.Expert.UsageProb, b.Expert.UsageProb); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Expert.ID, b.Expert.ID)
 }
 
 // Name reports the pool name.
@@ -178,8 +195,8 @@ func (p *Pool) Resident(id coe.ExpertID) bool { return p.entry(id) != nil }
 // Loaded returns the number of resident experts.
 func (p *Pool) Loaded() int {
 	n := 0
-	for _, e := range p.entries {
-		if e != nil && e.Status == Loaded {
+	for _, e := range p.resident {
+		if e.Status == Loaded {
 			n++
 		}
 	}
@@ -208,9 +225,10 @@ func (p *Pool) ResetStats() {
 }
 
 // Preload inserts an expert without cost, for the expert initializer
-// (§4.1). It reports false when the expert does not fit.
+// (§4.1). It reports false when the expert does not fit; an expert
+// already resident, loaded or loading, needs nothing.
 func (p *Pool) Preload(e *coe.Expert) bool {
-	if p.IsLoaded(e.ID) {
+	if p.Resident(e.ID) {
 		return true
 	}
 	bytes := e.WeightBytes()
@@ -339,10 +357,18 @@ func (p *Pool) evict(need int64) {
 	if freed < need {
 		panic(fmt.Sprintf("pool %s: policy freed %d of %d needed bytes", p.name, freed, need))
 	}
+	kept := p.resident[:0]
+	for _, e := range p.resident {
+		if p.entries[e.Expert.ID] != nil {
+			kept = append(kept, e)
+		}
+	}
+	clear(p.resident[len(kept):])
+	p.resident = kept
 }
 
 // LoadedUnpinned returns resident, unpinned entries in ascending
-// ExpertID order — the stable candidate list handed to policies. The
+// ExpertID order — the stable candidate list LRU and FIFO sort. The
 // returned slice is only valid until the next call: it is a reused
 // scratch buffer that policies may reorder but must not retain.
 func (p *Pool) LoadedUnpinned() []*Entry {

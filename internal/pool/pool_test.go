@@ -485,26 +485,29 @@ func TestTrackResidency(t *testing.T) {
 	}
 }
 
-// refDepAware is the two-slice, stable-sort DepAware that the in-place
-// implementation replaced, kept as the reference the equivalence test
-// compares against.
+// refDepAware is DepAware as two stable sorts of the ID-ordered
+// candidates, orphans by size and the rest by usage probability: the
+// reference the walks of the resident list are checked against.
 type refDepAware struct{}
 
 func (refDepAware) Name() string { return "ref-dep-aware" }
 
-func (refDepAware) Victims(p *Pool, need int64) []coe.ExpertID {
-	takeUntil := func(entries []*Entry, need int64) []coe.ExpertID {
-		var out []coe.ExpertID
-		var freed int64
-		for _, e := range entries {
-			if freed >= need {
-				break
-			}
-			out = append(out, e.Expert.ID)
-			freed += e.Bytes
+// refTakeUntil collects entries' IDs in order, into a fresh slice, until
+// their sizes cover need.
+func refTakeUntil(entries []*Entry, need int64) []coe.ExpertID {
+	var out []coe.ExpertID
+	var freed int64
+	for _, e := range entries {
+		if freed >= need {
+			break
 		}
-		return out
+		out = append(out, e.Expert.ID)
+		freed += e.Bytes
 	}
+	return out
+}
+
+func (refDepAware) Victims(p *Pool, need int64) []coe.ExpertID {
 	var orphans, rest []*Entry
 	for _, e := range p.LoadedUnpinned() {
 		if orphaned(p, e.Expert) {
@@ -516,7 +519,7 @@ func (refDepAware) Victims(p *Pool, need int64) []coe.ExpertID {
 	slices.SortStableFunc(orphans, func(a, b *Entry) int {
 		return cmp.Compare(b.Bytes, a.Bytes)
 	})
-	out := takeUntil(orphans, need)
+	out := refTakeUntil(orphans, need)
 	var freed int64
 	for _, id := range out {
 		freed += p.entry(id).Bytes
@@ -527,7 +530,17 @@ func (refDepAware) Victims(p *Pool, need int64) []coe.ExpertID {
 	slices.SortStableFunc(rest, func(a, b *Entry) int {
 		return cmp.Compare(a.Expert.UsageProb, b.Expert.UsageProb)
 	})
-	return append(out, takeUntil(rest, need-freed)...)
+	return append(out, refTakeUntil(rest, need-freed)...)
+}
+
+// refProbOnly is the stable sort by usage probability of the ID-ordered
+// candidates that ProbOnly's walk of the resident list replaced.
+func refProbOnly(p *Pool, need int64) []coe.ExpertID {
+	entries := slices.Clone(p.LoadedUnpinned())
+	slices.SortStableFunc(entries, func(a, b *Entry) int {
+		return cmp.Compare(a.Expert.UsageProb, b.Expert.UsageProb)
+	})
+	return refTakeUntil(entries, need)
 }
 
 // TestDepAwareMatchesReference draws random pools — roles, dependency
@@ -536,41 +549,12 @@ func (refDepAware) Victims(p *Pool, need int64) []coe.ExpertID {
 // sequence, for needs that stage 1 covers alone and needs it does not.
 func TestDepAwareMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20250314))
-	archs := []model.Architecture{model.ResNet101, model.YOLOv5m, model.YOLOv5l}
-	probs := []float64{0.05, 0.1, 0.1, 0.2, 0.3}
 	var stage1Only, stage2 int
 	for trial := 0; trial < 500; trial++ {
 		// Up to 60 experts with a per-trial subsequent share, so both
-		// parts often exceed the 12 elements below which the sort would
-		// be an insertion sort, stable whatever its tie-break.
+		// parts often hold more than a handful of candidates.
 		n := 2 + rng.Intn(60)
-		subShare := rng.Float64()
-		b := coe.NewBuilder("prop")
-		var prelim, subs []coe.ExpertID
-		for i := 0; i < n; i++ {
-			role := coe.Preliminary
-			if rng.Float64() < subShare {
-				role = coe.Subsequent
-			}
-			id := b.AddExpert("e", archs[rng.Intn(len(archs))], role)
-			if role == coe.Preliminary {
-				prelim = append(prelim, id)
-			} else {
-				subs = append(subs, id)
-			}
-		}
-		for _, s := range subs {
-			for k := rng.Intn(3); k > 0 && len(prelim) > 0; k-- {
-				b.Link(prelim[rng.Intn(len(prelim))], s)
-			}
-		}
-		m, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range m.Experts() {
-			e.UsageProb = probs[rng.Intn(len(probs))]
-		}
+		m := randomModel(t, rng, n)
 		env := sim.NewEnv()
 		store := NewStore(env, hw.NUMADevice(), 0)
 		p := newPool(env, store, int64(n)*model.YOLOv5l.WeightBytes(), DepAware{})
@@ -719,5 +703,188 @@ func TestSharedAcquireWaitsForLoad(t *testing.T) {
 	}
 	if pins := p.entry(e.ID).Pins; pins != 2 {
 		t.Errorf("pins = %d, want 2", pins)
+	}
+}
+
+// randomModel builds a model of n experts with random architectures,
+// roles, dependency links and usage probabilities drawn from a small set,
+// so ties on usage probability and on size are common.
+func randomModel(t *testing.T, rng *rand.Rand, n int) *coe.Model {
+	t.Helper()
+	archs := []model.Architecture{model.ResNet101, model.YOLOv5m, model.YOLOv5l}
+	probs := []float64{0.05, 0.1, 0.1, 0.2, 0.3}
+	subShare := rng.Float64()
+	b := coe.NewBuilder("prop")
+	var prelim, subs []coe.ExpertID
+	for i := 0; i < n; i++ {
+		role := coe.Preliminary
+		if rng.Float64() < subShare {
+			role = coe.Subsequent
+		}
+		id := b.AddExpert("e", archs[rng.Intn(len(archs))], role)
+		if role == coe.Preliminary {
+			prelim = append(prelim, id)
+		} else {
+			subs = append(subs, id)
+		}
+	}
+	for _, s := range subs {
+		for k := rng.Intn(3); k > 0 && len(prelim) > 0; k-- {
+			b.Link(prelim[rng.Intn(len(prelim))], s)
+		}
+	}
+	m, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range m.Experts() {
+		e.UsageProb = probs[rng.Intn(len(probs))]
+	}
+	return m
+}
+
+// TestResidentOrderUnderRandomOps drives random Preload, Acquire,
+// Release and direct evict steps — from one process, and from three
+// sharing one pool — and after every step checks that the pool's
+// resident list is exactly a fresh (UsageProb, ID) sort of its entries,
+// and that DepAware and ProbOnly pick exactly the victims of the
+// sorting references for several needs.
+func TestResidentOrderUnderRandomOps(t *testing.T) {
+	for _, sharers := range []int{1, 3} {
+		rng := rand.New(rand.NewSource(int64(17 + sharers)))
+		var steps, stage2, evicted int
+		for trial := 0; trial < 40; trial++ {
+			m := randomModel(t, rng, 4+rng.Intn(40))
+			env := sim.NewEnv()
+			store := NewStore(env, hw.NUMADevice(), 3*model.YOLOv5l.WeightBytes())
+			// Each sharer pins at most two experts, so eight of the
+			// largest always leave room for a switch.
+			p := newPool(env, store, 8*model.YOLOv5l.WeightBytes(), DepAware{})
+			check := func(when string) {
+				steps++
+				var want []*Entry
+				for _, e := range p.entries {
+					if e != nil {
+						want = append(want, e)
+					}
+				}
+				slices.SortFunc(want, func(a, b *Entry) int {
+					if c := cmp.Compare(a.Expert.UsageProb, b.Expert.UsageProb); c != 0 {
+						return c
+					}
+					return cmp.Compare(a.Expert.ID, b.Expert.ID)
+				})
+				if !slices.Equal(p.resident, want) {
+					t.Fatalf("sharers %d trial %d after %s: resident list out of order", sharers, trial, when)
+				}
+				var unpinned, orphanBytes int64
+				for _, e := range p.LoadedUnpinned() {
+					unpinned += e.Bytes
+					if orphaned(p, e.Expert) {
+						orphanBytes += e.Bytes
+					}
+				}
+				if unpinned == 0 {
+					return
+				}
+				for k := 0; k < 3; k++ {
+					need := 1 + rng.Int63n(unpinned+unpinned/4)
+					if need > orphanBytes {
+						stage2++
+					}
+					got := slices.Clone(DepAware{}.Victims(p, need))
+					if want := (refDepAware{}).Victims(p, need); !slices.Equal(got, want) {
+						t.Fatalf("sharers %d trial %d after %s, need %d: DepAware victims %v, reference %v",
+							sharers, trial, when, need, got, want)
+					}
+					got = slices.Clone(ProbOnly{}.Victims(p, need))
+					if want := refProbOnly(p, need); !slices.Equal(got, want) {
+						t.Fatalf("sharers %d trial %d after %s, need %d: ProbOnly victims %v, reference %v",
+							sharers, trial, when, need, got, want)
+					}
+				}
+			}
+			for _, e := range m.Experts() {
+				if rng.Intn(2) == 0 {
+					p.Preload(e)
+					check("setup preload")
+				}
+			}
+			for s := 0; s < sharers; s++ {
+				env.Go("sharer", func(proc *sim.Proc) {
+					var held []coe.ExpertID
+					for op := 0; op < 60; op++ {
+						e := m.Expert(coe.ExpertID(rng.Intn(m.NumExperts())))
+						switch r := rng.Intn(10); {
+						case r < 4 && len(held) < 2:
+							p.Acquire(proc, e)
+							held = append(held, e.ID)
+							check("acquire")
+						case r < 7 && len(held) > 0:
+							k := rng.Intn(len(held))
+							p.Release(held[k])
+							held = slices.Delete(held, k, k+1)
+							check("release")
+						case r < 8:
+							p.Preload(e)
+							check("preload")
+						case r < 9:
+							var unpinned int64
+							for _, c := range p.LoadedUnpinned() {
+								unpinned += c.Bytes
+							}
+							if unpinned > 0 {
+								p.evict(1 + rng.Int63n(unpinned))
+								evicted++
+								check("evict")
+							}
+						default:
+							proc.Sleep(time.Duration(rng.Intn(200)) * time.Millisecond)
+						}
+					}
+					for _, id := range held {
+						p.Release(id)
+					}
+					check("final release")
+				})
+			}
+			env.Run()
+		}
+		t.Logf("sharers %d: %d checked steps, %d draws needing stage 2, %d direct evictions", sharers, steps, stage2, evicted)
+		if stage2 < 100 || evicted < 50 {
+			t.Errorf("sharers %d: %d draws needing stage 2 and %d direct evictions; want at least 100 and 50", sharers, stage2, evicted)
+		}
+	}
+}
+
+// TestHostCacheRedemoteBecomesMostRecent: two GPU pools share a store,
+// so an expert one pool evicts can already sit in the host cache because
+// the other pool evicted it earlier. Demoting it again must make it the
+// most recent entry, so the next demotion into the full cache evicts the
+// entry behind it instead.
+func TestHostCacheRedemoteBecomesMostRecent(t *testing.T) {
+	env, store, m := testWorld(t, 2*rn101, 5)
+	a := newPool(env, store, rn101, LRU{})
+	b := New("gpu1", rn101, store, memory.TierGPU, LRU{}, env.Now)
+	a.Preload(m.Expert(0))
+	b.Preload(m.Expert(0))
+	env.Go("switches", func(proc *sim.Proc) {
+		for _, step := range []struct {
+			p  *Pool
+			id coe.ExpertID
+		}{
+			{a, 1}, // a demotes 0: cache [0]
+			{a, 2}, // a demotes 1: cache [0 1]
+			{b, 3}, // b demotes 0, already cached: cache [1 0]
+			{a, 4}, // a demotes 2, evicting the least recent: cache [0 2]
+		} {
+			step.p.Acquire(proc, m.Expert(step.id))
+			step.p.Release(step.id)
+		}
+	})
+	env.Run()
+	if !store.Cached(0) || store.Cached(1) || !store.Cached(2) || store.CacheLen() != 2 {
+		t.Errorf("cached 0/1/2 = %v/%v/%v with %d entries, want true/false/true with 2",
+			store.Cached(0), store.Cached(1), store.Cached(2), store.CacheLen())
 	}
 }

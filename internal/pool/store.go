@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/coe"
@@ -56,7 +57,7 @@ func (s *Store) CacheBytes() int64 {
 
 // Cached reports whether the expert currently sits in the host cache.
 func (s *Store) Cached(id coe.ExpertID) bool {
-	return s.cache != nil && s.cache.contains(id)
+	return s.cache != nil && s.cache.find(id) >= 0
 }
 
 // CacheLen reports the number of cached experts.
@@ -64,7 +65,7 @@ func (s *Store) CacheLen() int {
 	if s.cache == nil {
 		return 0
 	}
-	return len(s.cache.entries)
+	return len(s.cache.lru)
 }
 
 // Fetch brings the expert's weights into the destination tier on behalf
@@ -103,81 +104,62 @@ func (s *Store) demote(e *coe.Expert, from memory.Tier) {
 
 // hostCache is an LRU cache of deserialized experts in CPU memory.
 type hostCache struct {
-	arena   *memory.Arena
-	entries map[coe.ExpertID]cacheEntry
-	seq     int64
+	arena *memory.Arena
+	// lru holds the cached experts least recently demoted first. The
+	// cache holds a few dozen experts at most, so scanning it beats a map.
+	lru []cached
 }
 
-type cacheEntry struct {
+type cached struct {
+	id    coe.ExpertID
 	bytes int64
-	used  int64
 }
 
 func newHostCache(capacity int64) *hostCache {
-	return &hostCache{
-		arena:   memory.NewArena("hostcache", capacity),
-		entries: make(map[coe.ExpertID]cacheEntry),
-	}
+	return &hostCache{arena: memory.NewArena("hostcache", capacity)}
 }
 
-func (c *hostCache) contains(id coe.ExpertID) bool {
-	_, ok := c.entries[id]
-	return ok
+// find returns the expert's position in the recency list, or -1.
+func (c *hostCache) find(id coe.ExpertID) int {
+	for i, e := range c.lru {
+		if e.id == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // take removes the expert from the cache, reporting whether it was there.
 func (c *hostCache) take(id coe.ExpertID) bool {
-	entry, ok := c.entries[id]
-	if !ok {
+	i := c.find(id)
+	if i < 0 {
 		return false
 	}
-	delete(c.entries, id)
-	c.arena.Release(entry.bytes)
+	c.arena.Release(c.lru[i].bytes)
+	c.lru = slices.Delete(c.lru, i, i+1)
 	return true
 }
 
-// insert adds the expert, evicting least-recently-used entries to make
-// room. Experts larger than the whole cache are not cached.
+// insert adds the expert as the most recent entry, evicting
+// least-recently-used entries to make room; an expert already cached
+// just becomes the most recent. Experts larger than the whole cache are
+// not cached.
 func (c *hostCache) insert(e *coe.Expert) {
 	bytes := e.WeightBytes()
 	if bytes > c.arena.Capacity() {
 		return
 	}
-	if c.contains(e.ID) {
-		c.touch(e.ID)
+	if i := c.find(e.ID); i >= 0 {
+		hit := c.lru[i]
+		c.lru = append(slices.Delete(c.lru, i, i+1), hit)
 		return
 	}
-	for c.arena.Free() < bytes {
-		c.evictLRU()
+	for c.arena.Free() < bytes { // bytes fits the capacity: the list never runs dry
+		c.arena.Release(c.lru[0].bytes)
+		c.lru = slices.Delete(c.lru, 0, 1)
 	}
 	if err := c.arena.Reserve(bytes); err != nil {
 		panic("pool: host cache accounting broken: " + err.Error())
 	}
-	c.seq++
-	c.entries[e.ID] = cacheEntry{bytes: bytes, used: c.seq}
-}
-
-func (c *hostCache) touch(id coe.ExpertID) {
-	if entry, ok := c.entries[id]; ok {
-		c.seq++
-		entry.used = c.seq
-		c.entries[id] = entry
-	}
-}
-
-func (c *hostCache) evictLRU() {
-	var victim coe.ExpertID = -1
-	var oldest int64 = 1<<63 - 1
-	//detlint:allow min-fold with a total tie-break on id: the victim is order-independent
-	for id, entry := range c.entries {
-		if entry.used < oldest || (entry.used == oldest && id < victim) {
-			victim, oldest = id, entry.used
-		}
-	}
-	if victim < 0 {
-		panic("pool: host cache eviction with no entries")
-	}
-	entry := c.entries[victim]
-	delete(c.entries, victim)
-	c.arena.Release(entry.bytes)
+	c.lru = append(c.lru, cached{id: e.ID, bytes: bytes})
 }

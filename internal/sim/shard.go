@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -30,9 +29,11 @@ import (
 // The partitions active in a round step one after another on the
 // caller's goroutine, in ascending partition order. Cross-partition
 // events posted during a round buffer in per-partition outboxes and
-// merge after the round in (time, source partition, post order) order,
-// each assigned the target's next sequence numbers in that order — the
-// event order every pinned output depends on.
+// merge after the round in (source partition, post order) order, each
+// assigned the target's next sequence number in that order. Targets
+// order events by (time, sequence), so the posts run in (time, source
+// partition, post order) order — the event order every pinned output
+// depends on.
 //
 // The rounds could run in parallel, but on every workload the
 // repository ships they would not pay: Stats counts the rounds and
@@ -53,7 +54,6 @@ type Sharded struct {
 
 	nodePhase bool  // set for the duration of a worker-partition round
 	active    []int // scratch: partition indices running this round
-	merged    []outPost
 	stats     ShardStats
 
 	// The frontier index: fkey[p] is worker partition p's earliest
@@ -276,8 +276,8 @@ func (s *Sharded) runRound(w Time) {
 // into s.active, ascending. The frontier heap bounds the walk: a heap
 // node with key >= w has no descendant below w, so the DFS visits only
 // active partitions plus their immediate fringe instead of all N. The
-// ascending sort is load-bearing — merge's stable sort relies on
-// outboxes being appended in ascending source-partition order.
+// ascending sort is load-bearing: merge drains the outboxes in this
+// order, which is the same-instant tie order of cross-partition posts.
 func (s *Sharded) collectActive(w Time) {
 	s.active = s.active[:0]
 	s.fstack = append(s.fstack[:0], 0)
@@ -299,29 +299,19 @@ func (s *Sharded) collectActive(w Time) {
 	slices.Sort(s.active)
 }
 
-// merge drains the round's outboxes into their target partitions in
-// (time, source partition, post order) order.
+// merge drains the round's outboxes into their target partitions, in
+// ascending source partition and each in post order. No sort by time is
+// needed: a target heap orders by (time, sequence), so only the order of
+// posts for the same instant matters, and this drain order sets it.
 func (s *Sharded) merge() {
-	s.merged = s.merged[:0]
 	for _, i := range s.active {
 		e := s.parts[i]
-		s.merged = append(s.merged, e.outbox...)
 		for j := range e.outbox {
-			e.outbox[j].msg = nil
+			p := &e.outbox[j]
+			s.parts[p.target].scheduleMsg(p.at, p.msg)
+			p.msg = nil
 		}
 		e.outbox = e.outbox[:0]
-	}
-	if len(s.merged) == 0 {
-		return
-	}
-	// Outboxes were appended in ascending source-partition order with
-	// per-source post order preserved, so a stable sort by time alone
-	// yields (time, source partition, post order).
-	slices.SortStableFunc(s.merged, func(a, b outPost) int { return cmp.Compare(a.at, b.at) })
-	for i := range s.merged {
-		p := &s.merged[i]
-		s.parts[p.target].scheduleMsg(p.at, p.msg)
-		p.msg = nil
 	}
 }
 

@@ -138,9 +138,7 @@ func fingerprintsEqual(a, b []float64) bool {
 
 // TestSketchMergeExact: sharding a sample across sketches and merging
 // — in any order or grouping — must fingerprint identically to one
-// sketch that saw every sample. This is the property the cluster
-// report relies on: per-node sketches merge exactly into the fleet
-// sketch.
+// sketch that saw every sample.
 func TestSketchMergeExact(t *testing.T) {
 	for name, xs := range adversarialSamples(t) {
 		single := sketchOf(xs)
