@@ -87,11 +87,12 @@ bench-chaos:
 	$(GO) test -bench BenchmarkChaosServe -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchguard -baseline BENCH_chaos.json
 
 # bench-shard reproduces (and gates) the BENCH_kernel.json measurement:
-# the classic event loop, the single-node serve loop, the scheduler
-# inner loop, the sharded kernel's pooled-message hot path in isolation
-# (BenchmarkShardedKernel), and a warm dependency-aware victim selection
-# (BenchmarkDepAwareEviction). `make bench` (and the CI bench
-# job) already executes these once; this target is the recorded
-# baseline's regeneration recipe.
+# the classic event loop, the event heap at depth (BenchmarkTimerChurn:
+# 1,000 pending timers under cancel/re-arm churn), the single-node serve
+# loop, the scheduler inner loop, the sharded kernel's pooled-message hot
+# path in isolation (BenchmarkShardedKernel), and a warm
+# dependency-aware victim selection (BenchmarkDepAwareEviction). `make
+# bench` (and the CI bench job) already executes these once; this target
+# is the recorded baseline's regeneration recipe.
 bench-shard:
-	$(GO) test -bench 'BenchmarkSimKernel|BenchmarkPoissonServe$$|BenchmarkMinMaxAssign|BenchmarkShardedKernel|BenchmarkDepAwareEviction' -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchguard -baseline BENCH_kernel.json
+	$(GO) test -bench 'BenchmarkSimKernel|BenchmarkTimerChurn|BenchmarkPoissonServe$$|BenchmarkMinMaxAssign|BenchmarkShardedKernel|BenchmarkDepAwareEviction' -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchguard -baseline BENCH_kernel.json

@@ -2,6 +2,7 @@ package coserve_test
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strconv"
 	"strings"
@@ -287,6 +288,34 @@ func BenchmarkSimKernel(b *testing.B) {
 			})
 		}
 		env.Run()
+	}
+}
+
+// BenchmarkTimerChurn prices the event heap at depth, which
+// BenchmarkSimKernel's four processes never reach: about 1,000 pending
+// AfterFunc timers, and each step cancels a random one and re-arms it
+// (the hedge-timer pattern), then advances the clock by a microsecond,
+// firing about one timer, which re-arms itself. A step allocates
+// nothing: cancelled and fired events go back to the free list.
+func BenchmarkTimerChurn(b *testing.B) {
+	const pending = 1000
+	env := sim.NewEnv()
+	rng := rand.New(rand.NewSource(1))
+	timers := make([]sim.Timer, pending)
+	arm := make([]func(), pending)
+	for i := range arm {
+		arm[i] = func() {
+			timers[i] = env.AfterFunc(time.Duration(1+rng.Int63n(int64(2*time.Millisecond))), arm[i])
+		}
+		arm[i]()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := rng.Intn(pending)
+		env.Cancel(timers[k])
+		arm[k]()
+		env.RunUntil(env.Now().Add(time.Microsecond))
 	}
 }
 

@@ -57,6 +57,9 @@ type System struct {
 	activeGPU, activeCPU int
 	activeQueues         []*sched.Queue
 	activeIdx            []int
+	// queued is the backlog across activeQueues, kept current by the
+	// queues themselves (sched.Queue.CountInto).
+	queued int
 
 	ctrl    *controller
 	picks   []int
@@ -344,20 +347,30 @@ func (s *System) setActive(gpu, cpu int) {
 	s.activeGPU, s.activeCPU = gpu, cpu
 	if gpu == s.cfg.GPUExecutors && cpu == s.cfg.CPUExecutors {
 		s.activeQueues, s.activeIdx = s.queues, nil
-		return
+	} else {
+		if s.activeIdx == nil {
+			s.activeQueues = nil // was aliasing s.queues; start a private set
+		}
+		s.activeQueues, s.activeIdx = s.activeQueues[:0], s.activeIdx[:0]
+		for i := 0; i < gpu; i++ {
+			s.activeQueues = append(s.activeQueues, s.queues[i])
+			s.activeIdx = append(s.activeIdx, i)
+		}
+		for i := 0; i < cpu; i++ {
+			gi := s.cfg.GPUExecutors + i
+			s.activeQueues = append(s.activeQueues, s.queues[gi])
+			s.activeIdx = append(s.activeIdx, gi)
+		}
 	}
-	if s.activeIdx == nil {
-		s.activeQueues = nil // was aliasing s.queues; start a private set
+	// Only active queues count toward the backlog: detach them all, then
+	// attach the active set and recount.
+	s.queued = 0
+	for _, q := range s.queues {
+		q.CountInto(nil)
 	}
-	s.activeQueues, s.activeIdx = s.activeQueues[:0], s.activeIdx[:0]
-	for i := 0; i < gpu; i++ {
-		s.activeQueues = append(s.activeQueues, s.queues[i])
-		s.activeIdx = append(s.activeIdx, i)
-	}
-	for i := 0; i < cpu; i++ {
-		gi := s.cfg.GPUExecutors + i
-		s.activeQueues = append(s.activeQueues, s.queues[gi])
-		s.activeIdx = append(s.activeIdx, gi)
+	for _, q := range s.activeQueues {
+		q.CountInto(&s.queued)
+		s.queued += q.Len()
 	}
 }
 
@@ -366,13 +379,8 @@ func (s *System) setActive(gpu, cpu int) {
 func (s *System) Active() (gpu, cpu int) { return s.activeGPU, s.activeCPU }
 
 // Queued implements control.View: the backlog across active queues.
-func (s *System) Queued() int {
-	n := 0
-	for _, q := range s.activeQueues {
-		n += q.Len()
-	}
-	return n
-}
+// The active queues keep s.queued current, so this is a field read.
+func (s *System) Queued() int { return s.queued }
 
 // PredictLatency implements control.View: the predicted end-to-end
 // latency of a request admitted now. Its current stage is priced as the

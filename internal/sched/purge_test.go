@@ -49,3 +49,47 @@ func TestPurgeReturnsBacklogInOrder(t *testing.T) {
 		t.Fatalf("post-purge drain = %v", batch)
 	}
 }
+
+// TestCountIntoTracksBacklog: two queues sharing one owner counter keep
+// it equal to the sum of their lengths through Enqueue, TakeFromHead
+// and Purge; a detached queue keeps working but stops moving it.
+func TestCountIntoTracksBacklog(t *testing.T) {
+	env := sim.NewEnv()
+	a, b := testQueue(t, env, ModeGrouped), testQueue(t, env, ModeFIFO)
+	var backlog int
+	a.CountInto(&backlog)
+	b.CountInto(&backlog)
+	want := func(step string, n int) {
+		t.Helper()
+		if backlog != n || backlog != a.Len()+b.Len() {
+			t.Fatalf("%s: counter = %d, want %d (queues hold %d + %d)", step, backlog, n, a.Len(), b.Len())
+		}
+	}
+	for i, e := range []coe.ExpertID{1, 1, 2, 3} {
+		a.Enqueue(expert(e), req(int64(i), e))
+		b.Enqueue(expert(e), req(int64(10+i), e))
+	}
+	want("enqueue", 8)
+	a.TakeFromHead(1)
+	want("take one", 7)
+	a.TakeFromHead(4) // the rest of the expert-1 group: one request
+	b.TakeFromHead(2)
+	want("take groups", 4)
+	if got := len(a.Purge()); got != 2 {
+		t.Fatalf("purged %d requests, want 2", got)
+	}
+	want("purge", 2)
+
+	b.CountInto(nil)
+	backlog -= b.Len() // the owner recounts without b
+	b.Enqueue(expert(4), req(20, 4))
+	b.TakeFromHead(1)
+	b.Purge()
+	if backlog != 0 {
+		t.Errorf("detached queue moved the counter to %d", backlog)
+	}
+	a.Enqueue(expert(5), req(21, 5))
+	if backlog != 1 {
+		t.Errorf("attached queue's enqueue left the counter at %d, want 1", backlog)
+	}
+}

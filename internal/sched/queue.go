@@ -98,6 +98,10 @@ type Queue struct {
 	items   int
 	pending time.Duration // predicted cost of all unstarted groups
 
+	// backlog is the owner's request counter this queue keeps current
+	// (see CountInto); nil when the queue counts into nothing.
+	backlog *int
+
 	// index holds one cell per ExpertID so the per-arrival questions —
 	// "is there a group to merge into?" (mergeTarget) and "does any group
 	// use this expert?" (hasExpert) — are a slice read instead of a scan
@@ -155,6 +159,19 @@ func (q *Queue) Gate() *sim.Gate { return q.gate }
 
 // Len reports the number of queued requests.
 func (q *Queue) Len() int { return q.items }
+
+// CountInto makes the queue add every request it gains to *backlog and
+// subtract every one it loses, so an owner reads several queues' total
+// in O(1); nil detaches it. The owner sets the starting value itself.
+func (q *Queue) CountInto(backlog *int) { q.backlog = backlog }
+
+// count moves the queue's length and its owner's counter by n.
+func (q *Queue) count(n int) {
+	q.items += n
+	if q.backlog != nil {
+		*q.backlog += n
+	}
+}
 
 // Empty reports whether no requests are queued.
 func (q *Queue) Empty() bool { return q.items == 0 }
@@ -256,7 +273,7 @@ func (q *Queue) Enqueue(e *coe.Expert, r *coe.Request) {
 		}
 		q.pending += g.base + k
 	}
-	q.items++
+	q.count(1)
 	q.gate.Notify()
 }
 
@@ -335,7 +352,7 @@ func (q *Queue) TakeFromHead(n int) []*coe.Request {
 	}
 	batch := g.items[g.off : g.off+n : g.off+n]
 	g.off += n
-	q.items -= n
+	q.count(-n)
 	if g.Len() == 0 {
 		if q.mode == ModeFIFO {
 			q.index[g.Expert.ID]--
@@ -373,7 +390,7 @@ func (q *Queue) Purge() []*coe.Request {
 		q.groups[i] = nil
 	}
 	q.groups = q.groups[:0]
-	q.items = 0
+	q.count(-q.items)
 	q.pending = 0
 	clear(q.index)
 	return out

@@ -23,7 +23,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"iter"
 	"time"
@@ -64,40 +63,68 @@ type event struct {
 	next  *event  // free-list link
 }
 
-// eventHeap orders events by (time, sequence).
+// eventHeap is a binary min-heap of events ordered by (time, sequence),
+// a total order, so the pop sequence is fixed whatever the heap's shape.
+// Every move keeps the event's cached index in sync so Env.Cancel can
+// remove an event by index at any time.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+func (h eventHeap) less(a, b *event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-// Swap keeps the cached heap indices in sync so Env.Cancel can remove an
-// event by index at any time.
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
+// push adds ev and reports its final index.
+func (h *eventHeap) push(ev *event) int {
 	*h = append(*h, ev)
+	return h.up(len(*h) - 1)
 }
 
-// Pop clears the removed event's index: a stale index would let a later
+// remove takes the event at index i out of the heap (remove(0) pops the
+// earliest) and clears its index: a stale index would let a later
 // Cancel corrupt the heap by removing whatever event now sits there.
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+func (h *eventHeap) remove(i int) *event {
+	old, n := *h, len(*h)-1
+	ev := old[i]
+	old[i], old[n] = old[n], nil
+	*h = old[:n]
+	if i < n && !h.down(i) {
+		h.up(i)
+	}
 	ev.index = -1
-	*h = old[:n-1]
 	return ev
+}
+
+// up moves the event at i toward the root until its parent is earlier
+// and returns where it settled.
+func (h eventHeap) up(i int) int {
+	ev := h[i]
+	for ; i > 0 && h.less(ev, h[(i-1)/2]); i = (i - 1) / 2 {
+		h[i] = h[(i-1)/2]
+		h[i].index = i
+	}
+	h[i] = ev
+	ev.index = i
+	return i
+}
+
+// down moves the event at i toward the leaves until both children are
+// later and reports whether it moved.
+func (h eventHeap) down(i int) bool {
+	ev, i0 := h[i], i
+	for c := 2*i + 1; c < len(h); c = 2*i + 1 {
+		if c+1 < len(h) && h.less(h[c+1], h[c]) {
+			c++
+		}
+		if !h.less(h[c], ev) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = i
+		i = c
+	}
+	h[i] = ev
+	ev.index = i
+	return i > i0
 }
 
 // Env is a simulation environment: a virtual clock plus an event queue.
@@ -149,8 +176,7 @@ func (e *Env) newEvent(at Time) *event {
 		ev = &event{}
 	}
 	ev.at, ev.seq = at, e.seq
-	heap.Push(&e.events, ev)
-	if ev.index == 0 && e.shard != nil {
+	if e.events.push(ev) == 0 && e.shard != nil {
 		// The partition's frontier moved earlier: keep the Sharded
 		// kernel's frontier index in sync (a no-op outside its Run loop's
 		// coordinator phases — worker rounds refresh after the round).
@@ -238,7 +264,7 @@ func (e *Env) Cancel(t Timer) bool {
 		return false
 	}
 	wasHead := ev.index == 0
-	heap.Remove(&e.events, ev.index)
+	e.events.remove(ev.index)
 	e.releaseEvent(ev)
 	if wasHead && e.shard != nil {
 		// Cancelling the head raises the partition's frontier — e.g. a
@@ -250,7 +276,7 @@ func (e *Env) Cancel(t Timer) bool {
 
 // popEvent removes and returns the earliest pending event.
 func (e *Env) popEvent() *event {
-	return heap.Pop(&e.events).(*event)
+	return e.events.remove(0)
 }
 
 // dispatch fires one popped event: wake events resume their process,

@@ -1,10 +1,10 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -459,12 +459,12 @@ func TestEventHeapOrderProperty(t *testing.T) {
 		var h eventHeap
 		for i, raw := range times {
 			at := Time(int64(raw)&0x7fff) * Time(time.Millisecond)
-			heap.Push(&h, &event{at: at, seq: int64(i)})
+			h.push(&event{at: at, seq: int64(i)})
 		}
 		lastAt := Time(-1)
 		lastSeq := int64(-1)
-		for h.Len() > 0 {
-			ev := heap.Pop(&h).(*event)
+		for len(h) > 0 {
+			ev := h.remove(0)
 			if ev.at < lastAt {
 				return false
 			}
@@ -652,12 +652,80 @@ func TestHeapPopClearsIndex(t *testing.T) {
 	var h eventHeap
 	evs := []*event{{at: 1, seq: 1}, {at: 2, seq: 2}, {at: 3, seq: 3}}
 	for _, ev := range evs {
-		heap.Push(&h, ev)
+		h.push(ev)
 	}
-	for h.Len() > 0 {
-		ev := heap.Pop(&h).(*event)
+	for len(h) > 0 {
+		ev := h.remove(0)
 		if ev.index != -1 {
 			t.Fatalf("popped event seq %d kept heap index %d", ev.seq, ev.index)
+		}
+	}
+}
+
+// TestEventHeapRandomOps drives the heap with random pushes, removals
+// by cached index (Env.Cancel's path) and pops. After every operation
+// each event's index must match its slot and every parent must precede
+// its children; the pops must come out in (at, seq) order, and the
+// events still queued at the end must drain in the sorted order of the
+// survivors.
+func TestEventHeapRandomOps(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		var h eventHeap
+		live := map[*event]bool{}
+		check := func(op string) {
+			t.Helper()
+			for i, ev := range h {
+				if ev.index != i {
+					t.Fatalf("trial %d after %s: h[%d].index = %d", trial, op, i, ev.index)
+				}
+				if i > 0 && h.less(ev, h[(i-1)/2]) {
+					t.Fatalf("trial %d after %s: h[%d] precedes its parent", trial, op, i)
+				}
+			}
+			if len(h) != len(live) {
+				t.Fatalf("trial %d after %s: heap holds %d events, want %d", trial, op, len(h), len(live))
+			}
+		}
+		var seq int64
+		for op := 0; op < 300; op++ {
+			switch k := rng.Intn(10); {
+			case k < 5 || len(h) == 0:
+				seq++
+				ev := &event{at: Time(rng.Intn(20)), seq: seq}
+				h.push(ev)
+				live[ev] = true
+				check("push")
+			case k < 8:
+				ev := h[rng.Intn(len(h))]
+				if got := h.remove(ev.index); got != ev || ev.index != -1 {
+					t.Fatalf("trial %d: remove returned seq %d (index %d), want seq %d", trial, got.seq, ev.index, ev.seq)
+				}
+				delete(live, ev)
+				check("remove")
+			default:
+				ev := h.remove(0)
+				for other := range live {
+					if other != ev && h.less(other, ev) {
+						t.Fatalf("trial %d: popped (%d, %d) while (%d, %d) was queued", trial, ev.at, ev.seq, other.at, other.seq)
+					}
+				}
+				if ev.index != -1 {
+					t.Fatalf("trial %d: popped event kept index %d", trial, ev.index)
+				}
+				delete(live, ev)
+				check("pop")
+			}
+		}
+		want := make([]*event, 0, len(live))
+		for ev := range live {
+			want = append(want, ev)
+		}
+		sort.Slice(want, func(i, j int) bool { return h.less(want[i], want[j]) })
+		for i, w := range want {
+			if got := h.remove(0); got != w {
+				t.Fatalf("trial %d: drain pop %d = (%d, %d), want (%d, %d)", trial, i, got.at, got.seq, w.at, w.seq)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/coe"
@@ -172,6 +173,10 @@ func (t *ArrivalTrace) Write(w io.Writer) error {
 const (
 	maxTraceString = 1 << 12 // stream / tenant name bytes
 	maxTraceChain  = 1 << 10 // stages per request
+	// maxTracePresize caps the entry slice ReadTrace allocates up front:
+	// the count is only a claim until the entries are read, so a longer
+	// trace grows by append.
+	maxTracePresize = 1 << 12
 )
 
 // ReadTrace reads a trace in the format Write produces.
@@ -190,6 +195,15 @@ func ReadTrace(r io.Reader) (*ArrivalTrace, error) {
 			return 0, fmt.Errorf("workload: reading trace %s: %w", what, err)
 		}
 		return v, nil
+	}
+	// readBounded reads a value that must fit its signed Go type: a
+	// larger one would wrap, so it reads back as a different trace.
+	readBounded := func(what string, max uint64) (uint64, error) {
+		v, err := readUvarint(what)
+		if err == nil && v > max {
+			err = fmt.Errorf("workload: trace %s %d exceeds %d", what, v, max)
+		}
+		return v, err
 	}
 	readString := func(what string) (string, error) {
 		n, err := readUvarint(what + " length")
@@ -218,15 +232,15 @@ func ReadTrace(r io.Reader) (*ArrivalTrace, error) {
 	if count > DrainCap {
 		return nil, fmt.Errorf("workload: trace claims %d entries, above the %d cap", count, DrainCap)
 	}
-	t.Entries = make([]ArrivalEntry, 0, count)
+	t.Entries = make([]ArrivalEntry, 0, min(count, maxTracePresize))
 	for i := uint64(0); i < count; i++ {
 		var e ArrivalEntry
-		at, err := readUvarint("arrival offset")
+		at, err := readBounded("arrival offset", math.MaxInt64)
 		if err != nil {
 			return nil, err
 		}
 		e.At = time.Duration(at)
-		class, err := readUvarint("class")
+		class, err := readBounded("class", math.MaxInt)
 		if err != nil {
 			return nil, err
 		}
@@ -243,7 +257,7 @@ func ReadTrace(r io.Reader) (*ArrivalTrace, error) {
 		}
 		e.Chain = make([]coe.ExpertID, stages)
 		for j := range e.Chain {
-			id, err := readUvarint("chain expert")
+			id, err := readBounded("chain expert", math.MaxInt32)
 			if err != nil {
 				return nil, err
 			}
