@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check detlint ci bench-smoke bench race bench-cluster bench-fleet bench-chaos bench-shard cover
+.PHONY: all build test vet fmt-check detlint ci bench-smoke bench race bench-cluster bench-fleet bench-chaos bench-kernel cover
 
 all: build
 
@@ -86,13 +86,13 @@ bench-fleet:
 bench-chaos:
 	$(GO) test -bench BenchmarkChaosServe -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchguard -baseline BENCH_chaos.json
 
-# bench-shard reproduces (and gates) the BENCH_kernel.json measurement:
+# bench-kernel reproduces (and gates) the BENCH_kernel.json measurement:
 # the classic event loop, the event heap at depth (BenchmarkTimerChurn:
 # 1,000 pending timers under cancel/re-arm churn), the single-node serve
-# loop, the scheduler inner loop, the sharded kernel's pooled-message hot
-# path in isolation (BenchmarkShardedKernel), and a warm
+# loop, the scheduler inner loop, the pooled timed-message path in
+# isolation (BenchmarkPostMsg), and a warm
 # dependency-aware victim selection (BenchmarkDepAwareEviction). `make
 # bench` (and the CI bench job) already executes these once; this target
 # is the recorded baseline's regeneration recipe.
-bench-shard:
-	$(GO) test -bench 'BenchmarkSimKernel|BenchmarkTimerChurn|BenchmarkPoissonServe$$|BenchmarkMinMaxAssign|BenchmarkShardedKernel|BenchmarkDepAwareEviction' -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchguard -baseline BENCH_kernel.json
+bench-kernel:
+	$(GO) test -bench 'BenchmarkSimKernel|BenchmarkTimerChurn|BenchmarkPoissonServe$$|BenchmarkMinMaxAssign|BenchmarkPostMsg|BenchmarkDepAwareEviction' -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchguard -baseline BENCH_kernel.json

@@ -3,7 +3,6 @@ package coserve_test
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -63,31 +62,6 @@ func BenchmarkFigure19(b *testing.B) { benchExperiment(b, "fig19") }
 func BenchmarkExtEviction(b *testing.B)     { benchExperiment(b, "ext-evict") }
 func BenchmarkExtSSDSweep(b *testing.B)     { benchExperiment(b, "ext-ssd") }
 func BenchmarkExtArrivalSweep(b *testing.B) { benchExperiment(b, "ext-arrival") }
-
-// BenchmarkAllExperiments measures the full reproduction — every
-// registered experiment (paper figures, extensions, serve-*) on a fresh,
-// uncached context per iteration — sequentially and fanned out across
-// all cores through the parallel run engine. The wall-clock ratio of
-// the two sub-benchmarks is the engine's speedup; the outputs are
-// byte-identical to the goldens (asserted by
-// TestParallelOutputByteIdentical in internal/experiments).
-func BenchmarkAllExperiments(b *testing.B) {
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("parallel=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ctx := coserve.NewExperimentContext()
-				ctx.SetParallel(workers)
-				outs, err := coserve.RunExperiments(ctx, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(outs) != len(coserve.Experiments()) {
-					b.Fatalf("regenerated %d of %d experiments", len(outs), len(coserve.Experiments()))
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkTaskA1 measures one full, uncached Task A1 simulation per
 // system variant on the NUMA device and reports the achieved virtual
@@ -539,44 +513,41 @@ func BenchmarkFleetServe(b *testing.B) {
 			run(b, requests, coserve.Interconnect{})
 		})
 	}
-	// Sharded row: the same fleet served over a minimal interconnect
-	// (100µs dispatch, 50µs intra-board for the first 16 nodes, 300µs
-	// beyond — small against the 500ms SLO), which moves the cluster
-	// onto the sharded kernel: 101 partitions advanced in rounds under
-	// conservative lookahead. It prices the partitioned kernel and the
-	// timed offer/fold protocol against the classic rows. Every offer
-	// and completion ack crossing the wire is a pooled typed message, so
-	// the row lands within a few percent of the classic kernel's
-	// allocations — what remains above it is the extra timed events, the
-	// modeled cost of distribution. The shards=1 suffix is the name the
-	// recorded baseline row carries.
+	// Interconnect row: the same fleet served over a minimal
+	// interconnect (100µs dispatch, 50µs intra-board for the first 16
+	// nodes, 300µs beyond — small against the 500ms SLO), so every offer
+	// and completion ack is a timed hop. It prices the timed offer/fold
+	// protocol against the zero-latency rows. Every hop is a pooled
+	// typed message, so the row lands within a few percent of their
+	// allocations — what remains above them is the extra timed events,
+	// the modeled cost of distribution.
 	ic := coserve.Interconnect{
 		Dispatch:   100 * time.Microsecond,
 		IntraBoard: 50 * time.Microsecond,
 		InterNode:  300 * time.Microsecond,
 		BoardSize:  16,
 	}
-	b.Run(fmt.Sprintf("nodes=%d/requests=%d/shards=1", fleetNodes, 100_000), func(b *testing.B) {
+	b.Run(fmt.Sprintf("nodes=%d/requests=%d/interconnect", fleetNodes, 100_000), func(b *testing.B) {
 		run(b, 100_000, ic)
 	})
 }
 
-// echoHarness is BenchmarkShardedKernel's workload: pooled messages
-// ping-ponging between worker partitions, exercising exactly the
-// kernel hot path — frontier-indexed round scheduling, coordinator
-// batch stepping, outbox merges, and a message free list — with no
-// cluster, routing, or node model on top.
+// echoHarness is BenchmarkPostMsg's workload: pooled messages
+// ping-ponging between places on one environment, exercising exactly
+// the timed-message hot path — heap insertion, closure-free dispatch
+// and a message free list — with no cluster, routing, or node model on
+// top.
 type echoHarness struct {
-	s     *sim.Sharded
-	la    time.Duration
+	env   *sim.Env
+	hop   time.Duration
 	free  *echoMsg
-	count []int // per-partition deliveries
+	count []int // per-place deliveries
 }
 
 type echoMsg struct {
 	h    *echoHarness
-	from int // posting partition: the pong target
-	part int // delivery partition
+	from int // posting place: the pong target
+	part int // delivery place
 	hops int // remaining round trips
 	next *echoMsg
 }
@@ -592,8 +563,8 @@ func (h *echoHarness) newMsg() *echoMsg {
 }
 
 // Deliver implements sim.Message: count the hop, recycle the carrier,
-// and pong back with a deterministic per-hop delay spread so rounds
-// overlap different partition subsets.
+// and pong back with a deterministic per-hop delay spread so the
+// chains interleave.
 func (m *echoMsg) Deliver(at sim.Time) {
 	h := m.h
 	from, part, hops := m.from, m.part, m.hops
@@ -606,49 +577,41 @@ func (m *echoMsg) Deliver(at sim.Time) {
 	nm := h.newMsg()
 	nm.from, nm.part, nm.hops = part, from, hops-1
 	jitter := time.Duration((hops*31+part*17)%97) * time.Microsecond
-	h.s.PostMsg(h.s.Part(part), from, at.Add(h.la+jitter), nm)
+	h.env.PostMsg(at.Add(h.hop+jitter), nm)
 }
 
-// BenchmarkShardedKernel prices the sharded kernel alone: parts-1
-// worker partitions exchanging pooled echo messages under conservative
-// lookahead — pure kernel overhead. Allocations are the regression gate
-// (BENCH_kernel.json via `make bench-shard`): the message pool holds
-// the whole run to a near-constant alloc count regardless of hop
-// volume. The workers=1 suffix is the name the recorded baseline row
-// carries.
-func BenchmarkShardedKernel(b *testing.B) {
+// BenchmarkPostMsg prices the timed-message path alone: 32 chains of
+// 512 round trips between 8 places, every hop a pooled echo message
+// posted with Env.PostMsg — pure kernel overhead. Allocations are the
+// regression gate (BENCH_kernel.json via `make bench-kernel`): the
+// message pool holds the whole run to a near-constant alloc count
+// regardless of hop volume.
+func BenchmarkPostMsg(b *testing.B) {
 	const (
-		parts  = 9
+		places = 8
 		chains = 32
 		hops   = 512
-		la     = 500 * time.Microsecond
+		hop    = 500 * time.Microsecond
 	)
-	b.Run(fmt.Sprintf("parts=%d/workers=1", parts), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			h := &echoHarness{
-				s:     sim.NewSharded(parts, la),
-				la:    la,
-				count: make([]int, parts),
-			}
-			coord := h.s.Part(0)
-			for c := 0; c < chains; c++ {
-				m := h.newMsg()
-				m.from = 1 + c%(parts-1)
-				m.part = 1 + (c*5+3)%(parts-1)
-				m.hops = hops
-				h.s.PostMsg(coord, m.part, sim.Time(0).Add(time.Duration(c)*137*time.Microsecond), m)
-			}
-			h.s.Run()
-			total := 0
-			for _, n := range h.count {
-				total += n
-			}
-			if want := chains * (hops + 1); total != want {
-				b.Fatalf("delivered %d messages, want %d", total, want)
-			}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h := &echoHarness{env: sim.NewEnv(), hop: hop, count: make([]int, places)}
+		for c := 0; c < chains; c++ {
+			m := h.newMsg()
+			m.from = c % places
+			m.part = (c*5 + 3) % places
+			m.hops = hops
+			h.env.PostMsg(sim.Time(0).Add(time.Duration(c)*137*time.Microsecond), m)
 		}
-	})
+		h.env.Run()
+		total := 0
+		for _, n := range h.count {
+			total += n
+		}
+		if want := chains * (hops + 1); total != want {
+			b.Fatalf("delivered %d messages, want %d", total, want)
+		}
+	}
 }
 
 // BenchmarkChaosServe measures the fault-injected serving path: a

@@ -157,8 +157,8 @@ func main() {
 		}
 		// Wall time is never gated — it varies with the machine — but the
 		// observed-vs-baseline ratio surfaces speedups and regressions in
-		// CI logs (e.g. the sharded kernel's scaling, or a serializing
-		// change sneaking into the hot path). When the baseline sets an
+		// CI logs (e.g. a serializing change sneaking into the hot
+		// path). When the baseline sets an
 		// ns_factor, blowing past it upgrades the line to a WARN so a
 		// wall-time cliff stands out in the log — still exit 0.
 		if rec.nsPerOp > 0 {

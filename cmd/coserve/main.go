@@ -128,10 +128,8 @@ commands:
                router, -fleet-autoscale R drains/resumes nodes to
                track the offered rate at R req/s per node (needs
                -window), and -interconnect d/i/x@b models front-end→
-               node dispatch latency and engages the sharded
-               deterministic kernel — every node simulates in its own
-               partition, advanced in rounds under conservative
-               lookahead;
+               node dispatch latency — every offer and ack becomes a
+               timed hop;
                -cpuprofile/-memprofile write pprof profiles of the serve
   profile      run the offline profiler and print the performance matrix`)
 }
@@ -382,7 +380,7 @@ func cmdServe(args []string) error {
 	hedgeAfter := fs.Duration("hedge-after", 0, "hedge requests still leased after this deadline to another node; first completion wins, losers count as wasted work (0 = off; needs -nodes >= 2)")
 	clusterAdmit := fs.String("cluster-admit", "", "cluster-level admission policy in front of the router: accept, bounded, token, shed (same knobs as -admit; empty = admit everything)")
 	fleetScale := fs.Float64("fleet-autoscale", 0, "drain/resume cluster nodes to track the offered rate at this many req/s per node (0 = off; needs -window and -nodes >= 2)")
-	interconnect := fs.String("interconnect", "", `cluster interconnect hop model: dispatch/intra-board/inter-node one-way latencies with an optional @board-size, e.g. "200us/100us/600us@2" (nodes past board-size pay the inter-node class); enables the sharded deterministic kernel — the front end and every node simulate in their own partitions, advanced in rounds under conservative lookahead (needs -nodes >= 2; empty = zero-latency offers on the classic single-environment kernel)`)
+	interconnect := fs.String("interconnect", "", `cluster interconnect hop model: dispatch/intra-board/inter-node one-way latencies with an optional @board-size, e.g. "200us/100us/600us@2" (nodes past board-size pay the inter-node class); every offer and ack then lands one hop after it is sent (needs -nodes >= 2; each hop at most 1m; empty = zero-latency offers)`)
 	record := fs.String("record", "", "record the served arrival stream to this trace file (first round)")
 	traceFile := fs.String("trace", "", "arrival trace file to serve for -arrival replay")
 	if err := fs.Parse(args); err != nil {
@@ -698,8 +696,8 @@ func cmdServe(args []string) error {
 		}
 		where := fmt.Sprintf("%d×%s under %s (router %s, placement %s)",
 			*nodes, dev.Name, variant, router.Name(), placement.Name())
-		if cl.Sharded() {
-			where += fmt.Sprintf(", sharded kernel (%d partitions)", *nodes+1)
+		if ic.Enabled() {
+			where += fmt.Sprintf(", interconnect %s", *interconnect)
 		}
 		if plan != nil && !plan.Empty() {
 			where += fmt.Sprintf(", %d faults scheduled", len(plan.Events))
@@ -731,9 +729,9 @@ func cmdServe(args []string) error {
 // parseInterconnect parses the -interconnect hop-model syntax:
 // dispatch/intra-board/inter-node one-way latencies with an optional
 // @board-size suffix, e.g. "200us/100us/600us@2". An empty spec returns
-// the zero model (interconnect disabled, classic kernel). The cluster
-// validates the assembled model (non-negative hops, positive lookahead)
-// when it is configured.
+// the zero model (interconnect disabled). The cluster validates the
+// assembled model (non-negative hops, a positive hop to every node, no
+// hop above the ceiling) when it is configured.
 func parseInterconnect(spec string) (coserve.Interconnect, error) {
 	var ic coserve.Interconnect
 	if spec == "" {

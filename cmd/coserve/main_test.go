@@ -52,6 +52,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"serve", "-nodes", "0"},
 		{"serve", "-nodes", "2", "-router", "telepathic"},
 		{"serve", "-nodes", "2", "-placement", "everywhere"},
+		// A hop so long that its landing instant would overflow the clock.
+		{"serve", "-nodes", "2", "-n", "20", "-interconnect", "2562047h/0s/0s"},
 		{"serve", "-arrival", "replay"}, // replay without -trace
 		{"serve", "-arrival", "replay", "-trace", "/does/not/exist"},
 	}
@@ -242,8 +244,8 @@ func capture(t *testing.T, args []string) string {
 var hostDependent = regexp.MustCompile(`\(simulated in .* of wall time\)`)
 
 // TestServeClusterOutput pins `coserve serve`'s full cluster report —
-// fault-free, scripted crash/recover/drain, and MTBF churn over the
-// sharded kernel — byte for byte against testdata goldens, with the
+// fault-free, scripted crash/recover/drain, and MTBF churn over an
+// interconnect — byte for byte against testdata goldens, with the
 // host-dependent text masked.
 func TestServeClusterOutput(t *testing.T) {
 	cases := []struct {

@@ -25,9 +25,8 @@
 //   - goroutine launches and sync/sync.atomic use inside the kernel
 //     packages (internal/sim, internal/cluster): the kernel orders
 //     every event itself and runs them all on its caller's goroutine —
-//     processes are coroutines, and the sharded kernel steps its
-//     partitions one after another — so its state is never guarded by
-//     locks.
+//     processes are coroutines, and a whole fleet shares one event
+//     kernel — so its state is never guarded by locks.
 //
 // A finding is silenced by a `//detlint:allow <reason>` comment on the
 // offending line or the line above it — the reason is the point: every

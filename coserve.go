@@ -342,10 +342,8 @@ type (
 	// (ClusterConfig.Hedge).
 	HedgeConfig = cluster.HedgeConfig
 	// Interconnect models per-hop front-end→node dispatch latency
-	// (ClusterConfig.Interconnect). Enabling it moves the cluster onto
-	// the sharded deterministic kernel: the front end and every node
-	// simulate in their own partitions, advanced in rounds under the
-	// model's conservative lookahead.
+	// (ClusterConfig.Interconnect). Enabled, every offer and ack is a
+	// timed message, delivered one hop latency after it is sent.
 	Interconnect = cluster.Interconnect
 	// NodeState is a node's lifecycle state (up, draining, down).
 	NodeState = core.NodeState

@@ -8,17 +8,17 @@ import (
 	"repro/internal/workload"
 )
 
-// TestShardedSteadyStateAllocsPin pins the sharded hot path's
+// TestShardedSteadyStateAllocsPin pins the interconnect hot path's
 // allocation discipline: once the message, hold and lease pools, arena,
 // and sketches are warm, a full stream of offer → accept fold → completion
 // fold round trips across the interconnect must stay within a small
-// per-request allocation budget. A leak in any pool — messages drifting
-// between partition free lists, leases never released, requests not
+// per-request allocation budget. A leak in any pool — messages never
+// returned to the free list, leases never released, requests not
 // recycled — shows up here as a per-request slope, not a constant.
 func TestShardedSteadyStateAllocsPin(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
 	arena := coe.NewArena()
-	cfg := shardConfig(t, nil, HealthConfig{}, HedgeConfig{})
+	cfg := interconnectConfig(t, nil, HealthConfig{}, HedgeConfig{})
 	cfg.Arena = arena
 	cfg.Percentiles = core.PercentilesSketch
 	for i := range cfg.Nodes {
@@ -62,7 +62,7 @@ func TestShardedSteadyStateAllocsPin(t *testing.T) {
 	perReq := avg / n
 	t.Logf("allocs: %.0f total, %.3f per request", avg, perReq)
 	if perReq > 1.5 {
-		t.Errorf("steady-state sharded serve allocates %.3f per request (%.0f total for %d), want <= 1.5",
+		t.Errorf("steady-state interconnect serve allocates %.3f per request (%.0f total for %d), want <= 1.5",
 			perReq, avg, n)
 	}
 }

@@ -27,7 +27,7 @@ type chaosState struct {
 	// Exactly-once accounting: at every fault boundary,
 	// arrivals == completions + terminalRejected + leased + len(pending)
 	//           + offersInFlight.
-	// The last term is non-zero only on the sharded kernel: a lease's
+	// The last term is non-zero only over an interconnect: a lease's
 	// offer crossing the interconnect holds its request's accounting
 	// token until the fold lands it in one of the other buckets.
 	// hedgeOffers tracks in-flight hedge copies separately — duplicates
@@ -40,9 +40,9 @@ type chaosState struct {
 	hedgeOffers      int64 // hedge offers on the wire
 	violations       []string
 
-	// lastCrash holds each node's latest crash instant this stream. On
-	// the sharded kernel an accept fold still on the wire when its node
-	// crashed names an admission the crash already purged.
+	// lastCrash holds each node's latest crash instant this stream.
+	// Over an interconnect an accept fold still on the wire when its
+	// node crashed names an admission the crash already purged.
 	lastCrash []sim.Time
 
 	// The report's counter groups, incremented in place. Every copy a

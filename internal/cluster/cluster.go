@@ -25,10 +25,11 @@
 // lease for it, offers it to a node under a hold — its record of that
 // one copy — and lands the node's answers — accepted, rejected,
 // bounced, completed, dropped — as folds that resolve the lease exactly
-// once and account for every copy exactly once. Only the transport differs
-// between kernels: with no Interconnect the whole fleet shares one
-// environment and every hop is delivered synchronously at the sending
-// instant; with one, each hop is a timed cross-partition event.
+// once and account for every copy exactly once. The front end and every
+// node run on one environment; only the transport depends on the
+// Interconnect: with none every hop is delivered synchronously at the
+// sending instant, with one each hop is a timed message one hop latency
+// later.
 package cluster
 
 import (
@@ -105,16 +106,13 @@ type Config struct {
 	Hedge HedgeConfig
 
 	// Interconnect models the dispatch latency between the front end
-	// and its nodes. Enabling it moves the cluster onto the sharded
-	// event kernel — every node in its own partition, offers and acks
-	// as timed cross-partition events. The zero value disables the
-	// model: the fleet shares one environment and the same offers and
-	// acks are delivered synchronously.
+	// and its nodes: enabled, every offer and ack is a timed message one
+	// hop latency after it is sent. The zero value disables the model:
+	// the same offers and acks are delivered synchronously.
 	Interconnect Interconnect
-	// Shards once set the sharded kernel's worker count.
+	// Shards once set the worker count of a partitioned event kernel.
 	//
-	// Deprecated: ignored. The sharded kernel steps its partitions on
-	// the calling goroutine.
+	// Deprecated: ignored. Every fleet runs on one event kernel.
 	Shards int
 }
 
@@ -176,11 +174,8 @@ type Cluster struct {
 	// cells current on every insert and evict.
 	resident []uint8
 
-	// kernel is the sharded event kernel when Config.Interconnect is
-	// enabled (env then aliases its coordinator partition); nil keeps
-	// the classic single shared environment. latency caches each
-	// node's one-way hop cost.
-	kernel  *sim.Sharded
+	// latency caches each node's one-way hop cost; nil when
+	// Config.Interconnect is disabled and hops are synchronous.
 	latency []time.Duration
 	// msgFree is the free list of pooled protocol messages.
 	msgFree *shardMsg
@@ -263,15 +258,12 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 	c.drainOn = make([]bool, len(cfg.Nodes))
 	c.drainStart = make([]sim.Time, len(cfg.Nodes))
 	c.scalerDrained = make([]bool, len(cfg.Nodes))
+	c.env = sim.NewEnv()
 	if cfg.Interconnect.Enabled() {
-		c.kernel = sim.NewSharded(1+len(cfg.Nodes), cfg.Interconnect.Lookahead(len(cfg.Nodes)))
-		c.env = c.kernel.Part(0)
 		c.latency = make([]time.Duration, len(cfg.Nodes))
 		for i := range c.latency {
 			c.latency[i] = cfg.Interconnect.NodeLatency(i)
 		}
-	} else {
-		c.env = sim.NewEnv()
 	}
 	if c.router == nil {
 		c.router = LeastLoaded{}
@@ -320,12 +312,7 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 			nc.Preload = plan[i]
 		}
 		nc.Percentiles = cfg.Percentiles
-		env := c.env
-		if c.kernel != nil {
-			// Each node simulates in its own partition.
-			env = c.kernel.Part(1 + i)
-		}
-		sys, err := core.NewSystemInEnv(nc, m, env)
+		sys, err := core.NewSystemInEnv(nc, m, c.env)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %s: %w", nc.ID, err)
 		}
@@ -371,29 +358,6 @@ func (d *nodeDelegate) RequestDropped(now sim.Time, r *coe.Request) {
 // Nodes exposes the fleet (read-only use).
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 
-// Sharded reports whether the cluster runs on the sharded event
-// kernel; false means the classic single shared environment.
-func (c *Cluster) Sharded() bool { return c.kernel != nil }
-
-// KernelStats reports the sharded kernel's round counters, accumulated
-// over every stream this cluster served; zero on the classic kernel.
-func (c *Cluster) KernelStats() sim.ShardStats {
-	if c.kernel == nil {
-		return sim.ShardStats{}
-	}
-	return c.kernel.Stats()
-}
-
-// runKernel drives the stream to completion on whichever kernel the
-// cluster was built over.
-func (c *Cluster) runKernel() {
-	if c.kernel != nil {
-		c.kernel.Run()
-		return
-	}
-	c.env.Run()
-}
-
 // Runs reports how many streams the cluster has served.
 func (c *Cluster) Runs() int { return c.runs }
 
@@ -422,11 +386,7 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 	defer func() { c.serving = false }()
 
 	if c.runs > 0 {
-		if c.kernel != nil {
-			c.kernel.Reopen()
-		} else {
-			c.env.Reopen()
-		}
+		c.env.Reopen()
 		c.recorder.Reset()
 		clear(c.routed)
 	}
@@ -443,7 +403,7 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 				for _, m := range c.nodes[:i] {
 					m.sys.CloseStream()
 				}
-				c.runKernel()
+				c.env.Run()
 				for _, m := range c.nodes[:i] {
 					m.sys.StreamReport()
 				}
@@ -467,7 +427,7 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 		c.env.Go("cluster/health", c.healthLoop)
 	}
 	c.env.Go("cluster/arrivals", func(p *sim.Proc) { c.admit(p, src) })
-	c.runKernel()
+	c.env.Run()
 
 	cs := c.chaos
 	cs.verify(c.env.Now(), "stream end")

@@ -14,12 +14,10 @@ import (
 // class per board tier, applied at the front-end/node seam only
 // (intra-node traffic already runs under the per-device cost model).
 //
-// Enabling the interconnect switches the cluster onto the sharded
-// event kernel: each node simulates in its own partition, synchronized
-// conservatively under a lookahead equal to the minimum modeled hop
-// latency. The zero value disables the model entirely: the fleet shares
-// one environment and the same offers and folds are delivered at the
-// instant they are sent.
+// Enabled, every hop is a timed message on the fleet's one event
+// kernel, delivered one NodeLatency after it is sent. The zero value
+// disables the model entirely: the same offers and folds are delivered
+// at the instant they are sent.
 type Interconnect struct {
 	// Dispatch is the base per-hop dispatch latency every offer and
 	// acknowledgment pays regardless of destination.
@@ -36,7 +34,7 @@ type Interconnect struct {
 }
 
 // Enabled reports whether any latency component is configured — the
-// switch that engages the sharded kernel.
+// switch that makes hops timed.
 func (ic Interconnect) Enabled() bool {
 	return ic.Dispatch > 0 || ic.IntraBoard > 0 || ic.InterNode > 0
 }
@@ -51,21 +49,10 @@ func (ic Interconnect) NodeLatency(i int) time.Duration {
 	return ic.Dispatch + hop
 }
 
-// Lookahead is the conservative synchronization horizon the sharded
-// kernel runs under: the minimum one-way hop latency over the fleet.
-// No cross-partition effect can propagate faster than it.
-func (ic Interconnect) Lookahead(nodes int) time.Duration {
-	min := time.Duration(-1)
-	for i := 0; i < nodes; i++ {
-		if d := ic.NodeLatency(i); min < 0 || d < min {
-			min = d
-		}
-	}
-	if min < 0 {
-		min = 0
-	}
-	return min
-}
+// maxHop is the longest one-way hop validate accepts. Modeled hops are
+// microseconds to milliseconds; the ceiling keeps now + hop, the
+// instant a hop lands, far from overflowing the simulation clock.
+const maxHop = time.Minute
 
 // validate checks the model for a fleet of the given size.
 func (ic Interconnect) validate(nodes int) error {
@@ -76,8 +63,17 @@ func (ic Interconnect) validate(nodes int) error {
 	if !ic.Enabled() {
 		return nil
 	}
-	if la := ic.Lookahead(nodes); la <= 0 {
-		return fmt.Errorf("cluster: enabled Interconnect needs a positive hop latency to every node (lookahead %v); give Dispatch or the hop class of the nearest node a positive value", la)
+	if d := max(ic.Dispatch, ic.IntraBoard, ic.InterNode); d > maxHop {
+		// Checked first: a sum of such components can wrap negative.
+		return fmt.Errorf("cluster: Interconnect latency %v is above the %v hop ceiling", d, maxHop)
+	}
+	for i := 0; i < nodes; i++ {
+		switch d := ic.NodeLatency(i); {
+		case d <= 0:
+			return fmt.Errorf("cluster: enabled Interconnect needs a positive hop latency to every node (node %d: %v); give Dispatch or the node's hop class a positive value", i, d)
+		case d > maxHop:
+			return fmt.Errorf("cluster: Interconnect hop to node %d is %v, above the %v ceiling", i, d, maxHop)
+		}
 	}
 	return nil
 }

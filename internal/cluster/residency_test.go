@@ -35,8 +35,8 @@ func checkResidency(c *Cluster) error {
 }
 
 // residencyChecker routes like its inner router and checks the residency
-// table before every pick. Picks run on the coordinator while it runs
-// alone, so scanning node pools there is safe on the sharded kernel too.
+// table before every pick. Picks run in front-end context on the
+// fleet's one event kernel, so scanning node pools there is safe.
 type residencyChecker struct {
 	inner Router
 	c     *Cluster
@@ -59,11 +59,11 @@ func (r *residencyChecker) Pick(now sim.Time, nodes []*Node, req *coe.Request) i
 // TestResidencyTableMatchesPools is the residency table's property test:
 // across random fleets under generated crash/recover plans, served twice
 // (the second serve a warm restart), the table equals a scan of every
-// node's pools at every routing decision and after every stream — on the
-// classic kernel and on the sharded one.
+// node's pools at every routing decision and after every stream — with
+// synchronous hops and over an interconnect.
 func TestResidencyTableMatchesPools(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
-	for _, sharded := range []bool{false, true} {
+	for _, timed := range []bool{false, true} {
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			n := 2 + rng.Intn(3)
@@ -80,33 +80,33 @@ func TestResidencyTableMatchesPools(t *testing.T) {
 				SLO:       time.Second,
 				Faults:    plan,
 			}
-			if sharded {
+			if timed {
 				cfg.Interconnect = testInterconnect
 			}
 			cl := buildCluster(t, cfg, board.Model)
 			chk.c = cl
 			if err := checkResidency(cl); err != nil {
-				t.Fatalf("sharded=%v seed=%d after placement: %v", sharded, seed, err)
+				t.Fatalf("timed=%v seed=%d after placement: %v", timed, seed, err)
 			}
 			for stream := int64(0); stream < 2; stream++ {
 				rate := 40 + 40*rng.Float64()
 				rep, err := cl.Serve(poissonFor(t, board, rate, 200, 10*seed+stream))
 				if err != nil {
-					t.Fatalf("sharded=%v seed=%d stream %d: %v", sharded, seed, stream, err)
+					t.Fatalf("timed=%v seed=%d stream %d: %v", timed, seed, stream, err)
 				}
 				if rep.Completions+rep.RedeliveredRejected != rep.N {
-					t.Errorf("sharded=%v seed=%d stream %d: %d completions + %d rejected != %d arrivals",
-						sharded, seed, stream, rep.Completions, rep.RedeliveredRejected, rep.N)
+					t.Errorf("timed=%v seed=%d stream %d: %d completions + %d rejected != %d arrivals",
+						timed, seed, stream, rep.Completions, rep.RedeliveredRejected, rep.N)
 				}
 				if chk.err != nil {
-					t.Fatalf("sharded=%v seed=%d stream %d: %v", sharded, seed, stream, chk.err)
+					t.Fatalf("timed=%v seed=%d stream %d: %v", timed, seed, stream, chk.err)
 				}
 				if err := checkResidency(cl); err != nil {
-					t.Fatalf("sharded=%v seed=%d after stream %d: %v", sharded, seed, stream, err)
+					t.Fatalf("timed=%v seed=%d after stream %d: %v", timed, seed, stream, err)
 				}
 			}
 			if chk.picks == 0 {
-				t.Fatalf("sharded=%v seed=%d: the router was never consulted", sharded, seed)
+				t.Fatalf("timed=%v seed=%d: the router was never consulted", timed, seed)
 			}
 		}
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the front end's request protocol, the one path every
-// offer, redelivery, hedge and completion takes on both kernels:
+// offer, redelivery, hedge and completion takes:
 //
 //	front end ── offer ──▶ node        (postOffer → nodeOffer)
 //	node      ── fold  ──▶ front end   (postFold → accept/reject/bounce/
@@ -24,21 +24,18 @@ import (
 // the tenant off the offer's lease, which nothing writes while the
 // offer flies).
 //
-// Only the transport depends on the kernel, and only postOffer and
-// postFold know which one runs. On the classic kernel the fleet shares
-// one environment and a hop is a direct call to deliverMsg at the
-// sending instant — not a zero-delay event, which would reorder
-// same-instant events. On the sharded kernel (Config.Interconnect) the
-// front end runs in the coordinator partition and every node in its own
-// worker partition, and a hop is a timed cross-partition event one
-// interconnect latency later.
+// The front end and every node run on the fleet's one environment.
+// Only the transport depends on Config.Interconnect, and only post
+// knows which one runs. With no interconnect a hop is a
+// direct call to deliverMsg at the sending instant — not a zero-delay
+// event, which would reorder same-instant events. With one, a hop is a
+// pooled message posted on the environment one hop latency later; it
+// orders against every other event by (time, sequence), so messages
+// due at one instant land in the order they were posted.
 //
-// Control verbs flow the other way without messages at all: a
-// coordinator event runs only when every node partition has advanced
-// past its timestamp with nothing pending before it, so fault
-// injection, drains, restarts, and stream close may call into node
-// state directly — the call lands at the node's current logical
-// instant.
+// Control verbs flow the other way without messages at all: fault
+// injection, drains, restarts, and stream close call into node state
+// directly, at the instant they run.
 //
 // Every hop is a pooled shardMsg — one typed union covering the whole
 // protocol — drawn from one free list and released on delivery, so the
@@ -50,12 +47,12 @@ import (
 type shardOp uint8
 
 const (
-	opOffer      shardOp = iota // coordinator → node: deliver a request to admission
-	opAccept                    // node → coordinator: admission succeeded, receipt enclosed
-	opReject                    // node → coordinator: admission refused
-	opBounce                    // node → coordinator: node not Up, request unopened
-	opCompletion                // node → coordinator: request finished, ack the lease
-	opRecycle                   // node → coordinator: return a dropped request to the arena
+	opOffer      shardOp = iota // front end → node: deliver a request to admission
+	opAccept                    // node → front end: admission succeeded, receipt enclosed
+	opReject                    // node → front end: admission refused
+	opBounce                    // node → front end: node not Up, request unopened
+	opCompletion                // node → front end: request finished, ack the lease
+	opRecycle                   // node → front end: return a dropped request to the arena
 )
 
 // shardMsg is the pooled protocol message: one union for every hop, so
@@ -71,8 +68,8 @@ type shardMsg struct {
 	next    *shardMsg // free-list link
 }
 
-// Deliver implements sim.Message: the sharded kernel invokes it in the
-// target partition at the scheduled instant.
+// Deliver implements sim.Message: the environment invokes it at the
+// instant the hop lands.
 func (m *shardMsg) Deliver(at sim.Time) { m.c.deliverMsg(m, at) }
 
 // newMsg draws a message from the free list.
@@ -133,8 +130,8 @@ func (c *Cluster) deliverMsg(m *shardMsg, at sim.Time) {
 
 // postOffer hands a copy of lease l's request to node idx — its primary
 // copy, or with hedge its speculative second one — under a fresh hold:
-// delivered at once on the classic kernel, one hop from now on the
-// sharded one. The offer is counted while it flies so exactly-once
+// delivered at once with no interconnect, one hop from now with one.
+// The offer is counted while it flies so exactly-once
 // verification and stream close account for it: a primary offer carries
 // the request's accounting token (its lease is in no other bucket
 // meanwhile), a hedge offer carries only duplicate work.
@@ -153,40 +150,36 @@ func (c *Cluster) postOffer(now sim.Time, idx int, l *lease, r *coe.Request, hed
 	}
 	m := c.newMsg()
 	m.op, m.r = opOffer, r
-	if c.kernel == nil {
-		c.deliverMsg(m, now)
-		return
-	}
-	c.kernel.PostMsg(c.env, 1+idx, now.Add(c.latency[idx]), m)
+	c.post(idx, now, m)
 }
 
 // postFold posts a fold verb from node idx to the front end: delivered
-// at once on the classic kernel, one hop after now on the sharded one.
-// The sharded post is legal from both phases: during a node round it
-// buffers in the partition outbox (the hop is >= the kernel lookahead by
-// construction); from coordinator context — crash purges calling the
-// drop delegate — it inserts directly.
+// at once with no interconnect, one hop after now with one.
 func (c *Cluster) postFold(idx int, now sim.Time, op shardOp, r *coe.Request, receipt core.Lease) {
 	m := c.newMsg()
 	m.op, m.r, m.receipt = op, r, receipt
-	if c.kernel == nil {
+	c.post(idx, now, m)
+}
+
+// post carries m across node idx's link, sent at now: the two
+// transports.
+func (c *Cluster) post(idx int, now sim.Time, m *shardMsg) {
+	if c.latency == nil {
 		c.deliverMsg(m, now)
 		return
 	}
-	c.kernel.PostMsg(c.kernel.Part(1+idx), 0, now.Add(c.latency[idx]), m)
+	c.env.PostMsg(now.Add(c.latency[idx]), m)
 }
 
 // nodeOffer runs in the context of the offer's node at its arrival
 // instant (now). It advances only node-local state, and reports the
-// outcome with a fold. On the sharded kernel the fold lands one hop
-// later — at least the kernel's lookahead after the node's now, which is
-// what lets the kernel advance node partitions in rounds.
+// outcome with a fold, which lands one hop later over an interconnect.
 func (c *Cluster) nodeOffer(now sim.Time, h *hold, r *coe.Request) {
 	idx := h.node
 	sys := c.nodes[idx].sys
 	if sys.State() != core.NodeUp {
 		// The node went down or started draining while the offer was on
-		// the wire: bounce it back unopened for the coordinator to
+		// the wire: bounce it back unopened for the front end to
 		// re-route.
 		c.postFold(idx, now, opBounce, r, core.Lease{})
 		return
@@ -200,7 +193,7 @@ func (c *Cluster) nodeOffer(now sim.Time, h *hold, r *coe.Request) {
 
 // acceptFold lands a successful admission on the front end: the hold
 // joins its node's list, and the fleet recorder, health scoring, and
-// hedge arming advance. On the sharded kernel a node can crash after
+// hedge arming advance. Over an interconnect a node can crash after
 // issuing the receipt, while the fold flies; it already purged the
 // request, so the copy is marked killed and a primary's lease is voided
 // on landing instead.
@@ -287,7 +280,7 @@ func (c *Cluster) rejectFold(now sim.Time, h *hold, hedge bool, r *coe.Request) 
 }
 
 // bounceFold lands an offer that found its node not Up: the request
-// never reached admission, so the coordinator re-routes it with
+// never reached admission, so the front end re-routes it with
 // current knowledge — re-picking for a primary copy (parking when
 // nothing is routable), re-arming the deadline for a hedge.
 func (c *Cluster) bounceFold(now sim.Time, h *hold, hedge bool, r *coe.Request) {
@@ -317,7 +310,7 @@ func (c *Cluster) bounceFold(now sim.Time, h *hold, hedge bool, r *coe.Request) 
 // hop included), restores a redelivered request's original arrival, and
 // turns any other held copy into a hedge-race loser. A loser's
 // completion counts as hedge waste; a copy a crash already killed — on
-// the sharded kernel its completion can cross the crash on the wire,
+// an interconnect its completion can cross the crash on the wire,
 // after the lease was voided — counts as a duplicate ack, never as a
 // completion.
 func (c *Cluster) completionFold(now sim.Time, h *hold, r *coe.Request) {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/workload"
 )
 
-// testInterconnect is the hop model the sharded tests run under: a
+// testInterconnect is the hop model the interconnect tests run under: a
 // split fleet with the first two nodes on the front end's board and a
 // slower class beyond it, so per-node latencies genuinely differ.
 var testInterconnect = Interconnect{
@@ -20,9 +20,9 @@ var testInterconnect = Interconnect{
 	BoardSize:  2,
 }
 
-// shardConfig builds a 4-node sharded fleet over the hop model with
+// interconnectConfig builds a 4-node fleet over the hop model with
 // the given lifecycle knobs.
-func shardConfig(t testing.TB, plan *sim.FaultPlan, health HealthConfig, hedge HedgeConfig) Config {
+func interconnectConfig(t testing.TB, plan *sim.FaultPlan, health HealthConfig, hedge HedgeConfig) Config {
 	t.Helper()
 	return Config{
 		Nodes:        Uniform(4, nodeConfig(t, hw.NUMADevice())),
@@ -36,9 +36,9 @@ func shardConfig(t testing.TB, plan *sim.FaultPlan, health HealthConfig, hedge H
 	}
 }
 
-// serveSharded runs one stream over a sharded fleet and returns the
-// normalized report.
-func serveSharded(t *testing.T, cfg Config, rate float64, n int, seed int64) *Report {
+// serveInterconnect runs one stream over an interconnect fleet and returns
+// the normalized report.
+func serveInterconnect(t *testing.T, cfg Config, rate float64, n int, seed int64) *Report {
 	t.Helper()
 	board := boardFor(t, workload.BoardA())
 	cl := buildCluster(t, cfg, board.Model)
@@ -59,9 +59,9 @@ const deprecatedShards = 3
 // reports are identical. It returns the first report.
 func serveTwice(t *testing.T, cfg Config, rate float64, n int, seed int64) *Report {
 	t.Helper()
-	want := serveSharded(t, cfg, rate, n, seed)
+	want := serveInterconnect(t, cfg, rate, n, seed)
 	cfg.Shards = deprecatedShards
-	if got := serveSharded(t, cfg, rate, n, seed); !reflect.DeepEqual(want, got) {
+	if got := serveInterconnect(t, cfg, rate, n, seed); !reflect.DeepEqual(want, got) {
 		t.Errorf("Shards=%d serve diverged from the first:\n%+v\nvs\n%+v", deprecatedShards, want, got)
 	}
 	return want
@@ -72,7 +72,7 @@ func serveTwice(t *testing.T, cfg Config, rate float64, n int, seed int64) *Repo
 // reports, imbalance — is identical on a second fleet, whatever the
 // deprecated Shards field says.
 func TestShardedFleetDeterministicAcrossShardCounts(t *testing.T) {
-	rep := serveTwice(t, shardConfig(t, nil, HealthConfig{}, HedgeConfig{}), 40, 200, 13)
+	rep := serveTwice(t, interconnectConfig(t, nil, HealthConfig{}, HedgeConfig{}), 40, 200, 13)
 	if rep.Completions == 0 || rep.N == 0 {
 		t.Fatalf("reference run served nothing: %d arrivals, %d completions", rep.N, rep.Completions)
 	}
@@ -88,7 +88,7 @@ func TestShardedChaosDeterministicAcrossShardCounts(t *testing.T) {
 		{At: 3 * time.Second, Node: 2, Kind: sim.FaultDrain},
 		{At: 4500 * time.Millisecond, Node: 2, Kind: sim.FaultRecover},
 	}}
-	rep := serveTwice(t, shardConfig(t, plan, HealthConfig{}, HedgeConfig{}), 30, 150, 9)
+	rep := serveTwice(t, interconnectConfig(t, plan, HealthConfig{}, HedgeConfig{}), 30, 150, 9)
 	if rep.LostLeases == 0 {
 		t.Fatal("crash voided no leases; the test exercises nothing")
 	}
@@ -105,11 +105,11 @@ func TestShardedGrayfailDeterministicAcrossShardCounts(t *testing.T) {
 		{At: 9 * time.Second, Node: 1, Kind: sim.FaultRecover},
 		{At: 9 * time.Second, Node: 2, Kind: sim.FaultRecover},
 	}}
-	serveTwice(t, shardConfig(t, plan, grayHealth, HedgeConfig{After: time.Second}), 8, 120, 20260807)
+	serveTwice(t, interconnectConfig(t, plan, grayHealth, HedgeConfig{After: time.Second}), 8, 120, 20260807)
 }
 
-// TestShardedExactlyOnceUnderChaos asserts the accounting contract on
-// the sharded kernel directly: every arrival resolves exactly once
+// TestShardedExactlyOnceUnderChaos asserts the accounting contract
+// over an interconnect directly: every arrival resolves exactly once
 // even with crashes racing completion acks across the interconnect,
 // and redelivery covers every voided lease.
 func TestShardedExactlyOnceUnderChaos(t *testing.T) {
@@ -119,7 +119,7 @@ func TestShardedExactlyOnceUnderChaos(t *testing.T) {
 		{At: 3 * time.Second, Node: 0, Kind: sim.FaultCrash},
 		{At: 4 * time.Second, Node: 0, Kind: sim.FaultRecover},
 	}}
-	rep := serveSharded(t, shardConfig(t, plan, HealthConfig{}, HedgeConfig{}), 30, 150, 11)
+	rep := serveInterconnect(t, interconnectConfig(t, plan, HealthConfig{}, HedgeConfig{}), 30, 150, 11)
 	if rep.N != 150 {
 		t.Fatalf("admitted %d of 150", rep.N)
 	}
@@ -136,10 +136,10 @@ func TestShardedExactlyOnceUnderChaos(t *testing.T) {
 	}
 }
 
-// TestShardedReopenDeterministic pins warm restarts on the sharded
-// kernel: consecutive Serve calls reopen every partition (worker
-// clocks lag the coordinator between streams), hedge timers and leases
-// from the first stream never leak into the second, and a second fleet
+// TestShardedReopenDeterministic pins warm restarts over an
+// interconnect: consecutive Serve calls reopen the environment, hedge
+// timers and leases from the first stream never leak into the second,
+// and a second fleet
 // — with the deprecated Shards field set — serves both streams
 // identically.
 func TestShardedReopenDeterministic(t *testing.T) {
@@ -149,7 +149,7 @@ func TestShardedReopenDeterministic(t *testing.T) {
 	}}
 	board := boardFor(t, workload.BoardA())
 	run := func(shards int) []*Report {
-		cfg := shardConfig(t, plan, grayHealth, HedgeConfig{After: time.Second})
+		cfg := interconnectConfig(t, plan, grayHealth, HedgeConfig{After: time.Second})
 		cfg.Shards = shards
 		cl := buildCluster(t, cfg, board.Model)
 		var reps []*Report
@@ -175,9 +175,9 @@ func TestShardedReopenDeterministic(t *testing.T) {
 }
 
 // TestShardedZeroInterconnectUnsharded pins the engagement seam: a
-// zero-valued Interconnect keeps the classic single-environment
-// cluster regardless of the deprecated Shards field, byte-identical to
-// a config that never mentions either knob.
+// zero-valued Interconnect keeps every hop synchronous regardless of
+// the deprecated Shards field, byte-identical to a config that never
+// mentions either knob.
 func TestShardedZeroInterconnectUnsharded(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
 	base := Config{
@@ -187,14 +187,11 @@ func TestShardedZeroInterconnectUnsharded(t *testing.T) {
 		SLO:       time.Second,
 	}
 	plain := buildCluster(t, base, board.Model)
-	if plain.Sharded() {
-		t.Fatal("latency-free cluster reports a sharded kernel")
-	}
 	shardy := base
 	shardy.Shards = 4
 	cl := buildCluster(t, shardy, board.Model)
-	if cl.Sharded() {
-		t.Fatal("Shards without an Interconnect must not engage the sharded kernel")
+	if plain.latency != nil || cl.latency != nil {
+		t.Fatal("a cluster without an Interconnect has timed hops")
 	}
 	a, err := plain.Serve(poissonFor(t, board, 40, 200, 13))
 	if err != nil {
@@ -217,20 +214,32 @@ func TestShardedConfigValidation(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"negative latency", func(c *Config) { c.Interconnect = Interconnect{Dispatch: -time.Millisecond} }},
-		{"zero lookahead", func(c *Config) {
+		{"zero hop", func(c *Config) {
 			// Enabled, but the front end's board reaches its nodes for free.
 			c.Interconnect = Interconnect{InterNode: time.Millisecond, BoardSize: 2}
 		}},
+		{"hop above the ceiling", func(c *Config) {
+			// now + hop would overflow the clock.
+			c.Interconnect = Interconnect{Dispatch: 2562047 * time.Hour}
+		}},
+		{"hops summing above the ceiling", func(c *Config) {
+			c.Interconnect = Interconnect{Dispatch: maxHop / 2, InterNode: maxHop, BoardSize: 2}
+		}},
 	}
 	for _, tc := range bad {
-		cfg := shardConfig(t, nil, HealthConfig{}, HedgeConfig{})
+		cfg := interconnectConfig(t, nil, HealthConfig{}, HedgeConfig{})
 		tc.mut(&cfg)
 		if _, err := New(cfg, board.Model); err == nil {
 			t.Errorf("%s: New accepted the config", tc.name)
 		}
 	}
-	if cl := buildCluster(t, shardConfig(t, nil, HealthConfig{}, HedgeConfig{}), board.Model); !cl.Sharded() {
-		t.Error("an enabled Interconnect did not engage the sharded kernel")
+	if cl := buildCluster(t, interconnectConfig(t, nil, HealthConfig{}, HedgeConfig{}), board.Model); cl.latency == nil {
+		t.Error("an enabled Interconnect did not make hops timed")
+	}
+	cfg := interconnectConfig(t, nil, HealthConfig{}, HedgeConfig{})
+	cfg.Interconnect = Interconnect{Dispatch: maxHop}
+	if _, err := New(cfg, board.Model); err != nil {
+		t.Errorf("a hop at the ceiling was refused: %v", err)
 	}
 }
 
@@ -238,15 +247,15 @@ func TestShardedConfigValidation(t *testing.T) {
 // costs something: the same stream served with a 10x slower
 // interconnect completes with a strictly higher mean latency.
 func TestShardedLatencyShowsUp(t *testing.T) {
-	fast := serveSharded(t, shardConfig(t, nil, HealthConfig{}, HedgeConfig{}), 40, 200, 13)
-	slowIC := shardConfig(t, nil, HealthConfig{}, HedgeConfig{})
+	fast := serveInterconnect(t, interconnectConfig(t, nil, HealthConfig{}, HedgeConfig{}), 40, 200, 13)
+	slowIC := interconnectConfig(t, nil, HealthConfig{}, HedgeConfig{})
 	slowIC.Interconnect = Interconnect{
 		Dispatch:   2 * time.Millisecond,
 		IntraBoard: time.Millisecond,
 		InterNode:  6 * time.Millisecond,
 		BoardSize:  2,
 	}
-	slow := serveSharded(t, slowIC, 40, 200, 13)
+	slow := serveInterconnect(t, slowIC, 40, 200, 13)
 	if slow.Latency.Mean <= fast.Latency.Mean {
 		t.Errorf("10x interconnect did not raise mean latency: fast %v, slow %v",
 			time.Duration(fast.Latency.Mean*float64(time.Second)),

@@ -60,7 +60,7 @@ func lineAt(lines []string, i int) string {
 
 // TestServeGoldens renders the cluster serving experiments once on a
 // fresh context at the default parallelism and compares each to its
-// golden file. Only serve-shard runs the sharded kernel.
+// golden file. Only serve-shard runs over an interconnect.
 func TestServeGoldens(t *testing.T) {
 	if *update {
 		t.Skip("goldens are written by TestParallelOutputByteIdentical")

@@ -31,7 +31,7 @@ func serveRegistry() []Experiment {
 		{"serve-fleet", "cluster", "100-node fleet under steady load: exact vs sketch percentile accounting", ServeFleet},
 		{"serve-chaos", "cluster", "rolling crash/drain/recover over a 4-node fleet: lease redelivery, time-to-drain, attainment dip and recovery", ServeChaos},
 		{"serve-grayfail", "cluster", "gray failures: fail-slow/jitter/stall straggler vs {none, breaker, breaker+hedge} mitigation stacks", ServeGrayfail},
-		{"serve-shard", "cluster", "sharded kernel: fleet over a non-zero interconnect, partitions advanced in parallel under conservative lookahead", ServeShard},
+		{"serve-shard", "cluster", "interconnect: fleet over a non-zero interconnect, every offer and ack a timed hop", ServeShard},
 	}
 }
 

@@ -12,16 +12,15 @@ import (
 	"repro/internal/workload"
 )
 
-// shardSLO is the per-request objective the sharded-kernel experiment
+// shardSLO is the per-request objective the interconnect experiment
 // scores against — the grayfail objective, since the hardest scenario
 // reuses that fault class.
 const shardSLO = 3 * time.Second
 
 // shardInterconnect is the hop model the experiment serves over: the
 // front end shares a board with the first two nodes and reaches the
-// rest over a slower link. Enabling it is what moves the fleet onto
-// the sharded kernel — every offer and completion becomes a timed
-// event crossing a partition boundary.
+// rest over a slower link. Enabling it makes every offer and completion
+// a timed hop.
 var shardInterconnect = cluster.Interconnect{
 	Dispatch:   200 * time.Microsecond,
 	IntraBoard: 100 * time.Microsecond,
@@ -62,23 +61,21 @@ func shardScenarios() []shardScenario {
 	}
 }
 
-// ServeShard serves a 4-node fleet over a non-zero interconnect — the
-// configuration that engages the sharded deterministic kernel: the
-// front end and every node simulate in their own partitions, advanced
-// in rounds under the interconnect's conservative lookahead. Three
-// scenarios run: a steady stream, a crash/drain/recover script, and a
+// ServeShard serves a 4-node fleet over a non-zero interconnect, where
+// every offer and ack is a timed message on the fleet's one event
+// kernel. Three scenarios run: a steady stream, a crash/drain/recover script, and a
 // fail-slow script under breaker + hedge. Every row hard-fails unless
 // completion accounting is exactly-once.
 func ServeShard(ctx *Context) (*Table, error) {
 	t := &Table{
 		ID: "serve-shard",
-		Title: fmt.Sprintf("Sharded kernel: 4-node fleet over a %v/%v intra/inter-board interconnect, affinity router, NUMA board A, Poisson 8 req/s (SLO %v)",
+		Title: fmt.Sprintf("Interconnect: 4-node fleet over a %v/%v intra/inter-board interconnect, affinity router, NUMA board A, Poisson 8 req/s (SLO %v)",
 			shardInterconnect.IntraBoard, shardInterconnect.InterNode, shardSLO),
 		Columns: []string{"scenario", "completions", "slo attainment", "p95",
 			"bounced", "dup acks", "redelivered", "hedges"},
 		Notes: []string{
-			"interconnect: dispatch 200µs + 100µs intra-board (nodes 0-1) or 600µs inter-board (nodes 2-3), each way; offers and completion acks are timed events between the front end's partition and the nodes'",
-			"the kernel advances partitions in parallel under conservative lookahead (the cheapest hop); the report is byte-identical at every shard count — the table carries no worker-count artifacts",
+			"interconnect: dispatch 200µs + 100µs intra-board (nodes 0-1) or 600µs inter-board (nodes 2-3), each way; offers and completion acks are timed messages between the front end and the nodes",
+			"the front end and every node run on one event kernel; messages due at one instant land in the order they were posted",
 			"bounced: offers that crossed the wire into a node no longer Up and were re-routed; dup acks: completions that crossed a crash on the wire after redelivery — counted, never double-completed",
 			"every row asserts exactly-once completion accounting and leak-free hedge accounting",
 		},
@@ -88,7 +85,7 @@ func ServeShard(ctx *Context) (*Table, error) {
 		return nil, err
 	}
 	rows, err := runner.Sweep(ctx.par, shardScenarios(), func(_ int, sc shardScenario) ([]string, error) {
-		_, rep, err := serveShardScenario(ctx, board, sc)
+		rep, err := serveShardScenario(ctx, board, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -122,21 +119,20 @@ func ServeShard(ctx *Context) (*Table, error) {
 	return t, nil
 }
 
-// serveShardScenario builds one scenario's fleet and serves its stream,
-// returning the cluster with its report.
-func serveShardScenario(ctx *Context, board *workload.Board, sc shardScenario) (*cluster.Cluster, *cluster.Report, error) {
+// serveShardScenario builds one scenario's fleet and serves its stream.
+func serveShardScenario(ctx *Context, board *workload.Board, sc shardScenario) (*cluster.Report, error) {
 	nodeCfg, err := ctx.serveConfig(hw.NUMADevice(), core.CoServe)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	nodeCfg.SLO = shardSLO
 	router, err := cluster.RouterByName("affinity")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	placement, err := cluster.PlacementByName("partition")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cl, err := cluster.New(cluster.Config{
 		Nodes:        cluster.Uniform(4, nodeCfg),
@@ -149,18 +145,18 @@ func serveShardScenario(ctx *Context, board *workload.Board, sc shardScenario) (
 		Interconnect: shardInterconnect,
 	}, board.Model)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	src, err := workload.Poisson{
 		Name: "cluster-poisson", Board: board,
 		Rate: 8, N: 240, Seed: 20260730,
 	}.NewSource()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	rep, err := cl.Serve(src)
 	if err != nil {
-		return nil, nil, fmt.Errorf("serve-shard %s: %w", sc.name, err)
+		return nil, fmt.Errorf("serve-shard %s: %w", sc.name, err)
 	}
-	return cl, rep, nil
+	return rep, nil
 }

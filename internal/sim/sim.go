@@ -46,19 +46,28 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
+// Message is a typed event payload: Deliver runs at the instant it was
+// posted for (PostMsg), with at the event's timestamp (== Env.Now). The
+// indirection exists for pooling: a protocol can recycle its message
+// structs on a free list, making steady-state message traffic
+// allocation-free where closures cannot be.
+type Message interface {
+	Deliver(at Time)
+}
+
 // event is a scheduled kernel action. Exactly one of fn, proc, and msg
 // is set: fn is the callback fast path, run inline on the kernel
 // goroutine; proc is the wake path, resuming a parked process; msg is
-// the typed-message path for cross-partition traffic in a Sharded
-// kernel — like proc it allocates no closure, and the payload itself is
-// poolable by the sender. Events are pooled on the environment's free
-// list, so no field may be read after release.
+// the typed-message path (PostMsg) — like proc it allocates no closure,
+// and the payload itself is poolable by the sender. Events are pooled
+// on the environment's free list, so no field may be read after
+// release.
 type event struct {
 	at    Time
 	seq   int64
 	fn    func()  // callback path (After, AfterFunc)
 	proc  *Proc   // wake path (process start, Sleep, Unpark) — no closure allocated
-	msg   Message // typed cross-partition payload — no closure allocated
+	msg   Message // typed payload (PostMsg) — no closure allocated
 	index int     // heap index; -1 once removed from the heap
 	next  *event  // free-list link
 }
@@ -73,10 +82,10 @@ func (h eventHeap) less(a, b *event) bool {
 	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-// push adds ev and reports its final index.
-func (h *eventHeap) push(ev *event) int {
+// push adds ev.
+func (h *eventHeap) push(ev *event) {
 	*h = append(*h, ev)
-	return h.up(len(*h) - 1)
+	h.up(len(*h) - 1)
 }
 
 // remove takes the event at index i out of the heap (remove(0) pops the
@@ -94,9 +103,8 @@ func (h *eventHeap) remove(i int) *event {
 	return ev
 }
 
-// up moves the event at i toward the root until its parent is earlier
-// and returns where it settled.
-func (h eventHeap) up(i int) int {
+// up moves the event at i toward the root until its parent is earlier.
+func (h eventHeap) up(i int) {
 	ev := h[i]
 	for ; i > 0 && h.less(ev, h[(i-1)/2]); i = (i - 1) / 2 {
 		h[i] = h[(i-1)/2]
@@ -104,7 +112,6 @@ func (h eventHeap) up(i int) int {
 	}
 	h[i] = ev
 	ev.index = i
-	return i
 }
 
 // down moves the event at i toward the leaves until both children are
@@ -145,12 +152,6 @@ type Env struct {
 	// free is the event free list; fired and cancelled events are
 	// recycled here so steady-state scheduling allocates nothing.
 	free *event
-
-	// shard/shardIdx bind the environment to a Sharded kernel partition;
-	// outbox buffers its cross-partition posts during a partition round.
-	shard    *Sharded
-	shardIdx int
-	outbox   []outPost
 }
 
 // NewEnv returns an empty environment with the clock at zero.
@@ -176,12 +177,7 @@ func (e *Env) newEvent(at Time) *event {
 		ev = &event{}
 	}
 	ev.at, ev.seq = at, e.seq
-	if e.events.push(ev) == 0 && e.shard != nil {
-		// The partition's frontier moved earlier: keep the Sharded
-		// kernel's frontier index in sync (a no-op outside its Run loop's
-		// coordinator phases — worker rounds refresh after the round).
-		e.shard.frontierChanged(e)
-	}
+	e.events.push(ev)
 	return ev
 }
 
@@ -202,12 +198,12 @@ func (e *Env) schedule(at Time, fn func()) *event {
 	return ev
 }
 
-// scheduleMsg enqueues a typed message for delivery at time at — the
-// closure-free path cross-partition protocols ride on.
-func (e *Env) scheduleMsg(at Time, m Message) *event {
-	ev := e.newEvent(at)
-	ev.msg = m
-	return ev
+// PostMsg schedules m.Deliver(at) at time at, which must not be before
+// Now. It is the closure-free path timed protocols ride on: the post
+// allocates nothing, and the message orders against every other event
+// by (time, sequence) like After and Sleep.
+func (e *Env) PostMsg(at Time, m Message) {
+	e.newEvent(at).msg = m
 }
 
 // scheduleWake enqueues a closure-free wake-up of p at time at — the
@@ -263,14 +259,8 @@ func (e *Env) Cancel(t Timer) bool {
 	if ev.seq != t.seq || ev.index < 0 || ev.index >= len(e.events) || e.events[ev.index] != ev {
 		return false
 	}
-	wasHead := ev.index == 0
 	e.events.remove(ev.index)
 	e.releaseEvent(ev)
-	if wasHead && e.shard != nil {
-		// Cancelling the head raises the partition's frontier — e.g. a
-		// crash purge revoking a node-internal timer from the coordinator.
-		e.shard.frontierChanged(e)
-	}
 	return true
 }
 

@@ -384,24 +384,6 @@ func TestProcessPanicCapturedByMap(t *testing.T) {
 	}
 }
 
-// TestProcessPanicLeavesShardedRun checks the same for Sharded.Run,
-// with two partitions active in the panicking round: the healthy one
-// runs first, and the panic still unwinds with its original value.
-func TestProcessPanicLeavesShardedRun(t *testing.T) {
-	got := recoverRun(func() {
-		s := NewSharded(3, time.Millisecond)
-		s.Part(1).Go("fine", func(p *Proc) { p.Sleep(time.Millisecond) })
-		s.Part(2).Go("faulty", func(p *Proc) {
-			p.Sleep(time.Millisecond)
-			panic(processPanic{2})
-		})
-		s.Run()
-	})
-	if got != (processPanic{2}) {
-		t.Errorf("Run panicked with %T %.80v, want processPanic{2}", got, got)
-	}
-}
-
 func TestRunUntilStopsAtDeadline(t *testing.T) {
 	env := NewEnv()
 	var ticks int
