@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check detlint ci bench-smoke bench race bench-cluster bench-fleet bench-chaos bench-kernel cover
+.PHONY: all build test vet fmt-check detlint ci examples bench-smoke bench race bench-cluster bench-fleet bench-chaos bench-kernel cover
 
 all: build
 
@@ -28,8 +28,17 @@ detlint:
 	$(GO) run ./cmd/detlint
 
 # ci is the tier-1 gate: formatting, vet, determinism lint, build, tests,
-# and the serving benchmark's smoke test.
-ci: fmt-check vet detlint build test bench-smoke
+# the examples, and the serving benchmark's smoke test.
+ci: fmt-check vet detlint build test examples bench-smoke
+
+# examples runs every program under examples/ to completion, so the
+# library facade they drive cannot rot behind a build that only compiles
+# them. Each is a small deterministic run.
+examples:
+	@for e in examples/*/; do \
+		echo "== $$e"; \
+		$(GO) run ./$$e || exit 1; \
+	done
 
 # bench-smoke runs the serving benchmark's own tests: every workload at
 # 1% scale with its correctness checks. bench/ is a separate module, so

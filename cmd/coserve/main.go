@@ -400,6 +400,9 @@ func cmdServe(args []string) error {
 	if *nodes < 1 {
 		return fmt.Errorf("nodes must be at least 1")
 	}
+	if *horizon < 0 {
+		return fmt.Errorf("-horizon must not be negative")
+	}
 	if (*chaosSpec != "" || *chaosMTBF > 0 || *clusterAdmit != "" || *fleetScale > 0 ||
 		*healthWindow > 0 || *hedgeAfter > 0 || *interconnect != "") && *nodes < 2 {
 		return fmt.Errorf("-chaos, -chaos-mtbf, -cluster-admit, -fleet-autoscale, -health-window, -hedge-after, and -interconnect need a cluster (-nodes >= 2)")

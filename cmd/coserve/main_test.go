@@ -54,6 +54,15 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"serve", "-nodes", "2", "-placement", "everywhere"},
 		// A hop so long that its landing instant would overflow the clock.
 		{"serve", "-nodes", "2", "-n", "20", "-interconnect", "2562047h/0s/0s"},
+		// Gray-fault parameters that are not finite, or that would
+		// overflow a degraded batch's service time or a stall's end.
+		{"serve", "-nodes", "2", "-n", "50", "-chaos", "slow@1s:1xInf"},
+		{"serve", "-nodes", "2", "-n", "50", "-chaos", "slow@1s:1xNaN"},
+		{"serve", "-nodes", "2", "-n", "50", "-chaos", "slow@1s:1x1e12"},
+		{"serve", "-nodes", "2", "-n", "50", "-chaos", "jitter@1s:1x1e30"},
+		{"serve", "-nodes", "2", "-n", "50", "-chaos", "slow@1s:1x1000000,jitter@1s:1x1000000"},
+		{"serve", "-nodes", "2", "-n", "50", "-chaos", "stall@1s:1x2562047h"},
+		{"serve", "-arrival", "steady", "-horizon", "-1s"},
 		{"serve", "-arrival", "replay"}, // replay without -trace
 		{"serve", "-arrival", "replay", "-trace", "/does/not/exist"},
 	}

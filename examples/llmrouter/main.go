@@ -1,13 +1,10 @@
 // Llmrouter: a Qihoo-360-style CoE (§2.1) that routes requests across
-// domain experts — and, unlike the scheduling simulation, puts *real*
-// model computation behind each expert using the repository's pure-Go
-// neural-network engine.
-//
-// Three tiny domain experts (code / math / prose) are trained on
-// synthetic token-statistics features. A rule router dispatches each
-// request to its domain expert; the CoServe serving layer schedules the
-// same expert set on the simulated UMA device to show the serving-side
-// behavior with a domain-skewed request mix.
+// domain experts. A rule router sends each request to one of three
+// domain expert families (code / math / prose), forty versions each,
+// and the CoServe serving layer schedules that expert set on the
+// simulated UMA device under a code-heavy request mix. Like the rest of
+// the system, it never runs an expert: each one is priced by the
+// offline profiler's measured cost.
 //
 // Run with: go run ./examples/llmrouter
 package main
@@ -15,95 +12,16 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 	"time"
 
 	coserve "repro"
-	"repro/internal/nn"
 )
 
-// domain feature generators: each domain has a distinct signature over
-// 4 features (symbol density, digit density, avg word length, line length).
-func sample(rng *rand.Rand, domain int) []float32 {
-	jitter := func(c float64) float32 { return float32(c + rng.NormFloat64()*0.08) }
-	switch domain {
-	case 0: // code: symbol-heavy, short lines
-		return []float32{jitter(0.8), jitter(0.3), jitter(0.4), jitter(0.3)}
-	case 1: // math: digit-heavy
-		return []float32{jitter(0.4), jitter(0.9), jitter(0.3), jitter(0.5)}
-	default: // prose: long words, long lines
-		return []float32{jitter(0.1), jitter(0.1), jitter(0.8), jitter(0.9)}
-	}
-}
-
 func main() {
-	// --- Part 1: real experts with real compute -----------------------
-	rng := rand.New(rand.NewSource(42))
-	names := []string{"code-expert", "math-expert", "prose-expert"}
-	experts := make([]*nn.Network, 3)
-	for d := range experts {
-		net, err := nn.NewMLP(names[d], int64(100+d), 4, 16, 2)
-		if err != nil {
-			log.Fatal(err)
-		}
-		experts[d] = net
-	}
-	// Train each expert on its own domain's binary task: "is this input
-	// in-domain?" — a stand-in for a fine-tuned domain model.
-	for d, net := range experts {
-		x := nn.NewTensor(240, 4)
-		labels := make([]int, 240)
-		for i := 0; i < 240; i++ {
-			dom := i % 3
-			v := sample(rng, dom)
-			for j, f := range v {
-				x.Set(i, j, f)
-			}
-			if dom == d {
-				labels[i] = 1
-			}
-		}
-		for epoch := 0; epoch < 150; epoch++ {
-			if _, err := net.TrainStep(x, labels, 0.15); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-	// Route 300 mixed requests by a rule router and let the selected
-	// expert classify: accuracy shows the CoE beats any single expert.
-	correct, total := 0, 0
-	for i := 0; i < 300; i++ {
-		dom := rng.Intn(3)
-		v := sample(rng, dom)
-		x, err := nn.FromSlice(1, 4, v)
-		if err != nil {
-			log.Fatal(err)
-		}
-		// Rule router: pick the expert whose signature feature is
-		// strongest (symbol -> code, digit -> math, else prose).
-		pick := 2
-		if v[0] > 0.55 {
-			pick = 0
-		} else if v[1] > 0.6 {
-			pick = 1
-		}
-		preds, err := experts[pick].Predict(x)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if (preds[0] == 1) == (pick == dom) {
-			correct++
-		}
-		total++
-	}
-	fmt.Printf("real-compute CoE: routed %d requests, expert verdicts correct %.1f%%\n",
-		total, 100*float64(correct)/float64(total))
-	fmt.Printf("each expert: %d parameters of actual Go-computed MLP\n\n", experts[0].Params())
-
-	// --- Part 2: serve the same CoE shape at scale --------------------
 	// Domain experts in production are large (§2.1: code, math, law
 	// models); model them with the built-in architectures and serve a
 	// skewed request mix through CoServe on the UMA device.
+	names := []string{"code-expert", "math-expert", "prose-expert"}
 	b := coserve.NewModelBuilder("llm-router")
 	var probs []float64
 	mix := []float64{0.5, 0.3, 0.2} // code-heavy request mix

@@ -30,15 +30,15 @@ type FleetAutoscaler interface {
 // that each carries at most PerNode arrivals per second, with a
 // hysteresis band so the count does not flap — it scales up as soon as
 // the rate exceeds the active capacity, but scales down only when the
-// rate falls below ShrinkAt of the post-shrink capacity.
+// rate falls below shrinkAt of the post-shrink capacity.
 type RateFleetScaler struct {
 	// PerNode is one node's target arrival rate (requests/second).
 	PerNode float64
-	// ShrinkAt is the scale-down hysteresis factor in (0, 1]: shrinking
-	// to k nodes requires rate < ShrinkAt * k * PerNode. NewRateFleetScaler
-	// defaults it to 0.7.
-	ShrinkAt float64
 }
+
+// shrinkAt is the scale-down hysteresis factor: shrinking to k nodes
+// requires rate < shrinkAt * k * PerNode.
+const shrinkAt = 0.7
 
 // NewRateFleetScaler returns a rate-driven fleet scaler targeting
 // perNode arrivals per second per node.
@@ -46,7 +46,7 @@ func NewRateFleetScaler(perNode float64) (*RateFleetScaler, error) {
 	if perNode <= 0 {
 		return nil, fmt.Errorf("cluster: RateFleetScaler needs a positive per-node rate, got %v", perNode)
 	}
-	return &RateFleetScaler{PerNode: perNode, ShrinkAt: 0.7}, nil
+	return &RateFleetScaler{PerNode: perNode}, nil
 }
 
 // Name implements FleetAutoscaler.
@@ -66,10 +66,6 @@ func (s *RateFleetScaler) Scale(now sim.Time, w metrics.Window, interval time.Du
 		return need // scale up immediately: attainment is on the line
 	}
 	if need < active {
-		shrinkAt := s.ShrinkAt
-		if shrinkAt <= 0 || shrinkAt > 1 {
-			shrinkAt = 0.7
-		}
 		// Only shrink when the rate clears the hysteresis band below the
 		// post-shrink capacity; otherwise hold.
 		if rate < shrinkAt*float64(need)*s.PerNode {

@@ -300,7 +300,7 @@ func TestAutoscalerRequiresWindow(t *testing.T) {
 // TestRateFleetScalerHysteresis: scale-up is immediate, scale-down only
 // through the hysteresis band.
 func TestRateFleetScalerHysteresis(t *testing.T) {
-	s := &RateFleetScaler{PerNode: 10, ShrinkAt: 0.7}
+	s := &RateFleetScaler{PerNode: 10}
 	w := func(arrivals int64) metrics.Window { return metrics.Window{Arrivals: arrivals} }
 	sec := time.Second
 	if got := s.Scale(0, w(35), sec, 2, 8); got != 4 {
@@ -356,12 +356,6 @@ func TestRateFleetScalerHysteresis(t *testing.T) {
 		t.Errorf("constant 27 req/s settled at %d nodes, want 4 (26 req/s holds: need 3 but 27 >= 0.7*3*10)", active)
 	}
 
-	// Out-of-range ShrinkAt falls back to the 0.7 default rather than
-	// disabling the band.
-	loose := &RateFleetScaler{PerNode: 10, ShrinkAt: 7}
-	if got := loose.Scale(0, w(25), sec, 4, 8); got != 4 {
-		t.Errorf("ShrinkAt 7: scale = %d, want 4 (defaulted band still holds)", got)
-	}
 	// A zero interval window carries no rate information; hold.
 	if got := s.Scale(0, w(100), 0, 3, 8); got != 3 {
 		t.Errorf("zero interval: scale = %d, want 3 (hold)", got)

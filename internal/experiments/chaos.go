@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -70,37 +69,9 @@ func ServeChaos(ctx *Context) (*Table, error) {
 		}
 	}
 	rows, err := runner.Sweep(ctx.par, jobs, func(_ int, j pointJob) ([]string, error) {
-		nodeCfg, err := ctx.serveConfig(hw.NUMADevice(), core.CoServe)
-		if err != nil {
-			return nil, err
-		}
-		router, err := cluster.RouterByName(j.router)
-		if err != nil {
-			return nil, err
-		}
-		placement, err := cluster.PlacementByName(j.placement)
-		if err != nil {
-			return nil, err
-		}
-		cl, err := cluster.New(cluster.Config{
-			Nodes:     cluster.Uniform(4, nodeCfg),
-			Router:    router,
-			Placement: placement,
-			SLO:       serveSLO,
-			Window:    time.Second,
-			Faults:    chaosPlan(),
-		}, board.Model)
-		if err != nil {
-			return nil, err
-		}
-		src, err := workload.Poisson{
-			Name: "cluster-poisson", Board: board,
-			Rate: 24, N: 240, Seed: 20260730,
-		}.NewSource()
-		if err != nil {
-			return nil, err
-		}
-		rep, err := cl.Serve(src)
+		rep, err := serveFleet(ctx, board, 4, j.router, j.placement, 24, cluster.Config{
+			SLO: serveSLO, Window: time.Second, Faults: chaosPlan(),
+		})
 		if err != nil {
 			return nil, fmt.Errorf("serve-chaos %s×%s: %w", j.router, j.placement, err)
 		}

@@ -49,35 +49,7 @@ func ServeCluster(ctx *Context) (*Table, error) {
 		}
 	}
 	rows, err := runner.Sweep(ctx.par, jobs, func(_ int, j pointJob) ([]string, error) {
-		nodeCfg, err := ctx.serveConfig(hw.NUMADevice(), core.CoServe)
-		if err != nil {
-			return nil, err
-		}
-		router, err := cluster.RouterByName(j.router)
-		if err != nil {
-			return nil, err
-		}
-		placement, err := cluster.PlacementByName(j.placement)
-		if err != nil {
-			return nil, err
-		}
-		cl, err := cluster.New(cluster.Config{
-			Nodes:     cluster.Uniform(j.nodes, nodeCfg),
-			Router:    router,
-			Placement: placement,
-			SLO:       serveSLO,
-		}, board.Model)
-		if err != nil {
-			return nil, err
-		}
-		src, err := workload.Poisson{
-			Name: "cluster-poisson", Board: board,
-			Rate: 24, N: 240, Seed: 20260730,
-		}.NewSource()
-		if err != nil {
-			return nil, err
-		}
-		rep, err := cl.Serve(src)
+		rep, err := serveFleet(ctx, board, j.nodes, j.router, j.placement, 24, cluster.Config{SLO: serveSLO})
 		if err != nil {
 			return nil, fmt.Errorf("serve-cluster %d×%s×%s: %w", j.nodes, j.router, j.placement, err)
 		}
@@ -96,4 +68,48 @@ func ServeCluster(ctx *Context) (*Table, error) {
 	}
 	t.Rows = rows
 	return t, nil
+}
+
+// serveFleet builds a fleet of identical CoServe NUMA nodes under the
+// named router and placement, with the scenario fields of fc (SLO,
+// Window, Faults, Health, Hedge, Interconnect), and serves it the
+// 240-request cluster-poisson stream at rate req/s. Every node scores
+// against the fleet's SLO.
+func serveFleet(ctx *Context, board *workload.Board, nodes int, router, placement string, rate float64, fc cluster.Config) (*cluster.Report, error) {
+	nodeCfg, err := ctx.serveConfig(hw.NUMADevice(), core.CoServe)
+	if err != nil {
+		return nil, err
+	}
+	nodeCfg.SLO = fc.SLO
+	fc.Nodes = cluster.Uniform(nodes, nodeCfg)
+	if fc.Router, err = cluster.RouterByName(router); err != nil {
+		return nil, err
+	}
+	if fc.Placement, err = cluster.PlacementByName(placement); err != nil {
+		return nil, err
+	}
+	cl, err := cluster.New(fc, board.Model)
+	if err != nil {
+		return nil, err
+	}
+	src, err := workload.Poisson{
+		Name: "cluster-poisson", Board: board,
+		Rate: rate, N: 240, Seed: 20260730,
+	}.NewSource()
+	if err != nil {
+		return nil, err
+	}
+	return cl.Serve(src)
+}
+
+// checkHedges errors unless the hedge accounting is leak-free: every
+// fired hedge makes a race with exactly one losing copy, which must
+// surface as wasted work (or die with a crashed node) — never vanish,
+// never complete a second time.
+func checkHedges(rep *cluster.Report) error {
+	if rep.HedgeWasted+rep.HedgesVoided != rep.HedgesFired || rep.HedgeWins > rep.HedgesFired {
+		return fmt.Errorf("hedge accounting leaks: %d fired, %d wins, %d wasted + %d voided",
+			rep.HedgesFired, rep.HedgeWins, rep.HedgeWasted, rep.HedgesVoided)
+	}
+	return nil
 }

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -133,40 +131,10 @@ func ServeGrayfail(ctx *Context) (*Table, error) {
 	}
 	rows, err := runner.Sweep(ctx.par, jobs, func(_ int, j pointJob) ([]string, error) {
 		mit := grayfailMitigations()[j.mitigation]
-		nodeCfg, err := ctx.serveConfig(hw.NUMADevice(), core.CoServe)
-		if err != nil {
-			return nil, err
-		}
-		nodeCfg.SLO = grayfailSLO
-		router, err := cluster.RouterByName("affinity")
-		if err != nil {
-			return nil, err
-		}
-		placement, err := cluster.PlacementByName("partition")
-		if err != nil {
-			return nil, err
-		}
-		cl, err := cluster.New(cluster.Config{
-			Nodes:     cluster.Uniform(4, nodeCfg),
-			Router:    router,
-			Placement: placement,
-			SLO:       grayfailSLO,
-			Window:    time.Second,
-			Faults:    grayfailPlan(j.script),
-			Health:    mit.health,
-			Hedge:     mit.hedge,
-		}, board.Model)
-		if err != nil {
-			return nil, err
-		}
-		src, err := workload.Poisson{
-			Name: "cluster-poisson", Board: board,
-			Rate: 8, N: 240, Seed: 20260730,
-		}.NewSource()
-		if err != nil {
-			return nil, err
-		}
-		rep, err := cl.Serve(src)
+		rep, err := serveFleet(ctx, board, 4, "affinity", "partition", 8, cluster.Config{
+			SLO: grayfailSLO, Window: time.Second, Faults: grayfailPlan(j.script),
+			Health: mit.health, Hedge: mit.hedge,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("serve-grayfail %s×%s: %w", j.script, mit.name, err)
 		}
@@ -177,12 +145,8 @@ func ServeGrayfail(ctx *Context) (*Table, error) {
 			return nil, fmt.Errorf("serve-grayfail %s×%s: %d arrivals, %d completions, want 240/240",
 				j.script, mit.name, rep.N, rep.Completions)
 		}
-		// Every fired hedge makes a race with exactly one losing copy,
-		// which must surface as wasted work (or die with a crashed node)
-		// — never vanish, never complete a second time.
-		if rep.HedgeWasted+rep.HedgesVoided != rep.HedgesFired || rep.HedgeWins > rep.HedgesFired {
-			return nil, fmt.Errorf("serve-grayfail %s×%s: hedge accounting leaks: %d fired, %d wins, %d wasted + %d voided",
-				j.script, mit.name, rep.HedgesFired, rep.HedgeWins, rep.HedgeWasted, rep.HedgesVoided)
+		if err := checkHedges(rep); err != nil {
+			return nil, fmt.Errorf("serve-grayfail %s×%s: %w", j.script, mit.name, err)
 		}
 		// The story the experiment exists to tell, pinned: the stragglers
 		// drag unmitigated attainment below 50%; breaker+hedge restores

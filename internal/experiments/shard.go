@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/hw"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -85,9 +83,12 @@ func ServeShard(ctx *Context) (*Table, error) {
 		return nil, err
 	}
 	rows, err := runner.Sweep(ctx.par, shardScenarios(), func(_ int, sc shardScenario) ([]string, error) {
-		rep, err := serveShardScenario(ctx, board, sc)
+		rep, err := serveFleet(ctx, board, 4, "affinity", "partition", 8, cluster.Config{
+			SLO: shardSLO, Faults: sc.plan, Health: sc.health, Hedge: sc.hedge,
+			Interconnect: shardInterconnect,
+		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("serve-shard %s: %w", sc.name, err)
 		}
 		// Exactly-once acceptance: every admitted request resolves exactly
 		// once even with offers, acks, and crashes racing on the wire. A
@@ -97,9 +98,8 @@ func ServeShard(ctx *Context) (*Table, error) {
 			return nil, fmt.Errorf("serve-shard %s: %d arrivals, %d completions + %d terminally rejected, want all 240 resolved",
 				sc.name, rep.N, rep.Completions, rep.RedeliveredRejected)
 		}
-		if rep.HedgeWasted+rep.HedgesVoided != rep.HedgesFired || rep.HedgeWins > rep.HedgesFired {
-			return nil, fmt.Errorf("serve-shard %s: hedge accounting leaks: %d fired, %d wins, %d wasted + %d voided",
-				sc.name, rep.HedgesFired, rep.HedgeWins, rep.HedgeWasted, rep.HedgesVoided)
+		if err := checkHedges(rep); err != nil {
+			return nil, fmt.Errorf("serve-shard %s: %w", sc.name, err)
 		}
 		return []string{
 			sc.name,
@@ -117,46 +117,4 @@ func ServeShard(ctx *Context) (*Table, error) {
 	}
 	t.Rows = rows
 	return t, nil
-}
-
-// serveShardScenario builds one scenario's fleet and serves its stream.
-func serveShardScenario(ctx *Context, board *workload.Board, sc shardScenario) (*cluster.Report, error) {
-	nodeCfg, err := ctx.serveConfig(hw.NUMADevice(), core.CoServe)
-	if err != nil {
-		return nil, err
-	}
-	nodeCfg.SLO = shardSLO
-	router, err := cluster.RouterByName("affinity")
-	if err != nil {
-		return nil, err
-	}
-	placement, err := cluster.PlacementByName("partition")
-	if err != nil {
-		return nil, err
-	}
-	cl, err := cluster.New(cluster.Config{
-		Nodes:        cluster.Uniform(4, nodeCfg),
-		Router:       router,
-		Placement:    placement,
-		SLO:          shardSLO,
-		Faults:       sc.plan,
-		Health:       sc.health,
-		Hedge:        sc.hedge,
-		Interconnect: shardInterconnect,
-	}, board.Model)
-	if err != nil {
-		return nil, err
-	}
-	src, err := workload.Poisson{
-		Name: "cluster-poisson", Board: board,
-		Rate: 8, N: 240, Seed: 20260730,
-	}.NewSource()
-	if err != nil {
-		return nil, err
-	}
-	rep, err := cl.Serve(src)
-	if err != nil {
-		return nil, fmt.Errorf("serve-shard %s: %w", sc.name, err)
-	}
-	return rep, nil
 }

@@ -137,16 +137,9 @@ type Device struct {
 	OSReserveBytes int64
 }
 
-// loadStreams returns the configured concurrency, defaulting to 1.
-func (d *Device) loadStreamsOrDefault() int {
-	if d.LoadStreams < 1 {
-		return 1
-	}
-	return d.LoadStreams
-}
-
-// LoadConcurrency reports the number of concurrent load streams.
-func (d *Device) LoadConcurrency() int { return d.loadStreamsOrDefault() }
+// LoadConcurrency reports the number of concurrent load streams: the
+// configured LoadStreams, defaulting to 1.
+func (d *Device) LoadConcurrency() int { return max(d.LoadStreams, 1) }
 
 // Proc returns the processor of the given kind.
 func (d *Device) Proc(kind ProcKind) Processor {

@@ -151,6 +151,3 @@ func (a *Arena) WaitReserve(p *sim.Proc, bytes int64) {
 	a.waiters = append(a.waiters, waiter{proc: p, bytes: bytes})
 	p.Park()
 }
-
-// Waiting reports how many processes are queued for capacity.
-func (a *Arena) Waiting() int { return len(a.waiters) }

@@ -74,9 +74,6 @@ type Group struct {
 // Len reports the number of requests still in the group.
 func (g *Group) Len() int { return len(g.items) - g.off }
 
-// Started reports whether an executor has begun draining the group.
-func (g *Group) Started() bool { return g.started }
-
 // PredictedRemaining reports the predicted time to finish the group's
 // remaining items, including the one-time cost if not started.
 func (g *Group) PredictedRemaining() time.Duration {

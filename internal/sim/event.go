@@ -81,6 +81,3 @@ func (g *Gate) Wait(p *Proc) {
 	g.waiters = append(g.waiters, p)
 	p.park()
 }
-
-// Waiting reports how many processes are blocked on the gate.
-func (g *Gate) Waiting() int { return len(g.waiters) }

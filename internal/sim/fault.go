@@ -98,6 +98,16 @@ func (p *FaultPlan) sortEvents() {
 	})
 }
 
+// maxGrayFactor and maxStall are the ceilings Validate puts on gray-fault
+// parameters, so a degraded batch's service time stays far inside the
+// virtual clock's range: slow and jitter compose multiplicatively, so
+// together they scale a batch by at most maxGrayFactor², and a stall adds
+// at most maxStall. The largest values in use are 400× and 12 s.
+const (
+	maxGrayFactor = 1e3
+	maxStall      = 24 * time.Hour
+)
+
 // Validate sorts the plan by event time (stable, so equal-instant events
 // keep declaration order) and checks it against a fleet of nodes: every
 // event must name a node in [0, nodes), carry a non-negative offset, and
@@ -105,9 +115,9 @@ func (p *FaultPlan) sortEvents() {
 // crash (Up or Draining → Down), drain (Up → Draining), or recover
 // (Down or Draining → Up, or clearing a gray degradation from an Up
 // node). Gray kinds apply to any node that is not Down: slow and jitter
-// need Factor > 1 and mark the node degraded until a recover, a
-// replacement gray event, or a crash; stall needs For > 0 and is
-// self-clearing.
+// need a Factor in (1, maxGrayFactor] and mark the node degraded until a
+// recover, a replacement gray event, or a crash; stall needs For in
+// (0, maxStall] and is self-clearing.
 func (p *FaultPlan) Validate(nodes int) error {
 	if p.Empty() {
 		return nil
@@ -150,16 +160,17 @@ func (p *FaultPlan) Validate(nodes int) error {
 			if s == down {
 				return fmt.Errorf("sim: fault plan event %d applies %s to node %d which is down", i, ev.Kind, ev.Node)
 			}
-			if ev.Factor <= 1 {
-				return fmt.Errorf("sim: fault plan event %d (%s node %d) needs Factor > 1, got %g", i, ev.Kind, ev.Node, ev.Factor)
+			if !(ev.Factor > 1 && ev.Factor <= maxGrayFactor) { // also rejects NaN
+				return fmt.Errorf("sim: fault plan event %d (%s node %d) needs Factor > 1 and at most %g, got %g",
+					i, ev.Kind, ev.Node, maxGrayFactor, ev.Factor)
 			}
 			degraded[ev.Node] = true
 		case FaultStall:
 			if s == down {
 				return fmt.Errorf("sim: fault plan event %d stalls node %d which is down", i, ev.Node)
 			}
-			if ev.For <= 0 {
-				return fmt.Errorf("sim: fault plan event %d (stall node %d) needs For > 0, got %v", i, ev.Node, ev.For)
+			if ev.For <= 0 || ev.For > maxStall {
+				return fmt.Errorf("sim: fault plan event %d (stall node %d) needs For > 0 and at most %v, got %v", i, ev.Node, maxStall, ev.For)
 			}
 		default:
 			return fmt.Errorf("sim: fault plan event %d has unknown kind %d", i, int(ev.Kind))

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -153,6 +154,10 @@ func TestFaultPlanValidateGrayKinds(t *testing.T) {
 			{At: 1, Node: 0, Kind: FaultDrain},
 			{At: 2, Node: 0, Kind: FaultSlow, Factor: 3},
 			{At: 3, Node: 0, Kind: FaultRecover}}}},
+		{"parameters at their ceilings", FaultPlan{Events: []FaultEvent{
+			{At: 1, Node: 0, Kind: FaultSlow, Factor: maxGrayFactor},
+			{At: 1, Node: 0, Kind: FaultJitter, Factor: maxGrayFactor},
+			{At: 2, Node: 0, Kind: FaultStall, For: maxStall}}}},
 	}
 	for _, tc := range good {
 		if err := tc.plan.Validate(1); err != nil {
@@ -171,6 +176,20 @@ func TestFaultPlanValidateGrayKinds(t *testing.T) {
 			{At: 1, Node: 0, Kind: FaultJitter}}}, "Factor > 1"},
 		{"stall without window", FaultPlan{Events: []FaultEvent{
 			{At: 1, Node: 0, Kind: FaultStall}}}, "For > 0"},
+		// Unbounded parameters would overflow a degraded batch's service
+		// time or the stall's end instant on the virtual clock.
+		{"slow factor NaN", FaultPlan{Events: []FaultEvent{
+			{At: 1, Node: 0, Kind: FaultSlow, Factor: math.NaN()}}}, "at most"},
+		{"slow factor +Inf", FaultPlan{Events: []FaultEvent{
+			{At: 1, Node: 0, Kind: FaultSlow, Factor: math.Inf(1)}}}, "at most"},
+		{"slow factor 1e12", FaultPlan{Events: []FaultEvent{
+			{At: 1, Node: 0, Kind: FaultSlow, Factor: 1e12}}}, "at most"},
+		{"jitter factor 1e30", FaultPlan{Events: []FaultEvent{
+			{At: 1, Node: 0, Kind: FaultJitter, Factor: 1e30}}}, "at most"},
+		{"jitter just above the ceiling", FaultPlan{Events: []FaultEvent{
+			{At: 1, Node: 0, Kind: FaultJitter, Factor: maxGrayFactor * 1.001}}}, "at most"},
+		{"stall past the ceiling", FaultPlan{Events: []FaultEvent{
+			{At: 1, Node: 0, Kind: FaultStall, For: 2562047 * time.Hour}}}, "at most"},
 		{"slow on crashed node", FaultPlan{Events: []FaultEvent{
 			{At: 1, Node: 0, Kind: FaultCrash},
 			{At: 2, Node: 0, Kind: FaultSlow, Factor: 4}}}, "down"},

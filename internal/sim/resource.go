@@ -42,14 +42,8 @@ func NewResource(env *Env, name string, capacity int) *Resource {
 // Name reports the resource name.
 func (r *Resource) Name() string { return r.name }
 
-// Cap reports the resource capacity.
-func (r *Resource) Cap() int { return r.cap }
-
 // InUse reports the number of units currently held.
 func (r *Resource) InUse() int { return len(r.holders) }
-
-// QueueLen reports the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
 
 // holderIndex returns the index of p's claim, or -1.
 func (r *Resource) holderIndex(p *Proc) int {
