@@ -249,24 +249,27 @@ func BenchmarkWarmRestartServe(b *testing.B) {
 }
 
 // BenchmarkSimKernel measures raw event throughput of the discrete-event
-// kernel: pairs of processes ping-ponging through sleeps.
+// kernel: four callback chains, each re-arming itself 250 times.
 func BenchmarkSimKernel(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		env := sim.NewEnv()
 		for p := 0; p < 4; p++ {
-			env.Go("p", func(pr *sim.Proc) {
-				for t := 0; t < 250; t++ {
-					pr.Sleep(time.Millisecond)
+			left := 250
+			var step func()
+			step = func() {
+				if left--; left > 0 {
+					env.After(time.Millisecond, step)
 				}
-			})
+			}
+			env.After(time.Millisecond, step)
 		}
 		env.Run()
 	}
 }
 
 // BenchmarkTimerChurn prices the event heap at depth, which
-// BenchmarkSimKernel's four processes never reach: about 1,000 pending
+// BenchmarkSimKernel's four chains never reach: about 1,000 pending
 // AfterFunc timers, and each step cancels a random one and re-arms it
 // (the hedge-timer pattern), then advances the clock by a microsecond,
 // firing about one timer, which re-arms itself. A step allocates

@@ -159,7 +159,7 @@ func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []string {
 			}
 			switch {
 			case path == "time" && (fn == "Now" || fn == "Since"):
-				report(n.Pos(), fmt.Sprintf("time.%s reads the wall clock; simulation code must use the virtual clock (sim.Proc.Now)", fn))
+				report(n.Pos(), fmt.Sprintf("time.%s reads the wall clock; simulation code must use the virtual clock (sim.Env.Now)", fn))
 			case (path == "math/rand" || path == "math/rand/v2") && !randConstructors[fn]:
 				report(n.Pos(), fmt.Sprintf("rand.%s uses the shared global generator; build an owned, seeded one with rand.New(rand.NewSource(seed))", fn))
 			}

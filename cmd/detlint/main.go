@@ -10,9 +10,8 @@
 // Flagged:
 //
 //   - time.Now / time.Since: wall-clock reads. Simulation code must use
-//     the virtual clock (sim.Env / sim.Proc). Deliberate wall-clock
-//     measurement (the Figure 19 scheduling-overhead probe) is
-//     annotated.
+//     the virtual clock (sim.Env). Deliberate wall-clock measurement
+//     (the sampled Figure 19 scheduling-overhead probe) is annotated.
 //   - package-level math/rand calls (rand.Intn, rand.Float64, ...):
 //     the global generator is shared, unseeded, and race-prone.
 //     Constructing owned generators (rand.New, rand.NewSource,
@@ -25,8 +24,8 @@
 //   - goroutine launches and sync/sync.atomic use inside the kernel
 //     packages (internal/sim, internal/cluster): the kernel orders
 //     every event itself and runs them all on its caller's goroutine —
-//     processes are coroutines, and a whole fleet shares one event
-//     kernel — so its state is never guarded by locks.
+//     every wait is a callback continuation, and a whole fleet shares
+//     one event kernel — so its state is never guarded by locks.
 //
 // A finding is silenced by a `//detlint:allow <reason>` comment on the
 // offending line or the line above it — the reason is the point: every

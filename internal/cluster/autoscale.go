@@ -75,26 +75,26 @@ func (s *RateFleetScaler) Scale(now sim.Time, w metrics.Window, interval time.Du
 	return active
 }
 
-// fleetAutoscale is the cluster's scaling process: once per Window it
+// fleetAutoscale starts the cluster's scaling loop: once per Window it
 // synthesizes the last window of the fleet series from the recorder's
 // counters (arrivals, completions, rejections since the previous tick),
-// asks the autoscaler for a desired Up count, and applies it. It exits
+// asks the autoscaler for a desired Up count, and applies it. It stops
 // once the stream's nodes have been closed — the fleet only drains from
 // there.
-func (c *Cluster) fleetAutoscale(p *sim.Proc) {
+func (c *Cluster) fleetAutoscale() {
 	window := c.cfg.Window
+	start := c.env.Now()
 	var lastArr, lastComp, lastRej int64
-	start := p.Now()
-	for {
-		p.Sleep(window)
+	c.env.Every(window, func() bool {
 		if c.closedAll {
-			return
+			return false
 		}
+		now := c.env.Now()
 		arr := c.recorder.Arrivals()
 		comp := c.recorder.Completions()
 		rej := c.recorder.Rejections()
 		w := metrics.Window{
-			Start:       p.Now().Sub(start) - window,
+			Start:       now.Sub(start) - window,
 			Arrivals:    arr - lastArr,
 			Completions: comp - lastComp,
 			Rejections:  rej - lastRej,
@@ -106,21 +106,19 @@ func (c *Cluster) fleetAutoscale(p *sim.Proc) {
 				up++
 			}
 		}
-		if up == 0 {
-			continue // mid-blackout; nothing to scale
+		if up > 0 { // mid-blackout there is nothing to scale
+			desired := c.cfg.Autoscaler.Scale(now, w, window, up, len(c.nodes))
+			c.applyScale(now, min(max(desired, 1), len(c.nodes)), up)
 		}
-		desired := c.cfg.Autoscaler.Scale(p.Now(), w, window, up, len(c.nodes))
-		desired = min(max(desired, 1), len(c.nodes))
-		c.applyScale(p, desired, up)
-	}
+		return true
+	})
 }
 
 // applyScale drains or resumes nodes to move the Up count toward
 // desired. Scale-down drains from the highest index; scale-up resumes
 // autoscaler-drained nodes from the lowest. Crashed nodes and fault-
 // plan drains are out of bounds in both directions.
-func (c *Cluster) applyScale(p *sim.Proc, desired, up int) {
-	now := p.Now()
+func (c *Cluster) applyScale(now sim.Time, desired, up int) {
 	for i := len(c.nodes) - 1; i >= 0 && up > desired; i-- {
 		n := c.nodes[i]
 		if n.sys.State() != core.NodeUp {

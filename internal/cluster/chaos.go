@@ -75,7 +75,7 @@ type lease struct {
 	// parked, voided or resolved. hedge is the speculative second copy,
 	// on the wire or held, nil while unhedged. A lease is recycled once
 	// done (completed or terminally rejected) and neither points at a
-	// hold; gen counts its recyclings so a hedge process started for an
+	// hold; gen counts its recyclings so a hedge callback scheduled for an
 	// earlier use never acts on a reused lease.
 	primary *hold
 	hedge   *hold

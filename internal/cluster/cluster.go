@@ -344,8 +344,8 @@ type nodeDelegate struct {
 // RequestDone implements core.StreamDelegate: the completion acks the
 // request's lease with a fold to the front end (completionFold). It runs
 // in the node's context, so it may only capture and post.
-func (d *nodeDelegate) RequestDone(p *sim.Proc, r *coe.Request) {
-	d.c.postFold(d.idx, p.Now(), opCompletion, r, core.Lease{})
+func (d *nodeDelegate) RequestDone(now sim.Time, r *coe.Request) {
+	d.c.postFold(d.idx, now, opCompletion, r, core.Lease{})
 }
 
 // RequestDropped implements core.StreamDelegate: a crash-voided request
@@ -386,7 +386,6 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 	defer func() { c.serving = false }()
 
 	if c.runs > 0 {
-		c.env.Reopen()
 		c.recorder.Reset()
 		clear(c.routed)
 	}
@@ -415,20 +414,20 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 	if c.cfg.Admission != nil {
 		c.cfg.Admission.Reset(c.env.Now())
 	}
-	if plan := c.cfg.Faults; !plan.Empty() {
-		c.env.Go("cluster/chaos", func(p *sim.Proc) {
-			plan.Run(p, func(ev sim.FaultEvent) { c.applyFault(p.Now(), ev) })
-		})
-	}
+	c.cfg.Faults.Run(c.env, func(ev sim.FaultEvent) { c.applyFault(c.env.Now(), ev) })
 	if c.cfg.Autoscaler != nil {
-		c.env.Go("cluster/autoscale", c.fleetAutoscale)
+		c.fleetAutoscale()
 	}
 	if c.health != nil {
-		c.env.Go("cluster/health", c.healthLoop)
+		c.env.Every(c.health.cfg.Window, c.healthTick)
 	}
-	c.env.Go("cluster/arrivals", func(p *sim.Proc) { c.admit(p, src) })
+	workload.Play(c.env, src, c.arrive, c.sourceClosed)
 	c.env.Run()
 
+	if err := c.env.Drained(); err != nil {
+		c.broken = fmt.Errorf("cluster: stream %q: %w", src.Name(), err)
+		return nil, c.broken
+	}
 	cs := c.chaos
 	cs.verify(c.env.Now(), "stream end")
 	if len(cs.violations) > 0 {
@@ -479,28 +478,19 @@ func (c *Cluster) beginLifecycle() {
 	clear(c.scalerDrained)
 }
 
-// admit is the cluster's arrival process: it walks the source, sleeps
-// until each request's due time, and delivers it. When the source
-// closes, the nodes' streams close as soon as every lease has resolved
-// (maybeClose): a voided lease may still need redelivery to a node that
-// has not recovered yet.
-func (c *Cluster) admit(p *sim.Proc, src workload.Source) {
-	start := p.Now()
-	cs := c.chaos
-	for {
-		tr, ok := src.Next()
-		if !ok {
-			break
-		}
-		due := start.Add(tr.At)
-		if wait := due.Sub(p.Now()); wait > 0 {
-			p.Sleep(wait)
-		}
-		cs.arrivals++
-		c.deliver(p.Now(), tr)
-	}
-	cs.srcClosed = true
-	cs.verify(p.Now(), "source exhausted")
+// arrive takes one arrival from the stream into cluster admission and
+// routing.
+func (c *Cluster) arrive(now sim.Time, tr workload.TimedRequest) {
+	c.chaos.arrivals++
+	c.deliver(now, tr)
+}
+
+// sourceClosed marks the stream's source exhausted. The nodes' streams
+// close as soon as every lease has resolved (maybeClose): a voided lease
+// may still need redelivery to a node that has not recovered yet.
+func (c *Cluster) sourceClosed(now sim.Time) {
+	c.chaos.srcClosed = true
+	c.chaos.verify(now, "source exhausted")
 	c.maybeClose()
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -183,22 +182,14 @@ func (h *healthState) resetNode(i int) {
 	h.sk[i].Reset()
 }
 
-// healthLoop is the scoring process: once per Window it recomputes every
-// node's score and advances the breaker FSM. It exits after the stream
-// has fully closed, like the fleet autoscaler.
-func (c *Cluster) healthLoop(p *sim.Proc) {
-	for {
-		p.Sleep(c.health.cfg.Window)
-		if c.closedAll {
-			return
-		}
-		c.healthTick()
+// healthTick is the scoring loop's window: it folds per-node scores from
+// this window's completion latencies and admissions, then advances the
+// breaker FSM. It stops after the stream has fully closed, like the
+// fleet autoscaler.
+func (c *Cluster) healthTick() bool {
+	if c.closedAll {
+		return false
 	}
-}
-
-// healthTick folds one window: per-node scores from this window's
-// completion latencies and admissions, then the breaker transitions.
-func (c *Cluster) healthTick() {
 	h := c.health
 	// Reference latency: the median of the per-node mean completion
 	// latencies this window, over Up nodes that completed anything. A
@@ -258,6 +249,7 @@ func (c *Cluster) healthTick() {
 		h.sk[i].Reset()
 		h.probes[i] = 0
 	}
+	return true
 }
 
 // breakerTick advances every Up node's breaker FSM on the scores the

@@ -73,18 +73,18 @@ func (c *Cluster) cancelHedge(l *lease) {
 func hedgeable(l *lease) bool { return l.held() && l.hedge == nil }
 
 // hedgeDue is the timer callback: the lease outlived its deadline
-// budget. The re-offer runs in a fresh process at the same instant,
-// after the events already due now — by which time the lease may have
-// resolved and been reused, so the process checks its generation.
+// budget. The re-offer runs in a callback at the same instant, after the
+// events already due now — by which time the lease may have resolved and
+// been reused, so the callback checks its generation.
 func (c *Cluster) hedgeDue(l *lease) {
 	if !hedgeable(l) {
 		return // voided, or already hedged since arming
 	}
 	l.timerSet = false
 	gen := l.gen
-	c.env.Go("cluster/hedge", func(p *sim.Proc) {
+	c.env.After(0, func() {
 		if l.gen == gen {
-			c.fireHedge(p, l)
+			c.fireHedge(l)
 		}
 	})
 }
@@ -95,7 +95,7 @@ func (c *Cluster) hedgeDue(l *lease) {
 // When no eligible node exists (or node admission refuses or bounces the
 // copy) the primary keeps the lease untouched and the timer re-arms with
 // exponential backoff, up to MaxRetries.
-func (c *Cluster) fireHedge(p *sim.Proc, l *lease) {
+func (c *Cluster) fireHedge(l *lease) {
 	cs := c.chaos
 	if !hedgeable(l) {
 		return
@@ -112,7 +112,7 @@ func (c *Cluster) fireHedge(p *sim.Proc, l *lease) {
 		c.rearmHedge(l)
 		return
 	}
-	now := p.Now()
+	now := c.env.Now()
 	idx := c.pickHedgeNode(now, l)
 	if idx < 0 {
 		c.rearmHedge(l)

@@ -73,20 +73,22 @@ func TestHoldListsMatchOutstanding(t *testing.T) {
 	}, board.Model)
 
 	samples, maxHeld, maxKilled := 0, 0, 0
-	cl.env.Go("test/sample", func(p *sim.Proc) {
-		for !cl.closedAll {
-			p.Sleep(10 * time.Millisecond)
-			samples++
-			for i, n := range cl.nodes {
-				held, killed := cl.heldOn(i), cl.killedOn(i)
-				maxHeld, maxKilled = max(maxHeld, held), max(maxKilled, killed)
-				if out := n.sys.Outstanding(); int64(held+killed) != out {
-					t.Errorf("at %v node%d: %d held + %d killed, node has %d outstanding",
-						p.Now().Duration(), i, held, killed, out)
-				}
+	var sample func()
+	sample = func() {
+		samples++
+		for i, n := range cl.nodes {
+			held, killed := cl.heldOn(i), cl.killedOn(i)
+			maxHeld, maxKilled = max(maxHeld, held), max(maxKilled, killed)
+			if out := n.sys.Outstanding(); int64(held+killed) != out {
+				t.Errorf("at %v node%d: %d held + %d killed, node has %d outstanding",
+					cl.env.Now().Duration(), i, held, killed, out)
 			}
 		}
-	})
+		if !cl.closedAll {
+			cl.env.After(10*time.Millisecond, sample)
+		}
+	}
+	cl.env.After(10*time.Millisecond, sample)
 	rep, err := cl.Serve(poissonFor(t, board, 40, 1500, 1))
 	if err != nil {
 		t.Fatal(err)

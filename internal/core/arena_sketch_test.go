@@ -168,7 +168,7 @@ func TestServeArenaRejectionRecycles(t *testing.T) {
 }
 
 // TestServeArenaAcrossWarmRestart: one arena serves two consecutive
-// streams through Env.Reopen warm restarts; the second stream draws
+// streams through warm restarts on one env; the second stream draws
 // nearly everything from the free list.
 func TestServeArenaAcrossWarmRestart(t *testing.T) {
 	const n = 300

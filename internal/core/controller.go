@@ -10,17 +10,14 @@ import (
 )
 
 // controller owns admission and completion for one stream served by a
-// System: it feeds timed requests from the arrival process through the
-// admission policy into the dispatch path, tracks outstanding work, and
-// shuts the executors down once the stream has fully drained — the
-// lifecycle logic that used to live inline in RunTask. In cluster mode
-// the same controller runs without an arrival loop: the cluster routes
-// requests in through offer and closes the stream itself.
+// System: it takes timed requests through the admission policy into the
+// dispatch path, tracks outstanding work, and shuts the executors down
+// once the stream has fully drained. Serve plays its source into offer;
+// in cluster mode the cluster routes requests in through offer and
+// closes the stream itself.
 type controller struct {
 	sys    *System
-	src    workload.Source
-	stream string   // the stream name reports and traces carry
-	start  sim.Time // virtual instant the stream began
+	stream string // the stream name reports and traces carry
 
 	// delegate, when set, observes request completions from outside the
 	// node — the cluster layer's fleet accounting hook.
@@ -67,37 +64,12 @@ func (a *tenantAgg) addLatency(lat float64) {
 	a.latencies = append(a.latencies, lat)
 }
 
-func newController(s *System, src workload.Source) *controller {
-	c := &controller{sys: s, src: src, start: s.env.Now()}
-	if src != nil {
-		c.stream = src.Name()
-	}
+func newController(s *System, stream string) *controller {
+	c := &controller{sys: s, stream: stream}
 	if ta, ok := s.cfg.Admission.(control.TenantAdmitter); ok {
 		c.tenantAdmit = ta
 	}
 	return c
-}
-
-// admit is the arrival process body: it walks the source, sleeps until
-// each request's due time, and offers it to admission and dispatch.
-// When the source closes it arms completion-driven shutdown (and shuts
-// down immediately if the stream already drained).
-func (c *controller) admit(p *sim.Proc) {
-	for {
-		tr, ok := c.src.Next()
-		if !ok {
-			break
-		}
-		due := c.start.Add(tr.At)
-		if wait := due.Sub(p.Now()); wait > 0 {
-			p.Sleep(wait)
-		}
-		c.offer(p.Now(), tr)
-	}
-	c.closed = true
-	if c.completed+c.dropped == c.admitted {
-		c.finish()
-	}
 }
 
 // offer runs one arrival through the admission policy and, if accepted,
@@ -157,14 +129,13 @@ func (c *controller) admitOne(now sim.Time, r *coe.Request, tenant string) bool 
 // re-dispatched for their subsequent expert; finished requests are
 // recorded, and the final completion of a closed stream shuts the
 // system down.
-func (c *controller) onBatch(p *sim.Proc, r *coe.Request) {
+func (c *controller) onBatch(now sim.Time, r *coe.Request) {
 	s := c.sys
 	s.recorder.StageDone()
 	if r.Advance() {
 		s.dispatch(r)
 		return
 	}
-	now := p.Now()
 	r.Done = now
 	s.recorder.Completion(r.Arrival, now)
 	if tenant, ok := c.tenantOf[r.ID]; ok {
@@ -181,7 +152,7 @@ func (c *controller) onBatch(p *sim.Proc, r *coe.Request) {
 	}
 	c.completed++
 	if c.delegate != nil {
-		c.delegate.RequestDone(p, r)
+		c.delegate.RequestDone(now, r)
 	}
 	// Last touch of the request: its completion is recorded, the trace
 	// event holds copies, the tenant entry is gone, and the delegate has

@@ -63,7 +63,7 @@ type System struct {
 
 	ctrl    *controller
 	picks   []int
-	measure bool
+	measure bool // the Figure 19 probe runs: online scheduling, not replay
 	runs    int
 	serving bool
 	broken  error
@@ -256,6 +256,7 @@ func newSystem(cfg Config, m *coe.Model, env *sim.Env, ownsEnv bool) (*System, e
 		q.Presize(m.NumExperts())
 		ex := &executor.Executor{
 			Name: name,
+			Env:  s.env,
 			Proc: executor.ProcProfile{
 				Exec:        func(a model.Architecture, n int) time.Duration { return model.ExecLatency(a, proc, n) },
 				ActPerImage: func(a model.Architecture) int64 { return model.ActBytesPerImage(a, proc) },
@@ -475,15 +476,21 @@ func (s *System) LoadedExperts() int {
 	return n
 }
 
+// schedSample is the Figure 19 probe's sampling period: dispatch times
+// one decision in this many, so every node pays little for the probe.
+const schedSample = 64
+
 // dispatch assigns a request's current stage to a queue (§4.2). The
 // assigner only sees the active queue set — the autoscaler's scaling
 // hook — and picks are recorded as global queue indices. The wall-clock
-// cost of the decision is the Figure 19 scheduling overhead.
+// cost of the decision is the Figure 19 scheduling overhead: every
+// online decision is counted, and one in schedSample is timed.
 func (s *System) dispatch(r *coe.Request) {
 	e := s.m.Expert(r.Expert())
+	timed := s.measure && s.recorder.SchedOps()%schedSample == 0
 	var start time.Time
-	if s.measure {
-		//detlint:allow deliberate wall-clock probe: the Figure 19 sched-cost measurement, gated by s.measure and never part of table output
+	if timed {
+		//detlint:allow deliberate wall-clock probe: the sampled Figure 19 sched-cost measurement, never part of table output
 		start = time.Now()
 	}
 	idx := s.assigner.Pick(s.env.Now(), s.activeQueues, e)
@@ -491,9 +498,11 @@ func (s *System) dispatch(r *coe.Request) {
 		idx = s.activeIdx[idx]
 	}
 	s.queues[idx].Enqueue(e, r)
-	if s.measure {
-		//detlint:allow deliberate wall-clock probe: closes the sched-cost measurement opened above
+	if timed {
+		//detlint:allow deliberate wall-clock probe: closes the sampled sched-cost measurement opened above
 		s.recorder.SchedOp(time.Since(start))
+	} else if s.measure {
+		s.recorder.SchedUntimed()
 	}
 	if s.windowExperts != nil {
 		s.windowExperts[e.ID] = struct{}{}
@@ -531,14 +540,14 @@ func (s *System) streamDone() bool {
 func (s *System) crashEpoch() int { return s.epoch }
 
 // onBatch forwards stage completions to the active stream's controller.
-func (s *System) onBatch(p *sim.Proc, r *coe.Request) {
-	s.ctrl.onBatch(p, r)
+func (s *System) onBatch(now sim.Time, r *coe.Request) {
+	s.ctrl.onBatch(now, r)
 }
 
 // onVoid forwards crash-voided batch requests to the controller's drop
 // path: accounted, recycled, never acked.
-func (s *System) onVoid(p *sim.Proc, r *coe.Request) {
-	s.ctrl.drop(p.Now(), r)
+func (s *System) onVoid(now sim.Time, r *coe.Request) {
+	s.ctrl.drop(now, r)
 }
 
 // Serve runs one request stream to completion and returns its report.
@@ -558,7 +567,7 @@ func (s *System) Serve(src workload.Source) (*Report, error) {
 		return nil, err
 	}
 	if workload.IsUnbounded(src) {
-		// An infinite source would keep the arrival process alive forever;
+		// An infinite source would keep the admit loop alive forever;
 		// the admission loop has no way to stop it.
 		return nil, fmt.Errorf("core: stream %q is unbounded; wrap it in workload.Horizon to give it a terminating horizon",
 			src.Name())
@@ -571,17 +580,21 @@ func (s *System) Serve(src workload.Source) (*Report, error) {
 	defer func() { s.serving = false }()
 
 	if s.runs > 0 {
-		// Warm restart: re-arm the drained environment and zero the
-		// per-stream statistics, keeping the recorder's sample buffers.
-		// Pool contents — the warm state — are deliberately kept.
-		s.env.Reopen()
+		// Warm restart: zero the per-stream statistics, keeping the
+		// recorder's sample buffers. Pool contents — the warm state — are
+		// deliberately kept.
 		s.resetStream()
 	}
 	s.runs++
-	s.beginStream(src, nil)
-	s.env.Go("arrivals", s.ctrl.admit)
+	s.beginStream(src.Name(), nil)
+	workload.Play(s.env, src, func(now sim.Time, tr workload.TimedRequest) { s.ctrl.offer(now, tr) },
+		func(sim.Time) { s.CloseStream() })
 	s.env.Run()
 
+	if err := s.env.Drained(); err != nil {
+		s.broken = fmt.Errorf("core: stream %q: %w", src.Name(), err)
+		return nil, s.broken
+	}
 	if !s.ctrl.finished {
 		s.broken = fmt.Errorf("core: stream %q ended with %d of %d requests incomplete",
 			src.Name(), s.ctrl.admitted-s.ctrl.completed, s.ctrl.admitted)
@@ -626,16 +639,16 @@ func (s *System) resetStream() {
 
 // beginStream arms one stream: a fresh controller (with the delegate for
 // externally fed streams), admission reset, the stream trace marker, and
-// the executor and autoscaler processes. The caller then starts the
-// arrival process — the controller's own admit loop for Serve, the
-// cluster's router loop for joined systems — and runs the env.
-func (s *System) beginStream(src workload.Source, d StreamDelegate) {
+// the executor runs and the autoscaler loop. The caller then starts the
+// arrivals — Serve plays its source, the cluster routes its own — and
+// runs the env.
+func (s *System) beginStream(stream string, d StreamDelegate) {
 	// A node left Down, Draining, or gray-degraded by a previous
 	// stream's faults starts the next stream healthy — the operator
 	// reset between streams.
 	s.state = NodeUp
 	s.gray = nil
-	s.ctrl = newController(s, src)
+	s.ctrl = newController(s, stream)
 	s.ctrl.delegate = d
 	if s.cfg.Admission != nil {
 		s.cfg.Admission.Reset(s.env.Now())
@@ -647,11 +660,10 @@ func (s *System) beginStream(src workload.Source, d StreamDelegate) {
 		})
 	}
 	for _, ex := range s.executors {
-		ex := ex
-		s.env.Go(ex.Name, ex.Run)
+		ex.Start()
 	}
 	if s.cfg.Autoscaler != nil {
-		s.env.Go("autoscale", s.autoscale)
+		s.autoscale()
 	}
 }
 
@@ -664,13 +676,13 @@ func (s *System) beginStream(src workload.Source, d StreamDelegate) {
 // back to the delegate, which recycles it after its own bookkeeping. A
 // request OfferAt rejects stays with the caller.
 type StreamDelegate interface {
-	RequestDone(p *sim.Proc, r *coe.Request)
+	RequestDone(now sim.Time, r *coe.Request)
 	RequestDropped(now sim.Time, r *coe.Request)
 }
 
 // JoinStream arms a joined system (NewSystemInEnv) for one externally
-// fed stream named stream: per-stream statistics are reset (the env
-// owner re-arms the shared env itself), the executors are launched into
+// fed stream named stream: per-stream statistics are reset, the
+// executors are launched into
 // the shared env, and subsequent OfferAt calls feed arrivals in. The env
 // owner closes the stream with CloseStream once the arrival process is
 // exhausted and collects the node's slice of the run with StreamReport
@@ -687,16 +699,9 @@ func (s *System) JoinStream(stream string, d StreamDelegate) error {
 		s.resetStream()
 	}
 	s.runs++
-	s.beginStream(namedStream(stream), d)
+	s.beginStream(stream, d)
 	return nil
 }
-
-// namedStream is the placeholder source of a joined stream: it only
-// carries the stream name (requests arrive through OfferAt, not Next).
-type namedStream string
-
-func (n namedStream) Name() string                      { return string(n) }
-func (namedStream) Next() (workload.TimedRequest, bool) { return workload.TimedRequest{}, false }
 
 // OfferAt feeds one externally routed arrival into the node's admission
 // and dispatch path at virtual time now, the node's current instant,
@@ -707,8 +712,8 @@ func (namedStream) Next() (workload.TimedRequest, bool) { return workload.TimedR
 // only a rejection mark; a node that is not Up refuses the offer
 // outright, leaving no mark at all (the dispatcher should not have
 // routed here). OfferAt must only be called between JoinStream and
-// CloseStream, from the node's own simulation context: a process or an
-// event callback of the env it joined.
+// CloseStream, from the node's own simulation context: an event callback
+// of the env it joined.
 func (s *System) OfferAt(now sim.Time, tr workload.TimedRequest) (Lease, bool) {
 	if s.state != NodeUp {
 		return Lease{}, false
@@ -746,22 +751,20 @@ func (s *System) StreamReport() (*Report, error) {
 	return s.report(s.ctrl.stream), nil
 }
 
-// autoscale is the control-plane process: once per window it samples
+// autoscale starts the control-plane loop: once per window it samples
 // each kind's busy fraction over the window and the standing backlog,
-// asks the autoscaler for the desired active counts, and applies them.
-// The active counts persist across consecutive streams, so a follow-up
-// stream starts on the topology the previous one converged to — with
-// the deactivated executors' pools still warm.
-func (s *System) autoscale(p *sim.Proc) {
+// asks the autoscaler for the desired active counts, and applies them,
+// until the stream finishes. The active counts persist across
+// consecutive streams, so a follow-up stream starts on the topology the
+// previous one converged to — with the deactivated executors' pools
+// still warm.
+func (s *System) autoscale() {
 	window := s.cfg.Window
+	// Busy times restart at zero with every stream (resetStream).
 	lastBusy := make([]time.Duration, len(s.executors))
-	for i, ex := range s.executors {
-		lastBusy[i] = ex.BusyTime()
-	}
-	for {
-		p.Sleep(window)
+	s.env.Every(window, func() bool {
 		if s.ctrl.finished {
-			return
+			return false
 		}
 		// Busy fraction per kind over the window's active executors.
 		// Inactive executors may still be draining leftover work; their
@@ -789,9 +792,10 @@ func (s *System) autoscale(p *sim.Proc) {
 		for i, ex := range s.executors {
 			lastBusy[i] = ex.BusyTime()
 		}
-		g, c := s.cfg.Autoscaler.Scale(p.Now(), u, s.activeGPU, s.activeCPU)
+		g, c := s.cfg.Autoscaler.Scale(s.env.Now(), u, s.activeGPU, s.activeCPU)
 		s.setActive(g, c)
-	}
+		return true
+	})
 }
 
 // Runs reports how many streams the system has served.

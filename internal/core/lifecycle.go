@@ -128,9 +128,9 @@ func (s *System) CrashAt(now sim.Time) int {
 }
 
 // Restart returns a crashed node to service: the state goes Up and — if
-// a stream is still open — a fresh set of executor processes is
-// launched (the crashed epoch's processes exited, or will exit the
-// moment they observe the epoch change). The node rejoins routing with
+// a stream is still open — a fresh set of executor runs is launched (the
+// crashed epoch's runs ended, or will end the moment they observe the
+// epoch change). The node rejoins routing with
 // empty queues; its pools keep whatever the crash left resident, the
 // warm-restart analogue of a machine coming back with its disk intact.
 func (s *System) Restart() {
@@ -140,8 +140,7 @@ func (s *System) Restart() {
 	s.state = NodeUp
 	if s.serving && s.ctrl != nil && !s.ctrl.finished {
 		for _, ex := range s.executors {
-			ex := ex
-			s.env.Go(ex.Name, ex.Run)
+			ex.Start()
 		}
 	}
 }

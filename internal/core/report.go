@@ -106,9 +106,10 @@ type Report struct {
 	// end — where the autoscaler (if any) left the topology.
 	ActiveGPU, ActiveCPU int
 
-	// SchedPerOp is the mean wall-clock cost of one scheduling decision;
-	// InferPerStage is the mean virtual processing time (execution plus
-	// loading) per pipeline stage (Figure 19).
+	// SchedPerOp is the mean wall-clock cost of one scheduling decision,
+	// timed on a fixed sample of them; SchedOps counts every online
+	// decision; InferPerStage is the mean virtual processing time
+	// (execution plus loading) per pipeline stage (Figure 19).
 	SchedPerOp    time.Duration
 	SchedOps      int64
 	InferPerStage time.Duration

@@ -1,8 +1,9 @@
-// Package executor implements inference executors: simulation processes
-// that drain a request queue, ensure the required expert is resident
-// (triggering managed expert switches), split work into batches bounded
-// by profiled maximum batch size and free activation memory, and execute
-// on the shared compute resource of their processor (§4.1 steps 4–8).
+// Package executor implements inference executors: event-driven state
+// machines that drain a request queue, ensure the required expert is
+// resident (triggering managed expert switches), split work into batches
+// bounded by profiled maximum batch size and free activation memory, and
+// execute on the shared compute resource of their processor (§4.1 steps
+// 4–8).
 package executor
 
 import (
@@ -21,6 +22,8 @@ import (
 type Executor struct {
 	// Name identifies the executor ("gpu0", "cpu1", ...).
 	Name string
+	// Env is the simulation the executor runs in.
+	Env *sim.Env
 	// Proc is the processor profile the executor runs on.
 	Proc ProcProfile
 	// Queue is the executor's request queue, fed by the controller.
@@ -41,31 +44,31 @@ type Executor struct {
 	// OnBatch is called after a batch finishes, once per request, in
 	// queue order. The controller advances multi-stage requests and
 	// records completions here.
-	OnBatch func(p *sim.Proc, r *coe.Request)
+	OnBatch func(now sim.Time, r *coe.Request)
 	// Observer, when set, is invoked once per executed batch.
 	Observer func(e *coe.Expert, n int, lat time.Duration)
-	// Epoch, when set, reports the data plane's crash epoch. serveGroup
-	// snapshots it before taking a batch; if it changed across the
-	// execution sleep — the node crashed mid-batch — the batch's results
-	// are discarded and its requests handed to OnVoid instead of
+	// Epoch, when set, reports the data plane's crash epoch. The
+	// executor snapshots it before taking a batch; if it changed by the
+	// time the batch finishes — the node crashed mid-batch — the batch's
+	// results are discarded and its requests handed to OnVoid instead of
 	// OnBatch, so a since-restarted node never acks work the crash
 	// voided. Nil on fault-free systems (the zero-cost default).
 	Epoch func() int
 	// OnVoid receives the requests of a batch voided by a mid-execution
 	// crash, once per request, in queue order. Required when Epoch is
 	// set.
-	OnVoid func(p *sim.Proc, r *coe.Request)
+	OnVoid func(now sim.Time, r *coe.Request)
 	// Degrade, when set, maps a batch's profiled execution latency to the
 	// latency actually served — the gray-failure seam. It is consulted
 	// once per batch, after the busy-until estimate is published but
-	// before the sleep: the executor's own prediction stays at the
+	// before execution starts: the executor's own prediction stays at the
 	// healthy profile number because a gray-degraded node does not know
 	// it is sick. That gap — real completions stretching while the
 	// node's self-model keeps promising fast — is what makes fail-slow
 	// invisible to model-driven routing and is the whole reason health
 	// must be measured from completions. A healthy node returns lat
 	// unchanged.
-	Degrade func(p *sim.Proc, lat time.Duration) time.Duration
+	Degrade func(now sim.Time, lat time.Duration) time.Duration
 
 	processed int64
 	batches   int64
@@ -95,21 +98,65 @@ func (ex *Executor) ResetStats() {
 	ex.processed, ex.batches, ex.busy = 0, 0, 0
 }
 
-// Run is the executor process body. Start it with env.Go(ex.Name, ex.Run).
-func (ex *Executor) Run(p *sim.Proc) {
-	if ex.OnBatch == nil || ex.Done == nil || (ex.Epoch != nil && ex.OnVoid == nil) {
+// Start launches a serving run at the current instant, after the
+// events already due now. The run drains the queue until it is empty
+// and Done reports true, or until the crash epoch moves on. A restart
+// may start a run while a crashed epoch's run still unwinds its last
+// batch, so each run keeps its own state.
+func (ex *Executor) Start() {
+	if ex.Env == nil || ex.OnBatch == nil || ex.Done == nil || (ex.Epoch != nil && ex.OnVoid == nil) {
 		panic(fmt.Sprintf("executor %s: incomplete wiring", ex.Name))
 	}
-	epoch := 0
-	if ex.Epoch != nil {
-		epoch = ex.Epoch()
+	r := &run{ex: ex}
+	r.nextFn, r.proceedFn, r.reservedFn, r.executedFn = r.next, r.proceed, r.reserved, r.executed
+	ex.Env.After(0, r.begin)
+}
+
+// run is one serving run of an executor: the state its continuations
+// share, which are bound once as method values when the run starts, so
+// a batch allocates nothing.
+type run struct {
+	ex    *Executor
+	epoch int // the crash epoch the run serves
+
+	// The group being drained, its expert and profile.
+	g    *sched.Group
+	e    *coe.Expert
+	perf model.Perf
+	// The batch in flight, the crash epoch when it was taken, its
+	// activation bytes and its served latency.
+	batch      []*coe.Request
+	batchEpoch int
+	actBytes   int64
+	lat        time.Duration
+
+	nextFn, proceedFn, reservedFn, executedFn func()
+}
+
+// epoch reports the crash epoch, 0 on a fault-free system.
+func (ex *Executor) epoch() int {
+	if ex.Epoch == nil {
+		return 0
 	}
-	gate := ex.Queue.Gate()
+	return ex.Epoch()
+}
+
+// begin snapshots the crash epoch the run belongs to and starts serving.
+func (r *run) begin() {
+	r.epoch = r.ex.epoch()
+	r.next()
+}
+
+// next is the serving loop: it takes the head group, pins its expert
+// and serves its batches, and when the queue is empty it waits on the
+// queue's gate or, once Done, ends the run.
+func (r *run) next() {
+	ex := r.ex
 	for {
-		if ex.Epoch != nil && ex.Epoch() != epoch {
-			// This process belongs to a crashed epoch: the node restarted
-			// and launched replacements. Exit so the executor is never
-			// served by two processes at once.
+		if ex.epoch() != r.epoch {
+			// This run belongs to a crashed epoch: the node restarted and
+			// launched a fresh run. End so the executor is never served
+			// by two runs at once.
 			return
 		}
 		g := ex.Queue.Head()
@@ -117,68 +164,90 @@ func (ex *Executor) Run(p *sim.Proc) {
 			if ex.Done() {
 				return
 			}
-			gate.Wait(p)
-			continue
+			ex.Queue.Gate().Wait(r.nextFn)
+			return
 		}
-		ex.serveGroup(p, g)
+		r.g, r.e = g, g.Expert
+		r.perf = ex.Perf(r.e)
+		if !ex.Pool.Acquire(r.e, r.proceedFn) || !r.serve() {
+			return
+		}
 	}
 }
 
-// serveGroup drains the head group: one expert switch at most, then as
-// many batches as the split bound allows.
-func (ex *Executor) serveGroup(p *sim.Proc, g *sched.Group) {
-	e := g.Expert
-	perf := ex.Perf(e)
-	ex.Pool.Acquire(p, e)
-	defer ex.Pool.Release(e.ID)
+// proceed continues the group being drained — once its expert is
+// pinned, and after each batch — and the serving loop once it is done.
+func (r *run) proceed() {
+	if r.serve() {
+		r.next()
+	}
+}
 
-	// The head group may keep growing while we execute (same-expert
-	// arrivals slot in behind it as fresh groups; see sched). We drain
-	// only this group; the loop in Run picks up successors.
-	for ex.Queue.Head() == g && g.Len() > 0 {
-		epoch := 0
-		if ex.Epoch != nil {
-			epoch = ex.Epoch()
-		}
-		bound := sched.SplitBound(perf.MaxBatch, ex.Acts.Free(), perf.ActPerImage)
-		batch := ex.Queue.TakeFromHead(bound)
-		if len(batch) == 0 {
-			return
-		}
-		actBytes := perf.ActPerImage * int64(len(batch))
-		ex.Acts.WaitReserve(p, actBytes)
-
-		lat := ex.Proc.Exec(e.Arch, len(batch))
-		ex.Queue.SetBusyUntil(p.Now().Add(lat + g.PredictedRemaining()))
-		if ex.Degrade != nil {
-			lat = ex.Degrade(p, lat)
-		}
-		ex.Compute.Acquire(p)
-		p.Sleep(lat)
-		ex.Compute.Release(p)
-		ex.Acts.Release(actBytes)
-
-		if ex.Epoch != nil && ex.Epoch() != epoch {
-			// The node crashed while this batch was in flight (waiting for
-			// memory, compute, or mid-execution). Its results are void: the
-			// crash already purged the queue and the dispatcher is
-			// redelivering the node's leases, so handing these to OnBatch
-			// would double-serve them. Resources were released above; the
-			// batch just produces nothing.
-			for _, r := range batch {
-				ex.OnVoid(p, r)
+// serve takes the next batch of the group being drained — at most one
+// expert switch per group, then as many batches as the split bound
+// allows — and starts it, reporting false. Once the group is drained it
+// unpins the expert and reports true. The head group may keep growing
+// while a batch executes (same-expert arrivals slot in behind it as
+// fresh groups; see sched); only this group is drained, and the loop in
+// next picks up successors.
+func (r *run) serve() bool {
+	ex, g := r.ex, r.g
+	if ex.Queue.Head() == g && g.Len() > 0 {
+		r.batchEpoch = ex.epoch()
+		bound := sched.SplitBound(r.perf.MaxBatch, ex.Acts.Free(), r.perf.ActPerImage)
+		r.batch = ex.Queue.TakeFromHead(bound)
+		if len(r.batch) > 0 {
+			r.actBytes = r.perf.ActPerImage * int64(len(r.batch))
+			if ex.Acts.WaitReserve(ex.Env, r.actBytes, r.reservedFn) {
+				r.reserved()
 			}
-			return
-		}
-
-		ex.busy += lat
-		ex.batches++
-		ex.processed += int64(len(batch))
-		if ex.Observer != nil {
-			ex.Observer(e, len(batch), lat)
-		}
-		for _, r := range batch {
-			ex.OnBatch(p, r)
+			return false
 		}
 	}
+	ex.Pool.Release(r.e.ID)
+	return true
+}
+
+// reserved runs the batch once its activation memory is held.
+func (r *run) reserved() {
+	ex := r.ex
+	now := ex.Env.Now()
+	lat := ex.Proc.Exec(r.e.Arch, len(r.batch))
+	ex.Queue.SetBusyUntil(now.Add(lat + r.g.PredictedRemaining()))
+	if ex.Degrade != nil {
+		lat = ex.Degrade(now, lat)
+	}
+	r.lat = lat
+	ex.Compute.Use(lat, r.executedFn)
+}
+
+// executed hands a finished batch's requests on and continues the group.
+func (r *run) executed() {
+	ex := r.ex
+	ex.Acts.Release(r.actBytes)
+	now := ex.Env.Now()
+	if ex.epoch() != r.batchEpoch {
+		// The node crashed while this batch was in flight (waiting for
+		// memory, compute, or mid-execution). Its results are void: the
+		// crash already purged the queue and the dispatcher is
+		// redelivering the node's leases, so handing these to OnBatch
+		// would double-serve them. Resources were released above; the
+		// batch just produces nothing.
+		for _, req := range r.batch {
+			ex.OnVoid(now, req)
+		}
+		ex.Pool.Release(r.e.ID)
+		r.next()
+		return
+	}
+	ex.busy += r.lat
+	ex.batches++
+	ex.processed += int64(len(r.batch))
+	if ex.Observer != nil {
+		ex.Observer(r.e, len(r.batch), r.lat)
+	}
+	for _, req := range r.batch {
+		ex.OnBatch(now, req)
+	}
+	r.proceed()
 }

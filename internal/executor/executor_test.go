@@ -64,6 +64,7 @@ func newRig(t *testing.T, poolCap, actCap int64, maxBatch int) *rig {
 	})
 	r.ex = &Executor{
 		Name:    "gpu0",
+		Env:     env,
 		Proc:    ProcProfile{Exec: func(a model.Architecture, n int) time.Duration { return model.ExecLatency(a, dev.GPU, n) }, ActPerImage: func(a model.Architecture) int64 { return model.ActBytesPerImage(a, dev.GPU) }},
 		Queue:   r.queue,
 		Pool:    pl,
@@ -71,7 +72,7 @@ func newRig(t *testing.T, poolCap, actCap int64, maxBatch int) *rig {
 		Acts:    r.acts,
 		Perf:    perf,
 		Done:    func() bool { return r.done },
-		OnBatch: func(p *sim.Proc, req *coe.Request) { r.finished = append(r.finished, req) },
+		OnBatch: func(_ sim.Time, req *coe.Request) { r.finished = append(r.finished, req) },
 	}
 	return r
 }
@@ -99,7 +100,7 @@ func TestExecutorProcessesAllRequests(t *testing.T) {
 		r.enqueue(mkReq(int64(i), coe.ExpertID(i%2)))
 	}
 	r.finish()
-	r.env.Go("gpu0", r.ex.Run)
+	r.ex.Start()
 	r.env.Run()
 	if len(r.finished) != 10 {
 		t.Fatalf("finished %d of 10", len(r.finished))
@@ -118,7 +119,7 @@ func TestExecutorBatchesWithinProfiledMax(t *testing.T) {
 		r.enqueue(mkReq(int64(i), 0))
 	}
 	r.finish()
-	r.env.Go("gpu0", r.ex.Run)
+	r.ex.Start()
 	r.env.Run()
 	// 10 requests at max batch 4 -> batches of 4,4,2.
 	if r.ex.Batches() != 3 {
@@ -135,7 +136,7 @@ func TestExecutorRespectsMemoryBound(t *testing.T) {
 		r.enqueue(mkReq(int64(i), 0))
 	}
 	r.finish()
-	r.env.Go("gpu0", r.ex.Run)
+	r.ex.Start()
 	r.env.Run()
 	if r.ex.Batches() != 3 {
 		t.Errorf("batches = %d, want 3 (memory-bound batches of 2)", r.ex.Batches())
@@ -155,7 +156,7 @@ func TestExecutorBatchTimingMatchesModel(t *testing.T) {
 		r.enqueue(mkReq(int64(i), 0))
 	}
 	r.finish()
-	r.env.Go("gpu0", r.ex.Run)
+	r.ex.Start()
 	end := r.env.Run()
 	want := model.ExecLatency(model.ResNet101, r.dev.GPU, 8)
 	if end != sim.Time(want) {
@@ -170,7 +171,7 @@ func TestExecutorSwitchThenExecute(t *testing.T) {
 	r := newRig(t, 4*rn101Bytes, 8<<30, 16)
 	r.enqueue(mkReq(0, 0))
 	r.finish()
-	r.env.Go("gpu0", r.ex.Run)
+	r.ex.Start()
 	end := r.env.Run()
 	load := r.store.PredictLoad(r.model.Expert(0), memory.TierGPU)
 	exec := model.ExecLatency(model.ResNet101, r.dev.GPU, 1)
@@ -181,19 +182,15 @@ func TestExecutorSwitchThenExecute(t *testing.T) {
 
 func TestExecutorWaitsForWorkThenExits(t *testing.T) {
 	r := newRig(t, 4*rn101Bytes, 8<<30, 16)
-	r.env.Go("gpu0", r.ex.Run)
-	r.env.Go("ctrl", func(p *sim.Proc) {
-		p.Sleep(time.Second)
-		r.enqueue(mkReq(0, 0))
-		p.Sleep(5 * time.Second)
-		r.finish()
-	})
+	r.ex.Start()
+	r.env.After(time.Second, func() { r.enqueue(mkReq(0, 0)) })
+	r.env.After(6*time.Second, r.finish)
 	r.env.Run()
 	if len(r.finished) != 1 {
 		t.Fatalf("finished = %d, want 1", len(r.finished))
 	}
-	if r.env.Procs() != 0 {
-		t.Errorf("%d processes still alive (executor did not exit)", r.env.Procs())
+	if err := r.env.Drained(); err != nil {
+		t.Errorf("executor did not exit: %v", err)
 	}
 }
 
@@ -227,6 +224,7 @@ func TestTwoExecutorsShareComputeSerially(t *testing.T) {
 		})
 		return &Executor{
 			Name:    name,
+			Env:     env,
 			Proc:    ProcProfile{Exec: func(a model.Architecture, n int) time.Duration { return model.ExecLatency(a, dev.GPU, n) }, ActPerImage: func(a model.Architecture) int64 { return model.ActBytesPerImage(a, dev.GPU) }},
 			Queue:   q,
 			Pool:    pl,
@@ -236,15 +234,15 @@ func TestTwoExecutorsShareComputeSerially(t *testing.T) {
 				return model.Perf{Arch: e.Arch, K: model.KCoeff(e.Arch, dev.GPU), B: dev.GPU.LaunchOverhead, MaxBatch: 16, ActPerImage: model.ActBytesPerImage(e.Arch, dev.GPU)}
 			},
 			Done:    func() bool { return done },
-			OnBatch: func(p *sim.Proc, r *coe.Request) { finished++ },
+			OnBatch: func(sim.Time, *coe.Request) { finished++ },
 		}
 	}
 	ex0, ex1 := mk("g0", e0), mk("g1", e1)
 	ex0.Queue.Enqueue(m.Expert(e0), mkReq(0, e0))
 	ex1.Queue.Enqueue(m.Expert(e1), mkReq(1, e1))
 	done = true
-	env.Go("g0", ex0.Run)
-	env.Go("g1", ex1.Run)
+	ex0.Start()
+	ex1.Start()
 	end := env.Run()
 	exec1 := model.ExecLatency(model.ResNet101, dev.GPU, 1)
 	if end != sim.Time(2*exec1) {

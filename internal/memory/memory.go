@@ -1,6 +1,6 @@
 // Package memory provides byte-accounted memory arenas for the simulated
 // device. An Arena tracks reservations against a fixed capacity and lets
-// simulation processes block until space frees up — the mechanism behind
+// a simulation wait until space frees up — the mechanism behind
 // the paper's tradeoff between expert storage and batch intermediate
 // results (§3.3, §4.4).
 package memory
@@ -37,7 +37,7 @@ func (t Tier) String() string {
 }
 
 // Arena is a fixed-capacity memory account. Reservations either succeed
-// immediately, fail, or (for simulation processes) block until capacity
+// immediately, fail, or (WaitReserve) park a continuation until capacity
 // frees. The zero value is unusable; create arenas with NewArena.
 type Arena struct {
 	name     string
@@ -50,8 +50,9 @@ type Arena struct {
 }
 
 type waiter struct {
-	proc  *sim.Proc
+	env   *sim.Env
 	bytes int64
+	k     func()
 }
 
 // NewArena returns an arena with the given capacity in bytes.
@@ -111,9 +112,9 @@ func (a *Arena) Release(bytes int64) {
 	a.wakeFitting()
 }
 
-// wakeFitting resumes queued waiters, head-of-line, while their requests
-// fit. The reservation is made on behalf of the waiter before it
-// resumes, so capacity cannot be stolen in between.
+// wakeFitting schedules queued waiters, head-of-line, while their
+// requests fit. The reservation is made on behalf of the waiter before
+// it runs, so capacity cannot be stolen in between.
 func (a *Arena) wakeFitting() {
 	for len(a.waiters) > 0 {
 		w := a.waiters[0]
@@ -125,15 +126,16 @@ func (a *Arena) wakeFitting() {
 		if a.reserved > a.peak {
 			a.peak = a.reserved
 		}
-		w.proc.Unpark()
+		w.env.Unpark(w.k)
 	}
 }
 
-// WaitReserve blocks the simulation process until bytes can be reserved,
-// then reserves them. Requests queue FIFO, so a large request is not
-// starved by a stream of small ones. Panics if bytes exceeds capacity
-// outright (it could never succeed).
-func (a *Arena) WaitReserve(p *sim.Proc, bytes int64) {
+// WaitReserve reserves bytes and reports true if they fit now.
+// Otherwise it parks k on env until the bytes can be reserved on its
+// behalf, and reports false. Requests queue FIFO, so a large request is
+// not starved by a stream of small ones. Panics if bytes exceeds
+// capacity outright (it could never succeed).
+func (a *Arena) WaitReserve(env *sim.Env, bytes int64, k func()) bool {
 	if bytes < 0 {
 		panic("memory: negative reservation")
 	}
@@ -146,8 +148,9 @@ func (a *Arena) WaitReserve(p *sim.Proc, bytes int64) {
 		if a.reserved > a.peak {
 			a.peak = a.reserved
 		}
-		return
+		return true
 	}
-	a.waiters = append(a.waiters, waiter{proc: p, bytes: bytes})
-	p.Park()
+	a.waiters = append(a.waiters, waiter{env: env, bytes: bytes, k: k})
+	env.Park()
+	return false
 }

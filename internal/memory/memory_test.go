@@ -63,15 +63,16 @@ func TestWaitReserveBlocksUntilFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var acquiredAt sim.Time
-	env.Go("waiter", func(p *sim.Proc) {
-		a.WaitReserve(p, 50)
-		acquiredAt = p.Now()
+	got := func() {
+		acquiredAt = env.Now()
 		a.Release(50)
+	}
+	env.After(0, func() {
+		if a.WaitReserve(env, 50, got) {
+			got()
+		}
 	})
-	env.Go("releaser", func(p *sim.Proc) {
-		p.Sleep(2 * time.Second)
-		a.Release(80)
-	})
+	env.After(2*time.Second, func() { a.Release(80) })
 	env.Run()
 	if acquiredAt != sim.Time(2*time.Second) {
 		t.Errorf("waiter acquired at %v, want 2s", acquiredAt)
@@ -90,22 +91,20 @@ func TestWaitReserveFIFONoStarvation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var order []string
-	env.Go("big", func(p *sim.Proc) {
-		p.Sleep(time.Millisecond)
-		a.WaitReserve(p, 80)
-		order = append(order, "big")
-		a.Release(80)
-	})
-	env.Go("small", func(p *sim.Proc) {
-		p.Sleep(2 * time.Millisecond)
-		a.WaitReserve(p, 5)
-		order = append(order, "small")
-		a.Release(5)
-	})
-	env.Go("releaser", func(p *sim.Proc) {
-		p.Sleep(time.Second)
-		a.Release(90)
-	})
+	waiter := func(at time.Duration, name string, bytes int64) {
+		got := func() {
+			order = append(order, name)
+			a.Release(bytes)
+		}
+		env.After(at, func() {
+			if a.WaitReserve(env, bytes, got) {
+				got()
+			}
+		})
+	}
+	waiter(time.Millisecond, "big", 80)
+	waiter(2*time.Millisecond, "small", 5)
+	env.After(time.Second, func() { a.Release(90) })
 	env.Run()
 	if len(order) != 2 || order[0] != "big" || order[1] != "small" {
 		t.Errorf("service order = %v, want [big small]", order)
@@ -115,12 +114,11 @@ func TestWaitReserveFIFONoStarvation(t *testing.T) {
 func TestWaitReserveImmediateWhenFits(t *testing.T) {
 	env := sim.NewEnv()
 	a := NewArena("gpu", 100)
-	var at sim.Time
-	env.Go("p", func(p *sim.Proc) {
-		a.WaitReserve(p, 100)
-		at = p.Now()
+	at := sim.Time(-1)
+	if a.WaitReserve(env, 100, func() { t.Error("fitting reservation parked") }) {
+		at = env.Now()
 		a.Release(100)
-	})
+	}
 	env.Run()
 	if at != 0 {
 		t.Errorf("immediate WaitReserve resumed at %v, want 0", at)
@@ -131,15 +129,14 @@ func TestWaitReserveImpossiblePanics(t *testing.T) {
 	env := sim.NewEnv()
 	a := NewArena("gpu", 10)
 	var recovered bool
-	env.Go("p", func(p *sim.Proc) {
+	func() {
 		defer func() {
 			if recover() != nil {
 				recovered = true
 			}
 		}()
-		a.WaitReserve(p, 11)
-	})
-	env.Run()
+		a.WaitReserve(env, 11, func() {})
+	}()
 	if !recovered {
 		t.Error("no panic for impossible reservation")
 	}

@@ -61,12 +61,14 @@ type Recorder struct {
 	latencies []float64
 	sketch    *stats.Sketch
 
-	// schedWall is real wall-clock time spent inside scheduling code;
-	// schedOps counts scheduling decisions. The simulation clock never
-	// advances during scheduling — the paper measures its cost on the
-	// real CPU (Figure 19) and so do we.
-	schedWall time.Duration
-	schedOps  int64
+	// schedWall is real wall-clock time spent inside the timed
+	// scheduling decisions, schedTimed counts them, and schedOps counts
+	// every decision. The simulation clock never advances during
+	// scheduling — the paper measures its cost on the real CPU (Figure
+	// 19) and so do we.
+	schedWall  time.Duration
+	schedTimed int64
+	schedOps   int64
 }
 
 // NewRecorder returns an empty recorder.
@@ -86,7 +88,7 @@ func (r *Recorder) Reset() {
 	if r.sketch != nil {
 		r.sketch.Reset()
 	}
-	r.schedWall, r.schedOps = 0, 0
+	r.schedWall, r.schedTimed, r.schedOps = 0, 0, 0
 }
 
 // UseSketch switches the recorder to streaming-quantile mode: latency
@@ -187,11 +189,15 @@ func (r *Recorder) Completion(arrival, t sim.Time) {
 	}
 }
 
-// SchedOp records one scheduling decision that took wall-clock duration d.
+// SchedOp records one timed scheduling decision that took duration d.
 func (r *Recorder) SchedOp(d time.Duration) {
 	r.schedWall += d
+	r.schedTimed++
 	r.schedOps++
 }
+
+// SchedUntimed records one scheduling decision whose cost was not timed.
+func (r *Recorder) SchedUntimed() { r.schedOps++ }
 
 // Arrivals reports the number of requests that entered.
 func (r *Recorder) Arrivals() int64 { return r.arrivals }
@@ -253,15 +259,16 @@ func (r *Recorder) SLOAttainment(slo time.Duration) float64 {
 	return stats.Attainment(r.latencies, slo.Seconds())
 }
 
-// SchedPerOp reports the mean wall-clock cost of one scheduling decision.
+// SchedPerOp reports the mean wall-clock cost of one scheduling
+// decision, over the timed ones.
 func (r *Recorder) SchedPerOp() time.Duration {
-	if r.schedOps == 0 {
+	if r.schedTimed == 0 {
 		return 0
 	}
-	return r.schedWall / time.Duration(r.schedOps)
+	return r.schedWall / time.Duration(r.schedTimed)
 }
 
-// SchedWall reports the total wall-clock time spent scheduling.
+// SchedWall reports the wall-clock time of the timed decisions.
 func (r *Recorder) SchedWall() time.Duration { return r.schedWall }
 
 // SchedOps reports the number of scheduling decisions.

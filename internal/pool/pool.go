@@ -59,11 +59,16 @@ type Entry struct {
 	// ready fires when an in-flight load completes. It exists only once
 	// a concurrent acquirer of a shared pool has to wait on the load.
 	ready *sim.Event
+
+	// The switch-in in flight: the loading acquirer's continuation and
+	// the tier it loads from.
+	k   func()
+	src source
 }
 
-// Pool is the set of experts resident in one executor's memory. Pools
-// are single-owner: exactly one executor process mutates a pool, so no
-// locking is needed inside the simulation.
+// Pool is the set of experts resident in one executor's memory. The
+// simulation is single-threaded, so no locking is needed even when
+// several executors share a pool.
 type Pool struct {
 	name   string
 	arena  *memory.Arena
@@ -98,8 +103,10 @@ type Pool struct {
 	// slices.
 	scratch []*Entry
 	victims []coe.ExpertID
-	// spare holds evicted entries for Acquire to reuse.
-	spare []*Entry
+	// spare holds evicted entries for Acquire to reuse; loadedFn is
+	// p.loaded, bound once.
+	spare    []*Entry
+	loadedFn func(any, time.Duration)
 
 	// stats
 	switches  int64
@@ -115,7 +122,7 @@ func New(name string, capacity int64, store *Store, tier memory.Tier, policy Pol
 	if policy == nil {
 		panic("pool: nil policy")
 	}
-	return &Pool{
+	p := &Pool{
 		name:   name,
 		arena:  memory.NewArena(name+"/experts", capacity),
 		store:  store,
@@ -123,6 +130,8 @@ func New(name string, capacity int64, store *Store, tier memory.Tier, policy Pol
 		policy: policy,
 		now:    now,
 	}
+	p.loadedFn = p.loaded
+	return p
 }
 
 // Presize sizes the expert table for a model of n experts, so inserts
@@ -246,32 +255,41 @@ func (p *Pool) Preload(e *coe.Expert) bool {
 }
 
 // Acquire makes the expert resident and pins it, evicting and loading as
-// needed on behalf of the executor process. It reports whether this call
-// performed an expert switch. A pool may be shared by several executors
-// (the Samba-CoE Parallel arrangement): a concurrent acquirer of an
-// expert whose load is in flight waits for that load instead of starting
-// another. Acquire panics if eviction cannot free enough memory (the
+// needed on behalf of an executor. It reports true when the expert was
+// already loaded and is pinned now. Otherwise it reports false and k
+// runs once the expert is pinned: after this call's expert switch, or,
+// when a sharer of the pool (the Samba-CoE Parallel arrangement) has a
+// load of the expert in flight, after that load instead of a second one.
+// Acquire panics if eviction cannot free enough memory (the
 // configuration validator guarantees pool capacity exceeds the largest
 // expert plus one pinned expert per sharer).
-func (p *Pool) Acquire(proc *sim.Proc, e *coe.Expert) bool {
-	for {
-		entry := p.entry(e.ID)
-		if entry == nil {
-			break // absent: load it below
-		}
-		if entry.Status == Loaded {
-			entry.Pins++
-			entry.LastUse = p.now()
-			return false
-		}
-		// A sharer is loading it: wait, then re-check (the entry may
-		// have been evicted again before we got a pin on it).
+func (p *Pool) Acquire(e *coe.Expert, k func()) bool {
+	entry := p.entry(e.ID)
+	switch {
+	case entry == nil:
+		p.load(e, k)
+	case entry.Status == Loaded:
+		entry.Pins++
+		entry.LastUse = p.now()
+		return true
+	default:
+		// A sharer is loading it: wait, then try again (the entry may
+		// have been evicted again before this waiter gets a pin on it).
 		if entry.ready == nil {
-			entry.ready = sim.NewEvent(proc.Env())
+			entry.ready = sim.NewEvent(p.store.env)
 		}
-		entry.ready.Wait(proc)
+		entry.ready.Wait(func() {
+			if p.Acquire(e, k) {
+				k()
+			}
+		})
 	}
+	return false
+}
 
+// load starts the switch-in of an absent expert, pinned for the
+// acquirer whose continuation k runs once it lands.
+func (p *Pool) load(e *coe.Expert, k func()) {
 	bytes := e.WeightBytes()
 	if need := bytes - p.arena.Free(); need > 0 {
 		p.evict(need)
@@ -281,19 +299,19 @@ func (p *Pool) Acquire(proc *sim.Proc, e *coe.Expert) bool {
 	}
 	p.seq++
 	entry := p.newEntry()
-	*entry = Entry{
-		Expert:  e,
-		Bytes:   bytes,
-		Status:  Loading,
-		LoadSeq: p.seq,
-		Pins:    1,
-	}
+	entry.Expert, entry.Bytes, entry.Status = e, bytes, Loading
+	entry.LoadSeq, entry.Pins, entry.LastUse = p.seq, 1, 0
+	entry.k = k
 	p.put(entry)
+	entry.src = p.store.Fetch(e, p.tier, p.loadedFn, entry)
+}
 
-	src, d := p.store.Fetch(proc, e, p.tier)
+// loaded completes the switch-in of the *Entry tag.
+func (p *Pool) loaded(tag any, d time.Duration) {
+	entry := tag.(*Entry)
 	p.loadTime += d
 	srcName := "ssd"
-	if src == srcHost {
+	if entry.src == srcHost {
 		p.hostHits++
 		srcName = "host"
 	} else {
@@ -301,7 +319,7 @@ func (p *Pool) Acquire(proc *sim.Proc, e *coe.Expert) bool {
 	}
 	p.switches++
 	if p.Observer != nil {
-		p.Observer(e, srcName, d)
+		p.Observer(entry.Expert, srcName, d)
 	}
 
 	entry.Status = Loaded
@@ -310,7 +328,9 @@ func (p *Pool) Acquire(proc *sim.Proc, e *coe.Expert) bool {
 		entry.ready.Fire()
 		entry.ready = nil
 	}
-	return true
+	k := entry.k
+	entry.k = nil
+	k()
 }
 
 // newEntry returns an evicted entry for reuse, or a fresh one.

@@ -50,6 +50,23 @@ func newPool(env *sim.Env, store *Store, capacity int64, pol Policy) *Pool {
 
 const rn101 = 178_196_640 // ResNet101 weight bytes
 
+// acquireRun pins e in p the way one sequential driver would: it runs the
+// environment until the pin lands and reports whether the call switched
+// the expert in.
+func acquireRun(env *sim.Env, p *Pool, e *coe.Expert) bool {
+	switched := !p.Resident(e.ID)
+	if !p.Acquire(e, func() {}) {
+		env.Run()
+	}
+	return switched
+}
+
+// sleep advances a sequential driver's clock by d.
+func sleep(env *sim.Env, d time.Duration) {
+	env.After(d, func() {})
+	env.Run()
+}
+
 func TestPreload(t *testing.T) {
 	env, store, m := testWorld(t, 0, 3)
 	p := newPool(env, store, 2*rn101+rn101/2, LRU{})
@@ -71,11 +88,8 @@ func TestAcquireHitNoSwitch(t *testing.T) {
 	env, store, m := testWorld(t, 0, 2)
 	p := newPool(env, store, 4*rn101, LRU{})
 	p.Preload(m.Expert(0))
-	var switched bool
-	env.Go("x", func(proc *sim.Proc) {
-		switched = p.Acquire(proc, m.Expert(0))
-		p.Release(0)
-	})
+	switched := acquireRun(env, p, m.Expert(0))
+	p.Release(0)
 	end := env.Run()
 	if switched {
 		t.Error("hit reported as switch")
@@ -91,11 +105,8 @@ func TestAcquireHitNoSwitch(t *testing.T) {
 func TestAcquireMissLoadsFromSSD(t *testing.T) {
 	env, store, m := testWorld(t, 0, 2)
 	p := newPool(env, store, 4*rn101, LRU{})
-	var switched bool
-	env.Go("x", func(proc *sim.Proc) {
-		switched = p.Acquire(proc, m.Expert(0))
-		p.Release(0)
-	})
+	switched := acquireRun(env, p, m.Expert(0))
+	p.Release(0)
 	end := env.Run()
 	if !switched {
 		t.Error("miss not reported as switch")
@@ -117,10 +128,8 @@ func TestAcquireEvictsWhenFull(t *testing.T) {
 	p := newPool(env, store, 2*rn101, LRU{})
 	p.Preload(m.Expert(0))
 	p.Preload(m.Expert(1))
-	env.Go("x", func(proc *sim.Proc) {
-		p.Acquire(proc, m.Expert(2))
-		p.Release(2)
-	})
+	acquireRun(env, p, m.Expert(2))
+	p.Release(2)
 	env.Run()
 	if p.Loaded() != 2 {
 		t.Errorf("loaded = %d, want 2", p.Loaded())
@@ -138,17 +147,15 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	p := newPool(env, store, 2*rn101, LRU{})
 	p.Preload(m.Expert(0))
 	p.Preload(m.Expert(1))
-	env.Go("x", func(proc *sim.Proc) {
-		// Touch 0 later than 1: 1 becomes the LRU victim.
-		p.Acquire(proc, m.Expert(1))
-		p.Release(1)
-		proc.Sleep(time.Second)
-		p.Acquire(proc, m.Expert(0))
-		p.Release(0)
-		proc.Sleep(time.Second)
-		p.Acquire(proc, m.Expert(2))
-		p.Release(2)
-	})
+	// Touch 0 later than 1: 1 becomes the LRU victim.
+	acquireRun(env, p, m.Expert(1))
+	p.Release(1)
+	sleep(env, time.Second)
+	acquireRun(env, p, m.Expert(0))
+	p.Release(0)
+	sleep(env, time.Second)
+	acquireRun(env, p, m.Expert(2))
+	p.Release(2)
 	env.Run()
 	if p.IsLoaded(1) {
 		t.Error("LRU kept the least recently used expert")
@@ -163,13 +170,11 @@ func TestFIFOEvictsOldestLoad(t *testing.T) {
 	p := newPool(env, store, 2*rn101, FIFO{})
 	p.Preload(m.Expert(0)) // loaded first
 	p.Preload(m.Expert(1))
-	env.Go("x", func(proc *sim.Proc) {
-		// Recent touch must NOT save expert 0 under FIFO.
-		p.Acquire(proc, m.Expert(0))
-		p.Release(0)
-		p.Acquire(proc, m.Expert(2))
-		p.Release(2)
-	})
+	// Recent touch must NOT save expert 0 under FIFO.
+	acquireRun(env, p, m.Expert(0))
+	p.Release(0)
+	acquireRun(env, p, m.Expert(2))
+	p.Release(2)
 	env.Run()
 	if p.IsLoaded(0) {
 		t.Error("FIFO kept the first-loaded expert")
@@ -195,10 +200,8 @@ func TestDepAwareStage1EvictsOrphanedSubsequent(t *testing.T) {
 	p.Preload(cls2)
 	p.Preload(cls3)
 	p.Preload(det) // orphaned: cls0/cls1 not resident
-	env.Go("x", func(proc *sim.Proc) {
-		p.Acquire(proc, m.Expert(0))
-		p.Release(0)
-	})
+	acquireRun(env, p, m.Expert(0))
+	p.Release(0)
 	env.Run()
 	if p.IsLoaded(det.ID) {
 		t.Error("orphaned subsequent expert survived stage 1")
@@ -222,10 +225,8 @@ func TestDepAwareDetectorWithResidentPreliminarySurvives(t *testing.T) {
 	p.Preload(cls0)
 	p.Preload(cls2)
 	p.Preload(det)
-	env.Go("x", func(proc *sim.Proc) {
-		p.Acquire(proc, m.Expert(3))
-		p.Release(3)
-	})
+	acquireRun(env, p, m.Expert(3))
+	p.Release(3)
 	env.Run()
 	if !p.IsLoaded(det.ID) {
 		t.Error("non-orphaned detector evicted")
@@ -242,12 +243,10 @@ func TestPinnedExpertsNeverEvicted(t *testing.T) {
 	p := newPool(env, store, 2*rn101, LRU{})
 	p.Preload(m.Expert(0))
 	p.Preload(m.Expert(1))
-	env.Go("x", func(proc *sim.Proc) {
-		p.Acquire(proc, m.Expert(0)) // pin 0; LRU would otherwise pick it
-		p.Acquire(proc, m.Expert(2)) // must evict 1, not pinned 0
-		p.Release(2)
-		p.Release(0)
-	})
+	acquireRun(env, p, m.Expert(0)) // pin 0; LRU would otherwise pick it
+	acquireRun(env, p, m.Expert(2)) // must evict 1, not pinned 0
+	p.Release(2)
+	p.Release(0)
 	env.Run()
 	if !p.IsLoaded(0) {
 		t.Error("pinned expert was evicted")
@@ -271,10 +270,8 @@ func TestReleaseWithoutAcquirePanics(t *testing.T) {
 func TestResetStats(t *testing.T) {
 	env, store, m := testWorld(t, 0, 2)
 	p := newPool(env, store, 4*rn101, LRU{})
-	env.Go("x", func(proc *sim.Proc) {
-		p.Acquire(proc, m.Expert(0))
-		p.Release(0)
-	})
+	acquireRun(env, p, m.Expert(0))
+	p.Release(0)
 	env.Run()
 	if p.Switches() != 1 {
 		t.Fatal("setup: expected one switch")
@@ -294,10 +291,8 @@ func TestStoreCacheHitIsFastAndExclusive(t *testing.T) {
 		t.Fatal("demoted expert not cached")
 	}
 	p := newPool(env, store, 4*rn101, LRU{})
-	env.Go("x", func(proc *sim.Proc) {
-		p.Acquire(proc, e)
-		p.Release(e.ID)
-	})
+	acquireRun(env, p, e)
+	p.Release(e.ID)
 	end := env.Run()
 	want := xfer.LoadLatency(store.Device(), xfer.FromHost, memory.TierGPU, e.WeightBytes())
 	if end != sim.Time(want) {
@@ -391,20 +386,18 @@ func TestRandomAcquireReleaseInvariants(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			env, store, m := testWorld(t, 3*rn101, 8)
 			p := newPool(env, store, 3*rn101, pol)
-			env.Go("driver", func(proc *sim.Proc) {
-				for i := 0; i < 200; i++ {
-					e := m.Expert(coe.ExpertID(rng.Intn(m.NumExperts())))
-					p.Acquire(proc, e)
-					if p.FreeBytes() < 0 {
-						t.Error("negative free bytes")
-					}
-					proc.Sleep(time.Duration(rng.Intn(50)) * time.Millisecond)
-					p.Release(e.ID)
-					if got := p.Loaded(); got < 1 {
-						t.Errorf("loaded = %d after acquire", got)
-					}
+			for i := 0; i < 200; i++ {
+				e := m.Expert(coe.ExpertID(rng.Intn(m.NumExperts())))
+				acquireRun(env, p, e)
+				if p.FreeBytes() < 0 {
+					t.Error("negative free bytes")
 				}
-			})
+				sleep(env, time.Duration(rng.Intn(50))*time.Millisecond)
+				p.Release(e.ID)
+				if got := p.Loaded(); got < 1 {
+					t.Errorf("loaded = %d after acquire", got)
+				}
+			}
 			env.Run()
 			// Conservation: switches - evictions = resident delta.
 			if int64(p.Loaded()) != p.Switches()-p.Evictions() {
@@ -438,13 +431,11 @@ func TestLoadedUnpinnedIDOrder(t *testing.T) {
 	if got, want := ids(), []coe.ExpertID{0, 2, 3, 4, 5}; !slices.Equal(got, want) {
 		t.Errorf("candidates = %v, want %v", got, want)
 	}
-	env.Go("pin", func(proc *sim.Proc) {
-		p.Acquire(proc, m.Expert(3))
-		if got, want := ids(), []coe.ExpertID{0, 2, 4, 5}; !slices.Equal(got, want) {
-			t.Errorf("candidates with expert 3 pinned = %v, want %v", got, want)
-		}
-		p.Release(3)
-	})
+	acquireRun(env, p, m.Expert(3))
+	if got, want := ids(), []coe.ExpertID{0, 2, 4, 5}; !slices.Equal(got, want) {
+		t.Errorf("candidates with expert 3 pinned = %v, want %v", got, want)
+	}
+	p.Release(3)
 	env.Run()
 	if allocs := testing.AllocsPerRun(100, func() { p.LoadedUnpinned() }); allocs > 0 {
 		t.Errorf("LoadedUnpinned allocated %.2f objects/op, want 0", allocs)
@@ -470,13 +461,11 @@ func TestTrackResidency(t *testing.T) {
 	if count(0) != 2 || count(1) != 1 || count(2) != 0 {
 		t.Fatalf("attached tally = %d/%d/%d, want 2/1/0", count(0), count(1), count(2))
 	}
-	env.Go("switch", func(proc *sim.Proc) {
-		a.Acquire(proc, m.Expert(2)) // evicts expert 0 from a
-		if count(0) != 1 || count(2) != 1 {
-			t.Errorf("after switch tally = %d for expert 0, %d for expert 2, want 1/1", count(0), count(2))
-		}
-		a.Release(2)
-	})
+	acquireRun(env, a, m.Expert(2)) // evicts expert 0 from a
+	if count(0) != 1 || count(2) != 1 {
+		t.Errorf("after switch tally = %d for expert 0, %d for expert 2, want 1/1", count(0), count(2))
+	}
+	a.Release(2)
 	env.Run()
 	for i, c := range cells {
 		if i%stride != 1 && c != 0 {
@@ -627,25 +616,21 @@ func TestSwitchSteadyStateAllocations(t *testing.T) {
 	p := newPool(env, store, 3*rn101, DepAware{})
 	p.Presize(m.NumExperts())
 	classifiers := m.Experts()[:5]
-	allocs := -1.0
-	env.Go("switcher", func(proc *sim.Proc) {
-		switchOnce := func() {
-			for _, e := range classifiers {
-				if !p.Resident(e.ID) {
-					if !p.Acquire(proc, e) {
-						t.Errorf("acquire of absent expert %d was not a switch", e.ID)
-					}
-					p.Release(e.ID)
-					return
+	switchOnce := func() {
+		for _, e := range classifiers {
+			if !p.Resident(e.ID) {
+				if !acquireRun(env, p, e) {
+					t.Errorf("acquire of absent expert %d was not a switch", e.ID)
 				}
+				p.Release(e.ID)
+				return
 			}
 		}
-		for i := 0; i < 10; i++ {
-			switchOnce()
-		}
-		allocs = testing.AllocsPerRun(100, switchOnce)
-	})
-	env.Run()
+	}
+	for i := 0; i < 10; i++ {
+		switchOnce()
+	}
+	allocs := testing.AllocsPerRun(100, switchOnce)
 	if p.Evictions() < 100 {
 		t.Fatalf("evictions = %d, want every switch to evict", p.Evictions())
 	}
@@ -674,10 +659,10 @@ func TestHostCacheDemoteAllocations(t *testing.T) {
 	}
 }
 
-// TestSharedAcquireWaitsForLoad: two processes acquire the same absent
-// expert on one shared pool. The first switches it in; the second waits
-// on the lazily created ready event, resumes only once the load has
-// landed, and both end up holding a pin.
+// TestSharedAcquireWaitsForLoad: two sharers acquire the same absent
+// expert on one shared pool at one instant. The first switches it in;
+// the second waits on the lazily created ready event, continues only
+// once the load has landed, and both end up holding a pin.
 func TestSharedAcquireWaitsForLoad(t *testing.T) {
 	env, store, m := testWorld(t, 0, 2)
 	p := newPool(env, store, 4*rn101, DepAware{})
@@ -685,9 +670,11 @@ func TestSharedAcquireWaitsForLoad(t *testing.T) {
 	var switched [2]bool
 	var at [2]sim.Time
 	for i := range switched {
-		env.Go("sharer", func(proc *sim.Proc) {
-			switched[i] = p.Acquire(proc, e)
-			at[i] = proc.Now()
+		env.After(0, func() {
+			switched[i] = !p.Resident(e.ID)
+			if p.Acquire(e, func() { at[i] = env.Now() }) {
+				t.Errorf("sharer %d pinned an absent expert at once", i)
+			}
 		})
 	}
 	env.Run()
@@ -811,14 +798,23 @@ func TestResidentOrderUnderRandomOps(t *testing.T) {
 				}
 			}
 			for s := 0; s < sharers; s++ {
-				env.Go("sharer", func(proc *sim.Proc) {
-					var held []coe.ExpertID
-					for op := 0; op < 60; op++ {
+				var held []coe.ExpertID
+				op := 0
+				var step func()
+				step = func() {
+					for ; op < 60; op++ {
 						e := m.Expert(coe.ExpertID(rng.Intn(m.NumExperts())))
 						switch r := rng.Intn(10); {
 						case r < 4 && len(held) < 2:
-							p.Acquire(proc, e)
 							held = append(held, e.ID)
+							pinned := func() {
+								check("acquire")
+								op++
+								step()
+							}
+							if !p.Acquire(e, pinned) {
+								return
+							}
 							check("acquire")
 						case r < 7 && len(held) > 0:
 							k := rng.Intn(len(held))
@@ -839,14 +835,17 @@ func TestResidentOrderUnderRandomOps(t *testing.T) {
 								check("evict")
 							}
 						default:
-							proc.Sleep(time.Duration(rng.Intn(200)) * time.Millisecond)
+							op++
+							env.After(time.Duration(rng.Intn(200))*time.Millisecond, step)
+							return
 						}
 					}
 					for _, id := range held {
 						p.Release(id)
 					}
 					check("final release")
-				})
+				}
+				env.After(0, step)
 			}
 			env.Run()
 		}
@@ -868,20 +867,18 @@ func TestHostCacheRedemoteBecomesMostRecent(t *testing.T) {
 	b := New("gpu1", rn101, store, memory.TierGPU, LRU{}, env.Now)
 	a.Preload(m.Expert(0))
 	b.Preload(m.Expert(0))
-	env.Go("switches", func(proc *sim.Proc) {
-		for _, step := range []struct {
-			p  *Pool
-			id coe.ExpertID
-		}{
-			{a, 1}, // a demotes 0: cache [0]
-			{a, 2}, // a demotes 1: cache [0 1]
-			{b, 3}, // b demotes 0, already cached: cache [1 0]
-			{a, 4}, // a demotes 2, evicting the least recent: cache [0 2]
-		} {
-			step.p.Acquire(proc, m.Expert(step.id))
-			step.p.Release(step.id)
-		}
-	})
+	for _, step := range []struct {
+		p  *Pool
+		id coe.ExpertID
+	}{
+		{a, 1}, // a demotes 0: cache [0]
+		{a, 2}, // a demotes 1: cache [0 1]
+		{b, 3}, // b demotes 0, already cached: cache [1 0]
+		{a, 4}, // a demotes 2, evicting the least recent: cache [0 2]
+	} {
+		acquireRun(env, step.p, m.Expert(step.id))
+		step.p.Release(step.id)
+	}
 	env.Run()
 	if !store.Cached(0) || store.Cached(1) || !store.Cached(2) || store.CacheLen() != 2 {
 		t.Errorf("cached 0/1/2 = %v/%v/%v with %d entries, want true/false/true with 2",

@@ -25,6 +25,7 @@ const (
 // The cache is exclusive: fetching an expert moves it out, and demotion
 // moves it back in.
 type Store struct {
+	env    *sim.Env
 	dev    *hw.Device
 	engine *xfer.Engine
 	cache  *hostCache
@@ -34,7 +35,7 @@ type Store struct {
 // cache capacity; pass 0 for no cache (UMA devices load experts straight
 // from SSD, §5.1).
 func NewStore(env *sim.Env, dev *hw.Device, cacheBytes int64) *Store {
-	s := &Store{dev: dev, engine: xfer.NewEngine(env, dev)}
+	s := &Store{env: env, dev: dev, engine: xfer.NewEngine(env, dev)}
 	if cacheBytes > 0 {
 		s.cache = newHostCache(cacheBytes)
 	}
@@ -68,16 +69,19 @@ func (s *Store) CacheLen() int {
 	return len(s.cache.lru)
 }
 
-// Fetch brings the expert's weights into the destination tier on behalf
-// of the executor process, blocking on the physical transfer resources.
-// It serves from the host cache when possible (removing the cached copy
-// — the tiers swap, they do not replicate) and from SSD otherwise.
-func (s *Store) Fetch(proc *sim.Proc, e *coe.Expert, dst memory.Tier) (src source, elapsed time.Duration) {
+// Fetch brings the expert's weights into the destination tier,
+// contending on the physical transfer resources, and calls done with tag
+// and the elapsed time once they arrive. It serves from the host cache
+// when possible (removing the cached copy at once — the tiers swap, they
+// do not replicate) and from SSD otherwise, and reports which.
+func (s *Store) Fetch(e *coe.Expert, dst memory.Tier, done func(tag any, elapsed time.Duration), tag any) source {
 	bytes := e.WeightBytes()
 	if s.cache != nil && s.cache.take(e.ID) {
-		return srcHost, s.engine.Load(proc, xfer.FromHost, dst, bytes)
+		s.engine.Load(xfer.FromHost, dst, bytes, done, tag)
+		return srcHost
 	}
-	return srcSSD, s.engine.Load(proc, xfer.FromSSD, dst, bytes)
+	s.engine.Load(xfer.FromSSD, dst, bytes, done, tag)
+	return srcSSD
 }
 
 // PredictLoad reports the expected uncontended switch latency for the

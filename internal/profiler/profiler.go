@@ -4,9 +4,9 @@
 // footprint, load latency), searches for the memory allocation with the
 // decay-window method, and sweeps executor counts.
 //
-// The profiler treats the device as a black box: microbenchmarks run
-// real (simulated) executions and the fits are performed on the
-// observations, exactly as they would be on hardware.
+// The profiler treats the device as a black box: microbenchmarks observe
+// the simulated device's batch latencies and the fits are performed on
+// the observations, exactly as they would be on hardware.
 package profiler
 
 import (
@@ -16,7 +16,6 @@ import (
 	"repro/internal/hw"
 	"repro/internal/memory"
 	"repro/internal/model"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/xfer"
 )
@@ -38,25 +37,17 @@ type BatchPoint struct {
 }
 
 // BatchSweep runs the batch-size microbenchmark for an architecture on a
-// processor kind, executing each batch in a fresh simulation and
-// recording elapsed virtual time and memory footprint.
+// processor kind, recording each batch size's execution latency — the
+// virtual time one batch occupies the processor — and memory footprint.
 func BatchSweep(dev *hw.Device, arch model.Architecture, kind hw.ProcKind, maxBatch int) []BatchPoint {
 	proc := dev.Proc(kind)
 	points := make([]BatchPoint, 0, maxBatch)
 	for n := 1; n <= maxBatch; n++ {
-		n := n
-		env := sim.NewEnv()
-		var elapsed time.Duration
-		env.Go("bench", func(p *sim.Proc) {
-			start := p.Now()
-			p.Sleep(model.ExecLatency(arch, proc, n))
-			elapsed = p.Now().Sub(start)
-		})
-		env.Run()
+		exec := model.ExecLatency(arch, proc, n)
 		points = append(points, BatchPoint{
 			Batch:     n,
-			Exec:      elapsed,
-			Avg:       elapsed / time.Duration(n),
+			Exec:      exec,
+			Avg:       exec / time.Duration(n),
 			Footprint: model.ActBytes(arch, proc, n),
 		})
 	}

@@ -150,7 +150,7 @@ func (q *Queue) Name() string { return q.name }
 // Mode reports the queue's arranging mode.
 func (q *Queue) Mode() Mode { return q.mode }
 
-// Gate returns the gate the owning executor sleeps on; Enqueue notifies
+// Gate returns the gate the owning executor waits on; Enqueue notifies
 // it.
 func (q *Queue) Gate() *sim.Gate { return q.gate }
 

@@ -377,14 +377,8 @@ func TestGatesNotifyOnEnqueue(t *testing.T) {
 	env := sim.NewEnv()
 	q := testQueue(t, env, ModeGrouped)
 	var woke bool
-	env.Go("exec", func(p *sim.Proc) {
-		q.Gate().Wait(p)
-		woke = true
-	})
-	env.Go("ctrl", func(p *sim.Proc) {
-		p.Sleep(time.Second)
-		q.Enqueue(expert(1), req(0, 1))
-	})
+	q.Gate().Wait(func() { woke = true })
+	env.After(time.Second, func() { q.Enqueue(expert(1), req(0, 1)) })
 	env.Run()
 	if !woke {
 		t.Error("executor not woken by enqueue")

@@ -72,7 +72,7 @@ type FaultEvent struct {
 }
 
 // FaultPlan is a deterministic schedule of node lifecycle transitions.
-// The env owner (the cluster layer) fires the events from a process of
+// The env owner (the cluster layer) fires the events from callbacks on
 // the shared env, so a given plan produces byte-identical runs. A nil or
 // empty plan means no faults — the zero-fault configuration.
 type FaultPlan struct {
@@ -215,21 +215,26 @@ func GenerateFaultPlan(nodes int, mtbf, mttr, horizon time.Duration, seed int64)
 	return p, nil
 }
 
-// Run walks the plan from the current virtual time, sleeping to each
-// event's offset (relative to the process's time at entry) and handing
-// it to fire. It is the body of the env owner's fault-injection process;
-// equal-offset events fire back to back at the same instant, in plan
-// order.
-func (p *FaultPlan) Run(proc *Proc, fire func(FaultEvent)) {
+// Run walks the plan from the current virtual time, handing each event
+// to fire at its offset from the time of the call. The walk starts in a
+// callback scheduled at the current instant, after the events already
+// due now, and re-arms itself at each next offset; equal-offset events
+// fire back to back at the same instant, in plan order.
+func (p *FaultPlan) Run(env *Env, fire func(FaultEvent)) {
 	if p.Empty() {
 		return
 	}
-	start := proc.Now()
-	for _, ev := range p.Events {
-		due := start.Add(ev.At)
-		if wait := due.Sub(proc.Now()); wait > 0 {
-			proc.Sleep(wait)
+	start, i := env.Now(), 0
+	var step func()
+	step = func() {
+		for ; i < len(p.Events); i++ {
+			ev := p.Events[i]
+			if wait := start.Add(ev.At).Sub(env.Now()); wait > 0 {
+				env.After(wait, step)
+				return
+			}
+			fire(ev)
 		}
-		fire(ev)
 	}
+	env.After(0, step)
 }

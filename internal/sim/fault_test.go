@@ -272,10 +272,8 @@ func TestFaultPlanRunFiresAtOffsetsInPlanOrder(t *testing.T) {
 		ev FaultEvent
 	}
 	var got []firing
-	env.Go("chaos", func(proc *Proc) {
-		p.Run(proc, func(ev FaultEvent) {
-			got = append(got, firing{proc.Now().Duration(), ev})
-		})
+	p.Run(env, func(ev FaultEvent) {
+		got = append(got, firing{env.Now().Duration(), ev})
 	})
 	env.Run()
 	want := []firing{
@@ -287,9 +285,9 @@ func TestFaultPlanRunFiresAtOffsetsInPlanOrder(t *testing.T) {
 		t.Errorf("firings = %v, want %v", got, want)
 	}
 
-	// An empty plan's Run returns immediately without touching the clock.
+	// An empty plan's Run schedules nothing and never touches the clock.
 	env2 := NewEnv()
-	env2.Go("noop", func(proc *Proc) { (&FaultPlan{}).Run(proc, func(FaultEvent) { t.Error("empty plan fired") }) })
+	(&FaultPlan{}).Run(env2, func(FaultEvent) { t.Error("empty plan fired") })
 	if end := env2.Run(); end != 0 {
 		t.Errorf("empty plan advanced the clock to %v", end)
 	}

@@ -10,11 +10,11 @@ import (
 
 // This file pins the pooled-message path's contract: a randomized
 // schedule of message chains hopping between places, with timer churn
-// (immediate cancels included) and sleeping processes beside them, must
-// deliver every posted message exactly once at its instant, fire every
-// event in (time, scheduling order) order — messages interleaved with
-// After, AfterFunc, process starts and Sleep wake-ups exactly as they
-// were scheduled — and reproduce its log and final clock when run
+// (immediate cancels included) and two-step callback chains beside
+// them, must deliver every posted message exactly once at its instant,
+// fire every event in (time, scheduling order) order — messages
+// interleaved with After and AfterFunc callbacks, zero-delay starts and
+// their re-armed steps exactly as they were scheduled — and reproduce its log and final clock when run
 // again. All randomness is drawn up front into a plain schedule value;
 // the simulation itself reads only that schedule, so any violation is
 // the kernel's fault, not the test's.
@@ -23,9 +23,9 @@ import (
 type fuzzHop struct {
 	place  int           // the place the hop is delivered to (a log label)
 	delay  time.Duration // extra delay past the schedule's base hop
-	local  time.Duration // >0: arm a local timer (or sleeper) on delivery
+	local  time.Duration // >0: arm a local timer (or two-step chain) on delivery
 	cancel bool          // cancel that local timer immediately
-	sleep  bool          // run the local wait as a sleeping process instead
+	sleep  bool          // run the local wait as a chain instead: a start at the current instant that re-arms itself
 }
 
 // fuzzSchedule is everything a run needs, fixed before Run starts.
@@ -154,11 +154,10 @@ func (m *fuzzMsg) Deliver(at Time) {
 	switch {
 	case h.sleep:
 		start := n.ticket()
-		env.Go(what, func(p *Proc) {
+		env.After(0, func() {
 			n.fired(h.place, at, start, what+" start")
 			wake := n.ticket()
-			p.Sleep(h.local)
-			n.fired(h.place, at.Add(h.local), wake, what+" wake")
+			env.After(h.local, func() { n.fired(h.place, at.Add(h.local), wake, what+" wake") })
 		})
 	case h.local > 0:
 		tk := n.ticket()
@@ -233,9 +232,9 @@ func checkFuzzSeed(t *testing.T, seed int64) {
 	}
 }
 
-// TestShardedPooledMessageDeterminism is the property test: a spread of
+// TestPooledMessageDeterminism is the property test: a spread of
 // fixed seeds, each a full randomized schedule.
-func TestShardedPooledMessageDeterminism(t *testing.T) {
+func TestPooledMessageDeterminism(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		checkFuzzSeed(t, seed)
 	}

@@ -36,27 +36,23 @@ func traceSend(j int) time.Duration    { return time.Duration(j%17) * 3 * time.M
 func traceService(j int) time.Duration { return time.Duration(1+j%7) * time.Millisecond }
 
 // msgTrace runs the fixed message workload — dispatch, one hop to a
-// node, service in a process, one hop back — for the given number of
-// streams on one environment, reopening it between them. It returns
-// each stream's folds in arrival order and each stream's final clock.
+// node, service, one hop back — for the given number of streams run one
+// after another on one environment. It returns each stream's folds in
+// arrival order and each stream's final clock.
 func msgTrace(streams int) ([][]traceFold, []Time) {
 	env := NewEnv()
 	folds := make([][]traceFold, streams)
 	ends := make([]Time, streams)
 	for k := range folds {
-		if k > 0 {
-			env.Reopen()
-		}
 		posted := 0
 		for j := 0; j < traceJobs; j++ {
 			node := j % traceNodes
 			env.After(traceSend(j), func() {
 				env.PostMsg(env.Now().Add(traceHop), fnMsg(func() {
-					env.Go("service", func(p *Proc) {
-						p.Sleep(traceService(j))
+					env.After(traceService(j), func() {
 						post := posted
 						posted++
-						env.PostMsg(p.Now().Add(traceHop), fnMsg(func() {
+						env.PostMsg(env.Now().Add(traceHop), fnMsg(func() {
 							folds[k] = append(folds[k], traceFold{at: env.Now(), job: j, node: node, post: post})
 						}))
 					})
@@ -68,12 +64,12 @@ func msgTrace(streams int) ([][]traceFold, []Time) {
 	return folds, ends
 }
 
-// TestShardedEventOrder pins the message path's event order on the
+// TestMsgEventOrder pins the message path's event order on the
 // fixed workload: every job folds back exactly two hops plus its
 // service time after its dispatch, each message is delivered once,
 // folds for one instant land in the order they were posted, and a
 // second run reproduces the first fold for fold.
-func TestShardedEventOrder(t *testing.T) {
+func TestMsgEventOrder(t *testing.T) {
 	folds, ends := msgTrace(1)
 	got := folds[0]
 	if len(got) != traceJobs {
@@ -101,11 +97,10 @@ func TestShardedEventOrder(t *testing.T) {
 	}
 }
 
-// TestShardedReopen pins the warm-restart path with messages in flight:
-// after Run drains, Reopen re-arms the environment, the clock
-// continues, and the second stream repeats the first shifted by the
-// first stream's end.
-func TestShardedReopen(t *testing.T) {
+// TestMsgSecondRun pins the warm-restart path with messages in flight:
+// after Run drains, a second stream on the same environment continues
+// the clock and repeats the first shifted by the first stream's end.
+func TestMsgSecondRun(t *testing.T) {
 	folds, ends := msgTrace(2)
 	if len(folds[1]) != len(folds[0]) {
 		t.Fatalf("second stream folded %d jobs, first %d", len(folds[1]), len(folds[0]))
@@ -121,12 +116,12 @@ func TestShardedReopen(t *testing.T) {
 	}
 }
 
-// TestShardedTimerAcrossPartitions exercises AfterFunc and Cancel beside
-// posted messages: a timer fires and posts a message whose delivery
-// posts the next, a cancelled timer never fires, and events due at one
-// instant — messages, After and AfterFunc callbacks, a Sleep wake-up —
-// fire in the order they were scheduled.
-func TestShardedTimerAcrossPartitions(t *testing.T) {
+// TestMsgTimersAndMessages exercises AfterFunc and Cancel beside posted
+// messages: a timer fires and posts a message whose delivery posts the
+// next, a cancelled timer never fires, and events due at one instant —
+// messages, After and AfterFunc callbacks, a callback re-armed from a
+// zero-delay start — fire in the order they were scheduled.
+func TestMsgTimersAndMessages(t *testing.T) {
 	hop := 10 * time.Millisecond
 	env := NewEnv()
 	var fired []string
@@ -148,15 +143,14 @@ func TestShardedTimerAcrossPartitions(t *testing.T) {
 			t.Error("Cancel reported the pending timer as already gone")
 		}
 	})
-	// Six events due at 40ms. The sleeper's body runs only once Run
-	// starts, so m3 and its wake-up are scheduled after m2 and t.
+	// Six events due at 40ms. The zero-delay start runs only once Run
+	// starts, so m3 and s are scheduled after m2 and t.
 	tie := 40 * time.Millisecond
 	env.PostMsg(Time(tie), log("m1"))
 	env.After(tie, log("a"))
-	env.Go("sleeper", func(p *Proc) {
+	env.After(0, func() {
 		env.PostMsg(Time(tie), log("m3"))
-		p.Sleep(tie)
-		log("s")()
+		env.After(tie, log("s"))
 	})
 	env.PostMsg(Time(tie), log("m2"))
 	env.AfterFunc(tie, log("t"))

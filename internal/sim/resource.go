@@ -2,28 +2,27 @@ package sim
 
 import "time"
 
-// holder records one process's claim on a resource unit and when it took
-// it. Holders live in a small slice instead of a map: capacities are tiny
-// (usually 1), so a linear scan beats hashing on the acquire/release hot
-// path and allocates nothing in steady state.
-type holder struct {
-	p     *Proc
-	since Time
-}
-
 // Resource models a unit of physical capacity — a GPU compute engine, a
-// PCIe bus, an SSD controller — that at most cap processes may hold
-// simultaneously. Contending processes queue in FIFO order, which keeps
-// simulations deterministic.
+// PCIe bus, an SSD controller — that at most cap holders may hold
+// simultaneously. Contending continuations queue in FIFO order, which
+// keeps simulations deterministic.
 type Resource struct {
-	env     *Env
-	name    string
-	cap     int
-	holders []holder
-	waiters []*Proc
+	env   *Env
+	name  string
+	cap   int
+	inUse int
+	// waiters holds the continuations blocked in Acquire; woken holds
+	// those Release has handed a retry event, in the order the events
+	// fire, so the retry callback r.retryFn (bound on first use) needs
+	// no closure.
+	waiters, woken []func()
+	retryFn        func()
+	// free recycles the records of finished Use calls.
+	free *use
 
-	// accounting
-	busy time.Duration // cumulative held time x units
+	// accounting: busy integrates inUse over virtual time up to since.
+	busy  time.Duration
+	since Time
 }
 
 // NewResource returns a resource with the given capacity (>= 1).
@@ -31,87 +30,120 @@ func NewResource(env *Env, name string, capacity int) *Resource {
 	if capacity < 1 {
 		panic("sim: resource capacity must be >= 1")
 	}
-	return &Resource{
-		env:     env,
-		name:    name,
-		cap:     capacity,
-		holders: make([]holder, 0, capacity),
-	}
+	return &Resource{env: env, name: name, cap: capacity}
 }
-
-// Name reports the resource name.
-func (r *Resource) Name() string { return r.name }
 
 // InUse reports the number of units currently held.
-func (r *Resource) InUse() int { return len(r.holders) }
+func (r *Resource) InUse() int { return r.inUse }
 
-// holderIndex returns the index of p's claim, or -1.
-func (r *Resource) holderIndex(p *Proc) int {
-	for i := range r.holders {
-		if r.holders[i].p == p {
-			return i
-		}
-	}
-	return -1
+// account folds the time since the last change into busy.
+func (r *Resource) account() {
+	r.busy += time.Duration(r.env.now-r.since) * time.Duration(r.inUse)
+	r.since = r.env.now
 }
 
-// Acquire blocks p until a unit is free, then takes it. A process must
-// not acquire the same resource twice without releasing.
-func (r *Resource) Acquire(p *Proc) {
-	if p.env != r.env {
-		panic("sim: Acquire across environments")
+// Acquire takes a unit and reports true if one is free. Otherwise it
+// parks k, which runs once a unit has been taken on its behalf, and
+// reports false.
+func (r *Resource) Acquire(k func()) bool {
+	if r.TryAcquire() {
+		return true
 	}
-	if r.holderIndex(p) >= 0 {
-		panic("sim: " + p.name + " re-acquired resource " + r.name)
-	}
-	for len(r.holders) >= r.cap {
-		r.waiters = append(r.waiters, p)
-		p.park()
-	}
-	r.holders = append(r.holders, holder{p: p, since: r.env.now})
+	r.waiters = append(r.waiters, k)
+	r.env.Park()
+	return false
 }
 
 // TryAcquire takes a unit if one is free and reports whether it did.
-func (r *Resource) TryAcquire(p *Proc) bool {
-	if len(r.holders) >= r.cap {
+func (r *Resource) TryAcquire() bool {
+	if r.inUse >= r.cap {
 		return false
 	}
-	r.holders = append(r.holders, holder{p: p, since: r.env.now})
+	r.account()
+	r.inUse++
 	return true
 }
 
-// Release returns p's unit and wakes the first waiter, if any.
-func (r *Resource) Release(p *Proc) {
-	i := r.holderIndex(p)
-	if i < 0 {
-		panic("sim: " + p.name + " released resource " + r.name + " it does not hold")
+// Release returns a unit and schedules the first waiter, if any, to
+// retry at the current instant. A unit freed in between may be taken by
+// a newcomer first, in which case the waiter queues again at the back.
+func (r *Resource) Release() {
+	if r.inUse == 0 {
+		panic("sim: released resource " + r.name + " with no unit held")
 	}
-	r.busy += r.env.now.Sub(r.holders[i].since)
-	last := len(r.holders) - 1
-	r.holders[i] = r.holders[last]
-	r.holders[last] = holder{}
-	r.holders = r.holders[:last]
+	r.account()
+	r.inUse--
 	if len(r.waiters) > 0 {
-		next := r.waiters[0]
 		// Shift down instead of re-slicing forward: the buffer keeps its
 		// front capacity, so the waiter queue stops allocating once it has
 		// grown to the steady-state contention level.
-		copy(r.waiters, r.waiters[1:])
-		r.waiters[len(r.waiters)-1] = nil
-		r.waiters = r.waiters[:len(r.waiters)-1]
-		next.unpark()
+		r.woken = append(r.woken, r.waiters[0])
+		n := copy(r.waiters, r.waiters[1:])
+		r.waiters[n] = nil
+		r.waiters = r.waiters[:n]
+		if r.retryFn == nil {
+			r.retryFn = r.retry
+		}
+		r.env.Unpark(r.retryFn)
 	}
 }
 
-// Use acquires the resource, holds it for duration d of virtual time, and
-// releases it. It is the common pattern for modeling an operation that
-// occupies a physical unit.
-func (r *Resource) Use(p *Proc, d time.Duration) {
-	r.Acquire(p)
-	p.Sleep(d)
-	r.Release(p)
+// retry runs a woken waiter's acquisition.
+func (r *Resource) retry() {
+	k := r.woken[0]
+	n := copy(r.woken, r.woken[1:])
+	r.woken[n] = nil
+	r.woken = r.woken[:n]
+	if r.Acquire(k) {
+		k()
+	}
+}
+
+// use is one Use call in flight; fn is its continuation, bound once
+// when the record is first allocated.
+type use struct {
+	r    *Resource
+	d    time.Duration
+	k    func()
+	held bool // the unit is taken and the hold timer armed
+	fn   func()
+	next *use
+}
+
+// Use acquires a unit, holds it for virtual duration d, releases it, and
+// then runs k. It is the common pattern for modeling an operation that
+// occupies a physical unit; steady-state use allocates nothing.
+func (r *Resource) Use(d time.Duration, k func()) {
+	u := r.free
+	if u != nil {
+		r.free = u.next
+	} else {
+		u = &use{r: r}
+		u.fn = u.step
+	}
+	u.d, u.k = d, k
+	if r.Acquire(u.fn) {
+		u.step()
+	}
+}
+
+// step runs twice per use: once the unit is taken it arms the hold
+// timer, and when the timer fires it releases the unit and runs k.
+func (u *use) step() {
+	r := u.r
+	if !u.held {
+		u.held = true
+		r.env.After(u.d, u.fn)
+		return
+	}
+	k := u.k
+	u.held, u.k = false, nil
+	u.next, r.free = r.free, u
+	r.Release()
+	k()
 }
 
 // BusyTime reports the cumulative virtual time units of the resource
-// have been held (unit-seconds; divide by Cap for utilization).
+// have been held, up to the last acquire or release (unit-seconds;
+// divide by Cap for utilization).
 func (r *Resource) BusyTime() time.Duration { return r.busy }

@@ -1,30 +1,27 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
-// The kernel drives a set of processes — ordinary Go functions running as
-// coroutines (iter.Pull) — against a virtual clock. Exactly one process
-// runs at a time; control is handed back to the kernel whenever a process
-// blocks in Sleep, Wait, or Acquire. Events with equal timestamps fire in
-// the order they were scheduled, so a simulation is fully deterministic
-// given deterministic process code.
+// The kernel is an event loop over a virtual clock. Everything that
+// happens in a simulation is an event: a callback (After, AfterFunc) or
+// a typed message (PostMsg), popped in (time, sequence) order, so events
+// with equal timestamps fire in the order they were scheduled and a
+// simulation is fully deterministic given deterministic event code.
 //
-// The design follows the classic process-interaction style (as in SimPy):
-// CoServe's executors, transfer buses, and controllers are written as
-// straight-line Go code that sleeps for modeled durations and contends on
-// Resources that model physical units (a GPU, a PCIe bus, an SSD).
+// CoServe's executors, transfer engines and controllers are state
+// machines on this loop. A component that must wait — a modeled
+// duration, a Resource unit (a GPU, a PCIe bus, an SSD), arena space, a
+// Gate or an Event — hands the primitive a continuation, usually a
+// method value bound once, and returns. The primitive parks it in a
+// FIFO waiter list (Env.Park) and schedules it at the releasing instant
+// (Env.Unpark). A continuation still parked when Run returns will never
+// run: Env.Drained reports it.
 //
-// The event loop is the hottest path of every experiment, so it is kept
-// allocation-lean: fired events are recycled on a per-environment free
-// list, and the dominant event kinds — Sleep timeouts and unpark wake-ups
-// — carry the *Proc to resume directly on the event instead of allocating
-// a capturing closure. Pure-callback events (After, AfterFunc) take the
-// other dispatch path and run inline on the kernel goroutine with no
-// process handoff at all. A process handoff is a direct coroutine
-// switch: no scheduler, no channel, no futex wake.
+// The event loop is the hottest path of every experiment: fired events
+// are recycled on a per-environment free list, so steady-state
+// scheduling allocates nothing.
 package sim
 
 import (
 	"fmt"
-	"iter"
 	"time"
 )
 
@@ -55,21 +52,18 @@ type Message interface {
 	Deliver(at Time)
 }
 
-// event is a scheduled kernel action. Exactly one of fn, proc, and msg
-// is set: fn is the callback fast path, run inline on the kernel
-// goroutine; proc is the wake path, resuming a parked process; msg is
-// the typed-message path (PostMsg) — like proc it allocates no closure,
-// and the payload itself is poolable by the sender. Events are pooled
-// on the environment's free list, so no field may be read after
-// release.
+// event is a scheduled kernel action. Exactly one of fn and msg is set:
+// fn is the callback path (After, AfterFunc, Unpark), msg the
+// typed-message path (PostMsg), whose payload the sender can pool.
+// Events are pooled on the environment's free list, so no field may be
+// read after release.
 type event struct {
 	at    Time
 	seq   int64
-	fn    func()  // callback path (After, AfterFunc)
-	proc  *Proc   // wake path (process start, Sleep, Unpark) — no closure allocated
-	msg   Message // typed payload (PostMsg) — no closure allocated
-	index int     // heap index; -1 once removed from the heap
-	next  *event  // free-list link
+	fn    func()
+	msg   Message
+	index int    // heap index; -1 once removed from the heap
+	next  *event // free-list link
 }
 
 // eventHeap is a binary min-heap of events ordered by (time, sequence),
@@ -137,17 +131,14 @@ func (h eventHeap) down(i int) bool {
 // Env is a simulation environment: a virtual clock plus an event queue.
 // The zero value is not usable; create environments with NewEnv.
 type Env struct {
-	now        Time
-	events     eventHeap
-	seq        int64
-	running    bool
-	terminated bool
-	nprocs     int
+	now     Time
+	events  eventHeap
+	seq     int64
+	running bool
 
-	// parkedHead/parkedTail form an intrusive doubly-linked list of
-	// parked processes threaded through Proc.parkedPrev/parkedNext:
-	// O(1) insert and remove with zero allocation per park.
-	parkedHead, parkedTail *Proc
+	parked int // continuations in waiter lists: Park minus Unpark
+	// callbacks and messages count dispatched events by kind.
+	callbacks, messages int64
 
 	// free is the event free list; fired and cancelled events are
 	// recycled here so steady-state scheduling allocates nothing.
@@ -184,7 +175,7 @@ func (e *Env) newEvent(at Time) *event {
 // releaseEvent returns a fired or cancelled event to the free list. The
 // sequence number is cleared so stale Timer handles cannot match it.
 func (e *Env) releaseEvent(ev *event) {
-	ev.fn, ev.proc, ev.msg = nil, nil, nil
+	ev.fn, ev.msg = nil, nil
 	ev.seq = 0
 	ev.index = -1
 	ev.next = e.free
@@ -201,27 +192,34 @@ func (e *Env) schedule(at Time, fn func()) *event {
 // PostMsg schedules m.Deliver(at) at time at, which must not be before
 // Now. It is the closure-free path timed protocols ride on: the post
 // allocates nothing, and the message orders against every other event
-// by (time, sequence) like After and Sleep.
+// by (time, sequence) like After.
 func (e *Env) PostMsg(at Time, m Message) {
 	e.newEvent(at).msg = m
 }
 
-// scheduleWake enqueues a closure-free wake-up of p at time at — the
-// timer path behind Sleep and Unpark.
-func (e *Env) scheduleWake(at Time, p *Proc) *event {
-	ev := e.newEvent(at)
-	ev.proc = p
-	return ev
-}
-
-// After schedules fn to run after duration d. It is the callback-style
-// counterpart to Proc.Sleep and may be called from process context or
-// before Run. The callback runs inline on the kernel goroutine.
+// After schedules fn to run after duration d. After(0, fn) runs fn at
+// the current instant, after every event already due now. Scheduling a
+// method value bound once, rather than a fresh closure, keeps a
+// recurring step allocation-free.
 func (e *Env) After(d time.Duration, fn func()) {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
 	e.schedule(e.now.Add(d), fn)
+}
+
+// Every calls tick every d of virtual time until it reports false. The
+// first wait starts in a callback scheduled at the current instant,
+// after the events already due now, as a loop that waits d before each
+// tick would.
+func (e *Env) Every(d time.Duration, tick func() bool) {
+	var step func()
+	step = func() {
+		if tick() {
+			e.After(d, step)
+		}
+	}
+	e.After(0, func() { e.After(d, step) })
 }
 
 // Timer is a handle to a callback scheduled with AfterFunc. Its zero
@@ -264,48 +262,63 @@ func (e *Env) Cancel(t Timer) bool {
 	return true
 }
 
-// popEvent removes and returns the earliest pending event.
-func (e *Env) popEvent() *event {
-	return e.events.remove(0)
+// Park records that a continuation has entered a primitive's waiter
+// list; the Unpark that schedules it pairs with it.
+func (e *Env) Park() { e.parked++ }
+
+// Unpark schedules a parked continuation k at the current instant,
+// after every event already due now.
+func (e *Env) Unpark(k func()) {
+	e.parked--
+	e.schedule(e.now, k)
 }
 
-// dispatch fires one popped event: wake events resume their process,
-// message events deliver their typed payload, and callback events run
-// inline with no process handoff. The event is recycled before firing
+// Drained is the drain invariant of a finished run: it reports an error
+// when Run returned with continuations still parked — a resource unit,
+// arena bytes or a load never handed back, or a gate never notified.
+func (e *Env) Drained() error {
+	if e.parked > 0 {
+		return fmt.Errorf("sim: drained with %d continuations still parked on a resource, arena, gate or load", e.parked)
+	}
+	return nil
+}
+
+// Dispatched reports the events fired so far, by kind: callbacks
+// (After, AfterFunc, Unpark) and messages (PostMsg).
+func (e *Env) Dispatched() (callbacks, messages int64) {
+	return e.callbacks, e.messages
+}
+
+// dispatch fires one popped event. The event is recycled before firing
 // so the handler can immediately reuse it.
 func (e *Env) dispatch(ev *event) {
 	e.now = ev.at
-	if p := ev.proc; p != nil {
-		e.releaseEvent(ev)
-		e.wake(p)
-		return
-	}
 	if m := ev.msg; m != nil {
 		at := ev.at
 		e.releaseEvent(ev)
+		e.messages++
 		m.Deliver(at)
 		return
 	}
 	fn := ev.fn
 	e.releaseEvent(ev)
+	e.callbacks++
 	fn()
 }
 
 // Run executes events until the queue is empty, then returns the final
-// clock value. Processes still blocked when the queue drains are woken
-// with a termination panic that the process wrapper absorbs, so Run
-// leaves no coroutine behind. A panic in process code unwinds out of Run
-// on the caller's goroutine with its original value.
+// clock value. A later Run continues from that clock, so one environment
+// can serve consecutive streams. A panic in event code unwinds out of
+// Run with its original value.
 func (e *Env) Run() Time {
 	if e.running {
 		panic("sim: Run called re-entrantly")
 	}
 	e.running = true
+	defer func() { e.running = false }()
 	for len(e.events) > 0 {
-		e.dispatch(e.popEvent())
+		e.dispatch(e.events.remove(0))
 	}
-	e.running = false
-	e.drain()
 	return e.now
 }
 
@@ -317,190 +330,12 @@ func (e *Env) RunUntil(deadline Time) Time {
 		panic("sim: RunUntil called re-entrantly")
 	}
 	e.running = true
+	defer func() { e.running = false }()
 	for len(e.events) > 0 && e.events[0].at <= deadline {
-		e.dispatch(e.popEvent())
+		e.dispatch(e.events.remove(0))
 	}
-	e.running = false
 	if len(e.events) > 0 && e.now < deadline {
 		e.now = deadline
 	}
 	return e.now
 }
-
-// terminationSentinel unwinds a parked process when the simulation ends.
-type terminationSentinel struct{}
-
-// drain wakes every parked process with a termination panic so their
-// coroutines finish. Called once the event queue is empty.
-func (e *Env) drain() {
-	e.terminated = true
-	for e.parkedHead != nil {
-		e.wake(e.parkedHead)
-	}
-}
-
-// Terminated reports whether the environment has finished draining.
-func (e *Env) Terminated() bool { return e.terminated }
-
-// Reopen re-arms a drained environment for another round of processes:
-// the virtual clock keeps its value, and Go and the blocking operations
-// work again. It is the warm-restart hook for serving layers that run
-// consecutive streams on one simulated system. Callers are responsible
-// for having left no process parked on a Gate, Event, or Resource when
-// the previous Run drained — a stale waiter from a killed process would
-// corrupt the next round.
-func (e *Env) Reopen() {
-	if e.running {
-		panic("sim: Reopen while running")
-	}
-	if !e.terminated {
-		panic("sim: Reopen before Run drained")
-	}
-	e.terminated = false
-}
-
-// Procs reports the number of processes that have been started and have
-// not yet finished.
-func (e *Env) Procs() int { return e.nprocs }
-
-// Proc is a simulation process: a coroutine that runs under the kernel's
-// control. All blocking methods must be called from the process itself.
-type Proc struct {
-	env  *Env
-	name string
-	fn   func(*Proc) // the process body, until start hands it to the coroutine
-	// next runs the process until it parks or finishes; yield, called
-	// inside the process, returns control to the caller of next.
-	next  func() (struct{}, bool)
-	yield func(struct{}) bool
-
-	// Intrusive parked-list links; owned by the environment.
-	parkedPrev, parkedNext *Proc
-	parked                 bool
-}
-
-// Name reports the process name given to Go.
-func (p *Proc) Name() string { return p.name }
-
-// Env returns the environment the process belongs to.
-func (p *Proc) Env() *Env { return p.env }
-
-// Now reports the current virtual time.
-func (p *Proc) Now() Time { return p.env.now }
-
-// Go starts fn as a new process at the current virtual time. The process
-// begins executing when the kernel reaches its start event: its first,
-// closure-free wake-up.
-func (e *Env) Go(name string, fn func(*Proc)) *Proc {
-	if e.terminated {
-		panic("sim: Go after environment drained")
-	}
-	p := &Proc{env: e, name: name, fn: fn}
-	e.nprocs++
-	e.scheduleWake(e.now, p)
-	return p
-}
-
-// start creates the process coroutine. A panic other than the
-// termination sentinel passes through the coroutine and re-raises from
-// next, in the kernel's caller.
-func (e *Env) start(p *Proc) {
-	fn := p.fn
-	p.fn = nil
-	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		defer func() {
-			e.nprocs--
-			if r := recover(); r != nil {
-				if _, ok := r.(terminationSentinel); !ok {
-					panic(r)
-				}
-			}
-		}()
-		fn(p)
-	})
-}
-
-// pushParked appends p to the parked list.
-func (e *Env) pushParked(p *Proc) {
-	p.parked = true
-	p.parkedPrev = e.parkedTail
-	p.parkedNext = nil
-	if e.parkedTail != nil {
-		e.parkedTail.parkedNext = p
-	} else {
-		e.parkedHead = p
-	}
-	e.parkedTail = p
-}
-
-// removeParked unlinks p from the parked list; a no-op if p is not on it.
-func (e *Env) removeParked(p *Proc) {
-	if !p.parked {
-		return
-	}
-	if p.parkedPrev != nil {
-		p.parkedPrev.parkedNext = p.parkedNext
-	} else {
-		e.parkedHead = p.parkedNext
-	}
-	if p.parkedNext != nil {
-		p.parkedNext.parkedPrev = p.parkedPrev
-	} else {
-		e.parkedTail = p.parkedPrev
-	}
-	p.parkedPrev, p.parkedNext = nil, nil
-	p.parked = false
-}
-
-// wake resumes a process's coroutine, creating it on the first wake-up,
-// and returns when the process parks again or finishes.
-func (e *Env) wake(p *Proc) {
-	e.removeParked(p)
-	if p.next == nil {
-		e.start(p)
-	}
-	p.next()
-}
-
-// park switches back to the kernel and returns when the process is
-// woken. It panics with a termination sentinel if the environment
-// drained while parked.
-func (p *Proc) park() {
-	p.env.pushParked(p)
-	p.yield(struct{}{})
-	if p.env.terminated {
-		panic(terminationSentinel{})
-	}
-}
-
-// unpark schedules p to resume at the current virtual time.
-func (p *Proc) unpark() {
-	p.env.removeParked(p)
-	p.env.scheduleWake(p.env.now, p)
-}
-
-// Sleep blocks the process for virtual duration d. The wake-up is a
-// pooled, closure-free timer event: steady-state sleeping allocates
-// nothing.
-func (p *Proc) Sleep(d time.Duration) {
-	if d < 0 {
-		panic("sim: negative sleep")
-	}
-	p.env.scheduleWake(p.env.now.Add(d), p)
-	p.park()
-}
-
-// Yield lets every other runnable process scheduled at the current time
-// run before p continues. Equivalent to Sleep(0) but states intent.
-func (p *Proc) Yield() { p.Sleep(0) }
-
-// Park blocks the process until some other component calls Unpark. It is
-// a building block for synchronization primitives defined outside this
-// package (for example, memory arenas with blocking reservations).
-func (p *Proc) Park() { p.park() }
-
-// Unpark schedules a parked process to resume at the current virtual
-// time. Calling Unpark for a process that is not parked corrupts the
-// kernel state; callers must pair it with Park.
-func (p *Proc) Unpark() { p.unpark() }

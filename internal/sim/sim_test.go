@@ -3,8 +3,8 @@ package sim
 import (
 	"errors"
 	"math/rand"
-	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -22,10 +22,7 @@ func TestClockStartsAtZero(t *testing.T) {
 func TestSleepAdvancesClock(t *testing.T) {
 	env := NewEnv()
 	var woke Time
-	env.Go("sleeper", func(p *Proc) {
-		p.Sleep(3 * time.Second)
-		woke = p.Now()
-	})
+	env.After(3*time.Second, func() { woke = env.Now() })
 	end := env.Run()
 	if woke != Time(3*time.Second) {
 		t.Errorf("woke at %v, want 3s", woke)
@@ -38,12 +35,14 @@ func TestSleepAdvancesClock(t *testing.T) {
 func TestSequentialSleeps(t *testing.T) {
 	env := NewEnv()
 	var marks []Time
-	env.Go("p", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			p.Sleep(time.Second)
-			marks = append(marks, p.Now())
+	var step func()
+	step = func() {
+		marks = append(marks, env.Now())
+		if len(marks) < 3 {
+			env.After(time.Second, step)
 		}
-	})
+	}
+	env.After(time.Second, step)
 	env.Run()
 	want := []Time{Time(time.Second), Time(2 * time.Second), Time(3 * time.Second)}
 	if len(marks) != len(want) {
@@ -61,12 +60,9 @@ func TestParallelProcessesInterleaveDeterministically(t *testing.T) {
 		env := NewEnv()
 		var order []string
 		for _, name := range []string{"a", "b", "c"} {
-			name := name
-			env.Go(name, func(p *Proc) {
-				p.Sleep(time.Second)
+			env.After(time.Second, func() {
 				order = append(order, name+"1")
-				p.Sleep(time.Second)
-				order = append(order, name+"2")
+				env.After(time.Second, func() { order = append(order, name+"2") })
 			})
 		}
 		env.Run()
@@ -113,16 +109,11 @@ func TestEventBroadcast(t *testing.T) {
 	ev := NewEvent(env)
 	var woke []string
 	for _, name := range []string{"w1", "w2"} {
-		name := name
-		env.Go(name, func(p *Proc) {
-			ev.Wait(p)
-			woke = append(woke, name)
-		})
+		if ev.Wait(func() { woke = append(woke, name) }) {
+			t.Fatalf("%s: unfired event reported fired", name)
+		}
 	}
-	env.Go("firer", func(p *Proc) {
-		p.Sleep(time.Second)
-		ev.Fire()
-	})
+	env.After(time.Second, ev.Fire)
 	env.Run()
 	if len(woke) != 2 || woke[0] != "w1" || woke[1] != "w2" {
 		t.Errorf("woke = %v, want [w1 w2]", woke)
@@ -137,10 +128,10 @@ func TestEventWaitAfterFireReturnsImmediately(t *testing.T) {
 	ev := NewEvent(env)
 	ev.Fire()
 	var at Time
-	env.Go("late", func(p *Proc) {
-		p.Sleep(time.Second)
-		ev.Wait(p)
-		at = p.Now()
+	env.After(time.Second, func() {
+		if ev.Wait(func() { t.Error("waiter on a fired event parked") }) {
+			at = env.Now()
+		}
 	})
 	env.Run()
 	if at != Time(time.Second) {
@@ -159,18 +150,17 @@ func TestGateReusable(t *testing.T) {
 	env := NewEnv()
 	g := NewGate(env)
 	var wakes int
-	env.Go("waiter", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			g.Wait(p)
-			wakes++
+	var wait func()
+	wait = func() {
+		wakes++
+		if wakes < 3 {
+			g.Wait(wait)
 		}
-	})
-	env.Go("notifier", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			p.Sleep(time.Second)
-			g.Notify()
-		}
-	})
+	}
+	g.Wait(wait)
+	for i := 1; i <= 3; i++ {
+		env.After(time.Duration(i)*time.Second, g.Notify)
+	}
 	env.Run()
 	if wakes != 3 {
 		t.Errorf("wakes = %d, want 3", wakes)
@@ -182,13 +172,17 @@ func TestResourceMutualExclusion(t *testing.T) {
 	res := NewResource(env, "gpu", 1)
 	var spans [][2]Time
 	for i := 0; i < 3; i++ {
-		env.Go("user", func(p *Proc) {
-			res.Acquire(p)
-			start := p.Now()
-			p.Sleep(time.Second)
-			res.Release(p)
-			spans = append(spans, [2]Time{start, p.Now()})
-		})
+		var start Time
+		hold := func() {
+			start = env.Now()
+			env.After(time.Second, func() {
+				res.Release()
+				spans = append(spans, [2]Time{start, env.Now()})
+			})
+		}
+		if res.Acquire(hold) {
+			hold()
+		}
 	}
 	env.Run()
 	if len(spans) != 3 {
@@ -209,10 +203,7 @@ func TestResourceCapacityTwoOverlaps(t *testing.T) {
 	res := NewResource(env, "bus", 2)
 	var finished []Time
 	for i := 0; i < 4; i++ {
-		env.Go("user", func(p *Proc) {
-			res.Use(p, time.Second)
-			finished = append(finished, p.Now())
-		})
+		res.Use(time.Second, func() { finished = append(finished, env.Now()) })
 	}
 	end := env.Run()
 	if end != Time(2*time.Second) {
@@ -228,14 +219,15 @@ func TestResourceFIFOOrder(t *testing.T) {
 	res := NewResource(env, "r", 1)
 	var order []int
 	for i := 0; i < 5; i++ {
-		i := i
-		env.Go("u", func(p *Proc) {
-			// Stagger arrivals so the queue order is unambiguous.
-			p.Sleep(time.Duration(i) * time.Millisecond)
-			res.Acquire(p)
+		hold := func() {
 			order = append(order, i)
-			p.Sleep(time.Second)
-			res.Release(p)
+			env.After(time.Second, res.Release)
+		}
+		// Stagger arrivals so the queue order is unambiguous.
+		env.After(time.Duration(i)*time.Millisecond, func() {
+			if res.Acquire(hold) {
+				hold()
+			}
 		})
 	}
 	env.Run()
@@ -249,91 +241,63 @@ func TestResourceFIFOOrder(t *testing.T) {
 func TestTryAcquire(t *testing.T) {
 	env := NewEnv()
 	res := NewResource(env, "r", 1)
-	var first, second bool
-	env.Go("p", func(p *Proc) {
-		first = res.TryAcquire(p)
-		second = res.TryAcquire(p)
-		if first {
-			res.Release(p)
-		}
-	})
-	env.Run()
+	first := res.TryAcquire()
+	second := res.TryAcquire()
+	if first {
+		res.Release()
+	}
 	if !first || second {
 		t.Errorf("TryAcquire = %v, %v; want true, false", first, second)
 	}
 }
 
 func TestReleaseWithoutAcquirePanics(t *testing.T) {
-	env := NewEnv()
-	res := NewResource(env, "r", 1)
+	res := NewResource(NewEnv(), "r", 1)
 	var recovered bool
-	env.Go("p", func(p *Proc) {
+	func() {
 		defer func() {
 			if recover() != nil {
 				recovered = true
 			}
 		}()
-		res.Release(p)
-	})
-	env.Run()
+		res.Release()
+	}()
 	if !recovered {
 		t.Error("no panic on unpaired Release")
 	}
 }
 
+// TestRunDrainsBlockedProcesses checks that Run returns once the queue
+// is empty even with waiters still parked, and that Drained counts
+// exactly the continuations nothing released: an unfired event's
+// waiter, a gate's, and a resource contender behind a unit never
+// released. Released waiters leave the count.
 func TestRunDrainsBlockedProcesses(t *testing.T) {
-	env := NewEnv()
-	ev := NewEvent(env)
-	env.Go("stuck", func(p *Proc) {
-		ev.Wait(p) // never fired
-		t.Error("stuck process resumed normally")
-	})
-	env.Run()
-	if env.Procs() != 0 {
-		t.Errorf("procs remaining = %d, want 0", env.Procs())
-	}
-	if !env.Terminated() {
-		t.Error("env not terminated after Run")
-	}
-}
-
-// TestRunLeavesNoGoroutines checks that draining parked processes
-// finishes their coroutines before Run returns: the goroutine count,
-// raised while they are parked, is back where it started. (A helper
-// goroutine of an earlier test may still be exiting, so the check is
-// that none is left over, not an exact count.)
-func TestRunLeavesNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	during := 0
 	env := NewEnv()
 	ev := NewEvent(env)
 	gate := NewGate(env)
 	res := NewResource(env, "r", 1)
-	env.Go("holder", func(p *Proc) {
-		res.Acquire(p)
-		ev.Wait(p) // never fired: parked holding the resource
-	})
-	for i := 0; i < 4; i++ {
-		env.Go("waiter", func(p *Proc) { gate.Wait(p) })
-		env.Go("contender", func(p *Proc) { res.Acquire(p) })
+	stuck := func() { t.Error("stuck continuation ran") }
+	ev.Wait(stuck)
+	gate.Wait(stuck)
+	res.TryAcquire() // never released
+	res.Acquire(stuck)
+	released := NewGate(env)
+	ran := false
+	released.Wait(func() { ran = true })
+	env.After(time.Second, released.Notify)
+	if end := env.Run(); end != Time(time.Second) {
+		t.Errorf("Run returned %v, want 1s", end)
 	}
-	env.Go("sleeper", func(p *Proc) {
-		during = runtime.NumGoroutine() // every other process is parked now
-		p.Sleep(time.Second)
-	})
-	env.Run()
-	if env.Procs() != 0 {
-		t.Errorf("procs remaining = %d, want 0", env.Procs())
+	if !ran {
+		t.Error("notified waiter did not run")
 	}
-	if during <= before {
-		t.Errorf("goroutines while processes were parked = %d, want more than %d", during, before)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("goroutines after Run = %d, want at most %d", after, before)
+	if err := env.Drained(); err == nil || !strings.Contains(err.Error(), "3 continuations") {
+		t.Errorf("Drained = %v, want 3 continuations parked", err)
 	}
 }
 
-// processPanic is the value process code panics with in the panic tests.
+// processPanic is the value event code panics with in the panic tests.
 type processPanic struct{ id int }
 
 // recoverRun calls run and returns what it panicked with, recovered on
@@ -344,16 +308,13 @@ func recoverRun(run func()) (r any) {
 	return nil
 }
 
-// TestProcessPanicLeavesRun checks that a panic in process code unwinds
+// TestProcessPanicLeavesRun checks that a panic in event code unwinds
 // out of Env.Run on the caller's goroutine with its original value.
 func TestProcessPanicLeavesRun(t *testing.T) {
 	got := recoverRun(func() {
 		env := NewEnv()
-		env.Go("fine", func(p *Proc) { p.Sleep(time.Second) })
-		env.Go("faulty", func(p *Proc) {
-			p.Sleep(time.Millisecond)
-			panic(processPanic{7})
-		})
+		env.After(time.Second, func() {})
+		env.After(time.Millisecond, func() { panic(processPanic{7}) })
 		env.Run()
 	})
 	if got != (processPanic{7}) {
@@ -361,14 +322,13 @@ func TestProcessPanicLeavesRun(t *testing.T) {
 	}
 }
 
-// TestProcessPanicCapturedByMap: since a process panic reaches the
-// caller of Run, runner.Map reports it as the failing job's error and
-// the other jobs finish.
+// TestProcessPanicCapturedByMap: since a panic in event code reaches
+// the caller of Run, runner.Map reports it as the failing job's error
+// and the other jobs finish.
 func TestProcessPanicCapturedByMap(t *testing.T) {
 	ends, err := runner.Map(runner.New(2), 3, func(i int) (Time, error) {
 		env := NewEnv()
-		env.Go("job", func(p *Proc) {
-			p.Sleep(time.Duration(i+1) * time.Second)
+		env.After(time.Duration(i+1)*time.Second, func() {
 			if i == 1 {
 				panic(processPanic{i})
 			}
@@ -387,12 +347,14 @@ func TestProcessPanicCapturedByMap(t *testing.T) {
 func TestRunUntilStopsAtDeadline(t *testing.T) {
 	env := NewEnv()
 	var ticks int
-	env.Go("ticker", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Sleep(time.Second)
-			ticks++
+	var tick func()
+	tick = func() {
+		ticks++
+		if ticks < 10 {
+			env.After(time.Second, tick)
 		}
-	})
+	}
+	env.After(time.Second, tick)
 	got := env.RunUntil(Time(3500 * time.Millisecond))
 	if ticks != 3 {
 		t.Errorf("ticks = %d, want 3", ticks)
@@ -404,7 +366,7 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	env := NewEnv()
-	env.Go("p", func(p *Proc) { p.Sleep(time.Second) })
+	env.After(time.Second, func() {})
 	env.Run()
 	defer func() {
 		if recover() == nil {
@@ -414,15 +376,16 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	env.schedule(0, func() {})
 }
 
+// TestYieldLetsPeersRun pins After(0): the callback it schedules runs at
+// the current instant, but after every event already due now.
 func TestYieldLetsPeersRun(t *testing.T) {
 	env := NewEnv()
 	var order []string
-	env.Go("a", func(p *Proc) {
+	env.After(0, func() {
 		order = append(order, "a-start")
-		p.Yield()
-		order = append(order, "a-end")
+		env.After(0, func() { order = append(order, "a-end") })
 	})
-	env.Go("b", func(p *Proc) {
+	env.After(0, func() {
 		order = append(order, "b")
 	})
 	env.Run()
@@ -431,6 +394,23 @@ func TestYieldLetsPeersRun(t *testing.T) {
 		if i >= len(order) || order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
+	}
+}
+
+// TestDispatchedCountsByKind pins the kernel's self-report: every
+// callback — After, AfterFunc, an unparked continuation — and every
+// message is counted once, by kind, and a cancelled timer not at all.
+func TestDispatchedCountsByKind(t *testing.T) {
+	env := NewEnv()
+	gate := NewGate(env)
+	gate.Wait(func() {})
+	env.After(time.Second, gate.Notify)
+	env.Cancel(env.AfterFunc(time.Second, func() {}))
+	env.AfterFunc(2*time.Second, func() {})
+	env.PostMsg(Time(time.Second), fnMsg(func() {}))
+	env.Run()
+	if calls, msgs := env.Dispatched(); calls != 3 || msgs != 1 {
+		t.Errorf("dispatched %d callbacks and %d messages, want 3 and 1", calls, msgs)
 	}
 }
 
@@ -463,7 +443,7 @@ func TestEventHeapOrderProperty(t *testing.T) {
 }
 
 // TestRandomResourceWorkloadConserves checks that an arbitrary mix of
-// sleeps and resource uses completes every process exactly once and
+// waits and resource uses completes every worker exactly once and
 // never exceeds capacity.
 func TestRandomResourceWorkloadConserves(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -480,15 +460,19 @@ func TestRandomResourceWorkloadConserves(t *testing.T) {
 		maxInUse := 0
 		for i := 0; i < n; i++ {
 			d := durs[i]
-			env.Go("w", func(p *Proc) {
-				p.Sleep(d / 2)
-				res.Acquire(p)
+			hold := func() {
 				if res.InUse() > maxInUse {
 					maxInUse = res.InUse()
 				}
-				p.Sleep(d)
-				res.Release(p)
-				completed++
+				env.After(d, func() {
+					res.Release()
+					completed++
+				})
+			}
+			env.After(d/2, func() {
+				if res.Acquire(hold) {
+					hold()
+				}
 			})
 		}
 		env.Run()
@@ -517,26 +501,15 @@ func TestTimeHelpers(t *testing.T) {
 	}
 }
 
+// TestReopenRunsSecondRound checks that a second Run on a drained
+// environment continues from the first round's clock.
 func TestReopenRunsSecondRound(t *testing.T) {
 	env := NewEnv()
 	var order []string
-	env.Go("first", func(p *Proc) {
-		p.Sleep(time.Second)
-		order = append(order, "first")
-	})
+	env.After(time.Second, func() { order = append(order, "first") })
 	env.Run()
-	if !env.Terminated() {
-		t.Fatal("env not terminated after Run")
-	}
-	env.Reopen()
-	if env.Terminated() {
-		t.Fatal("env still terminated after Reopen")
-	}
 	// The clock continues: the second round starts where the first ended.
-	env.Go("second", func(p *Proc) {
-		p.Sleep(time.Second)
-		order = append(order, "second")
-	})
+	env.After(time.Second, func() { order = append(order, "second") })
 	end := env.Run()
 	if end != Time(2*time.Second) {
 		t.Errorf("clock = %v after second round, want 2s", end)
@@ -544,15 +517,6 @@ func TestReopenRunsSecondRound(t *testing.T) {
 	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
 		t.Errorf("order = %v", order)
 	}
-}
-
-func TestReopenBeforeDrainPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Reopen on a fresh env did not panic")
-		}
-	}()
-	NewEnv().Reopen()
 }
 
 func TestCancelRevokesPendingTimer(t *testing.T) {
@@ -593,7 +557,6 @@ func TestCancelStaleHandleDoesNotKillReusedEvent(t *testing.T) {
 	stale := env.AfterFunc(time.Second, func() {})
 	env.Run()
 
-	env.Reopen()
 	fired := false
 	env.AfterFunc(time.Second, func() { fired = true })
 	if env.Cancel(stale) {
@@ -712,20 +675,23 @@ func TestEventHeapRandomOps(t *testing.T) {
 	}
 }
 
-// TestSleepSteadyStateAllocations pins the pooled, closure-free kernel
-// hot path: a full ping-pong workload (1000 sleeps across 4 processes)
-// must stay well under the ~2 allocations per sleep the closure-based
+// TestSleepSteadyStateAllocations pins the pooled kernel hot path: a
+// full ping-pong workload (1000 re-armed callbacks across 4 chains)
+// must stay well under the ~2 allocations per wait the closure-based
 // kernel paid. The budget covers environment construction, the four
-// process coroutines, and heap growth — not per-sleep garbage.
+// chains' callbacks, and heap growth — not per-wait garbage.
 func TestSleepSteadyStateAllocations(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, func() {
 		env := NewEnv()
 		for i := 0; i < 4; i++ {
-			env.Go("p", func(p *Proc) {
-				for s := 0; s < 250; s++ {
-					p.Sleep(time.Millisecond)
+			left := 250
+			var step func()
+			step = func() {
+				if left--; left > 0 {
+					env.After(time.Millisecond, step)
 				}
-			})
+			}
+			env.After(time.Millisecond, step)
 		}
 		env.Run()
 	})
@@ -734,22 +700,8 @@ func TestSleepSteadyStateAllocations(t *testing.T) {
 	}
 }
 
-// BenchmarkProcRoundTrip prices one process wake-up: Sleep parks the
-// process, and the kernel pops its timer and switches back into it.
-func BenchmarkProcRoundTrip(b *testing.B) {
-	env := NewEnv()
-	env.Go("sleeper", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(time.Nanosecond)
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	env.Run()
-}
-
 // TestEventPoolReuseAcrossReopen checks warm restarts reuse the free
-// list: a second identical round on a reopened environment should not
+// list: a second identical round on a drained environment should not
 // allocate per-event.
 func TestEventPoolReuseAcrossReopen(t *testing.T) {
 	env := NewEnv()
@@ -760,11 +712,7 @@ func TestEventPoolReuseAcrossReopen(t *testing.T) {
 		env.Run()
 	}
 	round()
-	env.Reopen()
-	allocs := testing.AllocsPerRun(1, func() {
-		round()
-		env.Reopen()
-	})
+	allocs := testing.AllocsPerRun(1, round)
 	if allocs > 10 {
 		t.Errorf("reopened round allocated %.0f objects, want <= 10", allocs)
 	}

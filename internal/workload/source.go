@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/coe"
+	"repro/internal/sim"
 )
 
 // TimedRequest is one request paired with its arrival offset from the
@@ -348,6 +349,40 @@ func (h *horizonSource) Next() (TimedRequest, bool) {
 		return TimedRequest{}, false
 	}
 	return tr, true
+}
+
+// Play feeds src to deliver on env. In a callback scheduled at the
+// current instant, after the events already due now, it starts handing
+// each request to deliver at its due time — its At offset from that
+// instant — in stream order, re-arming itself at the next request's due
+// time, and it calls closed once the source is exhausted. Requests due
+// at one instant are delivered back to back.
+func Play(env *sim.Env, src Source, deliver func(now sim.Time, tr TimedRequest), closed func(now sim.Time)) {
+	start := env.Now()
+	var due TimedRequest
+	waiting := false
+	var step func()
+	step = func() {
+		now := env.Now()
+		if waiting {
+			deliver(now, due)
+			due, waiting = TimedRequest{}, false
+		}
+		for {
+			tr, ok := src.Next()
+			if !ok {
+				closed(now)
+				return
+			}
+			if wait := start.Add(tr.At).Sub(now); wait > 0 {
+				due, waiting = tr, true
+				env.After(wait, step)
+				return
+			}
+			deliver(now, tr)
+		}
+	}
+	env.After(0, step)
 }
 
 // IsUnbounded reports whether the source yields an infinite stream (it

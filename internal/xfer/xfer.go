@@ -79,9 +79,12 @@ func LoadLatency(d *hw.Device, src Source, dst memory.Tier, bytes int64) time.Du
 // the SSD-read-plus-deserialization stage (limited to the device's
 // concurrent load streams); the host link covers CPU→GPU copies.
 type Engine struct {
+	env      *sim.Env
 	dev      *hw.Device
 	loader   *sim.Resource
 	hostLink *sim.Resource
+	// free recycles finished transfer records.
+	free *transfer
 
 	loads     int64
 	loadBytes int64
@@ -97,6 +100,7 @@ func NewEngine(env *sim.Env, dev *hw.Device) *Engine {
 		hostCap = dev.LoadConcurrency()
 	}
 	return &Engine{
+		env:      env,
 		dev:      dev,
 		loader:   sim.NewResource(env, dev.Name+"/loader", dev.LoadConcurrency()),
 		hostLink: sim.NewResource(env, dev.Name+"/hostlink", hostCap),
@@ -106,30 +110,70 @@ func NewEngine(env *sim.Env, dev *hw.Device) *Engine {
 // Device returns the engine's device profile.
 func (e *Engine) Device() *hw.Device { return e.dev }
 
-// Load performs a transfer of bytes from src to dst on behalf of the
-// simulation process, blocking on the physical resources involved. It
-// returns the total elapsed virtual time including queueing.
-func (e *Engine) Load(p *sim.Proc, src Source, dst memory.Tier, bytes int64) time.Duration {
-	start := p.Now()
+// transfer is one Load in flight; fn is its continuation, bound once
+// when the record is first allocated. overLink marks an SSD load bound
+// for the GPU still in its loader stage: a host-link copy of link follows.
+type transfer struct {
+	e        *Engine
+	start    sim.Time
+	bytes    int64
+	overLink bool
+	link     time.Duration
+	done     func(tag any, elapsed time.Duration)
+	tag      any
+	fn       func()
+	next     *transfer
+}
+
+// Load performs a transfer of bytes from src to dst, contending on the
+// physical resources involved, and then calls done with tag and the
+// total elapsed virtual time including queueing. The tag lets one bound
+// done serve every load of its owner; steady-state loads allocate
+// nothing.
+func (e *Engine) Load(src Source, dst memory.Tier, bytes int64, done func(tag any, elapsed time.Duration), tag any) {
+	t := e.free
+	if t != nil {
+		e.free = t.next
+	} else {
+		t = &transfer{e: e}
+		t.fn = t.step
+	}
+	t.start, t.bytes, t.done, t.tag = e.env.Now(), bytes, done, tag
 	switch src {
 	case FromSSD:
 		stage := e.dev.LoadFixed + bwDuration(bytes, e.dev.SSDReadBW) + bwDuration(bytes, e.dev.DeserBW)
-		e.loader.Use(p, stage)
-		if dst == memory.TierGPU {
-			e.hostLink.Use(p, bwDuration(bytes, hostLinkBW(e.dev)))
+		t.overLink = dst == memory.TierGPU
+		if t.overLink {
+			t.link = bwDuration(bytes, hostLinkBW(e.dev))
 		}
+		e.loader.Use(stage, t.fn)
 	case FromHost:
 		stage := e.dev.LoadFixed
 		if dst == memory.TierGPU {
 			stage += bwDuration(bytes, hostLinkBW(e.dev))
 		}
-		e.hostLink.Use(p, stage)
+		e.hostLink.Use(stage, t.fn)
 	default:
 		panic(fmt.Sprintf("xfer: unknown source %v", src))
 	}
+}
+
+// step follows a finished stage: the host-link copy after an SSD load's
+// loader stage when the destination is the GPU, otherwise completion.
+func (t *transfer) step() {
+	e := t.e
+	if t.overLink {
+		t.overLink = false
+		e.hostLink.Use(t.link, t.fn)
+		return
+	}
+	done, tag := t.done, t.tag
 	e.loads++
-	e.loadBytes += bytes
-	return p.Now().Sub(start)
+	e.loadBytes += t.bytes
+	elapsed := e.env.Now().Sub(t.start)
+	t.done, t.tag = nil, nil
+	t.next, e.free = e.free, t
+	done(tag, elapsed)
 }
 
 // Loads reports the number of transfers executed.

@@ -67,9 +67,7 @@ func TestEngineMatchesModelWithoutContention(t *testing.T) {
 	eng := NewEngine(env, d)
 	bytes := model.YOLOv5m.WeightBytes()
 	var got time.Duration
-	env.Go("loader", func(p *sim.Proc) {
-		got = eng.Load(p, FromSSD, memory.TierGPU, bytes)
-	})
+	eng.Load(FromSSD, memory.TierGPU, bytes, func(_ any, d time.Duration) { got = d }, nil)
 	env.Run()
 	want := LoadLatency(d, FromSSD, memory.TierGPU, bytes)
 	if got != want {
@@ -90,10 +88,9 @@ func TestEngineLimitsConcurrentSSDLoads(t *testing.T) {
 	single := LoadLatency(d, FromSSD, memory.TierCPU, bytes)
 	var finish []sim.Time
 	for i := 0; i < n; i++ {
-		env.Go("loader", func(p *sim.Proc) {
-			eng.Load(p, FromSSD, memory.TierCPU, bytes)
-			finish = append(finish, p.Now())
-		})
+		eng.Load(FromSSD, memory.TierCPU, bytes, func(any, time.Duration) {
+			finish = append(finish, env.Now())
+		}, nil)
 	}
 	end := env.Run()
 	// streams loads overlap; the extra one queues behind them.
@@ -117,13 +114,8 @@ func TestEngineHostLoadsUseSeparateLink(t *testing.T) {
 	eng := NewEngine(env, d)
 	bytes := model.ResNet101.WeightBytes()
 	var hostDone sim.Time
-	env.Go("ssd", func(p *sim.Proc) {
-		eng.Load(p, FromSSD, memory.TierCPU, bytes) // loader stage only
-	})
-	env.Go("host", func(p *sim.Proc) {
-		eng.Load(p, FromHost, memory.TierGPU, bytes)
-		hostDone = p.Now()
-	})
+	eng.Load(FromSSD, memory.TierCPU, bytes, func(any, time.Duration) {}, nil) // loader stage only
+	eng.Load(FromHost, memory.TierGPU, bytes, func(any, time.Duration) { hostDone = env.Now() }, nil)
 	env.Run()
 	hostOnly := LoadLatency(d, FromHost, memory.TierGPU, bytes)
 	if hostDone != sim.Time(hostOnly) {
