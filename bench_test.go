@@ -296,17 +296,24 @@ func BenchmarkTimerChurn(b *testing.B) {
 	}
 }
 
+// constCosts returns queue costs for expert IDs below n: one
+// architecture with K = 2ms and B = 5ms, and a 1s switch-in for every
+// expert (none is ever loaded).
+func constCosts(n int) sched.Costs {
+	return sched.Costs{
+		Arch:     make([]uint8, n),
+		K:        []time.Duration{2 * time.Millisecond},
+		B:        []time.Duration{5 * time.Millisecond},
+		SwitchIn: func(*coe.Expert) time.Duration { return time.Second },
+	}
+}
+
 // BenchmarkMinMaxAssign measures one dependency-aware assignment
 // decision across 7 queues with realistic backlogs — the per-request
 // scheduling cost of Figure 19.
 func BenchmarkMinMaxAssign(b *testing.B) {
 	env := sim.NewEnv()
-	costs := sched.Costs{
-		K:           func(*coe.Expert) time.Duration { return 2 * time.Millisecond },
-		B:           func(*coe.Expert) time.Duration { return 5 * time.Millisecond },
-		PredictLoad: func(*coe.Expert) time.Duration { return time.Second },
-		IsLoaded:    func(coe.ExpertID) bool { return false },
-	}
+	costs := constCosts(1000)
 	qs := make([]*sched.Queue, 7)
 	for i := range qs {
 		qs[i] = sched.NewQueue(env, fmt.Sprintf("q%d", i), sched.ModeGrouped, costs)
@@ -329,12 +336,7 @@ func BenchmarkMinMaxAssign(b *testing.B) {
 // cost Enqueue pays after assignment.
 func BenchmarkGroupedEnqueue(b *testing.B) {
 	env := sim.NewEnv()
-	costs := sched.Costs{
-		K:           func(*coe.Expert) time.Duration { return 2 * time.Millisecond },
-		B:           func(*coe.Expert) time.Duration { return 5 * time.Millisecond },
-		PredictLoad: func(*coe.Expert) time.Duration { return time.Second },
-		IsLoaded:    func(coe.ExpertID) bool { return false },
-	}
+	costs := constCosts(1000)
 	q := sched.NewQueue(env, "q", sched.ModeGrouped, costs)
 	e := &coe.Expert{ID: 1, Arch: model.ResNet101}
 	r := coe.NewRequest(0, 0, []coe.ExpertID{e.ID})
@@ -373,7 +375,6 @@ func BenchmarkSummarize(b *testing.B) {
 // reads the steady state: no allocations.
 func BenchmarkDepAwareEviction(b *testing.B) {
 	env := sim.NewEnv()
-	store := pool.NewStore(env, hw.NUMADevice(), 0)
 	mb := coe.NewBuilder("bench")
 	var ids []coe.ExpertID
 	for i := 0; i < 60; i++ {
@@ -394,6 +395,7 @@ func BenchmarkDepAwareEviction(b *testing.B) {
 	for i, e := range m.Experts() {
 		e.UsageProb = float64(i%17) / 17
 	}
+	store := pool.NewStore(env, hw.NUMADevice(), 0, m)
 	p := pool.New("bench", 61*model.ResNet101.WeightBytes(), store, 0, pool.DepAware{}, env.Now)
 	for _, id := range ids {
 		p.Preload(m.Expert(id))

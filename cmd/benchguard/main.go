@@ -18,6 +18,8 @@
 // The guard fails (exit 1) when a baselined benchmark regresses past
 // its factor, is missing from the input, or when the input carries a
 // test failure marker — so a broken bench run cannot pass silently.
+// With -breakdown it instead reads `bash bench/run.sh --trace 1` output
+// and prints each host-time layer's ns/req and share.
 package main
 
 import (
@@ -25,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -80,7 +83,15 @@ func main() {
 		baselinePaths = append(baselinePaths, p)
 		return nil
 	})
+	layered := flag.Bool("breakdown", false, "print the host-time layers of a traced bench/run.sh run instead of gating")
 	flag.Parse()
+	if *layered {
+		if err := breakdown(os.Stdin, os.Stdout); err != nil {
+			fmt.Fprintf(os.Stderr, "benchguard: %v\n", err)
+			os.Exit(2)
+		}
+		return
+	}
 	if len(baselinePaths) == 0 {
 		fmt.Fprintln(os.Stderr, "benchguard: -baseline is required")
 		os.Exit(2)
@@ -222,4 +233,55 @@ func parseBenchLine(line string) (string, map[string]float64, bool) {
 		metrics[fields[i+1]] = v
 	}
 	return name, metrics, true
+}
+
+// layers names the host-time layers of a traced bench/run.sh run in
+// stack order, each with the metrics whose product is its ns per
+// request: sched is timed per decision, so it is ns/op × ops/req.
+var layers = [][2]string{
+	{"workload.next", "workload.next_ns_per_req"},
+	{"cluster.route", "cluster.route_ns_per_req"},
+	{"sched", "sched.ns_per_op*sched.ops_per_req"},
+	{"pool.victims", "pool.victims_ns_per_req"},
+	{"kernel.residual", "kernel.residual_ns_per_req"},
+}
+
+// breakdown reads a traced bench/run.sh run's output, finds its JSON
+// line, and writes each layer's ns/req and share of their sum.
+func breakdown(r io.Reader, w io.Writer) error {
+	in, err := io.ReadAll(r)
+	if err != nil {
+		return err
+	}
+	var run struct {
+		Metrics map[string]struct{ Value float64 }
+	}
+	for _, line := range strings.Split(string(in), "\n") {
+		if strings.HasPrefix(line, "{") {
+			if err := json.Unmarshal([]byte(line), &run); err != nil {
+				return err
+			}
+		}
+	}
+	ns, sum := make([]float64, len(layers)), 0.0
+	for i, l := range layers {
+		ns[i] = 1
+		for _, name := range strings.Split(l[1], "*") {
+			m, ok := run.Metrics[name]
+			if !ok {
+				return fmt.Errorf("no %s in the input (want bench/run.sh --trace 1 output)", name)
+			}
+			ns[i] *= m.Value
+		}
+		sum += ns[i]
+	}
+	if sum <= 0 {
+		return fmt.Errorf("every layer reads 0 ns/req")
+	}
+	fmt.Fprintf(w, "%-16s %10s %7s\n", "layer", "ns/req", "share")
+	for i, l := range layers {
+		fmt.Fprintf(w, "%-16s %10.1f %6.1f%%\n", l[0], ns[i], 100*ns[i]/sum)
+	}
+	fmt.Fprintf(w, "%-16s %10.1f %6.1f%%\n", "sum", sum, 100.0)
+	return nil
 }

@@ -46,6 +46,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"serve", "-repeat", "0"},
 		{"serve", "-admit", "nope"},
 		{"serve", "-admit", "shed"}, // shed without -slo
+		{"serve", "-slo", "-1s"},
+		{"serve", "-nodes", "2", "-slo", "-1s"},
 		{"serve", "-admit", "bounded", "-queue-bound", "0"},
 		{"serve", "-admit", "token", "-admit-rate", "0"},
 		{"serve", "-admit", "tenant-quota", "-tenant-rate", "0"},

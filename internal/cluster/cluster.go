@@ -241,6 +241,9 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("cluster: config needs at least one node")
 	}
+	if cfg.SLO < 0 {
+		return nil, fmt.Errorf("cluster: negative SLO %v", cfg.SLO)
+	}
 	c := &Cluster{
 		cfg:       cfg,
 		m:         m,

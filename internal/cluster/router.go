@@ -23,7 +23,9 @@ type Router interface {
 // requests across its active executors), ties to the lowest index. It
 // balances queue depth while staying blind to expert residency: two
 // nodes with equal backlogs are equivalent to it even when only one
-// already holds the request's expert.
+// already holds the request's expert. The scan stops at the first node
+// with an empty backlog: backlogs are never negative and ties go to the
+// lowest index, so no later node can beat it.
 type LeastLoaded struct{}
 
 // Name implements Router.
@@ -32,7 +34,7 @@ func (LeastLoaded) Name() string { return "least-loaded" }
 // Pick implements Router.
 func (LeastLoaded) Pick(_ sim.Time, nodes []*Node, _ *coe.Request) int {
 	best, bestQ := 0, nodes[0].Queued()
-	for i := 1; i < len(nodes); i++ {
+	for i := 1; i < len(nodes) && bestQ > 0; i++ {
 		if q := nodes[i].Queued(); q < bestQ {
 			best, bestQ = i, q
 		}
@@ -46,7 +48,9 @@ func (LeastLoaded) Pick(_ sim.Time, nodes []*Node, _ *coe.Request) int {
 // it, the request falls back to least-loaded — and the node it lands on
 // becomes the expert's home for followers. Residency-first routing is
 // what turns a fleet of small pools into one large effective pool:
-// requests chase experts instead of experts chasing requests.
+// requests chase experts instead of experts chasing requests. The first
+// holder with an empty backlog ends the scan, for the same reason as in
+// LeastLoaded: no later holder can have a smaller backlog or win a tie.
 type Affinity struct{}
 
 // Name implements Router.
@@ -61,6 +65,9 @@ func (Affinity) Pick(_ sim.Time, nodes []*Node, r *coe.Request) int {
 			continue
 		}
 		if q := n.Queued(); best < 0 || q < bestQ {
+			if q == 0 {
+				return i
+			}
 			best, bestQ = i, q
 		}
 	}

@@ -12,6 +12,7 @@ package coe
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/model"
@@ -70,6 +71,10 @@ type Model struct {
 	name    string
 	experts []*Expert
 	router  *RuleRouter
+	// archs lists the distinct expert architectures by name; archOf maps
+	// each ExpertID to its architecture's index in archs.
+	archs  []model.Architecture
+	archOf []uint8
 }
 
 // Name reports the model name.
@@ -89,6 +94,12 @@ func (m *Model) Expert(id ExpertID) *Expert {
 // Experts returns all experts in ID order. Callers must not mutate the
 // returned slice.
 func (m *Model) Experts() []*Expert { return m.experts }
+
+// Archs returns the model's distinct expert architectures sorted by
+// name, and each expert's index into them by ExpertID, so per-node
+// tables can be kept per architecture. Callers must not mutate either
+// slice.
+func (m *Model) Archs() ([]model.Architecture, []uint8) { return m.archs, m.archOf }
 
 // Router returns the model's routing module.
 func (m *Model) Router() *RuleRouter { return m.router }
@@ -251,9 +262,20 @@ func (b *Builder) Build() (*Model, error) {
 			}
 		}
 	}
-	return &Model{
-		name:    b.name,
-		experts: b.experts,
-		router:  &RuleRouter{rules: b.rules},
-	}, nil
+	m := &Model{name: b.name, experts: b.experts, router: &RuleRouter{rules: b.rules}, archOf: make([]uint8, len(b.experts))}
+	var names []string
+	for _, e := range b.experts {
+		if !slices.Contains(names, e.Arch.Name) {
+			names, m.archs = append(names, e.Arch.Name), append(m.archs, e.Arch)
+		}
+	}
+	if len(m.archs) > math.MaxUint8+1 {
+		return nil, fmt.Errorf("coe: model %q has %d architectures, at most %d supported", b.name, len(m.archs), math.MaxUint8+1)
+	}
+	slices.Sort(names)
+	slices.SortFunc(m.archs, func(a, b model.Architecture) int { return cmp.Compare(a.Name, b.Name) })
+	for _, e := range b.experts {
+		m.archOf[e.ID] = uint8(slices.Index(names, e.Arch.Name))
+	}
+	return m, nil
 }

@@ -1,6 +1,7 @@
 package coe
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -310,4 +311,38 @@ func TestExpertOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	m.Expert(99)
+}
+
+// TestArchsIndexExpertsByName: Archs lists each architecture once,
+// sorted by name, and maps every expert to its own architecture; a
+// model past 256 architectures is refused, since the index is a byte.
+func TestArchsIndexExpertsByName(t *testing.T) {
+	b := NewBuilder("archs")
+	arches := []model.Architecture{model.YOLOv5m, model.ResNet101, model.YOLOv5m, model.ResNet101, model.YOLOv5l}
+	for i, a := range arches {
+		b.AddRule(i, Rule{Classifier: b.AddExpert("e", a, Preliminary)})
+	}
+	m, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	archs, archOf := m.Archs()
+	if len(archs) != 3 || !sort.SliceIsSorted(archs, func(i, j int) bool { return archs[i].Name < archs[j].Name }) {
+		t.Fatalf("archs = %v, want the 3 distinct architectures sorted by name", archs)
+	}
+	for _, e := range m.Experts() {
+		if got := archs[archOf[e.ID]]; got != e.Arch {
+			t.Errorf("expert %d (%s) indexes architecture %s", e.ID, e.Arch.Name, got.Name)
+		}
+	}
+
+	b = NewBuilder("too-many")
+	for i := 0; i <= math.MaxUint8+1; i++ {
+		a := model.ResNet101
+		a.Name = fmt.Sprintf("arch%03d", i)
+		b.AddRule(i, Rule{Classifier: b.AddExpert("e", a, Preliminary)})
+	}
+	if _, err := b.Build(); err == nil {
+		t.Error("a model with 257 architectures built")
+	}
 }

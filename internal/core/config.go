@@ -273,6 +273,9 @@ func (c Config) validate(largestWeight, largestGPUAct, largestCPUAct int64) erro
 	if c.Perf == nil {
 		return fmt.Errorf("core: config needs a performance matrix")
 	}
+	if c.SLO < 0 {
+		return fmt.Errorf("core: negative SLO %v", c.SLO)
+	}
 	if c.Autoscaler != nil && c.PreschedPicks != nil {
 		// Replayed picks index a fixed queue set; scaling the active set
 		// mid-replay would re-route the recorded assignments.

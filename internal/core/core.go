@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
-	"math"
-	"slices"
 	"time"
 
 	"repro/internal/coe"
@@ -121,20 +118,9 @@ func newSystem(cfg Config, m *coe.Model, env *sim.Env, ownsEnv bool) (*System, e
 	cfg = cfg.normalized()
 
 	var largestWeight, largestGPUAct, largestCPUAct int64
-	archSet := map[string]model.Architecture{}
-	for _, e := range m.Experts() {
-		archSet[e.Arch.Name] = e.Arch
-	}
-	// Sort by name: map iteration order must not leak into validation
-	// errors or Perf.Covers behavior. (AppendSeq into a presized slice
-	// rather than slices.Sorted: NewSystem is on the serve benchmarks'
-	// allocation budget.)
-	archNames := slices.AppendSeq(make([]string, 0, len(archSet)), maps.Keys(archSet))
-	slices.Sort(archNames)
-	archs := make([]model.Architecture, len(archNames))
-	for i, name := range archNames {
-		archs[i] = archSet[name]
-	}
+	// Executors and queues read profiled costs per architecture (archs,
+	// sorted by name), indexed by archOf, not the matrix by name.
+	archs, archOf := m.Archs()
 	if cfg.Perf != nil {
 		if err := cfg.Perf.Covers(archs); err != nil {
 			return nil, err
@@ -161,17 +147,6 @@ func newSystem(cfg Config, m *coe.Model, env *sim.Env, ownsEnv bool) (*System, e
 		}
 	}
 
-	// archOf indexes every expert's architecture in archs, so executors
-	// and queue predictors read their profiled costs from a per-
-	// architecture slice instead of looking the matrix up by name.
-	if len(archs) > math.MaxUint8+1 {
-		return nil, fmt.Errorf("core: model %q has %d architectures, at most %d supported", m.Name(), len(archs), math.MaxUint8+1)
-	}
-	archOf := make([]uint8, m.NumExperts())
-	for _, e := range m.Experts() {
-		archOf[e.ID] = uint8(slices.Index(archNames, e.Arch.Name))
-	}
-
 	s := &System{
 		cfg:      cfg,
 		m:        m,
@@ -180,7 +155,7 @@ func newSystem(cfg Config, m *coe.Model, env *sim.Env, ownsEnv bool) (*System, e
 		measure:  cfg.PreschedPicks == nil,
 		ownsEnv:  ownsEnv,
 	}
-	s.store = pool.NewStore(s.env, cfg.Device, cfg.Alloc.HostCacheBytes)
+	s.store = pool.NewStore(s.env, cfg.Device, cfg.Alloc.HostCacheBytes, m)
 	if cfg.PreschedPicks != nil {
 		s.assigner = sched.NewReplay(cfg.PreschedPicks)
 	} else {
@@ -247,12 +222,11 @@ func newSystem(cfg Config, m *coe.Model, env *sim.Env, ownsEnv bool) (*System, e
 			perfs[i] = cfg.Perf.MustLookup(a.Name, kind)
 		}
 		perfFor := func(e *coe.Expert) model.Perf { return perfs[archOf[e.ID]] }
-		q := sched.NewQueue(s.env, name, cfg.Variant.queueMode(), sched.Costs{
-			K:           func(e *coe.Expert) time.Duration { return perfs[archOf[e.ID]].K },
-			B:           func(e *coe.Expert) time.Duration { return perfs[archOf[e.ID]].B },
-			PredictLoad: func(e *coe.Expert) time.Duration { return s.store.PredictLoad(e, tier) },
-			IsLoaded:    pl.IsLoaded,
-		})
+		costs := sched.Costs{Arch: archOf, K: make([]time.Duration, len(archs)), B: make([]time.Duration, len(archs)), SwitchIn: pl.SwitchIn}
+		for i, p := range perfs {
+			costs.K[i], costs.B[i] = p.K, p.B
+		}
+		q := sched.NewQueue(s.env, name, cfg.Variant.queueMode(), costs)
 		q.Presize(m.NumExperts())
 		ex := &executor.Executor{
 			Name: name,

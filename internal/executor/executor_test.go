@@ -32,7 +32,6 @@ func newRig(t *testing.T, poolCap, actCap int64, maxBatch int) *rig {
 	t.Helper()
 	env := sim.NewEnv()
 	dev := hw.NUMADevice()
-	store := pool.NewStore(env, dev, 0)
 
 	b := coe.NewBuilder("rig")
 	for i := 0; i < 8; i++ {
@@ -43,6 +42,7 @@ func newRig(t *testing.T, poolCap, actCap int64, maxBatch int) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
+	store := pool.NewStore(env, dev, 0, m)
 
 	pl := pool.New("gpu0", poolCap, store, memory.TierGPU, pool.LRU{}, env.Now)
 	perf := func(e *coe.Expert) model.Perf {
@@ -56,12 +56,7 @@ func newRig(t *testing.T, poolCap, actCap int64, maxBatch int) *rig {
 	}
 	r := &rig{env: env, dev: dev, store: store, pool: pl, model: m}
 	r.acts = memory.NewArena("acts", actCap)
-	r.queue = sched.NewQueue(env, "q0", sched.ModeGrouped, sched.Costs{
-		K:           func(e *coe.Expert) time.Duration { return perf(e).K },
-		B:           func(e *coe.Expert) time.Duration { return perf(e).B },
-		PredictLoad: func(e *coe.Expert) time.Duration { return store.PredictLoad(e, memory.TierGPU) },
-		IsLoaded:    pl.IsLoaded,
-	})
+	r.queue = sched.NewQueue(env, "q0", sched.ModeGrouped, gpuCosts(m, dev, pl))
 	r.ex = &Executor{
 		Name:    "gpu0",
 		Env:     env,
@@ -75,6 +70,18 @@ func newRig(t *testing.T, poolCap, actCap int64, maxBatch int) *rig {
 		OnBatch: func(_ sim.Time, req *coe.Request) { r.finished = append(r.finished, req) },
 	}
 	return r
+}
+
+// gpuCosts builds a GPU queue's per-architecture cost tables for the
+// model, with the pool's switch-in estimate.
+func gpuCosts(m *coe.Model, dev *hw.Device, pl *pool.Pool) sched.Costs {
+	archs, archOf := m.Archs()
+	c := sched.Costs{Arch: archOf, SwitchIn: pl.SwitchIn}
+	for _, a := range archs {
+		c.K = append(c.K, model.KCoeff(a, dev.GPU))
+		c.B = append(c.B, dev.GPU.LaunchOverhead)
+	}
+	return c
 }
 
 func (r *rig) enqueue(reqs ...*coe.Request) {
@@ -199,7 +206,6 @@ func TestTwoExecutorsShareComputeSerially(t *testing.T) {
 	// execution itself serializes on the compute resource.
 	env := sim.NewEnv()
 	dev := hw.NUMADevice()
-	store := pool.NewStore(env, dev, 0)
 	b := coe.NewBuilder("m")
 	e0 := b.AddExpert("a", model.ResNet101, coe.Preliminary)
 	e1 := b.AddExpert("b", model.ResNet101, coe.Preliminary)
@@ -209,6 +215,7 @@ func TestTwoExecutorsShareComputeSerially(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	store := pool.NewStore(env, dev, 0, m)
 	compute := sim.NewResource(env, "gpu", 1)
 	acts := memory.NewArena("acts", 8<<30)
 	done := false
@@ -216,12 +223,7 @@ func TestTwoExecutorsShareComputeSerially(t *testing.T) {
 	mk := func(name string, preload coe.ExpertID) *Executor {
 		pl := pool.New(name, 4*rn101Bytes, store, memory.TierGPU, pool.LRU{}, env.Now)
 		pl.Preload(m.Expert(preload))
-		q := sched.NewQueue(env, name, sched.ModeGrouped, sched.Costs{
-			K:           func(e *coe.Expert) time.Duration { return model.KCoeff(e.Arch, dev.GPU) },
-			B:           func(e *coe.Expert) time.Duration { return dev.GPU.LaunchOverhead },
-			PredictLoad: func(e *coe.Expert) time.Duration { return store.PredictLoad(e, memory.TierGPU) },
-			IsLoaded:    pl.IsLoaded,
-		})
+		q := sched.NewQueue(env, name, sched.ModeGrouped, gpuCosts(m, dev, pl))
 		return &Executor{
 			Name:    name,
 			Env:     env,

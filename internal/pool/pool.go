@@ -195,6 +195,16 @@ func (p *Pool) IsLoaded(id coe.ExpertID) bool {
 	return e != nil && e.Status == Loaded
 }
 
+// SwitchIn returns the scheduler's switch-in estimate for the expert
+// (§4.2): 0 when it is Loaded here, otherwise the store's uncontended
+// load latency into this pool's tier from where it would be fetched.
+func (p *Pool) SwitchIn(e *coe.Expert) time.Duration {
+	if p.IsLoaded(e.ID) {
+		return 0
+	}
+	return p.store.PredictLoad(e, p.tier)
+}
+
 // Resident reports whether the expert occupies the pool at all — Loaded,
 // or Loading with the switch-in still in flight. Cluster routers use it
 // for expert affinity: a request routed to a pool whose expert is

@@ -21,7 +21,6 @@ import (
 func testWorld(t *testing.T, cacheBytes int64, nCls int) (*sim.Env, *Store, *coe.Model) {
 	t.Helper()
 	env := sim.NewEnv()
-	store := NewStore(env, hw.NUMADevice(), cacheBytes)
 	b := coe.NewBuilder("t")
 	var cls []coe.ExpertID
 	for i := 0; i < nCls; i++ {
@@ -41,7 +40,7 @@ func testWorld(t *testing.T, cacheBytes int64, nCls int) (*sim.Env, *Store, *coe
 	for i, e := range m.Experts() {
 		e.UsageProb = float64(i+1) / float64(m.NumExperts())
 	}
-	return env, store, m
+	return env, NewStore(env, hw.NUMADevice(), cacheBytes, m), m
 }
 
 func newPool(env *sim.Env, store *Store, capacity int64, pol Policy) *Pool {
@@ -354,6 +353,43 @@ func TestPredictLoad(t *testing.T) {
 	}
 }
 
+// TestSwitchInMatchesLoadLatency: a pool's switch-in estimate is 0 for
+// a Loaded expert and otherwise exactly xfer.LoadLatency from the tier
+// the store would fetch from — for every expert, destination tier, and
+// cached or uncached state.
+func TestSwitchInMatchesLoadLatency(t *testing.T) {
+	for _, tier := range []memory.Tier{memory.TierGPU, memory.TierCPU} {
+		for _, loaded := range []bool{false, true} {
+			for _, cached := range []bool{false, true} {
+				env, store, m := testWorld(t, 4*model.YOLOv5m.WeightBytes(), 3)
+				p := New("p", 8*model.YOLOv5m.WeightBytes(), store, tier, LRU{}, env.Now)
+				for _, e := range m.Experts() {
+					if cached {
+						store.demote(e, memory.TierGPU)
+					}
+					if loaded {
+						p.Preload(e)
+					}
+					src := xfer.FromSSD
+					if cached {
+						src = xfer.FromHost
+					}
+					want := xfer.LoadLatency(store.Device(), src, tier, e.WeightBytes())
+					if got := store.PredictLoad(e, tier); got != want {
+						t.Errorf("%v cached=%v expert %d: PredictLoad = %v, want %v", tier, cached, e.ID, got, want)
+					}
+					if loaded {
+						want = 0
+					}
+					if got := p.SwitchIn(e); got != want || p.IsLoaded(e.ID) != loaded || store.Cached(e.ID) != cached {
+						t.Errorf("%v loaded=%v cached=%v expert %d: SwitchIn = %v, want %v", tier, loaded, cached, e.ID, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPolicyByName(t *testing.T) {
 	for _, name := range []string{"lru", "fifo", "dep-aware"} {
 		pol, ok := PolicyByName(name)
@@ -545,7 +581,7 @@ func TestDepAwareMatchesReference(t *testing.T) {
 		n := 2 + rng.Intn(60)
 		m := randomModel(t, rng, n)
 		env := sim.NewEnv()
-		store := NewStore(env, hw.NUMADevice(), 0)
+		store := NewStore(env, hw.NUMADevice(), 0, m)
 		p := newPool(env, store, int64(n)*model.YOLOv5l.WeightBytes(), DepAware{})
 		var unpinned int64
 		for _, e := range m.Experts() {
@@ -734,16 +770,18 @@ func randomModel(t *testing.T, rng *rand.Rand, n int) *coe.Model {
 // Release and direct evict steps — from one process, and from three
 // sharing one pool — and after every step checks that the pool's
 // resident list is exactly a fresh (UsageProb, ID) sort of its entries,
-// and that DepAware and ProbOnly pick exactly the victims of the
-// sorting references for several needs.
+// that DepAware and ProbOnly pick exactly the victims of the sorting
+// references for several needs, and that the host cache's membership
+// flags name exactly the experts on its LRU list (evictions insert into
+// it and evict its LRU entries; acquires take from it).
 func TestResidentOrderUnderRandomOps(t *testing.T) {
 	for _, sharers := range []int{1, 3} {
 		rng := rand.New(rand.NewSource(int64(17 + sharers)))
-		var steps, stage2, evicted int
+		var steps, stage2, evicted, cacheHits int
 		for trial := 0; trial < 40; trial++ {
 			m := randomModel(t, rng, 4+rng.Intn(40))
 			env := sim.NewEnv()
-			store := NewStore(env, hw.NUMADevice(), 3*model.YOLOv5l.WeightBytes())
+			store := NewStore(env, hw.NUMADevice(), 3*model.YOLOv5l.WeightBytes(), m)
 			// Each sharer pins at most two experts, so eight of the
 			// largest always leave room for a switch.
 			p := newPool(env, store, 8*model.YOLOv5l.WeightBytes(), DepAware{})
@@ -763,6 +801,11 @@ func TestResidentOrderUnderRandomOps(t *testing.T) {
 				})
 				if !slices.Equal(p.resident, want) {
 					t.Fatalf("sharers %d trial %d after %s: resident list out of order", sharers, trial, when)
+				}
+				for _, e := range m.Experts() {
+					if got, want := store.Cached(e.ID), store.cache.find(e.ID) >= 0; got != want {
+						t.Fatalf("sharers %d trial %d after %s: expert %d cached flag %v, LRU list %v", sharers, trial, when, e.ID, got, want)
+					}
 				}
 				var unpinned, orphanBytes int64
 				for _, e := range p.LoadedUnpinned() {
@@ -848,10 +891,11 @@ func TestResidentOrderUnderRandomOps(t *testing.T) {
 				env.After(0, step)
 			}
 			env.Run()
+			cacheHits += int(p.HostHits())
 		}
-		t.Logf("sharers %d: %d checked steps, %d draws needing stage 2, %d direct evictions", sharers, steps, stage2, evicted)
-		if stage2 < 100 || evicted < 50 {
-			t.Errorf("sharers %d: %d draws needing stage 2 and %d direct evictions; want at least 100 and 50", sharers, stage2, evicted)
+		t.Logf("sharers %d: %d checked steps, %d draws needing stage 2, %d direct evictions, %d host-cache hits", sharers, steps, stage2, evicted, cacheHits)
+		if stage2 < 100 || evicted < 50 || cacheHits < 20 {
+			t.Errorf("sharers %d: %d draws needing stage 2, %d direct evictions and %d host-cache hits; want at least 100, 50 and 20", sharers, stage2, evicted, cacheHits)
 		}
 	}
 }

@@ -29,15 +29,29 @@ type Store struct {
 	dev    *hw.Device
 	engine *xfer.Engine
 	cache  *hostCache
+	// lat holds each architecture's uncontended switch-in latency by
+	// destination tier and source; archOf maps an ExpertID to its row.
+	lat    [][memory.TierSSD][2]time.Duration
+	archOf []uint8
 }
 
-// NewStore returns a store for the device. cacheBytes sets the host
-// cache capacity; pass 0 for no cache (UMA devices load experts straight
-// from SSD, §5.1).
-func NewStore(env *sim.Env, dev *hw.Device, cacheBytes int64) *Store {
-	s := &Store{env: env, dev: dev, engine: xfer.NewEngine(env, dev)}
+// NewStore returns a store for the device holding the model's experts.
+// cacheBytes sets the host cache capacity; pass 0 for no cache (UMA
+// devices load experts straight from SSD, §5.1). Every architecture's
+// switch-in is priced here, once per destination tier and source, so
+// PredictLoad is a table read.
+func NewStore(env *sim.Env, dev *hw.Device, cacheBytes int64, m *coe.Model) *Store {
+	archs, archOf := m.Archs()
+	s := &Store{env: env, dev: dev, engine: xfer.NewEngine(env, dev), archOf: archOf, lat: make([][memory.TierSSD][2]time.Duration, len(archs))}
+	for i, a := range archs {
+		for dst := range memory.TierSSD {
+			for src := range xfer.FromHost + 1 {
+				s.lat[i][dst][src] = xfer.LoadLatency(dev, src, dst, a.WeightBytes())
+			}
+		}
+	}
 	if cacheBytes > 0 {
-		s.cache = newHostCache(cacheBytes)
+		s.cache = &hostCache{arena: memory.NewArena("hostcache", cacheBytes), in: make([]bool, m.NumExperts())}
 	}
 	return s
 }
@@ -58,7 +72,7 @@ func (s *Store) CacheBytes() int64 {
 
 // Cached reports whether the expert currently sits in the host cache.
 func (s *Store) Cached(id coe.ExpertID) bool {
-	return s.cache != nil && s.cache.find(id) >= 0
+	return s.cache != nil && s.cache.in[id]
 }
 
 // CacheLen reports the number of cached experts.
@@ -85,14 +99,14 @@ func (s *Store) Fetch(e *coe.Expert, dst memory.Tier, done func(tag any, elapsed
 }
 
 // PredictLoad reports the expected uncontended switch latency for the
-// expert into dst, given current cache contents — the scheduler's
-// expert-switching-latency estimate (§4.2).
+// expert into dst (the GPU or CPU tier), given current cache contents —
+// the scheduler's expert-switching-latency estimate (§4.2).
 func (s *Store) PredictLoad(e *coe.Expert, dst memory.Tier) time.Duration {
-	bytes := e.WeightBytes()
+	src := xfer.FromSSD
 	if s.Cached(e.ID) {
-		return xfer.LoadLatency(s.dev, xfer.FromHost, dst, bytes)
+		src = xfer.FromHost
 	}
-	return xfer.LoadLatency(s.dev, xfer.FromSSD, dst, bytes)
+	return s.lat[s.archOf[e.ID]][dst][src]
 }
 
 // demote records an expert evicted from a pool in the given tier. GPU
@@ -109,18 +123,16 @@ func (s *Store) demote(e *coe.Expert, from memory.Tier) {
 // hostCache is an LRU cache of deserialized experts in CPU memory.
 type hostCache struct {
 	arena *memory.Arena
-	// lru holds the cached experts least recently demoted first. The
-	// cache holds a few dozen experts at most, so scanning it beats a map.
+	// lru holds the cached experts least recently demoted first. It holds
+	// a few dozen experts at most; only a fetch or re-demotion scans it.
 	lru []cached
+	// in flags the cached experts by ExpertID, so membership is one read.
+	in []bool
 }
 
 type cached struct {
 	id    coe.ExpertID
 	bytes int64
-}
-
-func newHostCache(capacity int64) *hostCache {
-	return &hostCache{arena: memory.NewArena("hostcache", capacity)}
 }
 
 // find returns the expert's position in the recency list, or -1.
@@ -135,10 +147,11 @@ func (c *hostCache) find(id coe.ExpertID) int {
 
 // take removes the expert from the cache, reporting whether it was there.
 func (c *hostCache) take(id coe.ExpertID) bool {
-	i := c.find(id)
-	if i < 0 {
+	if !c.in[id] {
 		return false
 	}
+	i := c.find(id)
+	c.in[id] = false
 	c.arena.Release(c.lru[i].bytes)
 	c.lru = slices.Delete(c.lru, i, i+1)
 	return true
@@ -153,17 +166,20 @@ func (c *hostCache) insert(e *coe.Expert) {
 	if bytes > c.arena.Capacity() {
 		return
 	}
-	if i := c.find(e.ID); i >= 0 {
+	if c.in[e.ID] {
+		i := c.find(e.ID)
 		hit := c.lru[i]
 		c.lru = append(slices.Delete(c.lru, i, i+1), hit)
 		return
 	}
 	for c.arena.Free() < bytes { // bytes fits the capacity: the list never runs dry
 		c.arena.Release(c.lru[0].bytes)
+		c.in[c.lru[0].id] = false
 		c.lru = slices.Delete(c.lru, 0, 1)
 	}
 	if err := c.arena.Reserve(bytes); err != nil {
 		panic("pool: host cache accounting broken: " + err.Error())
 	}
 	c.lru = append(c.lru, cached{id: e.ID, bytes: bytes})
+	c.in[e.ID] = true
 }

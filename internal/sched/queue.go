@@ -38,20 +38,20 @@ func (m Mode) String() string {
 	}
 }
 
-// Costs supplies the profiled quantities predictions need: the linear
-// execution coefficients of the queue's processor, the predicted expert
-// switch latency, and pool residency.
+// Costs supplies the profiled quantities predictions need: the §4.2
+// linear execution coefficients of the queue's processor, as tables
+// filled once when the system is built, and the predicted expert
+// switch-in latency.
 type Costs struct {
-	// K and B return the §4.2 execution-latency coefficients for the
-	// expert's architecture on this queue's processor.
-	K func(e *coe.Expert) time.Duration
-	B func(e *coe.Expert) time.Duration
-	// PredictLoad returns the expected switch latency if the expert had
-	// to be loaded now (0 is never returned here; residency is the
-	// IsLoaded short-circuit).
-	PredictLoad func(e *coe.Expert) time.Duration
-	// IsLoaded reports residency in this queue's executor pool.
-	IsLoaded func(id coe.ExpertID) bool
+	// Arch maps each ExpertID to its architecture's index in K and B.
+	Arch []uint8
+	// K and B hold the §4.2 execution-latency coefficients of each
+	// architecture on this queue's processor.
+	K, B []time.Duration
+	// SwitchIn returns the expected switch latency if the expert were
+	// acquired now: 0 when it is Loaded in this queue's executor pool,
+	// the predicted load latency otherwise.
+	SwitchIn func(e *coe.Expert) time.Duration
 }
 
 // Group is a run of queued requests that use the same expert. Once an
@@ -127,7 +127,7 @@ type Queue struct {
 
 // NewQueue returns an empty queue.
 func NewQueue(env *sim.Env, name string, mode Mode, costs Costs) *Queue {
-	if costs.K == nil || costs.B == nil || costs.PredictLoad == nil || costs.IsLoaded == nil {
+	if costs.SwitchIn == nil || len(costs.K) != len(costs.B) {
 		panic("sched: queue costs incomplete")
 	}
 	return &Queue{
@@ -236,13 +236,14 @@ func (q *Queue) hasExpert(e coe.ExpertID) bool {
 // already contains requests for it, and the predicted load latency
 // otherwise.
 func (q *Queue) Predict(e *coe.Expert) time.Duration {
-	cost := q.costs.K(e)
+	a := q.costs.Arch[e.ID]
+	cost := q.costs.K[a]
 	if q.mergeTarget(e.ID) != nil {
 		return cost
 	}
-	cost += q.costs.B(e)
-	if !q.costs.IsLoaded(e.ID) && !q.hasExpert(e.ID) {
-		cost += q.costs.PredictLoad(e)
+	cost += q.costs.B[a]
+	if !q.hasExpert(e.ID) {
+		cost += q.costs.SwitchIn(e)
 	}
 	return cost
 }
@@ -250,15 +251,16 @@ func (q *Queue) Predict(e *coe.Expert) time.Duration {
 // Enqueue adds the request, arranging per the queue mode, updates the
 // pending prediction, and wakes the executor.
 func (q *Queue) Enqueue(e *coe.Expert, r *coe.Request) {
-	k := q.costs.K(e)
+	a := q.costs.Arch[e.ID]
+	k := q.costs.K[a]
 	if g := q.mergeTarget(e.ID); g != nil {
 		g.items = append(g.items, r)
 		q.pending += k
 	} else {
 		g := q.newGroup()
-		g.Expert, g.perItem, g.base = e, k, q.costs.B(e)
-		if !q.costs.IsLoaded(e.ID) && !q.hasExpert(e.ID) {
-			g.base += q.costs.PredictLoad(e)
+		g.Expert, g.perItem, g.base = e, k, q.costs.B[a]
+		if !q.hasExpert(e.ID) {
+			g.base += q.costs.SwitchIn(e)
 		}
 		g.items = append(g.items, r)
 		q.insertGroup(g)

@@ -16,6 +16,10 @@ const (
 	testLoad = 1 * time.Second
 )
 
+// testArch maps every expert ID the tests use (below 1<<14) to one
+// architecture, so every expert costs testK and testB.
+var testArch = make([]uint8, 1<<14)
+
 // testQueue builds a queue with constant costs; loaded experts are
 // listed in resident.
 func testQueue(t *testing.T, env *sim.Env, mode Mode, resident ...coe.ExpertID) *Queue {
@@ -25,10 +29,15 @@ func testQueue(t *testing.T, env *sim.Env, mode Mode, resident ...coe.ExpertID) 
 		set[id] = true
 	}
 	return NewQueue(env, "q", mode, Costs{
-		K:           func(*coe.Expert) time.Duration { return testK },
-		B:           func(*coe.Expert) time.Duration { return testB },
-		PredictLoad: func(*coe.Expert) time.Duration { return testLoad },
-		IsLoaded:    func(id coe.ExpertID) bool { return set[id] },
+		Arch: testArch,
+		K:    []time.Duration{testK},
+		B:    []time.Duration{testB},
+		SwitchIn: func(e *coe.Expert) time.Duration {
+			if set[e.ID] {
+				return 0
+			}
+			return testLoad
+		},
 	})
 }
 
