@@ -251,13 +251,17 @@ func capture(t *testing.T, args []string) string {
 }
 
 // hostDependent matches the only machine-dependent text serve prints:
-// the wall-time footer.
-var hostDependent = regexp.MustCompile(`\(simulated in .* of wall time\)`)
+// the wall-time footer and the single-node report's sampled wall-clock
+// scheduling cost per decision.
+var hostDependent = regexp.MustCompile(`\(simulated in .* of wall time\)|[0-9.]+[nµm]?s per decision`)
 
-// TestServeClusterOutput pins `coserve serve`'s full cluster report —
-// fault-free, scripted crash/recover/drain, and MTBF churn over an
-// interconnect — byte for byte against testdata goldens, with the
-// host-dependent text masked.
+// TestServeClusterOutput pins `coserve serve`'s full reports byte for
+// byte against testdata goldens, with the host-dependent text masked:
+// the cluster report fault-free, under scripted crash/recover/drain,
+// and under MTBF churn over an interconnect; and the single-node report
+// of a two-tenant mix with per-tenant and windowed rows (exact, and
+// sketch under a tenant quota that rejects) and of an overload run
+// whose deadline shedding rejects.
 func TestServeClusterOutput(t *testing.T) {
 	cases := []struct {
 		name string
@@ -266,6 +270,10 @@ func TestServeClusterOutput(t *testing.T) {
 		{"serve-nodes4", []string{"serve", "-nodes", "4"}},
 		{"serve-nodes4-chaos", []string{"serve", "-nodes", "4", "-chaos", "crash@2s:1,recover@3.5s:1,drain@6s:2"}},
 		{"serve-nodes4-interconnect-mtbf", []string{"serve", "-nodes", "4", "-interconnect", "200us/100us/600us@2", "-chaos-mtbf", "3s"}},
+		{"serve-mix-window", []string{"serve", "-board", "A+B", "-arrival", "mix", "-rate", "4", "-n", "200", "-slo", "2s", "-window", "10s"}},
+		{"serve-mix-quota-sketch", []string{"serve", "-board", "A+B", "-arrival", "mix", "-rate", "4", "-n", "200", "-slo", "2s", "-window", "10s",
+			"-percentiles", "sketch", "-admit", "tenant-quota", "-tenant-rate", "1.5"}},
+		{"serve-steady-shed", []string{"serve", "-arrival", "steady", "-rate", "40", "-horizon", "4s", "-slo", "500ms", "-admit", "shed"}},
 	}
 	for _, tc := range cases {
 		got := hostDependent.ReplaceAllString(capture(t, tc.args), "<host>")
