@@ -10,8 +10,11 @@ build:
 test:
 	$(GO) test ./...
 
+# vet covers both modules: bench/ is its own module (compiled against
+# core, cluster and workload), so the root `go vet ./...` skips it.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 fmt-check:
 	@out=$$(gofmt -l .); \

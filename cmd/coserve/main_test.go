@@ -67,6 +67,12 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"serve", "-arrival", "steady", "-horizon", "-1s"},
 		{"serve", "-arrival", "replay"}, // replay without -trace
 		{"serve", "-arrival", "replay", "-trace", "/does/not/exist"},
+		// Windows below the 1ms floor: the windowed series and the
+		// control and health loops would run per nanosecond.
+		{"serve", "-window", "100us", "-n", "20"},
+		{"serve", "-autoscale", "-window", "100us", "-n", "20"},
+		{"serve", "-nodes", "2", "-health-window", "100us", "-n", "20"},
+		{"serve", "-nodes", "2", "-window", "100us", "-fleet-autoscale", "1", "-n", "20"},
 	}
 	silence(t)
 	for _, args := range cases {

@@ -266,7 +266,8 @@ func NewTenantQuota(inner AdmissionPolicy, rate, burst float64) (AdmissionPolicy
 // Server is an assembled serving system bound to a simulated device. A
 // Server is long-lived: Serve runs one request stream to completion,
 // and consecutive calls warm-restart it on the already-loaded expert
-// pools.
+// pools. It is the same node runtime every Cluster node runs: Serve
+// drives the node's one stream protocol from its own source.
 type Server = core.System
 
 // NewServer builds a serving system for the CoE model.
@@ -291,7 +292,7 @@ type (
 // NewCluster builds a multi-node serving system for the CoE model: the
 // placement plan is computed, then every node joins one shared
 // simulation environment. Like a Server, a Cluster is long-lived —
-// consecutive ServeStream calls warm-restart the fleet.
+// consecutive Serve calls warm-restart the fleet.
 func NewCluster(cfg ClusterConfig, m *Model) (*Cluster, error) { return cluster.New(cfg, m) }
 
 // ServeCluster serves one stream across a fresh cluster and returns the
@@ -347,10 +348,6 @@ type (
 	Interconnect = cluster.Interconnect
 	// NodeState is a node's lifecycle state (up, draining, down).
 	NodeState = core.NodeState
-	// NodeLease is the receipt a node returns when it accepts an offered
-	// request: the node now holds the request and will ack its
-	// completion, unless a crash voids the lease first.
-	NodeLease = core.Lease
 	// DrainRecord is one completed drain: the node and how long it took
 	// to finish in-flight work after routing stopped.
 	DrainRecord = cluster.DrainRecord

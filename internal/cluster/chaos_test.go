@@ -429,38 +429,3 @@ func TestGeneratedPlanServes(t *testing.T) {
 		t.Errorf("arrivals/completions = %d/%d, want 120/120", rep.N, rep.Completions)
 	}
 }
-
-// emptyStream is a source that yields nothing — the join-unwind
-// regression fixture.
-type emptyStream struct{}
-
-func (emptyStream) Name() string                        { return "empty" }
-func (emptyStream) Next() (workload.TimedRequest, bool) { return workload.TimedRequest{}, false }
-
-// TestJoinFailureUnwindsJoinedNodes is the regression test for the
-// partial-join leak: when node k's JoinStream fails, nodes 0..k-1 had
-// already joined and must be closed out — not left serving a stream
-// nobody will ever close. A replay node (one-stream-only) makes the
-// second Serve fail at node1, after node0 has joined.
-func TestJoinFailureUnwindsJoinedNodes(t *testing.T) {
-	board := boardFor(t, workload.BoardA())
-	cfgA := nodeConfig(t, hw.NUMADevice())
-	cfgB := nodeConfig(t, hw.NUMADevice())
-	cfgB.PreschedPicks = []int{} // non-nil: a replay system, one stream only
-	cl := buildCluster(t, Config{Nodes: []core.Config{cfgA, cfgB}}, board.Model)
-
-	if _, err := cl.Serve(emptyStream{}); err != nil {
-		t.Fatalf("first (empty) stream: %v", err)
-	}
-	_, err := cl.Serve(emptyStream{})
-	if err == nil || !strings.Contains(err.Error(), "node1") {
-		t.Fatalf("second stream err = %v, want node1 join failure", err)
-	}
-	if cl.nodes[0].sys.Serving() {
-		t.Error("node0 left serving after node1's join failed; the unwind did not close it")
-	}
-	// The cluster itself stays poisoned — a partial join is not servable.
-	if _, err := cl.Serve(emptyStream{}); err == nil {
-		t.Error("poisoned cluster accepted a third stream")
-	}
-}

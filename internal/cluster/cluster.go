@@ -54,7 +54,8 @@ type Config struct {
 	// Nodes holds one data-plane configuration per node. Node IDs
 	// default to "node0", "node1", … when empty. Per-node stateful
 	// control-plane components (Admission, Autoscaler) must not be
-	// shared between node configs.
+	// shared between node configs, and a node config must not carry
+	// PreschedPicks: a replay node serves exactly one stream.
 	Nodes []core.Config
 	// Router picks the node an admitted request runs on; nil defaults
 	// to LeastLoaded.
@@ -66,7 +67,7 @@ type Config struct {
 	// scores attainment against (0 disables, like core.Config.SLO).
 	SLO time.Duration
 	// Window enables the fleet-level windowed series with the given
-	// interval (0 disables).
+	// interval, at least core.MinWindow (0 disables).
 	Window time.Duration
 	// Percentiles selects exact or sketch latency accounting for the
 	// whole fleet. It is a cluster-level knob: New propagates it into
@@ -277,6 +278,9 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 	if err := cfg.Faults.Validate(len(cfg.Nodes)); err != nil {
 		return nil, err
 	}
+	if cfg.Window > 0 && cfg.Window < core.MinWindow {
+		return nil, fmt.Errorf("cluster: Window %v below the %v floor", cfg.Window, core.MinWindow)
+	}
 	if cfg.Autoscaler != nil && cfg.Window <= 0 {
 		return nil, fmt.Errorf("cluster: a fleet autoscaler needs Window > 0 (the scaling interval)")
 	}
@@ -297,6 +301,9 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 		id := nc.ID
 		if id == "" {
 			id = fmt.Sprintf("node%d", i)
+		}
+		if nc.PreschedPicks != nil {
+			return nil, fmt.Errorf("cluster: node %s: a pre-scheduled (replay) node serves one stream, a cluster serves many", id)
 		}
 		caps[i] = NodeCapacity{ID: id, ExpertBytes: nc.Alloc.GPUExpertBytes + nc.Alloc.CPUExpertBytes}
 	}
@@ -348,14 +355,14 @@ type nodeDelegate struct {
 // request's lease with a fold to the front end (completionFold). It runs
 // in the node's context, so it may only capture and post.
 func (d *nodeDelegate) RequestDone(now sim.Time, r *coe.Request) {
-	d.c.postFold(d.idx, now, opCompletion, r, core.Lease{})
+	d.c.postFold(d.idx, now, opCompletion, r)
 }
 
 // RequestDropped implements core.StreamDelegate: a crash-voided request
 // folds back to the front end, which owns the arena, for recycling. The
 // node's own drop accounting already ran.
 func (d *nodeDelegate) RequestDropped(now sim.Time, r *coe.Request) {
-	d.c.postFold(d.idx, now, opRecycle, r, core.Lease{})
+	d.c.postFold(d.idx, now, opRecycle, r)
 }
 
 // Nodes exposes the fleet (read-only use).
@@ -377,13 +384,8 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 	if c.serving {
 		return nil, fmt.Errorf("cluster: Serve called re-entrantly")
 	}
-	if workload.IsUnbounded(src) {
-		return nil, fmt.Errorf("cluster: stream %q is unbounded; wrap it in workload.Horizon to give it a terminating horizon",
-			src.Name())
-	}
-	if sm, ok := src.(interface{ Model() *coe.Model }); ok && sm.Model() != nil && sm.Model() != c.m {
-		return nil, fmt.Errorf("cluster: stream %q draws from model %q, cluster serves %q",
-			src.Name(), sm.Model().Name(), c.m.Name())
+	if err := workload.CheckStream(src, c.m); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	c.serving = true
 	defer func() { c.serving = false }()
@@ -396,20 +398,9 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 	c.beginLifecycle()
 	for i, n := range c.nodes {
 		if err := n.sys.JoinStream(src.Name(), &c.delegates[i]); err != nil {
-			// Unwind the nodes already joined: close their (empty) streams
-			// and collect the reports, so they end this stream cleanly
-			// instead of being left serving a stream nobody will ever
-			// close. The cluster itself stays poisoned — a partial join is
-			// not a servable state — but the nodes are not.
-			if i > 0 {
-				for _, m := range c.nodes[:i] {
-					m.sys.CloseStream()
-				}
-				c.env.Run()
-				for _, m := range c.nodes[:i] {
-					m.sys.StreamReport()
-				}
-			}
+			// New refuses the one config that fails a healthy node's join
+			// (a one-stream replay node), so this node was driven from
+			// outside the cluster. The cluster stays poisoned.
 			c.broken = fmt.Errorf("cluster: node %s: %w", n.id, err)
 			return nil, c.broken
 		}
@@ -449,8 +440,8 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 	for i, n := range c.nodes {
 		rep, err := n.sys.StreamReport()
 		if err != nil {
-			c.broken = err
-			return nil, err
+			c.broken = fmt.Errorf("cluster: node %s: %w", n.id, err)
+			return nil, c.broken
 		}
 		reports[i] = rep
 		admitted += rep.N

@@ -10,7 +10,6 @@ import (
 	"repro/internal/hw"
 	"repro/internal/model"
 	"repro/internal/profiler"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -385,30 +384,5 @@ func TestClusterRefusesUnboundedAndForeignStreams(t *testing.T) {
 	}
 	if _, err := cl.Serve(poissonFor(t, b, 10, 10, 1)); err == nil {
 		t.Error("cluster served a stream from a foreign model")
-	}
-}
-
-// TestJoinedSystemRefusesServe: a system built into an external env
-// must not run its own event loop.
-func TestJoinedSystemRefusesServe(t *testing.T) {
-	board := boardFor(t, workload.BoardA())
-	env := sim.NewEnv()
-	sys, err := core.NewSystemInEnv(nodeConfig(t, hw.NUMADevice()), board.Model, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.OwnsEnv() {
-		t.Error("joined system claims to own its env")
-	}
-	if _, err := sys.Serve(poissonFor(t, board, 10, 10, 1)); err == nil {
-		t.Error("joined system accepted Serve")
-	}
-	// And an owning system refuses JoinStream.
-	own, err := core.NewSystem(nodeConfig(t, hw.NUMADevice()), board.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := own.JoinStream("x", nil); err == nil {
-		t.Error("owning system accepted JoinStream")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -216,18 +217,26 @@ func TestBreakerCapAndQuorum(t *testing.T) {
 }
 
 // TestHealthConfigValidation: the config seam rejects a breaker without
-// a scoring window and out-of-range knobs.
+// a scoring window, out-of-range knobs, windows below the floor, and a
+// one-stream replay node.
 func TestHealthConfigValidation(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
+	replay := nodeConfig(t, hw.NUMADevice())
+	replay.PreschedPicks = []int{} // non-nil: a replay system, one stream only
 	bad := []Config{
 		{Health: HealthConfig{Breaker: true}},
 		{Health: HealthConfig{Window: -time.Second}},
 		{Health: HealthConfig{Window: time.Second, TripBelow: 1.5}},
+		{Health: HealthConfig{Window: core.MinWindow / 2}},
+		{Window: core.MinWindow / 2},
 		{Hedge: HedgeConfig{After: -time.Second}},
 		{Hedge: HedgeConfig{After: time.Second, MaxRetries: -1}},
+		{Nodes: []core.Config{nodeConfig(t, hw.NUMADevice()), replay}},
 	}
 	for _, cfg := range bad {
-		cfg.Nodes = Uniform(2, nodeConfig(t, hw.NUMADevice()))
+		if cfg.Nodes == nil {
+			cfg.Nodes = Uniform(2, nodeConfig(t, hw.NUMADevice()))
+		}
 		if _, err := New(cfg, board.Model); err == nil {
 			t.Errorf("config %+v accepted, want error", cfg)
 		}

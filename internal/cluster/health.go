@@ -18,7 +18,8 @@ type HealthConfig struct {
 	// Window is the scoring interval: once per Window every node's
 	// completion latencies (folded through a per-node stats.Sketch) are
 	// scored against the fleet median into a health score in [0, 1].
-	// Zero disables health entirely — the byte-identical default.
+	// Zero disables health entirely — the byte-identical default; a
+	// positive Window must be at least core.MinWindow.
 	Window time.Duration
 	// Breaker arms the circuit breaker: a node whose score falls below
 	// TripBelow is quarantined out of routing, held open for Cooldown
@@ -65,6 +66,9 @@ func (h HealthConfig) validate() error {
 	}
 	if h.Window < 0 {
 		return fmt.Errorf("cluster: Health.Window must be >= 0, got %v", h.Window)
+	}
+	if h.Window > 0 && h.Window < core.MinWindow {
+		return fmt.Errorf("cluster: Health.Window %v below the %v floor", h.Window, core.MinWindow)
 	}
 	if h.TripBelow < 0 || h.TripBelow > 1 || h.RestoreAbove < 0 || h.RestoreAbove > 1 {
 		return fmt.Errorf("cluster: Health thresholds must be in [0, 1]")

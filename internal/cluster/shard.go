@@ -48,7 +48,7 @@ type shardOp uint8
 
 const (
 	opOffer      shardOp = iota // front end → node: deliver a request to admission
-	opAccept                    // node → front end: admission succeeded, receipt enclosed
+	opAccept                    // node → front end: admission succeeded
 	opReject                    // node → front end: admission refused
 	opBounce                    // node → front end: node not Up, request unopened
 	opCompletion                // node → front end: request finished, ack the lease
@@ -58,14 +58,15 @@ const (
 // shardMsg is the pooled protocol message: one union for every hop, so
 // a free list of them serves the entire request path. The request names
 // its hold (coe.Request.Hold), which names the node — the offer's
-// target, the fold's origin — and the lease; receipt only rides on
-// opAccept.
+// target, the fold's origin — and the lease. A fold carries the node
+// instant it was sent; an accept's is the instant the node admitted the
+// request.
 type shardMsg struct {
-	c       *Cluster
-	op      shardOp
-	r       *coe.Request
-	receipt core.Lease
-	next    *shardMsg // free-list link
+	c    *Cluster
+	op   shardOp
+	r    *coe.Request
+	sent sim.Time
+	next *shardMsg // free-list link
 }
 
 // Deliver implements sim.Message: the environment invokes it at the
@@ -87,7 +88,6 @@ func (c *Cluster) newMsg() *shardMsg {
 // payload pointers so the list pins nothing.
 func (c *Cluster) freeMsg(m *shardMsg) {
 	m.r = nil
-	m.receipt = core.Lease{}
 	m.next = c.msgFree
 	c.msgFree = m
 }
@@ -97,7 +97,7 @@ func (c *Cluster) freeMsg(m *shardMsg) {
 // the next hop (nodeOffer folding the outcome back, a fold routing the
 // next offer) reuses the very message that carried this one.
 func (c *Cluster) deliverMsg(m *shardMsg, at sim.Time) {
-	op, r, receipt := m.op, m.r, m.receipt
+	op, r, sent := m.op, m.r, m.sent
 	c.freeMsg(m)
 	h := c.holds[r.Hold]
 	if op == opOffer {
@@ -116,7 +116,7 @@ func (c *Cluster) deliverMsg(m *shardMsg, at sim.Time) {
 	}
 	switch op {
 	case opAccept:
-		c.acceptFold(at, h, hedge, receipt)
+		c.acceptFold(at, h, hedge, sent)
 	case opReject:
 		c.rejectFold(at, h, hedge, r)
 	case opBounce:
@@ -155,9 +155,9 @@ func (c *Cluster) postOffer(now sim.Time, idx int, l *lease, r *coe.Request, hed
 
 // postFold posts a fold verb from node idx to the front end: delivered
 // at once with no interconnect, one hop after now with one.
-func (c *Cluster) postFold(idx int, now sim.Time, op shardOp, r *coe.Request, receipt core.Lease) {
+func (c *Cluster) postFold(idx int, now sim.Time, op shardOp, r *coe.Request) {
 	m := c.newMsg()
-	m.op, m.r, m.receipt = op, r, receipt
+	m.op, m.r, m.sent = op, r, now
 	c.post(idx, now, m)
 }
 
@@ -181,26 +181,26 @@ func (c *Cluster) nodeOffer(now sim.Time, h *hold, r *coe.Request) {
 		// The node went down or started draining while the offer was on
 		// the wire: bounce it back unopened for the front end to
 		// re-route.
-		c.postFold(idx, now, opBounce, r, core.Lease{})
+		c.postFold(idx, now, opBounce, r)
 		return
 	}
-	if receipt, ok := sys.OfferAt(now, workload.TimedRequest{Req: r, Tenant: h.l.tenant}); ok {
-		c.postFold(idx, now, opAccept, r, receipt)
+	if sys.OfferAt(now, workload.TimedRequest{Req: r, Tenant: h.l.tenant}) {
+		c.postFold(idx, now, opAccept, r)
 	} else {
-		c.postFold(idx, now, opReject, r, core.Lease{})
+		c.postFold(idx, now, opReject, r)
 	}
 }
 
 // acceptFold lands a successful admission on the front end: the hold
 // joins its node's list, and the fleet recorder, health scoring, and
 // hedge arming advance. Over an interconnect a node can crash after
-// issuing the receipt, while the fold flies; it already purged the
-// request, so the copy is marked killed and a primary's lease is voided
-// on landing instead.
-func (c *Cluster) acceptFold(now sim.Time, h *hold, hedge bool, receipt core.Lease) {
+// admitting the request at issued, while the fold flies; it already
+// purged the request, so the copy is marked killed and a primary's
+// lease is voided on landing instead.
+func (c *Cluster) acceptFold(now sim.Time, h *hold, hedge bool, issued sim.Time) {
 	cs := c.chaos
 	l := h.l
-	crashed := cs.lastCrash[h.node] > receipt.Issued
+	crashed := cs.lastCrash[h.node] > issued
 	if hedge {
 		switch {
 		case crashed:
@@ -231,7 +231,7 @@ func (c *Cluster) acceptFold(now sim.Time, h *hold, hedge bool, receipt core.Lea
 		l.redeliveries++
 	} else {
 		l.hasArrival = true
-		l.arrival = receipt.Issued
+		l.arrival = issued
 		c.recorder.Arrival(now)
 	}
 	if crashed {

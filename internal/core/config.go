@@ -22,6 +22,12 @@ import (
 // windowed metrics series and the autoscaler's decision cadence.
 const DefaultControlWindow = 250 * time.Millisecond
 
+// MinWindow is the narrowest windowed-metrics, control or health
+// interval any layer accepts: the windowed series grows one bucket per
+// window of makespan and a control loop wakes once per window, so a
+// nanosecond window exhausts memory or never finishes.
+const MinWindow = time.Millisecond
+
 // Variant selects a serving system design.
 type Variant int
 
@@ -193,7 +199,8 @@ type Config struct {
 	// Window is the width of the recorder's windowed
 	// throughput/latency/rejection series and the autoscaler's control
 	// interval. Zero disables windowed metrics, unless an Autoscaler is
-	// set, in which case it defaults to DefaultControlWindow.
+	// set, in which case it defaults to DefaultControlWindow. A positive
+	// Window must be at least MinWindow.
 	Window time.Duration
 	// Percentiles selects how latency percentiles are computed. The
 	// zero value (PercentilesExact) stores every sample and reports
@@ -275,6 +282,9 @@ func (c Config) validate(largestWeight, largestGPUAct, largestCPUAct int64) erro
 	}
 	if c.SLO < 0 {
 		return fmt.Errorf("core: negative SLO %v", c.SLO)
+	}
+	if c.Window > 0 && c.Window < MinWindow {
+		return fmt.Errorf("core: Window %v below the %v floor", c.Window, MinWindow)
 	}
 	if c.Autoscaler != nil && c.PreschedPicks != nil {
 		// Replayed picks index a fixed queue set; scaling the active set

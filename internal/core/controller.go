@@ -1,10 +1,12 @@
 package core
 
 import (
+	"time"
+
 	"repro/internal/coe"
 	"repro/internal/control"
+	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -12,15 +14,15 @@ import (
 // controller owns admission and completion for one stream served by a
 // System: it takes timed requests through the admission policy into the
 // dispatch path, tracks outstanding work, and shuts the executors down
-// once the stream has fully drained. Serve plays its source into offer;
-// in cluster mode the cluster routes requests in through offer and
-// closes the stream itself.
+// once the stream has fully drained. Arrivals reach offer through
+// OfferAt, whether Serve plays them from its own source or the cluster
+// routes them in.
 type controller struct {
 	sys    *System
 	stream string // the stream name reports and traces carry
 
-	// delegate, when set, observes request completions from outside the
-	// node — the cluster layer's fleet accounting hook.
+	// delegate receives every admitted request back once the node is
+	// done with it (StreamDelegate).
 	delegate StreamDelegate
 	// tenantAdmit is the admission policy's tenant-aware interface when
 	// it implements one (control.TenantQuota); resolved once so the
@@ -40,32 +42,15 @@ type controller struct {
 	// long streams do not accumulate dead IDs. Nil until the first
 	// tagged request.
 	tenantOf map[int64]string
-	tenants  map[string]*tenantAgg
-	order    []string // tenant names in first-seen order
+	// tenants holds one recorder per tenant — its admissions
+	// (arrivals), rejections, completions and latencies, in sketch mode
+	// when the system's recorder is — and order their first-seen order.
+	tenants map[string]*metrics.Recorder
+	order   []string
 }
 
-// tenantAgg accumulates one tenant's slice of a multi-tenant run. In
-// sketch mode latency samples stream into sketch instead of latencies,
-// so per-tenant accounting is also O(1) in completions.
-type tenantAgg struct {
-	admitted  int64
-	rejected  int64
-	completed int64
-	latencies []float64
-	sketch    *stats.Sketch
-}
-
-// addLatency records one completion latency (seconds) for the tenant.
-func (a *tenantAgg) addLatency(lat float64) {
-	if a.sketch != nil {
-		a.sketch.Add(lat)
-		return
-	}
-	a.latencies = append(a.latencies, lat)
-}
-
-func newController(s *System, stream string) *controller {
-	c := &controller{sys: s, stream: stream}
+func newController(s *System, stream string, d StreamDelegate) *controller {
+	c := &controller{sys: s, stream: stream, delegate: d}
 	if ta, ok := s.cfg.Admission.(control.TenantAdmitter); ok {
 		c.tenantAdmit = ta
 	}
@@ -76,8 +61,7 @@ func newController(s *System, stream string) *controller {
 // the dispatch path, at virtual time now. Rejected requests leave
 // exactly one mark — a rejection count (and a KindRejected trace
 // event) — and never touch a queue, the recorder's completion path, or
-// the per-tenant latency aggregates. It is the shared arrival body of
-// the node's own admit loop and the cluster's offers (OfferAt).
+// the per-tenant latency aggregates. It is OfferAt's body.
 func (c *controller) offer(now sim.Time, tr workload.TimedRequest) bool {
 	s := c.sys
 	r := tr.Req
@@ -85,19 +69,12 @@ func (c *controller) offer(now sim.Time, tr workload.TimedRequest) bool {
 		c.rejected++
 		s.recorder.Rejection(now)
 		if tr.Tenant != "" {
-			c.tenantFor(tr.Tenant).rejected++
+			c.tenantFor(tr.Tenant).Rejection(now)
 		}
 		if s.cfg.Trace != nil {
 			s.cfg.Trace.Add(trace.Event{
 				At: now.Duration(), Kind: trace.KindRejected, Request: r.ID,
 			})
-		}
-		// The rejection is fully recorded (counters and the trace event
-		// copy values, not the pointer), so an arena-leased request can
-		// go straight back to its free list — unless the system is
-		// joined, whose caller still holds the pointer.
-		if s.ownsEnv {
-			coe.Recycle(r)
 		}
 		return false
 	}
@@ -105,7 +82,7 @@ func (c *controller) offer(now sim.Time, tr workload.TimedRequest) bool {
 	s.recorder.Arrival(r.Arrival)
 	c.admitted++
 	if tr.Tenant != "" {
-		c.tag(r.ID, tr.Tenant)
+		c.tag(now, r.ID, tr.Tenant)
 	}
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.Add(trace.Event{
@@ -139,9 +116,7 @@ func (c *controller) onBatch(now sim.Time, r *coe.Request) {
 	r.Done = now
 	s.recorder.Completion(r.Arrival, now)
 	if tenant, ok := c.tenantOf[r.ID]; ok {
-		agg := c.tenants[tenant]
-		agg.completed++
-		agg.addLatency(now.Sub(r.Arrival).Seconds())
+		c.tenants[tenant].Completion(r.Arrival, now)
 		delete(c.tenantOf, r.ID)
 	}
 	if s.cfg.Trace != nil {
@@ -151,17 +126,10 @@ func (c *controller) onBatch(now sim.Time, r *coe.Request) {
 		})
 	}
 	c.completed++
-	if c.delegate != nil {
-		c.delegate.RequestDone(now, r)
-	}
 	// Last touch of the request: its completion is recorded, the trace
-	// event holds copies, the tenant entry is gone, and the delegate has
-	// observed it. An arena-leased request is now safe to reuse — unless
-	// the system is joined, whose delegate owns the object from here and
-	// recycles it after its own accounting.
-	if s.ownsEnv {
-		coe.Recycle(r)
-	}
+	// event holds copies and the tenant entry is gone, so the object
+	// passes to the delegate.
+	c.delegate.RequestDone(now, r)
 	if c.closed && c.completed+c.dropped == c.admitted {
 		c.finish()
 	}
@@ -169,10 +137,10 @@ func (c *controller) onBatch(now sim.Time, r *coe.Request) {
 
 // drop strikes a crash-voided request from the stream's accounting: it
 // was admitted but will never complete here — its lease holder
-// redelivers it to another node. The request is recycled (the voiding
-// dispatcher copied what it needs before the crash was applied) and the
-// stream can still finish exactly: completed + dropped == admitted. A
-// joined system hands the request back to its delegate instead.
+// redelivers it to another node. The request passes back to the
+// delegate (the voiding dispatcher copied what it needs before the
+// crash was applied) and the stream can still finish exactly:
+// completed + dropped == admitted.
 func (c *controller) drop(now sim.Time, r *coe.Request) {
 	s := c.sys
 	c.dropped++
@@ -184,12 +152,7 @@ func (c *controller) drop(now sim.Time, r *coe.Request) {
 			At: now.Duration(), Kind: trace.KindDropped, Request: r.ID,
 		})
 	}
-	if c.delegate != nil {
-		c.delegate.RequestDropped(now, r)
-	}
-	if s.ownsEnv {
-		coe.Recycle(r)
-	}
+	c.delegate.RequestDropped(now, r)
 	if c.closed && c.completed+c.dropped == c.admitted {
 		c.finish()
 	}
@@ -205,56 +168,50 @@ func (c *controller) finish() {
 	}
 }
 
-// tenantFor returns (creating if needed) a tenant's aggregate,
+// tenantFor returns (creating if needed) a tenant's recorder,
 // registering first-seen order.
-func (c *controller) tenantFor(tenant string) *tenantAgg {
+func (c *controller) tenantFor(tenant string) *metrics.Recorder {
 	if c.tenantOf == nil {
 		c.tenantOf = make(map[int64]string)
-		c.tenants = make(map[string]*tenantAgg)
+		c.tenants = make(map[string]*metrics.Recorder)
 	}
-	agg, ok := c.tenants[tenant]
+	rec, ok := c.tenants[tenant]
 	if !ok {
-		agg = &tenantAgg{}
+		rec = metrics.NewRecorder()
 		if c.sys.cfg.Percentiles == PercentilesSketch {
-			agg.sketch = stats.NewSketch()
+			rec.UseSketch()
 		}
-		c.tenants[tenant] = agg
+		c.tenants[tenant] = rec
 		c.order = append(c.order, tenant)
 	}
-	return agg
+	return rec
 }
 
 // tag records an admitted request's tenant for per-tenant accounting.
 // Only admitted requests enter tenantOf: the entry is the request's
 // in-flight marker and is deleted on completion (rejected requests
 // never complete, so mapping them would leak one entry per rejection).
-func (c *controller) tag(id int64, tenant string) {
-	c.tenantFor(tenant).admitted++
+func (c *controller) tag(now sim.Time, id int64, tenant string) {
+	c.tenantFor(tenant).Arrival(now)
 	c.tenantOf[id] = tenant
 }
 
 // tenantStats renders the per-tenant breakdown in first-seen order.
-func (c *controller) tenantStats(slo float64) []TenantStats {
+func (c *controller) tenantStats(slo time.Duration) []TenantStats {
 	if len(c.order) == 0 {
 		return nil
 	}
 	out := make([]TenantStats, 0, len(c.order))
 	for _, name := range c.order {
-		agg := c.tenants[name]
-		ts := TenantStats{
-			Name:        name,
-			Admitted:    agg.admitted,
-			Rejected:    agg.rejected,
-			Completions: agg.completed,
-		}
-		if agg.sketch != nil {
-			ts.Latency = agg.sketch.Summary()
-			ts.SLOAttainment = agg.sketch.Attainment(slo)
-		} else {
-			ts.Latency = stats.Summarize(agg.latencies)
-			ts.SLOAttainment = stats.Attainment(agg.latencies, slo)
-		}
-		out = append(out, ts)
+		rec := c.tenants[name]
+		out = append(out, TenantStats{
+			Name:          name,
+			Admitted:      rec.Arrivals(),
+			Rejected:      rec.Rejections(),
+			Completions:   rec.Completions(),
+			Latency:       rec.LatencySummary(),
+			SLOAttainment: rec.SLOAttainment(slo),
+		})
 	}
 	return out
 }

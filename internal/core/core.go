@@ -68,7 +68,7 @@ type System struct {
 	// state is the node's lifecycle state on the cluster seam; epoch
 	// advances on every crash so executors mid-batch at the crash
 	// instant can tell their results are void (see executor.Epoch).
-	// Standalone systems stay NodeUp at epoch 0 forever.
+	// A system no fault touches stays NodeUp at epoch 0 forever.
 	state NodeState
 	epoch int
 
@@ -76,12 +76,6 @@ type System struct {
 	// Nil — the healthy fast path — on every node a fault plan has not
 	// touched.
 	gray *grayState
-
-	// ownsEnv records whether this System created (and therefore drives)
-	// its simulation environment. A joined system (NewSystemInEnv) shares
-	// an external env — the cluster layer's arrangement — and is served
-	// through JoinStream/OfferAt/CloseStream instead of Serve.
-	ownsEnv bool
 
 	// windowExperts collects the distinct experts dispatched since the
 	// last autoscaler window boundary — the working-set width a
@@ -93,28 +87,22 @@ type System struct {
 	gpuPoolSlots, cpuPoolSlots int
 }
 
-// NewSystem builds a system for the CoE model under the configuration.
-// The system creates and owns its simulation environment; use
-// NewSystemInEnv to build a node that joins a shared environment.
+// NewSystem builds a system for the CoE model under the configuration,
+// on a simulation environment of its own.
 func NewSystem(cfg Config, m *coe.Model) (*System, error) {
-	return newSystem(cfg, m, sim.NewEnv(), true)
+	return NewSystemInEnv(cfg, m, sim.NewEnv())
 }
 
-// NewSystemInEnv builds a system bound to an externally owned simulation
-// environment: the cluster layer's node constructor. The caller owns the
-// env lifecycle — it runs the event loop and re-arms it between streams
-// — so a joined system refuses Serve/RunTask and is driven through
-// JoinStream, OfferAt, CloseStream, and StreamReport instead. A system
-// built by NewSystem is byte-identical to one built here on a fresh env
-// and driven through the same stream.
+// NewSystemInEnv builds a system bound to the given simulation
+// environment: the cluster layer's node constructor, where every node
+// shares the fleet's env. Every stream runs the one protocol JoinStream,
+// OfferAt, CloseStream, StreamReport; Serve is that protocol driven by
+// the system's own source and event loop, and the cluster drives it
+// from its front end, running the shared env itself.
 func NewSystemInEnv(cfg Config, m *coe.Model, env *sim.Env) (*System, error) {
 	if env == nil {
 		return nil, fmt.Errorf("core: NewSystemInEnv needs an environment")
 	}
-	return newSystem(cfg, m, env, false)
-}
-
-func newSystem(cfg Config, m *coe.Model, env *sim.Env, ownsEnv bool) (*System, error) {
 	cfg = cfg.normalized()
 
 	var largestWeight, largestGPUAct, largestCPUAct int64
@@ -153,7 +141,6 @@ func newSystem(cfg Config, m *coe.Model, env *sim.Env, ownsEnv bool) (*System, e
 		env:      env,
 		recorder: metrics.NewRecorder(),
 		measure:  cfg.PreschedPicks == nil,
-		ownsEnv:  ownsEnv,
 	}
 	s.store = pool.NewStore(s.env, cfg.Device, cfg.Alloc.HostCacheBytes, m)
 	if cfg.PreschedPicks != nil {
@@ -306,10 +293,6 @@ func newSystem(cfg Config, m *coe.Model, env *sim.Env, ownsEnv bool) (*System, e
 
 // Env returns the simulation environment the system is bound to.
 func (s *System) Env() *sim.Env { return s.env }
-
-// OwnsEnv reports whether the system created its environment (NewSystem)
-// or joined an external one (NewSystemInEnv).
-func (s *System) OwnsEnv() bool { return s.ownsEnv }
 
 // setActive resizes the active executor set to the first gpu GPU and
 // first cpu CPU executors, clamped to the built topology (at least one
@@ -533,65 +516,38 @@ func (s *System) onVoid(now sim.Time, r *coe.Request) {
 // (recorder, executor and pool counters, assignment picks) are reset at
 // each restart; a stream that ends with requests still in flight
 // poisons the System and fails all further calls.
+//
+// Serve is the stream protocol driven from inside: it joins a stream
+// whose requests it recycles itself, plays the source into OfferAt,
+// closes the stream when the source is exhausted, and runs the env.
 func (s *System) Serve(src workload.Source) (*Report, error) {
-	if !s.ownsEnv {
-		return nil, fmt.Errorf("core: Serve on a system joined to an external env; the env owner drives it through JoinStream")
+	if err := workload.CheckStream(src, s.m); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	if err := s.checkStream(); err != nil {
+	if err := s.JoinStream(src.Name(), recycler{}); err != nil {
 		return nil, err
 	}
-	if workload.IsUnbounded(src) {
-		// An infinite source would keep the admit loop alive forever;
-		// the admission loop has no way to stop it.
-		return nil, fmt.Errorf("core: stream %q is unbounded; wrap it in workload.Horizon to give it a terminating horizon",
-			src.Name())
-	}
-	if m, ok := src.(interface{ Model() *coe.Model }); ok && m.Model() != nil && m.Model() != s.m {
-		return nil, fmt.Errorf("core: stream %q draws from model %q, system serves %q",
-			src.Name(), m.Model().Name(), s.m.Name())
-	}
-	s.serving = true
-	defer func() { s.serving = false }()
-
-	if s.runs > 0 {
-		// Warm restart: zero the per-stream statistics, keeping the
-		// recorder's sample buffers. Pool contents — the warm state — are
-		// deliberately kept.
-		s.resetStream()
-	}
-	s.runs++
-	s.beginStream(src.Name(), nil)
-	workload.Play(s.env, src, func(now sim.Time, tr workload.TimedRequest) { s.ctrl.offer(now, tr) },
-		func(sim.Time) { s.CloseStream() })
+	workload.Play(s.env, src, func(now sim.Time, tr workload.TimedRequest) {
+		if !s.OfferAt(now, tr) {
+			coe.Recycle(tr.Req)
+		}
+	}, func(sim.Time) { s.CloseStream() })
 	s.env.Run()
-
 	if err := s.env.Drained(); err != nil {
+		s.serving = false
 		s.broken = fmt.Errorf("core: stream %q: %w", src.Name(), err)
 		return nil, s.broken
 	}
-	if !s.ctrl.finished {
-		s.broken = fmt.Errorf("core: stream %q ended with %d of %d requests incomplete",
-			src.Name(), s.ctrl.admitted-s.ctrl.completed, s.ctrl.admitted)
-		return nil, s.broken
-	}
-	return s.report(src.Name()), nil
+	return s.StreamReport()
 }
 
-// checkStream rejects stream starts on a system that cannot take one.
-func (s *System) checkStream() error {
-	if s.broken != nil {
-		return s.broken
-	}
-	if s.serving {
-		return fmt.Errorf("core: stream started re-entrantly")
-	}
-	if s.runs > 0 && s.cfg.PreschedPicks != nil {
-		// A replay system reissues one recorded assignment sequence; a
-		// second stream would run past it.
-		return fmt.Errorf("core: a pre-scheduled (replay) system serves exactly one stream")
-	}
-	return nil
-}
+// recycler is the stream delegate of a system serving its own source:
+// nothing outside holds its requests, so each goes back to its arena
+// the moment the node is done with it.
+type recycler struct{}
+
+func (recycler) RequestDone(_ sim.Time, r *coe.Request)    { coe.Recycle(r) }
+func (recycler) RequestDropped(_ sim.Time, r *coe.Request) { coe.Recycle(r) }
 
 // resetStream zeroes the per-stream statistics for a warm restart,
 // keeping the recorder's sample buffers and — deliberately — the pool
@@ -611,26 +567,59 @@ func (s *System) resetStream() {
 	}
 }
 
-// beginStream arms one stream: a fresh controller (with the delegate for
-// externally fed streams), admission reset, the stream trace marker, and
-// the executor runs and the autoscaler loop. The caller then starts the
-// arrivals — Serve plays its source, the cluster routes its own — and
-// runs the env.
-func (s *System) beginStream(stream string, d StreamDelegate) {
+// StreamDelegate observes a stream's requests from outside the node —
+// the cluster layer's completion hook, or Serve's recycler — and owns
+// the request objects: the node never recycles a request itself.
+// RequestDone fires once per admitted request, at the virtual instant
+// its final stage completes, after the node's own accounting;
+// RequestDropped fires instead when a crash voids the request. Either
+// way the object passes back to the delegate. A request OfferAt rejects
+// stays with the caller.
+type StreamDelegate interface {
+	RequestDone(now sim.Time, r *coe.Request)
+	RequestDropped(now sim.Time, r *coe.Request)
+}
+
+// JoinStream arms the system for one stream named stream whose
+// requests the delegate d receives back: per-stream statistics are
+// reset on a warm restart, the executors are started on the env, and
+// subsequent OfferAt calls feed arrivals in. The env's driver closes the
+// stream with CloseStream once the arrival process is exhausted and
+// collects the node's slice of the run with StreamReport after the env
+// drains. A poisoned system, one with a stream already open, and a
+// replay system that has served its one stream refuse.
+func (s *System) JoinStream(stream string, d StreamDelegate) error {
+	if s.broken != nil {
+		return s.broken
+	}
+	if s.serving {
+		return fmt.Errorf("core: stream started re-entrantly")
+	}
+	if s.runs > 0 && s.cfg.PreschedPicks != nil {
+		// A replay system reissues one recorded assignment sequence; a
+		// second stream would run past it.
+		return fmt.Errorf("core: a pre-scheduled (replay) system serves exactly one stream")
+	}
+	s.serving = true
+	if s.runs > 0 {
+		// Warm restart: zero the per-stream statistics. Pool contents —
+		// the warm state — are deliberately kept.
+		s.resetStream()
+	}
+	s.runs++
 	// A node left Down, Draining, or gray-degraded by a previous
 	// stream's faults starts the next stream healthy — the operator
 	// reset between streams.
 	s.state = NodeUp
 	s.gray = nil
-	s.ctrl = newController(s, stream)
-	s.ctrl.delegate = d
+	s.ctrl = newController(s, stream, d)
 	if s.cfg.Admission != nil {
 		s.cfg.Admission.Reset(s.env.Now())
 	}
 	if s.cfg.Trace != nil {
 		// Delimit consecutive streams: request IDs restart per stream.
 		s.cfg.Trace.Add(trace.Event{
-			At: s.env.Now().Duration(), Kind: trace.KindStream, Detail: s.ctrl.stream,
+			At: s.env.Now().Duration(), Kind: trace.KindStream, Detail: stream,
 		})
 	}
 	for _, ex := range s.executors {
@@ -639,68 +628,24 @@ func (s *System) beginStream(stream string, d StreamDelegate) {
 	if s.cfg.Autoscaler != nil {
 		s.autoscale()
 	}
-}
-
-// StreamDelegate observes a joined system's stream from the outside —
-// the cluster layer's completion hook — and owns its request objects: a
-// joined system never recycles a request itself. RequestDone fires once
-// per admitted request, at the virtual instant its final stage
-// completes, after the node's own accounting; RequestDropped fires
-// instead when a crash voids the request. Either way the object passes
-// back to the delegate, which recycles it after its own bookkeeping. A
-// request OfferAt rejects stays with the caller.
-type StreamDelegate interface {
-	RequestDone(now sim.Time, r *coe.Request)
-	RequestDropped(now sim.Time, r *coe.Request)
-}
-
-// JoinStream arms a joined system (NewSystemInEnv) for one externally
-// fed stream named stream: per-stream statistics are reset, the
-// executors are launched into
-// the shared env, and subsequent OfferAt calls feed arrivals in. The env
-// owner closes the stream with CloseStream once the arrival process is
-// exhausted and collects the node's slice of the run with StreamReport
-// after the env drains.
-func (s *System) JoinStream(stream string, d StreamDelegate) error {
-	if s.ownsEnv {
-		return fmt.Errorf("core: JoinStream on a system that owns its env; use Serve")
-	}
-	if err := s.checkStream(); err != nil {
-		return err
-	}
-	s.serving = true
-	if s.runs > 0 {
-		s.resetStream()
-	}
-	s.runs++
-	s.beginStream(stream, d)
 	return nil
 }
 
-// OfferAt feeds one externally routed arrival into the node's admission
-// and dispatch path at virtual time now, the node's current instant,
-// exactly as the node's own arrival process would. On admission it
-// returns a lease receipt — the node now holds the request and will ack
-// its completion through the stream delegate's RequestDone, unless a
-// crash voids the lease first — with ok true. A rejected request leaves
-// only a rejection mark; a node that is not Up refuses the offer
-// outright, leaving no mark at all (the dispatcher should not have
-// routed here). OfferAt must only be called between JoinStream and
-// CloseStream, from the node's own simulation context: an event callback
-// of the env it joined.
-func (s *System) OfferAt(now sim.Time, tr workload.TimedRequest) (Lease, bool) {
-	if s.state != NodeUp {
-		return Lease{}, false
-	}
-	if !s.ctrl.offer(now, tr) {
-		return Lease{}, false
-	}
-	return Lease{Request: tr.Req.ID, Node: s.cfg.ID, Issued: now}, true
+// OfferAt feeds one arrival into the node's admission and dispatch path
+// at virtual time now, the node's current instant, and reports whether
+// the node admitted it. An admitted request is the node's until it
+// passes back through the stream delegate — on completion, or on a
+// crash that voids it. A rejected request leaves only a rejection mark;
+// a node that is not Up refuses the offer outright, leaving no mark at
+// all (the dispatcher should not have routed here). Either way a refused
+// request stays with the caller. OfferAt must only be called between
+// JoinStream and CloseStream, from an event callback of the system's env.
+func (s *System) OfferAt(now sim.Time, tr workload.TimedRequest) bool {
+	return s.state == NodeUp && s.ctrl.offer(now, tr)
 }
 
-// CloseStream marks a joined stream's arrival process exhausted: once
-// the node's admitted requests drain, its executors shut down. Called by
-// the env owner when the cluster-wide source closes.
+// CloseStream marks the stream's arrival process exhausted: once the
+// node's admitted requests drain, its executors shut down.
 func (s *System) CloseStream() {
 	c := s.ctrl
 	c.closed = true
@@ -709,17 +654,17 @@ func (s *System) CloseStream() {
 	}
 }
 
-// StreamReport ends a joined stream after the shared env has drained and
-// returns the node's slice of the run. A stream that ended with requests
-// still in flight poisons the system, like a broken Serve.
+// StreamReport ends the stream after the env has drained and returns
+// the node's slice of the run. A stream that ended with requests still
+// in flight poisons the system.
 func (s *System) StreamReport() (*Report, error) {
 	if !s.serving {
-		return nil, fmt.Errorf("core: StreamReport without a joined stream")
+		return nil, fmt.Errorf("core: StreamReport without an open stream")
 	}
 	s.serving = false
 	if !s.ctrl.finished {
-		s.broken = fmt.Errorf("core: stream %q ended with %d of %d requests incomplete on %s",
-			s.ctrl.stream, s.ctrl.admitted-s.ctrl.completed-s.ctrl.dropped, s.ctrl.admitted, s.cfg.ID)
+		s.broken = fmt.Errorf("core: stream %q ended with %d of %d requests incomplete",
+			s.ctrl.stream, s.ctrl.admitted-s.ctrl.completed-s.ctrl.dropped, s.ctrl.admitted)
 		return nil, s.broken
 	}
 	return s.report(s.ctrl.stream), nil

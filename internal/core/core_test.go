@@ -1,9 +1,10 @@
 package core
 
 import (
-	"repro/internal/coe"
 	"testing"
 
+	"repro/internal/coe"
+	"repro/internal/control"
 	"repro/internal/hw"
 	"repro/internal/model"
 	"repro/internal/profiler"
@@ -228,6 +229,22 @@ func TestSystemRejectsBadConfigs(t *testing.T) {
 		// Over-committed GPU memory.
 		{Device: hw.NUMADevice(), GPUExecutors: 1, Perf: pm,
 			Alloc: Allocation{GPUExpertBytes: 11 << 30, GPUActBytes: 11 << 30}},
+	}
+	// Windows below the floor, with and without a control loop.
+	g, c := DefaultExecutors(hw.NUMADevice())
+	ok := Config{Device: hw.NUMADevice(), GPUExecutors: g, CPUExecutors: c, Perf: pm,
+		Alloc: CasualAllocation(hw.NUMADevice(), pm, g, c)}
+	scaler, err := control.NewHysteresisScaler(0.3, 0.85)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, as := range []control.Autoscaler{nil, scaler} {
+		cfg := ok
+		cfg.Window, cfg.Autoscaler = MinWindow/10, as
+		bad = append(bad, cfg)
+	}
+	if _, err := NewSystem(ok, board.Model); err != nil {
+		t.Fatalf("window-floor base config rejected: %v", err)
 	}
 	for i, cfg := range bad {
 		if _, err := NewSystem(cfg, board.Model); err == nil {

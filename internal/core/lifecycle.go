@@ -4,9 +4,9 @@ import (
 	"repro/internal/sim"
 )
 
-// NodeState is a joined system's lifecycle state on the cluster seam.
-// A standalone system (NewSystem + Serve) is always NodeUp; the cluster
-// layer's fault injection drives the transitions.
+// NodeState is a system's lifecycle state on the cluster seam. Every
+// stream starts NodeUp; only the cluster layer's fault injection drives
+// the transitions, so a system no fault touches stays NodeUp.
 type NodeState int
 
 const (
@@ -33,27 +33,11 @@ func (s NodeState) String() string {
 	return "unknown"
 }
 
-// Lease is the receipt OfferAt returns for an admitted request: the node
-// holds the request until it acks completion through the stream
-// delegate's RequestDone, and a crash voids every outstanding lease so
-// the dispatcher can redeliver the requests elsewhere. The receipt
-// identifies the request and the node that holds it; the dispatcher
-// keys its ledger on Request (request identity survives redelivery, so
-// completions can be counted exactly once).
-type Lease struct {
-	// Request is the leased request's identity (coe.Request.ID).
-	Request int64
-	// Node is the holding node's Config.ID.
-	Node string
-	// Issued is the virtual instant the node admitted the request.
-	Issued sim.Time
-}
-
 // State reports the node's lifecycle state.
 func (s *System) State() NodeState { return s.state }
 
-// Serving reports whether the system currently has a stream open (Serve
-// in progress, or JoinStream without its StreamReport yet).
+// Serving reports whether the system currently has a stream open:
+// joined (JoinStream, which Serve calls) and not yet reported.
 func (s *System) Serving() bool { return s.serving }
 
 // Outstanding reports the number of admitted requests not yet completed

@@ -141,7 +141,7 @@ func (s *System) report(stream string) *Report {
 		Latency:       s.recorder.LatencySummary(),
 		SLO:           s.cfg.SLO,
 		SLOAttainment: s.recorder.SLOAttainment(s.cfg.SLO),
-		PerTenant:     s.ctrl.tenantStats(s.cfg.SLO.Seconds()),
+		PerTenant:     s.ctrl.tenantStats(s.cfg.SLO),
 		SchedPerOp:    s.recorder.SchedPerOp(),
 		SchedOps:      s.recorder.SchedOps(),
 		Picks:         append([]int(nil), s.picks...),

@@ -236,6 +236,36 @@ func TestServeRejectsForeignModelStream(t *testing.T) {
 	}
 }
 
+// TestOpenStreamRefusesReentry: while a stream is open — joined and not
+// yet reported — neither Serve nor a second JoinStream may start
+// another; once the stream is closed and reported, Serve runs the same
+// protocol on the same system.
+func TestOpenStreamRefusesReentry(t *testing.T) {
+	board := boardFor(t, workload.BoardA())
+	s := buildSystem(t, hw.NUMADevice(), CoServe, board)
+	if err := s.JoinStream("open", recycler{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Serve(poissonFor(t, "reentrant", board, 50, 10, 3)); err == nil {
+		t.Error("Serve accepted while a stream was open")
+	}
+	if err := s.JoinStream("again", recycler{}); err == nil {
+		t.Error("JoinStream accepted while a stream was open")
+	}
+	s.CloseStream()
+	s.Env().Run()
+	if _, err := s.StreamReport(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Serve(poissonFor(t, "after", board, 50, 10, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completions != 10 || s.Runs() != 2 {
+		t.Errorf("completions = %d after %d runs, want 10 after 2", rep.Completions, s.Runs())
+	}
+}
+
 // TestServeSLOAttainmentBounds pins the attainment extremes: a very lax
 // objective is fully attained, a sub-millisecond one is not (a chain
 // takes at least one execution latency).

@@ -393,6 +393,21 @@ func IsUnbounded(src Source) bool {
 	return ok && u.Unbounded()
 }
 
+// CheckStream rejects a source the serving layers cannot serve over
+// model m: an unbounded one, which would keep the arrival loop alive
+// forever, and one whose chains come from another model.
+func CheckStream(src Source, m *coe.Model) error {
+	if IsUnbounded(src) {
+		return fmt.Errorf("stream %q is unbounded; wrap it in workload.Horizon to give it a terminating horizon",
+			src.Name())
+	}
+	if sm, ok := src.(interface{ Model() *coe.Model }); ok && sm.Model() != nil && sm.Model() != m {
+		return fmt.Errorf("stream %q draws from model %q, not the served model %q",
+			src.Name(), sm.Model().Name(), m.Name())
+	}
+	return nil
+}
+
 // Mix interleaves several tenants' streams into one multi-tenant stream
 // ordered by arrival time, with ties broken by tenant order. Request IDs
 // are renumbered to be unique across the mix; each request is tagged
