@@ -121,13 +121,14 @@ const NoExpert = coe.NoExpert
 // Request is one inference request traveling a CoE pipeline.
 type Request = coe.Request
 
-// RequestArena is an optional free-list of Request objects. Attach one
-// to a workload spec (Poisson/Bursty/Steady .Arena) and the source
-// leases each request from it instead of allocating; the serving layer
+// RequestArena is a free-list of Request objects. Every sampled source
+// (Poisson/Bursty/Steady) leases its requests from one — a private
+// arena unless its spec's Arena names one — and the serving layer
 // returns requests on completion or rejection, so steady-state
 // allocation is bounded by the in-flight peak rather than stream
-// length. One arena feeds one serving stream at a time, but persists
-// across consecutive streams and warm restarts.
+// length. Pass one arena to a spec and to ClusterConfig.Arena to share
+// a pool across consecutive streams, warm restarts and a cluster's
+// redelivered copies; one arena feeds one serving stream at a time.
 type RequestArena = coe.Arena
 
 // NewRequestArena returns an empty request arena.
@@ -257,8 +258,9 @@ func NewReachableHysteresisScaler(low, high float64) (Autoscaler, error) {
 }
 
 // NewTenantQuota wraps an admission policy (AcceptAll when nil) with
-// independent per-tenant token buckets, so one tenant's overload in a
-// multi-tenant Mix cannot starve the others' admission.
+// independent per-tenant token buckets keyed by Request.Tenant, so one
+// tenant's overload in a multi-tenant Mix cannot starve the others'
+// admission, whether the policy guards a node or a whole cluster.
 func NewTenantQuota(inner AdmissionPolicy, rate, burst float64) (AdmissionPolicy, error) {
 	return control.NewTenantQuota(inner, rate, burst)
 }

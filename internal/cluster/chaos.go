@@ -209,13 +209,13 @@ func (c *Cluster) settle(l *lease) {
 	c.freeLeases = l
 }
 
-// openLease draws a lease carrying the request's identity and a private
-// copy of its chain, served by no copy yet.
-func (c *Cluster) openLease(r *coe.Request, tenant string) *lease {
+// openLease draws a lease carrying the request's identity (ID, class,
+// tenant) and a private copy of its chain, served by no copy yet.
+func (c *Cluster) openLease(r *coe.Request) *lease {
 	l := c.newLease()
 	l.id = r.ID
 	l.class = r.Class
-	l.tenant = tenant
+	l.tenant = r.Tenant
 	l.chain = append(l.chain, r.Chain...)
 	return l
 }
@@ -226,20 +226,17 @@ func (cs *chaosState) parkLease(l *lease) {
 	cs.PendingPeak = max(cs.PendingPeak, len(cs.pending))
 }
 
-// leaseRequest materializes a fresh request object for a lease — from
-// the arena when one is configured, allocated otherwise. The chain is
-// always copied out of the lease: the object the lease originally rode
-// in may have been recycled and re-leased by anyone since, so sharing
-// backing arrays in either direction would alias live state.
+// leaseRequest leases a fresh request object for a lease's redelivered
+// or hedged copy from the cluster's arena, restoring the request's
+// identity. The chain is copied out of the lease: the object the lease
+// originally rode in may have been recycled and re-leased by anyone
+// since, so sharing backing arrays in either direction would alias
+// live state.
 func (c *Cluster) leaseRequest(l *lease) *coe.Request {
-	if c.cfg.Arena != nil {
-		r := c.cfg.Arena.Lease()
-		r.ID = l.id
-		r.Class = l.class
-		r.Chain = append(r.Chain[:0], l.chain...)
-		return r
-	}
-	return coe.NewRequest(l.id, l.class, append([]coe.ExpertID(nil), l.chain...))
+	r := c.arena.Lease()
+	r.ID, r.Class, r.Tenant = l.id, l.class, l.tenant
+	r.Chain = append(r.Chain, l.chain...)
+	return r
 }
 
 // verify asserts the exactly-once invariant at a fault boundary,
@@ -300,13 +297,13 @@ func (c *Cluster) applyFault(now sim.Time, ev sim.FaultEvent) {
 				// lease and may hedge again after a fresh deadline.
 				h.fate = &cs.HedgesVoided
 				l.hedge = nil
-				c.armHedge(l, c.hedge.After)
+				c.armHedge(l, c.cfg.Hedge.After)
 			case l.hedge != nil && l.hedge.held:
 				// The primary died but its hedge copy holds the work:
 				// promote the hedge to primary — no void, no redelivery.
 				h.fate = &cs.HedgePromoted
 				l.primary, l.hedge = l.hedge, nil
-				c.armHedge(l, c.hedge.After)
+				c.armHedge(l, c.cfg.Hedge.After)
 			default:
 				h.fate = &cs.LostLeases
 				c.cancelHedge(l)

@@ -87,10 +87,10 @@ type Config struct {
 	// tracked at-least-once redelivery of a crashed node's in-flight
 	// requests. Nil or empty — the default — injects nothing.
 	Faults *sim.FaultPlan
-	// Arena, when set, leases redelivered and hedged requests from this
-	// arena (normally the same one the workload source draws from)
-	// instead of allocating them. Optional; redelivery is correct either
-	// way.
+	// Arena is the free list redelivered and hedged request copies are
+	// leased from — normally the one the workload source draws from.
+	// Nil gives the cluster a private arena; redelivery is correct
+	// either way.
 	Arena *coe.Arena
 	// Autoscaler, when set, drives the routable node count from the
 	// fleet's windowed metrics series: once per Window it is asked for a
@@ -201,7 +201,9 @@ type Cluster struct {
 	// The hold and lease pools, kept across streams so a warm serve
 	// allocates neither. holds is every hold ever made, indexed by
 	// coe.Request.Hold; firstHeld/lastHeld bound each node's hold list
-	// (accept order); leases counts the leases ever made.
+	// (accept order); leases counts the leases ever made. arena is
+	// Config.Arena, or the cluster's own when that is nil.
+	arena      *coe.Arena
 	holds      []*hold
 	freeHolds  *hold
 	firstHeld  []*hold
@@ -218,11 +220,10 @@ type Cluster struct {
 	scratchIdx []int
 
 	// health is the per-stream scoring and breaker state; nil unless
-	// Config.Health is enabled. hedge is Config.Hedge with defaults
-	// resolved. delegates gives each node an identity-carrying
-	// StreamDelegate so completions attribute to the reporting node.
+	// Config.Health is enabled. delegates gives each node an
+	// identity-carrying StreamDelegate so completions attribute to the
+	// reporting node.
 	health    *healthState
-	hedge     HedgeConfig
 	delegates []nodeDelegate
 	probe     coe.Request
 
@@ -290,7 +291,10 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 	if err := cfg.Hedge.validate(); err != nil {
 		return nil, err
 	}
-	c.hedge = cfg.Hedge.withDefaults()
+	c.arena = cfg.Arena
+	if c.arena == nil {
+		c.arena = coe.NewArena()
+	}
 	c.recorder.SetWindow(cfg.Window)
 	if cfg.Percentiles == core.PercentilesSketch {
 		c.recorder.UseSketch()
@@ -500,7 +504,7 @@ func (c *Cluster) deliver(now sim.Time, tr workload.TimedRequest) {
 		coe.Recycle(tr.Req)
 		return
 	}
-	l := c.openLease(tr.Req, tr.Tenant)
+	l := c.openLease(tr.Req)
 	idx := c.pickNode(now, tr.Req)
 	if idx < 0 {
 		// The whole fleet is down or draining. Park the lease (it owns

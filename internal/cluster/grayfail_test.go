@@ -204,12 +204,12 @@ func TestBreakerCapAndQuorum(t *testing.T) {
 		cl.breakerTick()
 	}
 	h.score[0] = 1
-	h.sk[0].Add(0.01) // one completion < Probes (2)
+	h.onComplete(0, 0.01) // one completion < Probes (2)
 	cl.breakerTick()
 	if h.phase[0] != breakerHalfOpen {
 		t.Fatalf("phase[0] = %v after a single completion, want half-open held (quorum is %d)", h.phase[0], h.cfg.Probes)
 	}
-	h.sk[0].Add(0.01)
+	h.onComplete(0, 0.01)
 	cl.breakerTick()
 	if h.phase[0] != breakerClosed || h.BreakerReinstates != 1 {
 		t.Errorf("phase[0] = %v, reinstates = %d after quorum, want closed and 1", h.phase[0], h.BreakerReinstates)
@@ -217,8 +217,8 @@ func TestBreakerCapAndQuorum(t *testing.T) {
 }
 
 // TestHealthConfigValidation: the config seam rejects a breaker without
-// a scoring window, out-of-range knobs, windows below the floor, and a
-// one-stream replay node.
+// a scoring window, negative windows and hedge deadlines, windows below
+// the floor, and a one-stream replay node.
 func TestHealthConfigValidation(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
 	replay := nodeConfig(t, hw.NUMADevice())
@@ -226,11 +226,9 @@ func TestHealthConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Health: HealthConfig{Breaker: true}},
 		{Health: HealthConfig{Window: -time.Second}},
-		{Health: HealthConfig{Window: time.Second, TripBelow: 1.5}},
 		{Health: HealthConfig{Window: core.MinWindow / 2}},
 		{Window: core.MinWindow / 2},
 		{Hedge: HedgeConfig{After: -time.Second}},
-		{Hedge: HedgeConfig{After: time.Second, MaxRetries: -1}},
 		{Nodes: []core.Config{nodeConfig(t, hw.NUMADevice()), replay}},
 	}
 	for _, cfg := range bad {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/stats"
 )
 
 // HealthConfig enables per-node health scoring and, optionally, the
@@ -15,23 +14,18 @@ import (
 // leaves the Up lifecycle state, so the router only stops feeding it if
 // something measures it.
 type HealthConfig struct {
-	// Window is the scoring interval: once per Window every node's
-	// completion latencies (folded through a per-node stats.Sketch) are
-	// scored against the fleet median into a health score in [0, 1].
+	// Window is the scoring interval: once per Window every node's mean
+	// completion latency over the window is scored against the fleet
+	// median into a health score in [0, 1].
 	// Zero disables health entirely — the byte-identical default; a
 	// positive Window must be at least core.MinWindow.
 	Window time.Duration
 	// Breaker arms the circuit breaker: a node whose score falls below
-	// TripBelow is quarantined out of routing, held open for Cooldown
+	// tripBelow is quarantined out of routing, held open for Cooldown
 	// windows, then probed half-open (at most Probes outstanding
-	// requests) and reinstated once its score recovers past
-	// RestoreAbove. Requires Window > 0.
+	// requests) and reinstated once its score recovers to restoreAbove.
+	// Requires Window > 0.
 	Breaker bool
-	// TripBelow is the quarantine threshold (default 0.5).
-	TripBelow float64
-	// RestoreAbove is the reinstatement threshold a half-open node must
-	// reach (default 0.8).
-	RestoreAbove float64
 	// Cooldown is how many windows a tripped node stays fully open
 	// before half-open probing begins (default 2).
 	Cooldown int
@@ -40,17 +34,18 @@ type HealthConfig struct {
 	Probes int
 }
 
+// The breaker's score thresholds: a closed node trips below tripBelow,
+// and a half-open node is reinstated at restoreAbove or better.
+const (
+	tripBelow    = 0.5
+	restoreAbove = 0.8
+)
+
 // Enabled reports whether health scoring is on.
 func (h HealthConfig) Enabled() bool { return h.Window > 0 }
 
 // withDefaults fills the zero knobs.
 func (h HealthConfig) withDefaults() HealthConfig {
-	if h.TripBelow == 0 {
-		h.TripBelow = 0.5
-	}
-	if h.RestoreAbove == 0 {
-		h.RestoreAbove = 0.8
-	}
 	if h.Cooldown == 0 {
 		h.Cooldown = 2
 	}
@@ -69,9 +64,6 @@ func (h HealthConfig) validate() error {
 	}
 	if h.Window > 0 && h.Window < core.MinWindow {
 		return fmt.Errorf("cluster: Health.Window %v below the %v floor", h.Window, core.MinWindow)
-	}
-	if h.TripBelow < 0 || h.TripBelow > 1 || h.RestoreAbove < 0 || h.RestoreAbove > 1 {
-		return fmt.Errorf("cluster: Health thresholds must be in [0, 1]")
 	}
 	return nil
 }
@@ -98,7 +90,7 @@ func (b breakerPhase) String() string {
 }
 
 // healthState is the per-stream health bookkeeping: windowed per-node
-// completion latency (a stats.Sketch each, reset every window), the
+// completion latency (a count and a sum each, reset every window), the
 // scores derived from it, and the breaker FSM. Nil on streams without
 // HealthConfig — those pay nothing.
 type healthState struct {
@@ -113,9 +105,12 @@ type healthState struct {
 	// holding work. One silent window is routine — a cold start or a
 	// batch spanning the window boundary looks exactly like this — so
 	// only a run of them reads as a stall.
-	dry   []int
-	sk    []*stats.Sketch // this window's completion latencies per node
-	means []float64       // scratch for the median reference
+	dry []int
+	// done and latSum are this window's completion count and latency
+	// sum (seconds) per node.
+	done   []int64
+	latSum []float64
+	means  []float64 // scratch for the median reference
 
 	// restricted counts nodes whose phase is not closed; while zero the
 	// router fast path stays untouched.
@@ -132,12 +127,12 @@ func newHealthState(cfg HealthConfig, nodes int) *healthState {
 		cool:   make([]int, nodes),
 		probes: make([]int, nodes),
 		dry:    make([]int, nodes),
-		sk:     make([]*stats.Sketch, nodes),
+		done:   make([]int64, nodes),
+		latSum: make([]float64, nodes),
 		means:  make([]float64, 0, nodes),
 	}
 	for i := range h.score {
 		h.score[i] = 1
-		h.sk[i] = stats.NewSketch()
 	}
 	return h
 }
@@ -165,7 +160,8 @@ func (h *healthState) onAdmit(i int) {
 // onComplete records a lease-resolved completion on node i with the
 // given end-to-end latency.
 func (h *healthState) onComplete(i int, latSeconds float64) {
-	h.sk[i].Add(latSeconds)
+	h.done[i]++
+	h.latSum[i] += latSeconds
 	if h.probes[i] > 0 {
 		h.probes[i]--
 	}
@@ -183,7 +179,7 @@ func (h *healthState) resetNode(i int) {
 	h.cool[i] = 0
 	h.probes[i] = 0
 	h.dry[i] = 0
-	h.sk[i].Reset()
+	h.done[i], h.latSum[i] = 0, 0
 }
 
 // healthTick is the scoring loop's window: it folds per-node scores from
@@ -201,10 +197,10 @@ func (c *Cluster) healthTick() bool {
 	// far above the median and scores ~median/self.
 	h.means = h.means[:0]
 	for i, n := range c.nodes {
-		if n.sys.State() != core.NodeUp || h.sk[i].Count() == 0 {
+		if n.sys.State() != core.NodeUp || h.done[i] == 0 {
 			continue
 		}
-		h.means = append(h.means, h.sk[i].Sum()/float64(h.sk[i].Count()))
+		h.means = append(h.means, h.latSum[i]/float64(h.done[i]))
 	}
 	ref := 0.0
 	if len(h.means) > 0 {
@@ -217,7 +213,7 @@ func (c *Cluster) healthTick() bool {
 			// health resets so they come back presumed healthy.
 			continue
 		}
-		cnt := h.sk[i].Count()
+		cnt := h.done[i]
 		switch {
 		case cnt == 0 && n.sys.Outstanding() > 0:
 			// Completed nothing while holding work. One window of silence
@@ -241,7 +237,7 @@ func (c *Cluster) healthTick() bool {
 			// surfaces in the sojourn latencies soon enough, and the
 			// cnt == 0 case above catches the true zero-throughput stall.
 			h.score[i] = 1
-			if mean := h.sk[i].Sum() / float64(cnt); ref > 0 && mean > ref {
+			if mean := h.latSum[i] / float64(cnt); ref > 0 && mean > ref {
 				h.score[i] = ref / mean
 			}
 		}
@@ -249,10 +245,9 @@ func (c *Cluster) healthTick() bool {
 	if h.cfg.Breaker {
 		c.breakerTick()
 	}
-	for i := range h.sk {
-		h.sk[i].Reset()
-		h.probes[i] = 0
-	}
+	clear(h.done)
+	clear(h.latSum)
+	clear(h.probes)
 	return true
 }
 
@@ -276,7 +271,7 @@ func (c *Cluster) breakerTick() {
 		}
 		switch h.phase[i] {
 		case breakerClosed:
-			if h.score[i] < h.cfg.TripBelow && h.restricted < maxOpen && c.routableHealthy() > 1 {
+			if h.score[i] < tripBelow && h.restricted < maxOpen && c.routableHealthy() > 1 {
 				h.phase[i] = breakerOpen
 				h.cool[i] = h.cfg.Cooldown
 				h.restricted++
@@ -293,14 +288,14 @@ func (c *Cluster) breakerTick() {
 			// backlog) keeps the node half-open, and a single lucky
 			// completion from a jittering node is not evidence of health —
 			// one fast batch must not reinstate a sick node.
-			if h.sk[i].Count() < int64(h.cfg.Probes) {
+			if h.done[i] < int64(h.cfg.Probes) {
 				break
 			}
-			if h.score[i] >= h.cfg.RestoreAbove {
+			if h.score[i] >= restoreAbove {
 				h.phase[i] = breakerClosed
 				h.restricted--
 				h.BreakerReinstates++
-			} else if h.score[i] < h.cfg.TripBelow {
+			} else if h.score[i] < tripBelow {
 				h.phase[i] = breakerOpen
 				h.cool[i] = h.cfg.Cooldown
 				h.BreakerTrips++

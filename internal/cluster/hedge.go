@@ -20,28 +20,19 @@ type HedgeConfig struct {
 	// already hedged) fires a hedge. Zero disables hedging — the
 	// byte-identical default.
 	After time.Duration
-	// MaxRetries bounds the re-arms when a hedge attempt finds no
-	// eligible node or is refused by node admission; each retry backs
-	// off exponentially (After, 2·After, 4·After, …). Default 3.
-	MaxRetries int
 }
+
+// hedgeRetries bounds the re-arms when a hedge attempt finds no
+// eligible node or is refused by node admission; each retry backs off
+// exponentially (After, 2·After, 4·After).
+const hedgeRetries = 3
 
 // Enabled reports whether hedging is on.
 func (h HedgeConfig) Enabled() bool { return h.After > 0 }
 
-func (h HedgeConfig) withDefaults() HedgeConfig {
-	if h.MaxRetries == 0 {
-		h.MaxRetries = 3
-	}
-	return h
-}
-
 func (h HedgeConfig) validate() error {
 	if h.After < 0 {
 		return fmt.Errorf("cluster: Hedge.After must be >= 0, got %v", h.After)
-	}
-	if h.MaxRetries < 0 {
-		return fmt.Errorf("cluster: Hedge.MaxRetries must be >= 0, got %d", h.MaxRetries)
 	}
 	return nil
 }
@@ -50,7 +41,7 @@ func (h HedgeConfig) validate() error {
 // timer is cancelled when the lease resolves or its holder crashes, so
 // no timer outlives its lease.
 func (c *Cluster) armHedge(l *lease, d time.Duration) {
-	if !c.hedge.Enabled() || l.timerSet {
+	if !c.cfg.Hedge.Enabled() || l.timerSet {
 		return
 	}
 	if l.due == nil {
@@ -94,7 +85,7 @@ func (c *Cluster) hedgeDue(l *lease) {
 // completes first resolves it and the other surfaces as wasted work.
 // When no eligible node exists (or node admission refuses or bounces the
 // copy) the primary keeps the lease untouched and the timer re-arms with
-// exponential backoff, up to MaxRetries.
+// exponential backoff, up to hedgeRetries times.
 func (c *Cluster) fireHedge(l *lease) {
 	cs := c.chaos
 	if !hedgeable(l) {
@@ -141,14 +132,14 @@ func (c *Cluster) hedgeMissed(l *lease, d time.Duration) {
 }
 
 // rearmHedge backs the deadline off exponentially and re-arms it, or
-// gives up after MaxRetries — the primary then simply keeps the lease.
+// gives up after hedgeRetries — the primary then simply keeps the lease.
 func (c *Cluster) rearmHedge(l *lease) {
-	if l.retries >= c.hedge.MaxRetries {
+	if l.retries >= hedgeRetries {
 		return
 	}
 	l.retries++
 	c.chaos.HedgeRetries++
-	c.armHedge(l, c.hedge.After<<uint(l.retries))
+	c.armHedge(l, c.cfg.Hedge.After<<uint(l.retries))
 }
 
 // pickHedgeNode routes a hedge copy: the router chooses over Up nodes

@@ -231,7 +231,7 @@ func (c *Cluster) report(stream string, perNode []*core.Report) *Report {
 		r.HealthStats = h.HealthStats
 		r.HealthScores = append([]float64(nil), h.score...)
 	}
-	if !c.cfg.Faults.Empty() || c.hedge.Enabled() || c.cfg.Interconnect.Enabled() || c.cfg.Autoscaler != nil {
+	if !c.cfg.Faults.Empty() || c.cfg.Hedge.Enabled() || c.cfg.Interconnect.Enabled() || c.cfg.Autoscaler != nil {
 		r.FinalStates = make([]core.NodeState, len(c.nodes))
 		for i, n := range c.nodes {
 			r.FinalStates[i] = n.sys.State()

@@ -4,7 +4,6 @@ import (
 	"repro/internal/coe"
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // This file is the front end's request protocol, the one path every
@@ -20,9 +19,7 @@ import (
 // recorder, health scoring, and the hedge timers. Every front-end
 // structure — leases, holds, arena, recorder, router scratch — is
 // therefore written only in front-end context, and a node touches only
-// its own state plus the request object the offer handed it (reading
-// the tenant off the offer's lease, which nothing writes while the
-// offer flies).
+// its own state plus the request object the offer handed it.
 //
 // The front end and every node run on the fleet's one environment.
 // Only the transport depends on Config.Interconnect, and only post
@@ -184,7 +181,7 @@ func (c *Cluster) nodeOffer(now sim.Time, h *hold, r *coe.Request) {
 		c.postFold(idx, now, opBounce, r)
 		return
 	}
-	if sys.OfferAt(now, workload.TimedRequest{Req: r, Tenant: h.l.tenant}) {
+	if sys.OfferAt(now, r) {
 		c.postFold(idx, now, opAccept, r)
 	} else {
 		c.postFold(idx, now, opReject, r)
@@ -206,7 +203,7 @@ func (c *Cluster) acceptFold(now sim.Time, h *hold, hedge bool, issued sim.Time)
 		case crashed:
 			h.fate = &cs.HedgesVoided
 			h.l, l.hedge = nil, nil
-			c.hedgeMissed(l, c.hedge.After)
+			c.hedgeMissed(l, c.cfg.Hedge.After)
 			c.settle(l)
 		case l.held():
 			cs.HedgesFired++
@@ -249,7 +246,7 @@ func (c *Cluster) acceptFold(now sim.Time, h *hold, hedge bool, issued sim.Time)
 		if hl := c.health; hl != nil {
 			hl.onAdmit(h.node)
 		}
-		c.armHedge(l, c.hedge.After)
+		c.armHedge(l, c.cfg.Hedge.After)
 	}
 	c.maybeClose()
 }

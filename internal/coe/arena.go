@@ -1,21 +1,22 @@
 package coe
 
-// Arena is a free-list of Request objects for high-volume serving
-// streams. Unbounded open-loop sources allocate one Request (plus its
-// chain) per arrival; at fleet scale that dominates the allocation
-// profile of the whole data plane. An arena caps it at the in-flight
-// high-water mark: the serving layer recycles a request when it
-// completes or is rejected, and the next arrival reuses the object and
-// its chain capacity.
+// Arena is a free-list of Request objects. Every sampled arrival
+// process (workload.Poisson, Bursty, Steady) leases its requests from
+// one, so a stream allocates request objects (and chains) up to its
+// in-flight high-water mark, not one per arrival: the serving layer
+// recycles a request when it completes or is rejected, and the next
+// arrival reuses the object and its chain capacity.
 //
-// Ownership protocol: Lease hands out a request owned by the caller;
-// Recycle (a package function, safe on non-arena requests) returns it.
-// A request must not be recycled while anything still references it —
-// the serving layer guarantees this by recycling only after the
-// completion/rejection is fully recorded (trace events and window
-// samples copy values, never retain the pointer). An Arena is owned by
-// the workload source's caller and persists across streams and warm
-// restarts, so consecutive streams share one pool.
+// Ownership protocol: Lease hands out a zeroed request owned by the
+// caller; Recycle (a package function, safe on non-arena requests)
+// returns it. A request must not be recycled while anything still
+// references it — the serving layer guarantees this by recycling only
+// after the completion/rejection is fully recorded (trace events and
+// window samples copy values, never retain the pointer). A source with
+// no arena configured owns a private one for its lifetime; an arena
+// its caller passes in persists across streams and warm restarts, so
+// consecutive streams (and a cluster's redelivered copies) share one
+// pool.
 //
 // An Arena is not safe for concurrent use. One simulation runs one
 // goroutine at a time, so a single arena may serve every node of a
@@ -42,7 +43,7 @@ func (a *Arena) Lease() *Request {
 		a.free[n-1] = nil
 		a.free = a.free[:n-1]
 		a.reuses++
-		r.ID, r.Class, r.stage = 0, 0, 0
+		r.ID, r.Class, r.stage, r.Tenant = 0, 0, 0, ""
 		r.Arrival, r.Done = 0, 0
 		r.Chain = r.Chain[:0]
 	} else {

@@ -35,6 +35,23 @@ func TestArenaLeaseRecycleReuse(t *testing.T) {
 	}
 }
 
+// TestLeaseClearsTenant: a recycled request leased again names no
+// tenant, so an untagged stream sharing an arena with a mix never
+// inherits a previous request's tenant.
+func TestLeaseClearsTenant(t *testing.T) {
+	a := NewArena()
+	r := a.Lease()
+	r.Tenant = "board-a"
+	Recycle(r)
+	r2 := a.Lease()
+	if r2 != r {
+		t.Fatal("lease after recycle must reuse the object")
+	}
+	if r2.Tenant != "" {
+		t.Errorf("reused request keeps tenant %q, want none", r2.Tenant)
+	}
+}
+
 func TestRecycleSafeOnForeignAndDouble(t *testing.T) {
 	Recycle(nil) // must not panic
 	plain := NewRequest(1, 0, []ExpertID{3})

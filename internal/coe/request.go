@@ -16,6 +16,11 @@ type Request struct {
 	Chain []ExpertID
 	stage int
 
+	// Tenant names the stream the request came from in a multi-tenant
+	// mix (empty for single-tenant streams). Mix and trace replay stamp
+	// it; admission quotas and per-tenant accounting read it.
+	Tenant string
+
 	// Arrival is stamped by the serving system when the request enters.
 	Arrival sim.Time
 	// Done is stamped when the final stage completes.

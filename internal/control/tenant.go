@@ -7,27 +7,16 @@ import (
 	"repro/internal/sim"
 )
 
-// TenantAdmitter is the tenant-aware extension of AdmissionPolicy: the
-// serving layer prefers AdmitTenant over Admit when a policy implements
-// it, passing the arriving request's tenant tag (empty for
-// single-tenant streams). Plain policies are unaffected — the
-// controller resolves the interface once per stream.
-type TenantAdmitter interface {
-	AdmissionPolicy
-	// AdmitTenant reports whether the request arriving at virtual time
-	// now under the given tenant is accepted.
-	AdmitTenant(now sim.Time, v View, r *coe.Request, tenant string) bool
-}
-
-// TenantQuota wraps any admission policy with per-tenant token buckets:
-// each tenant of a multi-tenant Mix is rate-limited to Rate requests
-// per second (bursts up to Burst) independently, so one tenant's
-// overload cannot starve the others' admission — over-quota floods are
-// absorbed by the offender's own bucket before they can touch (or, for
-// stateful policies like TokenBucket, drain) the shared inner policy,
-// which applies only to what the quotas pass. Untagged requests
-// (single-tenant streams) share one unnamed bucket, making the policy
-// a plain per-stream rate limit there.
+// TenantQuota wraps any admission policy with per-tenant token buckets
+// keyed by the arriving request's Tenant: each tenant of a multi-tenant
+// Mix is rate-limited to Rate requests per second (bursts up to Burst)
+// independently, so one tenant's overload cannot starve the others'
+// admission — over-quota floods are absorbed by the offender's own
+// bucket before they can touch (or, for stateful policies like
+// TokenBucket, drain) the shared inner policy, which applies only to
+// what the quotas pass. Untagged requests (single-tenant streams) share
+// one unnamed bucket, making the policy a plain per-stream rate limit
+// there. It works the same at a node and in front of a cluster.
 type TenantQuota struct {
 	// Inner is the policy consulted after the tenant's quota admits the
 	// request; AcceptAll for a pure quota.
@@ -36,9 +25,8 @@ type TenantQuota struct {
 	// second; Burst is each tenant's bucket capacity in tokens.
 	Rate, Burst float64
 
-	innerTenant TenantAdmitter // Inner's tenant-aware interface, if any
-	buckets     map[string]*TokenBucket
-	order       []string // bucket creation order, for deterministic Reset
+	buckets map[string]*TokenBucket
+	order   []string // bucket creation order, for deterministic Reset
 }
 
 // NewTenantQuota returns a per-tenant quota policy wrapping inner
@@ -53,9 +41,7 @@ func NewTenantQuota(inner AdmissionPolicy, rate, burst float64) (*TenantQuota, e
 	if inner == nil {
 		inner = AcceptAll{}
 	}
-	q := &TenantQuota{Inner: inner, Rate: rate, Burst: burst}
-	q.innerTenant, _ = inner.(TenantAdmitter)
-	return q, nil
+	return &TenantQuota{Inner: inner, Rate: rate, Burst: burst}, nil
 }
 
 // Name implements AdmissionPolicy.
@@ -63,26 +49,15 @@ func (q *TenantQuota) Name() string {
 	return fmt.Sprintf("tenant-quota-%g/%s", q.Rate, q.Inner.Name())
 }
 
-// Admit implements AdmissionPolicy: untagged arrivals draw from the
-// shared unnamed bucket.
+// Admit implements AdmissionPolicy: the bucket of the request's tenant
+// (the shared unnamed one for untagged requests) is consulted first, so
+// a tenant's over-quota flood is absorbed by its own bucket and never
+// reaches — or mutates — the shared inner policy. Only quota-admitted
+// requests consult the inner policy; a request the inner policy then
+// rejects has spent its token (the token is the tenant's right to offer
+// a request to the shared policy at all).
 func (q *TenantQuota) Admit(now sim.Time, v View, r *coe.Request) bool {
-	return q.AdmitTenant(now, v, r, "")
-}
-
-// AdmitTenant implements TenantAdmitter: the tenant's bucket is
-// consulted first, so a tenant's over-quota flood is absorbed by its
-// own bucket and never reaches — or mutates — the shared inner policy.
-// Only quota-admitted requests consult the inner policy; a request the
-// inner policy then rejects has spent its token (the token is the
-// tenant's right to offer a request to the shared policy at all).
-func (q *TenantQuota) AdmitTenant(now sim.Time, v View, r *coe.Request, tenant string) bool {
-	if !q.bucketFor(now, tenant).Admit(now, v, r) {
-		return false
-	}
-	if q.innerTenant != nil {
-		return q.innerTenant.AdmitTenant(now, v, r, tenant)
-	}
-	return q.Inner.Admit(now, v, r)
+	return q.bucketFor(now, r.Tenant).Admit(now, v, r) && q.Inner.Admit(now, v, r)
 }
 
 // bucketFor returns (creating and priming if needed) a tenant's bucket.

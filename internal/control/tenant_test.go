@@ -5,10 +5,18 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/coe"
 	"repro/internal/sim"
 )
 
 func sec(n int) sim.Time { return sim.Time(n) * sim.Time(time.Second) }
+
+// tenantReq is a request whose Tenant names the given tenant.
+func tenantReq(tenant string) *coe.Request {
+	r := coe.NewRequest(0, 0, []coe.ExpertID{0})
+	r.Tenant = tenant
+	return r
+}
 
 // TestTenantQuotaIndependentBuckets: one tenant exhausting its quota
 // must not consume another tenant's tokens.
@@ -21,27 +29,27 @@ func TestTenantQuotaIndependentBuckets(t *testing.T) {
 	v := fakeView{}
 	// Tenant a burns its burst of 2 at t=0; the third is rejected.
 	for i := 0; i < 2; i++ {
-		if !q.AdmitTenant(0, v, testReq, "a") {
+		if !q.Admit(0, v, tenantReq("a")) {
 			t.Fatalf("tenant a admission %d rejected within burst", i)
 		}
 	}
-	if q.AdmitTenant(0, v, testReq, "a") {
+	if q.Admit(0, v, tenantReq("a")) {
 		t.Error("tenant a admitted past its burst")
 	}
 	// Tenant b still has a full bucket at the same instant.
 	for i := 0; i < 2; i++ {
-		if !q.AdmitTenant(0, v, testReq, "b") {
+		if !q.Admit(0, v, tenantReq("b")) {
 			t.Fatalf("tenant b admission %d rejected — bucket not independent", i)
 		}
 	}
-	if q.AdmitTenant(0, v, testReq, "b") {
+	if q.Admit(0, v, tenantReq("b")) {
 		t.Error("tenant b admitted past its burst")
 	}
 	// One virtual second refills one token for each tenant.
-	if !q.AdmitTenant(sec(1), v, testReq, "a") || !q.AdmitTenant(sec(1), v, testReq, "b") {
+	if !q.Admit(sec(1), v, tenantReq("a")) || !q.Admit(sec(1), v, tenantReq("b")) {
 		t.Error("refilled token not granted")
 	}
-	if q.AdmitTenant(sec(1), v, testReq, "a") {
+	if q.Admit(sec(1), v, tenantReq("a")) {
 		t.Error("tenant a got more than the refilled token")
 	}
 }
@@ -59,7 +67,7 @@ func TestTenantQuotaWrapsInner(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.Reset(0)
-	if q.AdmitTenant(0, fakeView{queued: 10}, testReq, "a") {
+	if q.Admit(0, fakeView{queued: 10}, tenantReq("a")) {
 		t.Error("admitted through a full inner bounded queue")
 	}
 	if !strings.Contains(q.Name(), "bounded-4") {
@@ -80,20 +88,20 @@ func TestTenantQuotaWrapsInner(t *testing.T) {
 	q2.Reset(0)
 	admitted := 0
 	for i := 0; i < 100; i++ { // tenant a floods at one instant
-		if q2.AdmitTenant(0, fakeView{}, testReq, "a") {
+		if q2.Admit(0, fakeView{}, tenantReq("a")) {
 			admitted++
 		}
 	}
 	if admitted != 1 {
 		t.Errorf("flooding tenant admitted %d, want its quota of 1", admitted)
 	}
-	if !q2.AdmitTenant(0, fakeView{}, testReq, "b") {
+	if !q2.Admit(0, fakeView{}, tenantReq("b")) {
 		t.Error("tenant a's rejected flood drained the shared inner policy's state")
 	}
 }
 
-// TestTenantQuotaUntaggedSharedBucket: untagged requests (Admit) share
-// one bucket.
+// TestTenantQuotaUntaggedSharedBucket: untagged requests (empty
+// Tenant) share one bucket.
 func TestTenantQuotaUntaggedSharedBucket(t *testing.T) {
 	q, err := NewTenantQuota(nil, 1, 1)
 	if err != nil {
@@ -117,13 +125,13 @@ func TestTenantQuotaReset(t *testing.T) {
 	}
 	q.Reset(0)
 	v := fakeView{}
-	q.AdmitTenant(0, v, testReq, "a")
-	q.AdmitTenant(0, v, testReq, "b")
-	if q.AdmitTenant(0, v, testReq, "a") {
+	q.Admit(0, v, tenantReq("a"))
+	q.Admit(0, v, tenantReq("b"))
+	if q.Admit(0, v, tenantReq("a")) {
 		t.Fatal("bucket not empty before reset")
 	}
 	q.Reset(sec(10))
-	if !q.AdmitTenant(sec(10), v, testReq, "a") || !q.AdmitTenant(sec(10), v, testReq, "b") {
+	if !q.Admit(sec(10), v, tenantReq("a")) || !q.Admit(sec(10), v, tenantReq("b")) {
 		t.Error("Reset did not refill tenant buckets")
 	}
 }
@@ -143,9 +151,6 @@ func TestTenantQuotaValidation(t *testing.T) {
 	}
 	if _, ok := p.(*TenantQuota); !ok {
 		t.Errorf("PolicyByName built %T", p)
-	}
-	if _, ok := p.(TenantAdmitter); !ok {
-		t.Error("TenantQuota does not implement TenantAdmitter")
 	}
 }
 

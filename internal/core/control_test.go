@@ -196,10 +196,10 @@ func TestRejectionPathTouchesNothing(t *testing.T) {
 	}
 }
 
-// TestTenantMapCleanedOnCompletion is the leak regression: the
-// controller's in-flight tenant map must be empty once a stream
-// completes — entries are deleted as requests finish, and rejected
-// requests never enter it.
+// TestTenantMapCleanedOnCompletion: under rejecting admission, each
+// tenant's records close once the stream completes — every admitted
+// request of the tenant completed under it, and a rejected request
+// counts only as its tenant's rejection, never as an admission.
 func TestTenantMapCleanedOnCompletion(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
 	policy, err := control.NewBoundedQueue(16)
@@ -223,8 +223,16 @@ func TestTenantMapCleanedOnCompletion(t *testing.T) {
 	if rep.Rejected == 0 {
 		t.Fatal("expected rejections to exercise the reject-then-never-complete path")
 	}
-	if n := len(s.ctrl.tenantOf); n != 0 {
-		t.Errorf("tenantOf holds %d entries after the stream drained; completed and rejected requests must not linger", n)
+	var admitted, rejected int64
+	for _, ts := range rep.PerTenant {
+		admitted += ts.Admitted
+		rejected += ts.Rejected
+		if ts.Completions != ts.Admitted {
+			t.Errorf("tenant %s: %d completions for %d admissions", ts.Name, ts.Completions, ts.Admitted)
+		}
+	}
+	if admitted != rep.N || rejected != rep.Rejected {
+		t.Errorf("tenants account for %d admitted and %d rejected, want %d and %d", admitted, rejected, rep.N, rep.Rejected)
 	}
 }
 

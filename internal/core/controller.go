@@ -4,17 +4,15 @@ import (
 	"time"
 
 	"repro/internal/coe"
-	"repro/internal/control"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // controller owns admission and completion for one stream served by a
-// System: it takes timed requests through the admission policy into the
-// dispatch path, tracks outstanding work, and shuts the executors down
-// once the stream has fully drained. Arrivals reach offer through
+// System: it takes arriving requests through the admission policy into
+// the dispatch path, tracks outstanding work, and shuts the executors
+// down once the stream has fully drained. Arrivals reach offer through
 // OfferAt, whether Serve plays them from its own source or the cluster
 // routes them in.
 type controller struct {
@@ -24,10 +22,6 @@ type controller struct {
 	// delegate receives every admitted request back once the node is
 	// done with it (StreamDelegate).
 	delegate StreamDelegate
-	// tenantAdmit is the admission policy's tenant-aware interface when
-	// it implements one (control.TenantQuota); resolved once so the
-	// per-arrival path pays no type assertion.
-	tenantAdmit control.TenantAdmitter
 
 	admitted   int64
 	rejected   int64
@@ -37,24 +31,16 @@ type controller struct {
 	closed     bool  // the source is exhausted
 	finished   bool  // every admitted request has completed or dropped
 
-	// tenantOf maps in-flight request IDs to their tenant for
-	// multi-tenant sources; entries are deleted as requests complete so
-	// long streams do not accumulate dead IDs. Nil until the first
-	// tagged request.
-	tenantOf map[int64]string
-	// tenants holds one recorder per tenant — its admissions
+	// tenants holds one recorder per request Tenant — its admissions
 	// (arrivals), rejections, completions and latencies, in sketch mode
 	// when the system's recorder is — and order their first-seen order.
+	// Nil until the first tagged request.
 	tenants map[string]*metrics.Recorder
 	order   []string
 }
 
 func newController(s *System, stream string, d StreamDelegate) *controller {
-	c := &controller{sys: s, stream: stream, delegate: d}
-	if ta, ok := s.cfg.Admission.(control.TenantAdmitter); ok {
-		c.tenantAdmit = ta
-	}
-	return c
+	return &controller{sys: s, stream: stream, delegate: d}
 }
 
 // offer runs one arrival through the admission policy and, if accepted,
@@ -62,14 +48,13 @@ func newController(s *System, stream string, d StreamDelegate) *controller {
 // exactly one mark — a rejection count (and a KindRejected trace
 // event) — and never touch a queue, the recorder's completion path, or
 // the per-tenant latency aggregates. It is OfferAt's body.
-func (c *controller) offer(now sim.Time, tr workload.TimedRequest) bool {
+func (c *controller) offer(now sim.Time, r *coe.Request) bool {
 	s := c.sys
-	r := tr.Req
-	if s.cfg.Admission != nil && !c.admitOne(now, r, tr.Tenant) {
+	if s.cfg.Admission != nil && !s.cfg.Admission.Admit(now, s, r) {
 		c.rejected++
 		s.recorder.Rejection(now)
-		if tr.Tenant != "" {
-			c.tenantFor(tr.Tenant).Rejection(now)
+		if r.Tenant != "" {
+			c.tenantFor(r.Tenant).Rejection(now)
 		}
 		if s.cfg.Trace != nil {
 			s.cfg.Trace.Add(trace.Event{
@@ -81,8 +66,8 @@ func (c *controller) offer(now sim.Time, tr workload.TimedRequest) bool {
 	r.Arrival = now
 	s.recorder.Arrival(r.Arrival)
 	c.admitted++
-	if tr.Tenant != "" {
-		c.tag(now, r.ID, tr.Tenant)
+	if r.Tenant != "" {
+		c.tenantFor(r.Tenant).Arrival(now)
 	}
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.Add(trace.Event{
@@ -91,15 +76,6 @@ func (c *controller) offer(now sim.Time, tr workload.TimedRequest) bool {
 	}
 	s.dispatch(r)
 	return true
-}
-
-// admitOne consults the admission policy, through its tenant-aware
-// interface when it has one.
-func (c *controller) admitOne(now sim.Time, r *coe.Request, tenant string) bool {
-	if c.tenantAdmit != nil {
-		return c.tenantAdmit.AdmitTenant(now, c.sys, r, tenant)
-	}
-	return c.sys.cfg.Admission.Admit(now, c.sys, r)
 }
 
 // onBatch advances a completed stage: multi-stage requests are
@@ -115,9 +91,8 @@ func (c *controller) onBatch(now sim.Time, r *coe.Request) {
 	}
 	r.Done = now
 	s.recorder.Completion(r.Arrival, now)
-	if tenant, ok := c.tenantOf[r.ID]; ok {
-		c.tenants[tenant].Completion(r.Arrival, now)
-		delete(c.tenantOf, r.ID)
+	if r.Tenant != "" {
+		c.tenants[r.Tenant].Completion(r.Arrival, now)
 	}
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.Add(trace.Event{
@@ -126,9 +101,8 @@ func (c *controller) onBatch(now sim.Time, r *coe.Request) {
 		})
 	}
 	c.completed++
-	// Last touch of the request: its completion is recorded, the trace
-	// event holds copies and the tenant entry is gone, so the object
-	// passes to the delegate.
+	// Last touch of the request: its completion is recorded and the
+	// trace event holds copies, so the object passes to the delegate.
 	c.delegate.RequestDone(now, r)
 	if c.closed && c.completed+c.dropped == c.admitted {
 		c.finish()
@@ -144,9 +118,6 @@ func (c *controller) onBatch(now sim.Time, r *coe.Request) {
 func (c *controller) drop(now sim.Time, r *coe.Request) {
 	s := c.sys
 	c.dropped++
-	if _, ok := c.tenantOf[r.ID]; ok {
-		delete(c.tenantOf, r.ID)
-	}
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.Add(trace.Event{
 			At: now.Duration(), Kind: trace.KindDropped, Request: r.ID,
@@ -171,8 +142,7 @@ func (c *controller) finish() {
 // tenantFor returns (creating if needed) a tenant's recorder,
 // registering first-seen order.
 func (c *controller) tenantFor(tenant string) *metrics.Recorder {
-	if c.tenantOf == nil {
-		c.tenantOf = make(map[int64]string)
+	if c.tenants == nil {
 		c.tenants = make(map[string]*metrics.Recorder)
 	}
 	rec, ok := c.tenants[tenant]
@@ -185,15 +155,6 @@ func (c *controller) tenantFor(tenant string) *metrics.Recorder {
 		c.order = append(c.order, tenant)
 	}
 	return rec
-}
-
-// tag records an admitted request's tenant for per-tenant accounting.
-// Only admitted requests enter tenantOf: the entry is the request's
-// in-flight marker and is deleted on completion (rejected requests
-// never complete, so mapping them would leak one entry per rejection).
-func (c *controller) tag(now sim.Time, id int64, tenant string) {
-	c.tenantFor(tenant).Arrival(now)
-	c.tenantOf[id] = tenant
 }
 
 // tenantStats renders the per-tenant breakdown in first-seen order.

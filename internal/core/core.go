@@ -528,7 +528,7 @@ func (s *System) Serve(src workload.Source) (*Report, error) {
 		return nil, err
 	}
 	workload.Play(s.env, src, func(now sim.Time, tr workload.TimedRequest) {
-		if !s.OfferAt(now, tr) {
+		if !s.OfferAt(now, tr.Req) {
 			coe.Recycle(tr.Req)
 		}
 	}, func(sim.Time) { s.CloseStream() })
@@ -640,8 +640,8 @@ func (s *System) JoinStream(stream string, d StreamDelegate) error {
 // all (the dispatcher should not have routed here). Either way a refused
 // request stays with the caller. OfferAt must only be called between
 // JoinStream and CloseStream, from an event callback of the system's env.
-func (s *System) OfferAt(now sim.Time, tr workload.TimedRequest) bool {
-	return s.state == NodeUp && s.ctrl.offer(now, tr)
+func (s *System) OfferAt(now sim.Time, r *coe.Request) bool {
+	return s.state == NodeUp && s.ctrl.offer(now, r)
 }
 
 // CloseStream marks the stream's arrival process exhausted: once the

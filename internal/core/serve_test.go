@@ -302,3 +302,38 @@ func TestServeSLOAttainmentBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestMixServeAllocsPin: every request of a two-tenant Mix is leased
+// from its tenant source's arena and recycled when its node is done, and
+// its tenant rides on the request, so a warm serve allocates per stream
+// (sources, tenant recorders, report), not per request.
+func TestMixServeAllocsPin(t *testing.T) {
+	board := boardFor(t, workload.BoardA())
+	s := buildSystem(t, hw.NUMADevice(), CoServe, board)
+	// A light load (4 req/s against a ~10 req/s node) keeps the in-flight
+	// peak, which each stream's fresh source arenas grow to, small.
+	const n = 8000
+	seed := int64(1)
+	serve := func() {
+		a := poissonFor(t, "tenant-a", board, 2, n/2, seed)
+		b := poissonFor(t, "tenant-b", board, 2, n/2, seed+1)
+		seed += 2
+		src, err := workload.Mix{Name: "mix-allocs", Tenants: []workload.Source{a, b}}.NewSource()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Serve(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Completions != n || len(rep.PerTenant) != 2 {
+			t.Fatalf("served %d completions over %d tenants, want %d over 2", rep.Completions, len(rep.PerTenant), n)
+		}
+	}
+	serve() // warm the pools, queues and recorder buffers
+	perReq := testing.AllocsPerRun(1, serve) / n
+	t.Logf("%.4f allocs per request", perReq)
+	if perReq > 0.05 {
+		t.Errorf("warm mix serve allocates %.4f per request, want <= 0.05", perReq)
+	}
+}

@@ -240,10 +240,10 @@ func TestPooledMessageDeterminism(t *testing.T) {
 	}
 }
 
-// FuzzShardedPooledMessageDeterminism lets the fuzzer hunt for a
+// FuzzPooledMessageDeterminism lets the fuzzer hunt for a
 // schedule that breaks the contract; the seed corpus runs under plain
 // go test.
-func FuzzShardedPooledMessageDeterminism(f *testing.F) {
+func FuzzPooledMessageDeterminism(f *testing.F) {
 	f.Add(int64(42))
 	f.Add(int64(20260807))
 	f.Add(int64(-1))

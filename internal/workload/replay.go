@@ -75,7 +75,7 @@ func (r *RecordingSource) Next() (TimedRequest, bool) {
 	r.trace.Entries = append(r.trace.Entries, ArrivalEntry{
 		At:     tr.At,
 		Class:  tr.Req.Class,
-		Tenant: tr.Tenant,
+		Tenant: tr.Req.Tenant,
 		Chain:  append([]coe.ExpertID(nil), tr.Req.Chain...),
 	})
 	return tr, true
@@ -127,8 +127,9 @@ func (s *replaySource) Next() (TimedRequest, bool) {
 	}
 	e := s.trace.Entries[s.pos]
 	r := coe.NewRequest(int64(s.pos), e.Class, e.Chain)
+	r.Tenant = e.Tenant
 	s.pos++
-	return TimedRequest{Req: r, At: e.At, Tenant: e.Tenant}, true
+	return TimedRequest{Req: r, At: e.At}, true
 }
 
 // traceMagic heads the binary trace format; the trailing digit is the

@@ -27,7 +27,7 @@ func drainTuples(t *testing.T, src Source) []timedTuple {
 			return out
 		}
 		out = append(out, timedTuple{
-			ID: tr.Req.ID, Class: tr.Req.Class, At: tr.At, Tenant: tr.Tenant,
+			ID: tr.Req.ID, Class: tr.Req.Class, At: tr.At, Tenant: tr.Req.Tenant,
 			Chain: append([]coe.ExpertID(nil), tr.Req.Chain...),
 		})
 	}

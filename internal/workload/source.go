@@ -15,9 +15,6 @@ type TimedRequest struct {
 	Req *coe.Request
 	// At is the arrival time relative to the first instant of the stream.
 	At time.Duration
-	// Tenant names the originating stream in multi-tenant mixes; empty
-	// for single-tenant sources.
-	Tenant string
 }
 
 // Source yields a finite stream of timed requests: the arrival-process
@@ -34,15 +31,23 @@ type Source interface {
 
 // sampler draws request chains from a board's distribution. All arrival
 // processes share it so that class sampling and routing consume the rng
-// identically regardless of arrival shape. With an arena, requests are
-// leased from its free list and routed in place (alloc-free once the
-// pool is warm); the rng consumption — and therefore the stream — is
-// identical either way.
+// identically regardless of arrival shape. Requests are leased from the
+// arena's free list and routed in place, so a stream whose requests the
+// serving layer recycles allocates none once the pool is warm.
 type sampler struct {
 	board *Board
 	rng   *rand.Rand
 	next  int64
 	arena *coe.Arena
+}
+
+// newSampler seeds a sampler over board that leases from arena, or from
+// a private arena when arena is nil.
+func newSampler(board *Board, seed int64, arena *coe.Arena) sampler {
+	if arena == nil {
+		arena = coe.NewArena()
+	}
+	return sampler{board: board, rng: rand.New(rand.NewSource(seed)), arena: arena}
 }
 
 // draw produces the next request: one uniform draw for the class, one
@@ -51,23 +56,13 @@ type sampler struct {
 func (s *sampler) draw() (*coe.Request, error) {
 	class := s.board.SampleType(s.rng.Float64())
 	u := s.rng.Float64()
-	router := s.board.Model.Router()
-	if s.arena != nil {
-		r := s.arena.Lease()
-		chain, err := router.AppendRoute(r.Chain[:0], class, u)
-		if err != nil {
-			coe.Recycle(r)
-			return nil, err
-		}
-		r.Chain, r.ID, r.Class = chain, s.next, class
-		s.next++
-		return r, nil
-	}
-	chain, err := router.Route(class, u)
+	r := s.arena.Lease()
+	chain, err := s.board.Model.Router().AppendRoute(r.Chain, class, u)
 	if err != nil {
+		coe.Recycle(r)
 		return nil, err
 	}
-	r := coe.NewRequest(s.next, class, chain)
+	r.Chain, r.ID, r.Class = chain, s.next, class
 	s.next++
 	return r, nil
 }
@@ -128,10 +123,12 @@ type Poisson struct {
 	N int
 	// Seed drives both the arrival gaps and the request contents.
 	Seed int64
-	// Arena, when non-nil, leases request objects from a free list the
-	// serving layer recycles into, making steady-state request
-	// allocation O(in-flight) instead of O(stream length). The stream
-	// contents are identical with or without it.
+	// Arena is the free list the stream leases its requests from and
+	// the serving layer recycles them into, so request allocation is
+	// O(in-flight) rather than O(stream length). Nil gives the source a
+	// private arena; set it to share one pool across streams (or with a
+	// cluster's redelivered copies). The stream contents are identical
+	// either way.
 	Arena *coe.Arena
 }
 
@@ -155,7 +152,7 @@ func (p Poisson) NewSource() (Source, error) {
 	}
 	return &poissonSource{
 		spec:    p,
-		sampler: sampler{board: p.Board, rng: rand.New(rand.NewSource(p.Seed)), arena: p.Arena},
+		sampler: newSampler(p.Board, p.Seed, p.Arena),
 	}, nil
 }
 
@@ -197,8 +194,8 @@ type Bursty struct {
 	N int
 	// Seed drives the request contents.
 	Seed int64
-	// Arena, when non-nil, leases request objects from a recycled free
-	// list (see Poisson.Arena).
+	// Arena is the request free list (see Poisson.Arena); nil gives the
+	// source a private one.
 	Arena *coe.Arena
 }
 
@@ -223,7 +220,7 @@ func (b Bursty) NewSource() (Source, error) {
 	}
 	return &burstySource{
 		spec:    b,
-		sampler: sampler{board: b.Board, rng: rand.New(rand.NewSource(b.Seed)), arena: b.Arena},
+		sampler: newSampler(b.Board, b.Seed, b.Arena),
 		onEnd:   b.On,
 	}, nil
 }
@@ -266,9 +263,9 @@ type Steady struct {
 	Rate float64
 	// Seed drives both the arrival gaps and the request contents.
 	Seed int64
-	// Arena, when non-nil, leases request objects from a recycled free
-	// list — the piece that makes an unbounded stream's allocation
-	// footprint O(in-flight) (see Poisson.Arena).
+	// Arena is the request free list that keeps an unbounded stream's
+	// allocation footprint O(in-flight) (see Poisson.Arena); nil gives
+	// the source a private one.
 	Arena *coe.Arena
 }
 
@@ -288,7 +285,7 @@ func (s Steady) NewSource() (Source, error) {
 	}
 	return &steadySource{
 		spec:    s,
-		sampler: sampler{board: s.Board, rng: rand.New(rand.NewSource(s.Seed)), arena: s.Arena},
+		sampler: newSampler(s.Board, s.Seed, s.Arena),
 	}, nil
 }
 
@@ -410,9 +407,11 @@ func CheckStream(src Source, m *coe.Model) error {
 
 // Mix interleaves several tenants' streams into one multi-tenant stream
 // ordered by arrival time, with ties broken by tenant order. Request IDs
-// are renumbered to be unique across the mix; each request is tagged
-// with its tenant's name. All tenant sources must draw their chains from
-// the same CoE model — the model the serving System is built over.
+// are renumbered to be unique across the mix; each request's Tenant
+// names its tenant (a request that already names one, from a nested
+// mix or a replayed trace, keeps it). All tenant sources must draw
+// their chains from the same CoE model — the model the serving System
+// is built over.
 type Mix struct {
 	Name    string
 	Tenants []Source
@@ -502,8 +501,8 @@ func (s *mixSource) Next() (TimedRequest, bool) {
 	}
 	tr := s.heads[best]
 	s.heads[best], s.ok[best] = s.tenants[best].Next()
-	if tr.Tenant == "" {
-		tr.Tenant = s.tenants[best].Name()
+	if tr.Req.Tenant == "" {
+		tr.Req.Tenant = s.tenants[best].Name()
 	}
 	tr.Req.ID = s.next
 	s.next++

@@ -183,7 +183,7 @@ func TestMixPreservesPerTenantCounts(t *testing.T) {
 	counts := map[string]int{}
 	seen := map[int64]bool{}
 	for i, tr := range a {
-		counts[tr.Tenant]++
+		counts[tr.Req.Tenant]++
 		if seen[tr.Req.ID] {
 			t.Fatalf("duplicate request ID %d", tr.Req.ID)
 		}
