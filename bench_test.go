@@ -442,8 +442,8 @@ func BenchmarkProfiledMatrix(b *testing.B) {
 
 // BenchmarkFleetServe measures the fleet-scale hot path: a 100-node
 // CoServe cluster in sketch-percentile mode serving an arena-backed
-// Steady stream, picks recording off — every O(stream-length) data
-// structure replaced by its O(1) counterpart. The two sub-benchmarks
+// Steady stream — every O(stream-length) data structure replaced by its
+// O(1) counterpart. The two sub-benchmarks
 // differ only in stream length (100k vs 1M requests at the same
 // offered rate); because completions recycle their requests, drained
 // scheduler groups recycle, and the sketch is fixed-size, memory grows
@@ -470,9 +470,8 @@ func BenchmarkFleetServe(b *testing.B) {
 		Device: dev, Variant: core.CoServe,
 		GPUExecutors: g, CPUExecutors: c,
 		Alloc: core.CasualAllocation(dev, perf, g, c), Perf: perf,
-		SLO:          500 * time.Millisecond,
-		Percentiles:  core.PercentilesSketch,
-		DisablePicks: true,
+		SLO:         500 * time.Millisecond,
+		Percentiles: core.PercentilesSketch,
 	}
 	run := func(b *testing.B, requests int, ic coserve.Interconnect) {
 		b.ReportAllocs()

@@ -515,53 +515,11 @@ func cmdServe(args []string) error {
 			arrivalTrace.Name, len(arrivalTrace.Entries), *traceFile)
 	}
 
-	// newSource builds a fresh stream per serve round (sources are
-	// single-use).
-	newSource := func(round int) (workload.Source, error) {
-		rseed := *seed + int64(round)*1000
-		switch *arrival {
-		case "replay":
-			return arrivalTrace.Replay(board.Model)
-		case "poisson":
-			return workload.Poisson{Name: "poisson", Board: board, Rate: *rate, N: *n, Seed: rseed}.NewSource()
-		case "fixed":
-			task := workload.Task{Name: "fixed", Board: board, N: *n, ArrivalPeriod: *period, Seed: rseed}
-			return task.Stream()
-		case "bursty":
-			return workload.Bursty{
-				Name: "bursty", Board: board,
-				Period: *period, On: *on, Off: *off, N: *n, Seed: rseed,
-			}.NewSource()
-		case "steady":
-			// Infinite steady-state arrivals, terminated by the horizon.
-			src, err := workload.Steady{
-				Name: "steady", Board: board, Rate: *rate, Seed: rseed,
-			}.NewSource()
-			if err != nil {
-				return nil, err
-			}
-			return workload.Horizon(src, *horizon), nil
-		case "mix":
-			// Two equal tenants: over the merged views for A+B, or two
-			// streams on the same board otherwise.
-			b1, b2 := board, board
-			name1, name2 := "tenant-1", "tenant-2"
-			if len(views) == 2 {
-				b1, b2 = views[0], views[1]
-				name1, name2 = "board-a", "board-b"
-			}
-			t1, err := workload.Poisson{Name: name1, Board: b1, Rate: *rate / 2, N: *n / 2, Seed: rseed}.NewSource()
-			if err != nil {
-				return nil, err
-			}
-			t2, err := workload.Poisson{Name: name2, Board: b2, Rate: *rate / 2, N: *n - *n/2, Seed: rseed + 1}.NewSource()
-			if err != nil {
-				return nil, err
-			}
-			return workload.Mix{Name: "mix", Tenants: []workload.Source{t1, t2}}.NewSource()
-		default:
-			return nil, fmt.Errorf("unknown arrival process %q (want poisson, fixed, bursty, mix)", *arrival)
-		}
+	// Sources are single-use: streams builds each serve round's own.
+	streams := roundStreams{
+		arrival: *arrival, board: board, views: views,
+		rate: *rate, period: *period, on: *on, off: *off, horizon: *horizon,
+		n: *n, seed: *seed, trace: arrivalTrace, arena: coserve.NewRequestArena(),
 	}
 
 	fmt.Printf("profiling %s (offline phase)...\n", dev.Name)
@@ -605,7 +563,7 @@ func cmdServe(args []string) error {
 	// serveRounds drives the repeat loop over any serve function.
 	serveRounds := func(where string, serve func(src workload.Source) error) error {
 		for round := 0; round < *repeat; round++ {
-			src, err := newSource(round)
+			src, err := streams.source(round)
 			if err != nil {
 				return err
 			}
@@ -693,6 +651,7 @@ func cmdServe(args []string) error {
 			Health:       coserve.HealthConfig{Window: *healthWindow, Breaker: *breakerOn},
 			Hedge:        coserve.HedgeConfig{After: *hedgeAfter},
 			Interconnect: ic,
+			Arena:        streams.arena,
 		}, board.Model)
 		if err != nil {
 			return err
@@ -727,6 +686,73 @@ func cmdServe(args []string) error {
 		printReport(rep)
 		return nil
 	})
+}
+
+// roundStreams builds the arrival stream of each `serve` round from the
+// serve flags. Every sampled stream (poisson, bursty, steady, mix) leases
+// its requests from arena, so a warm round reuses the requests the
+// previous round recycled instead of growing a new arena to its
+// in-flight peak.
+type roundStreams struct {
+	arrival string
+	board   *workload.Board
+	// views are a merged board's per-tenant boards (A+B), else nil.
+	views                    []*workload.Board
+	rate                     float64
+	period, on, off, horizon time.Duration
+	n                        int
+	seed                     int64
+	trace                    *workload.ArrivalTrace
+	arena                    *coserve.RequestArena
+}
+
+// source builds round's stream; each round draws from its own seed.
+func (rs roundStreams) source(round int) (workload.Source, error) {
+	rseed := rs.seed + int64(round)*1000
+	board := rs.board
+	switch rs.arrival {
+	case "replay":
+		return rs.trace.Replay(board.Model)
+	case "poisson":
+		return workload.Poisson{Name: "poisson", Board: board, Rate: rs.rate, N: rs.n, Seed: rseed, Arena: rs.arena}.NewSource()
+	case "fixed":
+		task := workload.Task{Name: "fixed", Board: board, N: rs.n, ArrivalPeriod: rs.period, Seed: rseed}
+		return task.Stream()
+	case "bursty":
+		return workload.Bursty{
+			Name: "bursty", Board: board,
+			Period: rs.period, On: rs.on, Off: rs.off, N: rs.n, Seed: rseed, Arena: rs.arena,
+		}.NewSource()
+	case "steady":
+		// Infinite steady-state arrivals, terminated by the horizon.
+		src, err := workload.Steady{
+			Name: "steady", Board: board, Rate: rs.rate, Seed: rseed, Arena: rs.arena,
+		}.NewSource()
+		if err != nil {
+			return nil, err
+		}
+		return workload.Horizon(src, rs.horizon), nil
+	case "mix":
+		// Two equal tenants: over the merged views for A+B, or two
+		// streams on the same board otherwise.
+		b1, b2 := board, board
+		name1, name2 := "tenant-1", "tenant-2"
+		if len(rs.views) == 2 {
+			b1, b2 = rs.views[0], rs.views[1]
+			name1, name2 = "board-a", "board-b"
+		}
+		t1, err := workload.Poisson{Name: name1, Board: b1, Rate: rs.rate / 2, N: rs.n / 2, Seed: rseed, Arena: rs.arena}.NewSource()
+		if err != nil {
+			return nil, err
+		}
+		t2, err := workload.Poisson{Name: name2, Board: b2, Rate: rs.rate / 2, N: rs.n - rs.n/2, Seed: rseed + 1, Arena: rs.arena}.NewSource()
+		if err != nil {
+			return nil, err
+		}
+		return workload.Mix{Name: "mix", Tenants: []workload.Source{t1, t2}}.NewSource()
+	default:
+		return nil, fmt.Errorf("unknown arrival process %q (want poisson, fixed, bursty, mix)", rs.arrival)
+	}
 }
 
 // parseInterconnect parses the -interconnect hop-model syntax:

@@ -6,6 +6,12 @@ import (
 	"path/filepath"
 	"regexp"
 	"testing"
+	"time"
+
+	coserve "repro"
+	"repro/internal/core"
+	"repro/internal/hw"
+	"repro/internal/workload"
 )
 
 // update regenerates the CLI output goldens instead of comparing:
@@ -157,6 +163,64 @@ func TestServeClusterFlags(t *testing.T) {
 	if err := run([]string{"serve", "-nodes", "3", "-router", "affinity", "-placement", "usage",
 		"-rate", "30", "-n", "100", "-repeat", "2", "-admit", "bounded", "-queue-bound", "64"}); err != nil {
 		t.Errorf("cluster warm restart with admission: %v", err)
+	}
+}
+
+// TestServeRoundsShareArena: every sampled stream of `serve -repeat`
+// leases from one request arena, so round 2 reuses the requests round 1
+// recycled instead of allocating its in-flight peak again.
+func TestServeRoundsShareArena(t *testing.T) {
+	a, err := workload.BoardA().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := workload.BoardB().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, views, err := workload.MergeBoards("board-a+b", []float64{1, 1}, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := hw.NUMADevice()
+	perf, err := coserve.Profile(dev, coserve.EvalArchitectures())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, c := core.DefaultExecutors(dev)
+	cfg := core.Config{
+		Device: dev, Variant: core.CoServe, GPUExecutors: g, CPUExecutors: c, Perf: perf,
+		Alloc: core.DefaultAllocation(core.CoServe, dev, perf, g, c),
+	}
+	for _, arrival := range []string{"poisson", "bursty", "steady", "mix"} {
+		rs := roundStreams{
+			arrival: arrival, board: merged, views: views,
+			rate: 8, period: 100 * time.Millisecond, on: 100 * time.Millisecond, off: 400 * time.Millisecond,
+			horizon: 20 * time.Second, n: 150, seed: 1, arena: coserve.NewRequestArena(),
+		}
+		sys, err := core.NewSystem(cfg, merged.Model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var free int
+		var reuses int64
+		for round := 0; round < 2; round++ {
+			src, err := rs.source(round)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.Serve(src); err != nil {
+				t.Fatal(err)
+			}
+			if round == 0 {
+				free, reuses = rs.arena.Free(), rs.arena.Reuses()
+			}
+		}
+		// The arena allocates only when its free list is empty, so round
+		// 2 leases every request round 1 left there before a new one.
+		if got := rs.arena.Reuses() - reuses; free == 0 || got < int64(free) {
+			t.Errorf("%s: round 1 left %d requests in the arena and round 2 reused %d", arrival, free, got)
+		}
 	}
 }
 

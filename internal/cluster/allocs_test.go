@@ -8,22 +8,19 @@ import (
 	"repro/internal/workload"
 )
 
-// TestShardedSteadyStateAllocsPin pins the interconnect hot path's
+// TestInterconnectSteadyStateAllocsPin pins the interconnect hot path's
 // allocation discipline: once the message, hold and lease pools, arena,
 // and sketches are warm, a full stream of offer → accept fold → completion
 // fold round trips across the interconnect must stay within a small
 // per-request allocation budget. A leak in any pool — messages never
 // returned to the free list, leases never released, requests not
 // recycled — shows up here as a per-request slope, not a constant.
-func TestShardedSteadyStateAllocsPin(t *testing.T) {
+func TestInterconnectSteadyStateAllocsPin(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
 	arena := coe.NewArena()
 	cfg := interconnectConfig(t, nil, HealthConfig{}, HedgeConfig{})
 	cfg.Arena = arena
 	cfg.Percentiles = core.PercentilesSketch
-	for i := range cfg.Nodes {
-		cfg.Nodes[i].DisablePicks = true
-	}
 	c := buildCluster(t, cfg, board.Model)
 
 	const n = 2000

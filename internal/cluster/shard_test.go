@@ -206,8 +206,8 @@ func TestShardedZeroInterconnectUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardedConfigValidation pins the constructor's contract checks.
-func TestShardedConfigValidation(t *testing.T) {
+// TestInterconnectConfigValidation pins the constructor's contract checks.
+func TestInterconnectConfigValidation(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
 	bad := []struct {
 		name string
@@ -243,10 +243,10 @@ func TestShardedConfigValidation(t *testing.T) {
 	}
 }
 
-// TestShardedLatencyShowsUp sanity-checks that the hop model actually
+// TestInterconnectLatencyShowsUp sanity-checks that the hop model actually
 // costs something: the same stream served with a 10x slower
 // interconnect completes with a strictly higher mean latency.
-func TestShardedLatencyShowsUp(t *testing.T) {
+func TestInterconnectLatencyShowsUp(t *testing.T) {
 	fast := serveInterconnect(t, interconnectConfig(t, nil, HealthConfig{}, HedgeConfig{}), 40, 200, 13)
 	slowIC := interconnectConfig(t, nil, HealthConfig{}, HedgeConfig{})
 	slowIC.Interconnect = Interconnect{

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -254,16 +255,11 @@ func TestServeSketchMatchesExactWithinBound(t *testing.T) {
 	if math.Abs(sketch.SLOAttainment-exact.SLOAttainment) > 0.02 {
 		t.Errorf("attainment %v deviates from exact %v", sketch.SLOAttainment, exact.SLOAttainment)
 	}
-	// Per-request samples are not retained in sketch mode, and picks
-	// recording can be disabled independently — both are what make the
-	// fleet path O(1); exact mode keeps them for goldens and replay.
-	if len(exact.Picks) == 0 {
-		t.Error("exact mode must keep recording picks")
-	}
 }
 
-// TestDisablePicks: a system with DisablePicks set must serve
-// identically but record no assignment sequence.
+// TestDisablePicks: DisablePicks has no effect — a system with it set
+// serves identically, and its trace yields the same assignment
+// sequence.
 func TestDisablePicks(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
 	pm := perfFor(t, hw.NUMADevice())
@@ -273,28 +269,26 @@ func TestDisablePicks(t *testing.T) {
 		GPUExecutors: g, CPUExecutors: c,
 		Alloc: CasualAllocation(hw.NUMADevice(), pm, g, c), Perf: pm,
 	}
-	base, err := NewSystem(cfg, board.Model)
-	if err != nil {
-		t.Fatal(err)
+	serve := func(cfg Config) (*Report, []int) {
+		cfg.Trace = trace.New()
+		s, err := NewSystem(cfg, board.Model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Serve(poissonFor(t, "picks", board, 60, 250, 13))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, picksOf(t, s)
 	}
-	want, err := base.Serve(poissonFor(t, "picks", board, 60, 250, 13))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, wantPicks := serve(cfg)
 	cfg.DisablePicks = true
-	lean, err := NewSystem(cfg, board.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := lean.Serve(poissonFor(t, "picks", board, 60, 250, 13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Picks) != 0 {
-		t.Errorf("DisablePicks still recorded %d picks", len(got.Picks))
-	}
-	if len(want.Picks) == 0 {
+	got, gotPicks := serve(cfg)
+	if len(wantPicks) == 0 {
 		t.Fatal("baseline run recorded no picks")
+	}
+	if !slices.Equal(gotPicks, wantPicks) {
+		t.Errorf("DisablePicks changed the assignment sequence (%d vs %d picks)", len(gotPicks), len(wantPicks))
 	}
 	if got.Throughput != want.Throughput || got.Makespan != want.Makespan ||
 		got.Completions != want.Completions || got.Latency != want.Latency {

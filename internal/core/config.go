@@ -175,8 +175,10 @@ type Config struct {
 	// reports as 1).
 	SLO time.Duration
 	// PreschedPicks, when non-nil, replays a recorded assignment
-	// sequence instead of scheduling online (Figure 19's pre-scheduled
-	// control).
+	// sequence — global queue indices, one per dispatch — instead of
+	// scheduling online (Figure 19's pre-scheduled control). Record it
+	// by serving the online run with a Trace and passing the log to
+	// TracedPicks.
 	PreschedPicks []int
 	// Trace, when non-nil, records assignment, switch, batch, and
 	// completion events of the run.
@@ -210,11 +212,9 @@ type Config struct {
 	// recorder memory is O(1) in completions; percentiles then carry
 	// the sketch's documented relative-accuracy bound (1%).
 	Percentiles PercentileMode
-	// DisablePicks stops the per-dispatch assignment recording that
-	// feeds Report.Picks and PreschedPicks replay. The picks slice
-	// grows with the total stage count of the stream — fine for the
-	// paper's bounded tasks, unwanted for fleet-scale streams of
-	// millions of requests. Off by default.
+	// DisablePicks has no effect: a system no longer records its
+	// assignment sequence (TracedPicks derives it from a Trace). The
+	// field remains only so existing configs compile.
 	DisablePicks bool
 }
 

@@ -40,8 +40,10 @@ func overloadSource(t *testing.T, board *workload.Board, n int, seed int64) work
 // no admission policy at all.
 func TestAcceptAllBitCompatible(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
-	run := func(mutate func(*Config)) *Report {
-		s, err := NewSystem(controlConfig(t, mutate), board.Model)
+	run := func(admission control.AdmissionPolicy) (*Report, []int) {
+		s, err := NewSystem(controlConfig(t, func(c *Config) {
+			c.Admission, c.Trace = admission, trace.New()
+		}), board.Model)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,21 +51,21 @@ func TestAcceptAllBitCompatible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep
+		return rep, picksOf(t, s)
 	}
-	bare := run(nil)
-	accept := run(func(c *Config) { c.Admission = control.AcceptAll{} })
+	bare, barePicks := run(nil)
+	accept, acceptPicks := run(control.AcceptAll{})
 	if bare.Throughput != accept.Throughput || bare.Makespan != accept.Makespan ||
 		bare.Switches != accept.Switches || bare.Completions != accept.Completions {
 		t.Errorf("accept-all diverged from nil policy: %v/%v/%d vs %v/%v/%d",
 			bare.Throughput, bare.Makespan, bare.Switches,
 			accept.Throughput, accept.Makespan, accept.Switches)
 	}
-	if len(bare.Picks) != len(accept.Picks) {
-		t.Fatalf("pick counts differ: %d vs %d", len(bare.Picks), len(accept.Picks))
+	if len(barePicks) != len(acceptPicks) {
+		t.Fatalf("pick counts differ: %d vs %d", len(barePicks), len(acceptPicks))
 	}
-	for i := range bare.Picks {
-		if bare.Picks[i] != accept.Picks[i] {
+	for i := range barePicks {
+		if barePicks[i] != acceptPicks[i] {
 			t.Fatalf("pick %d differs under accept-all", i)
 		}
 	}

@@ -139,17 +139,22 @@ func (c *controller) finish() {
 	}
 }
 
-// tenantFor returns (creating if needed) a tenant's recorder,
-// registering first-seen order.
+// tenantFor returns (taking from the system's spares or creating if
+// needed) a tenant's recorder, registering first-seen order.
 func (c *controller) tenantFor(tenant string) *metrics.Recorder {
 	if c.tenants == nil {
 		c.tenants = make(map[string]*metrics.Recorder)
 	}
 	rec, ok := c.tenants[tenant]
 	if !ok {
-		rec = metrics.NewRecorder()
-		if c.sys.cfg.Percentiles == PercentilesSketch {
-			rec.UseSketch()
+		s := c.sys
+		if n := len(s.spareTenants); n > 0 {
+			rec, s.spareTenants = s.spareTenants[n-1], s.spareTenants[:n-1]
+		} else {
+			rec = metrics.NewRecorder()
+			if s.cfg.Percentiles == PercentilesSketch {
+				rec.UseSketch()
+			}
 		}
 		c.tenants[tenant] = rec
 		c.order = append(c.order, tenant)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/coe"
@@ -58,12 +59,15 @@ type System struct {
 	// queues themselves (sched.Queue.CountInto).
 	queued int
 
-	ctrl    *controller
-	picks   []int
-	measure bool // the Figure 19 probe runs: online scheduling, not replay
-	runs    int
-	serving bool
-	broken  error
+	ctrl *controller
+	// spareTenants holds the per-tenant recorders of earlier streams,
+	// reset, for the next stream's tenants to reuse with their sample
+	// blocks.
+	spareTenants []*metrics.Recorder
+	measure      bool // the Figure 19 probe runs: online scheduling, not replay
+	runs         int
+	serving      bool
+	broken       error
 
 	// state is the node's lifecycle state on the cluster seam; epoch
 	// advances on every crash so executors mid-batch at the crash
@@ -439,7 +443,7 @@ const schedSample = 64
 
 // dispatch assigns a request's current stage to a queue (§4.2). The
 // assigner only sees the active queue set — the autoscaler's scaling
-// hook — and picks are recorded as global queue indices. The wall-clock
+// hook — and its pick maps back to a global queue index. The wall-clock
 // cost of the decision is the Figure 19 scheduling overhead: every
 // online decision is counted, and one in schedSample is timed.
 func (s *System) dispatch(r *coe.Request) {
@@ -473,15 +477,38 @@ func (s *System) dispatch(r *coe.Request) {
 			s.ctrl.peakQueued = q
 		}
 	}
-	if !s.cfg.DisablePicks {
-		s.picks = append(s.picks, idx)
-	}
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.Add(trace.Event{
 			At: s.env.Now().Duration(), Kind: trace.KindAssign,
 			Actor: s.queues[idx].Name(), Request: r.ID, Expert: int32(e.ID),
 		})
 	}
+}
+
+// TracedPicks turns the KindAssign events of the last stream a trace
+// recorded into the global queue indices Config.PreschedPicks replays,
+// matching each event's Actor to a name in queues — the Queues() of the
+// system that recorded the trace. A log that dropped events, or that
+// assigns to a queue not in queues, is an error: the sequence would not
+// be the one served.
+func TracedPicks(log *trace.Log, queues []*sched.Queue) ([]int, error) {
+	if n := log.Dropped(); n > 0 {
+		return nil, fmt.Errorf("core: trace dropped %d events, so its assignment sequence is incomplete", n)
+	}
+	var picks []int
+	for _, ev := range log.Events() {
+		switch ev.Kind {
+		case trace.KindStream:
+			picks = picks[:0]
+		case trace.KindAssign:
+			i := slices.IndexFunc(queues, func(q *sched.Queue) bool { return q.Name() == ev.Actor })
+			if i < 0 {
+				return nil, fmt.Errorf("core: trace assigns to queue %q, which is not among the system's queues", ev.Actor)
+			}
+			picks = append(picks, i)
+		}
+	}
+	return picks, nil
 }
 
 // streamDone reports whether the current stream has fully completed —
@@ -513,7 +540,7 @@ func (s *System) onVoid(now sim.Time, r *coe.Request) {
 // continues and the pools keep whatever experts the previous stream
 // left resident, so a follow-up stream with a similar working set pays
 // far fewer expert switches than a cold rebuild. Per-stream statistics
-// (recorder, executor and pool counters, assignment picks) are reset at
+// (recorder, executor and pool counters) are reset at
 // each restart; a stream that ends with requests still in flight
 // poisons the System and fails all further calls.
 //
@@ -554,7 +581,11 @@ func (recycler) RequestDropped(_ sim.Time, r *coe.Request) { coe.Recycle(r) }
 // contents, the warm state.
 func (s *System) resetStream() {
 	s.recorder.Reset()
-	s.picks = s.picks[:0]
+	for _, name := range s.ctrl.order {
+		rec := s.ctrl.tenants[name]
+		rec.Reset()
+		s.spareTenants = append(s.spareTenants, rec)
+	}
 	// Experts dispatched after the previous stream's last window
 	// boundary must not inflate the next stream's first working-set
 	// sample (clear is a no-op on a nil map).

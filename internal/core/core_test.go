@@ -8,6 +8,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/model"
 	"repro/internal/profiler"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -47,9 +48,15 @@ func boardFor(t testing.TB, spec workload.BoardSpec) *workload.Board {
 // buildSystem assembles a variant with casual allocation on the device.
 func buildSystem(t testing.TB, dev *hw.Device, v Variant, board *workload.Board) *System {
 	t.Helper()
+	return buildSystemTraced(t, dev, v, board, nil)
+}
+
+// buildSystemTraced is buildSystem recording into log (nil: untraced).
+func buildSystemTraced(t testing.TB, dev *hw.Device, v Variant, board *workload.Board, log *trace.Log) *System {
+	t.Helper()
 	pm := perfFor(t, dev)
 	g, c := DefaultExecutors(dev)
-	cfg := Config{Device: dev, Variant: v, GPUExecutors: g, CPUExecutors: c, Perf: pm}
+	cfg := Config{Device: dev, Variant: v, GPUExecutors: g, CPUExecutors: c, Perf: pm, Trace: log}
 	if v.singleExecutor() {
 		cfg.Alloc = SambaAllocation(dev, pm)
 	} else {
@@ -60,6 +67,17 @@ func buildSystem(t testing.TB, dev *hw.Device, v Variant, board *workload.Board)
 		t.Fatal(err)
 	}
 	return s
+}
+
+// picksOf is the assignment sequence of the last stream a traced system
+// served, derived from its trace.
+func picksOf(t testing.TB, s *System) []int {
+	t.Helper()
+	picks, err := TracedPicks(s.cfg.Trace, s.Queues())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return picks
 }
 
 func smallTask(board *workload.Board, n int) workload.Task {
@@ -111,20 +129,21 @@ func TestSystemRunsOnBothDevices(t *testing.T) {
 
 func TestSystemDeterministic(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
-	run := func() *Report {
-		s := buildSystem(t, hw.NUMADevice(), CoServe, board)
+	run := func() (*Report, []int) {
+		s := buildSystemTraced(t, hw.NUMADevice(), CoServe, board, trace.New())
 		rep, err := s.RunTask(smallTask(board, 200))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep
+		return rep, picksOf(t, s)
 	}
-	a, b := run(), run()
+	a, aPicks := run()
+	b, bPicks := run()
 	if a.Throughput != b.Throughput || a.Switches != b.Switches || a.Makespan != b.Makespan {
 		t.Errorf("nondeterministic: %v/%v vs %v/%v", a.Throughput, a.Switches, b.Throughput, b.Switches)
 	}
-	for i := range a.Picks {
-		if a.Picks[i] != b.Picks[i] {
+	for i := range aPicks {
+		if aPicks[i] != bPicks[i] {
 			t.Fatalf("pick %d differs", i)
 		}
 	}
@@ -157,9 +176,8 @@ func TestPreschedReplayServesOnlyOneStream(t *testing.T) {
 	// A replay system reissues one recorded pick sequence; a second
 	// stream must be rejected cleanly, not run the replay off its end.
 	board := boardFor(t, workload.BoardA())
-	online := buildSystem(t, hw.NUMADevice(), CoServe, board)
-	onlineRep, err := online.RunTask(smallTask(board, 100))
-	if err != nil {
+	online := buildSystemTraced(t, hw.NUMADevice(), CoServe, board, trace.New())
+	if _, err := online.RunTask(smallTask(board, 100)); err != nil {
 		t.Fatal(err)
 	}
 	pm := perfFor(t, hw.NUMADevice())
@@ -168,7 +186,7 @@ func TestPreschedReplayServesOnlyOneStream(t *testing.T) {
 		Device: hw.NUMADevice(), Variant: CoServe,
 		GPUExecutors: g, CPUExecutors: c,
 		Alloc: CasualAllocation(hw.NUMADevice(), pm, g, c),
-		Perf:  pm, PreschedPicks: onlineRep.Picks,
+		Perf:  pm, PreschedPicks: picksOf(t, online),
 	}
 	replay, err := NewSystem(cfg, board.Model)
 	if err != nil {
@@ -184,7 +202,7 @@ func TestPreschedReplayServesOnlyOneStream(t *testing.T) {
 
 func TestPreschedReplayMatchesOnlineOrder(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
-	online := buildSystem(t, hw.NUMADevice(), CoServe, board)
+	online := buildSystemTraced(t, hw.NUMADevice(), CoServe, board, trace.New())
 	onlineRep, err := online.RunTask(smallTask(board, 200))
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +213,7 @@ func TestPreschedReplayMatchesOnlineOrder(t *testing.T) {
 		Device: hw.NUMADevice(), Variant: CoServe,
 		GPUExecutors: g, CPUExecutors: c,
 		Alloc: CasualAllocation(hw.NUMADevice(), pm, g, c),
-		Perf:  pm, PreschedPicks: onlineRep.Picks,
+		Perf:  pm, PreschedPicks: picksOf(t, online),
 	}
 	replay, err := NewSystem(cfg, board.Model)
 	if err != nil {
@@ -214,6 +232,54 @@ func TestPreschedReplayMatchesOnlineOrder(t *testing.T) {
 	}
 	if replayRep.Switches != onlineRep.Switches {
 		t.Errorf("replay switches %d != online %d", replayRep.Switches, onlineRep.Switches)
+	}
+}
+
+// TestTracedPicks: the picks of a warm-restarted system's trace are its
+// last stream's assignments, one per KindAssign event after the last
+// stream mark; a log that dropped events or names a queue the system
+// does not have is refused.
+func TestTracedPicks(t *testing.T) {
+	board := boardFor(t, workload.BoardA())
+	log := trace.New()
+	s := buildSystemTraced(t, hw.NUMADevice(), CoServe, board, log)
+	for _, n := range []int{150, 60} {
+		if _, err := s.RunTask(smallTask(board, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want []string
+	for _, ev := range log.Events() {
+		switch ev.Kind {
+		case trace.KindStream:
+			want = want[:0]
+		case trace.KindAssign:
+			want = append(want, ev.Actor)
+		}
+	}
+	if streams := log.Count(trace.KindStream); streams != 2 {
+		t.Fatalf("trace holds %d streams, want 2", streams)
+	}
+	picks := picksOf(t, s)
+	if len(picks) != len(want) || len(picks) < 60 {
+		t.Fatalf("%d picks, want the last stream's %d assignments (at least 60)", len(picks), len(want))
+	}
+	for i, q := range picks {
+		if s.Queues()[q].Name() != want[i] {
+			t.Fatalf("pick %d is queue %s, want %s", i, s.Queues()[q].Name(), want[i])
+		}
+	}
+
+	bounded := trace.NewBounded(10)
+	small := buildSystemTraced(t, hw.NUMADevice(), CoServe, board, bounded)
+	if _, err := small.RunTask(smallTask(board, 20)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := TracedPicks(bounded, small.Queues()); err == nil {
+		t.Error("picks from a log that dropped events accepted")
+	}
+	if _, err := TracedPicks(log, s.Queues()[:1]); err == nil {
+		t.Error("picks naming a queue outside the given set accepted")
 	}
 }
 

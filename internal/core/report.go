@@ -116,10 +116,6 @@ type Report struct {
 
 	PerExecutor []ExecutorStats
 	PerPool     []PoolStats
-
-	// Picks is the recorded assignment sequence, replayable via
-	// Config.PreschedPicks.
-	Picks []int
 }
 
 // report assembles the Report after a completed stream.
@@ -144,7 +140,6 @@ func (s *System) report(stream string) *Report {
 		PerTenant:     s.ctrl.tenantStats(s.cfg.SLO),
 		SchedPerOp:    s.recorder.SchedPerOp(),
 		SchedOps:      s.recorder.SchedOps(),
-		Picks:         append([]int(nil), s.picks...),
 	}
 	if r.Offered > 0 {
 		r.RejectionRate = float64(r.Rejected) / float64(r.Offered)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -303,16 +304,14 @@ func TestServeSLOAttainmentBounds(t *testing.T) {
 	}
 }
 
-// TestMixServeAllocsPin: every request of a two-tenant Mix is leased
-// from its tenant source's arena and recycled when its node is done, and
-// its tenant rides on the request, so a warm serve allocates per stream
-// (sources, tenant recorders, report), not per request.
-func TestMixServeAllocsPin(t *testing.T) {
+// warmMixServe returns one serve of an n-request two-tenant mix (2 req/s
+// per tenant, NUMA board A) on a CoServe system that has already served
+// one such stream, so its pools, queues and recorder blocks are warm. A
+// light load (4 req/s against a ~10 req/s node) keeps the in-flight
+// peak, which each stream's fresh source arenas grow to, small.
+func warmMixServe(t *testing.T, n int) func() {
 	board := boardFor(t, workload.BoardA())
 	s := buildSystem(t, hw.NUMADevice(), CoServe, board)
-	// A light load (4 req/s against a ~10 req/s node) keeps the in-flight
-	// peak, which each stream's fresh source arenas grow to, small.
-	const n = 8000
 	seed := int64(1)
 	serve := func() {
 		a := poissonFor(t, "tenant-a", board, 2, n/2, seed)
@@ -326,14 +325,46 @@ func TestMixServeAllocsPin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Completions != n || len(rep.PerTenant) != 2 {
+		if rep.Completions != int64(n) || len(rep.PerTenant) != 2 {
 			t.Fatalf("served %d completions over %d tenants, want %d over 2", rep.Completions, len(rep.PerTenant), n)
 		}
+		// Tenant recorders are reused across streams: each must start
+		// empty.
+		if a, b := rep.PerTenant[0], rep.PerTenant[1]; a.Admitted+b.Admitted != int64(n) || a.Latency.N+b.Latency.N != n {
+			t.Fatalf("tenants admitted %d+%d with %d+%d samples, want %d in all", a.Admitted, b.Admitted, a.Latency.N, b.Latency.N, n)
+		}
 	}
-	serve() // warm the pools, queues and recorder buffers
-	perReq := testing.AllocsPerRun(1, serve) / n
+	serve()
+	return serve
+}
+
+// TestMixServeAllocsPin: every request of a two-tenant Mix is leased
+// from its tenant source's arena and recycled when its node is done, and
+// its tenant rides on the request, so a warm serve allocates per stream
+// (sources, tenant recorders, report), not per request.
+func TestMixServeAllocsPin(t *testing.T) {
+	const n = 8000
+	perReq := testing.AllocsPerRun(1, warmMixServe(t, n)) / n
 	t.Logf("%.4f allocs per request", perReq)
 	if perReq > 0.05 {
 		t.Errorf("warm mix serve allocates %.4f per request, want <= 0.05", perReq)
+	}
+}
+
+// TestMixServeBytesPin: a warm exact-mode serve records nothing per
+// dispatch and reuses the sample blocks of the system's and its tenants'
+// recorders, so what it allocates per request is the summaries' flat
+// copies: one 8-byte sample each for the stream and for the tenant.
+func TestMixServeBytesPin(t *testing.T) {
+	const n = 8000
+	serve := warmMixServe(t, n)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	serve()
+	runtime.ReadMemStats(&m1)
+	perReq := float64(m1.TotalAlloc-m0.TotalAlloc) / n
+	t.Logf("%.1f bytes per request", perReq)
+	if perReq > 25 {
+		t.Errorf("warm mix serve allocates %.1f bytes per request, want <= 25", perReq)
 	}
 }

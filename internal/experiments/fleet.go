@@ -26,12 +26,11 @@ const (
 )
 
 // fleetCluster assembles the 100-node fleet in the given percentile
-// mode: every node is a CoServe-casual NUMA data plane with picks
-// recording off (the fleet hot path), residency-affinity routing, and
-// usage-proportional placement — the combination that sends requests
-// where their experts already live, which is what keeps a 100-node
-// fleet at ~84% of the offered 1000 req/s instead of thrashing
-// switches.
+// mode: every node is a CoServe-casual NUMA data plane, with
+// residency-affinity routing and usage-proportional placement — the
+// combination that sends requests where their experts already live,
+// which is what keeps a 100-node fleet at ~84% of the offered 1000
+// req/s instead of thrashing switches.
 func fleetCluster(ctx *Context, mode core.PercentileMode) (*cluster.Cluster, *workload.Board, error) {
 	board, err := ctx.Board(workload.BoardA())
 	if err != nil {
@@ -41,7 +40,6 @@ func fleetCluster(ctx *Context, mode core.PercentileMode) (*cluster.Cluster, *wo
 	if err != nil {
 		return nil, nil, err
 	}
-	nodeCfg.DisablePicks = true
 	cl, err := cluster.New(cluster.Config{
 		Nodes:       cluster.Uniform(fleetNodes, nodeCfg),
 		Router:      cluster.Affinity{},

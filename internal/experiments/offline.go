@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/runner"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -138,21 +139,25 @@ func Figure19(ctx *Context) (*Table, error) {
 		}
 	}
 	rows, err := runner.Sweep(ctx.par, jobs, func(_ int, j rowJob) ([]string, error) {
-		online, err := ctx.run(j.dev, core.CoServe, j.task, false)
+		// The online run is traced (tracing is passive) so its
+		// assignment sequence can be replayed.
+		cfg, err := ctx.configFor(j.dev, core.CoServe, j.task.Board, false)
 		if err != nil {
 			return nil, err
 		}
-		pm, err := ctx.Perf(j.dev)
+		cfg.Trace = trace.New()
+		onlineSys, err := core.NewSystem(cfg, j.task.Board.Model)
 		if err != nil {
 			return nil, err
 		}
-		g, cp := core.DefaultExecutors(j.dev)
-		cfg := core.Config{
-			Device: j.dev, Variant: core.CoServe,
-			GPUExecutors: g, CPUExecutors: cp,
-			Alloc: core.CasualAllocation(j.dev, pm, g, cp),
-			Perf:  pm, PreschedPicks: online.Picks,
+		online, err := onlineSys.RunTask(j.task)
+		if err != nil {
+			return nil, err
 		}
+		if cfg.PreschedPicks, err = core.TracedPicks(cfg.Trace, onlineSys.Queues()); err != nil {
+			return nil, err
+		}
+		cfg.Trace = nil
 		sys, err := core.NewSystem(cfg, j.task.Board.Model)
 		if err != nil {
 			return nil, err

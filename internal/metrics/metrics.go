@@ -35,7 +35,16 @@ func (w Window) MeanLatency() float64 {
 	return w.LatencySum / float64(w.Completions)
 }
 
-// Recorder accumulates the metrics of one task run.
+// sampleBlock is the size of one exact-mode latency block.
+const sampleBlock = 8192
+
+// Recorder accumulates the metrics of one task run. In the default exact
+// mode it keeps every latency sample, in insertion order, in fixed-size
+// blocks that are never copied: only the first block grows by append (so
+// a short stream allocates no more than a flat slice would), later blocks
+// are allocated at full size, and Reset keeps them all for the next
+// stream. In sketch mode (UseSketch) samples stream into a fixed-size
+// sketch instead, making recorder memory O(1) in completions.
 type Recorder struct {
 	arrivals    int64
 	completions int64
@@ -54,12 +63,11 @@ type Recorder struct {
 	haveOrigin bool
 	windows    []Window
 
-	// latencies holds per-request end-to-end latency in seconds —
-	// every sample, so percentiles are exact. In sketch mode (see
-	// UseSketch) it stays empty and samples stream into sketch
-	// instead, making recorder memory O(1) in completions.
-	latencies []float64
-	sketch    *stats.Sketch
+	// samples holds the exact per-request latencies in seconds: the
+	// i-th completion of a stream lands in block i/sampleBlock. It stays
+	// empty in sketch mode.
+	samples [][]float64
+	sketch  *stats.Sketch
 
 	// schedWall is real wall-clock time spent inside the timed
 	// scheduling decisions, schedTimed counts them, and schedOps counts
@@ -75,16 +83,17 @@ type Recorder struct {
 func NewRecorder() *Recorder { return &Recorder{} }
 
 // Reset zeroes the recorder for another stream while keeping the sample
-// buffer's capacity, so warm-restarted serving streams stop reallocating
-// their latency samples. It invalidates any slice previously returned by
-// Latencies.
+// blocks, so warm-restarted serving streams stop reallocating their
+// latency samples.
 func (r *Recorder) Reset() {
 	r.arrivals, r.completions, r.rejections, r.stages = 0, 0, 0, 0
 	r.firstArrival, r.lastCompletion = 0, 0
 	r.haveArrival = false
 	r.haveOrigin = false
 	r.windows = r.windows[:0]
-	r.latencies = r.latencies[:0]
+	for i := range r.samples {
+		r.samples[i] = r.samples[i][:0]
+	}
 	if r.sketch != nil {
 		r.sketch.Reset()
 	}
@@ -95,8 +104,8 @@ func (r *Recorder) Reset() {
 // samples feed a fixed-size mergeable stats.Sketch instead of the
 // store-every-sample buffer, so memory is O(1) in completions and
 // LatencySummary/SLOAttainment carry the sketch's documented accuracy
-// bound. Latencies returns nil in this mode. The switch is one-way and
-// survives Reset; enable it before the first sample.
+// bound. The switch is one-way and survives Reset; enable it before the
+// first sample.
 func (r *Recorder) UseSketch() {
 	if r.sketch == nil {
 		r.sketch = stats.NewSketch()
@@ -181,12 +190,26 @@ func (r *Recorder) Completion(arrival, t sim.Time) {
 	if r.sketch != nil {
 		r.sketch.Add(lat)
 	} else {
-		r.latencies = append(r.latencies, lat)
+		r.addSample(lat)
 	}
 	if w := r.bucket(t); w != nil {
 		w.Completions++
 		w.LatencySum += lat
 	}
+}
+
+// addSample appends the stream's completions-th latency sample to its
+// block, making the block if no earlier stream did.
+func (r *Recorder) addSample(lat float64) {
+	i := int(r.completions-1) / sampleBlock
+	if i == len(r.samples) {
+		var b []float64
+		if i > 0 {
+			b = make([]float64, 0, sampleBlock)
+		}
+		r.samples = append(r.samples, b)
+	}
+	r.samples[i] = append(r.samples[i], lat)
 }
 
 // SchedOp records one timed scheduling decision that took duration d.
@@ -227,25 +250,21 @@ func (r *Recorder) Throughput() float64 {
 	return float64(r.completions) / mk
 }
 
-// Latencies returns per-request latencies in seconds, or nil in sketch
-// mode (individual samples are not retained there). Callers must not
-// modify the returned slice, and must not hold it across a Reset.
-func (r *Recorder) Latencies() []float64 {
-	if r.sketch != nil {
-		return nil
-	}
-	return r.latencies
-}
-
 // LatencySummary summarizes per-request end-to-end latency in seconds,
 // including the p50/p95/p99 tail percentiles serving reports quote.
 // Exact in the default mode; within the sketch's accuracy bound in
-// sketch mode (N, Mean, Std, Min, Max stay exact either way).
+// sketch mode (N, Mean, Std, Min, Max stay exact either way). The exact
+// mode gathers the blocks into one flat copy, in insertion order, and
+// summarizes that copy in place.
 func (r *Recorder) LatencySummary() stats.Summary {
 	if r.sketch != nil {
 		return r.sketch.Summary()
 	}
-	return stats.Summarize(r.latencies)
+	flat := make([]float64, 0, r.completions)
+	for _, b := range r.samples {
+		flat = append(flat, b...)
+	}
+	return stats.SummarizeInPlace(flat)
 }
 
 // SLOAttainment reports the fraction of completed requests whose
@@ -253,10 +272,25 @@ func (r *Recorder) LatencySummary() stats.Summary {
 // completed and 1 under a non-positive (disabled) objective — an
 // unconstrained run trivially attains its SLO.
 func (r *Recorder) SLOAttainment(slo time.Duration) float64 {
+	limit := slo.Seconds()
 	if r.sketch != nil {
-		return r.sketch.Attainment(slo.Seconds())
+		return r.sketch.Attainment(limit)
 	}
-	return stats.Attainment(r.latencies, slo.Seconds())
+	if limit <= 0 {
+		return 1
+	}
+	if r.completions == 0 {
+		return 0
+	}
+	met := 0
+	for _, b := range r.samples {
+		for _, x := range b {
+			if x <= limit {
+				met++
+			}
+		}
+	}
+	return float64(met) / float64(r.completions)
 }
 
 // SchedPerOp reports the mean wall-clock cost of one scheduling

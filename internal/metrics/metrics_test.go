@@ -1,11 +1,31 @@
 package metrics
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
+
+// samplesOf returns the recorder's exact samples in insertion order.
+func samplesOf(r *Recorder) []float64 {
+	var out []float64
+	for _, b := range r.samples {
+		out = append(out, b...)
+	}
+	return out
+}
+
+// sampleCap sums the capacity of the recorder's sample blocks.
+func sampleCap(r *Recorder) int {
+	n := 0
+	for _, b := range r.samples {
+		n += cap(b)
+	}
+	return n
+}
 
 func TestThroughputAndMakespan(t *testing.T) {
 	r := NewRecorder()
@@ -22,7 +42,7 @@ func TestThroughputAndMakespan(t *testing.T) {
 	if got := r.Throughput(); got != 0.5 {
 		t.Errorf("throughput = %v, want 0.5", got)
 	}
-	lats := r.Latencies()
+	lats := samplesOf(r)
 	if len(lats) != 2 || lats[0] != 2 || lats[1] != 3 {
 		t.Errorf("latencies = %v, want [2 3]", lats)
 	}
@@ -117,35 +137,38 @@ func TestSLOAttainment(t *testing.T) {
 }
 
 // TestResetKeepsSampleCapacity pins the warm-restart path: Reset must
-// zero every statistic but keep the latency buffer's capacity so
-// consecutive streams stop reallocating samples.
+// zero every statistic but keep the latency blocks' capacity so
+// consecutive streams stop reallocating samples. The stream spans more
+// than one block, so both the appended first block and the full-size
+// later ones are kept.
 func TestResetKeepsSampleCapacity(t *testing.T) {
+	const n = sampleBlock + 100
 	r := NewRecorder()
-	for i := 0; i < 100; i++ {
+	for i := 0; i < n; i++ {
 		at := sim.Time(i) * sim.Time(time.Millisecond)
 		r.Arrival(at)
 		r.StageDone()
 		r.Completion(at, at.Add(50*time.Millisecond))
 	}
 	r.SchedOp(3 * time.Microsecond)
-	grown := cap(r.latencies)
-	if grown < 100 {
-		t.Fatalf("latency buffer cap = %d, want >= 100", grown)
+	grown := sampleCap(r)
+	if grown < n || len(r.samples) != 2 {
+		t.Fatalf("latency blocks = %d with cap %d, want 2 with cap >= %d", len(r.samples), grown, n)
 	}
 	r.Reset()
 	if r.Arrivals() != 0 || r.Completions() != 0 || r.Stages() != 0 ||
 		r.SchedOps() != 0 || r.SchedWall() != 0 || r.Makespan() != 0 {
 		t.Errorf("Reset left counters: %+v", r)
 	}
-	if len(r.Latencies()) != 0 {
-		t.Errorf("Reset left %d latency samples", len(r.Latencies()))
+	if got := len(samplesOf(r)); got != 0 {
+		t.Errorf("Reset left %d latency samples", got)
 	}
-	if cap(r.latencies) != grown {
-		t.Errorf("Reset dropped sample capacity: %d -> %d", grown, cap(r.latencies))
+	if got := sampleCap(r); got != grown {
+		t.Errorf("Reset dropped sample capacity: %d -> %d", grown, got)
 	}
 	// A second identical stream must not allocate new sample storage.
 	if allocs := testing.AllocsPerRun(5, func() {
-		for i := 0; i < 100; i++ {
+		for i := 0; i < n; i++ {
 			at := sim.Time(i) * sim.Time(time.Millisecond)
 			r.Arrival(at)
 			r.Completion(at, at.Add(50*time.Millisecond))
@@ -159,6 +182,46 @@ func TestResetKeepsSampleCapacity(t *testing.T) {
 	r.Completion(0, sim.Time(time.Second))
 	if got := r.LatencySummary(); got.N != 1 || got.Mean != 1 {
 		t.Errorf("post-Reset summary = %+v", got)
+	}
+}
+
+// TestSampleBlocksMatchFlat: the block store's summary and attainment
+// are bit-identical to stats.Summarize and stats.Attainment over the
+// same samples as one flat slice, at every length around the block
+// boundaries, on a fresh recorder and on one whose Reset kept more
+// blocks than the stream fills.
+func TestSampleBlocksMatchFlat(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	warm := NewRecorder()
+	for i := 0; i < 5*sampleBlock; i++ {
+		warm.Completion(0, sim.Time(time.Second))
+	}
+	for _, pass := range []string{"fresh", "reset"} {
+		for _, n := range []int{0, 1, sampleBlock - 1, sampleBlock, sampleBlock + 1, 3*sampleBlock + 7} {
+			r := NewRecorder()
+			if pass == "reset" {
+				r = warm
+				r.Reset()
+			}
+			flat := make([]float64, 0, n)
+			for i := 0; i < n; i++ {
+				// Latencies spread over three decades, so the sum's
+				// rounding depends on its order.
+				lat := time.Duration(rng.ExpFloat64() * float64(rng.Intn(1000)+1) * float64(time.Millisecond))
+				at := sim.Time(i) * sim.Time(time.Millisecond)
+				r.Arrival(at)
+				r.Completion(at, at.Add(lat))
+				flat = append(flat, at.Add(lat).Sub(at).Seconds())
+			}
+			if got, want := r.LatencySummary(), stats.Summarize(flat); got != want {
+				t.Errorf("%s n=%d: summary %+v, want %+v", pass, n, got, want)
+			}
+			for _, slo := range []time.Duration{0, time.Millisecond, 100 * time.Millisecond, time.Second} {
+				if got, want := r.SLOAttainment(slo), stats.Attainment(flat, slo.Seconds()); got != want {
+					t.Errorf("%s n=%d slo=%v: attainment %v, want %v", pass, n, slo, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -216,8 +279,8 @@ func TestRecorderSketchMode(t *testing.T) {
 		sk.Arrival(at)
 		sk.Completion(at, done)
 	}
-	if got := sk.Latencies(); got != nil {
-		t.Fatalf("sketch mode retained %d samples, want nil", len(got))
+	if len(sk.samples) != 0 {
+		t.Fatalf("sketch mode retained %d sample blocks, want none", len(sk.samples))
 	}
 	es, ss := exact.LatencySummary(), sk.LatencySummary()
 	if ss.N != es.N || ss.Min != es.Min || ss.Max != es.Max {

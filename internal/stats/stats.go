@@ -161,12 +161,18 @@ type Summary struct {
 // single allocation, where summarizing field by field would copy and
 // sort the sample three times over.
 func Summarize(xs []float64) Summary {
+	return SummarizeInPlace(append([]float64(nil), xs...))
+}
+
+// SummarizeInPlace is Summarize without the copy: it computes the mean
+// and standard deviation over xs in its given order, then sorts xs in
+// place for the order statistics, so the result is bit-identical to
+// Summarize(xs) and xs is left sorted.
+func SummarizeInPlace(xs []float64) Summary {
 	n := len(xs)
 	if n == 0 {
 		return Summary{}
 	}
-	sorted := append([]float64(nil), xs...)
-	slices.Sort(sorted)
 	m := Mean(xs)
 	var std float64
 	if n >= 2 {
@@ -176,15 +182,16 @@ func Summarize(xs []float64) Summary {
 		}
 		std = math.Sqrt(ss / float64(n))
 	}
+	slices.Sort(xs)
 	return Summary{
 		N:    n,
 		Mean: m,
 		Std:  std,
-		Min:  sorted[0],
-		Max:  sorted[n-1],
-		P50:  percentileSorted(sorted, 50),
-		P95:  percentileSorted(sorted, 95),
-		P99:  percentileSorted(sorted, 99),
+		Min:  xs[0],
+		Max:  xs[n-1],
+		P50:  percentileSorted(xs, 50),
+		P95:  percentileSorted(xs, 95),
+		P99:  percentileSorted(xs, 99),
 	}
 }
 
