@@ -190,6 +190,8 @@ const (
 // Sketch is the fixed-size mergeable latency sketch behind
 // PercentilesSketch; Report.LatencySketch and
 // ClusterReport.LatencySketch expose the stream's sketch in that mode.
+// A fleet records each completion once, at its front end, so only the
+// ClusterReport carries one: its per-node reports' sketches are nil.
 type Sketch = stats.Sketch
 
 // Report summarizes one served stream (throughput, switches, latency

@@ -70,9 +70,9 @@ type Config struct {
 	// interval, at least core.MinWindow (0 disables).
 	Window time.Duration
 	// Percentiles selects exact or sketch latency accounting for the
-	// whole fleet. It is a cluster-level knob: New propagates it into
-	// every node config (overriding whatever the node configs carry) so
-	// per-node sketches exist exactly when the fleet sketch does. The
+	// whole fleet. The front end records every completion once, tagged
+	// with its serving node and tenant, and nodes keep no latency
+	// records, so the node configs' own Percentiles are ignored. The
 	// zero value is exact — byte-identical to the pre-sketch reports.
 	Percentiles core.PercentileMode
 
@@ -167,7 +167,18 @@ type Cluster struct {
 	router    Router
 	placement Placement
 	nodes     []*Node
-	recorder  *metrics.Recorder
+
+	// recorder is the fleet's one latency record: the front end samples
+	// each completion once, when it resolves its lease, tagged by tag.
+	// tagNode maps every tag to the node that served it: tag i below
+	// the fleet size is node i's completions without a tenant; the
+	// higher tags are (node, tenant) pairs, assigned in pairTags at a
+	// pair's first completion and kept across streams. tagsFull records
+	// that a stream ran out of 16-bit tags.
+	recorder *metrics.Recorder
+	tagNode  []int
+	pairTags map[nodeTenant]uint16
+	tagsFull bool
 
 	// resident is the fleet's residency table: one contiguous row per
 	// expert with one byte per node, counting how many of that node's
@@ -295,9 +306,16 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 	if c.arena == nil {
 		c.arena = coe.NewArena()
 	}
+	if len(cfg.Nodes) > math.MaxUint16+1 {
+		return nil, fmt.Errorf("cluster: %d nodes overflow the front end's 16-bit latency tags", len(cfg.Nodes))
+	}
 	c.recorder.SetWindow(cfg.Window)
 	if cfg.Percentiles == core.PercentilesSketch {
-		c.recorder.UseSketch()
+		c.recorder.UseSketch(len(cfg.Nodes))
+	}
+	c.tagNode = make([]int, len(cfg.Nodes))
+	for i := range c.tagNode {
+		c.tagNode[i] = i
 	}
 
 	caps := make([]NodeCapacity, len(cfg.Nodes))
@@ -325,7 +343,7 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 		if plan != nil {
 			nc.Preload = plan[i]
 		}
-		nc.Percentiles = cfg.Percentiles
+		nc.Percentiles = core.PercentilesExact
 		sys, err := core.NewSystemInEnv(nc, m, c.env)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %s: %w", nc.ID, err)
@@ -369,6 +387,39 @@ func (d *nodeDelegate) RequestDropped(now sim.Time, r *coe.Request) {
 	d.c.postFold(d.idx, now, opRecycle, r)
 }
 
+// nodeTenant names one (serving node, tenant) pair among the front
+// end's latency tags.
+type nodeTenant struct {
+	node   int
+	tenant string
+}
+
+// tag returns the front end's latency tag for a completion node idx
+// resolved for tenant: idx itself without a tenant, otherwise the
+// pair's tag, assigned at its first completion. Pairs past the 16-bit
+// tag space share the last tag and set tagsFull, and Serve refuses
+// their stream.
+func (c *Cluster) tag(idx int, tenant string) uint16 {
+	if tenant == "" {
+		return uint16(idx)
+	}
+	k := nodeTenant{idx, tenant}
+	t, ok := c.pairTags[k]
+	if !ok {
+		if len(c.tagNode) > math.MaxUint16 {
+			c.tagsFull = true
+			return math.MaxUint16
+		}
+		if c.pairTags == nil {
+			c.pairTags = make(map[nodeTenant]uint16)
+		}
+		t = uint16(len(c.tagNode))
+		c.pairTags[k] = t
+		c.tagNode = append(c.tagNode, idx)
+	}
+	return t
+}
+
 // Nodes exposes the fleet (read-only use).
 func (c *Cluster) Nodes() []*Node { return c.nodes }
 
@@ -398,6 +449,7 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 		c.recorder.Reset()
 		clear(c.routed)
 	}
+	c.tagsFull = false
 	c.runs++
 	c.beginLifecycle()
 	for i, n := range c.nodes {
@@ -447,8 +499,15 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 			c.broken = fmt.Errorf("cluster: node %s: %w", n.id, err)
 			return nil, c.broken
 		}
+		if rep.Latency.N != 0 || rep.LatencySketch != nil {
+			c.broken = fmt.Errorf("cluster: node %s recorded %d latency samples; the front end records every completion", n.id, rep.Latency.N)
+			return nil, c.broken
+		}
 		reports[i] = rep
 		admitted += rep.N
+	}
+	if c.tagsFull {
+		return nil, fmt.Errorf("cluster: stream %q has more (node, tenant) pairs than the front end's %d latency tags", src.Name(), math.MaxUint16+1)
 	}
 	// Every copy a node admitted ends in exactly one front-end counter.
 	if got := cs.completions + cs.HedgeWasted + cs.DupAcks + cs.LostLeases + cs.HedgesVoided + cs.HedgePromoted; got != admitted {

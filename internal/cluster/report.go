@@ -66,6 +66,13 @@ type Report struct {
 
 	// PerNode holds each node's full report, in node order. Node-local
 	// slices (per-tenant stats, per-executor rows, windows) live here.
+	// A node keeps counters but no latency samples: its Latency and
+	// SLOAttainment, and its tenants', are folds over the front end's
+	// record, so they count the completions that resolved a lease on
+	// the node, each measured at the front end like the fleet Latency —
+	// from first admission, return hop and any redelivery gap included.
+	// Hedge losers and duplicate acks are not in them, so Latency.N can
+	// be less than Completions. LatencySketch is nil.
 	PerNode []*core.Report
 
 	// Chaos and lifecycle accounting — all zero on fault-free,
@@ -210,6 +217,7 @@ func (c *Cluster) report(stream string, perNode []*core.Report) *Report {
 	if ws := c.recorder.Windows(); len(ws) > 0 {
 		r.Windows = append([]metrics.Window(nil), ws...)
 	}
+	c.foldNodeLatency(perNode)
 	for _, rep := range perNode {
 		r.Switches += rep.Switches
 		r.SSDLoads += rep.SSDLoads
@@ -248,4 +256,26 @@ func (c *Cluster) report(stream string, perNode []*core.Report) *Report {
 		r.Imbalance = float64(max) * float64(len(c.nodes)) / float64(total)
 	}
 	return r
+}
+
+// foldNodeLatency fills each node report's latency and SLO attainment,
+// and its tenants', from the front end's tagged record, scoring each
+// against the node's own objective.
+func (c *Cluster) foldNodeLatency(perNode []*core.Report) {
+	nodeSLO := func(i int) time.Duration { return perNode[i].SLO }
+	for i, lat := range c.recorder.GroupLatency(len(perNode), c.tagNode, nodeSLO) {
+		perNode[i].Latency, perNode[i].SLOAttainment = lat.Summary, lat.SLOAttainment
+	}
+	if len(c.pairTags) == 0 {
+		return
+	}
+	pairs := c.recorder.GroupLatency(len(c.tagNode), nil, func(t int) time.Duration { return nodeSLO(c.tagNode[t]) })
+	for i, rep := range perNode {
+		for j := range rep.PerTenant {
+			ts := &rep.PerTenant[j]
+			if t, ok := c.pairTags[nodeTenant{i, ts.Name}]; ok {
+				ts.Latency, ts.SLOAttainment = pairs[t].Summary, pairs[t].SLOAttainment
+			}
+		}
+	}
 }

@@ -303,9 +303,10 @@ func (c *Cluster) bounceFold(now sim.Time, h *hold, hedge bool, r *coe.Request) 
 
 // completionFold lands a copy's completion on the front end. The first
 // copy of a lease to complete resolves it: it records the fleet
-// completion (latency spans first node admission to this fold, return
-// hop included), restores a redelivered request's original arrival, and
-// turns any other held copy into a hedge-race loser. A loser's
+// completion — the request's one latency sample, spanning first node
+// admission to this fold, return hop included, tagged with the serving
+// node and tenant — and turns any other held copy into a hedge-race
+// loser. A loser's
 // completion counts as hedge waste; a copy a crash already killed — on
 // an interconnect its completion can cross the crash on the wire,
 // after the lease was voided — counts as a duplicate ack, never as a
@@ -332,12 +333,14 @@ func (c *Cluster) completionFold(now sim.Time, h *hold, r *coe.Request) {
 		}
 		lose.l, l.hedge = nil, nil
 	}
+	lat := now.Sub(l.arrival).Seconds()
 	if hl := c.health; hl != nil {
-		hl.onComplete(idx, now.Sub(l.arrival).Seconds())
+		hl.onComplete(idx, lat)
 	}
 	cs.leased--
 	cs.completions++
 	c.recorder.Completion(l.arrival, now)
+	c.recorder.Sample(lat, c.tag(idx, l.tenant))
 	if l.redeliveries > 0 {
 		d := now.Sub(l.voidedAt)
 		cs.failoverSum += d

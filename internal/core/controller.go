@@ -1,10 +1,10 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/coe"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -31,12 +31,19 @@ type controller struct {
 	closed     bool  // the source is exhausted
 	finished   bool  // every admitted request has completed or dropped
 
-	// tenants holds one recorder per request Tenant — its admissions
-	// (arrivals), rejections, completions and latencies, in sketch mode
-	// when the system's recorder is — and order their first-seen order.
-	// Nil until the first tagged request.
-	tenants map[string]*metrics.Recorder
-	order   []string
+	// tenants counts each request Tenant's admissions, rejections and
+	// completions, in first-seen order; tenantIdx indexes it by name.
+	// Both stay empty until the first tagged request. A tenant's latency
+	// samples carry its index plus one as their recorder tag (0: no
+	// tenant).
+	tenants   []tenantCounts
+	tenantIdx map[string]int
+}
+
+// tenantCounts is one tenant's slice of a stream's counters.
+type tenantCounts struct {
+	name                          string
+	admitted, rejected, completed int64
 }
 
 func newController(s *System, stream string, d StreamDelegate) *controller {
@@ -46,15 +53,15 @@ func newController(s *System, stream string, d StreamDelegate) *controller {
 // offer runs one arrival through the admission policy and, if accepted,
 // the dispatch path, at virtual time now. Rejected requests leave
 // exactly one mark — a rejection count (and a KindRejected trace
-// event) — and never touch a queue, the recorder's completion path, or
-// the per-tenant latency aggregates. It is OfferAt's body.
+// event) — and never touch a queue or the recorder's completion path.
+// It is OfferAt's body.
 func (c *controller) offer(now sim.Time, r *coe.Request) bool {
 	s := c.sys
 	if s.cfg.Admission != nil && !s.cfg.Admission.Admit(now, s, r) {
 		c.rejected++
 		s.recorder.Rejection(now)
 		if r.Tenant != "" {
-			c.tenantFor(r.Tenant).Rejection(now)
+			c.tenant(r.Tenant).rejected++
 		}
 		if s.cfg.Trace != nil {
 			s.cfg.Trace.Add(trace.Event{
@@ -67,7 +74,7 @@ func (c *controller) offer(now sim.Time, r *coe.Request) bool {
 	s.recorder.Arrival(r.Arrival)
 	c.admitted++
 	if r.Tenant != "" {
-		c.tenantFor(r.Tenant).Arrival(now)
+		c.tenant(r.Tenant).admitted++
 	}
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.Add(trace.Event{
@@ -80,8 +87,8 @@ func (c *controller) offer(now sim.Time, r *coe.Request) bool {
 
 // onBatch advances a completed stage: multi-stage requests are
 // re-dispatched for their subsequent expert; finished requests are
-// recorded, and the final completion of a closed stream shuts the
-// system down.
+// counted and passed to the delegate, which records their latency, and
+// the final completion of a closed stream shuts the system down.
 func (c *controller) onBatch(now sim.Time, r *coe.Request) {
 	s := c.sys
 	s.recorder.StageDone()
@@ -92,7 +99,7 @@ func (c *controller) onBatch(now sim.Time, r *coe.Request) {
 	r.Done = now
 	s.recorder.Completion(r.Arrival, now)
 	if r.Tenant != "" {
-		c.tenants[r.Tenant].Completion(r.Arrival, now)
+		c.tenants[c.tenantIdx[r.Tenant]].completed++
 	}
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.Add(trace.Event{
@@ -139,45 +146,48 @@ func (c *controller) finish() {
 	}
 }
 
-// tenantFor returns (taking from the system's spares or creating if
-// needed) a tenant's recorder, registering first-seen order.
-func (c *controller) tenantFor(tenant string) *metrics.Recorder {
-	if c.tenants == nil {
-		c.tenants = make(map[string]*metrics.Recorder)
-	}
-	rec, ok := c.tenants[tenant]
+// tenant returns a tenant's counters, registering it in first-seen
+// order on its first request.
+func (c *controller) tenant(name string) *tenantCounts {
+	j, ok := c.tenantIdx[name]
 	if !ok {
-		s := c.sys
-		if n := len(s.spareTenants); n > 0 {
-			rec, s.spareTenants = s.spareTenants[n-1], s.spareTenants[:n-1]
-		} else {
-			rec = metrics.NewRecorder()
-			if s.cfg.Percentiles == PercentilesSketch {
-				rec.UseSketch()
-			}
+		if c.tenantIdx == nil {
+			c.tenantIdx = make(map[string]int)
 		}
-		c.tenants[tenant] = rec
-		c.order = append(c.order, tenant)
+		j = len(c.tenants)
+		c.tenantIdx[name] = j
+		c.tenants = append(c.tenants, tenantCounts{name: name})
 	}
-	return rec
+	return &c.tenants[j]
 }
 
-// tenantStats renders the per-tenant breakdown in first-seen order.
+// tag returns the recorder tag of a request of the named tenant: its
+// index plus one, or 0 for no tenant. Tenants past the 16-bit tag space
+// share the last tag, and StreamReport refuses their stream.
+func (c *controller) tag(tenant string) uint16 {
+	if tenant == "" {
+		return 0
+	}
+	return uint16(min(c.tenantIdx[tenant]+1, math.MaxUint16))
+}
+
+// tenantStats renders the per-tenant breakdown in first-seen order: the
+// counters, and each tenant's latency folded from the recorder's tags.
 func (c *controller) tenantStats(slo time.Duration) []TenantStats {
-	if len(c.order) == 0 {
+	if len(c.tenants) == 0 {
 		return nil
 	}
-	out := make([]TenantStats, 0, len(c.order))
-	for _, name := range c.order {
-		rec := c.tenants[name]
-		out = append(out, TenantStats{
-			Name:          name,
-			Admitted:      rec.Arrivals(),
-			Rejected:      rec.Rejections(),
-			Completions:   rec.Completions(),
-			Latency:       rec.LatencySummary(),
-			SLOAttainment: rec.SLOAttainment(slo),
-		})
+	lat := c.sys.recorder.GroupLatency(len(c.tenants)+1, nil, func(int) time.Duration { return slo })
+	out := make([]TenantStats, len(c.tenants))
+	for j, tc := range c.tenants {
+		out[j] = TenantStats{
+			Name:          tc.name,
+			Admitted:      tc.admitted,
+			Rejected:      tc.rejected,
+			Completions:   tc.completed,
+			Latency:       lat[j+1].Summary,
+			SLOAttainment: lat[j+1].SLOAttainment,
+		}
 	}
 	return out
 }

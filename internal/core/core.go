@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -59,15 +60,11 @@ type System struct {
 	// queues themselves (sched.Queue.CountInto).
 	queued int
 
-	ctrl *controller
-	// spareTenants holds the per-tenant recorders of earlier streams,
-	// reset, for the next stream's tenants to reuse with their sample
-	// blocks.
-	spareTenants []*metrics.Recorder
-	measure      bool // the Figure 19 probe runs: online scheduling, not replay
-	runs         int
-	serving      bool
-	broken       error
+	ctrl    *controller
+	measure bool // the Figure 19 probe runs: online scheduling, not replay
+	runs    int
+	serving bool
+	broken  error
 
 	// state is the node's lifecycle state on the cluster seam; epoch
 	// advances on every crash so executors mid-batch at the crash
@@ -288,7 +285,7 @@ func NewSystemInEnv(cfg Config, m *coe.Model, env *sim.Env) (*System, error) {
 
 	s.recorder.SetWindow(cfg.Window)
 	if cfg.Percentiles == PercentilesSketch {
-		s.recorder.UseSketch()
+		s.recorder.UseSketch(1)
 	}
 	s.setActive(cfg.GPUExecutors, cfg.CPUExecutors)
 	s.initializeExperts()
@@ -551,7 +548,7 @@ func (s *System) Serve(src workload.Source) (*Report, error) {
 	if err := workload.CheckStream(src, s.m); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if err := s.JoinStream(src.Name(), recycler{}); err != nil {
+	if err := s.JoinStream(src.Name(), recycler{s}); err != nil {
 		return nil, err
 	}
 	workload.Play(s.env, src, func(now sim.Time, tr workload.TimedRequest) {
@@ -568,12 +565,18 @@ func (s *System) Serve(src workload.Source) (*Report, error) {
 	return s.StreamReport()
 }
 
-// recycler is the stream delegate of a system serving its own source:
-// nothing outside holds its requests, so each goes back to its arena
-// the moment the node is done with it.
-type recycler struct{}
+// recycler is the stream delegate of a system serving its own source.
+// The system resolves its requests itself, so the recycler records each
+// completion's latency in the system's recorder, tagged with its
+// tenant; nothing outside holds the requests, so each goes back to its
+// arena the moment the node is done with it.
+type recycler struct{ s *System }
 
-func (recycler) RequestDone(_ sim.Time, r *coe.Request)    { coe.Recycle(r) }
+func (d recycler) RequestDone(now sim.Time, r *coe.Request) {
+	d.s.recorder.Sample(now.Sub(r.Arrival).Seconds(), d.s.ctrl.tag(r.Tenant))
+	coe.Recycle(r)
+}
+
 func (recycler) RequestDropped(_ sim.Time, r *coe.Request) { coe.Recycle(r) }
 
 // resetStream zeroes the per-stream statistics for a warm restart,
@@ -581,11 +584,6 @@ func (recycler) RequestDropped(_ sim.Time, r *coe.Request) { coe.Recycle(r) }
 // contents, the warm state.
 func (s *System) resetStream() {
 	s.recorder.Reset()
-	for _, name := range s.ctrl.order {
-		rec := s.ctrl.tenants[name]
-		rec.Reset()
-		s.spareTenants = append(s.spareTenants, rec)
-	}
 	// Experts dispatched after the previous stream's last window
 	// boundary must not inflate the next stream's first working-set
 	// sample (clear is a no-op on a nil map).
@@ -602,10 +600,12 @@ func (s *System) resetStream() {
 // the cluster layer's completion hook, or Serve's recycler — and owns
 // the request objects: the node never recycles a request itself.
 // RequestDone fires once per admitted request, at the virtual instant
-// its final stage completes, after the node's own accounting;
-// RequestDropped fires instead when a crash voids the request. Either
-// way the object passes back to the delegate. A request OfferAt rejects
-// stays with the caller.
+// its final stage completes, after the node's own counters; whoever
+// resolves the request records its latency — Serve's recycler into the
+// system's recorder, the cluster on its front end — so a node joined to
+// a fleet keeps no latency samples. RequestDropped fires instead when a
+// crash voids the request. Either way the object passes back to the
+// delegate. A request OfferAt rejects stays with the caller.
 type StreamDelegate interface {
 	RequestDone(now sim.Time, r *coe.Request)
 	RequestDropped(now sim.Time, r *coe.Request)
@@ -697,6 +697,9 @@ func (s *System) StreamReport() (*Report, error) {
 		s.broken = fmt.Errorf("core: stream %q ended with %d of %d requests incomplete",
 			s.ctrl.stream, s.ctrl.admitted-s.ctrl.completed-s.ctrl.dropped, s.ctrl.admitted)
 		return nil, s.broken
+	}
+	if n := len(s.ctrl.tenants); n > math.MaxUint16 {
+		return nil, fmt.Errorf("core: stream %q has %d tenants, more than its %d latency tags", s.ctrl.stream, n, math.MaxUint16)
 	}
 	return s.report(s.ctrl.stream), nil
 }

@@ -28,6 +28,12 @@ type PoolStats struct {
 }
 
 // TenantStats is one tenant's slice of a multi-tenant stream report.
+// Admitted, Rejected and Completions are the node's plain counters.
+// Latency and SLOAttainment fold the one latency record the stream
+// keeps — the system's recorder when the system serves its own source,
+// where every sample carries its tenant; the front end's in a fleet
+// (cluster.Report.PerNode), over the completions the tenant resolved on
+// the node.
 type TenantStats struct {
 	Name     string
 	Admitted int64
@@ -36,8 +42,8 @@ type TenantStats struct {
 	Completions int64
 	// Latency summarizes the tenant's end-to-end latency in seconds.
 	Latency stats.Summary
-	// SLOAttainment is the fraction of the tenant's completions meeting
-	// the configured objective (1 when no SLO is configured).
+	// SLOAttainment is the fraction of the tenant's sampled completions
+	// meeting the configured objective (1 when no SLO is configured).
 	SLOAttainment float64
 }
 
@@ -84,7 +90,9 @@ type Report struct {
 	Latency stats.Summary
 	// LatencySketch is the stream's mergeable latency sketch — an
 	// independent clone, safe to hold across warm restarts. Nil in the
-	// default exact mode.
+	// default exact mode, and always nil for a node of a fleet: it keeps
+	// no latency records, and cluster.Report.PerNode folds its Latency
+	// from the front end's.
 	LatencySketch *stats.Sketch
 
 	// SLO echoes the configured per-request latency objective (0 when

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/coe"
 	"repro/internal/hw"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -267,6 +269,59 @@ func TestOpenStreamRefusesReentry(t *testing.T) {
 	}
 }
 
+// keepDelegate is a stream delegate that resolves requests outside the
+// node, as a fleet's front end does: it only recycles them.
+type keepDelegate struct{}
+
+func (keepDelegate) RequestDone(_ sim.Time, r *coe.Request)    { coe.Recycle(r) }
+func (keepDelegate) RequestDropped(_ sim.Time, r *coe.Request) { coe.Recycle(r) }
+
+// TestJoinedNodeKeepsNoSamples: a node whose delegate resolves its
+// requests elsewhere counts every completion, per tenant too, but keeps
+// no latency samples — the resolver records them — while the same
+// stream served by the node itself records each completion once.
+func TestJoinedNodeKeepsNoSamples(t *testing.T) {
+	board := boardFor(t, workload.BoardA())
+	mix := func() workload.Source {
+		a := poissonFor(t, "tenant-a", board, 4, 60, 5)
+		b := poissonFor(t, "tenant-b", board, 4, 60, 6)
+		src, err := workload.Mix{Name: "joined", Tenants: []workload.Source{a, b}}.NewSource()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+	s := buildSystem(t, hw.NUMADevice(), CoServe, board)
+	if err := s.JoinStream("joined", keepDelegate{}); err != nil {
+		t.Fatal(err)
+	}
+	workload.Play(s.Env(), mix(), func(now sim.Time, tr workload.TimedRequest) {
+		if !s.OfferAt(now, tr.Req) {
+			coe.Recycle(tr.Req)
+		}
+	}, func(sim.Time) { s.CloseStream() })
+	s.Env().Run()
+	joined, err := s.StreamReport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if joined.Completions != 120 || len(joined.PerTenant) != 2 || joined.PerTenant[0].Completions+joined.PerTenant[1].Completions != 120 {
+		t.Fatalf("joined node counted %d completions over %d tenants, want 120 over 2", joined.Completions, len(joined.PerTenant))
+	}
+	if n := s.recorder.LatencySummary().N; n != 0 || joined.Latency.N != 0 ||
+		joined.PerTenant[0].Latency.N != 0 || joined.PerTenant[1].Latency.N != 0 {
+		t.Errorf("joined node recorded %d latency samples", n)
+	}
+	own, err := s.Serve(mix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if own.Latency.N != 120 || own.PerTenant[0].Latency.N+own.PerTenant[1].Latency.N != 120 {
+		t.Errorf("self-served stream recorded %d samples, tenants %d+%d, want 120",
+			own.Latency.N, own.PerTenant[0].Latency.N, own.PerTenant[1].Latency.N)
+	}
+}
+
 // TestServeSLOAttainmentBounds pins the attainment extremes: a very lax
 // objective is fully attained, a sub-millisecond one is not (a chain
 // takes at least one execution latency).
@@ -328,8 +383,8 @@ func warmMixServe(t *testing.T, n int) func() {
 		if rep.Completions != int64(n) || len(rep.PerTenant) != 2 {
 			t.Fatalf("served %d completions over %d tenants, want %d over 2", rep.Completions, len(rep.PerTenant), n)
 		}
-		// Tenant recorders are reused across streams: each must start
-		// empty.
+		// The tenants' latency rows fold the system's one record, which
+		// a warm restart empties.
 		if a, b := rep.PerTenant[0], rep.PerTenant[1]; a.Admitted+b.Admitted != int64(n) || a.Latency.N+b.Latency.N != n {
 			t.Fatalf("tenants admitted %d+%d with %d+%d samples, want %d in all", a.Admitted, b.Admitted, a.Latency.N, b.Latency.N, n)
 		}
@@ -341,7 +396,7 @@ func warmMixServe(t *testing.T, n int) func() {
 // TestMixServeAllocsPin: every request of a two-tenant Mix is leased
 // from its tenant source's arena and recycled when its node is done, and
 // its tenant rides on the request, so a warm serve allocates per stream
-// (sources, tenant recorders, report), not per request.
+// (sources, tenant counters, report), not per request.
 func TestMixServeAllocsPin(t *testing.T) {
 	const n = 8000
 	perReq := testing.AllocsPerRun(1, warmMixServe(t, n)) / n
@@ -352,9 +407,10 @@ func TestMixServeAllocsPin(t *testing.T) {
 }
 
 // TestMixServeBytesPin: a warm exact-mode serve records nothing per
-// dispatch and reuses the sample blocks of the system's and its tenants'
-// recorders, so what it allocates per request is the summaries' flat
-// copies: one 8-byte sample each for the stream and for the tenant.
+// dispatch, records each completion once in the system's recorder,
+// tagged with its tenant, and reuses that recorder's sample blocks and
+// its one flat scratch copy for the stream's and the tenants'
+// summaries, so it allocates per stream, not per request.
 func TestMixServeBytesPin(t *testing.T) {
 	const n = 8000
 	serve := warmMixServe(t, n)
@@ -364,7 +420,7 @@ func TestMixServeBytesPin(t *testing.T) {
 	runtime.ReadMemStats(&m1)
 	perReq := float64(m1.TotalAlloc-m0.TotalAlloc) / n
 	t.Logf("%.1f bytes per request", perReq)
-	if perReq > 25 {
-		t.Errorf("warm mix serve allocates %.1f bytes per request, want <= 25", perReq)
+	if perReq > 5 {
+		t.Errorf("warm mix serve allocates %.1f bytes per request, want <= 5", perReq)
 	}
 }

@@ -5,6 +5,7 @@
 package metrics
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -38,13 +39,18 @@ func (w Window) MeanLatency() float64 {
 // sampleBlock is the size of one exact-mode latency block.
 const sampleBlock = 8192
 
-// Recorder accumulates the metrics of one task run. In the default exact
-// mode it keeps every latency sample, in insertion order, in fixed-size
-// blocks that are never copied: only the first block grows by append (so
-// a short stream allocates no more than a flat slice would), later blocks
+// Recorder accumulates the metrics of one task run. Completion counts a
+// finished request; Sample records its latency, once, with a small tag
+// naming the group it belongs to (a tenant, a serving node — the
+// caller's numbering), so one store answers for the whole population
+// and for every group (GroupLatency). In the default exact mode it keeps
+// every sample and its tag, in insertion order, in fixed-size blocks
+// that are never copied: only the first block grows by append (so a
+// short stream allocates no more than a flat slice would), later blocks
 // are allocated at full size, and Reset keeps them all for the next
 // stream. In sketch mode (UseSketch) samples stream into a fixed-size
-// sketch instead, making recorder memory O(1) in completions.
+// sketch for the whole population and one per group instead, making
+// recorder memory O(1) in completions.
 type Recorder struct {
 	arrivals    int64
 	completions int64
@@ -63,11 +69,21 @@ type Recorder struct {
 	haveOrigin bool
 	windows    []Window
 
-	// samples holds the exact per-request latencies in seconds: the
-	// i-th completion of a stream lands in block i/sampleBlock. It stays
-	// empty in sketch mode.
+	// sampled counts the stream's latency samples. In exact mode the
+	// i-th, in seconds, lands in samples block i/sampleBlock and its tag
+	// at the same place in tags; both stay empty in sketch mode, where
+	// sketch holds the whole population and groups[t] the samples
+	// tagged t.
+	sampled int64
 	samples [][]float64
+	tags    [][]uint16
 	sketch  *stats.Sketch
+	groups  []*stats.Sketch
+
+	// flat is the exact summaries' scratch copy of the samples, merged
+	// the sketch-mode group fold's; both are kept across streams.
+	flat   []float64
+	merged *stats.Sketch
 
 	// schedWall is real wall-clock time spent inside the timed
 	// scheduling decisions, schedTimed counts them, and schedOps counts
@@ -83,33 +99,55 @@ type Recorder struct {
 func NewRecorder() *Recorder { return &Recorder{} }
 
 // Reset zeroes the recorder for another stream while keeping the sample
-// blocks, so warm-restarted serving streams stop reallocating their
-// latency samples.
+// blocks and sketches, so warm-restarted serving streams stop
+// reallocating their latency records.
 func (r *Recorder) Reset() {
 	r.arrivals, r.completions, r.rejections, r.stages = 0, 0, 0, 0
 	r.firstArrival, r.lastCompletion = 0, 0
 	r.haveArrival = false
 	r.haveOrigin = false
 	r.windows = r.windows[:0]
+	r.sampled = 0
 	for i := range r.samples {
 		r.samples[i] = r.samples[i][:0]
+		r.tags[i] = r.tags[i][:0]
 	}
 	if r.sketch != nil {
 		r.sketch.Reset()
+	}
+	for _, g := range r.groups {
+		if g != nil {
+			g.Reset()
+		}
 	}
 	r.schedWall, r.schedTimed, r.schedOps = 0, 0, 0
 }
 
 // UseSketch switches the recorder to streaming-quantile mode: latency
-// samples feed a fixed-size mergeable stats.Sketch instead of the
-// store-every-sample buffer, so memory is O(1) in completions and
-// LatencySummary/SLOAttainment carry the sketch's documented accuracy
-// bound. The switch is one-way and survives Reset; enable it before the
-// first sample.
-func (r *Recorder) UseSketch() {
+// samples feed a fixed-size mergeable stats.Sketch for the whole
+// population and one per tag instead of the store-every-sample blocks,
+// so memory is O(1) in completions and the summaries carry the sketch's
+// documented accuracy bound. The sketches of tags below groups are
+// built now; a higher tag's at its first sample. The switch is one-way
+// and survives Reset; enable it before the first sample.
+func (r *Recorder) UseSketch(groups int) {
 	if r.sketch == nil {
 		r.sketch = stats.NewSketch()
 	}
+	for t := range groups {
+		r.group(uint16(t))
+	}
+}
+
+// group returns tag t's sketch, building it on first use.
+func (r *Recorder) group(t uint16) *stats.Sketch {
+	for int(t) >= len(r.groups) {
+		r.groups = append(r.groups, nil)
+	}
+	if r.groups[t] == nil {
+		r.groups[t] = stats.NewSketch()
+	}
+	return r.groups[t]
 }
 
 // Sketch returns the recorder's latency sketch (nil unless UseSketch
@@ -179,37 +217,45 @@ func (r *Recorder) Rejections() int64 { return r.rejections }
 // StageDone records the completion of one pipeline stage.
 func (r *Recorder) StageDone() { r.stages++ }
 
-// Completion records a request finishing its final stage at virtual time
-// t, having arrived at the given time.
+// Completion counts a request finishing its final stage at virtual time
+// t, having arrived at the given time: the completion count, the
+// makespan and the windowed series. Its latency sample is Sample's, and
+// is recorded only by whoever resolves the request.
 func (r *Recorder) Completion(arrival, t sim.Time) {
 	r.completions++
 	if t > r.lastCompletion {
 		r.lastCompletion = t
 	}
-	lat := t.Sub(arrival).Seconds()
-	if r.sketch != nil {
-		r.sketch.Add(lat)
-	} else {
-		r.addSample(lat)
-	}
 	if w := r.bucket(t); w != nil {
 		w.Completions++
-		w.LatencySum += lat
+		w.LatencySum += t.Sub(arrival).Seconds()
 	}
 }
 
-// addSample appends the stream's completions-th latency sample to its
-// block, making the block if no earlier stream did.
-func (r *Recorder) addSample(lat float64) {
-	i := int(r.completions-1) / sampleBlock
+// Sample records one request's latency lat, in seconds, in the group
+// tag names. In sketch mode the bucket key is computed once and bumps
+// both the whole-population sketch and the group's; in exact mode the
+// sample and its tag are appended to the current block, which is made
+// if no earlier stream did.
+func (r *Recorder) Sample(lat float64, tag uint16) {
+	r.sampled++
+	if r.sketch != nil {
+		k := stats.SketchKey(lat)
+		r.sketch.AddKeyed(lat, k)
+		r.group(tag).AddKeyed(lat, k)
+		return
+	}
+	i := int(r.sampled-1) / sampleBlock
 	if i == len(r.samples) {
 		var b []float64
+		var tb []uint16
 		if i > 0 {
-			b = make([]float64, 0, sampleBlock)
+			b, tb = make([]float64, 0, sampleBlock), make([]uint16, 0, sampleBlock)
 		}
-		r.samples = append(r.samples, b)
+		r.samples, r.tags = append(r.samples, b), append(r.tags, tb)
 	}
 	r.samples[i] = append(r.samples[i], lat)
+	r.tags[i] = append(r.tags[i], tag)
 }
 
 // SchedOp records one timed scheduling decision that took duration d.
@@ -250,26 +296,27 @@ func (r *Recorder) Throughput() float64 {
 	return float64(r.completions) / mk
 }
 
-// LatencySummary summarizes per-request end-to-end latency in seconds,
-// including the p50/p95/p99 tail percentiles serving reports quote.
-// Exact in the default mode; within the sketch's accuracy bound in
-// sketch mode (N, Mean, Std, Min, Max stay exact either way). The exact
-// mode gathers the blocks into one flat copy, in insertion order, and
-// summarizes that copy in place.
+// LatencySummary summarizes the sampled per-request latencies in
+// seconds, including the p50/p95/p99 tail percentiles serving reports
+// quote. Exact in the default mode; within the sketch's accuracy bound
+// in sketch mode (N, Mean, Std, Min, Max stay exact either way). The
+// exact mode gathers the blocks into the recorder's flat scratch copy,
+// in insertion order, and summarizes that copy in place.
 func (r *Recorder) LatencySummary() stats.Summary {
 	if r.sketch != nil {
 		return r.sketch.Summary()
 	}
-	flat := make([]float64, 0, r.completions)
+	flat := slices.Grow(r.flat[:0], int(r.sampled))
 	for _, b := range r.samples {
 		flat = append(flat, b...)
 	}
+	r.flat = flat
 	return stats.SummarizeInPlace(flat)
 }
 
-// SLOAttainment reports the fraction of completed requests whose
-// end-to-end latency met the objective. It returns 0 when nothing
-// completed and 1 under a non-positive (disabled) objective — an
+// SLOAttainment reports the fraction of sampled requests whose
+// end-to-end latency met the objective. It returns 0 when nothing was
+// sampled and 1 under a non-positive (disabled) objective — an
 // unconstrained run trivially attains its SLO.
 func (r *Recorder) SLOAttainment(slo time.Duration) float64 {
 	limit := slo.Seconds()
@@ -279,7 +326,7 @@ func (r *Recorder) SLOAttainment(slo time.Duration) float64 {
 	if limit <= 0 {
 		return 1
 	}
-	if r.completions == 0 {
+	if r.sampled == 0 {
 		return 0
 	}
 	met := 0
@@ -290,7 +337,76 @@ func (r *Recorder) SLOAttainment(slo time.Duration) float64 {
 			}
 		}
 	}
-	return float64(met) / float64(r.completions)
+	return float64(met) / float64(r.sampled)
+}
+
+// Latency is one population's latency view: its summary and the
+// fraction of it that met an objective.
+type Latency struct {
+	Summary       stats.Summary
+	SLOAttainment float64
+}
+
+// GroupLatency folds the stream's latency samples into classes: a
+// sample tagged t belongs to class classOf[t] (class t when classOf is
+// nil), classOf must cover every tag recorded or built by UseSketch,
+// and out[k] summarizes class k and scores it against slo(k). In exact
+// mode a class's view is, bit for bit, what stats.Summarize and
+// stats.Attainment give over its samples in recording order: the
+// samples are scattered into the recorder's one flat scratch copy,
+// partitioned by class with recording order kept inside each class, and
+// each segment is summarized in place. Sketch mode merges the class's
+// group sketches (one tag's class reads its sketch exactly).
+func (r *Recorder) GroupLatency(classes int, classOf []int, slo func(class int) time.Duration) []Latency {
+	class := func(t uint16) int {
+		if classOf == nil {
+			return int(t)
+		}
+		return classOf[t]
+	}
+	out := make([]Latency, classes)
+	if r.sketch != nil {
+		if r.merged == nil {
+			r.merged = stats.NewSketch()
+		}
+		for k := range out {
+			r.merged.Reset()
+			for t, g := range r.groups {
+				if g != nil && class(uint16(t)) == k {
+					r.merged.Merge(g)
+				}
+			}
+			out[k] = Latency{r.merged.Summary(), r.merged.Attainment(slo(k).Seconds())}
+		}
+		return out
+	}
+	// bounds[k]..bounds[k+1] is class k's segment of flat; next[k] is
+	// where its next sample goes.
+	bounds := make([]int, classes+1)
+	for _, tb := range r.tags {
+		for _, t := range tb {
+			bounds[class(t)+1]++
+		}
+	}
+	for k := range classes {
+		bounds[k+1] += bounds[k]
+	}
+	next := append([]int(nil), bounds[:classes]...)
+	flat := slices.Grow(r.flat[:0], int(r.sampled))[:r.sampled]
+	for i, b := range r.samples {
+		for j, x := range b {
+			k := class(r.tags[i][j])
+			flat[next[k]] = x
+			next[k]++
+		}
+	}
+	r.flat = flat
+	for k := range out {
+		seg := flat[bounds[k]:bounds[k+1]]
+		met := stats.Attainment(seg, slo(k).Seconds())
+		out[k] = Latency{stats.SummarizeInPlace(seg), met}
+	}
+	return out
 }
 
 // SchedPerOp reports the mean wall-clock cost of one scheduling

@@ -9,6 +9,13 @@ import (
 	"repro/internal/stats"
 )
 
+// complete records a completion and its latency sample, tagged tag —
+// what a request's resolver does.
+func complete(r *Recorder, arrival, done sim.Time, tag uint16) {
+	r.Completion(arrival, done)
+	r.Sample(done.Sub(arrival).Seconds(), tag)
+}
+
 // samplesOf returns the recorder's exact samples in insertion order.
 func samplesOf(r *Recorder) []float64 {
 	var out []float64
@@ -31,8 +38,8 @@ func TestThroughputAndMakespan(t *testing.T) {
 	r := NewRecorder()
 	r.Arrival(sim.Time(time.Second))
 	r.Arrival(sim.Time(2 * time.Second))
-	r.Completion(sim.Time(time.Second), sim.Time(3*time.Second))
-	r.Completion(sim.Time(2*time.Second), sim.Time(5*time.Second))
+	complete(r, sim.Time(time.Second), sim.Time(3*time.Second), 0)
+	complete(r, sim.Time(2*time.Second), sim.Time(5*time.Second), 0)
 	if r.Arrivals() != 2 || r.Completions() != 2 {
 		t.Fatalf("arrivals/completions = %d/%d", r.Arrivals(), r.Completions())
 	}
@@ -92,7 +99,7 @@ func TestLatencySummaryPercentiles(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		arr := sim.Time(0)
 		r.Arrival(arr)
-		r.Completion(arr, arr.Add(time.Duration(i)*10*time.Millisecond))
+		complete(r, arr, arr.Add(time.Duration(i)*10*time.Millisecond), 0)
 	}
 	s := r.LatencySummary()
 	if s.N != 100 {
@@ -114,7 +121,7 @@ func TestSLOAttainment(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		arr := sim.Time(0)
 		r.Arrival(arr)
-		r.Completion(arr, arr.Add(time.Duration(i)*100*time.Millisecond))
+		complete(r, arr, arr.Add(time.Duration(i)*100*time.Millisecond), 0)
 	}
 	// Latencies are 0.1s..1.0s; an SLO of 0.5s admits exactly half.
 	if got := r.SLOAttainment(500 * time.Millisecond); got != 0.5 {
@@ -148,20 +155,20 @@ func TestResetKeepsSampleCapacity(t *testing.T) {
 		at := sim.Time(i) * sim.Time(time.Millisecond)
 		r.Arrival(at)
 		r.StageDone()
-		r.Completion(at, at.Add(50*time.Millisecond))
+		complete(r, at, at.Add(50*time.Millisecond), uint16(i%3))
 	}
 	r.SchedOp(3 * time.Microsecond)
 	grown := sampleCap(r)
-	if grown < n || len(r.samples) != 2 {
-		t.Fatalf("latency blocks = %d with cap %d, want 2 with cap >= %d", len(r.samples), grown, n)
+	if grown < n || len(r.samples) != 2 || len(r.tags) != 2 || cap(r.tags[1]) != sampleBlock {
+		t.Fatalf("latency blocks = %d with cap %d (%d tag blocks), want 2 with cap >= %d", len(r.samples), grown, len(r.tags), n)
 	}
 	r.Reset()
 	if r.Arrivals() != 0 || r.Completions() != 0 || r.Stages() != 0 ||
 		r.SchedOps() != 0 || r.SchedWall() != 0 || r.Makespan() != 0 {
 		t.Errorf("Reset left counters: %+v", r)
 	}
-	if got := len(samplesOf(r)); got != 0 {
-		t.Errorf("Reset left %d latency samples", got)
+	if got := len(samplesOf(r)); got != 0 || len(r.tags[0])+len(r.tags[1]) != 0 {
+		t.Errorf("Reset left %d latency samples and %d tags", got, len(r.tags[0])+len(r.tags[1]))
 	}
 	if got := sampleCap(r); got != grown {
 		t.Errorf("Reset dropped sample capacity: %d -> %d", grown, got)
@@ -171,7 +178,7 @@ func TestResetKeepsSampleCapacity(t *testing.T) {
 		for i := 0; i < n; i++ {
 			at := sim.Time(i) * sim.Time(time.Millisecond)
 			r.Arrival(at)
-			r.Completion(at, at.Add(50*time.Millisecond))
+			complete(r, at, at.Add(50*time.Millisecond), uint16(i%3))
 		}
 		r.Reset()
 	}); allocs > 0 {
@@ -179,7 +186,7 @@ func TestResetKeepsSampleCapacity(t *testing.T) {
 	}
 	// And the recorder still records correctly after Reset.
 	r.Arrival(0)
-	r.Completion(0, sim.Time(time.Second))
+	complete(r, 0, sim.Time(time.Second), 0)
 	if got := r.LatencySummary(); got.N != 1 || got.Mean != 1 {
 		t.Errorf("post-Reset summary = %+v", got)
 	}
@@ -194,7 +201,7 @@ func TestSampleBlocksMatchFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	warm := NewRecorder()
 	for i := 0; i < 5*sampleBlock; i++ {
-		warm.Completion(0, sim.Time(time.Second))
+		complete(warm, 0, sim.Time(time.Second), 0)
 	}
 	for _, pass := range []string{"fresh", "reset"} {
 		for _, n := range []int{0, 1, sampleBlock - 1, sampleBlock, sampleBlock + 1, 3*sampleBlock + 7} {
@@ -210,7 +217,7 @@ func TestSampleBlocksMatchFlat(t *testing.T) {
 				lat := time.Duration(rng.ExpFloat64() * float64(rng.Intn(1000)+1) * float64(time.Millisecond))
 				at := sim.Time(i) * sim.Time(time.Millisecond)
 				r.Arrival(at)
-				r.Completion(at, at.Add(lat))
+				complete(r, at, at.Add(lat), 0)
 				flat = append(flat, at.Add(lat).Sub(at).Seconds())
 			}
 			if got, want := r.LatencySummary(), stats.Summarize(flat); got != want {
@@ -267,7 +274,7 @@ func TestResetKeepsWindowCapacity(t *testing.T) {
 // stream through — the O(1)-in-completions property.
 func TestRecorderSketchMode(t *testing.T) {
 	exact, sk := NewRecorder(), NewRecorder()
-	sk.UseSketch()
+	sk.UseSketch(1)
 	if sk.Sketch() == nil {
 		t.Fatal("UseSketch did not install a sketch")
 	}
@@ -275,11 +282,11 @@ func TestRecorderSketchMode(t *testing.T) {
 		at := sim.Time(i) * sim.Time(time.Millisecond)
 		done := at.Add(time.Duration(i) * time.Millisecond)
 		exact.Arrival(at)
-		exact.Completion(at, done)
+		complete(exact, at, done, 0)
 		sk.Arrival(at)
-		sk.Completion(at, done)
+		complete(sk, at, done, 0)
 	}
-	if len(sk.samples) != 0 {
+	if len(sk.samples) != 0 || len(sk.tags) != 0 {
 		t.Fatalf("sketch mode retained %d sample blocks, want none", len(sk.samples))
 	}
 	es, ss := exact.LatencySummary(), sk.LatencySummary()
@@ -305,7 +312,7 @@ func TestRecorderSketchMode(t *testing.T) {
 		for i := 1; i <= 1000; i++ {
 			at := sim.Time(i) * sim.Time(time.Millisecond)
 			sk.Arrival(at)
-			sk.Completion(at, at.Add(time.Duration(i)*time.Millisecond))
+			complete(sk, at, at.Add(time.Duration(i)*time.Millisecond), 0)
 		}
 		sk.Reset()
 	}); allocs > 0 {

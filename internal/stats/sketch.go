@@ -58,20 +58,29 @@ func NewSketch() *Sketch {
 // target rank.
 func (s *Sketch) RelativeAccuracy() float64 { return sketchAlpha }
 
-// key maps a value x > sketchMin to its bucket index.
-func (s *Sketch) key(x float64) int {
+// SketchKey returns the bucket every Sketch files x under, or -1 for
+// the underflow bucket (x at or below 1e-9, zero included). Computing
+// it once lets one observation feed several sketches (AddKeyed) for one
+// logarithm.
+func SketchKey(x float64) int {
+	if !(x > sketchMin) {
+		return -1
+	}
 	k := int(math.Ceil(math.Log(x/sketchMin) * sketchInvLogGamma))
 	if k < 0 {
 		k = 0
 	}
-	if k >= len(s.buckets) {
-		k = len(s.buckets) - 1
+	if k >= sketchBuckets {
+		k = sketchBuckets - 1
 	}
 	return k
 }
 
 // Add records one observation.
-func (s *Sketch) Add(x float64) {
+func (s *Sketch) Add(x float64) { s.AddKeyed(x, SketchKey(x)) }
+
+// AddKeyed records one observation x whose SketchKey is k.
+func (s *Sketch) AddKeyed(x float64, k int) {
 	s.count++
 	s.sum += x
 	s.sumSq += x * x
@@ -81,11 +90,11 @@ func (s *Sketch) Add(x float64) {
 	if s.count == 1 || x > s.max {
 		s.max = x
 	}
-	if !(x > sketchMin) {
+	if k < 0 {
 		s.underflow++
 		return
 	}
-	s.buckets[s.key(x)]++
+	s.buckets[k]++
 }
 
 // Merge folds o into s. Bucket counts, count, min, and max merge
@@ -238,7 +247,7 @@ func (s *Sketch) Attainment(limit float64) float64 {
 	}
 	met := s.underflow
 	if limit > sketchMin {
-		top := s.key(limit)
+		top := SketchKey(limit)
 		for k := 0; k <= top; k++ {
 			met += s.buckets[k]
 		}
