@@ -24,6 +24,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/profiler"
 	"repro/internal/runner"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -145,7 +146,7 @@ type Context struct {
 	par    *runner.Pool
 	boards runner.Memo[string, *workload.Board]
 	perf   runner.Memo[string, model.PerfMatrix]
-	grid   runner.Memo[gridKey, *core.Report]
+	grid   runner.Memo[gridKey, gridRun]
 	best   runner.Memo[string, bestChoice]
 	sweeps runner.Memo[string, [][]profiler.BatchPoint]
 }
@@ -223,17 +224,43 @@ func sampleTask(b *workload.Board) workload.Task {
 // Each execution builds its own System and simulation environment, so
 // distinct keys may run concurrently.
 func (c *Context) run(dev *hw.Device, v core.Variant, task workload.Task, useBest bool) (*core.Report, error) {
+	g, err := c.gridRun(dev, v, task, useBest)
+	return g.rep, err
+}
+
+// gridRun is one memoized grid run: its report and, for a CoServe run
+// on the casual layout, the assignment sequence its trace recorded
+// (core.TracedPicks), which Figure 19 replays.
+type gridRun struct {
+	rep   *core.Report
+	picks []int
+}
+
+// gridRun runs (and memoizes) one grid cell. CoServe's casual runs are
+// traced — tracing is passive, so their reports are unchanged — and
+// keep their picks, so Figure 19 replays them without serving them a
+// second time.
+func (c *Context) gridRun(dev *hw.Device, v core.Variant, task workload.Task, useBest bool) (gridRun, error) {
 	key := gridKey{dev: dev.Name, variant: v, task: task.Name + "/" + task.Board.Spec.Name, best: useBest}
-	return c.grid.Do(key, func() (*core.Report, error) {
+	return c.grid.Do(key, func() (gridRun, error) {
 		cfg, err := c.configFor(dev, v, task.Board, useBest)
 		if err != nil {
-			return nil, err
+			return gridRun{}, err
+		}
+		traced := v == core.CoServe && !useBest
+		if traced {
+			cfg.Trace = trace.New()
 		}
 		sys, err := core.NewSystem(cfg, task.Board.Model)
 		if err != nil {
-			return nil, err
+			return gridRun{}, err
 		}
-		return sys.RunTask(task)
+		rep, err := sys.RunTask(task)
+		if err != nil || !traced {
+			return gridRun{rep: rep}, err
+		}
+		picks, err := core.TracedPicks(cfg.Trace, sys.Queues())
+		return gridRun{rep: rep, picks: picks}, err
 	})
 }
 

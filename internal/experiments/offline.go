@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/runner"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -110,7 +109,8 @@ func Figure18(ctx *Context) (*Table, error) {
 // scheduling decision vs the virtual per-stage inference latency, and
 // the pre-scheduled control run that executes the same order with zero
 // online scheduling. Each (device, task) pair is one job; within a job
-// the replay run necessarily follows the online run it replays.
+// the replay run necessarily follows the online run it replays, which
+// is the shared grid's traced CoServe run.
 func Figure19(ctx *Context) (*Table, error) {
 	t := &Table{
 		ID:      "fig19",
@@ -139,25 +139,16 @@ func Figure19(ctx *Context) (*Table, error) {
 		}
 	}
 	rows, err := runner.Sweep(ctx.par, jobs, func(_ int, j rowJob) ([]string, error) {
-		// The online run is traced (tracing is passive) so its
-		// assignment sequence can be replayed.
+		run, err := ctx.gridRun(j.dev, core.CoServe, j.task, false)
+		if err != nil {
+			return nil, err
+		}
+		online := run.rep
 		cfg, err := ctx.configFor(j.dev, core.CoServe, j.task.Board, false)
 		if err != nil {
 			return nil, err
 		}
-		cfg.Trace = trace.New()
-		onlineSys, err := core.NewSystem(cfg, j.task.Board.Model)
-		if err != nil {
-			return nil, err
-		}
-		online, err := onlineSys.RunTask(j.task)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.PreschedPicks, err = core.TracedPicks(cfg.Trace, onlineSys.Queues()); err != nil {
-			return nil, err
-		}
-		cfg.Trace = nil
+		cfg.PreschedPicks = run.picks
 		sys, err := core.NewSystem(cfg, j.task.Board.Model)
 		if err != nil {
 			return nil, err

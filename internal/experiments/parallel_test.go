@@ -125,6 +125,43 @@ func TestContextSharedAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestFigure19ReplaysGridRuns: Figure 19's online runs are the shared
+// grid's CoServe casual runs, traced, so a full experiment run serves
+// each (device, task) pair once. On a fresh context fig19 fills exactly
+// those grid cells, each with one replayable pick per online
+// scheduling decision.
+func TestFigure19ReplaysGridRuns(t *testing.T) {
+	ctx := NewContext()
+	if _, err := RunAll(ctx, []string{"fig19"}); err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := ctx.tasks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Read before the lookups below, which would fill missing cells.
+	cells := ctx.grid.Len()
+	want := 0
+	for _, dev := range devices() {
+		for _, task := range tasks {
+			if task.Name != "A2" && task.Name != "B2" {
+				continue
+			}
+			want++
+			g, err := ctx.gridRun(dev, core.CoServe, task, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(g.picks) == 0 || int64(len(g.picks)) != g.rep.SchedOps {
+				t.Errorf("%s/%s: %d picks for %d scheduling decisions", dev.Name, task.Name, len(g.picks), g.rep.SchedOps)
+			}
+		}
+	}
+	if cells != want {
+		t.Errorf("fig19 left %d grid runs, want its %d online runs", cells, want)
+	}
+}
+
 // TestRenderDashesUseRuneCount pins the header-underline width fix:
 // non-ASCII column names must be underlined by their rune count, not
 // their byte length.
