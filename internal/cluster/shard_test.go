@@ -108,11 +108,11 @@ func TestShardedGrayfailDeterministicAcrossShardCounts(t *testing.T) {
 	serveTwice(t, interconnectConfig(t, plan, grayHealth, HedgeConfig{After: time.Second}), 8, 120, 20260807)
 }
 
-// TestShardedExactlyOnceUnderChaos asserts the accounting contract
+// TestInterconnectExactlyOnceUnderChaos asserts the accounting contract
 // over an interconnect directly: every arrival resolves exactly once
 // even with crashes racing completion acks across the interconnect,
 // and redelivery covers every voided lease.
-func TestShardedExactlyOnceUnderChaos(t *testing.T) {
+func TestInterconnectExactlyOnceUnderChaos(t *testing.T) {
 	plan := &sim.FaultPlan{Events: []sim.FaultEvent{
 		{At: time.Second, Node: 1, Kind: sim.FaultCrash},
 		{At: 2 * time.Second, Node: 1, Kind: sim.FaultRecover},
@@ -136,13 +136,13 @@ func TestShardedExactlyOnceUnderChaos(t *testing.T) {
 	}
 }
 
-// TestShardedReopenDeterministic pins warm restarts over an
+// TestInterconnectReopenDeterministic pins warm restarts over an
 // interconnect: consecutive Serve calls reopen the environment, hedge
 // timers and leases from the first stream never leak into the second,
 // and a second fleet
 // — with the deprecated Shards field set — serves both streams
 // identically.
-func TestShardedReopenDeterministic(t *testing.T) {
+func TestInterconnectReopenDeterministic(t *testing.T) {
 	plan := &sim.FaultPlan{Events: []sim.FaultEvent{
 		{At: time.Second, Node: 1, Kind: sim.FaultCrash},
 		{At: 2 * time.Second, Node: 1, Kind: sim.FaultRecover},
@@ -263,12 +263,12 @@ func TestInterconnectLatencyShowsUp(t *testing.T) {
 	}
 }
 
-// TestShardedCrashWithAcceptOnTheWire: a node that admits a request and
+// TestCrashWithAcceptOnTheWire: a node that admits a request and
 // crashes before its accept fold reaches the front end has already
 // purged the request, so the lease the fold opens must be voided and
 // redelivered on landing — not left open forever waiting for an ack the
 // dead node will never send.
-func TestShardedCrashWithAcceptOnTheWire(t *testing.T) {
+func TestCrashWithAcceptOnTheWire(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
 	src := func() workload.Source { return poissonFor(t, board, 20, 40, 5) }
 	first, _ := src().Next()
