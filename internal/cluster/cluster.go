@@ -169,8 +169,8 @@ type Cluster struct {
 	nodes     []*Node
 
 	// recorder is the fleet's one latency record: the front end samples
-	// each completion once, when it resolves its lease, tagged by tag.
-	// tagNode maps every tag to the node that served it: tag i below
+	// each completion once, when it resolves its lease, under the tag
+	// tag returns. tagNode maps every tag to the node that served it: tag i below
 	// the fleet size is node i's completions without a tenant; the
 	// higher tags are (node, tenant) pairs, assigned in pairTags at a
 	// pair's first completion and kept across streams. tagsFull records

@@ -306,11 +306,10 @@ func (c *Cluster) bounceFold(now sim.Time, h *hold, hedge bool, r *coe.Request) 
 // completion — the request's one latency sample, spanning first node
 // admission to this fold, return hop included, tagged with the serving
 // node and tenant — and turns any other held copy into a hedge-race
-// loser. A loser's
-// completion counts as hedge waste; a copy a crash already killed — on
-// an interconnect its completion can cross the crash on the wire,
-// after the lease was voided — counts as a duplicate ack, never as a
-// completion.
+// loser. A loser's completion counts as hedge waste; a copy a crash
+// already killed — on an interconnect its completion can cross the
+// crash on the wire, after the lease was voided — counts as a
+// duplicate ack, never as a completion.
 func (c *Cluster) completionFold(now sim.Time, h *hold, r *coe.Request) {
 	cs := c.chaos
 	c.unlink(h)

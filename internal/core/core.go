@@ -285,7 +285,7 @@ func NewSystemInEnv(cfg Config, m *coe.Model, env *sim.Env) (*System, error) {
 
 	s.recorder.SetWindow(cfg.Window)
 	if cfg.Percentiles == PercentilesSketch {
-		s.recorder.UseSketch(1)
+		s.recorder.UseSketch(1) // tag 0: requests without a tenant
 	}
 	s.setActive(cfg.GPUExecutors, cfg.CPUExecutors)
 	s.initializeExperts()

@@ -246,13 +246,13 @@ func TestServeRejectsForeignModelStream(t *testing.T) {
 func TestOpenStreamRefusesReentry(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
 	s := buildSystem(t, hw.NUMADevice(), CoServe, board)
-	if err := s.JoinStream("open", recycler{}); err != nil {
+	if err := s.JoinStream("open", recycler{s}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Serve(poissonFor(t, "reentrant", board, 50, 10, 3)); err == nil {
 		t.Error("Serve accepted while a stream was open")
 	}
-	if err := s.JoinStream("again", recycler{}); err == nil {
+	if err := s.JoinStream("again", recycler{s}); err == nil {
 		t.Error("JoinStream accepted while a stream was open")
 	}
 	s.CloseStream()

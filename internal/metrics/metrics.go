@@ -80,10 +80,9 @@ type Recorder struct {
 	sketch  *stats.Sketch
 	groups  []*stats.Sketch
 
-	// flat is the exact summaries' scratch copy of the samples, merged
-	// the sketch-mode group fold's; both are kept across streams.
-	flat   []float64
-	merged *stats.Sketch
+	// flat is the exact summaries' scratch copy of the samples, kept
+	// across streams.
+	flat []float64
 
 	// schedWall is real wall-clock time spent inside the timed
 	// scheduling decisions, schedTimed counts them, and schedOps counts
@@ -366,17 +365,15 @@ func (r *Recorder) GroupLatency(classes int, classOf []int, slo func(class int) 
 	}
 	out := make([]Latency, classes)
 	if r.sketch != nil {
-		if r.merged == nil {
-			r.merged = stats.NewSketch()
-		}
+		merged := stats.NewSketch()
 		for k := range out {
-			r.merged.Reset()
+			merged.Reset()
 			for t, g := range r.groups {
 				if g != nil && class(uint16(t)) == k {
-					r.merged.Merge(g)
+					merged.Merge(g)
 				}
 			}
-			out[k] = Latency{r.merged.Summary(), r.merged.Attainment(slo(k).Seconds())}
+			out[k] = Latency{merged.Summary(), merged.Attainment(slo(k).Seconds())}
 		}
 		return out
 	}
