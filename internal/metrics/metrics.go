@@ -232,16 +232,14 @@ func (r *Recorder) Completion(arrival, t sim.Time) {
 }
 
 // Sample records one request's latency lat, in seconds, in the group
-// tag names. In sketch mode the bucket key is computed once and bumps
-// both the whole-population sketch and the group's; in exact mode the
-// sample and its tag are appended to the current block, which is made
-// if no earlier stream did.
+// tag names. In sketch mode one bucket key feeds both the
+// whole-population sketch and the group's; in exact mode the sample and
+// its tag are appended to the current block, which is made if no
+// earlier stream did.
 func (r *Recorder) Sample(lat float64, tag uint16) {
 	r.sampled++
 	if r.sketch != nil {
-		k := stats.SketchKey(lat)
-		r.sketch.AddKeyed(lat, k)
-		r.group(tag).AddKeyed(lat, k)
+		stats.Observe(lat, r.sketch, r.group(tag))
 		return
 	}
 	i := int(r.sampled-1) / sampleBlock

@@ -58,11 +58,9 @@ func NewSketch() *Sketch {
 // target rank.
 func (s *Sketch) RelativeAccuracy() float64 { return sketchAlpha }
 
-// SketchKey returns the bucket every Sketch files x under, or -1 for
-// the underflow bucket (x at or below 1e-9, zero included). Computing
-// it once lets one observation feed several sketches (AddKeyed) for one
-// logarithm.
-func SketchKey(x float64) int {
+// key returns the bucket every Sketch files x under, or -1 for the
+// underflow bucket (x at or below 1e-9, zero included).
+func key(x float64) int {
 	if !(x > sketchMin) {
 		return -1
 	}
@@ -77,10 +75,19 @@ func SketchKey(x float64) int {
 }
 
 // Add records one observation.
-func (s *Sketch) Add(x float64) { s.AddKeyed(x, SketchKey(x)) }
+func (s *Sketch) Add(x float64) { s.add(x, key(x)) }
 
-// AddKeyed records one observation x whose SketchKey is k.
-func (s *Sketch) AddKeyed(x float64, k int) {
+// Observe records one observation in each of the sketches, computing
+// its bucket once: one logarithm however many sketches it feeds.
+func Observe(x float64, sketches ...*Sketch) {
+	k := key(x)
+	for _, s := range sketches {
+		s.add(x, k)
+	}
+}
+
+// add records one observation x whose key is k.
+func (s *Sketch) add(x float64, k int) {
 	s.count++
 	s.sum += x
 	s.sumSq += x * x
@@ -247,7 +254,7 @@ func (s *Sketch) Attainment(limit float64) float64 {
 	}
 	met := s.underflow
 	if limit > sketchMin {
-		top := SketchKey(limit)
+		top := key(limit)
 		for k := 0; k <= top; k++ {
 			met += s.buckets[k]
 		}

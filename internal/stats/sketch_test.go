@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -298,5 +299,21 @@ func TestSketchAddDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Sketch.Add allocates %v per op, want 0", allocs)
+	}
+}
+
+// TestObserveMatchesAdd: Observe feeds every sketch exactly what Add
+// would, from one bucket key, without allocating.
+func TestObserveMatchesAdd(t *testing.T) {
+	a, b, ref := NewSketch(), NewSketch(), NewSketch()
+	for i, x := range []float64{0, 1e-12, 1e-9, 2e-9, 0.003, 0.5, 1, 42, 1e9, 1e12} {
+		Observe(x, a, b)
+		ref.Add(x)
+		if !reflect.DeepEqual(a, ref) || !reflect.DeepEqual(b, ref) {
+			t.Fatalf("after %d observations: %v and %v, want %v", i+1, sketchFingerprint(a), sketchFingerprint(b), sketchFingerprint(ref))
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Observe(0.25, a, b) }); allocs != 0 {
+		t.Errorf("Observe allocated %.1f objects, want 0", allocs)
 	}
 }
