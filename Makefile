@@ -83,12 +83,12 @@ bench-cluster:
 	$(GO) test -bench BenchmarkClusterServe -benchtime 20x -run '^$$' . | $(GO) run ./cmd/benchguard -baseline BENCH_cluster.json
 
 # bench-fleet reproduces (and gates) the BENCH_fleet.json measurement:
-# the 100-node / 1M-request fleet hot path in sketch + arena mode. The
-# guard fails if allocs/op or bytes/op regress past the recorded
-# baseline; after an intentional change, paste the new numbers into
-# BENCH_fleet.json.
+# the 100-node / 1M-request fleet hot path in sketch + arena mode, and
+# the same fleet's set-up alone (BenchmarkFleetBuild). The guard fails
+# if allocs/op or bytes/op regress past the recorded baseline; after an
+# intentional change, paste the new numbers into BENCH_fleet.json.
 bench-fleet:
-	$(GO) test -bench BenchmarkFleetServe -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchguard -baseline BENCH_fleet.json
+	$(GO) test -bench 'BenchmarkFleetServe|BenchmarkFleetBuild' -benchtime 1x -run '^$$' . | $(GO) run ./cmd/benchguard -baseline BENCH_fleet.json
 
 # bench-chaos reproduces (and gates) the BENCH_chaos.json measurement:
 # the fault-injected serving path — fail-stop crash/redeliver and the

@@ -440,22 +440,19 @@ func BenchmarkProfiledMatrix(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetServe measures the fleet-scale hot path: a 100-node
-// CoServe cluster in sketch-percentile mode serving an arena-backed
-// Steady stream — every O(stream-length) data structure replaced by its
-// O(1) counterpart. The two sub-benchmarks
-// differ only in stream length (100k vs 1M requests at the same
-// offered rate); because completions recycle their requests, drained
-// scheduler groups recycle, and the sketch is fixed-size, memory grows
-// far sublinearly across the 10× (construction dominates; what scales
-// is per-expert-switch eviction bookkeeping, ~4 B/request). Those
-// absolute numbers are the regression gate pinned in BENCH_fleet.json
-// (`make bench-fleet` regenerates and checks it).
-func BenchmarkFleetServe(b *testing.B) {
-	const (
-		fleetNodes = 100
-		fleetRate  = 600.0 // ~72% of the fleet's measured capacity: loaded, not backlogged
-	)
+// fleetNodes and fleetRate size the fleet benchmarks: 100 nodes offered
+// 600 req/s, ~72% of the fleet's measured capacity (loaded, not
+// backlogged).
+const (
+	fleetNodes = 100
+	fleetRate  = 600.0
+)
+
+// fleetBench profiles the NUMA device once and returns board A with
+// the config of the 100-node CoServe fleet the fleet benchmarks build:
+// sketch percentiles, the affinity router and usage-proportional
+// placement.
+func fleetBench(b *testing.B) (*workload.Board, coserve.ClusterConfig) {
 	dev := hw.NUMADevice()
 	board, err := workload.BoardA().Build()
 	if err != nil {
@@ -473,17 +470,55 @@ func BenchmarkFleetServe(b *testing.B) {
 		SLO:         500 * time.Millisecond,
 		Percentiles: core.PercentilesSketch,
 	}
+	return board, coserve.ClusterConfig{
+		Nodes:       coserve.UniformNodes(fleetNodes, node),
+		Router:      cluster.Affinity{},
+		Placement:   cluster.UsageProportional{},
+		SLO:         node.SLO,
+		Percentiles: core.PercentilesSketch,
+	}
+}
+
+// BenchmarkFleetBuild measures fleet set-up alone: coserve.NewCluster
+// for the 100-node usage-placement fleet BenchmarkFleetServe serves —
+// the usage-proportional plan (§4.4 capacity planning across the
+// fleet), then each node's construction and §4.1 expert preload. The
+// device is profiled once, outside the loop. Baseline in
+// BENCH_fleet.json (`make bench-fleet`).
+func BenchmarkFleetBuild(b *testing.B) {
+	board, cfg := fleetBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cl, err := coserve.NewCluster(cfg, board.Model)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(cl.Nodes()) != fleetNodes {
+			b.Fatalf("built %d nodes, want %d", len(cl.Nodes()), fleetNodes)
+		}
+	}
+}
+
+// BenchmarkFleetServe measures the fleet-scale hot path: a 100-node
+// CoServe cluster in sketch-percentile mode serving an arena-backed
+// Steady stream — every O(stream-length) data structure replaced by its
+// O(1) counterpart. The two sub-benchmarks
+// differ only in stream length (100k vs 1M requests at the same
+// offered rate); because completions recycle their requests, drained
+// scheduler groups recycle, and the sketch is fixed-size, memory grows
+// far sublinearly across the 10× (construction dominates; what scales
+// is per-expert-switch eviction bookkeeping, ~4 B/request). Those
+// absolute numbers are the regression gate pinned in BENCH_fleet.json
+// (`make bench-fleet` regenerates and checks it).
+func BenchmarkFleetServe(b *testing.B) {
+	board, base := fleetBench(b)
 	run := func(b *testing.B, requests int, ic coserve.Interconnect) {
 		b.ReportAllocs()
+		cfg := base
+		cfg.Interconnect = ic
 		for i := 0; i < b.N; i++ {
-			cl, err := coserve.NewCluster(coserve.ClusterConfig{
-				Nodes:        coserve.UniformNodes(fleetNodes, node),
-				Router:       cluster.Affinity{},
-				Placement:    cluster.UsageProportional{},
-				SLO:          node.SLO,
-				Percentiles:  core.PercentilesSketch,
-				Interconnect: ic,
-			}, board.Model)
+			cl, err := coserve.NewCluster(cfg, board.Model)
 			if err != nil {
 				b.Fatal(err)
 			}

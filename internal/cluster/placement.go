@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/coe"
 )
@@ -47,6 +49,11 @@ func (Mirror) Plan(*coe.Model, []NodeCapacity) ([][]coe.ExpertID, error) { retur
 // fleet's effective pool is the sum of the nodes' pools — maximal
 // coverage, no replication — so a partitioned fleet wants an
 // affinity-style router to send requests where their expert lives.
+//
+// Plan sorts the experts once and keeps the nodes ordered widest first,
+// so each expert costs one look at the widest node and, when it lands,
+// one reorder of that node: O(E log E + E·N) worst case for E experts
+// and N nodes, the N being a memmove.
 type Partition struct{}
 
 // Name implements Placement.
@@ -58,11 +65,11 @@ func (Partition) Plan(m *coe.Model, nodes []NodeCapacity) ([][]coe.ExpertID, err
 	for i := range plan {
 		plan[i] = []coe.ExpertID{}
 	}
-	remaining := capacities(nodes)
+	space := newSpace(nodes)
 	for _, e := range m.ExpertsByUsage() {
-		if i := widestNode(remaining, e.WeightBytes(), nil); i >= 0 {
+		if at := space.widest(e.WeightBytes(), nil); at >= 0 {
+			i := space.take(at, e.WeightBytes())
 			plan[i] = append(plan[i], e.ID)
-			remaining[i] -= e.WeightBytes()
 		}
 	}
 	return plan, nil
@@ -79,6 +86,15 @@ func (Partition) Plan(m *coe.Model, nodes []NodeCapacity) ([][]coe.ExpertID, err
 // experts end up replicated on several (heterogeneously sized) nodes,
 // cold experts keep at most one home, and the split between replication
 // and coverage follows the usage distribution instead of a fixed rule.
+//
+// Plan keeps the candidates in a max-heap keyed by (gain descending,
+// usage rank ascending) and the nodes ordered widest first. The top
+// candidate either lands, and sinks to its next gain, or has no node to
+// land on and is dropped for good: capacities only shrink and the
+// nodes holding it only grow, so no later round could place it. A
+// placement costs O(log E) heap work plus a walk past the nodes that
+// already hold the expert and one reorder of the node it lands on, so
+// the plan is O(P·(log E + N)) for P placements, E experts and N nodes.
 type UsageProportional struct{}
 
 // Name implements Placement.
@@ -90,68 +106,131 @@ func (UsageProportional) Plan(m *coe.Model, nodes []NodeCapacity) ([][]coe.Exper
 	for i := range plan {
 		plan[i] = []coe.ExpertID{}
 	}
-	remaining := capacities(nodes)
+	space := newSpace(nodes)
 	experts := m.ExpertsByUsage()
+	h := gainHeap{gain: make([]float64, len(experts)), ranks: make([]int, len(experts))}
 	instances := make([]int, len(experts))
-	// homes[e] marks the nodes already holding expert rank e.
-	homes := make([][]bool, len(experts))
-	for i := range homes {
-		homes[i] = make([]bool, len(nodes))
+	// homes(rank) marks the nodes already holding expert rank.
+	held := make([]bool, len(experts)*len(nodes))
+	homes := func(rank int) []bool { return held[rank*len(nodes) : (rank+1)*len(nodes)] }
+	for rank, e := range experts {
+		h.gain[rank] = e.UsageProb
+		h.ranks[rank] = rank
 	}
-	for {
-		// The candidate with the highest marginal gain that still has a
-		// node to land on. Ties break to the higher usage rank (lower
-		// index in the descending-usage order), so the outcome is
-		// deterministic.
-		best, bestNode := -1, -1
-		var bestGain float64
-		for rank, e := range experts {
-			if instances[rank] >= len(nodes) {
-				continue
-			}
-			gain := e.UsageProb / float64(instances[rank]+1)
-			if best >= 0 && gain <= bestGain {
-				continue
-			}
-			if node := widestNode(remaining, e.WeightBytes(), homes[rank]); node >= 0 {
-				best, bestNode, bestGain = rank, node, gain
-			}
+	// Ranks in usage order are already sorted by (gain descending, rank
+	// ascending), so they form a valid heap as they stand.
+	for len(h.ranks) > 0 {
+		rank := h.ranks[0]
+		e := experts[rank]
+		at := space.widest(e.WeightBytes(), homes(rank))
+		if at < 0 {
+			h.pop()
+			continue
 		}
-		if best < 0 {
-			break
+		node := space.take(at, e.WeightBytes())
+		plan[node] = append(plan[node], e.ID)
+		homes(rank)[node] = true
+		instances[rank]++
+		if instances[rank] == len(nodes) {
+			h.pop()
+			continue
 		}
-		e := experts[best]
-		plan[bestNode] = append(plan[bestNode], e.ID)
-		remaining[bestNode] -= e.WeightBytes()
-		instances[best]++
-		homes[best][bestNode] = true
+		h.gain[rank] = e.UsageProb / float64(instances[rank]+1)
+		h.down(0)
 	}
 	return plan, nil
 }
 
-// capacities copies the nodes' expert budgets into a working slice.
-func capacities(nodes []NodeCapacity) []int64 {
-	out := make([]int64, len(nodes))
-	for i, n := range nodes {
-		out[i] = n.ExpertBytes
-	}
-	return out
+// gainHeap is UsageProportional's candidate max-heap: expert usage
+// ranks ordered by (gain descending, rank ascending), so the top is the
+// candidate the water-filling rule deals the next instance to.
+type gainHeap struct {
+	gain  []float64 // by rank: the next instance's marginal gain
+	ranks []int     // the heap
 }
 
-// widestNode returns the index of the node with the most remaining
-// capacity that fits need and is not excluded, ties to the lowest
-// index; -1 when none fits.
-func widestNode(remaining []int64, need int64, excluded []bool) int {
-	best := -1
-	for i, rem := range remaining {
-		if rem < need || (excluded != nil && excluded[i]) {
+func (h *gainHeap) less(i, j int) bool {
+	a, b := h.ranks[i], h.ranks[j]
+	return h.gain[a] > h.gain[b] || (h.gain[a] == h.gain[b] && a < b)
+}
+
+// pop removes the top candidate.
+func (h *gainHeap) pop() {
+	last := len(h.ranks) - 1
+	h.ranks[0] = h.ranks[last]
+	h.ranks = h.ranks[:last]
+	h.down(0)
+}
+
+// down sinks the candidate at i, whose gain may have fallen, to its
+// place.
+func (h *gainHeap) down(i int) {
+	n := len(h.ranks)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if c+1 < n && h.less(c+1, c) {
+			c++
+		}
+		if !h.less(c, i) {
+			return
+		}
+		h.ranks[i], h.ranks[c] = h.ranks[c], h.ranks[i]
+		i = c
+	}
+}
+
+// space tracks the nodes' remaining expert budgets with the node indices
+// kept widest first: remaining capacity descending, index ascending.
+type space struct {
+	remaining []int64
+	order     []int
+}
+
+func newSpace(nodes []NodeCapacity) *space {
+	s := &space{remaining: make([]int64, len(nodes)), order: make([]int, len(nodes))}
+	for i, n := range nodes {
+		s.remaining[i] = n.ExpertBytes
+		s.order[i] = i
+	}
+	slices.SortFunc(s.order, s.compare)
+	return s
+}
+
+// compare orders nodes i and j widest first, ties to the lower index.
+func (s *space) compare(i, j int) int {
+	return cmp.Or(cmp.Compare(s.remaining[j], s.remaining[i]), cmp.Compare(i, j))
+}
+
+// widest returns the position in the order of the node with the most
+// remaining capacity that fits need and is not excluded, ties to the
+// lowest index; -1 when none fits. That node is the first one the order
+// does not exclude: when it does not fit, no narrower node can.
+func (s *space) widest(need int64, excluded []bool) int {
+	for at, i := range s.order {
+		if excluded != nil && excluded[i] {
 			continue
 		}
-		if best < 0 || rem > remaining[best] {
-			best = i
+		if s.remaining[i] < need {
+			return -1
 		}
+		return at
 	}
-	return best
+	return -1
+}
+
+// take spends need bytes of the node at position at in the order, moves
+// it down to its new place, and returns its index.
+func (s *space) take(at int, need int64) int {
+	i := s.order[at]
+	s.remaining[i] -= need
+	rest := s.order[at+1:]
+	k, _ := slices.BinarySearchFunc(rest, i, s.compare)
+	copy(s.order[at:], rest[:k])
+	s.order[at+k] = i
+	return i
 }
 
 // PlacementNames lists the built-in placement names in presentation

@@ -115,10 +115,11 @@ func (m *Model) TotalWeightBytes() int64 {
 
 // ExpertsByUsage returns the experts sorted by descending usage
 // probability (ties broken by ascending ID), the order used for expert
-// initialization (§4.1) and the usage CDF (§4.4).
+// initialization (§4.1) and the usage CDF (§4.4). IDs are unique, so
+// the order is total and an unstable sort gives it.
 func (m *Model) ExpertsByUsage() []*Expert {
 	out := append([]*Expert(nil), m.experts...)
-	slices.SortStableFunc(out, func(a, b *Expert) int {
+	slices.SortFunc(out, func(a, b *Expert) int {
 		return cmp.Or(
 			cmp.Compare(b.UsageProb, a.UsageProb),
 			cmp.Compare(a.ID, b.ID),

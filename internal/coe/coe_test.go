@@ -196,6 +196,39 @@ func TestExpertsByUsageOrdering(t *testing.T) {
 	}
 }
 
+// TestExpertsByUsageTieOrder pins the order among equal usage
+// probabilities: ascending ID within each level. The model is large
+// enough that the sort does not fall back to insertion sort, and its
+// levels interleave, so an order that leaned on stability would show.
+func TestExpertsByUsageTieOrder(t *testing.T) {
+	levels := []float64{0.25, 0, 0.5, 0.25}
+	b := NewBuilder("ties")
+	for i := 0; i < 40; i++ {
+		b.AddExpert(fmt.Sprint("e", i), model.ResNet101, Preliminary)
+	}
+	m, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		m.Expert(ExpertID(39 - i)).UsageProb = levels[(i*7)%len(levels)]
+	}
+	var want []ExpertID
+	for _, level := range []float64{0.5, 0.25, 0} {
+		for id := ExpertID(0); id < 40; id++ {
+			if m.Expert(id).UsageProb == level {
+				want = append(want, id)
+			}
+		}
+	}
+	got := m.ExpertsByUsage()
+	for i, e := range got {
+		if e.ID != want[i] {
+			t.Fatalf("position %d holds expert %d (usage %v), want %d", i, e.ID, e.UsageProb, want[i])
+		}
+	}
+}
+
 func TestUsageCDFShape(t *testing.T) {
 	m, _, _ := buildTestModel(t)
 	if err := ComputeUsage(m, map[int]float64{0: 0.5, 1: 0.3, 2: 0.2}); err != nil {

@@ -285,7 +285,9 @@ func NewSystemInEnv(cfg Config, m *coe.Model, env *sim.Env) (*System, error) {
 
 	s.recorder.SetWindow(cfg.Window)
 	if cfg.Percentiles == PercentilesSketch {
-		s.recorder.UseSketch(1) // tag 0: requests without a tenant
+		// No group sketch up front: requests without a tenant (tag 0)
+		// are the whole population until a tenant's request arrives.
+		s.recorder.UseSketch(0)
 	}
 	s.setActive(cfg.GPUExecutors, cfg.CPUExecutors)
 	s.initializeExperts()
@@ -378,12 +380,14 @@ func (s *System) initializeExperts() {
 	if s.cfg.Variant.coldStart() {
 		return
 	}
-	order := s.m.ExpertsByUsage()
+	var order []*coe.Expert
 	if s.cfg.Preload != nil {
 		order = make([]*coe.Expert, len(s.cfg.Preload))
 		for i, id := range s.cfg.Preload {
 			order[i] = s.m.Expert(id)
 		}
+	} else {
+		order = s.m.ExpertsByUsage()
 	}
 	full := make([]bool, len(s.pools))
 	next := 0

@@ -81,22 +81,29 @@ func (a *Arena) Peak() int64 { return a.peak }
 // Reserve takes bytes from the arena, or reports an error if they do not
 // fit. Reserving zero bytes always succeeds.
 func (a *Arena) Reserve(bytes int64) error {
+	if !a.TryReserve(bytes) {
+		return fmt.Errorf("memory: arena %s cannot reserve %d bytes (%d free of %d)",
+			a.name, bytes, a.Free(), a.capacity)
+	}
+	return nil
+}
+
+// TryReserve reserves bytes and reports whether it succeeded. Unlike
+// Reserve it formats no error, so a caller probing for fit (the expert
+// preloader, once per full pool) allocates nothing.
+func (a *Arena) TryReserve(bytes int64) bool {
 	if bytes < 0 {
 		panic("memory: negative reservation")
 	}
 	if a.reserved+bytes > a.capacity {
-		return fmt.Errorf("memory: arena %s cannot reserve %d bytes (%d free of %d)",
-			a.name, bytes, a.Free(), a.capacity)
+		return false
 	}
 	a.reserved += bytes
 	if a.reserved > a.peak {
 		a.peak = a.reserved
 	}
-	return nil
+	return true
 }
-
-// TryReserve reserves bytes and reports whether it succeeded.
-func (a *Arena) TryReserve(bytes int64) bool { return a.Reserve(bytes) == nil }
 
 // Release returns bytes to the arena and wakes any waiter whose request
 // now fits (in FIFO order, stopping at the first that still does not).

@@ -55,9 +55,12 @@ func groupedStream(r *Recorder, rng *rand.Rand, n int, tagOf func(i int) uint16)
 // TestGroupLatencyMatchesFlat: per-class summaries and attainment are
 // bit-identical to stats.Summarize and stats.Attainment over each
 // class's samples as one flat slice in recording order, at every length
-// around the block boundaries, with an empty class, a single class and
-// two tags folded into one class. The whole-population summary, read
-// after the fold reused the same scratch copy, stays bit-identical too.
+// around the block boundaries, with an empty class, a single class, two
+// tags folded into one class, and streams whose first nonzero tag
+// arrives mid-block (before it no tags are kept; the longest streams
+// reach it, the shorter ones stay all tag 0). The whole-population
+// summary, read after the fold reused the same scratch copy, stays
+// bit-identical too.
 func TestGroupLatencyMatchesFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	slos := []time.Duration{0, time.Millisecond, 100 * time.Millisecond, time.Second}
@@ -72,6 +75,11 @@ func TestGroupLatencyMatchesFlat(t *testing.T) {
 		{"single", 1, nil, func(int) uint16 { return 0 }},
 		// Tags 0 and 2 fold into class 1, tag 1 into class 0.
 		{"folded", 2, []int{1, 0, 1}, func(int) uint16 { return uint16(rng.Intn(3)) }},
+		// First nonzero tag mid-way through the second block.
+		{"late", 3, nil, lateTags(rng, sampleBlock+sampleBlock/2)},
+		// The same mid-way through the first block, with tag 0 folded
+		// into class 1.
+		{"late-folded", 2, []int{1, 0, 1}, lateTags(rng, sampleBlock/2)},
 	}
 	for _, tc := range cases {
 		for _, n := range []int{0, 1, sampleBlock - 1, sampleBlock, sampleBlock + 1, 20000} {
@@ -106,6 +114,16 @@ func TestGroupLatencyMatchesFlat(t *testing.T) {
 	}
 }
 
+// lateTags tags the first from samples 0, then draws tags 0..2.
+func lateTags(rng *rand.Rand, from int) func(i int) uint16 {
+	return func(i int) uint16 {
+		if i < from {
+			return 0
+		}
+		return uint16(rng.Intn(3))
+	}
+}
+
 // TestGroupLatencySlosPerClass: each class is scored against its own
 // objective.
 func TestGroupLatencySlosPerClass(t *testing.T) {
@@ -131,12 +149,26 @@ func TestGroupLatencySlosPerClass(t *testing.T) {
 // TestGroupSketchesMatchDirect: in sketch mode the whole-population
 // sketch and each group's equal sketches fed the same samples directly
 // — one bucket key per sample feeds both — and a class folds its tags'
-// sketches.
+// sketches. That holds when tags start at once and when the first
+// nonzero tag arrives late, tag 0's sketch then starting as a copy of
+// the whole population's; it holds again on a warm restart.
 func TestGroupSketchesMatchDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r := NewRecorder()
 	r.UseSketch(2)
-	flat, tags := groupedStream(r, rng, 20000, func(int) uint16 { return uint16(rng.Intn(3)) })
+	for _, tagOf := range []func(int) uint16{
+		func(int) uint16 { return uint16(rng.Intn(3)) },
+		lateTags(rng, 5000),
+		lateTags(rng, 12345),
+	} {
+		checkGroupSketches(t, r, rng, tagOf)
+		r.Reset()
+	}
+}
+
+func checkGroupSketches(t *testing.T, r *Recorder, rng *rand.Rand, tagOf func(int) uint16) {
+	t.Helper()
+	flat, tags := groupedStream(r, rng, 20000, tagOf)
 	whole := stats.NewSketch()
 	per := []*stats.Sketch{stats.NewSketch(), stats.NewSketch(), stats.NewSketch()}
 	for i, x := range flat {
@@ -163,24 +195,56 @@ func TestGroupSketchesMatchDirect(t *testing.T) {
 
 // TestTaggedSampleWarmAllocs: once a stream has grown the blocks (exact)
 // or built the group sketches (sketch), a warm-restarted tagged stream
-// records without allocating.
+// records without allocating — also when its first nonzero tag arrives
+// mid-block and the tags before it are backfilled.
 func TestTaggedSampleWarmAllocs(t *testing.T) {
+	for _, from := range []int{0, sampleBlock + sampleBlock/2} {
+		for _, sketch := range []bool{false, true} {
+			r := NewRecorder()
+			if sketch {
+				r.UseSketch(0)
+			}
+			stream := func() {
+				for i := 0; i < 2*sampleBlock+5; i++ {
+					at := sim.Time(i) * sim.Time(time.Millisecond)
+					tag := uint16(i % 4)
+					if i < from {
+						tag = 0
+					}
+					r.Arrival(at)
+					complete(r, at, at.Add(time.Duration(i%97)*time.Millisecond), tag)
+				}
+				r.Reset()
+			}
+			stream()
+			if allocs := testing.AllocsPerRun(5, stream); allocs != 0 {
+				t.Errorf("sketch=%v first tag at %d: warm tagged stream allocated %.1f objects/op, want 0", sketch, from, allocs)
+			}
+		}
+	}
+}
+
+// TestUntaggedStreamKeepsNoTags: a stream whose samples are all tag 0
+// makes no tag block (exact) and no group sketch (sketch), and its
+// tag-0 class reads the whole population.
+func TestUntaggedStreamKeepsNoTags(t *testing.T) {
 	for _, sketch := range []bool{false, true} {
 		r := NewRecorder()
 		if sketch {
 			r.UseSketch(0)
 		}
-		stream := func() {
-			for i := 0; i < 2*sampleBlock+5; i++ {
-				at := sim.Time(i) * sim.Time(time.Millisecond)
-				r.Arrival(at)
-				complete(r, at, at.Add(time.Duration(i%97)*time.Millisecond), uint16(i%4))
-			}
-			r.Reset()
+		for i := 0; i < sampleBlock+7; i++ {
+			complete(r, 0, sim.Time(i%50)*sim.Time(time.Millisecond), 0)
 		}
-		stream()
-		if allocs := testing.AllocsPerRun(5, stream); allocs != 0 {
-			t.Errorf("sketch=%v: warm tagged stream allocated %.1f objects/op, want 0", sketch, allocs)
+		if len(r.tags) != 0 || len(r.groups) != 0 {
+			t.Errorf("sketch=%v: untagged stream made %d tag blocks and %d group sketches", sketch, len(r.tags), len(r.groups))
+		}
+		got := r.GroupLatency(2, nil, func(int) time.Duration { return 20 * time.Millisecond })
+		if whole := r.LatencySummary(); got[0].Summary != whole || got[1].Summary.N != 0 {
+			t.Errorf("sketch=%v: tag-0 class %+v and class 1 %+v, want the whole %+v and nothing", sketch, got[0].Summary, got[1].Summary, whole)
+		}
+		if want := r.SLOAttainment(20 * time.Millisecond); got[0].SLOAttainment != want {
+			t.Errorf("sketch=%v: tag-0 attainment %v, want %v", sketch, got[0].SLOAttainment, want)
 		}
 	}
 }

@@ -50,7 +50,9 @@ const sampleBlock = 8192
 // are allocated at full size, and Reset keeps them all for the next
 // stream. In sketch mode (UseSketch) samples stream into a fixed-size
 // sketch for the whole population and one per group instead, making
-// recorder memory O(1) in completions.
+// recorder memory O(1) in completions. Either way a stream keeps no
+// per-group record until its first nonzero tag: before it, every
+// sample is tag 0's and the whole population is tag 0's record.
 type Recorder struct {
 	arrivals    int64
 	completions int64
@@ -70,15 +72,18 @@ type Recorder struct {
 	windows    []Window
 
 	// sampled counts the stream's latency samples. In exact mode the
-	// i-th, in seconds, lands in samples block i/sampleBlock and its tag
-	// at the same place in tags; both stay empty in sketch mode, where
-	// sketch holds the whole population and groups[t] the samples
-	// tagged t.
+	// i-th, in seconds, lands in samples block i/sampleBlock and, once
+	// tagged, its tag at the same place in tags; both stay empty in
+	// sketch mode, where sketch holds the whole population and, once
+	// tagged, groups[t] the samples tagged t. tagged reports that a
+	// nonzero tag has arrived this stream; until then no tag block is
+	// written and no group sketch fed.
 	sampled int64
 	samples [][]float64
 	tags    [][]uint16
 	sketch  *stats.Sketch
 	groups  []*stats.Sketch
+	tagged  bool
 
 	// flat is the exact summaries' scratch copy of the samples, kept
 	// across streams.
@@ -107,8 +112,11 @@ func (r *Recorder) Reset() {
 	r.haveOrigin = false
 	r.windows = r.windows[:0]
 	r.sampled = 0
+	r.tagged = false
 	for i := range r.samples {
 		r.samples[i] = r.samples[i][:0]
+	}
+	for i := range r.tags {
 		r.tags[i] = r.tags[i][:0]
 	}
 	if r.sketch != nil {
@@ -127,7 +135,8 @@ func (r *Recorder) Reset() {
 // population and one per tag instead of the store-every-sample blocks,
 // so memory is O(1) in completions and the summaries carry the sketch's
 // documented accuracy bound. The sketches of tags below groups are
-// built now; a higher tag's at its first sample. The switch is one-way
+// built now; a higher tag's at its first sample, and tag 0's, if not
+// built now, at the stream's first nonzero tag. The switch is one-way
 // and survives Reset; enable it before the first sample.
 func (r *Recorder) UseSketch(groups int) {
 	if r.sketch == nil {
@@ -233,26 +242,65 @@ func (r *Recorder) Completion(arrival, t sim.Time) {
 
 // Sample records one request's latency lat, in seconds, in the group
 // tag names. In sketch mode one bucket key feeds both the
-// whole-population sketch and the group's; in exact mode the sample and
-// its tag are appended to the current block, which is made if no
-// earlier stream did.
+// whole-population sketch and, once tagged, the group's; in exact mode
+// the sample and, once tagged, its tag are appended to the current
+// blocks, which are made if no earlier stream did.
 func (r *Recorder) Sample(lat float64, tag uint16) {
 	r.sampled++
+	if !r.tagged && tag != 0 {
+		r.startTags()
+	}
 	if r.sketch != nil {
+		if !r.tagged {
+			r.sketch.Add(lat)
+			return
+		}
 		stats.Observe(lat, r.sketch, r.group(tag))
 		return
 	}
 	i := int(r.sampled-1) / sampleBlock
 	if i == len(r.samples) {
-		var b []float64
-		var tb []uint16
-		if i > 0 {
-			b, tb = make([]float64, 0, sampleBlock), make([]uint16, 0, sampleBlock)
-		}
-		r.samples, r.tags = append(r.samples, b), append(r.tags, tb)
+		r.samples = append(r.samples, block[float64](i))
 	}
 	r.samples[i] = append(r.samples[i], lat)
-	r.tags[i] = append(r.tags[i], tag)
+	if r.tagged {
+		if i == len(r.tags) {
+			r.tags = append(r.tags, block[uint16](i))
+		}
+		r.tags[i] = append(r.tags[i], tag)
+	}
+}
+
+// startTags starts the group records at the stream's first nonzero
+// tag. Every sample before it was tag 0's: in sketch mode tag 0's
+// sketch, empty since it was built or last Reset, takes a copy of the
+// whole population's (integer buckets, and the same float sums made in
+// the same order); in exact mode the samples recorded so far get zero
+// tags.
+func (r *Recorder) startTags() {
+	r.tagged = true
+	if r.sketch != nil {
+		r.group(0).Merge(r.sketch)
+		return
+	}
+	done := int(r.sampled - 1)
+	for i := 0; i*sampleBlock < done; i++ {
+		if i == len(r.tags) {
+			r.tags = append(r.tags, block[uint16](i))
+		}
+		n := min(done-i*sampleBlock, sampleBlock)
+		r.tags[i] = slices.Grow(r.tags[i][:0], n)[:n]
+		clear(r.tags[i])
+	}
+}
+
+// block makes exact-mode block i: the first grows by append, later
+// ones are made at full size.
+func block[T any](i int) []T {
+	if i == 0 {
+		return nil
+	}
+	return make([]T, 0, sampleBlock)
 }
 
 // SchedOp records one timed scheduling decision that took duration d.
@@ -353,7 +401,9 @@ type Latency struct {
 // samples are scattered into the recorder's one flat scratch copy,
 // partitioned by class with recording order kept inside each class, and
 // each segment is summarized in place. Sketch mode merges the class's
-// group sketches (one tag's class reads its sketch exactly).
+// group sketches (one tag's class reads its sketch exactly). Before the
+// stream's first nonzero tag every sample is tag 0's, so tag 0's class
+// reads the whole population and every other class is empty.
 func (r *Recorder) GroupLatency(classes int, classOf []int, slo func(class int) time.Duration) []Latency {
 	class := func(t uint16) int {
 		if classOf == nil {
@@ -366,6 +416,9 @@ func (r *Recorder) GroupLatency(classes int, classOf []int, slo func(class int) 
 		merged := stats.NewSketch()
 		for k := range out {
 			merged.Reset()
+			if !r.tagged && r.sampled > 0 && class(0) == k {
+				merged.Merge(r.sketch)
+			}
 			for t, g := range r.groups {
 				if g != nil && class(uint16(t)) == k {
 					merged.Merge(g)
@@ -378,10 +431,14 @@ func (r *Recorder) GroupLatency(classes int, classOf []int, slo func(class int) 
 	// bounds[k]..bounds[k+1] is class k's segment of flat; next[k] is
 	// where its next sample goes.
 	bounds := make([]int, classes+1)
-	for _, tb := range r.tags {
-		for _, t := range tb {
-			bounds[class(t)+1]++
+	if r.tagged {
+		for _, tb := range r.tags {
+			for _, t := range tb {
+				bounds[class(t)+1]++
+			}
 		}
+	} else if r.sampled > 0 {
+		bounds[class(0)+1] = int(r.sampled)
 	}
 	for k := range classes {
 		bounds[k+1] += bounds[k]
@@ -390,7 +447,11 @@ func (r *Recorder) GroupLatency(classes int, classOf []int, slo func(class int) 
 	flat := slices.Grow(r.flat[:0], int(r.sampled))[:r.sampled]
 	for i, b := range r.samples {
 		for j, x := range b {
-			k := class(r.tags[i][j])
+			var t uint16
+			if r.tagged {
+				t = r.tags[i][j]
+			}
+			k := class(t)
 			flat[next[k]] = x
 			next[k]++
 		}
