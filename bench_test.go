@@ -355,17 +355,23 @@ func BenchmarkGroupedEnqueue(b *testing.B) {
 	}
 }
 
-// BenchmarkSummarize measures the single-sort latency summary over a
-// 10k-sample stream — the per-report cost of every serving experiment.
+// BenchmarkSummarize measures the exact latency summary over a
+// 10k-sample stream and over the 200k samples of a node-mix report —
+// the per-report cost of every exact-mode serve. Each iteration copies
+// the stream once (its one allocation) and selects the percentiles.
 func BenchmarkSummarize(b *testing.B) {
-	xs := make([]float64, 10000)
-	for i := range xs {
-		xs[i] = float64((i * 7919) % 10000)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stats.Summarize(xs)
+	for _, n := range []int{10_000, 200_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64((i * 7919) % n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				stats.Summarize(xs)
+			}
+		})
 	}
 }
 

@@ -74,9 +74,13 @@ func (FIFO) Victims(p *Pool, need int64) []coe.ExpertID {
 // DepAware is CoServe's two-stage dependency-aware eviction (§4.3):
 //
 // Stage 1 evicts subsequent experts none of whose preliminary experts
-// are resident in this pool — they cannot run until a preliminary expert
+// are loaded in this pool — they cannot run until a preliminary expert
 // is switched in, so they only waste memory. Candidates are taken in
-// descending memory footprint, minimizing the number of evictions.
+// descending memory footprint, minimizing the number of evictions. The
+// pool counts, per resident expert, its loaded preliminaries, and the
+// orphans among its Loaded experts, at every load and eviction, so
+// telling an orphan is one read and a pool without orphans skips this
+// stage.
 //
 // Stage 2, if stage 1 freed too little, evicts remaining experts in
 // ascending pre-assessed usage probability, keeping the experts most
@@ -87,30 +91,37 @@ type DepAware struct{}
 func (DepAware) Name() string { return "dep-aware" }
 
 // Victims implements Policy. It walks the pool's usage-ordered resident
-// list once to collect the orphans, inserting each at its place in stage
-// 1's order, and again, only when they cannot cover the need, to append
-// the other candidates in list order — stage 2's order.
+// list to collect the orphans, inserting each unpinned one at its place
+// in stage 1's order and stopping once it has seen all p.orphans of them
+// (at once when there are none), and again, only when they cannot cover
+// the need, to append the other candidates in list order — stage 2's
+// order.
 func (DepAware) Victims(p *Pool, need int64) []coe.ExpertID {
 	cands := p.scratch[:0]
 	var covered int64
-	for _, e := range p.resident {
-		if !evictable(e) || !orphaned(p, e.Expert) {
+	for i, left := 0, p.orphans; left > 0; i++ {
+		e := p.resident[i]
+		if e.Status != Loaded || !orphaned(e) {
+			continue
+		}
+		left--
+		if e.Pins > 0 {
 			continue
 		}
 		// Insertion-sort it into stage 1's order: orphans are a handful.
-		i := len(cands)
+		j := len(cands)
 		cands = append(cands, e)
-		for ; i > 0 && largerFirst(e, cands[i-1]); i-- {
-			cands[i] = cands[i-1]
+		for ; j > 0 && largerFirst(e, cands[j-1]); j-- {
+			cands[j] = cands[j-1]
 		}
-		cands[i] = e
+		cands[j] = e
 		covered += e.Bytes
 	}
 	for _, e := range p.resident {
 		if covered >= need {
 			break
 		}
-		if evictable(e) && !orphaned(p, e.Expert) {
+		if evictable(e) && !orphaned(e) {
 			cands = append(cands, e)
 			covered += e.Bytes
 		}
@@ -128,18 +139,11 @@ func largerFirst(a, b *Entry) bool {
 // and unpinned.
 func evictable(e *Entry) bool { return e.Status == Loaded && e.Pins == 0 }
 
-// orphaned reports whether the expert is a subsequent expert with none
-// of its preliminary experts resident in the pool.
-func orphaned(p *Pool, e *coe.Expert) bool {
-	if e.Role != coe.Subsequent {
-		return false
-	}
-	for _, dep := range e.DependsOn {
-		if p.IsLoaded(dep) {
-			return false
-		}
-	}
-	return true
+// orphaned reports whether the entry's expert is a subsequent expert
+// with none of its preliminary experts loaded in the pool: one read of
+// the entry's live count, however many preliminaries it has.
+func orphaned(e *Entry) bool {
+	return e.Expert.Role == coe.Subsequent && e.live == 0
 }
 
 // ProbOnly evicts purely by ascending usage probability — DepAware with

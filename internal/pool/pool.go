@@ -64,6 +64,9 @@ type Entry struct {
 	// the tier it loads from.
 	k   func()
 	src source
+	// live counts the expert's DependsOn that are Loaded in this pool,
+	// kept while the entry is in the pool.
+	live int32
 }
 
 // Pool is the set of experts resident in one executor's memory. The
@@ -91,6 +94,13 @@ type Pool struct {
 	// policies walk it instead of sorting. An expert's UsageProb must not
 	// change while a pool holds it.
 	resident []*Entry
+	// orphans counts the Loaded subsequent experts none of whose
+	// DependsOn is Loaded here: the entries whose live count is 0. put
+	// sets an entry's count from its preliminaries, and Preload, loaded
+	// and evict move the counts of a changing expert's resident
+	// dependents, so DepAware tells an orphan in one read and skips
+	// stage 1 when there is none.
+	orphans int
 
 	// tally, when set by TrackResidency, holds one residency counter per
 	// expert at tally[id*stride], kept current on every insert and evict.
@@ -142,6 +152,29 @@ func (p *Pool) Presize(n int) {
 	}
 }
 
+// count moves the dependency counts as e becomes Loaded (delta +1) or
+// stops being Loaded (-1): e's own standing as an orphan, then the live
+// count of each of its dependents in the pool, and the orphan count when
+// a Loaded dependent gains its first loaded preliminary or loses its
+// last. Dependents are subsequent experts by construction
+// (coe.Builder.Link).
+func (p *Pool) count(e *Entry, delta int32) {
+	if orphaned(e) {
+		p.orphans += int(delta)
+	}
+	for _, id := range e.Expert.Dependents {
+		d := p.entry(id)
+		if d == nil {
+			continue
+		}
+		was := d.live
+		d.live += delta
+		if d.Status == Loaded && (was == 0) != (d.live == 0) {
+			p.orphans -= int(delta)
+		}
+	}
+}
+
 // TrackResidency makes the pool count itself in a residency tally shared
 // with other pools: cells[id*stride] is incremented while the pool holds
 // expert id (Loaded or Loading) and decremented when it lets go. The
@@ -162,8 +195,15 @@ func (p *Pool) entry(id coe.ExpertID) *Entry {
 	return nil
 }
 
-// put inserts an entry for an absent expert.
+// put inserts an entry for an absent expert, counting its loaded
+// preliminaries.
 func (p *Pool) put(e *Entry) {
+	e.live = 0
+	for _, dep := range e.Expert.DependsOn {
+		if p.IsLoaded(dep) {
+			e.live++
+		}
+	}
 	id := int(e.Expert.ID)
 	p.Presize(id + 1)
 	p.entries[id] = e
@@ -255,12 +295,14 @@ func (p *Pool) Preload(e *coe.Expert) bool {
 		return false
 	}
 	p.seq++
-	p.put(&Entry{
+	entry := &Entry{
 		Expert:  e,
 		Bytes:   bytes,
 		Status:  Loaded,
 		LoadSeq: p.seq,
-	})
+	}
+	p.put(entry)
+	p.count(entry, 1)
 	return true
 }
 
@@ -334,6 +376,7 @@ func (p *Pool) loaded(tag any, d time.Duration) {
 
 	entry.Status = Loaded
 	entry.LastUse = p.now()
+	p.count(entry, 1)
 	if entry.ready != nil {
 		entry.ready.Fire()
 		entry.ready = nil
@@ -374,7 +417,10 @@ func (p *Pool) evict(need int64) {
 		if entry == nil || entry.Status != Loaded || entry.Pins > 0 {
 			panic(fmt.Sprintf("pool %s: policy chose invalid victim %d", p.name, id))
 		}
+		p.count(entry, -1)
 		p.entries[id] = nil
+		i := slices.Index(p.resident, entry)
+		p.resident = slices.Delete(p.resident, i, i+1)
 		if p.tally != nil {
 			p.tally[int(id)*p.stride]--
 		}
@@ -387,14 +433,6 @@ func (p *Pool) evict(need int64) {
 	if freed < need {
 		panic(fmt.Sprintf("pool %s: policy freed %d of %d needed bytes", p.name, freed, need))
 	}
-	kept := p.resident[:0]
-	for _, e := range p.resident {
-		if p.entries[e.Expert.ID] != nil {
-			kept = append(kept, e)
-		}
-	}
-	clear(p.resident[len(kept):])
-	p.resident = kept
 }
 
 // LoadedUnpinned returns resident, unpinned entries in ascending

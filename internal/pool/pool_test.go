@@ -2,6 +2,7 @@ package pool
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -532,10 +533,24 @@ func refTakeUntil(entries []*Entry, need int64) []coe.ExpertID {
 	return out
 }
 
+// refOrphaned is orphaned as a scan: a subsequent expert none of whose
+// DependsOn is Loaded in the pool.
+func refOrphaned(p *Pool, e *coe.Expert) bool {
+	if e.Role != coe.Subsequent {
+		return false
+	}
+	for _, dep := range e.DependsOn {
+		if p.IsLoaded(dep) {
+			return false
+		}
+	}
+	return true
+}
+
 func (refDepAware) Victims(p *Pool, need int64) []coe.ExpertID {
 	var orphans, rest []*Entry
 	for _, e := range p.LoadedUnpinned() {
-		if orphaned(p, e.Expert) {
+		if refOrphaned(p, e.Expert) {
 			orphans = append(orphans, e)
 		} else {
 			rest = append(rest, e)
@@ -593,6 +608,8 @@ func TestDepAwareMatchesReference(t *testing.T) {
 			case 0:
 				entry.Pins = 1
 			case 1:
+				// A load in flight: it counts for no dependent.
+				p.count(entry, -1)
 				entry.Status = Loading
 			default:
 				unpinned += entry.Bytes
@@ -610,7 +627,7 @@ func TestDepAwareMatchesReference(t *testing.T) {
 			}
 			var orphanBytes int64
 			for _, e := range p.LoadedUnpinned() {
-				if orphaned(p, e.Expert) {
+				if refOrphaned(p, e.Expert) {
 					orphanBytes += e.Bytes
 				}
 			}
@@ -787,6 +804,7 @@ func TestResidentOrderUnderRandomOps(t *testing.T) {
 			p := newPool(env, store, 8*model.YOLOv5l.WeightBytes(), DepAware{})
 			check := func(when string) {
 				steps++
+				checkLive(t, p, m, when)
 				var want []*Entry
 				for _, e := range p.entries {
 					if e != nil {
@@ -810,7 +828,7 @@ func TestResidentOrderUnderRandomOps(t *testing.T) {
 				var unpinned, orphanBytes int64
 				for _, e := range p.LoadedUnpinned() {
 					unpinned += e.Bytes
-					if orphaned(p, e.Expert) {
+					if refOrphaned(p, e.Expert) {
 						orphanBytes += e.Bytes
 					}
 				}
@@ -840,57 +858,11 @@ func TestResidentOrderUnderRandomOps(t *testing.T) {
 					check("setup preload")
 				}
 			}
-			for s := 0; s < sharers; s++ {
-				var held []coe.ExpertID
-				op := 0
-				var step func()
-				step = func() {
-					for ; op < 60; op++ {
-						e := m.Expert(coe.ExpertID(rng.Intn(m.NumExperts())))
-						switch r := rng.Intn(10); {
-						case r < 4 && len(held) < 2:
-							held = append(held, e.ID)
-							pinned := func() {
-								check("acquire")
-								op++
-								step()
-							}
-							if !p.Acquire(e, pinned) {
-								return
-							}
-							check("acquire")
-						case r < 7 && len(held) > 0:
-							k := rng.Intn(len(held))
-							p.Release(held[k])
-							held = slices.Delete(held, k, k+1)
-							check("release")
-						case r < 8:
-							p.Preload(e)
-							check("preload")
-						case r < 9:
-							var unpinned int64
-							for _, c := range p.LoadedUnpinned() {
-								unpinned += c.Bytes
-							}
-							if unpinned > 0 {
-								p.evict(1 + rng.Int63n(unpinned))
-								evicted++
-								check("evict")
-							}
-						default:
-							op++
-							env.After(time.Duration(rng.Intn(200))*time.Millisecond, step)
-							return
-						}
-					}
-					for _, id := range held {
-						p.Release(id)
-					}
-					check("final release")
-				}
-				env.After(0, step)
+			pools := make([]*Pool, sharers)
+			for i := range pools {
+				pools[i] = p
 			}
-			env.Run()
+			evicted += driveRandomOps(rng, env, m, pools, check)
 			cacheHits += int(p.HostHits())
 		}
 		t.Logf("sharers %d: %d checked steps, %d draws needing stage 2, %d direct evictions, %d host-cache hits", sharers, steps, stage2, evicted, cacheHits)
@@ -927,5 +899,193 @@ func TestHostCacheRedemoteBecomesMostRecent(t *testing.T) {
 	if !store.Cached(0) || store.Cached(1) || !store.Cached(2) || store.CacheLen() != 2 {
 		t.Errorf("cached 0/1/2 = %v/%v/%v with %d entries, want true/false/true with 2",
 			store.Cached(0), store.Cached(1), store.Cached(2), store.CacheLen())
+	}
+}
+
+// driveRandomOps runs one driver per element of pools, so a pool listed
+// more than once is shared by those drivers, as the Samba-CoE Parallel
+// executors share theirs. Each driver takes 60 random steps — Acquire
+// (pinning at most two experts at a time), Release, Preload, a direct
+// evict of part of the unpinned bytes, or a sleep — and check runs
+// after every step and as each switch-in starts. It runs env to the end
+// and reports the number of direct evictions.
+func driveRandomOps(rng *rand.Rand, env *sim.Env, m *coe.Model, pools []*Pool, check func(when string)) int {
+	evicted := 0
+	for _, p := range pools {
+		var held []coe.ExpertID
+		op := 0
+		var step func()
+		step = func() {
+			for ; op < 60; op++ {
+				e := m.Expert(coe.ExpertID(rng.Intn(m.NumExperts())))
+				switch r := rng.Intn(10); {
+				case r < 4 && len(held) < 2:
+					held = append(held, e.ID)
+					pinned := func() {
+						check("acquire")
+						op++
+						step()
+					}
+					if !p.Acquire(e, pinned) {
+						check("load started")
+						return
+					}
+					check("acquire")
+				case r < 7 && len(held) > 0:
+					k := rng.Intn(len(held))
+					p.Release(held[k])
+					held = slices.Delete(held, k, k+1)
+					check("release")
+				case r < 8:
+					p.Preload(e)
+					check("preload")
+				case r < 9:
+					var unpinned int64
+					for _, c := range p.LoadedUnpinned() {
+						unpinned += c.Bytes
+					}
+					if unpinned > 0 {
+						p.evict(1 + rng.Int63n(unpinned))
+						evicted++
+						check("evict")
+					}
+				default:
+					op++
+					env.After(time.Duration(rng.Intn(200))*time.Millisecond, step)
+					return
+				}
+			}
+			for _, id := range held {
+				p.Release(id)
+			}
+			check("final release")
+		}
+		env.After(0, step)
+	}
+	env.Run()
+	return evicted
+}
+
+// checkLive fails the test unless every resident expert's live count in
+// p, Loaded or loading, equals a fresh scan of its DependsOn over
+// IsLoaded, and the pool's orphan count equals the Loaded experts the
+// scan finds orphaned.
+func checkLive(t *testing.T, p *Pool, m *coe.Model, when string) {
+	t.Helper()
+	orphans := 0
+	for _, e := range m.Experts() {
+		entry := p.entry(e.ID)
+		if entry == nil {
+			continue
+		}
+		var want int32
+		for _, dep := range e.DependsOn {
+			if p.IsLoaded(dep) {
+				want++
+			}
+		}
+		if entry.live != want {
+			t.Fatalf("pool %s after %s: expert %d counts %d loaded dependencies, scan finds %d", p.Name(), when, e.ID, entry.live, want)
+		}
+		if entry.Status == Loaded && refOrphaned(p, e) {
+			orphans++
+		}
+	}
+	if p.orphans != orphans {
+		t.Fatalf("pool %s after %s: counts %d orphans, scan finds %d", p.Name(), when, p.orphans, orphans)
+	}
+}
+
+// multiParentModel builds nCls classifiers and nDet detectors, each
+// detector fed by 1 to 24 distinct random classifiers (board A's
+// detectors wait on 7 on average and 14 at most), so one classifier
+// also feeds several detectors.
+func multiParentModel(t *testing.T, rng *rand.Rand, nCls, nDet int) *coe.Model {
+	t.Helper()
+	b := coe.NewBuilder("multi")
+	cls := make([]coe.ExpertID, nCls)
+	for i := range cls {
+		cls[i] = b.AddExpert("c", model.ResNet101, coe.Preliminary)
+	}
+	for range nDet {
+		det := b.AddExpert("d", model.YOLOv5m, coe.Subsequent)
+		for _, i := range rng.Perm(nCls)[:1+rng.Intn(min(nCls, 24))] {
+			b.Link(cls[i], det)
+		}
+	}
+	m, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range m.Experts() {
+		e.UsageProb = rng.Float64()
+	}
+	return m
+}
+
+// TestLiveDepsMatchScan drives seeded random Preload, Acquire, Release
+// and eviction sequences on models with multi-parent detectors and,
+// after every step and as each switch-in starts, checks each pool's
+// live-dependency and orphan counts against a fresh DependsOn scan over
+// IsLoaded: for three per-executor pools on one store, and for one pool
+// shared by three drivers (SambaParallel's arrangement). It also checks
+// DepAware against the scanning reference for one need per step, so a
+// drifting count shows up as a wrong victim too.
+func TestLiveDepsMatchScan(t *testing.T) {
+	for _, shared := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(29))
+		var steps, evicted, orphans int
+		for trial := 0; trial < 30; trial++ {
+			m := multiParentModel(t, rng, 4+rng.Intn(28), 1+rng.Intn(12))
+			env := sim.NewEnv()
+			store := NewStore(env, hw.NUMADevice(), 3*model.YOLOv5l.WeightBytes(), m)
+			pools := make([]*Pool, 3)
+			distinct := pools
+			if shared {
+				distinct = pools[:1]
+			}
+			for i := range pools {
+				if i >= len(distinct) {
+					pools[i] = pools[0]
+					continue
+				}
+				pools[i] = New(fmt.Sprintf("gpu%d", i), 8*model.YOLOv5l.WeightBytes(), store, memory.TierGPU, DepAware{}, env.Now)
+			}
+			check := func(when string) {
+				steps++
+				for _, p := range distinct {
+					checkLive(t, p, m, when)
+					var unpinned int64
+					for _, e := range p.LoadedUnpinned() {
+						unpinned += e.Bytes
+						if refOrphaned(p, e.Expert) {
+							orphans++
+						}
+					}
+					if unpinned == 0 {
+						continue
+					}
+					need := 1 + rng.Int63n(unpinned)
+					got := slices.Clone(DepAware{}.Victims(p, need))
+					if want := (refDepAware{}).Victims(p, need); !slices.Equal(got, want) {
+						t.Fatalf("shared %v trial %d pool %s after %s, need %d: DepAware victims %v, reference %v",
+							shared, trial, p.Name(), when, need, got, want)
+					}
+				}
+			}
+			for _, p := range distinct {
+				for _, e := range m.Experts() {
+					if rng.Intn(3) == 0 {
+						p.Preload(e)
+						check("setup preload")
+					}
+				}
+			}
+			evicted += driveRandomOps(rng, env, m, pools, check)
+		}
+		t.Logf("shared %v: %d checked steps, %d direct evictions, %d orphans seen", shared, steps, evicted, orphans)
+		if evicted < 50 || orphans < 100 {
+			t.Errorf("shared %v: %d direct evictions and %d orphans seen; want at least 50 and 100", shared, evicted, orphans)
+		}
 	}
 }

@@ -4,8 +4,10 @@
 package stats
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -99,7 +101,9 @@ func Percentile(xs []float64, p float64) float64 {
 }
 
 // percentileSorted is Percentile over an already ascending-sorted sample,
-// so one sorted copy can feed several percentile lookups.
+// so one sorted copy can feed several percentile lookups. It reads only
+// the floor and ceil ranks of p (the first element when there is one),
+// so those positions need to hold their sorted values and no others do.
 func percentileSorted(sorted []float64, p float64) float64 {
 	if p < 0 {
 		p = 0
@@ -156,18 +160,21 @@ type Summary struct {
 	P50, P95, P99 float64
 }
 
-// Summarize computes a Summary of xs. It sorts one copy of the sample
-// and reads Min, Max, and every percentile off it — a single sort and a
+// Summarize computes a Summary of xs over one copy of the sample: a
 // single allocation, where summarizing field by field would copy and
 // sort the sample three times over.
 func Summarize(xs []float64) Summary {
 	return SummarizeInPlace(append([]float64(nil), xs...))
 }
 
-// SummarizeInPlace is Summarize without the copy: it computes the mean
-// and standard deviation over xs in its given order, then sorts xs in
-// place for the order statistics, so the result is bit-identical to
-// Summarize(xs) and xs is left sorted.
+// SummarizeInPlace is Summarize without the copy, in time linear in
+// len(xs). It computes the mean and standard deviation over xs in its
+// given order, takes Min and Max in one scan, then selects in place
+// only the order statistics the percentiles read, so the result
+// is bit-identical to Summarize(xs) and to reading a sorted copy. xs is
+// left reordered but not sorted. Values are ordered as slices.Sort
+// orders them (cmp.Less: a NaN is below everything); of values that
+// compare equal, such as -0 and +0, either may be reported.
 func SummarizeInPlace(xs []float64) Summary {
 	n := len(xs)
 	if n == 0 {
@@ -182,16 +189,89 @@ func SummarizeInPlace(xs []float64) Summary {
 		}
 		std = math.Sqrt(ss / float64(n))
 	}
-	slices.Sort(xs)
+	lo, hi := xs[0], xs[0]
+	for _, x := range xs[1:] {
+		if cmp.Less(x, lo) {
+			lo = x
+		}
+		if cmp.Less(hi, x) {
+			hi = x
+		}
+	}
+	// Place the floor and ceil ranks of each percentile, in ascending
+	// order, each on the part right of the rank placed before it.
+	next := 0
+	for _, p := range [...]float64{50, 95, 99} {
+		rank := p / 100 * float64(n-1)
+		for _, r := range [2]int{int(math.Floor(rank)), int(math.Ceil(rank))} {
+			if r >= next {
+				selectRank(xs[next:], r-next)
+				next = r + 1
+			}
+		}
+	}
 	return Summary{
 		N:    n,
 		Mean: m,
 		Std:  std,
-		Min:  xs[0],
-		Max:  xs[n-1],
+		Min:  lo,
+		Max:  hi,
 		P50:  percentileSorted(xs, 50),
 		P95:  percentileSorted(xs, 95),
 		P99:  percentileSorted(xs, 99),
+	}
+}
+
+// selectRank reorders xs so that xs[k] holds the value a sort would put
+// there, with nothing after it ordering below it and nothing before it
+// above. It is a quickselect on median-of-three pivots with Hoare
+// partitions, which split runs of equal values evenly; past a depth of
+// 2·log2(len(xs)) partitions it sorts what is left, so adversarial
+// input costs O(n log n) at worst.
+func selectRank(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for depth := 2 * bits.Len(uint(len(xs))); lo < hi; depth-- {
+		if depth == 0 {
+			slices.Sort(xs[lo : hi+1])
+			return
+		}
+		// Order xs[lo], xs[mid], xs[hi]: the pivot is their median, and
+		// the outer two bound the partition scans below.
+		mid := lo + (hi-lo)/2
+		if cmp.Less(xs[mid], xs[lo]) {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if cmp.Less(xs[hi], xs[lo]) {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if cmp.Less(xs[hi], xs[mid]) {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		pivot := xs[mid]
+		i, j := lo, hi
+		for i <= j {
+			for cmp.Less(xs[i], pivot) {
+				i++
+			}
+			for cmp.Less(pivot, xs[j]) {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// Now xs[lo..j] order at or below the pivot, xs[i..hi] at or
+		// above it, and anything between them equals it.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
 	}
 }
 

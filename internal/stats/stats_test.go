@@ -171,8 +171,8 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-// TestSummarizeMatchesFieldwise pins the single-sort Summarize against
-// the independent field-by-field computations it replaced.
+// TestSummarizeMatchesFieldwise pins Summarize against the independent
+// field-by-field computations it replaced.
 func TestSummarizeMatchesFieldwise(t *testing.T) {
 	xs := []float64{4.2, 0.3, 9.9, 1.1, 1.1, 7.5, 3.3, 0.3, 8.8, 5.0, 2.2}
 	s := Summarize(xs)
@@ -209,7 +209,7 @@ func TestSummarizeEmpty(t *testing.T) {
 }
 
 // TestSummarizeSingleSortAllocation pins Summarize to one allocation:
-// the single sorted copy that feeds Min, Max, and all percentiles. The
+// the single copy that feeds Min, Max, and all percentiles. The
 // fieldwise version paid three sorted copies.
 func TestSummarizeSingleSortAllocation(t *testing.T) {
 	xs := make([]float64, 1000)
@@ -217,6 +217,6 @@ func TestSummarizeSingleSortAllocation(t *testing.T) {
 		xs[i] = float64((i * 7919) % 1000)
 	}
 	if allocs := testing.AllocsPerRun(20, func() { Summarize(xs) }); allocs > 1 {
-		t.Errorf("Summarize allocated %.1f objects/op, want <= 1 (one sorted copy)", allocs)
+		t.Errorf("Summarize allocated %.1f objects/op, want <= 1 (one copy)", allocs)
 	}
 }
