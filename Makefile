@@ -81,10 +81,14 @@ bench:
 
 # bench-cluster reproduces (and gates) the BENCH_cluster.json
 # measurement: the zero-latency multi-node serving path at 1 and 4
-# nodes. `make bench` (and the CI bench job) already executes these
-# once; this target is the recorded baseline's regeneration recipe.
+# nodes, then, in a run of its own at -benchtime 2000000x, one affinity
+# routing decision over the 100-node fleet (BenchmarkAffinityPick, gated
+# at 0 allocs/op). `make bench` (and the CI bench job) already executes
+# these once; this target is the recorded baseline's regeneration
+# recipe.
 bench-cluster:
-	$(GO) test -bench BenchmarkClusterServe -benchtime 20x -run '^$$' . | $(GO) run ./cmd/benchguard -baseline BENCH_cluster.json
+	{ $(GO) test -bench BenchmarkClusterServe -benchtime 20x -run '^$$' . ; \
+	  $(GO) test -bench '^BenchmarkAffinityPick$$' -benchtime 2000000x -run '^$$' . ; } | $(GO) run ./cmd/benchguard -baseline BENCH_cluster.json
 
 # bench-fleet reproduces (and gates) the BENCH_fleet.json measurement:
 # the 100-node / 1M-request fleet hot path in sketch + arena mode, and

@@ -506,6 +506,55 @@ func BenchmarkFleetBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkAffinityPick measures one routing decision of the 100-node
+// fleet BenchmarkFleetBuild builds: cluster.Affinity over the fleet's
+// holder, idle and routable bitsets and its backlog slice. Holder
+// density is the usage-proportional plan's; 19 nodes in 20 carry a
+// backlog of one to three requests (seeded), so a pick passes about 20
+// busy holders before an idle one, as fleet-steady's do; the requests'
+// experts come from a Steady stream on the same board. Baseline in
+// BENCH_cluster.json at 0 allocs/op (`make bench-cluster`).
+func BenchmarkAffinityPick(b *testing.B) {
+	board, cfg := fleetBench(b)
+	cl, err := coserve.NewCluster(cfg, board.Model)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nodes := cl.Nodes()
+	rng := rand.New(rand.NewSource(29))
+	var seq int64
+	for _, n := range nodes {
+		if rng.Intn(20) == 0 {
+			continue
+		}
+		q := n.System().Queues()[0]
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			seq++
+			q.Enqueue(board.Model.Expert(0), coe.NewRequest(seq, 0, []coe.ExpertID{0}))
+		}
+	}
+	src, err := workload.Steady{Name: "bench-pick", Board: board, Rate: fleetRate, Seed: 20260807}.NewSource()
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs := make([]*coe.Request, 1024)
+	for i := range reqs {
+		tr, ok := src.Next()
+		if !ok {
+			b.Fatal("steady source ran dry")
+		}
+		reqs[i] = tr.Req
+	}
+	var router cluster.Affinity
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if j := router.Pick(0, nodes, reqs[i&(len(reqs)-1)]); j < 0 || j >= len(nodes) {
+			b.Fatalf("picked node %d of %d", j, len(nodes))
+		}
+	}
+}
+
 // BenchmarkFleetServe measures the fleet-scale hot path: a 100-node
 // CoServe cluster in sketch-percentile mode serving an arena-backed
 // Steady stream — every O(stream-length) data structure replaced by its

@@ -13,13 +13,19 @@ import (
 )
 
 // backlogChecker is the affinity router with a check on every pick:
-// each node's Queued() — the counter its active queues keep current —
-// must equal a recount of Len() over those queues. It also counts the
+// each node's Queued() — the counter its active queues keep current in
+// the fleet's backlog slice — must equal a recount of Len() over those
+// queues, its bit in the fleet's idle bitset must be set exactly while
+// that count is 0, and the pick must be the full scan's over the nodes
+// it is handed (the whole fleet, or the subset routing or hedging
+// presents). It also counts the
 // active-set shrinks and growths it saw between picks, so a test can
 // tell that the autoscaler really moved the active set under it.
 type backlogChecker struct {
 	t          testing.TB
 	gpus       int // GPU executors per node; the CPU queues follow them
+	fleet      int // fleet size, to count the picks over a subset
+	subsets    int
 	picks      int
 	errs       int
 	active     []int // each node's active executor count at the last pick
@@ -59,12 +65,24 @@ func (c *backlogChecker) Pick(now sim.Time, nodes []*Node, r *coe.Request) int {
 			c.errs++
 			c.t.Errorf("pick %d at %v: %s Queued() = %d, active queues hold %d", c.picks, now, n.ID(), got, want)
 		}
+		if idle := n.f.idle[n.idx>>6]>>(n.idx&63)&1 == 1; idle != (n.Queued() == 0) && c.errs < 5 {
+			c.errs++
+			c.t.Errorf("pick %d at %v: %s idle bit %v with Queued() = %d", c.picks, now, n.ID(), idle, n.Queued())
+		}
 	}
-	return Affinity{}.Pick(now, nodes, r)
+	got := Affinity{}.Pick(now, nodes, r)
+	if want := scanAffinity(nodes, r); got != want && c.errs < 5 {
+		c.errs++
+		c.t.Errorf("pick %d at %v: affinity picked %d of %d nodes, full scan %d", c.picks, now, got, len(nodes), want)
+	}
+	if len(nodes) < c.fleet {
+		c.subsets++
+	}
+	return got
 }
 
-func newBacklogChecker(t testing.TB, node core.Config) *backlogChecker {
-	return &backlogChecker{t: t, gpus: node.GPUExecutors}
+func newBacklogChecker(t testing.TB, node core.Config, fleet int) *backlogChecker {
+	return &backlogChecker{t: t, gpus: node.GPUExecutors, fleet: fleet}
 }
 
 // TestBacklogCounterUnderFaultsAndHedging: crashes purge a node's queues
@@ -73,7 +91,7 @@ func newBacklogChecker(t testing.TB, node core.Config) *backlogChecker {
 func TestBacklogCounterUnderFaultsAndHedging(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
 	node := nodeConfig(t, hw.NUMADevice())
-	check := newBacklogChecker(t, node)
+	check := newBacklogChecker(t, node, 4)
 	cl := buildCluster(t, Config{
 		Nodes:     Uniform(4, node),
 		Router:    check,
@@ -99,6 +117,9 @@ func TestBacklogCounterUnderFaultsAndHedging(t *testing.T) {
 	}
 	if int64(check.picks) < rep.N {
 		t.Errorf("checked %d picks for %d arrivals", check.picks, rep.N)
+	}
+	if check.subsets == 0 {
+		t.Error("no pick ran over a subset of the fleet")
 	}
 }
 
@@ -128,7 +149,7 @@ func TestBacklogCounterUnderNodeAutoscaling(t *testing.T) {
 		nodes[i].Autoscaler = &flipScaler{}
 		nodes[i].Window = 200 * time.Millisecond
 	}
-	check := newBacklogChecker(t, node)
+	check := newBacklogChecker(t, node, len(nodes))
 	cl := buildCluster(t, Config{Nodes: nodes, Router: check}, board.Model)
 	if _, err := cl.Serve(poissonFor(t, board, 40, 300, 43)); err != nil {
 		t.Fatal(err)
@@ -144,7 +165,7 @@ func TestBacklogCounterUnderNodeAutoscaling(t *testing.T) {
 func TestBacklogCounterAcrossWarmRestart(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
 	node := nodeConfig(t, hw.NUMADevice())
-	check := newBacklogChecker(t, node)
+	check := newBacklogChecker(t, node, 3)
 	cl := buildCluster(t, Config{
 		Nodes:     Uniform(3, node),
 		Router:    check,

@@ -132,10 +132,10 @@ func Uniform(n int, node core.Config) []core.Config {
 type Node struct {
 	id  string
 	sys *core.System
-	// resident is the node's column of the cluster's residency table:
-	// resident[id*stride] counts the node's pools holding expert id.
-	resident []uint8
-	stride   int
+	// f is the fleet's routing view; the node is bit idx in its bitsets
+	// and slot idx in its backlog slice.
+	f   *fleet
+	idx int
 }
 
 // ID reports the node's identifier.
@@ -148,9 +148,11 @@ func (n *Node) System() *core.System { return n.sys }
 func (n *Node) Queued() int { return n.sys.Queued() }
 
 // Resident reports whether the expert is Loaded or Loading in any of
-// the node's pools — the router's affinity signal. It is one read of the
-// cluster's residency table.
-func (n *Node) Resident(id coe.ExpertID) bool { return n.resident[int(id)*n.stride] != 0 }
+// the node's pools — the router's affinity signal. It is one bit of the
+// fleet's holder bitset.
+func (n *Node) Resident(id coe.ExpertID) bool {
+	return n.f.row(id)[n.idx>>6]&(1<<(n.idx&63)) != 0
+}
 
 // PredictLatency predicts the end-to-end latency the request would
 // observe if admitted to this node now (sched.Queue.Predict under the
@@ -180,11 +182,10 @@ type Cluster struct {
 	pairTags map[nodeTenant]uint16
 	tagsFull bool
 
-	// resident is the fleet's residency table: one contiguous row per
-	// expert with one byte per node, counting how many of that node's
-	// pools hold the expert (Loaded or Loading). Pools keep their own
-	// cells current on every insert and evict.
-	resident []uint8
+	// fleet is the routing view of the nodes: residency, backlogs and
+	// idleness as bitsets and one backlog slice, kept current by the
+	// nodes' pools and queues.
+	fleet *fleet
 
 	// latency caches each node's one-way hop cost; nil when
 	// Config.Interconnect is disabled and hops are synchronous.
@@ -264,7 +265,7 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 		placement: cfg.Placement,
 		recorder:  metrics.NewRecorder(),
 		routed:    make([]int64, len(cfg.Nodes)),
-		resident:  make([]uint8, m.NumExperts()*len(cfg.Nodes)),
+		fleet:     newFleet(len(cfg.Nodes), m.NumExperts()),
 	}
 	if err := cfg.Interconnect.validate(len(cfg.Nodes)); err != nil {
 		return nil, err
@@ -348,15 +349,12 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: node %s: %w", nc.ID, err)
 		}
-		col := c.resident[i:]
 		if n := len(sys.Pools()); n > math.MaxUint8 {
 			return nil, fmt.Errorf("cluster: node %s: %d pools overflow the residency table's byte counters", nc.ID, n)
 		}
-		for _, pl := range sys.Pools() {
-			pl.TrackResidency(col, len(cfg.Nodes))
-		}
-		c.nodes = append(c.nodes, &Node{id: nc.ID, sys: sys, resident: col, stride: len(cfg.Nodes)})
+		c.nodes = append(c.nodes, c.fleet.join(i, nc.ID, sys))
 	}
+	c.fleet.nodes = c.nodes
 	c.delegates = make([]nodeDelegate, len(c.nodes))
 	for i := range c.delegates {
 		c.delegates[i] = nodeDelegate{c: c, idx: i}

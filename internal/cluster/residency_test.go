@@ -8,26 +8,43 @@ import (
 
 	"repro/internal/coe"
 	"repro/internal/hw"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// checkResidency compares the cluster's residency table with a
-// brute-force scan of every node's pools.
+// checkResidency compares the fleet's residency view with a
+// brute-force scan of every node's pools: each node's tally equals the
+// number of its pools holding the expert, the node's holder bit is set
+// exactly while that number is nonzero, no bit is set past the last
+// node, and every pool's Loaded bitset (IsLoaded) equals a scan of its
+// entries' statuses.
 func checkResidency(c *Cluster) error {
+	f, experts := c.fleet, c.m.NumExperts()
 	for i, n := range c.nodes {
-		for id := 0; id < c.m.NumExperts(); id++ {
+		for id := 0; id < experts; id++ {
+			e := coe.ExpertID(id)
 			want := 0
 			for _, pl := range n.sys.Pools() {
-				if pl.Resident(coe.ExpertID(id)) {
+				if pl.Resident(e) {
 					want++
 				}
+				if st := pl.Status(e); pl.IsLoaded(e) != (st == pool.Loaded) {
+					return fmt.Errorf("node %d pool %s expert %d: Loaded bit %v, status %v", i, pl.Name(), id, pl.IsLoaded(e), st)
+				}
 			}
-			if got := int(c.resident[id*len(c.nodes)+i]); got != want {
-				return fmt.Errorf("node %d expert %d: table counts %d pools, scan finds %d", i, id, got, want)
+			if got := int(f.tally[i*experts+id]); got != want {
+				return fmt.Errorf("node %d expert %d: tally counts %d pools, scan finds %d", i, id, got, want)
 			}
-			if n.Resident(coe.ExpertID(id)) != (want > 0) {
-				return fmt.Errorf("node %d expert %d: Resident disagrees with the scan", i, id)
+			if n.Resident(e) != (want > 0) {
+				return fmt.Errorf("node %d expert %d: holder bit %v, %d pools hold it", i, id, n.Resident(e), want)
+			}
+		}
+	}
+	for id := 0; id < experts; id++ {
+		for k, w := range f.row(coe.ExpertID(id)) {
+			if w&^f.all[k] != 0 {
+				return fmt.Errorf("expert %d: holder bits %#x set past the fleet's %d nodes", id, w&^f.all[k], len(c.nodes))
 			}
 		}
 	}

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/coe"
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -23,9 +25,10 @@ type Router interface {
 // requests across its active executors), ties to the lowest index. It
 // balances queue depth while staying blind to expert residency: two
 // nodes with equal backlogs are equivalent to it even when only one
-// already holds the request's expert. The scan stops at the first node
-// with an empty backlog: backlogs are never negative and ties go to the
-// lowest index, so no later node can beat it.
+// already holds the request's expert. An idle routable node wins at
+// once — the lowest set bit of the fleet's idle and routable masks —
+// since backlogs are never negative and ties go to the lowest index;
+// otherwise it takes the minimum over the routable nodes' backlogs.
 type LeastLoaded struct{}
 
 // Name implements Router.
@@ -33,13 +36,9 @@ func (LeastLoaded) Name() string { return "least-loaded" }
 
 // Pick implements Router.
 func (LeastLoaded) Pick(_ sim.Time, nodes []*Node, _ *coe.Request) int {
-	best, bestQ := 0, nodes[0].Queued()
-	for i := 1; i < len(nodes) && bestQ > 0; i++ {
-		if q := nodes[i].Queued(); q < bestQ {
-			best, bestQ = i, q
-		}
-	}
-	return best
+	f := nodes[0].f
+	routable := f.routableFor(nodes)
+	return rank(routable, f.leastLoaded(routable))
 }
 
 // Affinity routes to where the expert already is: among the nodes whose
@@ -48,9 +47,11 @@ func (LeastLoaded) Pick(_ sim.Time, nodes []*Node, _ *coe.Request) int {
 // it, the request falls back to least-loaded — and the node it lands on
 // becomes the expert's home for followers. Residency-first routing is
 // what turns a fleet of small pools into one large effective pool:
-// requests chase experts instead of experts chasing requests. The first
-// holder with an empty backlog ends the scan, for the same reason as in
-// LeastLoaded: no later holder can have a smaller backlog or win a tie.
+// requests chase experts instead of experts chasing requests. The pick
+// is a few word operations on the fleet's bitsets: the lowest set bit
+// of holders & idle & routable is an idle holder, which no other holder
+// can beat (backlogs are never negative, ties go to the lowest index);
+// failing that, the least backlog over holders & routable.
 type Affinity struct{}
 
 // Name implements Router.
@@ -58,23 +59,27 @@ func (Affinity) Name() string { return "affinity" }
 
 // Pick implements Router.
 func (Affinity) Pick(_ sim.Time, nodes []*Node, r *coe.Request) int {
-	expert := r.Expert()
+	f := nodes[0].f
+	routable := f.routableFor(nodes)
+	row, idle := f.row(r.Expert()), f.idle
+	for k, w := range routable {
+		if x := row[k] & idle[k] & w; x != 0 {
+			return rank(routable, k<<6|bits.TrailingZeros64(x))
+		}
+	}
 	best, bestQ := -1, 0
-	for i, n := range nodes {
-		if !n.Resident(expert) {
-			continue
-		}
-		if q := n.Queued(); best < 0 || q < bestQ {
-			if q == 0 {
-				return i
+	for k, w := range routable {
+		for x := row[k] & w; x != 0; x &= x - 1 {
+			i := k<<6 | bits.TrailingZeros64(x)
+			if q := f.backlog[i]; best < 0 || q < bestQ {
+				best, bestQ = i, q
 			}
-			best, bestQ = i, q
 		}
 	}
-	if best >= 0 {
-		return best
+	if best < 0 {
+		best = f.leastLoaded(routable)
 	}
-	return LeastLoaded{}.Pick(0, nodes, r)
+	return rank(routable, best)
 }
 
 // Predict routes to the node whose §4.2 cost model predicts the lowest
@@ -116,4 +121,116 @@ func RouterByName(name string) (Router, error) {
 	default:
 		return nil, fmt.Errorf("cluster: unknown router %q (want least-loaded, affinity, predict)", name)
 	}
+}
+
+// fleet is the routing view of a cluster's nodes, kept as bitsets with
+// one bit per node (node i is bit i%64 of word i/64) so that a routing
+// decision is a few word operations rather than a walk of the nodes.
+type fleet struct {
+	// words is the length of every node bitset: ⌈nodes/64⌉.
+	words int
+	// holders has one row of words per expert: node i's bit is set while
+	// any of its pools holds the expert, Loaded or Loading. tally counts
+	// those pools, one row of a byte per expert for each node; the pools
+	// keep both current (pool.TrackResidency).
+	holders []uint64
+	tally   []uint8
+	// backlog is each node's queued requests across its active queues,
+	// and idle has node i's bit set while backlog[i] is 0; the nodes'
+	// active queues keep both current (core.System.CountBacklogInto).
+	backlog []int
+	idle    []uint64
+	// nodes is the fleet in index order, the slice the fault-free path
+	// routes over; all has every node's bit, its routable mask. mask
+	// backs the mask of a subset (routableFor).
+	nodes     []*Node
+	all, mask []uint64
+}
+
+// newFleet returns the empty view of a fleet of n nodes serving a model
+// with the given number of experts.
+func newFleet(n, experts int) *fleet {
+	w := (n + 63) >> 6
+	f := &fleet{
+		words:   w,
+		holders: make([]uint64, experts*w),
+		tally:   make([]uint8, n*experts),
+		backlog: make([]int, n),
+	}
+	// One block for the three node bitsets.
+	sets := make([]uint64, 3*w)
+	f.idle, f.all, f.mask = sets[:w:w], sets[w:2*w:2*w], sets[2*w:]
+	for i := 0; i < n; i++ {
+		f.all[i>>6] |= 1 << (i & 63)
+	}
+	return f
+}
+
+// join makes sys node i of the view: its pools report residency into
+// the holder bitset and its queues count into backlog[i] and idle.
+func (f *fleet) join(i int, id string, sys *core.System) *Node {
+	experts := len(f.tally) / len(f.backlog)
+	for _, pl := range sys.Pools() {
+		pl.TrackResidency(f.tally[i*experts:(i+1)*experts], f.holders, f.words, i)
+	}
+	sys.CountBacklogInto(&f.backlog[i], &f.idle[i>>6], 1<<(i&63))
+	return &Node{id: id, sys: sys, f: f, idx: i}
+}
+
+// row returns the expert's holder bitset.
+func (f *fleet) row(id coe.ExpertID) []uint64 {
+	return f.holders[int(id)*f.words : (int(id)+1)*f.words]
+}
+
+// routableFor returns the routable mask of nodes: all for the fleet's
+// own slice, else the mask of a subset — the eligible nodes pickNode
+// presents while some are faulted or quarantined, or a hedge's
+// candidates — marked from the slice, which must list fleet nodes in
+// index order. Marking costs what building the subset did.
+func (f *fleet) routableFor(nodes []*Node) []uint64 {
+	if len(nodes) == len(f.nodes) && &nodes[0] == &f.nodes[0] {
+		return f.all
+	}
+	clear(f.mask)
+	prev := -1
+	for _, n := range nodes {
+		if n.f != f || n.idx <= prev {
+			panic("cluster: a router takes the fleet's nodes or an in-order subset of them")
+		}
+		prev = n.idx
+		f.mask[n.idx>>6] |= 1 << (n.idx & 63)
+	}
+	return f.mask
+}
+
+// leastLoaded returns the fleet index of the routable node with the
+// smallest backlog, ties to the lowest index: the lowest routable idle
+// node when there is one, else the minimum over the routable backlogs.
+// routable must have a bit set.
+func (f *fleet) leastLoaded(routable []uint64) int {
+	for k, w := range routable {
+		if x := w & f.idle[k]; x != 0 {
+			return k<<6 | bits.TrailingZeros64(x)
+		}
+	}
+	best, bestQ := -1, 0
+	for k, w := range routable {
+		for x := w; x != 0; x &= x - 1 {
+			i := k<<6 | bits.TrailingZeros64(x)
+			if q := f.backlog[i]; best < 0 || q < bestQ {
+				best, bestQ = i, q
+			}
+		}
+	}
+	return best
+}
+
+// rank returns the position of fleet node i in the node slice whose
+// mask is routable: the number of routable nodes below it.
+func rank(routable []uint64, i int) int {
+	n := bits.OnesCount64(routable[i>>6] & (1<<(i&63) - 1))
+	for _, w := range routable[:i>>6] {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }

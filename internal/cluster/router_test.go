@@ -39,36 +39,38 @@ func scanAffinity(nodes []*Node, r *coe.Request) int {
 	return scanLeastLoaded(nodes)
 }
 
-// TestRoutersMatchFullScan: on random residency tables and backlogs the
-// early-exit routers pick exactly the node a full scan picks — over the
-// whole fleet, over the in-order subsets pickNode presents while nodes
-// are faulted, and for experts no node holds (the least-loaded
-// fallback). Backlogs are mostly 0 and 1, so an exit on the wrong
-// backlog or before the residency test shows.
+// TestRoutersMatchFullScan: on random holder bitsets and backlogs the
+// bitset routers pick exactly the node a full scan picks — over the
+// whole fleet, over the in-order subsets pickNode and hedging present
+// while nodes are faulted (the router marks their routable mask), over
+// prefixes of the fleet's own slice, and for experts no node holds (the
+// least-loaded fallback). The fleet spans two bitset words, so a rank
+// off by one word or bit shows. Backlogs are mostly 0 and 1, so an exit
+// on the wrong backlog or before the residency test shows.
 func TestRoutersMatchFullScan(t *testing.T) {
-	const fleet = 12
+	const fleet = 70
 	board := boardFor(t, workload.BoardA())
 	m := board.Model
 	cl := buildCluster(t, Config{Nodes: Uniform(fleet, nodeConfig(t, hw.NUMADevice()))}, m)
+	f := cl.fleet
 	rng := rand.New(rand.NewSource(22))
-	// Each trial's nodes share the real systems (for Queued) but read a
-	// random residency table of their own.
-	table := make([]uint8, m.NumExperts()*fleet)
-	nodes := make([]*Node, fleet)
-	for i, n := range cl.nodes {
-		nodes[i] = &Node{id: n.id, sys: n.sys, resident: table[i:], stride: fleet}
-	}
 	var seq int64
-	var early, fallbacks int
-	for trial := 0; trial < 400; trial++ {
+	var early, fallbacks, subsets int
+	for trial := 0; trial < 300; trial++ {
+		// A random holder bitset of the trial's density, and random
+		// backlogs on the real queues, which keep the fleet's backlog
+		// slice and idle bitset current.
 		density := rng.Float64()
-		for i := range table {
-			table[i] = 0
-			if rng.Float64() < density {
-				table[i] = uint8(1 + rng.Intn(2))
+		clear(f.holders)
+		for id := 0; id < m.NumExperts(); id++ {
+			row := f.row(coe.ExpertID(id))
+			for i := 0; i < fleet; i++ {
+				if rng.Float64() < density {
+					row[i>>6] |= 1 << (i & 63)
+				}
 			}
 		}
-		for _, n := range nodes {
+		for _, n := range cl.nodes {
 			q := n.sys.Queues()[0]
 			q.Purge()
 			for k := rng.Intn(4) / 2 * (1 + rng.Intn(2)); k > 0; k-- {
@@ -76,25 +78,34 @@ func TestRoutersMatchFullScan(t *testing.T) {
 				q.Enqueue(m.Expert(0), coe.NewRequest(seq, 0, []coe.ExpertID{0}))
 			}
 		}
-		set := nodes
-		if trial%2 == 1 {
+		set := cl.nodes
+		switch trial % 3 {
+		case 1:
+			// An in-order subset, as pickNode presents while nodes are
+			// faulted or quarantined.
 			set = nil
-			for _, n := range nodes {
+			for _, n := range cl.nodes {
 				if rng.Intn(3) > 0 {
 					set = append(set, n)
 				}
 			}
 			if len(set) == 0 {
-				set = nodes[:1]
+				set = cl.nodes[1:2]
 			}
+			subsets++
+		case 2:
+			// A prefix of the fleet's own slice: same first node, so
+			// only the length tells it from the whole fleet.
+			set = cl.nodes[:1+rng.Intn(fleet-1)]
+			subsets++
 		}
 		if got, want := (LeastLoaded{}).Pick(0, set, nil), scanLeastLoaded(set); got != want {
 			t.Fatalf("trial %d: least-loaded picked %d of %d, full scan %d", trial, got, len(set), want)
 		}
 		for id := 0; id < m.NumExperts(); id++ {
 			r := coe.NewRequest(seq, 0, []coe.ExpertID{coe.ExpertID(id)})
-			got, want := (Affinity{}).Pick(sim.Time(0), set, r), scanAffinity(set, r)
-			if got != want {
+			want := scanAffinity(set, r)
+			if got := (Affinity{}).Pick(sim.Time(0), set, r); got != want {
 				t.Fatalf("trial %d expert %d: affinity picked %d of %d, full scan %d", trial, id, got, len(set), want)
 			}
 			held := false
@@ -108,10 +119,37 @@ func TestRoutersMatchFullScan(t *testing.T) {
 			}
 		}
 	}
-	for _, n := range nodes {
+	for _, n := range cl.nodes {
 		n.sys.Queues()[0].Purge()
 	}
-	if early == 0 || fallbacks == 0 {
-		t.Fatalf("%d early exits and %d no-holder fallbacks: the trials exercise too little", early, fallbacks)
+	if early == 0 || fallbacks == 0 || subsets == 0 {
+		t.Fatalf("%d early exits, %d no-holder fallbacks and %d subsets: the trials exercise too little", early, fallbacks, subsets)
+	}
+}
+
+// TestRouterRejectsForeignNodes: a router handed nodes out of fleet
+// order, or another fleet's nodes, has no mask to route over and says
+// so.
+func TestRouterRejectsForeignNodes(t *testing.T) {
+	board := boardFor(t, workload.BoardA())
+	a := buildCluster(t, Config{Nodes: Uniform(3, nodeConfig(t, hw.NUMADevice()))}, board.Model)
+	b := buildCluster(t, Config{Nodes: Uniform(3, nodeConfig(t, hw.NUMADevice()))}, board.Model)
+	r := coe.NewRequest(1, 0, []coe.ExpertID{0})
+	for _, tc := range []struct {
+		name  string
+		nodes []*Node
+	}{
+		{"reversed", []*Node{a.nodes[2], a.nodes[0]}},
+		{"mixed", []*Node{a.nodes[0], b.nodes[1]}},
+	} {
+		name, nodes := tc.name, tc.nodes
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Affinity.Pick routed over nodes it has no mask for", name)
+				}
+			}()
+			Affinity{}.Pick(0, nodes, r)
+		}()
 	}
 }

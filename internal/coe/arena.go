@@ -43,7 +43,7 @@ func (a *Arena) Lease() *Request {
 		a.free[n-1] = nil
 		a.free = a.free[:n-1]
 		a.reuses++
-		r.ID, r.Class, r.stage, r.Tenant = 0, 0, 0, ""
+		r.ID, r.Class, r.stage, r.TenantSlot, r.Tenant = 0, 0, 0, 0, ""
 		r.Arrival, r.Done = 0, 0
 		r.Chain = r.Chain[:0]
 	} else {

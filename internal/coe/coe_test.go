@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/model"
 )
@@ -29,6 +30,17 @@ func buildTestModel(t *testing.T) (*Model, []ExpertID, ExpertID) {
 		t.Fatal(err)
 	}
 	return m, cls, det
+}
+
+// TestRequestSize pins a request at 96 bytes on 64-bit platforms: the
+// tenant slot shares the stage cursor's word instead of adding one.
+func TestRequestSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("request layout is pinned on 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Request{}); got != 96 {
+		t.Errorf("Request is %d bytes, want 96", got)
+	}
 }
 
 func TestBuilderLinksDependencies(t *testing.T) {

@@ -14,7 +14,15 @@ type Request struct {
 	ID    int64
 	Class int
 	Chain []ExpertID
-	stage int
+	// stage is the cursor over Chain. TenantSlot shares its word, so a
+	// request stays 96 bytes.
+	stage int32
+	// TenantSlot belongs to the node serving the request, as Hold belongs
+	// to whoever offers it: at admission the node stamps the index plus
+	// one of Tenant in its own tenant table (0: no tenant), so that its
+	// completion accounting reads the index instead of looking the name
+	// up again.
+	TenantSlot int32
 
 	// Tenant names the stream the request came from in a multi-tenant
 	// mix (empty for single-tenant streams). Mix and trace replay stamp
@@ -48,7 +56,7 @@ func NewRequest(id int64, class int, chain []ExpertID) *Request {
 func (r *Request) Expert() ExpertID { return r.Chain[r.stage] }
 
 // Stage reports the zero-based index of the current stage.
-func (r *Request) Stage() int { return r.stage }
+func (r *Request) Stage() int { return int(r.stage) }
 
 // Stages reports the total number of stages in the chain.
 func (r *Request) Stages() int { return len(r.Chain) }
@@ -56,7 +64,7 @@ func (r *Request) Stages() int { return len(r.Chain) }
 // Advance moves the request to its next stage. It reports false when the
 // request has completed its final stage.
 func (r *Request) Advance() bool {
-	if r.stage+1 >= len(r.Chain) {
+	if int(r.stage)+1 >= len(r.Chain) {
 		return false
 	}
 	r.stage++
@@ -64,7 +72,7 @@ func (r *Request) Advance() bool {
 }
 
 // Final reports whether the request is on its last stage.
-func (r *Request) Final() bool { return r.stage == len(r.Chain)-1 }
+func (r *Request) Final() bool { return int(r.stage) == len(r.Chain)-1 }
 
 func (r *Request) String() string {
 	return fmt.Sprintf("req%d(class=%d stage=%d/%d expert=%d)",

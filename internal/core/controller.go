@@ -33,8 +33,10 @@ type controller struct {
 
 	// tenants counts each request Tenant's admissions, rejections and
 	// completions, in first-seen order; tenantIdx indexes it by name.
-	// Both stay empty until the first tagged request. A tenant's latency
-	// samples carry its index plus one as their recorder tag (0: no
+	// Both stay empty until the first tagged request. offer looks the
+	// name up once and stamps the index plus one on the request
+	// (coe.Request.TenantSlot); completion reads it back. A tenant's
+	// latency samples carry that slot as their recorder tag (0: no
 	// tenant).
 	tenants   []tenantCounts
 	tenantIdx map[string]int
@@ -57,11 +59,12 @@ func newController(s *System, stream string, d StreamDelegate) *controller {
 // It is OfferAt's body.
 func (c *controller) offer(now sim.Time, r *coe.Request) bool {
 	s := c.sys
+	slot := c.slot(r.Tenant)
 	if s.cfg.Admission != nil && !s.cfg.Admission.Admit(now, s, r) {
 		c.rejected++
 		s.recorder.Rejection(now)
-		if r.Tenant != "" {
-			c.tenant(r.Tenant).rejected++
+		if slot > 0 {
+			c.tenants[slot-1].rejected++
 		}
 		if s.cfg.Trace != nil {
 			s.cfg.Trace.Add(trace.Event{
@@ -70,11 +73,11 @@ func (c *controller) offer(now sim.Time, r *coe.Request) bool {
 		}
 		return false
 	}
-	r.Arrival = now
+	r.Arrival, r.TenantSlot = now, slot
 	s.recorder.Arrival(r.Arrival)
 	c.admitted++
-	if r.Tenant != "" {
-		c.tenant(r.Tenant).admitted++
+	if slot > 0 {
+		c.tenants[slot-1].admitted++
 	}
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.Add(trace.Event{
@@ -98,8 +101,8 @@ func (c *controller) onBatch(now sim.Time, r *coe.Request) {
 	}
 	r.Done = now
 	s.recorder.Completion(r.Arrival, now)
-	if r.Tenant != "" {
-		c.tenants[c.tenantIdx[r.Tenant]].completed++
+	if r.TenantSlot > 0 {
+		c.tenants[r.TenantSlot-1].completed++
 	}
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.Add(trace.Event{
@@ -146,9 +149,13 @@ func (c *controller) finish() {
 	}
 }
 
-// tenant returns a tenant's counters, registering it in first-seen
-// order on its first request.
-func (c *controller) tenant(name string) *tenantCounts {
+// slot returns the named tenant's index plus one in c.tenants, or 0 for
+// no tenant, registering the tenant in first-seen order on its first
+// request.
+func (c *controller) slot(name string) int32 {
+	if name == "" {
+		return 0
+	}
 	j, ok := c.tenantIdx[name]
 	if !ok {
 		if c.tenantIdx == nil {
@@ -158,18 +165,13 @@ func (c *controller) tenant(name string) *tenantCounts {
 		c.tenantIdx[name] = j
 		c.tenants = append(c.tenants, tenantCounts{name: name})
 	}
-	return &c.tenants[j]
+	return int32(j + 1)
 }
 
-// tag returns the recorder tag of a request of the named tenant: its
-// index plus one, or 0 for no tenant. Tenants past the 16-bit tag space
-// share the last tag, and StreamReport refuses their stream.
-func (c *controller) tag(tenant string) uint16 {
-	if tenant == "" {
-		return 0
-	}
-	return uint16(min(c.tenantIdx[tenant]+1, math.MaxUint16))
-}
+// tag returns the recorder tag of an admitted request: its tenant slot,
+// 0 for no tenant. Tenants past the 16-bit tag space share the last tag,
+// and StreamReport refuses their stream.
+func tag(r *coe.Request) uint16 { return uint16(min(r.TenantSlot, math.MaxUint16)) }
 
 // tenantStats renders the per-tenant breakdown in first-seen order: the
 // counters, and each tenant's latency folded from the recorder's tags.

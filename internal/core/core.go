@@ -56,9 +56,13 @@ type System struct {
 	activeGPU, activeCPU int
 	activeQueues         []*sched.Queue
 	activeIdx            []int
-	// queued is the backlog across activeQueues, kept current by the
-	// queues themselves (sched.Queue.CountInto).
-	queued int
+	// backlog counts the requests on activeQueues, kept current by the
+	// queues themselves (sched.Queue.CountInto), with an idle bit set
+	// while the count is 0. It counts into queued and idle until a
+	// cluster moves it into its fleet tables (CountBacklogInto).
+	backlog sched.Backlog
+	queued  int
+	idle    uint64
 
 	ctrl    *controller
 	measure bool // the Figure 19 probe runs: online scheduling, not replay
@@ -202,7 +206,6 @@ func NewSystemInEnv(cfg Config, m *coe.Model, env *sim.Env) (*System, error) {
 		}
 		if pl == nil {
 			pl = pool.New(name, poolCap, s.store, tier, cfg.evictPolicy(), s.env.Now)
-			pl.Presize(m.NumExperts())
 			s.pools = append(s.pools, pl)
 		}
 		perfs := make([]model.Perf, len(archs))
@@ -243,6 +246,7 @@ func NewSystemInEnv(cfg Config, m *coe.Model, env *sim.Env) (*System, error) {
 	for i := 0; i < cfg.CPUExecutors; i++ {
 		build(i, hw.CPU)
 	}
+	pool.PresizeAll(s.pools, m.NumExperts())
 	if cfg.Trace != nil {
 		for _, pl := range s.pools {
 			pl := pl
@@ -289,6 +293,7 @@ func NewSystemInEnv(cfg Config, m *coe.Model, env *sim.Env) (*System, error) {
 		// are the whole population until a tenant's request arrives.
 		s.recorder.UseSketch(0)
 	}
+	s.backlog = sched.Backlog{N: &s.queued, Idle: &s.idle, Mask: 1}
 	s.setActive(cfg.GPUExecutors, cfg.CPUExecutors)
 	s.initializeExperts()
 	return s, nil
@@ -325,14 +330,32 @@ func (s *System) setActive(gpu, cpu int) {
 	}
 	// Only active queues count toward the backlog: detach them all, then
 	// attach the active set and recount.
-	s.queued = 0
 	for _, q := range s.queues {
 		q.CountInto(nil)
 	}
 	for _, q := range s.activeQueues {
-		q.CountInto(&s.queued)
-		s.queued += q.Len()
+		q.CountInto(&s.backlog)
 	}
+	s.recount()
+}
+
+// recount sets the backlog, and its idle bit, from the active queues.
+func (s *System) recount() {
+	n := 0
+	for _, q := range s.activeQueues {
+		n += q.Len()
+	}
+	s.backlog.Set(n)
+}
+
+// CountBacklogInto moves the node's backlog count to *n and its idle flag
+// to the bit mask of *idle — slots in a cluster front end's tables, so
+// routing reads every node's backlog from one slice and every node's
+// idleness from one bitset. The active queues keep both current from
+// here on, across autoscaler moves and crash purges.
+func (s *System) CountBacklogInto(n *int, idle *uint64, mask uint64) {
+	s.backlog = sched.Backlog{N: n, Idle: idle, Mask: mask}
+	s.recount()
 }
 
 // Active reports the active executor counts per kind — the topology the
@@ -340,8 +363,8 @@ func (s *System) setActive(gpu, cpu int) {
 func (s *System) Active() (gpu, cpu int) { return s.activeGPU, s.activeCPU }
 
 // Queued implements control.View: the backlog across active queues.
-// The active queues keep s.queued current, so this is a field read.
-func (s *System) Queued() int { return s.queued }
+// The active queues keep the count current, so this is one read.
+func (s *System) Queued() int { return *s.backlog.N }
 
 // PredictLatency implements control.View: the predicted end-to-end
 // latency of a request admitted now. Its current stage is priced as the
@@ -577,7 +600,7 @@ func (s *System) Serve(src workload.Source) (*Report, error) {
 type recycler struct{ s *System }
 
 func (d recycler) RequestDone(now sim.Time, r *coe.Request) {
-	d.s.recorder.Sample(now.Sub(r.Arrival).Seconds(), d.s.ctrl.tag(r.Tenant))
+	d.s.recorder.Sample(now.Sub(r.Arrival).Seconds(), tag(r))
 	coe.Recycle(r)
 }
 

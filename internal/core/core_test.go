@@ -412,9 +412,9 @@ func TestPreloadPlanOverridesUsageOrder(t *testing.T) {
 // hold each expert.
 func residency(t *testing.T, s *System, experts int) []uint8 {
 	t.Helper()
-	cells := make([]uint8, experts)
+	cells, holders := make([]uint8, experts), make([]uint64, experts)
 	for _, pl := range s.Pools() {
-		pl.TrackResidency(cells, 1)
+		pl.TrackResidency(cells, holders, 1, 0)
 	}
 	return cells
 }

@@ -9,6 +9,7 @@ package pool
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -88,7 +89,11 @@ type Pool struct {
 	// cell is an absent expert. Presize sizes it to the model up front so
 	// the serve path never grows it.
 	entries []*Entry
-	seq     int64
+	// loadedBits has bit id%64 of word id/64 set while expert id is
+	// Loaded here: Preload and loaded set it and evict clears it, so
+	// IsLoaded reads one word. Sized with entries.
+	loadedBits []uint64
+	seq        int64
 	// resident holds the same entries in ascending (UsageProb, ID) order
 	// — stage 2's eviction order, fixed per model — so the usage-ordered
 	// policies walk it instead of sorting. An expert's UsageProb must not
@@ -102,10 +107,14 @@ type Pool struct {
 	// stage 1 when there is none.
 	orphans int
 
-	// tally, when set by TrackResidency, holds one residency counter per
-	// expert at tally[id*stride], kept current on every insert and evict.
-	tally  []uint8
-	stride int
+	// tally and holders are set by TrackResidency: tally[id] counts the
+	// node's pools holding expert id, and the pool keeps bit hbit of
+	// holders[id*hwords+hword] set while that count is nonzero.
+	tally   []uint8
+	holders []uint64
+	hwords  int
+	hword   int
+	hbit    uint64
 
 	// scratch backs LoadedUnpinned and the policies' candidate lists and
 	// victims backs their results, so every eviction decision reuses one
@@ -144,11 +153,46 @@ func New(name string, capacity int64, store *Store, tier memory.Tier, policy Pol
 	return p
 }
 
-// Presize sizes the expert table for a model of n experts, so inserts
-// during a serve never grow it.
+// Presize sizes the expert table and the Loaded bitset for a model of n
+// experts, so inserts during a serve never grow them.
 func (p *Pool) Presize(n int) {
 	if n > len(p.entries) {
 		p.entries = append(p.entries, make([]*Entry, n-len(p.entries))...)
+	}
+	if w := words(n); w > len(p.loadedBits) {
+		p.loadedBits = append(p.loadedBits, make([]uint64, w-len(p.loadedBits))...)
+	}
+}
+
+// PresizeAll presizes the pools for a model of n experts like Presize,
+// carving every expert table out of one block and every Loaded bitset
+// out of another: a node's pools cost two allocations however many
+// there are. What a pool already holds is kept.
+func PresizeAll(pools []*Pool, n int) {
+	w := words(n)
+	entries := make([]*Entry, len(pools)*n)
+	loaded := make([]uint64, len(pools)*w)
+	for i, p := range pools {
+		if len(p.entries) > n {
+			panic(fmt.Sprintf("pool %s: presize to %d experts below its %d", p.name, n, len(p.entries)))
+		}
+		e, b := entries[i*n:(i+1)*n:(i+1)*n], loaded[i*w:(i+1)*w:(i+1)*w]
+		copy(e, p.entries)
+		copy(b, p.loadedBits)
+		p.entries, p.loadedBits = e, b
+	}
+}
+
+// words returns the number of 64-bit words a bitset of n bits needs.
+func words(n int) int { return (n + 63) >> 6 }
+
+// setLoaded sets or clears expert id's bit in the Loaded bitset.
+func (p *Pool) setLoaded(id coe.ExpertID, on bool) {
+	w, bit := &p.loadedBits[id>>6], uint64(1)<<(id&63)
+	if on {
+		*w |= bit
+	} else {
+		*w &^= bit
 	}
 }
 
@@ -175,15 +219,36 @@ func (p *Pool) count(e *Entry, delta int32) {
 	}
 }
 
-// TrackResidency makes the pool count itself in a residency tally shared
-// with other pools: cells[id*stride] is incremented while the pool holds
-// expert id (Loaded or Loading) and decremented when it lets go. The
-// pool's current experts are counted immediately. Counters are bytes, so
-// at most 255 pools may share one tally.
-func (p *Pool) TrackResidency(cells []uint8, stride int) {
-	p.tally, p.stride = cells, stride
+// TrackResidency makes the pool report its residency into a fleet view
+// shared with the other pools of its node and of its fleet. tally holds
+// the node's counters, one per expert: tally[id] is incremented while
+// the pool holds expert id (Loaded or Loading) and decremented when it
+// lets go. holders is the fleet's holder bitset, words words per expert:
+// node's bit in expert id's row is set while tally[id] is nonzero, so
+// the pools flip it when their node's count crosses 0 and 1. The pool's
+// current experts are counted immediately. Counters are bytes, so at
+// most 255 pools may share one tally.
+func (p *Pool) TrackResidency(tally []uint8, holders []uint64, words, node int) {
+	p.tally, p.holders, p.hwords = tally, holders, words
+	p.hword, p.hbit = node>>6, uint64(1)<<(node&63)
 	for _, e := range p.resident {
-		p.tally[int(e.Expert.ID)*stride]++
+		p.track(e.Expert.ID, true)
+	}
+}
+
+// track counts the pool in or out of expert id's residency tally, and
+// sets or clears its node's holder bit with it. No-op until
+// TrackResidency.
+func (p *Pool) track(id coe.ExpertID, in bool) {
+	if p.tally == nil {
+		return
+	}
+	w := &p.holders[int(id)*p.hwords+p.hword]
+	if in {
+		p.tally[id]++
+		*w |= p.hbit
+	} else if p.tally[id]--; p.tally[id] == 0 {
+		*w &^= p.hbit
 	}
 }
 
@@ -204,14 +269,12 @@ func (p *Pool) put(e *Entry) {
 			e.live++
 		}
 	}
-	id := int(e.Expert.ID)
-	p.Presize(id + 1)
+	id := e.Expert.ID
+	p.Presize(int(id) + 1)
 	p.entries[id] = e
 	i, _ := slices.BinarySearchFunc(p.resident, e, byUsage)
 	p.resident = slices.Insert(p.resident, i, e)
-	if p.tally != nil {
-		p.tally[id*p.stride]++
-	}
+	p.track(id, true)
 }
 
 // byUsage orders entries by ascending usage probability, ties broken on
@@ -229,10 +292,11 @@ func (p *Pool) Name() string { return p.name }
 // FreeBytes reports unreserved pool capacity.
 func (p *Pool) FreeBytes() int64 { return p.arena.Free() }
 
-// IsLoaded reports whether the expert is resident (status Loaded).
+// IsLoaded reports whether the expert is resident (status Loaded): one
+// word of the Loaded bitset.
 func (p *Pool) IsLoaded(id coe.ExpertID) bool {
-	e := p.entry(id)
-	return e != nil && e.Status == Loaded
+	w := uint(id) >> 6
+	return w < uint(len(p.loadedBits)) && p.loadedBits[w]&(1<<(id&63)) != 0
 }
 
 // SwitchIn returns the scheduler's switch-in estimate for the expert
@@ -245,6 +309,14 @@ func (p *Pool) SwitchIn(e *coe.Expert) time.Duration {
 	return p.store.PredictLoad(e, p.tier)
 }
 
+// Status reports the expert's status in the pool.
+func (p *Pool) Status(id coe.ExpertID) Status {
+	if e := p.entry(id); e != nil {
+		return e.Status
+	}
+	return Absent
+}
+
 // Resident reports whether the expert occupies the pool at all — Loaded,
 // or Loading with the switch-in still in flight. Cluster routers use it
 // for expert affinity: a request routed to a pool whose expert is
@@ -254,10 +326,8 @@ func (p *Pool) Resident(id coe.ExpertID) bool { return p.entry(id) != nil }
 // Loaded returns the number of resident experts.
 func (p *Pool) Loaded() int {
 	n := 0
-	for _, e := range p.resident {
-		if e.Status == Loaded {
-			n++
-		}
+	for _, w := range p.loadedBits {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
@@ -302,6 +372,7 @@ func (p *Pool) Preload(e *coe.Expert) bool {
 		LoadSeq: p.seq,
 	}
 	p.put(entry)
+	p.setLoaded(e.ID, true)
 	p.count(entry, 1)
 	return true
 }
@@ -376,6 +447,7 @@ func (p *Pool) loaded(tag any, d time.Duration) {
 
 	entry.Status = Loaded
 	entry.LastUse = p.now()
+	p.setLoaded(entry.Expert.ID, true)
 	p.count(entry, 1)
 	if entry.ready != nil {
 		entry.ready.Fire()
@@ -419,11 +491,10 @@ func (p *Pool) evict(need int64) {
 		}
 		p.count(entry, -1)
 		p.entries[id] = nil
+		p.setLoaded(id, false)
 		i := slices.Index(p.resident, entry)
 		p.resident = slices.Delete(p.resident, i, i+1)
-		if p.tally != nil {
-			p.tally[int(id)*p.stride]--
-		}
+		p.track(id, false)
 		p.arena.Release(entry.Bytes)
 		p.store.demote(entry.Expert, p.tier)
 		p.evictions++

@@ -479,9 +479,11 @@ func TestLoadedUnpinnedIDOrder(t *testing.T) {
 	}
 }
 
-// TestTrackResidency: a tally shared by two pools counts, per expert,
-// the pools holding it — loads in flight included — from the moment it
-// is attached, through evictions.
+// TestTrackResidency: a tally shared by two pools of one node counts,
+// per expert, the pools holding it — loads in flight included — from the
+// moment it is attached, through evictions, and the node's bit in each
+// expert's row of the holder bitset is set exactly while the count is
+// nonzero.
 func TestTrackResidency(t *testing.T) {
 	env, store, m := testWorld(t, 0, 3)
 	a := newPool(env, store, rn101+rn101/2, LRU{})
@@ -489,24 +491,84 @@ func TestTrackResidency(t *testing.T) {
 	a.Preload(m.Expert(0))
 	b.Preload(m.Expert(0))
 	b.Preload(m.Expert(1))
-	const stride = 3 // the tally's column lives at offset 1 of each row
-	cells := make([]uint8, m.NumExperts()*stride)
-	col := cells[1:]
-	a.TrackResidency(col, stride)
-	b.TrackResidency(col, stride)
-	count := func(id coe.ExpertID) uint8 { return cells[int(id)*stride+1] }
-	if count(0) != 2 || count(1) != 1 || count(2) != 0 {
-		t.Fatalf("attached tally = %d/%d/%d, want 2/1/0", count(0), count(1), count(2))
+	// A 70-node fleet: two words per expert, and the node is bit 3 of
+	// the second.
+	const words, node = 2, 67
+	tally := make([]uint8, m.NumExperts())
+	holders := make([]uint64, m.NumExperts()*words)
+	a.TrackResidency(tally, holders, words, node)
+	b.TrackResidency(tally, holders, words, node)
+	check := func(when string, want ...uint8) {
+		t.Helper()
+		for id, w := range want {
+			if tally[id] != w {
+				t.Errorf("%s: expert %d tally = %d, want %d", when, id, tally[id], w)
+			}
+			held := holders[id*words+1] == 1<<3 && holders[id*words] == 0
+			if empty := holders[id*words+1] == 0 && holders[id*words] == 0; !(w > 0 && held || w == 0 && empty) {
+				t.Errorf("%s: expert %d holder row %#x/%#x with tally %d", when, id, holders[id*words], holders[id*words+1], w)
+			}
+		}
 	}
+	check("attached", 2, 1, 0)
 	acquireRun(env, a, m.Expert(2)) // evicts expert 0 from a
-	if count(0) != 1 || count(2) != 1 {
-		t.Errorf("after switch tally = %d for expert 0, %d for expert 2, want 1/1", count(0), count(2))
-	}
+	check("after switch", 1, 1, 1)
 	a.Release(2)
 	env.Run()
-	for i, c := range cells {
-		if i%stride != 1 && c != 0 {
-			t.Fatalf("pools wrote cell %d outside their column", i)
+	acquireRun(env, b, m.Expert(2)) // evicts expert 0 from b too
+	check("after second switch", 0, 1, 2)
+	b.Release(2)
+	env.Run()
+}
+
+// TestLoadedBitsMatchStatus: the Loaded bitset answers IsLoaded, so it
+// must equal a scan of the entries' statuses after every preload, load
+// start, load completion and eviction — including in a pool that was
+// never presized and grows its tables as it goes.
+func TestLoadedBitsMatchStatus(t *testing.T) {
+	for _, presize := range []bool{false, true} {
+		env, store, m := testWorld(t, rn101, 70)
+		p := newPool(env, store, 3*rn101, DepAware{})
+		if presize {
+			PresizeAll([]*Pool{p}, m.NumExperts())
+		}
+		check := func(when string) {
+			t.Helper()
+			loaded := 0
+			for id := 0; id < m.NumExperts(); id++ {
+				e := p.entry(coe.ExpertID(id))
+				want := e != nil && e.Status == Loaded
+				if want {
+					loaded++
+				}
+				if p.IsLoaded(coe.ExpertID(id)) != want {
+					t.Fatalf("presize=%v %s: expert %d IsLoaded = %v, status scan %v", presize, when, id, !want, want)
+				}
+			}
+			if p.Loaded() != loaded {
+				t.Fatalf("presize=%v %s: Loaded() = %d, status scan %d", presize, when, p.Loaded(), loaded)
+			}
+		}
+		p.Preload(m.Expert(69))
+		check("preload")
+		rng := rand.New(rand.NewSource(29))
+		for i := 0; i < 40; i++ {
+			e := m.Expert(coe.ExpertID(rng.Intn(m.NumExperts())))
+			if p.Resident(e.ID) {
+				continue
+			}
+			done := false
+			p.Acquire(e, func() { done = true })
+			check("load started")
+			env.Run()
+			if !done {
+				t.Fatal("load never landed")
+			}
+			check("load landed")
+			p.Release(e.ID)
+		}
+		if p.Evictions() == 0 {
+			t.Fatalf("presize=%v: no eviction; the test exercises too little", presize)
 		}
 	}
 }
@@ -611,6 +673,7 @@ func TestDepAwareMatchesReference(t *testing.T) {
 				// A load in flight: it counts for no dependent.
 				p.count(entry, -1)
 				entry.Status = Loading
+				p.setLoaded(e.ID, false)
 			default:
 				unpinned += entry.Bytes
 			}

@@ -51,20 +51,35 @@ func TestPurgeReturnsBacklogInOrder(t *testing.T) {
 }
 
 // TestCountIntoTracksBacklog: two queues sharing one owner counter keep
-// it equal to the sum of their lengths through Enqueue, TakeFromHead
-// and Purge; a detached queue keeps working but stops moving it.
+// it equal to the sum of their lengths, and its idle bit equal to the
+// sum being 0, through Enqueue, TakeFromHead and Purge; a detached queue
+// keeps working but stops moving either. The idle word's other bits are
+// left alone.
 func TestCountIntoTracksBacklog(t *testing.T) {
 	env := sim.NewEnv()
 	a, b := testQueue(t, env, ModeGrouped), testQueue(t, env, ModeFIFO)
 	var backlog int
-	a.CountInto(&backlog)
-	b.CountInto(&backlog)
+	const others = 0b1011 << 60
+	idle := uint64(others)
+	owner := Backlog{N: &backlog, Idle: &idle, Mask: 1 << 5}
+	a.CountInto(&owner)
+	b.CountInto(&owner)
+	owner.Set(0)
+	attached := []*Queue{a, b}
 	want := func(step string, n int) {
 		t.Helper()
-		if backlog != n || backlog != a.Len()+b.Len() {
-			t.Fatalf("%s: counter = %d, want %d (queues hold %d + %d)", step, backlog, n, a.Len(), b.Len())
+		held := 0
+		for _, q := range attached {
+			held += q.Len()
+		}
+		if backlog != n || backlog != held {
+			t.Fatalf("%s: counter = %d, want %d (attached queues hold %d)", step, backlog, n, held)
+		}
+		if wantIdle := uint64(others) | map[bool]uint64{true: 1 << 5}[n == 0]; idle != wantIdle {
+			t.Fatalf("%s: idle word %#x with counter %d, want %#x", step, idle, n, wantIdle)
 		}
 	}
+	want("attach", 0)
 	for i, e := range []coe.ExpertID{1, 1, 2, 3} {
 		a.Enqueue(expert(e), req(int64(i), e))
 		b.Enqueue(expert(e), req(int64(10+i), e))
@@ -79,17 +94,23 @@ func TestCountIntoTracksBacklog(t *testing.T) {
 		t.Fatalf("purged %d requests, want 2", got)
 	}
 	want("purge", 2)
+	b.TakeFromHead(1)
+	b.TakeFromHead(1)
+	want("drained", 0)
+	b.Enqueue(expert(4), req(19, 4))
+	want("refilled", 1)
+	b.Purge()
+	want("purge to empty", 0)
 
+	b.Enqueue(expert(4), req(22, 4))
 	b.CountInto(nil)
-	backlog -= b.Len() // the owner recounts without b
+	attached = attached[:1]
+	owner.Set(backlog - b.Len()) // the owner recounts without b
+	want("detach", 0)
 	b.Enqueue(expert(4), req(20, 4))
 	b.TakeFromHead(1)
 	b.Purge()
-	if backlog != 0 {
-		t.Errorf("detached queue moved the counter to %d", backlog)
-	}
+	want("detached queue moves", 0)
 	a.Enqueue(expert(5), req(21, 5))
-	if backlog != 1 {
-		t.Errorf("attached queue's enqueue left the counter at %d, want 1", backlog)
-	}
+	want("attached queue's enqueue", 1)
 }

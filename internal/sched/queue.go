@@ -97,7 +97,7 @@ type Queue struct {
 
 	// backlog is the owner's request counter this queue keeps current
 	// (see CountInto); nil when the queue counts into nothing.
-	backlog *int
+	backlog *Backlog
 
 	// index holds one cell per ExpertID so the per-arrival questions —
 	// "is there a group to merge into?" (mergeTarget) and "does any group
@@ -157,16 +157,47 @@ func (q *Queue) Gate() *sim.Gate { return q.gate }
 // Len reports the number of queued requests.
 func (q *Queue) Len() int { return q.items }
 
-// CountInto makes the queue add every request it gains to *backlog and
-// subtract every one it loses, so an owner reads several queues' total
-// in O(1); nil detaches it. The owner sets the starting value itself.
-func (q *Queue) CountInto(backlog *int) { q.backlog = backlog }
+// Backlog is a request count several queues keep for their owner, so it
+// reads their total in O(1): *N is the count, and bit Mask of *Idle is
+// kept set exactly while the count is 0. The count and the idle word
+// may live in the owner's tables, beside other owners' (a fleet's
+// per-node backlogs and idle bitset).
+type Backlog struct {
+	N    *int
+	Idle *uint64
+	Mask uint64
+}
+
+// Set sets the count to n, and the idle bit with it.
+func (b *Backlog) Set(n int) {
+	*b.N = n
+	b.mark()
+}
+
+// add moves the count by n, and the idle bit with it.
+func (b *Backlog) add(n int) {
+	*b.N += n
+	b.mark()
+}
+
+func (b *Backlog) mark() {
+	if *b.N == 0 {
+		*b.Idle |= b.Mask
+	} else {
+		*b.Idle &^= b.Mask
+	}
+}
+
+// CountInto makes the queue add every request it gains to the backlog
+// and subtract every one it loses; nil detaches it. The owner sets the
+// starting count itself (Backlog.Set).
+func (q *Queue) CountInto(b *Backlog) { q.backlog = b }
 
 // count moves the queue's length and its owner's counter by n.
 func (q *Queue) count(n int) {
 	q.items += n
 	if q.backlog != nil {
-		*q.backlog += n
+		q.backlog.add(n)
 	}
 }
 

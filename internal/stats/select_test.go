@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -143,6 +144,66 @@ func TestSummarizeInPlaceMatchesSort(t *testing.T) {
 				if !slices.EqualFunc(work, sorted, sameBits) {
 					t.Fatalf("n=%d %s seed %d: SummarizeInPlace changed the sample's values", n, sh.name, seed)
 				}
+			}
+		}
+	}
+}
+
+// TestSelectRankDepthBound pins selectRank's worst case: no input runs
+// more than 2·log2(n) partitions, each at most n long, before the sort
+// fallback takes over, so a selection costs O(n log n) however the
+// pivots fall. Organ-pipe arrays defeat median-of-three pivots at every
+// size here: they must reach the bound (the fallback runs) and still
+// place the rank right.
+func TestSelectRankDepthBound(t *testing.T) {
+	fills := []struct {
+		name string
+		fill func(xs []float64, rng *rand.Rand)
+	}{
+		{"organ-pipe", func(xs []float64, _ *rand.Rand) {
+			for i := range xs {
+				xs[i] = float64(min(i, len(xs)-1-i))
+			}
+		}},
+		{"sorted", func(xs []float64, _ *rand.Rand) {
+			for i := range xs {
+				xs[i] = float64(i)
+			}
+		}},
+		{"uniform", func(xs []float64, rng *rand.Rand) {
+			for i := range xs {
+				xs[i] = rng.Float64()
+			}
+		}},
+	}
+	rng := rand.New(rand.NewSource(28))
+	for _, n := range []int{100, 1000, 200_000} {
+		bound := 2 * bits.Len(uint(n))
+		xs := make([]float64, n)
+		for _, f := range fills {
+			fallbacks := 0
+			for _, k := range []int{n / 2, n * 95 / 100, n * 99 / 100, rng.Intn(n)} {
+				f.fill(xs, rng)
+				want := slices.Clone(xs)
+				slices.Sort(want)
+				p := selectRank(xs, k)
+				if p > bound {
+					t.Fatalf("n=%d %s k=%d: %d partitions, past the depth bound %d", n, f.name, k, p, bound)
+				}
+				if p == bound {
+					fallbacks++
+				}
+				if !sameBits(xs[k], want[k]) {
+					t.Fatalf("n=%d %s k=%d: placed %v, sort puts %v there", n, f.name, k, xs[k], want[k])
+				}
+				for i, x := range xs {
+					if i < k && x > xs[k] || i > k && x < xs[k] {
+						t.Fatalf("n=%d %s k=%d: xs[%d] = %v on the wrong side of %v", n, f.name, k, i, x, xs[k])
+					}
+				}
+			}
+			if f.name == "organ-pipe" && fallbacks == 0 {
+				t.Errorf("n=%d: no organ-pipe selection reached the depth bound; the test pins nothing", n)
 			}
 		}
 	}

@@ -227,14 +227,16 @@ func SummarizeInPlace(xs []float64) Summary {
 // above. It is a quickselect on median-of-three pivots with Hoare
 // partitions, which split runs of equal values evenly; past a depth of
 // 2·log2(len(xs)) partitions it sorts what is left, so adversarial
-// input costs O(n log n) at worst.
-func selectRank(xs []float64, k int) {
+// input costs O(n log n) at worst. It returns the number of partitions
+// it ran, which is at most that depth.
+func selectRank(xs []float64, k int) (partitions int) {
 	lo, hi := 0, len(xs)-1
 	for depth := 2 * bits.Len(uint(len(xs))); lo < hi; depth-- {
 		if depth == 0 {
 			slices.Sort(xs[lo : hi+1])
-			return
+			return partitions
 		}
+		partitions++
 		// Order xs[lo], xs[mid], xs[hi]: the pivot is their median, and
 		// the outer two bound the partition scans below.
 		mid := lo + (hi-lo)/2
@@ -270,9 +272,10 @@ func selectRank(xs []float64, k int) {
 		case k >= i:
 			lo = i
 		default:
-			return
+			return partitions
 		}
 	}
+	return partitions
 }
 
 // Attainment reports the fraction of xs at or under limit — the SLO
