@@ -226,10 +226,8 @@ type Cluster struct {
 	// unroutable counts nodes currently not Up. While it is zero (and
 	// no breaker restricts a node) the router sees c.nodes directly —
 	// the fault-free fast path; otherwise pickNode routes over the
-	// eligible subset in scratch/scratchIdx.
+	// eligible subset it builds in fleet.sub.
 	unroutable int
-	scratch    []*Node
-	scratchIdx []int
 
 	// health is the per-stream scoring and breaker state; nil unless
 	// Config.Health is enabled. delegates gives each node an
@@ -591,8 +589,8 @@ func (c *Cluster) pickNode(now sim.Time, r *coe.Request) int {
 		}
 		return idx
 	}
-	c.scratch = c.scratch[:0]
-	c.scratchIdx = c.scratchIdx[:0]
+	sub := &c.fleet.sub
+	sub.reset()
 	for i, n := range c.nodes {
 		if n.sys.State() != core.NodeUp {
 			continue
@@ -600,30 +598,28 @@ func (c *Cluster) pickNode(now sim.Time, r *coe.Request) int {
 		if h != nil && !h.eligible(i) {
 			continue
 		}
-		c.scratch = append(c.scratch, n)
-		c.scratchIdx = append(c.scratchIdx, i)
+		sub.add(n)
 	}
-	if len(c.scratch) == 0 && h != nil && h.restricted > 0 {
+	if len(sub.nodes) == 0 && h != nil && h.restricted > 0 {
 		// Every Up node is quarantined or out of probe budget. Liveness
 		// beats the breaker: route over whatever is Up.
-		for i, n := range c.nodes {
+		for _, n := range c.nodes {
 			if n.sys.State() == core.NodeUp {
-				c.scratch = append(c.scratch, n)
-				c.scratchIdx = append(c.scratchIdx, i)
+				sub.add(n)
 			}
 		}
-		if len(c.scratch) > 0 {
+		if len(sub.nodes) > 0 {
 			h.BreakerBypasses++
 		}
 	}
-	if len(c.scratch) == 0 {
+	if len(sub.nodes) == 0 {
 		return -1
 	}
-	j := c.router.Pick(now, c.scratch, r)
-	if j < 0 || j >= len(c.scratch) {
-		panic(fmt.Sprintf("cluster: router %s picked node %d of %d routable", c.router.Name(), j, len(c.scratch)))
+	j := c.router.Pick(now, sub.nodes, r)
+	if j < 0 || j >= len(sub.nodes) {
+		panic(fmt.Sprintf("cluster: router %s picked node %d of %d routable", c.router.Name(), j, len(sub.nodes)))
 	}
-	return c.scratchIdx[j]
+	return sub.nodes[j].idx
 }
 
 // Queued implements control.View for cluster-level admission: the fleet

@@ -146,8 +146,8 @@ func (c *Cluster) rearmHedge(l *lease) {
 // that are not the primary holder and — when the breaker is armed — not
 // quarantined or probing. Returns -1 when no such node exists.
 func (c *Cluster) pickHedgeNode(now sim.Time, l *lease) int {
-	c.scratch = c.scratch[:0]
-	c.scratchIdx = c.scratchIdx[:0]
+	sub := &c.fleet.sub
+	sub.reset()
 	for i, n := range c.nodes {
 		if i == l.primary.node || n.sys.State() != core.NodeUp {
 			continue
@@ -155,19 +155,18 @@ func (c *Cluster) pickHedgeNode(now sim.Time, l *lease) int {
 		if c.health != nil && c.health.phase[i] != breakerClosed {
 			continue
 		}
-		c.scratch = append(c.scratch, n)
-		c.scratchIdx = append(c.scratchIdx, i)
+		sub.add(n)
 	}
-	if len(c.scratch) == 0 {
+	if len(sub.nodes) == 0 {
 		return -1
 	}
 	// The router only reads the request (ID, class, chain), so the pick
 	// runs against a reusable probe built from the lease's own chain
 	// copy — no allocation, and the probe never reaches a queue.
 	c.probe = coe.Request{ID: l.id, Class: l.class, Chain: l.chain}
-	j := c.router.Pick(now, c.scratch, &c.probe)
-	if j < 0 || j >= len(c.scratch) {
-		panic(fmt.Sprintf("cluster: router %s picked node %d of %d hedge-eligible", c.router.Name(), j, len(c.scratch)))
+	j := c.router.Pick(now, sub.nodes, &c.probe)
+	if j < 0 || j >= len(sub.nodes) {
+		panic(fmt.Sprintf("cluster: router %s picked node %d of %d hedge-eligible", c.router.Name(), j, len(sub.nodes)))
 	}
-	return c.scratchIdx[j]
+	return sub.nodes[j].idx
 }

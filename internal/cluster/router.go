@@ -141,10 +141,33 @@ type fleet struct {
 	backlog []int
 	idle    []uint64
 	// nodes is the fleet in index order, the slice the fault-free path
-	// routes over; all has every node's bit, its routable mask. mask
-	// backs the mask of a subset (routableFor).
+	// routes over; all has every node's bit, its routable mask. sub is
+	// the subset the front end routes over otherwise, and mask backs the
+	// mask of any other slice a router is handed (routableFor).
 	nodes     []*Node
 	all, mask []uint64
+	sub       subset
+}
+
+// subset is an in-order subset of the fleet that the front end hands a
+// router — the eligible nodes while some are faulted or quarantined, or
+// a hedge's candidates — built with its routable mask beside it. Only
+// reset and add change either, so the mask always matches the nodes.
+type subset struct {
+	nodes []*Node
+	mask  []uint64
+}
+
+func (s *subset) reset() {
+	s.nodes = s.nodes[:0]
+	clear(s.mask)
+}
+
+// add appends n, which must follow every node already in the subset in
+// fleet order.
+func (s *subset) add(n *Node) {
+	s.nodes = append(s.nodes, n)
+	s.mask[n.idx>>6] |= 1 << (n.idx & 63)
 }
 
 // newFleet returns the empty view of a fleet of n nodes serving a model
@@ -157,9 +180,9 @@ func newFleet(n, experts int) *fleet {
 		tally:   make([]uint8, n*experts),
 		backlog: make([]int, n),
 	}
-	// One block for the three node bitsets.
-	sets := make([]uint64, 3*w)
-	f.idle, f.all, f.mask = sets[:w:w], sets[w:2*w:2*w], sets[2*w:]
+	// One block for the four node bitsets.
+	sets := make([]uint64, 4*w)
+	f.idle, f.all, f.mask, f.sub.mask = sets[:w:w], sets[w:2*w:2*w], sets[2*w:3*w:3*w], sets[3*w:]
 	for i := 0; i < n; i++ {
 		f.all[i>>6] |= 1 << (i & 63)
 	}
@@ -183,13 +206,15 @@ func (f *fleet) row(id coe.ExpertID) []uint64 {
 }
 
 // routableFor returns the routable mask of nodes: all for the fleet's
-// own slice, else the mask of a subset — the eligible nodes pickNode
-// presents while some are faulted or quarantined, or a hedge's
-// candidates — marked from the slice, which must list fleet nodes in
-// index order. Marking costs what building the subset did.
+// own slice, the subset's mask for the subset the front end built, and
+// otherwise a mask marked from the slice, which must list fleet nodes in
+// index order.
 func (f *fleet) routableFor(nodes []*Node) []uint64 {
-	if len(nodes) == len(f.nodes) && &nodes[0] == &f.nodes[0] {
+	switch {
+	case len(nodes) == len(f.nodes) && &nodes[0] == &f.nodes[0]:
 		return f.all
+	case len(nodes) == len(f.sub.nodes) && &nodes[0] == &f.sub.nodes[0]:
+		return f.sub.mask
 	}
 	clear(f.mask)
 	prev := -1

@@ -41,9 +41,10 @@ func scanAffinity(nodes []*Node, r *coe.Request) int {
 
 // TestRoutersMatchFullScan: on random holder bitsets and backlogs the
 // bitset routers pick exactly the node a full scan picks — over the
-// whole fleet, over the in-order subsets pickNode and hedging present
-// while nodes are faulted (the router marks their routable mask), over
-// prefixes of the fleet's own slice, and for experts no node holds (the
+// whole fleet, over in-order subsets built as pickNode and hedging
+// build theirs (mask beside them), over prefixes of the fleet's own
+// slice, over copies of each of those in a slice of the test's own (the
+// router marks the mask), and for experts no node holds (the
 // least-loaded fallback). The fleet spans two bitset words, so a rank
 // off by one word or bit shows. Backlogs are mostly 0 and 1, so an exit
 // on the wrong backlog or before the residency test shows.
@@ -81,17 +82,18 @@ func TestRoutersMatchFullScan(t *testing.T) {
 		set := cl.nodes
 		switch trial % 3 {
 		case 1:
-			// An in-order subset, as pickNode presents while nodes are
-			// faulted or quarantined.
-			set = nil
+			// An in-order subset built as pickNode and hedging build
+			// theirs, with its mask beside it.
+			f.sub.reset()
 			for _, n := range cl.nodes {
 				if rng.Intn(3) > 0 {
-					set = append(set, n)
+					f.sub.add(n)
 				}
 			}
-			if len(set) == 0 {
-				set = cl.nodes[1:2]
+			if len(f.sub.nodes) == 0 {
+				f.sub.add(cl.nodes[1])
 			}
+			set = f.sub.nodes
 			subsets++
 		case 2:
 			// A prefix of the fleet's own slice: same first node, so
@@ -99,14 +101,21 @@ func TestRoutersMatchFullScan(t *testing.T) {
 			set = cl.nodes[:1+rng.Intn(fleet-1)]
 			subsets++
 		}
-		if got, want := (LeastLoaded{}).Pick(0, set, nil), scanLeastLoaded(set); got != want {
-			t.Fatalf("trial %d: least-loaded picked %d of %d, full scan %d", trial, got, len(set), want)
+		// The same nodes in a slice of the test's own: the router marks
+		// its mask from the slice.
+		copied := append([]*Node(nil), set...)
+		for _, s := range [][]*Node{set, copied} {
+			if got, want := (LeastLoaded{}).Pick(0, s, nil), scanLeastLoaded(s); got != want {
+				t.Fatalf("trial %d: least-loaded picked %d of %d, full scan %d", trial, got, len(s), want)
+			}
 		}
 		for id := 0; id < m.NumExperts(); id++ {
 			r := coe.NewRequest(seq, 0, []coe.ExpertID{coe.ExpertID(id)})
 			want := scanAffinity(set, r)
-			if got := (Affinity{}).Pick(sim.Time(0), set, r); got != want {
-				t.Fatalf("trial %d expert %d: affinity picked %d of %d, full scan %d", trial, id, got, len(set), want)
+			for _, s := range [][]*Node{set, copied} {
+				if got := (Affinity{}).Pick(sim.Time(0), s, r); got != want {
+					t.Fatalf("trial %d expert %d: affinity picked %d of %d, full scan %d", trial, id, got, len(s), want)
+				}
 			}
 			held := false
 			for _, n := range set {
