@@ -25,8 +25,10 @@ fmt-check:
 # detlint is the determinism lint: it fails on wall-clock reads
 # (time.Now/time.Since), global math/rand use, and map-iteration
 # ordering hazards in internal/ — the constructs that silently break
-# byte-reproducible output. Exemptions are //detlint:allow annotations
-# with a written reason.
+# byte-reproducible output. Its unused pass then fails on any top-level
+# declaration in non-test internal/ code that no non-test code of the
+# module (bench/ included) refers to. Exemptions are //detlint:allow
+# annotations with a written reason.
 detlint:
 	$(GO) run ./cmd/detlint
 

@@ -3,80 +3,71 @@ package main
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// lintRoot walks every package directory under root and lints its
-// non-test Go files, returning one finding per violation, sorted by
-// position.
+// lintRoot lints the non-test Go files of every package directory
+// under root, returning one finding per violation in file order.
 func lintRoot(root string) ([]string, error) {
-	byDir := map[string][]string{}
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		byDir[filepath.Dir(p)] = append(byDir[filepath.Dir(p)], p)
-		return nil
-	})
+	m, err := loadModule(root)
 	if err != nil {
 		return nil, err
 	}
-	dirs := make([]string, 0, len(byDir))
-	for dir := range byDir {
-		dirs = append(dirs, dir)
-	}
-	sort.Strings(dirs)
 	var findings []string
-	for _, dir := range dirs {
-		sort.Strings(byDir[dir])
-		fs, err := lintPackage(byDir[dir])
-		if err != nil {
-			return nil, err
+	for _, mp := range m.pkgs {
+		for _, f := range mp.files {
+			findings = append(findings, lintFile(m.fset, f, mp.info)...)
 		}
-		findings = append(findings, fs...)
 	}
 	return findings, nil
 }
 
-// lintPackage parses and type-checks one directory's files together (so
-// map-typed range expressions resolve) and applies the checks. Type
-// errors are tolerated — build breakage is the compiler's job; the lint
-// still reports what it can resolve.
-func lintPackage(files []string) ([]string, error) {
-	fset := token.NewFileSet()
-	var parsed []*ast.File
-	for _, f := range files {
-		af, err := parser.ParseFile(fset, f, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		parsed = append(parsed, af)
-	}
-	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}}
-	conf := types.Config{
-		Importer: importer.ForCompiler(fset, "source", nil),
-		Error:    func(error) {},
-	}
-	// The package path is only a label here; resolution happens through
-	// the source importer.
-	conf.Check(filepath.Dir(files[0]), fset, parsed, info)
+// pkgDir is one package directory's parsed non-test Go files.
+type pkgDir struct {
+	dir   string
+	files []*ast.File
+}
 
-	var findings []string
-	for _, af := range parsed {
-		findings = append(findings, lintFile(fset, af, info)...)
-	}
-	return findings, nil
+// parseTree parses the non-test Go files of every directory under root
+// in lexical order, skipping the directories the go command ignores
+// (testdata, and names starting with "." or "_").
+func parseTree(fset *token.FileSet, root string) ([]pkgDir, error) {
+	var dirs []pkgDir
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if n := d.Name(); p != root && (n == "testdata" || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_")) {
+			return filepath.SkipDir
+		}
+		ents, err := os.ReadDir(p)
+		if err != nil {
+			return err
+		}
+		pd := pkgDir{dir: p}
+		for _, e := range ents {
+			if n := e.Name(); !e.IsDir() && strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
+				f, err := parser.ParseFile(fset, filepath.Join(p, n), nil, parser.ParseComments)
+				if err != nil {
+					return err
+				}
+				pd.files = append(pd.files, f)
+			}
+		}
+		if len(pd.files) > 0 {
+			dirs = append(dirs, pd)
+		}
+		return nil
+	})
+	return dirs, err
 }
 
 // randConstructors are the package-level math/rand functions that build
@@ -180,12 +171,13 @@ func lintFile(fset *token.FileSet, f *ast.File, info *types.Info) []string {
 
 // allowedLines collects the lines exempted by //detlint:allow comments:
 // the comment's own line and the line below it (so the annotation can
-// sit above the offending statement).
+// sit above the offending statement). An unused-pass annotation
+// (//detlint:allow unused) exempts nothing here.
 func allowedLines(fset *token.FileSet, f *ast.File) map[int]bool {
 	allowed := map[int]bool{}
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
-			if !strings.HasPrefix(c.Text, "//detlint:allow") {
+			if !strings.HasPrefix(c.Text, "//detlint:allow") || strings.HasPrefix(c.Text, "//detlint:allow unused") {
 				continue
 			}
 			line := fset.Position(c.Pos()).Line

@@ -217,8 +217,169 @@ func launch(fn func()) {
 	}
 }
 
+// moduleFixture writes files (slash paths relative to the module root)
+// under a temp dir, with a go.mod for module "fixture" at its root, and
+// runs the unused pass over it.
+func moduleFixture(t *testing.T, files map[string]string) []string {
+	t.Helper()
+	root := t.TempDir()
+	files["go.mod"] = "module fixture\n\ngo 1.24\n"
+	for name, src := range files {
+		p := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	findings, err := unusedRoot(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return findings
+}
+
+// facadeFixture is a facade package at the module root: it re-exports
+// p.Public by alias and calls p.Called.
+const facadeFixture = `package fixture
+
+import "fixture/internal/p"
+
+type Public = p.Public
+
+func Use() p.T { return p.Called() }
+`
+
+// unusedFindings runs the pass over a module whose internal/p holds src
+// (after the package clause) and whose p_test.go calls T.TestOnly.
+func unusedFindings(t *testing.T, src string, extra map[string]string) []string {
+	t.Helper()
+	files := map[string]string{
+		"fixture.go": facadeFixture,
+		"internal/p/p.go": `package p
+
+type T struct{}
+
+type Public struct{}
+
+func Called() T { return T{} }
+` + src,
+		"internal/p/p_test.go": `package p
+
+import "testing"
+
+func TestOnly(t *testing.T) { T{}.TestOnly() }
+`,
+	}
+	for name, body := range extra {
+		files[name] = body
+	}
+	return moduleFixture(t, files)
+}
+
+// wantUnused fails unless findings are exactly one unused finding per
+// name, in order.
+func wantUnused(t *testing.T, findings []string, names ...string) {
+	t.Helper()
+	if len(findings) != len(names) {
+		t.Fatalf("findings = %v, want unused %v", findings, names)
+	}
+	for i, name := range names {
+		if !strings.Contains(findings[i], "unused") || !strings.Contains(findings[i], " "+name+":") {
+			t.Errorf("finding %q does not flag %s as unused", findings[i], name)
+		}
+	}
+}
+
+func TestUnusedFlagsUncalledExportedMethod(t *testing.T) {
+	wantUnused(t, unusedFindings(t, `
+func (T) TestOnly() {}
+
+func (T) Uncalled() {}
+`, nil), "T.TestOnly", "T.Uncalled")
+}
+
+func TestUnusedFlagsMethodOnlyTestsCall(t *testing.T) {
+	findings := unusedFindings(t, `
+func (T) TestOnly() {}
+`, nil)
+	wantUnused(t, findings, "T.TestOnly")
+}
+
+func TestUnusedFlagsUnusedConst(t *testing.T) {
+	wantUnused(t, unusedFindings(t, `
+func (T) TestOnly() {}
+
+const (
+	Used   = 1
+	unused = 2
+)
+
+func (T) Size() int { return Used }
+
+var _ = T.Size
+`, nil), "T.TestOnly", "unused")
+}
+
+func TestUnusedKeepsMethodOnlyBenchCalls(t *testing.T) {
+	// bench/ is a module of its own that compiles against internal/: what
+	// it calls is used.
+	wantUnused(t, unusedFindings(t, `
+func (T) TestOnly() {}
+
+func (T) BenchOnly() {}
+`, map[string]string{
+		"bench/go.mod": "module fixture/bench\n\ngo 1.24\n\nrequire fixture v0.0.0\n\nreplace fixture => ../\n",
+		"bench/main.go": `package main
+
+import "fixture/internal/p"
+
+func main() { p.T{}.BenchOnly() }
+`,
+	}), "T.TestOnly")
+}
+
+func TestUnusedKeepsAnnotatedMethod(t *testing.T) {
+	wantUnused(t, unusedFindings(t, `
+// TestOnly is what the package test calls.
+//
+//detlint:allow unused the package test pins it and nothing else observes it
+func (T) TestOnly() {}
+`, nil))
+}
+
+func TestUnusedKeepsFacadeAliasedMethods(t *testing.T) {
+	// Methods of a type the facade re-exports by alias are public API,
+	// pinned by the API golden rather than by this pass.
+	wantUnused(t, unusedFindings(t, `
+func (T) TestOnly() {}
+
+func (Public) Uncalled() {}
+`, nil), "T.TestOnly")
+}
+
+func TestUnusedKeysMethodsByReceiver(t *testing.T) {
+	// A call to T.Run must not mark U.Run used, and a method that
+	// satisfies an interface may be called through it.
+	wantUnused(t, unusedFindings(t, `
+func (T) TestOnly() {}
+
+type U struct{}
+
+func (T) Run() {}
+
+func (U) Run() {}
+
+func (U) Error() string { return "u" }
+
+func init() { Called().Run(); _ = U{} }
+`, nil), "T.TestOnly", "U.Run")
+}
+
 // TestLintInternalClean pins the repo's own invariant: the lint passes
-// over internal/ as committed, exemptions and all.
+// over internal/ as committed, exemptions and all, and the unused pass
+// finds nothing over the module.
 func TestLintInternalClean(t *testing.T) {
 	findings, err := lintRoot("../../internal")
 	if err != nil {
@@ -226,5 +387,19 @@ func TestLintInternalClean(t *testing.T) {
 	}
 	if len(findings) != 0 {
 		t.Fatalf("internal/ has determinism hazards:\n%s", strings.Join(findings, "\n"))
+	}
+	wd, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, _, err := moduleOf(wd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if findings, err = unusedRoot(root); err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 0 {
+		t.Fatalf("internal/ has unused code:\n%s", strings.Join(findings, "\n"))
 	}
 }

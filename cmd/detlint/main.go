@@ -32,15 +32,26 @@
 // exemption documents why the order or clock cannot leak into output.
 // Kernel concurrency findings cannot be silenced.
 //
+// A second pass, unused, fails on every top-level declaration in
+// non-test internal/ code that no non-test code of the module (found
+// from go.mod) refers to — cmd/, examples/, the facade and bench/, a
+// module of its own, included. Only tests need it: move it to its
+// package's export_test.go. Methods of the types the facade aliases
+// are public API, pinned by api.txt instead; methods that implement an
+// interface are exempt too. `//detlint:allow unused <reason>` in a doc
+// comment exempts a declaration that tests need and that no production
+// observable replaces.
+//
 // Usage:
 //
-//	go run ./cmd/detlint            # lint ./internal
-//	go run ./cmd/detlint ./pkg ...  # lint other roots
+//	go run ./cmd/detlint            # lint ./internal, then the module for unused code
+//	go run ./cmd/detlint ./pkg ...  # determinism-lint other roots
 package main
 
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 )
 
 func main() {
@@ -51,18 +62,30 @@ func main() {
 	var findings []string
 	for _, root := range roots {
 		fs, err := lintRoot(root)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "detlint: %v\n", err)
-			os.Exit(2)
-		}
+		exitOn(err)
 		findings = append(findings, fs...)
 	}
+	wd, err := filepath.Abs(".")
+	exitOn(err)
+	mod, _, err := moduleOf(wd)
+	exitOn(err)
+	fs, err := unusedRoot(mod)
+	exitOn(err)
+	findings = append(findings, fs...)
 	for _, f := range findings {
 		fmt.Fprintf(os.Stderr, "detlint: %s\n", f)
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "detlint: %d finding(s) — annotate with //detlint:allow <reason> only if the order or clock cannot reach output\n", len(findings))
+		fmt.Fprintf(os.Stderr, "detlint: %d finding(s) — annotate with //detlint:allow <reason> only if the order or clock cannot reach output, or the unused code has no production observable\n", len(findings))
 		os.Exit(1)
 	}
-	fmt.Println("detlint: OK — no wall-clock, global-rand, or map-order hazards")
+	fmt.Println("detlint: OK — no wall-clock, global-rand, or map-order hazards, and no unused internal code")
+}
+
+// exitOn stops the run on an error that kept a pass from completing.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "detlint: %v\n", err)
+		os.Exit(2)
+	}
 }

@@ -124,12 +124,7 @@ func (c *Cluster) applyScale(now sim.Time, desired, up int) {
 		if n.sys.State() != core.NodeUp {
 			continue
 		}
-		n.sys.Drain()
-		c.unroutable++
-		c.draining++
-		c.drainOn[i] = true
-		c.drainStart[i] = now
-		c.scalerDrained[i] = true
+		c.startDrain(now, i, true)
 		c.chaos.ScaleDowns++
 		up--
 	}
@@ -140,11 +135,7 @@ func (c *Cluster) applyScale(now sim.Time, desired, up int) {
 		if !c.scalerDrained[i] || n.sys.State() != core.NodeDraining {
 			continue
 		}
-		n.sys.Resume()
-		c.unroutable--
-		c.draining--
-		c.drainOn[i] = false
-		c.scalerDrained[i] = false
+		c.endDrain(i, true)
 		c.chaos.ScaleUps++
 		up++
 		resumed = true

@@ -676,6 +676,31 @@ func (c *Cluster) maybeClose() {
 	}
 }
 
+// startDrain puts node i into Draining: it leaves routing, its drain is
+// timed from now, and byScaler records whether the fleet autoscaler
+// owns it (only those drains does the autoscaler resume).
+func (c *Cluster) startDrain(now sim.Time, i int, byScaler bool) {
+	c.nodes[i].sys.Drain()
+	c.unroutable++
+	c.draining++
+	c.drainOn[i] = true
+	c.drainStart[i] = now
+	c.scalerDrained[i] = byScaler
+}
+
+// endDrain ends node i's drain. With resume the node returns to service
+// and routing; without, the node crashed mid-drain and stays
+// unroutable, Down.
+func (c *Cluster) endDrain(i int, resume bool) {
+	if resume {
+		c.nodes[i].sys.Resume()
+		c.unroutable--
+	}
+	c.draining--
+	c.drainOn[i] = false
+	c.scalerDrained[i] = false
+}
+
 // checkDrains records the completion time of any drain that has just
 // finished: a Draining node with nothing outstanding has drained, and
 // the record is the time from the drain order to this instant.

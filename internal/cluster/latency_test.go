@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -95,13 +96,15 @@ func TestFleetNodeLatencyMatchesTrace(t *testing.T) {
 	}
 	for i, nr := range rep.PerNode {
 		var durs []float64
-		for _, ev := range cfg.Nodes[i].Trace.Filter(trace.KindComplete) {
-			durs = append(durs, ev.Dur.Seconds())
+		for _, ev := range cfg.Nodes[i].Trace.Events() {
+			if ev.Kind == trace.KindComplete {
+				durs = append(durs, ev.Dur.Seconds())
+			}
 		}
 		if len(durs) == 0 {
 			t.Fatalf("node %d completed nothing", i)
 		}
-		if want := stats.Summarize(durs); nr.Latency != want {
+		if want := stats.SummarizeInPlace(slices.Clone(durs)); nr.Latency != want {
 			t.Errorf("node %d: latency %+v, want the trace's %+v", i, nr.Latency, want)
 		}
 		if want := stats.Attainment(durs, slo.Seconds()); nr.SLOAttainment != want {

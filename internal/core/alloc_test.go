@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/hw"
 	"repro/internal/model"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -152,7 +153,9 @@ func TestVariantProperties(t *testing.T) {
 	if CoServeNone.policy().Name() != "fifo" || CoServe.policy().Name() != "dep-aware" {
 		t.Error("CoServe policies wrong")
 	}
-	if CoServe.assigner().Name() != "min-max" || Samba.assigner().Name() != "single" {
+	_, minMax := CoServe.assigner().(sched.MinMax)
+	_, single := Samba.assigner().(sched.Single)
+	if !minMax || !single {
 		t.Error("assigners wrong")
 	}
 	if CoServeEMRA.queueMode().String() != "grouped" || CoServeEM.queueMode().String() != "fifo" {

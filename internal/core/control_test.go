@@ -150,8 +150,10 @@ func TestRejectionPathTouchesNothing(t *testing.T) {
 	// Trace: one KindRejected per rejection, and rejected IDs appear in
 	// no other event kind.
 	rejected := map[int64]bool{}
-	for _, ev := range log.Filter(trace.KindRejected) {
-		rejected[ev.Request] = true
+	for _, ev := range log.Events() {
+		if ev.Kind == trace.KindRejected {
+			rejected[ev.Request] = true
+		}
 	}
 	if int64(len(rejected)) != rep.Rejected {
 		t.Errorf("%d distinct rejected IDs in trace, want %d", len(rejected), rep.Rejected)
@@ -162,10 +164,10 @@ func TestRejectionPathTouchesNothing(t *testing.T) {
 			t.Fatalf("rejected request %d appears in a %s event", ev.Request, ev.Kind)
 		}
 	}
-	if got := log.Count(trace.KindArrival); int64(got) != rep.N {
+	if got := countKind(log, trace.KindArrival); int64(got) != rep.N {
 		t.Errorf("%d arrival events for %d admitted requests", got, rep.N)
 	}
-	if got := log.Count(trace.KindComplete); int64(got) != rep.Completions {
+	if got := countKind(log, trace.KindComplete); int64(got) != rep.Completions {
 		t.Errorf("%d completion events for %d completions", got, rep.Completions)
 	}
 

@@ -24,7 +24,6 @@ type controller struct {
 	delegate StreamDelegate
 
 	admitted   int64
-	rejected   int64
 	completed  int64
 	dropped    int64 // admitted requests voided by node crashes
 	peakQueued int   // largest backlog observed at a dispatch instant
@@ -61,7 +60,6 @@ func (c *controller) offer(now sim.Time, r *coe.Request) bool {
 	s := c.sys
 	slot := c.slot(r.Tenant)
 	if s.cfg.Admission != nil && !s.cfg.Admission.Admit(now, s, r) {
-		c.rejected++
 		s.recorder.Rejection(now)
 		if slot > 0 {
 			c.tenants[slot-1].rejected++

@@ -212,7 +212,6 @@ func NewSystemInEnv(cfg Config, m *coe.Model, env *sim.Env) (*System, error) {
 		for i, a := range archs {
 			perfs[i] = cfg.Perf.MustLookup(a.Name, kind)
 		}
-		perfFor := func(e *coe.Expert) model.Perf { return perfs[archOf[e.ID]] }
 		costs := sched.Costs{Arch: archOf, K: make([]time.Duration, len(archs)), B: make([]time.Duration, len(archs)), SwitchIn: pl.SwitchIn}
 		for i, p := range perfs {
 			costs.K[i], costs.B[i] = p.K, p.B
@@ -220,17 +219,15 @@ func NewSystemInEnv(cfg Config, m *coe.Model, env *sim.Env) (*System, error) {
 		q := sched.NewQueue(s.env, name, cfg.Variant.queueMode(), costs)
 		q.Presize(m.NumExperts())
 		ex := &executor.Executor{
-			Name: name,
-			Env:  s.env,
-			Proc: executor.ProcProfile{
-				Exec:        func(a model.Architecture, n int) time.Duration { return model.ExecLatency(a, proc, n) },
-				ActPerImage: func(a model.Architecture) int64 { return model.ActBytesPerImage(a, proc) },
-			},
+			Name:    name,
+			Env:     s.env,
+			Exec:    func(a model.Architecture, n int) time.Duration { return model.ExecLatency(a, proc, n) },
 			Queue:   q,
 			Pool:    pl,
 			Compute: compute,
 			Acts:    acts,
-			Perf:    perfFor,
+			Perfs:   perfs,
+			ArchOf:  archOf,
 			Done:    s.streamDone,
 			OnBatch: s.onBatch,
 			Epoch:   s.crashEpoch,

@@ -257,7 +257,7 @@ func TestTracedPicks(t *testing.T) {
 			want = append(want, ev.Actor)
 		}
 	}
-	if streams := log.Count(trace.KindStream); streams != 2 {
+	if streams := countKind(log, trace.KindStream); streams != 2 {
 		t.Fatalf("trace holds %d streams, want 2", streams)
 	}
 	picks := picksOf(t, s)

@@ -36,10 +36,6 @@ func (s NodeState) String() string {
 // State reports the node's lifecycle state.
 func (s *System) State() NodeState { return s.state }
 
-// Serving reports whether the system currently has a stream open:
-// joined (JoinStream, which Serve calls) and not yet reported.
-func (s *System) Serving() bool { return s.serving }
-
 // Outstanding reports the number of admitted requests not yet completed
 // or dropped — the node's in-flight count, the drain-completion signal.
 func (s *System) Outstanding() int64 {
@@ -47,15 +43,6 @@ func (s *System) Outstanding() int64 {
 		return 0
 	}
 	return s.ctrl.admitted - s.ctrl.completed - s.ctrl.dropped
-}
-
-// Dropped reports the number of admitted requests voided by crashes so
-// far in the current stream.
-func (s *System) Dropped() int64 {
-	if s.ctrl == nil {
-		return 0
-	}
-	return s.ctrl.dropped
 }
 
 // Drain takes an Up node out of routing gracefully: the cluster stops

@@ -24,8 +24,9 @@ type Executor struct {
 	Name string
 	// Env is the simulation the executor runs in.
 	Env *sim.Env
-	// Proc is the processor profile the executor runs on.
-	Proc ProcProfile
+	// Exec returns the ground-truth execution latency of a batch on the
+	// executor's processor.
+	Exec func(arch model.Architecture, batch int) time.Duration
 	// Queue is the executor's request queue, fed by the controller.
 	Queue *sched.Queue
 	// Pool holds the executor's resident experts.
@@ -36,8 +37,11 @@ type Executor struct {
 	// Acts is the activation-memory arena shared by the executors of
 	// this processor (the §3.3 intermediate-results budget).
 	Acts *memory.Arena
-	// Perf returns the profiled performance entry for an expert.
-	Perf func(e *coe.Expert) model.Perf
+	// Perfs holds the profiled performance entry of each architecture
+	// on the executor's processor, indexed by ArchOf: an expert's
+	// architecture index (coe.Model.Archs).
+	Perfs  []model.Perf
+	ArchOf []uint8
 	// Done reports whether the task has fully completed; the executor
 	// exits when its queue is empty and Done is true.
 	Done func() bool
@@ -73,14 +77,6 @@ type Executor struct {
 	processed int64
 	batches   int64
 	busy      time.Duration
-}
-
-// ProcProfile is the subset of the hardware profile executors need.
-type ProcProfile struct {
-	// Exec returns ground-truth execution latency for a batch.
-	Exec func(arch model.Architecture, batch int) time.Duration
-	// ActPerImage returns ground-truth activation bytes per image.
-	ActPerImage func(arch model.Architecture) int64
 }
 
 // Processed reports the number of requests executed.
@@ -122,7 +118,7 @@ type run struct {
 	// The group being drained, its expert and profile.
 	g    *sched.Group
 	e    *coe.Expert
-	perf model.Perf
+	perf *model.Perf
 	// The batch in flight, the crash epoch when it was taken, its
 	// activation bytes and its served latency.
 	batch      []*coe.Request
@@ -168,7 +164,7 @@ func (r *run) next() {
 			return
 		}
 		r.g, r.e = g, g.Expert
-		r.perf = ex.Perf(r.e)
+		r.perf = &ex.Perfs[ex.ArchOf[r.e.ID]]
 		if !ex.Pool.Acquire(r.e, r.proceedFn) || !r.serve() {
 			return
 		}
@@ -212,7 +208,7 @@ func (r *run) serve() bool {
 func (r *run) reserved() {
 	ex := r.ex
 	now := ex.Env.Now()
-	lat := ex.Proc.Exec(r.e.Arch, len(r.batch))
+	lat := ex.Exec(r.e.Arch, len(r.batch))
 	ex.Queue.SetBusyUntil(now.Add(lat + r.g.PredictedRemaining()))
 	if ex.Degrade != nil {
 		lat = ex.Degrade(now, lat)

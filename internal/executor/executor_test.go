@@ -45,31 +45,41 @@ func newRig(t *testing.T, poolCap, actCap int64, maxBatch int) *rig {
 	store := pool.NewStore(env, dev, 0, m)
 
 	pl := pool.New("gpu0", poolCap, store, memory.TierGPU, pool.LRU{}, env.Now)
-	perf := func(e *coe.Expert) model.Perf {
-		return model.Perf{
-			Arch:        e.Arch,
-			K:           model.KCoeff(e.Arch, dev.GPU),
-			B:           dev.GPU.LaunchOverhead,
-			MaxBatch:    maxBatch,
-			ActPerImage: model.ActBytesPerImage(e.Arch, dev.GPU),
-		}
-	}
+	perfs, archOf := gpuPerfs(m, dev, maxBatch)
 	r := &rig{env: env, dev: dev, store: store, pool: pl, model: m}
 	r.acts = memory.NewArena("acts", actCap)
 	r.queue = sched.NewQueue(env, "q0", sched.ModeGrouped, gpuCosts(m, dev, pl))
 	r.ex = &Executor{
 		Name:    "gpu0",
 		Env:     env,
-		Proc:    ProcProfile{Exec: func(a model.Architecture, n int) time.Duration { return model.ExecLatency(a, dev.GPU, n) }, ActPerImage: func(a model.Architecture) int64 { return model.ActBytesPerImage(a, dev.GPU) }},
+		Exec:    func(a model.Architecture, n int) time.Duration { return model.ExecLatency(a, dev.GPU, n) },
 		Queue:   r.queue,
 		Pool:    pl,
 		Compute: sim.NewResource(env, "gpu", 1),
 		Acts:    r.acts,
-		Perf:    perf,
+		Perfs:   perfs,
+		ArchOf:  archOf,
 		Done:    func() bool { return r.done },
 		OnBatch: func(_ sim.Time, req *coe.Request) { r.finished = append(r.finished, req) },
 	}
 	return r
+}
+
+// gpuPerfs builds a GPU executor's per-architecture performance table
+// for the model, indexed by the returned expert-to-architecture index.
+func gpuPerfs(m *coe.Model, dev *hw.Device, maxBatch int) ([]model.Perf, []uint8) {
+	archs, archOf := m.Archs()
+	perfs := make([]model.Perf, len(archs))
+	for i, a := range archs {
+		perfs[i] = model.Perf{
+			Arch:        a,
+			K:           model.KCoeff(a, dev.GPU),
+			B:           dev.GPU.LaunchOverhead,
+			MaxBatch:    maxBatch,
+			ActPerImage: model.ActBytesPerImage(a, dev.GPU),
+		}
+	}
+	return perfs, archOf
 }
 
 // gpuCosts builds a GPU queue's per-architecture cost tables for the
@@ -151,8 +161,8 @@ func TestExecutorRespectsMemoryBound(t *testing.T) {
 	if len(r.finished) != 6 {
 		t.Errorf("finished = %d of 6", len(r.finished))
 	}
-	if r.acts.Reserved() != 0 {
-		t.Errorf("activation bytes leaked: %d", r.acts.Reserved())
+	if r.acts.Free() != r.acts.Capacity() {
+		t.Errorf("activation bytes leaked: %d", r.acts.Capacity()-r.acts.Free())
 	}
 }
 
@@ -224,17 +234,17 @@ func TestTwoExecutorsShareComputeSerially(t *testing.T) {
 		pl := pool.New(name, 4*rn101Bytes, store, memory.TierGPU, pool.LRU{}, env.Now)
 		pl.Preload(m.Expert(preload))
 		q := sched.NewQueue(env, name, sched.ModeGrouped, gpuCosts(m, dev, pl))
+		perfs, archOf := gpuPerfs(m, dev, 16)
 		return &Executor{
 			Name:    name,
 			Env:     env,
-			Proc:    ProcProfile{Exec: func(a model.Architecture, n int) time.Duration { return model.ExecLatency(a, dev.GPU, n) }, ActPerImage: func(a model.Architecture) int64 { return model.ActBytesPerImage(a, dev.GPU) }},
+			Exec:    func(a model.Architecture, n int) time.Duration { return model.ExecLatency(a, dev.GPU, n) },
 			Queue:   q,
 			Pool:    pl,
 			Compute: compute,
 			Acts:    acts,
-			Perf: func(e *coe.Expert) model.Perf {
-				return model.Perf{Arch: e.Arch, K: model.KCoeff(e.Arch, dev.GPU), B: dev.GPU.LaunchOverhead, MaxBatch: 16, ActPerImage: model.ActBytesPerImage(e.Arch, dev.GPU)}
-			},
+			Perfs:   perfs,
+			ArchOf:  archOf,
 			Done:    func() bool { return done },
 			OnBatch: func(sim.Time, *coe.Request) { finished++ },
 		}

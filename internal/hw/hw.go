@@ -58,7 +58,6 @@ func (k ProcKind) String() string {
 
 // Byte-size helpers.
 const (
-	KiB int64 = 1 << 10
 	MiB int64 = 1 << 20
 	GiB int64 = 1 << 30
 )

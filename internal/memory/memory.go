@@ -63,20 +63,11 @@ func NewArena(name string, capacity int64) *Arena {
 	return &Arena{name: name, capacity: capacity}
 }
 
-// Name reports the arena name.
-func (a *Arena) Name() string { return a.name }
-
 // Capacity reports the total capacity in bytes.
 func (a *Arena) Capacity() int64 { return a.capacity }
 
-// Reserved reports the bytes currently reserved.
-func (a *Arena) Reserved() int64 { return a.reserved }
-
 // Free reports the bytes currently available.
 func (a *Arena) Free() int64 { return a.capacity - a.reserved }
-
-// Peak reports the reservation high-water mark.
-func (a *Arena) Peak() int64 { return a.peak }
 
 // Reserve takes bytes from the arena, or reports an error if they do not
 // fit. Reserving zero bytes always succeeds.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -99,7 +100,7 @@ func TestGroupLatencyMatchesFlat(t *testing.T) {
 					t.Fatalf("%s n=%d: %d classes, want %d", tc.name, n, len(got), tc.classes)
 				}
 				for k, g := range got {
-					if w := stats.Summarize(want[k]); g.Summary != w {
+					if w := stats.SummarizeInPlace(slices.Clone(want[k])); g.Summary != w {
 						t.Errorf("%s n=%d class %d: summary %+v, want %+v", tc.name, n, k, g.Summary, w)
 					}
 					if w := stats.Attainment(want[k], slo.Seconds()); g.SLOAttainment != w {
@@ -107,7 +108,7 @@ func TestGroupLatencyMatchesFlat(t *testing.T) {
 					}
 				}
 			}
-			if got, w := r.LatencySummary(), stats.Summarize(flat); got != w {
+			if got, w := r.LatencySummary(), stats.SummarizeInPlace(slices.Clone(flat)); got != w {
 				t.Errorf("%s n=%d: whole summary %+v, want %+v", tc.name, n, got, w)
 			}
 		}

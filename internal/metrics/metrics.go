@@ -172,9 +172,6 @@ func (r *Recorder) SetWindow(d time.Duration) {
 	r.window = d
 }
 
-// Window reports the configured window width (0 when disabled).
-func (r *Recorder) Window() time.Duration { return r.window }
-
 // Windows returns the stream's windowed series in time order, including
 // interior windows with no events. Callers must not modify the returned
 // slice, and must not hold it across a Reset.
@@ -396,7 +393,7 @@ type Latency struct {
 // sample tagged t belongs to class classOf[t] (class t when classOf is
 // nil), classOf must cover every tag recorded or built by UseSketch,
 // and out[k] summarizes class k and scores it against slo(k). In exact
-// mode a class's view is, bit for bit, what stats.Summarize and
+// mode a class's view is, bit for bit, what stats.SummarizeInPlace and
 // stats.Attainment give over its samples in recording order: the
 // samples are scattered into the recorder's one flat scratch copy,
 // partitioned by class with recording order kept inside each class, and
@@ -473,9 +470,6 @@ func (r *Recorder) SchedPerOp() time.Duration {
 	}
 	return r.schedWall / time.Duration(r.schedTimed)
 }
-
-// SchedWall reports the wall-clock time of the timed decisions.
-func (r *Recorder) SchedWall() time.Duration { return r.schedWall }
 
 // SchedOps reports the number of scheduling decisions.
 func (r *Recorder) SchedOps() int64 { return r.schedOps }

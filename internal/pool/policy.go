@@ -174,19 +174,3 @@ func (ProbOnly) Victims(p *Pool, need int64) []coe.ExpertID {
 	p.victims = out
 	return out
 }
-
-// PolicyByName returns a policy implementation by its Name.
-func PolicyByName(name string) (Policy, bool) {
-	switch name {
-	case "lru":
-		return LRU{}, true
-	case "fifo":
-		return FIFO{}, true
-	case "dep-aware":
-		return DepAware{}, true
-	case "prob-only":
-		return ProbOnly{}, true
-	default:
-		return nil, false
-	}
-}

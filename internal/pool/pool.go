@@ -289,9 +289,6 @@ func byUsage(a, b *Entry) int {
 // Name reports the pool name.
 func (p *Pool) Name() string { return p.name }
 
-// FreeBytes reports unreserved pool capacity.
-func (p *Pool) FreeBytes() int64 { return p.arena.Free() }
-
 // IsLoaded reports whether the expert is resident (status Loaded): one
 // word of the Loaded bitset.
 func (p *Pool) IsLoaded(id coe.ExpertID) bool {
@@ -307,14 +304,6 @@ func (p *Pool) SwitchIn(e *coe.Expert) time.Duration {
 		return 0
 	}
 	return p.store.PredictLoad(e, p.tier)
-}
-
-// Status reports the expert's status in the pool.
-func (p *Pool) Status(id coe.ExpertID) Status {
-	if e := p.entry(id); e != nil {
-		return e.Status
-	}
-	return Absent
 }
 
 // Resident reports whether the expert occupies the pool at all — Loaded,

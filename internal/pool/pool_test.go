@@ -111,7 +111,7 @@ func TestAcquireMissLoadsFromSSD(t *testing.T) {
 	if !switched {
 		t.Error("miss not reported as switch")
 	}
-	want := xfer.LoadLatency(store.Device(), xfer.FromSSD, memory.TierGPU, m.Expert(0).WeightBytes())
+	want := xfer.LoadLatency(hw.NUMADevice(), xfer.FromSSD, memory.TierGPU, m.Expert(0).WeightBytes())
 	if end != sim.Time(want) {
 		t.Errorf("load took %v, want %v", end, want)
 	}
@@ -294,7 +294,7 @@ func TestStoreCacheHitIsFastAndExclusive(t *testing.T) {
 	acquireRun(env, p, e)
 	p.Release(e.ID)
 	end := env.Run()
-	want := xfer.LoadLatency(store.Device(), xfer.FromHost, memory.TierGPU, e.WeightBytes())
+	want := xfer.LoadLatency(hw.NUMADevice(), xfer.FromHost, memory.TierGPU, e.WeightBytes())
 	if end != sim.Time(want) {
 		t.Errorf("cache-hit load took %v, want %v", end, want)
 	}
@@ -342,13 +342,13 @@ func TestPredictLoad(t *testing.T) {
 	_, store, m := testWorld(t, 4*rn101, 2)
 	e := m.Expert(0)
 	ssd := store.PredictLoad(e, memory.TierGPU)
-	wantSSD := xfer.LoadLatency(store.Device(), xfer.FromSSD, memory.TierGPU, e.WeightBytes())
+	wantSSD := xfer.LoadLatency(hw.NUMADevice(), xfer.FromSSD, memory.TierGPU, e.WeightBytes())
 	if ssd != wantSSD {
 		t.Errorf("PredictLoad uncached = %v, want %v", ssd, wantSSD)
 	}
 	store.demote(e, memory.TierGPU)
 	cached := store.PredictLoad(e, memory.TierGPU)
-	wantHost := xfer.LoadLatency(store.Device(), xfer.FromHost, memory.TierGPU, e.WeightBytes())
+	wantHost := xfer.LoadLatency(hw.NUMADevice(), xfer.FromHost, memory.TierGPU, e.WeightBytes())
 	if cached != wantHost {
 		t.Errorf("PredictLoad cached = %v, want %v", cached, wantHost)
 	}
@@ -375,7 +375,7 @@ func TestSwitchInMatchesLoadLatency(t *testing.T) {
 					if cached {
 						src = xfer.FromHost
 					}
-					want := xfer.LoadLatency(store.Device(), src, tier, e.WeightBytes())
+					want := xfer.LoadLatency(hw.NUMADevice(), src, tier, e.WeightBytes())
 					if got := store.PredictLoad(e, tier); got != want {
 						t.Errorf("%v cached=%v expert %d: PredictLoad = %v, want %v", tier, cached, e.ID, got, want)
 					}
@@ -800,7 +800,7 @@ func TestSharedAcquireWaitsForLoad(t *testing.T) {
 	if p.Switches() != 1 {
 		t.Errorf("switches = %d, want 1", p.Switches())
 	}
-	load := sim.Time(xfer.LoadLatency(store.Device(), xfer.FromSSD, memory.TierGPU, e.WeightBytes()))
+	load := sim.Time(xfer.LoadLatency(hw.NUMADevice(), xfer.FromSSD, memory.TierGPU, e.WeightBytes()))
 	if at[0] != load || at[1] != load {
 		t.Errorf("acquires returned at %v, want both at the load's end %v", at, load)
 	}

@@ -26,7 +26,6 @@ const (
 // moves it back in.
 type Store struct {
 	env    *sim.Env
-	dev    *hw.Device
 	engine *xfer.Engine
 	cache  *hostCache
 	// lat holds each architecture's uncontended switch-in latency by
@@ -42,7 +41,7 @@ type Store struct {
 // PredictLoad is a table read.
 func NewStore(env *sim.Env, dev *hw.Device, cacheBytes int64, m *coe.Model) *Store {
 	archs, archOf := m.Archs()
-	s := &Store{env: env, dev: dev, engine: xfer.NewEngine(env, dev), archOf: archOf, lat: make([][memory.TierSSD][2]time.Duration, len(archs))}
+	s := &Store{env: env, engine: xfer.NewEngine(env, dev), archOf: archOf, lat: make([][memory.TierSSD][2]time.Duration, len(archs))}
 	for i, a := range archs {
 		for dst := range memory.TierSSD {
 			for src := range xfer.FromHost + 1 {
@@ -56,31 +55,9 @@ func NewStore(env *sim.Env, dev *hw.Device, cacheBytes int64, m *coe.Model) *Sto
 	return s
 }
 
-// Device returns the store's device profile.
-func (s *Store) Device() *hw.Device { return s.dev }
-
-// Engine returns the transfer engine (for utilization introspection).
-func (s *Store) Engine() *xfer.Engine { return s.engine }
-
-// CacheBytes reports the host cache capacity (0 when absent).
-func (s *Store) CacheBytes() int64 {
-	if s.cache == nil {
-		return 0
-	}
-	return s.cache.arena.Capacity()
-}
-
 // Cached reports whether the expert currently sits in the host cache.
 func (s *Store) Cached(id coe.ExpertID) bool {
 	return s.cache != nil && s.cache.in[id]
-}
-
-// CacheLen reports the number of cached experts.
-func (s *Store) CacheLen() int {
-	if s.cache == nil {
-		return 0
-	}
-	return len(s.cache.lru)
 }
 
 // Fetch brings the expert's weights into the destination tier,

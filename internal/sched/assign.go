@@ -9,16 +9,12 @@ import (
 
 // Assigner picks the executor queue a new request joins.
 type Assigner interface {
-	Name() string
 	Pick(now sim.Time, qs []*Queue, e *coe.Expert) int
 }
 
 // Single always assigns to queue 0 — the Samba-CoE single-executor FCFS
 // arrangement.
 type Single struct{}
-
-// Name implements Assigner.
-func (Single) Name() string { return "single" }
 
 // Pick implements Assigner.
 func (Single) Pick(now sim.Time, qs []*Queue, e *coe.Expert) int { return 0 }
@@ -27,29 +23,11 @@ func (Single) Pick(now sim.Time, qs []*Queue, e *coe.Expert) int { return 0 }
 // — Samba-CoE Parallel's strategy (§5.1).
 type RoundRobin struct{ next int }
 
-// Name implements Assigner.
-func (*RoundRobin) Name() string { return "round-robin" }
-
 // Pick implements Assigner.
 func (rr *RoundRobin) Pick(now sim.Time, qs []*Queue, e *coe.Expert) int {
 	i := rr.next % len(qs)
 	rr.next++
 	return i
-}
-
-// ByExpert statically partitions experts across queues (expert ID modulo
-// queue count) — the "distributing requests evenly across executors"
-// baseline of the §5.3 ablation, which spreads load without any
-// knowledge of queue state. Requests for one expert always land on the
-// same executor, the natural arrangement for per-executor model pools.
-type ByExpert struct{}
-
-// Name implements Assigner.
-func (ByExpert) Name() string { return "by-expert" }
-
-// Pick implements Assigner.
-func (ByExpert) Pick(now sim.Time, qs []*Queue, e *coe.Expert) int {
-	return int(e.ID) % len(qs)
 }
 
 // MinMax is CoServe's dependency-aware request assigning (§4.2,
@@ -59,9 +37,6 @@ func (ByExpert) Pick(now sim.Time, qs []*Queue, e *coe.Expert) int {
 // assignment capacity for future requests. Remaining ties go to the
 // lowest queue index, keeping runs deterministic.
 type MinMax struct{}
-
-// Name implements Assigner.
-func (MinMax) Name() string { return "min-max" }
 
 // Pick implements Assigner. Rather than materializing a per-queue finish
 // slice, it tracks the largest and second-largest current finish times:
@@ -110,9 +85,6 @@ type Replay struct {
 
 // NewReplay returns an assigner that replays picks in order.
 func NewReplay(picks []int) *Replay { return &Replay{picks: picks} }
-
-// Name implements Assigner.
-func (*Replay) Name() string { return "replay" }
 
 // Pick implements Assigner.
 func (r *Replay) Pick(now sim.Time, qs []*Queue, e *coe.Expert) int {

@@ -147,9 +147,6 @@ func (q *Queue) Presize(n int) {
 // Name reports the queue name.
 func (q *Queue) Name() string { return q.name }
 
-// Mode reports the queue's arranging mode.
-func (q *Queue) Mode() Mode { return q.mode }
-
 // Gate returns the gate the owning executor waits on; Enqueue notifies
 // it.
 func (q *Queue) Gate() *sim.Gate { return q.gate }
@@ -200,15 +197,6 @@ func (q *Queue) count(n int) {
 		q.backlog.add(n)
 	}
 }
-
-// Empty reports whether no requests are queued.
-func (q *Queue) Empty() bool { return q.items == 0 }
-
-// Groups reports the number of queued groups.
-func (q *Queue) Groups() int { return len(q.groups) }
-
-// Pending reports the predicted time to drain all unstarted groups.
-func (q *Queue) Pending() time.Duration { return q.pending }
 
 // SetBusyUntil records the executor's predicted completion time of
 // in-flight work (the started head group).

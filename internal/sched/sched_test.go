@@ -425,9 +425,6 @@ func TestByExpertPartitions(t *testing.T) {
 	if len(used) != 3 {
 		t.Errorf("partition used %d of 3 queues", len(used))
 	}
-	if a.Name() != "by-expert" {
-		t.Error("name wrong")
-	}
 }
 
 // TestExpertIndexConsistency drives a randomized enqueue/take workload

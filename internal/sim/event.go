@@ -15,9 +15,6 @@ func NewEvent(env *Env) *Event {
 	return &Event{env: env}
 }
 
-// Fired reports whether Fire has been called.
-func (ev *Event) Fired() bool { return ev.fired }
-
 // Fire marks the event fired and schedules every waiter at the current
 // instant, in FIFO order. Firing twice is a no-op.
 func (ev *Event) Fire() {

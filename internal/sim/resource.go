@@ -19,10 +19,6 @@ type Resource struct {
 	retryFn        func()
 	// free recycles the records of finished Use calls.
 	free *use
-
-	// accounting: busy integrates inUse over virtual time up to since.
-	busy  time.Duration
-	since Time
 }
 
 // NewResource returns a resource with the given capacity (>= 1).
@@ -31,15 +27,6 @@ func NewResource(env *Env, name string, capacity int) *Resource {
 		panic("sim: resource capacity must be >= 1")
 	}
 	return &Resource{env: env, name: name, cap: capacity}
-}
-
-// InUse reports the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// account folds the time since the last change into busy.
-func (r *Resource) account() {
-	r.busy += time.Duration(r.env.now-r.since) * time.Duration(r.inUse)
-	r.since = r.env.now
 }
 
 // Acquire takes a unit and reports true if one is free. Otherwise it
@@ -59,7 +46,6 @@ func (r *Resource) TryAcquire() bool {
 	if r.inUse >= r.cap {
 		return false
 	}
-	r.account()
 	r.inUse++
 	return true
 }
@@ -71,7 +57,6 @@ func (r *Resource) Release() {
 	if r.inUse == 0 {
 		panic("sim: released resource " + r.name + " with no unit held")
 	}
-	r.account()
 	r.inUse--
 	if len(r.waiters) > 0 {
 		// Shift down instead of re-slicing forward: the buffer keeps its
@@ -142,8 +127,3 @@ func (u *use) step() {
 	r.Release()
 	k()
 }
-
-// BusyTime reports the cumulative virtual time units of the resource
-// have been held, up to the last acquire or release (unit-seconds;
-// divide by Cap for utilization).
-func (r *Resource) BusyTime() time.Duration { return r.busy }

@@ -35,9 +35,6 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 // Sub returns the duration elapsed from u to t.
 func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 
-// Seconds reports t as floating-point seconds.
-func (t Time) Seconds() float64 { return float64(t) / 1e9 }
-
 // Duration converts t to a time.Duration since simulation start.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
 
@@ -285,6 +282,8 @@ func (e *Env) Drained() error {
 
 // Dispatched reports the events fired so far, by kind: callbacks
 // (After, AfterFunc, Unpark) and messages (PostMsg).
+//
+//detlint:allow unused the event-count pins of core and cluster read it; no other observable counts kernel events
 func (e *Env) Dispatched() (callbacks, messages int64) {
 	return e.callbacks, e.messages
 }
@@ -325,6 +324,8 @@ func (e *Env) Run() Time {
 // RunUntil executes events with timestamps <= deadline and then stops,
 // leaving later events queued. It returns the clock value, which is
 // deadline if any events remained.
+//
+//detlint:allow unused BenchmarkTimerChurn (gated in BENCH_kernel.json) steps the heap at depth with it
 func (e *Env) RunUntil(deadline Time) Time {
 	if e.running {
 		panic("sim: RunUntil called re-entrantly")

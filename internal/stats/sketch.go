@@ -146,9 +146,6 @@ func (s *Sketch) Clone() *Sketch {
 // Count reports the number of observations.
 func (s *Sketch) Count() int64 { return s.count }
 
-// Sum reports the exact sum of observations.
-func (s *Sketch) Sum() float64 { return s.sum }
-
 // Min reports the exact smallest observation (0 when empty).
 func (s *Sketch) Min() float64 {
 	if s.count == 0 {
@@ -207,7 +204,7 @@ func (s *Sketch) Quantile(q float64) float64 {
 }
 
 // Summary reports the sketch's descriptive statistics in the same shape
-// as Summarize: N, Mean, Std (population), Min, and Max are exact;
+// as SummarizeInPlace: N, Mean, Std (population), Min, and Max are exact;
 // P50/P95/P99 come from Quantile and carry its accuracy bound.
 func (s *Sketch) Summary() Summary {
 	if s.count == 0 {

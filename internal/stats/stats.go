@@ -75,31 +75,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// linear interpolation between closest ranks. It copies xs, leaving the
-// input unmodified.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	slices.Sort(sorted)
-	return percentileSorted(sorted, p)
-}
-
 // percentileSorted is Percentile over an already ascending-sorted sample,
 // so one sorted copy can feed several percentile lookups. It reads only
 // the floor and ceil ranks of p (the first element when there is one),
@@ -124,34 +99,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Min returns the smallest element of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Summary holds descriptive statistics of a sample.
 type Summary struct {
 	N             int
@@ -160,18 +107,11 @@ type Summary struct {
 	P50, P95, P99 float64
 }
 
-// Summarize computes a Summary of xs over one copy of the sample: a
-// single allocation, where summarizing field by field would copy and
-// sort the sample three times over.
-func Summarize(xs []float64) Summary {
-	return SummarizeInPlace(append([]float64(nil), xs...))
-}
-
-// SummarizeInPlace is Summarize without the copy, in time linear in
+// SummarizeInPlace computes a Summary of xs in place, in time linear in
 // len(xs). It computes the mean and standard deviation over xs in its
 // given order, takes Min and Max in one scan, then selects in place
 // only the order statistics the percentiles read, so the result
-// is bit-identical to Summarize(xs) and to reading a sorted copy. xs is
+// is bit-identical to reading a sorted copy. xs is
 // left reordered but not sorted. Values are ordered as slices.Sort
 // orders them (cmp.Less: a NaN is below everything); of values that
 // compare equal, such as -0 and +0, either may be reported.
@@ -296,23 +236,4 @@ func Attainment(xs []float64, limit float64) float64 {
 		}
 	}
 	return float64(met) / float64(len(xs))
-}
-
-// Normalize scales xs so the smallest positive unit becomes 1.0-based
-// scores: each value divided by the minimum. Used for the paper's memory
-// scores (§4.5), where footprints are normalized across experts. Returns
-// nil for empty input; values must be positive.
-func Normalize(xs []float64) []float64 {
-	if len(xs) == 0 {
-		return nil
-	}
-	m := Min(xs)
-	if m <= 0 {
-		return nil
-	}
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = x / m
-	}
-	return out
 }

@@ -1,15 +1,10 @@
 // Package trace records structured serving events — request assignment,
-// expert switches, batch executions, completions — with export to CSV
-// and JSON for offline analysis of a run.
+// expert switches, batch executions, completions — for analysis of a
+// run; Figure 19 replays a traced run's queue assignments.
 package trace
 
 import (
-	"encoding/csv"
-	"encoding/json"
-	"fmt"
-	"io"
 	"slices"
-	"strconv"
 	"time"
 )
 
@@ -69,6 +64,8 @@ type Log struct {
 func New() *Log { return &Log{} }
 
 // NewBounded returns a log that retains at most limit events.
+//
+//detlint:allow unused core's TracedPicks test needs a log that dropped events, which only a bounded log can be
 func NewBounded(limit int) *Log {
 	if limit < 1 {
 		panic("trace: bound must be >= 1")
@@ -88,9 +85,6 @@ func (l *Log) Add(ev Event) {
 	l.events = append(l.events, ev)
 }
 
-// Len reports the number of retained events.
-func (l *Log) Len() int { return len(l.events) }
-
 // Dropped reports how many events a bounded log discarded.
 func (l *Log) Dropped() int64 { return l.dropped }
 
@@ -105,63 +99,4 @@ func (l *Log) Events() []Event {
 		l.head = 0
 	}
 	return l.events
-}
-
-// Filter returns the retained events of one kind.
-func (l *Log) Filter(kind Kind) []Event {
-	var out []Event
-	for _, ev := range l.Events() {
-		if ev.Kind == kind {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// Count reports the number of retained events of one kind.
-func (l *Log) Count(kind Kind) int {
-	n := 0
-	for _, ev := range l.events {
-		if ev.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
-// WriteCSV exports the log as CSV with a header row.
-func (l *Log) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"at_us", "kind", "actor", "request", "expert", "n", "dur_us", "detail"}); err != nil {
-		return err
-	}
-	for _, ev := range l.Events() {
-		rec := []string{
-			strconv.FormatInt(ev.At.Microseconds(), 10),
-			string(ev.Kind),
-			ev.Actor,
-			strconv.FormatInt(ev.Request, 10),
-			strconv.FormatInt(int64(ev.Expert), 10),
-			strconv.Itoa(ev.N),
-			strconv.FormatInt(ev.Dur.Microseconds(), 10),
-			ev.Detail,
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteJSON exports the log as a JSON array.
-func (l *Log) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(l.Events())
-}
-
-// Summary renders a one-line digest of the log.
-func (l *Log) Summary() string {
-	return fmt.Sprintf("trace: %d events (%d assigns, %d switches, %d batches, %d completions)",
-		len(l.events), l.Count(KindAssign), l.Count(KindSwitch), l.Count(KindBatch), l.Count(KindComplete))
 }

@@ -513,29 +513,6 @@ func (s *mixSource) Next() (TimedRequest, bool) {
 // this many requests is treated as unbounded.
 const DrainCap = 1 << 22
 
-// Drain materializes a source into a slice — handy for tests and for
-// callers that need the stream length upfront. It refuses unbounded
-// sources (IsUnbounded): draining an infinite stream would never
-// return, so it panics immediately with instructions to wrap the source
-// in a Horizon, and panics likewise if a source that did not declare
-// itself unbounded still yields past DrainCap requests.
-func Drain(src Source) []TimedRequest {
-	if IsUnbounded(src) {
-		panic(fmt.Sprintf("workload: Drain on unbounded source %q would never return; wrap it in workload.Horizon first", src.Name()))
-	}
-	var out []TimedRequest
-	for {
-		tr, ok := src.Next()
-		if !ok {
-			return out
-		}
-		if len(out) >= DrainCap {
-			panic(fmt.Sprintf("workload: Drain exceeded %d requests on source %q; an unbounded source must be wrapped in workload.Horizon", DrainCap, src.Name()))
-		}
-		out = append(out, tr)
-	}
-}
-
 // MergeBoards fuses several boards into one CoE model so a single
 // serving System can host a multi-tenant mix of their streams. Every
 // board's experts and routing rules are re-added with the class space

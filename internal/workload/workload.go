@@ -280,16 +280,3 @@ func (t Task) Generate() ([]*coe.Request, error) {
 	}
 	return reqs, nil
 }
-
-// DistinctExperts reports how many distinct experts a request stream
-// touches — the task's working set, the quantity that determines the
-// floor on expert switches.
-func DistinctExperts(reqs []*coe.Request) int {
-	seen := make(map[coe.ExpertID]struct{})
-	for _, r := range reqs {
-		for _, id := range r.Chain {
-			seen[id] = struct{}{}
-		}
-	}
-	return len(seen)
-}

@@ -107,9 +107,6 @@ func NewEngine(env *sim.Env, dev *hw.Device) *Engine {
 	}
 }
 
-// Device returns the engine's device profile.
-func (e *Engine) Device() *hw.Device { return e.dev }
-
 // transfer is one Load in flight; fn is its continuation, bound once
 // when the record is first allocated. overLink marks an SSD load bound
 // for the GPU still in its loader stage: a host-link copy of link follows.
@@ -175,13 +172,3 @@ func (t *transfer) step() {
 	t.next, e.free = e.free, t
 	done(tag, elapsed)
 }
-
-// Loads reports the number of transfers executed.
-func (e *Engine) Loads() int64 { return e.loads }
-
-// LoadBytes reports the total bytes transferred.
-func (e *Engine) LoadBytes() int64 { return e.loadBytes }
-
-// LoaderBusy reports cumulative busy time of the load stage, for
-// utilization analysis.
-func (e *Engine) LoaderBusy() time.Duration { return e.loader.BusyTime() }

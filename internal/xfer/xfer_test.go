@@ -101,8 +101,14 @@ func TestEngineLimitsConcurrentSSDLoads(t *testing.T) {
 	if len(finish) != n {
 		t.Fatalf("finished %d loads", len(finish))
 	}
-	if eng.LoaderBusy() != time.Duration(n)*single {
-		t.Errorf("loader busy = %v, want %v", eng.LoaderBusy(), time.Duration(n)*single)
+	for i, at := range finish {
+		want := sim.Time(single)
+		if i == streams {
+			want = sim.Time(2 * single)
+		}
+		if at != want {
+			t.Errorf("load %d finished at %v, want %v", i, at, want)
+		}
 	}
 }
 
