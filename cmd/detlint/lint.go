@@ -21,13 +21,21 @@ func lintRoot(root string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	return m.lint(root), nil
+}
+
+// lint applies the determinism checks to the loaded packages at or
+// below dir, which is named the way the module's root is.
+func (m *module) lint(dir string) []string {
 	var findings []string
 	for _, mp := range m.pkgs {
-		for _, f := range mp.files {
-			findings = append(findings, lintFile(m.fset, f, mp.info)...)
+		if rel, err := filepath.Rel(dir, mp.dir); err == nil && rel != ".." && !strings.HasPrefix(rel, "../") {
+			for _, f := range mp.files {
+				findings = append(findings, lintFile(m.fset, f, mp.info)...)
+			}
 		}
 	}
-	return findings, nil
+	return findings
 }
 
 // pkgDir is one package directory's parsed non-test Go files.

@@ -233,11 +233,11 @@ func moduleFixture(t *testing.T, files map[string]string) []string {
 			t.Fatal(err)
 		}
 	}
-	findings, err := unusedRoot(root)
+	m, err := loadModule(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return findings
+	return m.unused()
 }
 
 // facadeFixture is a facade package at the module root: it re-exports
@@ -377,17 +377,35 @@ func init() { Called().Run(); _ = U{} }
 `, nil), "T.TestOnly", "U.Run")
 }
 
-// TestLintInternalClean pins the repo's own invariant: the lint passes
-// over internal/ as committed, exemptions and all, and the unused pass
-// finds nothing over the module.
+func TestUnusedFlagsUncalledCloseMethod(t *testing.T) {
+	// Close() error completes io.Closer, but no module code handles an
+	// io.Closer or calls Close: a standard-library interface reached only
+	// through imports (fmt imports io) exempts nothing. String() stays
+	// exempt: fmt calls it through fmt.Stringer.
+	wantUnused(t, unusedFindings(t, `
+func (T) TestOnly() {}
+
+func (T) Close() error { return nil }
+
+func (T) String() string { return "t" }
+`, map[string]string{
+		"cmd/show/main.go": `package main
+
+import (
+	"fmt"
+
+	"fixture/internal/p"
+)
+
+func main() { fmt.Println(p.Called()) }
+`,
+	}), "T.TestOnly", "T.Close")
+}
+
+// TestLintInternalClean pins the repo's own invariant: over the module,
+// loaded once, the determinism lint passes over internal/ as committed,
+// exemptions and all, and the unused pass finds nothing.
 func TestLintInternalClean(t *testing.T) {
-	findings, err := lintRoot("../../internal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != 0 {
-		t.Fatalf("internal/ has determinism hazards:\n%s", strings.Join(findings, "\n"))
-	}
 	wd, err := filepath.Abs(".")
 	if err != nil {
 		t.Fatal(err)
@@ -396,10 +414,15 @@ func TestLintInternalClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if findings, err = unusedRoot(root); err != nil {
+	m, err := loadModule(root)
+	if err != nil {
 		t.Fatal(err)
 	}
+	findings := m.lint(filepath.Join(root, "internal"))
 	if len(findings) != 0 {
+		t.Fatalf("internal/ has determinism hazards:\n%s", strings.Join(findings, "\n"))
+	}
+	if findings = m.unused(); len(findings) != 0 {
 		t.Fatalf("internal/ has unused code:\n%s", strings.Join(findings, "\n"))
 	}
 }

@@ -1,5 +1,5 @@
 // Command detlint is the determinism lint: it scans non-test Go files
-// under the given packages root (default ./internal) for constructs
+// under the given packages roots (default the module's internal/) for constructs
 // that break byte-reproducible simulation output and fails loudly on
 // any finding. The simulator's contract — identical tables, reports,
 // and experiment output for identical inputs, at any worker count and
@@ -37,14 +37,15 @@
 // from go.mod) refers to — cmd/, examples/, the facade and bench/, a
 // module of its own, included. Only tests need it: move it to its
 // package's export_test.go. Methods of the types the facade aliases
-// are public API, pinned by api.txt instead; methods that implement an
-// interface are exempt too. `//detlint:allow unused <reason>` in a doc
+// are public API, pinned by api.txt instead; methods that implement
+// error, fmt.Stringer or an interface whose method module code calls
+// are exempt too. `//detlint:allow unused <reason>` in a doc
 // comment exempts a declaration that tests need and that no production
 // observable replaces.
 //
 // Usage:
 //
-//	go run ./cmd/detlint            # lint ./internal, then the module for unused code
+//	go run ./cmd/detlint            # lint internal/, then the module for unused code
 //	go run ./cmd/detlint ./pkg ...  # determinism-lint other roots
 package main
 
@@ -52,26 +53,37 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 func main() {
-	roots := os.Args[1:]
-	if len(roots) == 0 {
-		roots = []string{"./internal"}
-	}
-	var findings []string
-	for _, root := range roots {
-		fs, err := lintRoot(root)
-		exitOn(err)
-		findings = append(findings, fs...)
-	}
 	wd, err := filepath.Abs(".")
 	exitOn(err)
 	mod, _, err := moduleOf(wd)
 	exitOn(err)
-	fs, err := unusedRoot(mod)
+	// Load the module once, named relative to the working directory so
+	// findings read as relative paths, and run both passes over it.
+	rel, err := filepath.Rel(wd, mod)
 	exitOn(err)
-	findings = append(findings, fs...)
+	m, err := loadModule(rel)
+	exitOn(err)
+	roots := os.Args[1:]
+	if len(roots) == 0 {
+		roots = []string{filepath.Join(rel, "internal")}
+	}
+	var findings []string
+	for _, root := range roots {
+		abs, err := filepath.Abs(root)
+		exitOn(err)
+		if in, err := filepath.Rel(mod, abs); err == nil && !strings.HasPrefix(in, "..") {
+			findings = append(findings, m.lint(filepath.Join(rel, in))...)
+			continue
+		}
+		fs, err := lintRoot(root)
+		exitOn(err)
+		findings = append(findings, fs...)
+	}
+	findings = append(findings, m.unused()...)
 	for _, f := range findings {
 		fmt.Fprintf(os.Stderr, "detlint: %s\n", f)
 	}

@@ -144,24 +144,18 @@ type decl struct {
 	allowed         bool // annotated //detlint:allow unused
 }
 
-// unusedRoot is the unused pass over the module rooted at root: it
-// reports every top-level func, method, type, const and var declared in
-// non-test code under root/internal that no non-test code in the module
-// refers to, bench/ included. A reference inside the declaration itself
-// (recursion, a self-referencing type) or in a method's receiver list
-// does not count. Exempt are methods of the types the facade (the
-// package at root) re-exports by alias, which api.txt pins as public
-// API; methods that implement an interface, which may be called through
-// it; and declarations annotated `//detlint:allow unused <reason>` in
-// their doc comment.
-func unusedRoot(root string) ([]string, error) {
-	m, err := loadModule(root)
-	if err != nil {
-		return nil, err
-	}
+// unused is the unused pass over the module: it reports every
+// top-level func, method, type, const and var declared in non-test code
+// under the root's internal/ that no non-test code in the module,
+// bench/ included, refers to from outside the declaration itself or a
+// method's receiver list. Exempt are methods of the types the facade
+// re-exports by alias (api.txt pins them), methods implementing an
+// interface method callable out of the pass's sight (see interfaces),
+// and declarations annotated `//detlint:allow unused <reason>`.
+func (m *module) unused() []string {
 	var decls []decl
 	for _, mp := range m.pkgs {
-		if rel, _ := filepath.Rel(root, mp.dir); strings.HasPrefix(filepath.ToSlash(rel), "internal/") {
+		if rel, _ := filepath.Rel(m.root, mp.dir); strings.HasPrefix(filepath.ToSlash(rel), "internal/") {
 			for _, f := range mp.files {
 				decls = appendDecls(decls, f, mp.info)
 			}
@@ -193,10 +187,11 @@ func unusedRoot(root string) ([]string, error) {
 	}
 	public, ifaces := m.aliased(), m.interfaces()
 	// callable reports whether an interface method may be called where
-	// the pass cannot see it: non-test code calls it, the standard
-	// library declares it, or the facade re-exports its interface.
+	// the pass cannot see it: non-test code calls it, it is error's or
+	// fmt.Stringer's (declared without a package), or the facade
+	// re-exports its interface.
 	callable := func(fn *types.Func) bool {
-		if called[fn] || fn.Pkg() == nil || m.byPath[fn.Pkg().Path()] == nil {
+		if called[fn] || fn.Pkg() == nil {
 			return true
 		}
 		named := recvNamed(fn.Type().(*types.Signature).Recv().Type())
@@ -210,7 +205,7 @@ func unusedRoot(root string) ([]string, error) {
 		findings = append(findings, fmt.Sprintf("%s: unused %s %s: no non-test code in the module refers to it; delete it, move it to its package's export_test.go if only its tests need it, or annotate //detlint:allow unused <reason>",
 			m.fset.Position(d.node.Pos()), d.kind, d.name))
 	}
-	return findings, nil
+	return findings
 }
 
 // appendDecls appends the file's top-level declarations, leaving out
@@ -299,39 +294,30 @@ func (m *module) aliased() map[string]bool {
 	return out
 }
 
-// interfaces returns error, every interface an expression of the
-// module's packages has (a type assertion's anonymous one included),
-// and every named interface those packages declare or import,
-// transitively, the standard library's included.
+// interfaces returns error, fmt.Stringer and the interfaces the
+// module's own code handles: those an expression of its packages has (a
+// type assertion's anonymous one included) and those its packages
+// declare. Imports are not walked, so an interface no module code
+// touches exempts nothing.
 func (m *module) interfaces() []*types.Interface {
-	out := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	str := types.NewTuple(types.NewVar(token.NoPos, nil, "", types.Typ[types.String]))
+	stringer := types.NewInterfaceType([]*types.Func{
+		types.NewFunc(token.NoPos, nil, "String", types.NewSignatureType(nil, nil, nil, nil, str, false)),
+	}, nil).Complete()
+	out := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface), stringer}
 	for _, mp := range m.pkgs {
 		for _, tv := range mp.info.Types {
-			if it, ok := tv.Type.(*types.Interface); ok && it.NumMethods() > 0 {
+			if it, ok := tv.Type.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
 				out = append(out, it)
 			}
 		}
-	}
-	seen := map[*types.Package]bool{}
-	var walk func(p *types.Package)
-	walk = func(p *types.Package) {
-		if p == nil || seen[p] {
-			return
-		}
-		seen[p] = true
-		for _, name := range p.Scope().Names() {
-			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+		for _, name := range mp.pkg.Scope().Names() {
+			if tn, ok := mp.pkg.Scope().Lookup(name).(*types.TypeName); ok {
 				if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
 					out = append(out, it)
 				}
 			}
 		}
-		for _, imp := range p.Imports() {
-			walk(imp)
-		}
-	}
-	for _, mp := range m.pkgs {
-		walk(mp.pkg)
 	}
 	return out
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/coe"
 	"repro/internal/hw"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -16,19 +17,11 @@ import (
 // brute-force scan of every node's pools: each node's tally equals the
 // number of its pools holding the expert, the node's holder bit is set
 // exactly while that number is nonzero, no bit is set past the last
-// node, and every pool's Loaded bitset (IsLoaded) agrees with its
-// entries: a set bit names an expert the pool holds, and every loaded,
-// unpinned entry has its bit set.
+// node, and every pool's Loaded bitset (IsLoaded) equals a scan of its
+// entries' statuses.
 func checkResidency(c *Cluster) error {
 	f, experts := c.fleet, c.m.NumExperts()
 	for i, n := range c.nodes {
-		for _, pl := range n.sys.Pools() {
-			for _, en := range pl.LoadedUnpinned() {
-				if !pl.IsLoaded(en.Expert.ID) {
-					return fmt.Errorf("node %d pool %s expert %d: loaded entry without its Loaded bit", i, pl.Name(), en.Expert.ID)
-				}
-			}
-		}
 		for id := 0; id < experts; id++ {
 			e := coe.ExpertID(id)
 			want := 0
@@ -36,8 +29,8 @@ func checkResidency(c *Cluster) error {
 				if pl.Resident(e) {
 					want++
 				}
-				if pl.IsLoaded(e) && !pl.Resident(e) {
-					return fmt.Errorf("node %d pool %s expert %d: Loaded bit set on an expert the pool does not hold", i, pl.Name(), id)
+				if st := pl.Status(e); pl.IsLoaded(e) != (st == pool.Loaded) {
+					return fmt.Errorf("node %d pool %s expert %d: Loaded bit %v, status %v", i, pl.Name(), id, pl.IsLoaded(e), st)
 				}
 			}
 			if got := int(f.tally[i*experts+id]); got != want {

@@ -4,6 +4,3 @@ package memory
 
 // Reserved reports the bytes currently reserved.
 func (a *Arena) Reserved() int64 { return a.reserved }
-
-// Peak reports the reservation high-water mark.
-func (a *Arena) Peak() int64 { return a.peak }

@@ -44,9 +44,6 @@ type Arena struct {
 	capacity int64
 	reserved int64
 	waiters  []waiter
-
-	// peak tracks the high-water mark for reporting.
-	peak int64
 }
 
 type waiter struct {
@@ -90,9 +87,6 @@ func (a *Arena) TryReserve(bytes int64) bool {
 		return false
 	}
 	a.reserved += bytes
-	if a.reserved > a.peak {
-		a.peak = a.reserved
-	}
 	return true
 }
 
@@ -121,9 +115,6 @@ func (a *Arena) wakeFitting() {
 		}
 		a.waiters = a.waiters[1:]
 		a.reserved += w.bytes
-		if a.reserved > a.peak {
-			a.peak = a.reserved
-		}
 		w.env.Unpark(w.k)
 	}
 }
@@ -143,9 +134,6 @@ func (a *Arena) WaitReserve(env *sim.Env, bytes int64, k func()) bool {
 	}
 	if len(a.waiters) == 0 && a.reserved+bytes <= a.capacity {
 		a.reserved += bytes
-		if a.reserved > a.peak {
-			a.peak = a.reserved
-		}
 		return true
 	}
 	a.waiters = append(a.waiters, waiter{env: env, bytes: bytes, k: k})

@@ -23,9 +23,6 @@ func TestReserveRelease(t *testing.T) {
 	if a.Free() != 100 {
 		t.Errorf("free after release = %d, want 100", a.Free())
 	}
-	if a.Peak() != 60 {
-		t.Errorf("peak = %d, want 60", a.Peak())
-	}
 }
 
 func TestTryReserve(t *testing.T) {

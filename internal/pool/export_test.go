@@ -1,7 +1,5 @@
 package pool
 
-import "repro/internal/coe"
-
 // Test-only accessors: nothing outside this package's tests needs them.
 
 // PolicyByName returns a policy implementation by its Name.
@@ -22,14 +20,6 @@ func PolicyByName(name string) (Policy, bool) {
 
 // FreeBytes reports unreserved pool capacity.
 func (p *Pool) FreeBytes() int64 { return p.arena.Free() }
-
-// Status reports the expert's status in the pool.
-func (p *Pool) Status(id coe.ExpertID) Status {
-	if e := p.entry(id); e != nil {
-		return e.Status
-	}
-	return Absent
-}
 
 // CacheBytes reports the host cache capacity (0 when absent).
 func (s *Store) CacheBytes() int64 {

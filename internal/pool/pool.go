@@ -306,6 +306,16 @@ func (p *Pool) SwitchIn(e *coe.Expert) time.Duration {
 	return p.store.PredictLoad(e, p.tier)
 }
 
+// Status reports the expert's status in the pool.
+//
+//detlint:allow unused the fleet residency checker (cluster's checkResidency) compares every pool's Loaded bit with it, Loading and pinned entries included
+func (p *Pool) Status(id coe.ExpertID) Status {
+	if e := p.entry(id); e != nil {
+		return e.Status
+	}
+	return Absent
+}
+
 // Resident reports whether the expert occupies the pool at all — Loaded,
 // or Loading with the switch-in still in flight. Cluster routers use it
 // for expert affinity: a request routed to a pool whose expert is

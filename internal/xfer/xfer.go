@@ -85,9 +85,6 @@ type Engine struct {
 	hostLink *sim.Resource
 	// free recycles finished transfer records.
 	free *transfer
-
-	loads     int64
-	loadBytes int64
 }
 
 // NewEngine returns an engine for the device bound to env. The host
@@ -113,7 +110,6 @@ func NewEngine(env *sim.Env, dev *hw.Device) *Engine {
 type transfer struct {
 	e        *Engine
 	start    sim.Time
-	bytes    int64
 	overLink bool
 	link     time.Duration
 	done     func(tag any, elapsed time.Duration)
@@ -135,7 +131,7 @@ func (e *Engine) Load(src Source, dst memory.Tier, bytes int64, done func(tag an
 		t = &transfer{e: e}
 		t.fn = t.step
 	}
-	t.start, t.bytes, t.done, t.tag = e.env.Now(), bytes, done, tag
+	t.start, t.done, t.tag = e.env.Now(), done, tag
 	switch src {
 	case FromSSD:
 		stage := e.dev.LoadFixed + bwDuration(bytes, e.dev.SSDReadBW) + bwDuration(bytes, e.dev.DeserBW)
@@ -165,8 +161,6 @@ func (t *transfer) step() {
 		return
 	}
 	done, tag := t.done, t.tag
-	e.loads++
-	e.loadBytes += t.bytes
 	elapsed := e.env.Now().Sub(t.start)
 	t.done, t.tag = nil, nil
 	t.next, e.free = e.free, t

@@ -67,14 +67,15 @@ func TestEngineMatchesModelWithoutContention(t *testing.T) {
 	eng := NewEngine(env, d)
 	bytes := model.YOLOv5m.WeightBytes()
 	var got time.Duration
-	eng.Load(FromSSD, memory.TierGPU, bytes, func(_ any, d time.Duration) { got = d }, nil)
+	calls := 0
+	eng.Load(FromSSD, memory.TierGPU, bytes, func(_ any, d time.Duration) { got = d; calls++ }, nil)
 	env.Run()
 	want := LoadLatency(d, FromSSD, memory.TierGPU, bytes)
 	if got != want {
 		t.Errorf("engine load = %v, model = %v", got, want)
 	}
-	if eng.Loads() != 1 || eng.LoadBytes() != bytes {
-		t.Errorf("counters = %d loads / %d bytes", eng.Loads(), eng.LoadBytes())
+	if calls != 1 || env.Now().Duration() != want {
+		t.Errorf("done ran %d times, engine idle at %v, want once at %v", calls, env.Now(), want)
 	}
 }
 
