@@ -321,10 +321,7 @@ func cmdRun(args []string) error {
 			return err
 		}
 	}
-	g, c := core.DefaultExecutors(dev)
-	cfg := core.Config{Device: dev, Variant: variant, GPUExecutors: g, CPUExecutors: c, Perf: perf}
-	cfg.Alloc = core.DefaultAllocation(variant, dev, perf, g, c)
-	sys, err := core.NewSystem(cfg, board.Model)
+	sys, err := core.NewSystem(core.Config{Device: dev, Variant: variant, Perf: perf}, board.Model)
 	if err != nil {
 		return err
 	}
@@ -527,16 +524,13 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	g, c := core.DefaultExecutors(dev)
 	cfg := core.Config{
-		Device: dev, Variant: variant,
-		GPUExecutors: g, CPUExecutors: c, Perf: perf, SLO: *slo,
+		Device: dev, Variant: variant, Perf: perf, SLO: *slo,
 		Admission: admission, Window: *window, Percentiles: pmode,
 	}
 	if cfg.Autoscaler, err = newAutoscaler(); err != nil {
 		return err
 	}
-	cfg.Alloc = core.DefaultAllocation(variant, dev, perf, g, c)
 
 	// saveTrace writes the recorded arrival log after a served round.
 	saveTrace := func(rec *workload.RecordingSource) error {

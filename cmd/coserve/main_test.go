@@ -187,11 +187,7 @@ func TestServeRoundsShareArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, c := core.DefaultExecutors(dev)
-	cfg := core.Config{
-		Device: dev, Variant: core.CoServe, GPUExecutors: g, CPUExecutors: c, Perf: perf,
-		Alloc: core.DefaultAllocation(core.CoServe, dev, perf, g, c),
-	}
+	cfg := core.Config{Device: dev, Variant: core.CoServe, Perf: perf}
 	for _, arrival := range []string{"poisson", "bursty", "steady", "mix"} {
 		rs := roundStreams{
 			arrival: arrival, board: merged, views: views,

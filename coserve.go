@@ -10,12 +10,7 @@
 //	dev := coserve.NUMADevice()                       // pick a platform
 //	board, _ := coserve.BoardA().Build()              // a CoE model + workload
 //	perf, _ := coserve.Profile(dev, coserve.EvalArchitectures()) // offline phase
-//	g, c := coserve.DefaultExecutors(dev)
-//	cfg := coserve.Config{
-//		Device: dev, Variant: coserve.CoServe,
-//		GPUExecutors: g, CPUExecutors: c,
-//		Alloc: coserve.CasualAllocation(dev, perf, g, c), Perf: perf,
-//	}
+//	cfg := coserve.Config{Device: dev, Variant: coserve.CoServe, Perf: perf}
 //	srv, _ := coserve.NewServer(cfg, board.Model)     // system initialization
 //	report, _ := srv.RunTask(coserve.TaskA1(board))   // online phase
 //	fmt.Printf("%.1f img/s, %d expert switches\n", report.Throughput, report.Switches)
@@ -152,6 +147,23 @@ func Profile(dev *Device, archs []Architecture) (PerfMatrix, error) {
 	return profiler.Matrix(dev, archs)
 }
 
+// OfflineResult is the offline configuration search's outcome: the
+// executor-count sweep (Figure 17), the decay-window memory search
+// (Figure 18), and the chosen Config. Fanout runs a search's
+// independent probes, concurrently or in order.
+type (
+	OfflineResult = core.OfflineResult
+	Fanout        = profiler.Fanout
+)
+
+// OfflineSearch finds the CoServe executor counts and memory allocation
+// for the device by serving the sample task under candidate
+// configurations (§4.4); fan runs the independent probes, and nil runs
+// them in order.
+func OfflineSearch(dev *Device, perf PerfMatrix, sample Task, fan Fanout) (OfflineResult, error) {
+	return core.OfflineSearch(dev, perf, sample, fan)
+}
+
 // Variant selects a serving system design.
 type Variant = core.Variant
 
@@ -167,7 +179,10 @@ const (
 )
 
 // Config describes a serving system instance; Allocation divides device
-// memory between experts, the host cache, and batch intermediates.
+// memory between experts, the host cache, and batch intermediates. A
+// Config that leaves the executor counts and Alloc at zero runs the
+// variant's default layout: the paper's casual topology and memory
+// split (§5.2), or Samba-CoE's for the Samba variants.
 type (
 	Config     = core.Config
 	Allocation = core.Allocation
@@ -389,32 +404,6 @@ func GenerateFaultPlan(nodes int, mtbf, mttr, horizon time.Duration, seed int64)
 func NewRateFleetScaler(perNode float64) (FleetAutoscaler, error) {
 	return cluster.NewRateFleetScaler(perNode)
 }
-
-// CasualAllocation returns the paper's intuitive memory split (§5.2).
-func CasualAllocation(dev *Device, perf PerfMatrix, gpuExecutors, cpuExecutors int) Allocation {
-	return core.CasualAllocation(dev, perf, gpuExecutors, cpuExecutors)
-}
-
-// SambaAllocation returns the Samba-CoE baseline memory layout (§5.1).
-func SambaAllocation(dev *Device, perf PerfMatrix) Allocation {
-	return core.SambaAllocation(dev, perf)
-}
-
-// DefaultAllocation resolves the variant's default memory layout (Samba
-// layout for the Samba arrangements, casual split otherwise).
-func DefaultAllocation(v Variant, dev *Device, perf PerfMatrix, gpuExecutors, cpuExecutors int) Allocation {
-	return core.DefaultAllocation(v, dev, perf, gpuExecutors, cpuExecutors)
-}
-
-// AllocationForExperts sizes GPU expert memory to n reference experts
-// (the §4.4 search's sweep variable).
-func AllocationForExperts(dev *Device, perf PerfMatrix, n, gpuExecutors, cpuExecutors int) Allocation {
-	return core.AllocationForExperts(dev, perf, n, gpuExecutors, cpuExecutors)
-}
-
-// DefaultExecutors returns the paper's casual executor topology for the
-// device.
-func DefaultExecutors(dev *Device) (gpus, cpus int) { return core.DefaultExecutors(dev) }
 
 // Workload types: boards generate the CoE model and request
 // distribution; tasks are fixed-length closed-loop request streams.

@@ -21,11 +21,8 @@ func TestControlPlaneFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, c := coserve.DefaultExecutors(dev)
 	cfg := coserve.Config{
-		Device: dev, Variant: coserve.CoServe,
-		GPUExecutors: g, CPUExecutors: c,
-		Alloc: coserve.CasualAllocation(dev, perf, g, c), Perf: perf,
+		Device: dev, Variant: coserve.CoServe, Perf: perf,
 		SLO: 500 * time.Millisecond, Window: time.Second,
 	}
 	if cfg.Admission, err = coserve.NewDeadlineShed(cfg.SLO); err != nil {
@@ -58,6 +55,7 @@ func TestControlPlaneFacade(t *testing.T) {
 	if len(rep.Windows) == 0 {
 		t.Error("no windowed series despite Config.Window")
 	}
+	g, c := 3, 1 // the default NUMA topology
 	if rep.ActiveGPU < 1 || rep.ActiveGPU > g || rep.ActiveCPU < 0 || rep.ActiveCPU > c {
 		t.Errorf("active executors %dG+%dC outside the built topology %dG+%dC",
 			rep.ActiveGPU, rep.ActiveCPU, g, c)
@@ -84,12 +82,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, c := coserve.DefaultExecutors(dev)
-	cfg := coserve.Config{
-		Device: dev, Variant: coserve.CoServe,
-		GPUExecutors: g, CPUExecutors: c,
-		Alloc: coserve.CasualAllocation(dev, perf, g, c), Perf: perf,
-	}
+	cfg := coserve.Config{Device: dev, Variant: coserve.CoServe, Perf: perf}
 	srv, err := coserve.NewServer(cfg, board.Model)
 	if err != nil {
 		t.Fatal(err)
@@ -166,12 +159,7 @@ func TestClusterFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, c := coserve.DefaultExecutors(dev)
-	node := coserve.Config{
-		Device: dev, Variant: coserve.CoServe,
-		GPUExecutors: g, CPUExecutors: c,
-		Alloc: coserve.CasualAllocation(dev, perf, g, c), Perf: perf,
-	}
+	node := coserve.Config{Device: dev, Variant: coserve.CoServe, Perf: perf}
 	router, err := coserve.ClusterRouterByName("affinity")
 	if err != nil {
 		t.Fatal(err)

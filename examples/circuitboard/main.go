@@ -33,7 +33,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		gpus, cpus := coserve.DefaultExecutors(dev)
 		for _, sys := range []struct {
 			name    string
 			variant coserve.Variant
@@ -41,16 +40,7 @@ func main() {
 			{"Samba-CoE", coserve.Samba},
 			{"CoServe", coserve.CoServe},
 		} {
-			cfg := coserve.Config{
-				Device: dev, Variant: sys.variant,
-				GPUExecutors: gpus, CPUExecutors: cpus, Perf: perf,
-			}
-			if sys.variant == coserve.Samba {
-				cfg.Alloc = coserve.SambaAllocation(dev, perf)
-			} else {
-				cfg.Alloc = coserve.CasualAllocation(dev, perf, gpus, cpus)
-			}
-			srv, err := coserve.NewServer(cfg, board.Model)
+			srv, err := coserve.NewServer(coserve.Config{Device: dev, Variant: sys.variant, Perf: perf}, board.Model)
 			if err != nil {
 				log.Fatal(err)
 			}

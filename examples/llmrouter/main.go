@@ -50,13 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	gpus, cpus := coserve.DefaultExecutors(dev)
-	cfg := coserve.Config{
-		Device: dev, Variant: coserve.CoServe,
-		GPUExecutors: gpus, CPUExecutors: cpus,
-		Alloc: coserve.CasualAllocation(dev, perf, gpus, cpus), Perf: perf,
-	}
-	srv, err := coserve.NewServer(cfg, model)
+	srv, err := coserve.NewServer(coserve.Config{Device: dev, Variant: coserve.CoServe, Perf: perf}, model)
 	if err != nil {
 		log.Fatal(err)
 	}

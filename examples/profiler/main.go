@@ -1,9 +1,12 @@
 // Profiler: a walkthrough of CoServe's offline phase (§4.4–§4.5).
 //
 // It profiles both devices (performance matrix: K, B, max batch,
-// footprints, load latencies), then runs the decay-window memory-
-// allocation search and the executor-count sweep for Circuit Board A on
-// the NUMA device, printing each probe the way Figures 17 and 18 do.
+// footprints, load latencies), then runs the offline configuration
+// search for Circuit Board A on the NUMA device: the executor-count
+// sweep, then the decay-window memory-allocation search on the best
+// topology. It is the same search (coserve.OfflineSearch) that the
+// fig17 and fig18 experiments run, so it prints their Measurement A
+// rows on the NUMA device.
 //
 // Run with: go run ./examples/profiler
 package main
@@ -16,9 +19,7 @@ import (
 	"time"
 
 	coserve "repro"
-	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/profiler"
 	"repro/internal/workload"
 )
 
@@ -44,7 +45,8 @@ func main() {
 		fmt.Println()
 	}
 
-	// 2. Offline configuration search on the NUMA device for Board A.
+	// 2. Offline configuration search on the NUMA device for Board A,
+	//    on a 600-request sample of the board's stream.
 	dev := coserve.NUMADevice()
 	perf, err := coserve.Profile(dev, coserve.EvalArchitectures())
 	if err != nil {
@@ -58,53 +60,28 @@ func main() {
 		Name: "sample", Board: board, N: 600,
 		ArrivalPeriod: workload.DefaultArrivalPeriod, Seed: 777,
 	}
-	runWith := func(g, c int, alloc coserve.Allocation) (float64, error) {
-		cfg := coserve.Config{
-			Device: dev, Variant: coserve.CoServe,
-			GPUExecutors: g, CPUExecutors: c, Alloc: alloc, Perf: perf,
-		}
-		srv, err := coserve.NewServer(cfg, board.Model)
-		if err != nil {
-			return 0, err
-		}
-		rep, err := srv.RunTask(sample)
-		if err != nil {
-			return 0, err
-		}
-		return rep.Throughput, nil
-	}
-
-	fmt.Println("== executor-count sweep (Figure 17) ==")
-	configs := [][2]int{{1, 1}, {2, 1}, {3, 1}, {4, 1}, {5, 1}}
-	points, best, err := profiler.TopologySweep(configs, func(g, c int) (float64, error) {
-		return runWith(g, c, coserve.CasualAllocation(dev, perf, g, c))
-	})
+	res, err := coserve.OfflineSearch(dev, perf, sample, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, p := range points {
+	cfg := res.Config
+
+	fmt.Println("== executor-count sweep (Figure 17) ==")
+	for _, p := range res.Topology {
 		marker := ""
-		if p == points[best] {
+		if p.GPUs == cfg.GPUExecutors && p.CPUs == cfg.CPUExecutors {
 			marker = "  <- best"
 		}
 		fmt.Printf("  %dG+%dC: %.1f img/s%s\n", p.GPUs, p.CPUs, p.Throughput, marker)
 	}
-	g, c := points[best].GPUs, points[best].CPUs
 
 	fmt.Println("\n== decay-window memory search (§4.4, Figure 18) ==")
-	maxExperts := core.MaxGPUExperts(dev, perf, g, c, coserve.EvalArchitectures())
-	res, err := profiler.DecayWindow(profiler.DefaultSearchParams(maxExperts), func(n int) (float64, error) {
-		if n < 3*g {
-			n = 3 * g
-		}
-		return runWith(g, c, coserve.AllocationForExperts(dev, perf, n, g, c))
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, p := range res.Points {
+	w := res.Window
+	for _, p := range w.Points {
 		fmt.Printf("  load %3d experts -> %.1f img/s\n", p.Experts, p.Throughput)
 	}
 	fmt.Printf("selected window [%d,%d], loading %d experts (deviation %.1f%%)\n",
-		res.WindowLo, res.WindowHi, res.Selected, res.Deviation*100)
+		w.WindowLo, w.WindowHi, w.Selected, w.Deviation*100)
+	fmt.Printf("chosen config: %dG+%dC, %.1f GB of GPU expert memory\n",
+		cfg.GPUExecutors, cfg.CPUExecutors, float64(cfg.Alloc.GPUExpertBytes)/1e9)
 }

@@ -45,13 +45,8 @@ func main() {
 	}
 
 	// 3. System initialization: executors, memory allocation, preload.
-	gpus, cpus := coserve.DefaultExecutors(dev)
-	cfg := coserve.Config{
-		Device: dev, Variant: coserve.CoServe,
-		GPUExecutors: gpus, CPUExecutors: cpus,
-		Alloc: coserve.CasualAllocation(dev, perf, gpus, cpus),
-		Perf:  perf,
-	}
+	//    Zero executor counts and a zero Alloc select the casual layout.
+	cfg := coserve.Config{Device: dev, Variant: coserve.CoServe, Perf: perf}
 	srv, err := coserve.NewServer(cfg, model)
 	if err != nil {
 		log.Fatal(err)

@@ -326,7 +326,8 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 		if nc.PreschedPicks != nil {
 			return nil, fmt.Errorf("cluster: node %s: a pre-scheduled (replay) node serves one stream, a cluster serves many", id)
 		}
-		caps[i] = NodeCapacity{ID: id, ExpertBytes: nc.Alloc.GPUExpertBytes + nc.Alloc.CPUExpertBytes}
+		alloc := core.Resolve(nc).Alloc
+		caps[i] = NodeCapacity{ID: id, ExpertBytes: alloc.GPUExpertBytes + alloc.CPUExpertBytes}
 	}
 	plan, err := c.placement.Plan(m, caps)
 	if err != nil {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -80,6 +81,31 @@ func buildCluster(t testing.TB, cfg Config, m *coe.Model) *Cluster {
 		}
 	})
 	return c
+}
+
+// TestZeroAllocNodesPlanSamePlacement: New resolves each node's default
+// layout before it sizes placement from the allocation, so a fleet of
+// nodes that leave executors and Alloc at zero preloads exactly what a
+// fleet of explicit default nodes does.
+func TestZeroAllocNodesPlanSamePlacement(t *testing.T) {
+	board := boardFor(t, workload.BoardA())
+	explicit := nodeConfig(t, hw.NUMADevice())
+	zero := core.Config{Device: explicit.Device, Variant: core.CoServe, Perf: explicit.Perf}
+	var resident [2][]bool
+	for i, node := range []core.Config{explicit, zero} {
+		cl := buildCluster(t, Config{Nodes: Uniform(4, node), Placement: UsageProportional{}}, board.Model)
+		for _, n := range cl.Nodes() {
+			for e := 0; e < board.Model.NumExperts(); e++ {
+				resident[i] = append(resident[i], n.Resident(coe.ExpertID(e)))
+			}
+		}
+	}
+	if !slices.Contains(resident[0], true) {
+		t.Fatal("the explicit fleet preloaded nothing")
+	}
+	if !slices.Equal(resident[0], resident[1]) {
+		t.Error("a fleet of zero-Alloc nodes planned a different placement from explicit default nodes")
+	}
 }
 
 // TestSingleNodeMatchesSystem is the env-ownership refactor's contract:

@@ -45,8 +45,8 @@ func cpuActReserve(dev *hw.Device, perf model.PerfMatrix, cpuExecutors int) int6
 
 // DefaultAllocation resolves the memory layout a variant runs under by
 // default: the Samba layout for the single-executor Samba arrangements,
-// the casual split otherwise. The CLI and the experiments share it so a
-// new variant's allocation rule has one home.
+// the casual split otherwise. Resolve applies it to a zero Config.Alloc,
+// so a new variant's allocation rule has one home.
 func DefaultAllocation(v Variant, dev *hw.Device, perf model.PerfMatrix, gpuExecutors, cpuExecutors int) Allocation {
 	if v == Samba || v == SambaFIFO {
 		return SambaAllocation(dev, perf)
@@ -87,11 +87,11 @@ func CasualAllocation(dev *hw.Device, perf model.PerfMatrix, gpuExecutors, cpuEx
 	return a
 }
 
-// AllocationForExperts sizes the GPU expert budget to hold exactly n
+// allocationForExperts sizes the GPU expert budget to hold exactly n
 // reference experts (the quantity swept by the §4.4 decay-window search
 // and Figure 18's x axis), leaving the rest of GPU memory to batch
 // inference. CPU-side budgets follow the casual split.
-func AllocationForExperts(dev *hw.Device, perf model.PerfMatrix, n int, gpuExecutors, cpuExecutors int) Allocation {
+func allocationForExperts(dev *hw.Device, perf model.PerfMatrix, n int, gpuExecutors, cpuExecutors int) Allocation {
 	a := CasualAllocation(dev, perf, gpuExecutors, cpuExecutors)
 	usable := gpuUsable(dev, gpuExecutors, cpuExecutors)
 	if dev.Mem == hw.UMA {
@@ -102,10 +102,10 @@ func AllocationForExperts(dev *hw.Device, perf model.PerfMatrix, n int, gpuExecu
 	return a
 }
 
-// MaxGPUExperts reports the largest n for which AllocationForExperts
+// maxGPUExperts reports the largest n for which allocationForExperts
 // still leaves every GPU executor able to run a one-image batch of the
 // largest architecture — the upper end of the decay-window sweep.
-func MaxGPUExperts(dev *hw.Device, perf model.PerfMatrix, gpuExecutors, cpuExecutors int, archs []model.Architecture) int {
+func maxGPUExperts(dev *hw.Device, perf model.PerfMatrix, gpuExecutors, cpuExecutors int, archs []model.Architecture) int {
 	var largestAct int64
 	for _, arch := range archs {
 		p := perf.MustLookup(arch.Name, hw.GPU)

@@ -63,15 +63,15 @@ func TestAllocationForExpertsSizesGPUPool(t *testing.T) {
 	dev := hw.NUMADevice()
 	pm := perfFor(t, dev)
 	for _, n := range []int{10, 25, 40} {
-		a := AllocationForExperts(dev, pm, n, 3, 1)
+		a := allocationForExperts(dev, pm, n, 3, 1)
 		want := int64(n) * model.ResNet101.WeightBytes()
 		if a.GPUExpertBytes != want {
 			t.Errorf("n=%d: expert bytes = %d, want %d", n, a.GPUExpertBytes, want)
 		}
 	}
 	// More experts -> less activation memory.
-	small := AllocationForExperts(dev, pm, 10, 3, 1)
-	big := AllocationForExperts(dev, pm, 40, 3, 1)
+	small := allocationForExperts(dev, pm, 10, 3, 1)
+	big := allocationForExperts(dev, pm, 40, 3, 1)
 	if big.GPUActBytes >= small.GPUActBytes {
 		t.Error("activation budget should shrink as experts grow")
 	}
@@ -80,11 +80,11 @@ func TestAllocationForExpertsSizesGPUPool(t *testing.T) {
 func TestMaxGPUExpertsLeavesRoomForOneImage(t *testing.T) {
 	for _, dev := range []*hw.Device{hw.NUMADevice(), hw.UMADevice()} {
 		pm := perfFor(t, dev)
-		n := MaxGPUExperts(dev, pm, 3, 1, testArchs)
+		n := maxGPUExperts(dev, pm, 3, 1, testArchs)
 		if n < 5 {
 			t.Fatalf("%s: max experts = %d, implausibly small", dev.Name, n)
 		}
-		a := AllocationForExperts(dev, pm, n, 3, 1)
+		a := allocationForExperts(dev, pm, n, 3, 1)
 		var largestAct int64
 		for _, arch := range testArchs {
 			if act := pm.MustLookup(arch.Name, hw.GPU).ActPerImage; act > largestAct {

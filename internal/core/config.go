@@ -163,11 +163,13 @@ type Config struct {
 	// nothing. Ignored by the cold-start (Samba) variants, which never
 	// preload.
 	Preload []coe.ExpertID
-	// GPUExecutors and CPUExecutors set the topology. Samba and
-	// SambaFIFO override to 1 GPU / 0 CPU.
+	// GPUExecutors and CPUExecutors set the topology; both zero means
+	// DefaultExecutors. Samba and SambaFIFO override to 1 GPU / 0 CPU.
 	GPUExecutors int
 	CPUExecutors int
-	Alloc        Allocation
+	// Alloc divides device memory; the zero Allocation means
+	// DefaultAllocation for the variant and executor counts (Resolve).
+	Alloc Allocation
 	// Perf is the offline profiler's performance matrix.
 	Perf model.PerfMatrix
 	// SLO is the per-request end-to-end latency objective reports score
@@ -250,14 +252,31 @@ func (c Config) evictPolicy() pool.Policy {
 	return c.Variant.policy()
 }
 
-// normalized returns the config with variant-dependent topology and
-// control-plane defaults applied.
-func (c Config) normalized() Config {
+// Resolve returns the config with its defaults filled in, so a node's
+// layout is decided in one place. Samba and SambaFIFO always run one GPU
+// executor and no CPU executor; any other variant left at zero executors
+// of both kinds gets DefaultExecutors. A zero Alloc becomes
+// DefaultAllocation for the resolved counts. The layout defaults need a
+// Device and a Perf that profiles the reference architecture; without
+// them the counts and the allocation stay as given, for validation to
+// refuse. An Autoscaler without a Window gets DefaultControlWindow.
+// NewSystemInEnv resolves every config it builds from, and cluster.New
+// resolves each node's before it sizes placement from the allocation.
+func Resolve(c Config) Config {
 	if c.Variant.singleExecutor() {
 		c.GPUExecutors, c.CPUExecutors = 1, 0
 	}
 	if c.Autoscaler != nil && c.Window <= 0 {
 		c.Window = DefaultControlWindow
+	}
+	if c.Device == nil || c.Perf.Covers([]model.Architecture{referenceArch}) != nil {
+		return c
+	}
+	if c.GPUExecutors == 0 && c.CPUExecutors == 0 {
+		c.GPUExecutors, c.CPUExecutors = DefaultExecutors(c.Device)
+	}
+	if c.Alloc == (Allocation{}) {
+		c.Alloc = DefaultAllocation(c.Variant, c.Device, c.Perf, c.GPUExecutors, c.CPUExecutors)
 	}
 	return c
 }

@@ -108,7 +108,7 @@ func NewSystemInEnv(cfg Config, m *coe.Model, env *sim.Env) (*System, error) {
 	if env == nil {
 		return nil, fmt.Errorf("core: NewSystemInEnv needs an environment")
 	}
-	cfg = cfg.normalized()
+	cfg = Resolve(cfg)
 
 	var largestWeight, largestGPUAct, largestCPUAct int64
 	// Executors and queues read profiled costs per architecture (archs,
@@ -509,13 +509,9 @@ func (s *System) dispatch(r *coe.Request) {
 // TracedPicks turns the KindAssign events of the last stream a trace
 // recorded into the global queue indices Config.PreschedPicks replays,
 // matching each event's Actor to a name in queues — the Queues() of the
-// system that recorded the trace. A log that dropped events, or that
-// assigns to a queue not in queues, is an error: the sequence would not
-// be the one served.
+// system that recorded the trace. A log that assigns to a queue not in
+// queues is an error: the sequence would not be the one served.
 func TracedPicks(log *trace.Log, queues []*sched.Queue) ([]int, error) {
-	if n := log.Dropped(); n > 0 {
-		return nil, fmt.Errorf("core: trace dropped %d events, so its assignment sequence is incomplete", n)
-	}
 	var picks []int
 	for _, ev := range log.Events() {
 		switch ev.Kind {

@@ -147,7 +147,7 @@ type Context struct {
 	boards runner.Memo[string, *workload.Board]
 	perf   runner.Memo[string, model.PerfMatrix]
 	grid   runner.Memo[gridKey, gridRun]
-	best   runner.Memo[string, bestChoice]
+	best   runner.Memo[string, core.OfflineResult]
 	sweeps runner.Memo[string, [][]profiler.BatchPoint]
 }
 
@@ -264,145 +264,32 @@ func (c *Context) gridRun(dev *hw.Device, v core.Variant, task workload.Task, us
 	})
 }
 
-// configFor assembles the configuration a variant runs under: Samba
-// variants get the Samba memory layout, CoServe variants the casual
-// layout, and "best" the offline-searched layout (§5.2).
+// configFor assembles the configuration a variant runs under: the
+// variant's default layout (Samba's for the Samba variants, the casual
+// one otherwise), or for "best" the offline-searched one (§5.2).
 func (c *Context) configFor(dev *hw.Device, v core.Variant, board *workload.Board, useBest bool) (core.Config, error) {
-	pm, err := c.Perf(dev)
-	if err != nil {
-		return core.Config{}, err
-	}
-	g, cp := core.DefaultExecutors(dev)
-	cfg := core.Config{Device: dev, Variant: v, GPUExecutors: g, CPUExecutors: cp, Perf: pm}
-	switch {
-	case v == core.Samba || v == core.SambaFIFO:
-		cfg.Alloc = core.SambaAllocation(dev, pm)
-	case useBest:
+	if useBest {
 		best, err := c.Best(dev, board)
-		if err != nil {
-			return core.Config{}, err
-		}
-		cfg.GPUExecutors, cfg.CPUExecutors = best.gpus, best.cpus
-		cfg.Alloc = best.alloc
-	default:
-		cfg.Alloc = core.CasualAllocation(dev, pm, g, cp)
+		cfg := best.Config
+		cfg.Variant = v
+		return cfg, err
 	}
-	return cfg, nil
+	pm, err := c.Perf(dev)
+	return core.Config{Device: dev, Variant: v, Perf: pm}, err
 }
 
-// bestChoice is the offline phase's output for one device+board.
-type bestChoice struct {
-	gpus, cpus int
-	alloc      core.Allocation
-	search     profiler.SearchResult
-	topo       []profiler.TopologyPoint
-}
-
-// Best runs (and memoizes) the offline configuration search: the
-// executor-count sweep of Figure 17 followed by the decay-window memory
-// search of §4.4/Figure 18, both on the sample dataset. The
-// executor-count phase measures independent topologies, so its points
-// run through the worker pool; the decay-window slide is adaptive (each
-// boundary depends on the previous measurements) and stays sequential.
-func (c *Context) Best(dev *hw.Device, board *workload.Board) (bestChoice, error) {
-	key := dev.Name + "/" + board.Spec.Name
-	return c.best.Do(key, func() (bestChoice, error) {
+// Best runs (and memoizes) the offline configuration search
+// (core.OfflineSearch) for one device+board on the sample dataset. Its
+// independent executor-count points run through the worker pool.
+func (c *Context) Best(dev *hw.Device, board *workload.Board) (core.OfflineResult, error) {
+	return c.best.Do(dev.Name+"/"+board.Spec.Name, func() (core.OfflineResult, error) {
 		pm, err := c.Perf(dev)
 		if err != nil {
-			return bestChoice{}, err
+			return core.OfflineResult{}, err
 		}
-		task := sampleTask(board)
-
-		topoRunner := func(g, cp int) (float64, error) {
-			cfg := core.Config{
-				Device: dev, Variant: core.CoServe,
-				GPUExecutors: g, CPUExecutors: cp,
-				Alloc: core.CasualAllocation(dev, pm, g, cp), Perf: pm,
-			}
-			sys, err := core.NewSystem(cfg, board.Model)
-			if err != nil {
-				return 0, err
-			}
-			rep, err := sys.RunTask(task)
-			if err != nil {
-				return 0, err
-			}
-			return rep.Throughput, nil
-		}
-		// Paper sweep: 1..5 GPU executors with one CPU executor, then the
-		// best GPU count with two. The phase-1 points are independent
-		// simulations: measure them in parallel, then feed the memoized
-		// throughputs back through TopologySweep (which consumes configs
-		// in order), so point building and tie-breaking stay in one
-		// place.
-		phase1 := [][2]int{{1, 1}, {2, 1}, {3, 1}, {4, 1}, {5, 1}}
-		tps, err := runner.Sweep(c.par, phase1, func(_ int, cfg [2]int) (float64, error) {
-			return topoRunner(cfg[0], cfg[1])
+		return core.OfflineSearch(dev, pm, sampleTask(board), func(n int, probe func(int) (float64, error)) ([]float64, error) {
+			return runner.Map(c.par, n, probe)
 		})
-		if err != nil {
-			return bestChoice{}, fmt.Errorf("profiler: topology sweep: %w", err)
-		}
-		next := 0
-		points, bestIdx, err := profiler.TopologySweep(phase1, func(g, cp int) (float64, error) {
-			if next >= len(phase1) || g != phase1[next][0] || cp != phase1[next][1] {
-				return 0, fmt.Errorf("experiments: topology replay out of sync at %dG+%dC", g, cp)
-			}
-			tp := tps[next]
-			next++
-			return tp, nil
-		})
-		if err != nil {
-			return bestChoice{}, err
-		}
-		bestG := points[bestIdx].GPUs
-		more, _, err := profiler.TopologySweep([][2]int{{bestG, 2}}, topoRunner)
-		if err != nil {
-			return bestChoice{}, err
-		}
-		points = append(points, more...)
-		gBest, cBest, tpBest := points[0].GPUs, points[0].CPUs, points[0].Throughput
-		for _, p := range points {
-			if p.Throughput > tpBest {
-				gBest, cBest, tpBest = p.GPUs, p.CPUs, p.Throughput
-			}
-		}
-
-		maxExperts := core.MaxGPUExperts(dev, pm, gBest, cBest, evalArchs)
-		params := profiler.DefaultSearchParams(maxExperts)
-		// The per-pool floor: each GPU pool must hold two largest experts.
-		minExperts := 3 * gBest
-		search, err := profiler.DecayWindow(params, func(n int) (float64, error) {
-			if n < minExperts {
-				n = minExperts
-			}
-			cfg := core.Config{
-				Device: dev, Variant: core.CoServe,
-				GPUExecutors: gBest, CPUExecutors: cBest,
-				Alloc: core.AllocationForExperts(dev, pm, n, gBest, cBest), Perf: pm,
-			}
-			sys, err := core.NewSystem(cfg, board.Model)
-			if err != nil {
-				return 0, err
-			}
-			rep, err := sys.RunTask(task)
-			if err != nil {
-				return 0, err
-			}
-			return rep.Throughput, nil
-		})
-		if err != nil {
-			return bestChoice{}, err
-		}
-		selected := search.Selected
-		if selected < minExperts {
-			selected = minExperts
-		}
-		return bestChoice{
-			gpus: gBest, cpus: cBest,
-			alloc:  core.AllocationForExperts(dev, pm, selected, gBest, cBest),
-			search: search,
-			topo:   points,
-		}, nil
 	})
 }
 

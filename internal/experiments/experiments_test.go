@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -282,8 +283,8 @@ func TestBestConfigSearchDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b1.gpus != b2.gpus || b1.cpus != b2.cpus || b1.search.Selected != b2.search.Selected {
-		t.Errorf("offline search not deterministic: %+v vs %+v", b1.search, b2.search)
+	if !reflect.DeepEqual(b1, b2) {
+		t.Errorf("offline search not deterministic: %+v vs %+v", b1, b2)
 	}
 }
 

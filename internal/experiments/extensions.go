@@ -31,12 +31,7 @@ func (c *Context) runCoServeWith(dev *hw.Device, task workload.Task, mutate func
 	if err != nil {
 		return nil, err
 	}
-	g, cp := core.DefaultExecutors(dev)
-	cfg := core.Config{
-		Device: dev, Variant: core.CoServe,
-		GPUExecutors: g, CPUExecutors: cp,
-		Alloc: core.CasualAllocation(dev, pm, g, cp), Perf: pm,
-	}
+	cfg := core.Config{Device: dev, Variant: core.CoServe, Perf: pm}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -125,11 +120,7 @@ func ExtSSDSweep(ctx *Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sambaCfg := core.Config{
-			Device: dev, Variant: core.Samba, GPUExecutors: 1,
-			Alloc: core.SambaAllocation(dev, pm), Perf: pm,
-		}
-		sambaSys, err := core.NewSystem(sambaCfg, board.Model)
+		sambaSys, err := core.NewSystem(core.Config{Device: dev, Variant: core.Samba, Perf: pm}, board.Model)
 		if err != nil {
 			return nil, err
 		}

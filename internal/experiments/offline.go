@@ -45,7 +45,7 @@ func Figure17(ctx *Context) (*Table, error) {
 			return nil, err
 		}
 		row := []string{j.dev.Mem.String(), j.label}
-		for _, p := range best.topo {
+		for _, p := range best.Topology {
 			row = append(row, fmt.Sprintf("%.1f (%dG+%dC)", p.Throughput, p.GPUs, p.CPUs))
 		}
 		return row, nil
@@ -85,12 +85,12 @@ func Figure18(ctx *Context) (*Table, error) {
 			return nil, err
 		}
 		var rows [][]string
-		for j, p := range best.search.Points {
+		for j, p := range best.Window.Points {
 			row := []string{labels[i], fmt.Sprintf("%d", p.Experts), fmt.Sprintf("%.1f", p.Throughput), "", "", ""}
-			if j == len(best.search.Points)-1 {
-				row[3] = fmt.Sprintf("[%d,%d]", best.search.WindowLo, best.search.WindowHi)
-				row[4] = fmt.Sprintf("%d", best.search.Selected)
-				row[5] = fmt.Sprintf("%.1f%%", best.search.Deviation*100)
+			if j == len(best.Window.Points)-1 {
+				row[3] = fmt.Sprintf("[%d,%d]", best.Window.WindowLo, best.Window.WindowHi)
+				row[4] = fmt.Sprintf("%d", best.Window.Selected)
+				row[5] = fmt.Sprintf("%.1f%%", best.Window.Deviation*100)
 			}
 			rows = append(rows, row)
 		}

@@ -53,14 +53,7 @@ func (c *Context) serveConfig(dev *hw.Device, v core.Variant) (core.Config, erro
 	if err != nil {
 		return core.Config{}, err
 	}
-	g, cp := core.DefaultExecutors(dev)
-	cfg := core.Config{
-		Device: dev, Variant: v,
-		GPUExecutors: g, CPUExecutors: cp,
-		Perf: pm, SLO: serveSLO,
-		Alloc: core.DefaultAllocation(v, dev, pm, g, cp),
-	}
-	return cfg, nil
+	return core.Config{Device: dev, Variant: v, Perf: pm, SLO: serveSLO}, nil
 }
 
 // ServeLoad sweeps offered open-loop Poisson load on the NUMA device

@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -158,7 +159,7 @@ func TestDecayWindowParamValidation(t *testing.T) {
 }
 
 func TestTopologySweepPicksBest(t *testing.T) {
-	points, best, err := TopologySweep(DefaultTopologies(3), func(g, c int) (float64, error) {
+	points, best, err := TopologySweep(DefaultTopologies(3), nil, func(g, c int) (float64, error) {
 		// Peak at 3 GPUs, 1 CPU.
 		return 10 - math.Abs(float64(g)-3) - 2*math.Abs(float64(c)-1), nil
 	})
@@ -171,7 +172,16 @@ func TestTopologySweepPicksBest(t *testing.T) {
 	if points[best].GPUs != 3 || points[best].CPUs != 1 {
 		t.Errorf("best = %dG+%dC, want 3G+1C", points[best].GPUs, points[best].CPUs)
 	}
-	if _, _, err := TopologySweep(nil, nil); err == nil {
+	if _, _, err := TopologySweep(nil, nil, nil); err == nil {
 		t.Error("empty sweep accepted")
+	}
+	// A tie keeps the earlier config, and a runner error surfaces.
+	flat := func(int, int) (float64, error) { return 1, nil }
+	if _, best, err := TopologySweep(DefaultTopologies(2), nil, flat); err != nil || best != 0 {
+		t.Errorf("flat sweep picked %d (err %v), want the first config", best, err)
+	}
+	wantErr := errors.New("probe failed")
+	if _, _, err := TopologySweep(DefaultTopologies(2), nil, func(int, int) (float64, error) { return 0, wantErr }); !errors.Is(err, wantErr) {
+		t.Errorf("runner error = %v, want %v", err, wantErr)
 	}
 }

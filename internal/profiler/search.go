@@ -51,8 +51,6 @@ type SearchResult struct {
 	// within the window become negligible"; this implementation takes
 	// the midpoint so runs are reproducible.
 	Selected int
-	// TrendK and TrendB are the Eq. 2 fit of the upward trend.
-	TrendK, TrendB float64
 	// Deviation is the Eq. 3 relative deviation that stopped the slide
 	// (0 when the sweep exhausted MaxExperts without deviating).
 	Deviation float64
@@ -112,7 +110,6 @@ func DecayWindow(params SearchParams, runner func(nExperts int) (float64, error)
 			if err != nil {
 				return res, err
 			}
-			res.TrendK, res.TrendB = fit.K, fit.B
 			predicted := fit.Predict(float64(len(res.Points)))
 			if predicted > 0 {
 				dev := (predicted - tp) / predicted
@@ -141,22 +138,45 @@ type TopologyPoint struct {
 	Throughput float64
 }
 
-// TopologySweep measures throughput across executor topologies and
-// returns the measurements plus the best configuration. Configs are
-// evaluated in the given order; ties keep the earlier (smaller) config.
-func TopologySweep(configs [][2]int, runner func(gpus, cpus int) (float64, error)) ([]TopologyPoint, int, error) {
+// Fanout runs probe(i) for every i in [0, n) and returns the results in
+// index order. The probes are independent simulations, so a Fanout may
+// run them concurrently; nil runs them one after another.
+type Fanout func(n int, probe func(i int) (float64, error)) ([]float64, error)
+
+// TopologySweep measures throughput across executor topologies through
+// fan and returns the measurements plus the best configuration. Ties
+// keep the earlier (smaller) config.
+func TopologySweep(configs [][2]int, fan Fanout, runner func(gpus, cpus int) (float64, error)) ([]TopologyPoint, int, error) {
 	if len(configs) == 0 {
 		return nil, 0, fmt.Errorf("profiler: no topologies to sweep")
 	}
-	points := make([]TopologyPoint, 0, len(configs))
+	probe := func(i int) (float64, error) {
+		tp, err := runner(configs[i][0], configs[i][1])
+		if err != nil {
+			return 0, fmt.Errorf("profiler: topology %dG+%dC: %w", configs[i][0], configs[i][1], err)
+		}
+		return tp, nil
+	}
+	var tps []float64
+	var err error
+	if fan != nil {
+		tps, err = fan(len(configs), probe)
+	} else {
+		tps = make([]float64, len(configs))
+		for i := range configs {
+			if tps[i], err = probe(i); err != nil {
+				break
+			}
+		}
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	points := make([]TopologyPoint, len(configs))
 	best := 0
 	for i, cfg := range configs {
-		tp, err := runner(cfg[0], cfg[1])
-		if err != nil {
-			return points, best, fmt.Errorf("profiler: topology %dG+%dC: %w", cfg[0], cfg[1], err)
-		}
-		points = append(points, TopologyPoint{GPUs: cfg[0], CPUs: cfg[1], Throughput: tp})
-		if tp > points[best].Throughput {
+		points[i] = TopologyPoint{GPUs: cfg[0], CPUs: cfg[1], Throughput: tps[i]}
+		if tps[i] > tps[best] {
 			best = i
 		}
 	}

@@ -18,8 +18,6 @@ var ErrInsufficientData = errors.New("stats: insufficient data")
 type LinearFit struct {
 	K float64 // slope
 	B float64 // intercept
-	// R2 is the coefficient of determination of the fit (1 = perfect).
-	R2 float64
 }
 
 // Predict evaluates the fitted line at x.
@@ -47,20 +45,7 @@ func FitLine(xs, ys []float64) (LinearFit, error) {
 		return LinearFit{}, errors.New("stats: degenerate x values")
 	}
 	k := (n*sumXY - sumX*sumY) / den
-	b := (sumY - k*sumX) / n
-
-	meanY := sumY / n
-	var ssTot, ssRes float64
-	for i := range xs {
-		ssTot += (ys[i] - meanY) * (ys[i] - meanY)
-		res := ys[i] - (k*xs[i] + b)
-		ssRes += res * res
-	}
-	r2 := 1.0
-	if ssTot > 0 {
-		r2 = 1 - ssRes/ssTot
-	}
-	return LinearFit{K: k, B: b, R2: r2}, nil
+	return LinearFit{K: k, B: (sumY - k*sumX) / n}, nil
 }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.

@@ -3,10 +3,7 @@
 // run; Figure 19 replays a traced run's queue assignments.
 package trace
 
-import (
-	"slices"
-	"time"
-)
+import "time"
 
 // Kind classifies an event.
 type Kind string
@@ -48,55 +45,18 @@ type Event struct {
 	Detail  string        `json:"detail,omitempty"`  // e.g. load source
 }
 
-// Log is an append-only event recorder. The zero value records
-// unboundedly; NewBounded caps retention (oldest events are dropped).
+// Log is an append-only event recorder. The zero value is ready to use.
 // Log is not safe for concurrent use — the simulation is single-threaded.
 type Log struct {
 	events []Event
-	// head is the oldest retained event's index once a bounded log is
-	// full: Add overwrites it in place, so a full log is a ring buffer.
-	head    int
-	limit   int
-	dropped int64
 }
 
-// New returns an unbounded log.
+// New returns an empty log.
 func New() *Log { return &Log{} }
 
-// NewBounded returns a log that retains at most limit events.
-//
-//detlint:allow unused core's TracedPicks test needs a log that dropped events, which only a bounded log can be
-func NewBounded(limit int) *Log {
-	if limit < 1 {
-		panic("trace: bound must be >= 1")
-	}
-	return &Log{limit: limit}
-}
+// Add appends an event.
+func (l *Log) Add(ev Event) { l.events = append(l.events, ev) }
 
-// Add appends an event. On a full bounded log it replaces the oldest
-// event in O(1).
-func (l *Log) Add(ev Event) {
-	if l.limit > 0 && len(l.events) >= l.limit {
-		l.events[l.head] = ev
-		l.head = (l.head + 1) % len(l.events)
-		l.dropped++
-		return
-	}
-	l.events = append(l.events, ev)
-}
-
-// Dropped reports how many events a bounded log discarded.
-func (l *Log) Dropped() int64 { return l.dropped }
-
-// Events returns the retained events, oldest first. Callers must not
-// modify the returned slice. On a wrapped ring it first rotates the
-// buffer in place, so reading costs O(n) once per wrap, not per Add.
-func (l *Log) Events() []Event {
-	if h := l.head; h > 0 {
-		slices.Reverse(l.events[:h])
-		slices.Reverse(l.events[h:])
-		slices.Reverse(l.events)
-		l.head = 0
-	}
-	return l.events
-}
+// Events returns the recorded events, oldest first. Callers must not
+// modify the returned slice.
+func (l *Log) Events() []Event { return l.events }

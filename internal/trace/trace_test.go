@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/csv"
 	"encoding/json"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -35,31 +34,6 @@ func TestAddAndFilter(t *testing.T) {
 	if l.Filter(Kind("nope")) != nil {
 		t.Error("unknown kind should filter to nil")
 	}
-}
-
-func TestBoundedLogDropsOldest(t *testing.T) {
-	l := NewBounded(3)
-	for i := 0; i < 5; i++ {
-		l.Add(Event{At: time.Duration(i), Kind: KindArrival, Request: int64(i)})
-	}
-	if l.Len() != 3 {
-		t.Fatalf("len = %d, want 3", l.Len())
-	}
-	if l.Dropped() != 2 {
-		t.Errorf("dropped = %d, want 2", l.Dropped())
-	}
-	if l.Events()[0].Request != 2 {
-		t.Errorf("oldest retained = %d, want 2", l.Events()[0].Request)
-	}
-}
-
-func TestNewBoundedValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for zero bound")
-		}
-	}()
-	NewBounded(0)
 }
 
 func TestWriteCSV(t *testing.T) {
@@ -100,49 +74,4 @@ func TestSummary(t *testing.T) {
 			t.Errorf("summary %q missing %q", s, want)
 		}
 	}
-}
-
-// TestBoundedLogRingOrder: a bounded log that wraps many times keeps the
-// newest events, returns them oldest first, and counts every drop —
-// across reads between wraps too.
-func TestBoundedLogRingOrder(t *testing.T) {
-	l := NewBounded(4)
-	for i := 0; i < 11; i++ {
-		l.Add(Event{At: time.Duration(i), Kind: KindArrival, Request: int64(i)})
-		if i == 6 {
-			if got := requests(l.Events()); !slices.Equal(got, []int64{3, 4, 5, 6}) {
-				t.Fatalf("mid-stream events = %v, want [3 4 5 6]", got)
-			}
-		}
-	}
-	if got := requests(l.Events()); !slices.Equal(got, []int64{7, 8, 9, 10}) {
-		t.Errorf("events = %v, want [7 8 9 10]", got)
-	}
-	if l.Dropped() != 7 || l.Len() != 4 {
-		t.Errorf("dropped/len = %d/%d, want 7/4", l.Dropped(), l.Len())
-	}
-	if got := l.Filter(KindArrival); got[0].Request != 7 {
-		t.Errorf("filter starts at request %d, want 7", got[0].Request)
-	}
-}
-
-// TestBoundedLogAddZeroAllocs pins Add on a full bounded log at O(1)
-// with no allocation.
-func TestBoundedLogAddZeroAllocs(t *testing.T) {
-	l := NewBounded(64)
-	ev := Event{Kind: KindBatch, Actor: "gpu0", N: 4}
-	for i := 0; i < 64; i++ {
-		l.Add(ev)
-	}
-	if allocs := testing.AllocsPerRun(1000, func() { l.Add(ev) }); allocs > 0 {
-		t.Errorf("Add on a full log allocated %.2f objects/op, want 0", allocs)
-	}
-}
-
-func requests(events []Event) []int64 {
-	out := make([]int64, len(events))
-	for i, ev := range events {
-		out[i] = ev.Request
-	}
-	return out
 }

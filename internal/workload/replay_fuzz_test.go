@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -64,12 +65,12 @@ func TestReadTraceRejectsOverflow(t *testing.T) {
 			t.Errorf("%s: ReadTrace accepted %+v", name, tr.Entries)
 		}
 	}
-	// The largest values that fit still read.
-	tr, err := ReadTrace(bytes.NewReader(traceBytes(1, 1<<63-1, 1<<63-1, 0, 1, 1<<31-1)))
+	// The largest values that fit still read; a class is bounded by int.
+	tr, err := ReadTrace(bytes.NewReader(traceBytes(1, 1<<63-1, math.MaxInt, 0, 1, 1<<31-1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := tr.Entries[0]; e.At != 1<<63-1 || e.Class != 1<<63-1 || e.Chain[0] != 1<<31-1 {
+	if e := tr.Entries[0]; e.At != 1<<63-1 || e.Class != math.MaxInt || e.Chain[0] != 1<<31-1 {
 		t.Errorf("read %+v, want the maximum offset, class and expert", e)
 	}
 }

@@ -540,8 +540,7 @@ func MergeBoards(name string, shares []float64, boards ...*Board) (*Board, []*Bo
 	b := coe.NewBuilder(name)
 	classOff := 0
 	var mergedProbs []float64
-	type view struct{ base, types int }
-	views := make([]view, len(boards))
+	bases := make([]int, len(boards))
 	for bi, board := range boards {
 		// Re-add the board's experts, tracking old→new expert IDs.
 		idMap := make(map[coe.ExpertID]coe.ExpertID)
@@ -562,7 +561,7 @@ func MergeBoards(name string, shares []float64, boards ...*Board) (*Board, []*Bo
 			}
 			b.AddRule(classOff+class, nr)
 		}
-		views[bi] = view{base: classOff, types: len(board.TypeProbs)}
+		bases[bi] = classOff
 		w := shares[bi] / shareTotal
 		for _, p := range board.TypeProbs {
 			mergedProbs = append(mergedProbs, p*w)
@@ -589,7 +588,7 @@ func MergeBoards(name string, shares []float64, boards ...*Board) (*Board, []*Bo
 	tenantViews := make([]*Board, len(boards))
 	for bi, board := range boards {
 		probs := make([]float64, len(mergedProbs))
-		copy(probs[views[bi].base:], board.TypeProbs)
+		copy(probs[bases[bi]:], board.TypeProbs)
 		tenantViews[bi] = newBoardUnchecked(board.Spec.Name, m, probs)
 	}
 	return merged, tenantViews, nil
