@@ -111,7 +111,8 @@ bench-chaos:
 # bench-kernel reproduces (and gates) the BENCH_kernel.json measurement:
 # the event heap at depth (BenchmarkTimerChurn: 1,000 pending timers
 # under cancel/re-arm churn), the single-node serve loop, the scheduler
-# inner loop, a warm dependency-aware victim selection
+# inner loop, class sampling through a board's guide table
+# (BenchmarkSampleType), a warm dependency-aware victim selection
 # (BenchmarkDepAwareEviction) and the exact latency summary at 10k and
 # 200k samples (BenchmarkSummarize) once each; then, in a run of their
 # own at -benchtime 20x, the classic event loop (BenchmarkSimKernel) and
@@ -121,5 +122,5 @@ bench-chaos:
 # bytes/op. `make bench` (and the CI bench job) already executes these;
 # this target is the recorded baseline's regeneration recipe.
 bench-kernel:
-	{ $(GO) test -bench 'BenchmarkTimerChurn|BenchmarkPoissonServe$$|BenchmarkMinMaxAssign|BenchmarkDepAwareEviction|BenchmarkSummarize' -benchtime 1x -run '^$$' . ; \
+	{ $(GO) test -bench 'BenchmarkTimerChurn|BenchmarkPoissonServe$$|BenchmarkMinMaxAssign|BenchmarkSampleType|BenchmarkDepAwareEviction|BenchmarkSummarize' -benchtime 1x -run '^$$' . ; \
 	  $(GO) test -bench '^(BenchmarkSimKernel|BenchmarkPostMsg)$$' -benchtime 20x -run '^$$' . ; } | $(GO) run ./cmd/benchguard -baseline BENCH_kernel.json

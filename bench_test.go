@@ -13,6 +13,7 @@ import (
 	"repro/internal/coe"
 	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/memory"
 	"repro/internal/model"
 	"repro/internal/pool"
 	"repro/internal/sched"
@@ -296,30 +297,38 @@ func BenchmarkTimerChurn(b *testing.B) {
 	}
 }
 
-// constCosts returns queue costs for expert IDs below n: one
-// architecture with K = 2ms and B = 5ms, and a 1s switch-in for every
-// expert (none is ever loaded).
-func constCosts(n int) sched.Costs {
-	return sched.Costs{
-		Arch:     make([]uint8, n),
-		K:        []time.Duration{2 * time.Millisecond},
-		B:        []time.Duration{5 * time.Millisecond},
-		SwitchIn: func(*coe.Expert) time.Duration { return time.Second },
+// constQueues returns n grouped queues of one node for expert IDs below
+// experts: one architecture with K = 2ms and B = 5ms, and a 1s switch-in
+// for every expert (none is ever loaded, and there is no host cache).
+func constQueues(env *sim.Env, n, experts int) []*sched.Queue {
+	prices := sched.Prices{
+		Arch: make([]uint8, experts),
+		Lat:  [][memory.TierSSD][2]time.Duration{{{time.Second, time.Second}, {time.Second, time.Second}}},
 	}
+	node := sched.NewNode(n, prices, make([]uint64, experts), 1)
+	qs := make([]*sched.Queue, n)
+	for i := range qs {
+		qs[i] = node.NewQueue(env, fmt.Sprintf("q%d", i), sched.ModeGrouped, sched.Costs{
+			K: []time.Duration{2 * time.Millisecond},
+			B: []time.Duration{5 * time.Millisecond},
+		})
+	}
+	return qs
 }
+
+// push enqueues the request on the queue as the queue prices it.
+func push(q *sched.Queue, e *coe.Expert, r *coe.Request) { q.Enqueue(e, r, q.Predict(e)) }
 
 // BenchmarkMinMaxAssign measures one dependency-aware assignment
 // decision across 7 queues with realistic backlogs — the per-request
 // scheduling cost of Figure 19.
 func BenchmarkMinMaxAssign(b *testing.B) {
 	env := sim.NewEnv()
-	costs := constCosts(1000)
-	qs := make([]*sched.Queue, 7)
-	for i := range qs {
-		qs[i] = sched.NewQueue(env, fmt.Sprintf("q%d", i), sched.ModeGrouped, costs)
+	qs := constQueues(env, 7, 1000)
+	for i, q := range qs {
 		for j := 0; j < 40; j++ {
 			e := &coe.Expert{ID: coe.ExpertID(i*100 + j%11), Arch: model.ResNet101}
-			qs[i].Enqueue(e, coe.NewRequest(int64(j), 0, []coe.ExpertID{e.ID}))
+			push(q, e, coe.NewRequest(int64(j), 0, []coe.ExpertID{e.ID}))
 		}
 	}
 	assigner := sched.MinMax{}
@@ -333,18 +342,17 @@ func BenchmarkMinMaxAssign(b *testing.B) {
 
 // BenchmarkGroupedEnqueue measures the queue arranging hot path: one
 // merge into an existing group plus the gate notify, the per-request
-// cost Enqueue pays after assignment.
+// cost Enqueue pays after assignment, priced by Predict.
 func BenchmarkGroupedEnqueue(b *testing.B) {
 	env := sim.NewEnv()
-	costs := constCosts(1000)
-	q := sched.NewQueue(env, "q", sched.ModeGrouped, costs)
+	q := constQueues(env, 1, 1000)[0]
 	e := &coe.Expert{ID: 1, Arch: model.ResNet101}
 	r := coe.NewRequest(0, 0, []coe.ExpertID{e.ID})
-	q.Enqueue(e, r)
+	push(q, e, r)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Enqueue(e, r)
+		push(q, e, r)
 		// Drain periodically so the group's item slice stays at a
 		// steady-state size instead of growing with b.N.
 		if q.Len() >= 1024 {
@@ -433,6 +441,41 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 		if err != nil || len(reqs) != 3500 {
 			b.Fatalf("generation failed: %v (%d)", err, len(reqs))
 		}
+	}
+}
+
+// BenchmarkSampleType measures class sampling on the merged A+B board
+// node-mix serves: one op draws 4,096 types, from uniforms drawn up
+// front, through the board's guide table. Baseline in BENCH_kernel.json
+// at 0 allocs/op (`make bench-kernel`).
+func BenchmarkSampleType(b *testing.B) {
+	a, err := workload.BoardA().Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	bb, err := workload.BoardB().Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	merged, _, err := workload.MergeBoards("board-a+b", []float64{1, 1}, a, bb)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	us := make([]float64, 4096)
+	for i := range us {
+		us[i] = rng.Float64()
+	}
+	sum := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, u := range us {
+			sum += merged.SampleType(u)
+		}
+	}
+	if sum < 0 {
+		b.Fatal("negative type")
 	}
 }
 
@@ -531,7 +574,7 @@ func BenchmarkAffinityPick(b *testing.B) {
 		q := n.System().Queues()[0]
 		for k := 1 + rng.Intn(3); k > 0; k-- {
 			seq++
-			q.Enqueue(board.Model.Expert(0), coe.NewRequest(seq, 0, []coe.ExpertID{0}))
+			push(q, board.Model.Expert(0), coe.NewRequest(seq, 0, []coe.ExpertID{0}))
 		}
 	}
 	src, err := workload.Steady{Name: "bench-pick", Board: board, Rate: fleetRate, Seed: 20260807}.NewSource()

@@ -200,12 +200,20 @@ func (c *Cluster) newLease() *lease {
 
 // settle recycles a lease once it is done and no hold points at it. A
 // hedge offer still on the wire keeps a resolved lease alive until it
-// lands.
+// lands. The lease is reset field by field: only its chain capacity,
+// generation and hedge callback carry over (primary and hedge are nil
+// already).
 func (c *Cluster) settle(l *lease) {
 	if !l.done || l.primary != nil || l.hedge != nil {
 		return
 	}
-	*l = lease{chain: l.chain[:0], gen: l.gen + 1, due: l.due, nextFree: c.freeLeases}
+	l.id, l.class, l.tenant = 0, 0, ""
+	l.chain, l.buf = l.chain[:0], [len(l.buf)]coe.ExpertID{}
+	l.gen++
+	l.done, l.hasArrival, l.timerSet = false, false, false
+	l.arrival, l.voidedAt, l.redeliveries = 0, 0, 0
+	l.timer, l.retries = sim.Timer{}, 0
+	l.nextFree = c.freeLeases
 	c.freeLeases = l
 }
 

@@ -76,7 +76,8 @@ func TestRoutersMatchFullScan(t *testing.T) {
 			q.Purge()
 			for k := rng.Intn(4) / 2 * (1 + rng.Intn(2)); k > 0; k-- {
 				seq++
-				q.Enqueue(m.Expert(0), coe.NewRequest(seq, 0, []coe.ExpertID{0}))
+				e := m.Expert(0)
+				q.Enqueue(e, coe.NewRequest(seq, 0, []coe.ExpertID{0}), q.Predict(e))
 			}
 		}
 		set := cl.nodes

@@ -31,7 +31,8 @@ type controller struct {
 	finished   bool  // every admitted request has completed or dropped
 
 	// tenants counts each request Tenant's admissions, rejections and
-	// completions, in first-seen order; tenantIdx indexes it by name.
+	// completions, in first-seen order; tenantIdx indexes by name the
+	// tenants past the first tenantScan, which slot finds by a scan.
 	// Both stay empty until the first tagged request. offer looks the
 	// name up once and stamps the index plus one on the request
 	// (coe.Request.TenantSlot); completion reads it back. A tenant's
@@ -147,6 +148,10 @@ func (c *controller) finish() {
 	}
 }
 
+// tenantScan is how many of the first-seen tenants slot finds by
+// comparing names, before it asks the map.
+const tenantScan = 8
+
 // slot returns the named tenant's index plus one in c.tenants, or 0 for
 // no tenant, registering the tenant in first-seen order on its first
 // request.
@@ -154,14 +159,21 @@ func (c *controller) slot(name string) int32 {
 	if name == "" {
 		return 0
 	}
+	for j := range min(len(c.tenants), tenantScan) {
+		if c.tenants[j].name == name {
+			return int32(j + 1)
+		}
+	}
 	j, ok := c.tenantIdx[name]
 	if !ok {
-		if c.tenantIdx == nil {
-			c.tenantIdx = make(map[string]int)
-		}
 		j = len(c.tenants)
-		c.tenantIdx[name] = j
 		c.tenants = append(c.tenants, tenantCounts{name: name})
+		if j >= tenantScan {
+			if c.tenantIdx == nil {
+				c.tenantIdx = make(map[string]int)
+			}
+			c.tenantIdx[name] = j
+		}
 	}
 	return int32(j + 1)
 }

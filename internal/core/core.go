@@ -167,66 +167,88 @@ func NewSystemInEnv(cfg Config, m *coe.Model, env *sim.Env) (*System, error) {
 		prefix = cfg.ID + "/"
 	}
 
-	// Shared-pool variants use one pool per processor; otherwise each
-	// executor owns a pool.
-	var sharedGPU, sharedCPU *pool.Pool
-	if cfg.Variant.sharedPools() {
-		sharedGPU = pool.New(prefix+"gpu-shared", cfg.Alloc.GPUExpertBytes, s.store, memory.TierGPU, cfg.evictPolicy(), s.env.Now)
-		s.pools = append(s.pools, sharedGPU)
-		if cfg.CPUExecutors > 0 {
-			sharedCPU = pool.New(prefix+"cpu-shared", cfg.Alloc.CPUExpertBytes, s.store, memory.TierCPU, cfg.evictPolicy(), s.env.Now)
-			s.pools = append(s.pools, sharedCPU)
+	// Each processor kind's executors share one table of profiled costs
+	// per architecture (archs order, indexed by archOf): the executor's
+	// profile and execution latency, and its queue's §4.2 coefficients.
+	type kindCosts struct {
+		tier    memory.Tier
+		poolCap int64
+		acts    *memory.Arena
+		compute *sim.Resource
+		perfs   []model.Perf
+		exec    *model.ExecTable
+		k, b    []time.Duration
+		// shared is the kind's one pool in shared-pool variants, -1
+		// otherwise: an index into s.pools.
+		shared int
+	}
+	costsOf := func(kind hw.ProcKind, tier memory.Tier, poolCap int64, acts *memory.Arena, compute *sim.Resource) *kindCosts {
+		proc := cfg.Device.Proc(kind)
+		kc := &kindCosts{
+			tier: tier, poolCap: poolCap, acts: acts, compute: compute,
+			perfs: make([]model.Perf, len(archs)), exec: model.NewExecTable(archs, proc),
+			k: make([]time.Duration, len(archs)), b: make([]time.Duration, len(archs)),
+			shared: -1,
 		}
+		for i, a := range archs {
+			kc.perfs[i] = cfg.Perf.MustLookup(a.Name, kind)
+			kc.k[i], kc.b[i] = kc.perfs[i].K, kc.perfs[i].B
+		}
+		return kc
+	}
+	gpu := costsOf(hw.GPU, memory.TierGPU, cfg.Alloc.GPUExpertBytes/int64(cfg.GPUExecutors), s.gpuActs, gpuCompute)
+	var cpu *kindCosts
+	if cfg.CPUExecutors > 0 {
+		cpu = costsOf(hw.CPU, memory.TierCPU, cfg.Alloc.CPUExpertBytes/int64(cfg.CPUExecutors), s.cpuActs, cpuCompute)
 	}
 
-	build := func(i int, kind hw.ProcKind) {
-		var (
-			name    string
-			tier    memory.Tier
-			poolCap int64
-			acts    *memory.Arena
-			compute *sim.Resource
-			pl      *pool.Pool
-		)
-		proc := cfg.Device.Proc(kind)
-		if kind == hw.GPU {
-			name = fmt.Sprintf("%sgpu%d", prefix, i)
-			tier = memory.TierGPU
-			poolCap = cfg.Alloc.GPUExpertBytes / int64(cfg.GPUExecutors)
-			acts = s.gpuActs
-			compute = gpuCompute
-			pl = sharedGPU
-		} else {
-			name = fmt.Sprintf("%scpu%d", prefix, i)
-			tier = memory.TierCPU
-			poolCap = cfg.Alloc.CPUExpertBytes / int64(cfg.CPUExecutors)
-			acts = s.cpuActs
-			compute = cpuCompute
-			pl = sharedCPU
+	// Shared-pool variants use one pool per processor; otherwise each
+	// executor owns a pool. Every executor is named and given its pool
+	// first, so the node's pools can share one Loaded table before its
+	// queues read it.
+	if cfg.Variant.sharedPools() {
+		gpu.shared = len(s.pools)
+		s.pools = append(s.pools, pool.New(prefix+"gpu-shared", cfg.Alloc.GPUExpertBytes, s.store, memory.TierGPU, cfg.evictPolicy(), s.env.Now))
+		if cpu != nil {
+			cpu.shared = len(s.pools)
+			s.pools = append(s.pools, pool.New(prefix+"cpu-shared", cfg.Alloc.CPUExpertBytes, s.store, memory.TierCPU, cfg.evictPolicy(), s.env.Now))
 		}
-		if pl == nil {
-			pl = pool.New(name, poolCap, s.store, tier, cfg.evictPolicy(), s.env.Now)
-			s.pools = append(s.pools, pl)
+	}
+	type slot struct {
+		name string
+		kc   *kindCosts
+		pool int
+	}
+	slots := make([]slot, 0, cfg.GPUExecutors+cfg.CPUExecutors)
+	add := func(name string, kc *kindCosts) {
+		pl := kc.shared
+		if pl < 0 {
+			pl = len(s.pools)
+			s.pools = append(s.pools, pool.New(name, kc.poolCap, s.store, kc.tier, cfg.evictPolicy(), s.env.Now))
 		}
-		perfs := make([]model.Perf, len(archs))
-		for i, a := range archs {
-			perfs[i] = cfg.Perf.MustLookup(a.Name, kind)
-		}
-		costs := sched.Costs{Arch: archOf, K: make([]time.Duration, len(archs)), B: make([]time.Duration, len(archs)), SwitchIn: pl.SwitchIn}
-		for i, p := range perfs {
-			costs.K[i], costs.B[i] = p.K, p.B
-		}
-		q := sched.NewQueue(s.env, name, cfg.Variant.queueMode(), costs)
-		q.Presize(m.NumExperts())
+		slots = append(slots, slot{name, kc, pl})
+	}
+	for i := 0; i < cfg.GPUExecutors; i++ {
+		add(fmt.Sprintf("%sgpu%d", prefix, i), gpu)
+	}
+	for i := 0; i < cfg.CPUExecutors; i++ {
+		add(fmt.Sprintf("%scpu%d", prefix, i), cpu)
+	}
+	loaded, stride := pool.PresizeAll(s.pools, m.NumExperts())
+	arch, lat, cached := s.store.Prices()
+	node := sched.NewNode(len(slots), sched.Prices{Arch: arch, Lat: lat, Cached: cached}, loaded, stride)
+	for _, sl := range slots {
+		kc := sl.kc
+		q := node.NewQueue(s.env, sl.name, cfg.Variant.queueMode(), sched.Costs{K: kc.k, B: kc.b, Tier: kc.tier, Pool: sl.pool})
 		ex := &executor.Executor{
-			Name:    name,
+			Name:    sl.name,
 			Env:     s.env,
-			Exec:    func(a model.Architecture, n int) time.Duration { return model.ExecLatency(a, proc, n) },
+			Exec:    kc.exec,
 			Queue:   q,
-			Pool:    pl,
-			Compute: compute,
-			Acts:    acts,
-			Perfs:   perfs,
+			Pool:    s.pools[sl.pool],
+			Compute: kc.compute,
+			Acts:    kc.acts,
+			Perfs:   kc.perfs,
 			ArchOf:  archOf,
 			Done:    s.streamDone,
 			OnBatch: s.onBatch,
@@ -237,13 +259,6 @@ func NewSystemInEnv(cfg Config, m *coe.Model, env *sim.Env) (*System, error) {
 		s.queues = append(s.queues, q)
 		s.executors = append(s.executors, ex)
 	}
-	for i := 0; i < cfg.GPUExecutors; i++ {
-		build(i, hw.GPU)
-	}
-	for i := 0; i < cfg.CPUExecutors; i++ {
-		build(i, hw.CPU)
-	}
-	pool.PresizeAll(s.pools, m.NumExperts())
 	if cfg.Trace != nil {
 		for _, pl := range s.pools {
 			pl := pl
@@ -377,7 +392,7 @@ func (s *System) PredictLatency(r *coe.Request) time.Duration {
 		e := s.m.Expert(r.Chain[stage])
 		best := time.Duration(-1)
 		for _, q := range s.activeQueues {
-			d := q.Predict(e)
+			d := q.Predict(e).Add()
 			if stage == r.Stage() {
 				d += q.FinishTime(now).Sub(now)
 			}
@@ -475,11 +490,11 @@ func (s *System) dispatch(r *coe.Request) {
 		//detlint:allow deliberate wall-clock probe: the sampled Figure 19 sched-cost measurement, never part of table output
 		start = time.Now()
 	}
-	idx := s.assigner.Pick(s.env.Now(), s.activeQueues, e)
+	idx, p := s.assigner.Pick(s.env.Now(), s.activeQueues, e)
 	if s.activeIdx != nil {
 		idx = s.activeIdx[idx]
 	}
-	s.queues[idx].Enqueue(e, r)
+	s.queues[idx].Enqueue(e, r, p)
 	if timed {
 		//detlint:allow deliberate wall-clock probe: closes the sampled sched-cost measurement opened above
 		s.recorder.SchedOp(time.Since(start))

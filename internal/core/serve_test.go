@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -422,5 +423,84 @@ func TestMixServeBytesPin(t *testing.T) {
 	t.Logf("%.1f bytes per request", perReq)
 	if perReq > 5 {
 		t.Errorf("warm mix serve allocates %.1f bytes per request, want <= 5", perReq)
+	}
+}
+
+// TestTenantSlotsBeyondScan: slot finds the first tenantScan tenants by
+// a scan and the rest through its map; either way a tenant keeps the
+// slot of its first request, slots follow first-seen order, and the map
+// holds only the tenants past the scan.
+func TestTenantSlotsBeyondScan(t *testing.T) {
+	c := &controller{}
+	const n = 3*tenantScan + 1
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("tenant-%02d", i)
+		if got := c.slot(names[i]); got != int32(i+1) {
+			t.Fatalf("first request of %s: slot %d, want %d", names[i], got, i+1)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		for i := n - 1; i >= 0; i-- {
+			// A fresh copy of the name, so the lookup compares contents.
+			if got := c.slot(string([]byte(names[i]))); got != int32(i+1) {
+				t.Fatalf("round %d: %s has slot %d, want %d", round, names[i], got, i+1)
+			}
+		}
+	}
+	if c.slot("") != 0 {
+		t.Error("the empty tenant has a slot")
+	}
+	for i, tc := range c.tenants {
+		if tc.name != names[i] {
+			t.Fatalf("tenant %d is %s, want first-seen %s", i, tc.name, names[i])
+		}
+	}
+	if len(c.tenants) != n || len(c.tenantIdx) != n-tenantScan {
+		t.Errorf("%d tenants, %d in the map; want %d and %d", len(c.tenants), len(c.tenantIdx), n, n-tenantScan)
+	}
+}
+
+// TestServeManyTenantsFirstSeenOrder: a mix of more tenants than slot
+// scans reports them in the order their first requests arrived, each
+// with its own counts.
+func TestServeManyTenantsFirstSeenOrder(t *testing.T) {
+	board := boardFor(t, workload.BoardA())
+	const tenants = tenantScan + 4
+	mix := func() workload.Source {
+		srcs := make([]workload.Source, tenants)
+		for i := range srcs {
+			srcs[i] = poissonFor(t, fmt.Sprintf("t%02d", i), board, float64(2+i%5), 12, int64(40+i))
+		}
+		src, err := workload.Mix{Name: "many", Tenants: srcs}.NewSource()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+	var order []string
+	count := map[string]int64{}
+	for src := mix(); ; {
+		tr, ok := src.Next()
+		if !ok {
+			break
+		}
+		if count[tr.Req.Tenant] == 0 {
+			order = append(order, tr.Req.Tenant)
+		}
+		count[tr.Req.Tenant]++
+	}
+	s := buildSystem(t, hw.NUMADevice(), CoServe, board)
+	rep, err := s.Serve(mix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.PerTenant) != tenants {
+		t.Fatalf("%d tenant rows, want %d", len(rep.PerTenant), tenants)
+	}
+	for i, ts := range rep.PerTenant {
+		if ts.Name != order[i] || ts.Admitted != count[ts.Name] || ts.Completions != ts.Admitted {
+			t.Errorf("row %d: %s admitted %d completed %d; want %s admitted %d", i, ts.Name, ts.Admitted, ts.Completions, order[i], count[order[i]])
+		}
 	}
 }

@@ -24,9 +24,9 @@ type Executor struct {
 	Name string
 	// Env is the simulation the executor runs in.
 	Env *sim.Env
-	// Exec returns the ground-truth execution latency of a batch on the
-	// executor's processor.
-	Exec func(arch model.Architecture, batch int) time.Duration
+	// Exec holds the ground-truth execution latency of a batch on the
+	// executor's processor, by architecture index (ArchOf).
+	Exec *model.ExecTable
 	// Queue is the executor's request queue, fed by the controller.
 	Queue *sched.Queue
 	// Pool holds the executor's resident experts.
@@ -115,9 +115,11 @@ type run struct {
 	ex    *Executor
 	epoch int // the crash epoch the run serves
 
-	// The group being drained, its expert and profile.
+	// The group being drained, its expert, the expert's architecture
+	// index and profile.
 	g    *sched.Group
 	e    *coe.Expert
+	arch uint8
 	perf *model.Perf
 	// The batch in flight, the crash epoch when it was taken, its
 	// activation bytes and its served latency.
@@ -164,7 +166,8 @@ func (r *run) next() {
 			return
 		}
 		r.g, r.e = g, g.Expert
-		r.perf = &ex.Perfs[ex.ArchOf[r.e.ID]]
+		r.arch = ex.ArchOf[r.e.ID]
+		r.perf = &ex.Perfs[r.arch]
 		if !ex.Pool.Acquire(r.e, r.proceedFn) || !r.serve() {
 			return
 		}
@@ -208,7 +211,7 @@ func (r *run) serve() bool {
 func (r *run) reserved() {
 	ex := r.ex
 	now := ex.Env.Now()
-	lat := ex.Exec(r.e.Arch, len(r.batch))
+	lat := ex.Exec.Latency(r.arch, len(r.batch))
 	ex.Queue.SetBusyUntil(now.Add(lat + r.g.PredictedRemaining()))
 	if ex.Degrade != nil {
 		lat = ex.Degrade(now, lat)

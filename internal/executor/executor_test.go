@@ -11,6 +11,7 @@ import (
 	"repro/internal/pool"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/xfer"
 )
 
 // rig wires a single executor against a NUMA GPU with the given pool and
@@ -48,11 +49,11 @@ func newRig(t *testing.T, poolCap, actCap int64, maxBatch int) *rig {
 	perfs, archOf := gpuPerfs(m, dev, maxBatch)
 	r := &rig{env: env, dev: dev, store: store, pool: pl, model: m}
 	r.acts = memory.NewArena("acts", actCap)
-	r.queue = sched.NewQueue(env, "q0", sched.ModeGrouped, gpuCosts(m, dev, pl))
+	r.queue = gpuQueue(env, "q0", m, dev, store, pl)
 	r.ex = &Executor{
 		Name:    "gpu0",
 		Env:     env,
-		Exec:    func(a model.Architecture, n int) time.Duration { return model.ExecLatency(a, dev.GPU, n) },
+		Exec:    execTable(m, dev),
 		Queue:   r.queue,
 		Pool:    pl,
 		Compute: sim.NewResource(env, "gpu", 1),
@@ -82,21 +83,32 @@ func gpuPerfs(m *coe.Model, dev *hw.Device, maxBatch int) ([]model.Perf, []uint8
 	return perfs, archOf
 }
 
-// gpuCosts builds a GPU queue's per-architecture cost tables for the
-// model, with the pool's switch-in estimate.
-func gpuCosts(m *coe.Model, dev *hw.Device, pl *pool.Pool) sched.Costs {
-	archs, archOf := m.Archs()
-	c := sched.Costs{Arch: archOf, SwitchIn: pl.SwitchIn}
+// gpuQueue builds a grouped GPU queue over the pool, alone on its node,
+// with the model's per-architecture cost tables.
+func gpuQueue(env *sim.Env, name string, m *coe.Model, dev *hw.Device, store *pool.Store, pl *pool.Pool) *sched.Queue {
+	archs, _ := m.Archs()
+	loaded, stride := pool.PresizeAll([]*pool.Pool{pl}, m.NumExperts())
+	c := sched.Costs{Tier: memory.TierGPU}
 	for _, a := range archs {
 		c.K = append(c.K, model.KCoeff(a, dev.GPU))
 		c.B = append(c.B, dev.GPU.LaunchOverhead)
 	}
-	return c
+	arch, lat, cached := store.Prices()
+	return sched.NewNode(1, sched.Prices{Arch: arch, Lat: lat, Cached: cached}, loaded, stride).NewQueue(env, name, sched.ModeGrouped, c)
 }
+
+// execTable builds the GPU's execution-latency table for the model.
+func execTable(m *coe.Model, dev *hw.Device) *model.ExecTable {
+	archs, _ := m.Archs()
+	return model.NewExecTable(archs, dev.GPU)
+}
+
+// push enqueues the request on the queue as the queue prices it.
+func push(q *sched.Queue, e *coe.Expert, r *coe.Request) { q.Enqueue(e, r, q.Predict(e)) }
 
 func (r *rig) enqueue(reqs ...*coe.Request) {
 	for _, rq := range reqs {
-		r.queue.Enqueue(r.model.Expert(rq.Expert()), rq)
+		push(r.queue, r.model.Expert(rq.Expert()), rq)
 	}
 }
 
@@ -190,7 +202,7 @@ func TestExecutorSwitchThenExecute(t *testing.T) {
 	r.finish()
 	r.ex.Start()
 	end := r.env.Run()
-	load := r.store.PredictLoad(r.model.Expert(0), memory.TierGPU)
+	load := xfer.LoadLatency(r.dev, xfer.FromSSD, memory.TierGPU, r.model.Expert(0).WeightBytes())
 	exec := model.ExecLatency(model.ResNet101, r.dev.GPU, 1)
 	if end != sim.Time(load+exec) {
 		t.Errorf("run took %v, want load+exec = %v", end, load+exec)
@@ -233,12 +245,12 @@ func TestTwoExecutorsShareComputeSerially(t *testing.T) {
 	mk := func(name string, preload coe.ExpertID) *Executor {
 		pl := pool.New(name, 4*rn101Bytes, store, memory.TierGPU, pool.LRU{}, env.Now)
 		pl.Preload(m.Expert(preload))
-		q := sched.NewQueue(env, name, sched.ModeGrouped, gpuCosts(m, dev, pl))
+		q := gpuQueue(env, name, m, dev, store, pl)
 		perfs, archOf := gpuPerfs(m, dev, 16)
 		return &Executor{
 			Name:    name,
 			Env:     env,
-			Exec:    func(a model.Architecture, n int) time.Duration { return model.ExecLatency(a, dev.GPU, n) },
+			Exec:    execTable(m, dev),
 			Queue:   q,
 			Pool:    pl,
 			Compute: compute,
@@ -250,8 +262,8 @@ func TestTwoExecutorsShareComputeSerially(t *testing.T) {
 		}
 	}
 	ex0, ex1 := mk("g0", e0), mk("g1", e1)
-	ex0.Queue.Enqueue(m.Expert(e0), mkReq(0, e0))
-	ex1.Queue.Enqueue(m.Expert(e1), mkReq(1, e1))
+	push(ex0.Queue, m.Expert(e0), mkReq(0, e0))
+	push(ex1.Queue, m.Expert(e1), mkReq(1, e1))
 	done = true
 	ex0.Start()
 	ex1.Start()

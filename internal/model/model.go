@@ -90,6 +90,40 @@ func ExecLatency(a Architecture, p hw.Processor, batch int) time.Duration {
 	return lat
 }
 
+// ExecTable is one processor's ExecLatency with every architecture's K
+// coefficient computed once: an executor's per-batch latency is a table
+// read and a few integer operations, with no Architecture copied and no
+// float divide.
+type ExecTable struct {
+	k          []time.Duration // KCoeff by architecture index
+	launch     time.Duration
+	satBatch   int
+	satPenalty time.Duration
+}
+
+// NewExecTable returns the table of the architectures on the processor,
+// indexed like archs.
+func NewExecTable(archs []Architecture, p hw.Processor) *ExecTable {
+	t := &ExecTable{k: make([]time.Duration, len(archs)), launch: p.LaunchOverhead, satBatch: p.SatBatch, satPenalty: p.SatPenalty}
+	for i, a := range archs {
+		t.k[i] = KCoeff(a, p)
+	}
+	return t
+}
+
+// Latency reports ExecLatency(archs[a], p, batch) for the table's archs
+// and processor.
+func (t *ExecTable) Latency(a uint8, batch int) time.Duration {
+	if batch < 1 {
+		panic(fmt.Sprintf("model: batch %d < 1", batch))
+	}
+	lat := t.k[a]*time.Duration(batch) + t.launch
+	if excess := batch - t.satBatch; excess > 0 {
+		lat += t.satPenalty * time.Duration(excess*excess)
+	}
+	return lat
+}
+
 // ActBytes reports the intermediate-result memory a batch occupies on
 // the processor (Figure 6).
 func ActBytes(a Architecture, p hw.Processor, batch int) int64 {

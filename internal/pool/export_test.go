@@ -1,6 +1,42 @@
 package pool
 
+import (
+	"time"
+
+	"repro/internal/coe"
+	"repro/internal/memory"
+	"repro/internal/xfer"
+)
+
 // Test-only accessors: nothing outside this package's tests needs them.
+
+// Cached reports whether the expert currently sits in the host cache.
+func (s *Store) Cached(id coe.ExpertID) bool {
+	return s.cache != nil && s.cache.in[id] != 0
+}
+
+// PredictLoad reports the expected uncontended switch latency for the
+// expert into dst (the GPU or CPU tier), given current cache contents —
+// the scheduler's expert-switching-latency estimate (§4.2), as
+// sched.Prices serves it.
+func (s *Store) PredictLoad(e *coe.Expert, dst memory.Tier) time.Duration {
+	src := xfer.FromSSD
+	if s.Cached(e.ID) {
+		src = xfer.FromHost
+	}
+	return s.lat[s.archOf[e.ID]][dst][src]
+}
+
+// SwitchIn returns the scheduler's switch-in estimate for the expert
+// (§4.2), as sched prices it from the pool's Loaded row and the store:
+// 0 when it is Loaded here, otherwise the store's uncontended load
+// latency into this pool's tier from where it would be fetched.
+func (p *Pool) SwitchIn(e *coe.Expert) time.Duration {
+	if p.IsLoaded(e.ID) {
+		return 0
+	}
+	return p.store.PredictLoad(e, p.tier)
+}
 
 // PolicyByName returns a policy implementation by its Name.
 func PolicyByName(name string) (Policy, bool) {

@@ -7,9 +7,7 @@
 package pool
 
 import (
-	"cmp"
 	"fmt"
-	"math/bits"
 	"slices"
 	"time"
 
@@ -89,11 +87,18 @@ type Pool struct {
 	// cell is an absent expert. Presize sizes it to the model up front so
 	// the serve path never grows it.
 	entries []*Entry
-	// loadedBits has bit id%64 of word id/64 set while expert id is
-	// Loaded here: Preload and loaded set it and evict clears it, so
-	// IsLoaded reads one word. Sized with entries.
-	loadedBits []uint64
-	seq        int64
+	// rows is an expert-major Loaded table, lstride words per expert:
+	// bit lbit of word lword in row id is set while expert id is Loaded
+	// here. Preload and loaded set it and evict clears it, so IsLoaded
+	// reads one word. A pool's own table has one word per expert;
+	// PresizeAll moves a node's pools into one table, where one row
+	// answers for all of them (carved).
+	rows    []uint64
+	lstride int
+	lword   int
+	lbit    uint64
+	carved  bool
+	seq     int64
 	// resident holds the same entries in ascending (UsageProb, ID) order
 	// — stage 2's eviction order, fixed per model — so the usage-ordered
 	// policies walk it instead of sorting. An expert's UsageProb must not
@@ -148,51 +153,68 @@ func New(name string, capacity int64, store *Store, tier memory.Tier, policy Pol
 		tier:   tier,
 		policy: policy,
 		now:    now,
+
+		lstride: 1,
+		lbit:    1,
 	}
 	p.loadedFn = p.loaded
 	return p
 }
 
-// Presize sizes the expert table and the Loaded bitset for a model of n
-// experts, so inserts during a serve never grow them.
+// Presize sizes the expert table and the Loaded table for a model of n
+// experts, so inserts during a serve never grow them. A pool carved into
+// a node's Loaded table cannot grow past it.
 func (p *Pool) Presize(n int) {
 	if n > len(p.entries) {
 		p.entries = append(p.entries, make([]*Entry, n-len(p.entries))...)
 	}
-	if w := words(n); w > len(p.loadedBits) {
-		p.loadedBits = append(p.loadedBits, make([]uint64, w-len(p.loadedBits))...)
+	if w := n * p.lstride; w > len(p.rows) {
+		if p.carved {
+			panic(fmt.Sprintf("pool %s: expert %d beyond its node's Loaded table", p.name, n-1))
+		}
+		p.rows = append(p.rows, make([]uint64, w-len(p.rows))...)
 	}
 }
 
 // PresizeAll presizes the pools for a model of n experts like Presize,
-// carving every expert table out of one block and every Loaded bitset
-// out of another: a node's pools cost two allocations however many
+// carving every expert table out of one block and moving their Loaded
+// bits into one expert-major table, which it returns with its row
+// stride: row id holds stride words, and pools[i] owns bit i%64 of word
+// i/64 in every row, so one row tells which of a node's pools have
+// expert id Loaded. A node's pools cost two allocations however many
 // there are. What a pool already holds is kept.
-func PresizeAll(pools []*Pool, n int) {
-	w := words(n)
+func PresizeAll(pools []*Pool, n int) (loaded []uint64, stride int) {
+	stride = words(len(pools))
 	entries := make([]*Entry, len(pools)*n)
-	loaded := make([]uint64, len(pools)*w)
+	loaded = make([]uint64, n*stride)
 	for i, p := range pools {
 		if len(p.entries) > n {
 			panic(fmt.Sprintf("pool %s: presize to %d experts below its %d", p.name, n, len(p.entries)))
 		}
-		e, b := entries[i*n:(i+1)*n:(i+1)*n], loaded[i*w:(i+1)*w:(i+1)*w]
+		e := entries[i*n : (i+1)*n : (i+1)*n]
 		copy(e, p.entries)
-		copy(b, p.loadedBits)
-		p.entries, p.loadedBits = e, b
+		word, bit := i>>6, uint64(1)<<(i&63)
+		for id := range p.entries {
+			if p.IsLoaded(coe.ExpertID(id)) {
+				loaded[id*stride+word] |= bit
+			}
+		}
+		p.entries = e
+		p.rows, p.lstride, p.lword, p.lbit, p.carved = loaded, stride, word, bit, true
 	}
+	return loaded, stride
 }
 
 // words returns the number of 64-bit words a bitset of n bits needs.
 func words(n int) int { return (n + 63) >> 6 }
 
-// setLoaded sets or clears expert id's bit in the Loaded bitset.
+// setLoaded sets or clears expert id's bit in the Loaded table.
 func (p *Pool) setLoaded(id coe.ExpertID, on bool) {
-	w, bit := &p.loadedBits[id>>6], uint64(1)<<(id&63)
+	w := &p.rows[int(id)*p.lstride+p.lword]
 	if on {
-		*w |= bit
+		*w |= p.lbit
 	} else {
-		*w &^= bit
+		*w &^= p.lbit
 	}
 }
 
@@ -272,38 +294,35 @@ func (p *Pool) put(e *Entry) {
 	id := e.Expert.ID
 	p.Presize(int(id) + 1)
 	p.entries[id] = e
-	i, _ := slices.BinarySearchFunc(p.resident, e, byUsage)
-	p.resident = slices.Insert(p.resident, i, e)
+	p.resident = slices.Insert(p.resident, p.place(e), e)
 	p.track(id, true)
 }
 
-// byUsage orders entries by ascending usage probability, ties broken on
-// expert ID.
-func byUsage(a, b *Entry) int {
-	if c := cmp.Compare(a.Expert.UsageProb, b.Expert.UsageProb); c != 0 {
-		return c
+// place returns where e belongs in the resident list — its index, when
+// it is there — by a binary search on ascending (usage probability,
+// expert ID). Usage probabilities are never NaN, so < and == order them.
+func (p *Pool) place(e *Entry) int {
+	x := e.Expert
+	lo, hi := 0, len(p.resident)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if y := p.resident[m].Expert; y.UsageProb < x.UsageProb || (y.UsageProb == x.UsageProb && y.ID < x.ID) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	return cmp.Compare(a.Expert.ID, b.Expert.ID)
+	return lo
 }
 
 // Name reports the pool name.
 func (p *Pool) Name() string { return p.name }
 
 // IsLoaded reports whether the expert is resident (status Loaded): one
-// word of the Loaded bitset.
+// word of the Loaded table.
 func (p *Pool) IsLoaded(id coe.ExpertID) bool {
-	w := uint(id) >> 6
-	return w < uint(len(p.loadedBits)) && p.loadedBits[w]&(1<<(id&63)) != 0
-}
-
-// SwitchIn returns the scheduler's switch-in estimate for the expert
-// (§4.2): 0 when it is Loaded here, otherwise the store's uncontended
-// load latency into this pool's tier from where it would be fetched.
-func (p *Pool) SwitchIn(e *coe.Expert) time.Duration {
-	if p.IsLoaded(e.ID) {
-		return 0
-	}
-	return p.store.PredictLoad(e, p.tier)
+	i := uint(id)*uint(p.lstride) + uint(p.lword)
+	return i < uint(len(p.rows)) && p.rows[i]&p.lbit != 0
 }
 
 // Status reports the expert's status in the pool.
@@ -325,8 +344,10 @@ func (p *Pool) Resident(id coe.ExpertID) bool { return p.entry(id) != nil }
 // Loaded returns the number of resident experts.
 func (p *Pool) Loaded() int {
 	n := 0
-	for _, w := range p.loadedBits {
-		n += bits.OnesCount64(w)
+	for i := p.lword; i < len(p.rows); i += p.lstride {
+		if p.rows[i]&p.lbit != 0 {
+			n++
+		}
 	}
 	return n
 }
@@ -491,7 +512,7 @@ func (p *Pool) evict(need int64) {
 		p.count(entry, -1)
 		p.entries[id] = nil
 		p.setLoaded(id, false)
-		i := slices.Index(p.resident, entry)
+		i := p.place(entry)
 		p.resident = slices.Delete(p.resident, i, i+1)
 		p.track(id, false)
 		p.arena.Release(entry.Bytes)

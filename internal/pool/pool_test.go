@@ -1152,3 +1152,60 @@ func TestLiveDepsMatchScan(t *testing.T) {
 		}
 	}
 }
+
+// TestPresizeAllSharesOneLoadedTable: PresizeAll moves a node's pools
+// into one expert-major Loaded table, pools[i] owning bit i%64 of word
+// i/64 of every row — two words a row for the 70 pools here. Bits a pool
+// held before are kept, and after every preload, load and eviction each
+// pool's bit in every row must equal a scan of its entries, whatever its
+// neighbours in the row do.
+func TestPresizeAllSharesOneLoadedTable(t *testing.T) {
+	env, store, m := testWorld(t, rn101, 30)
+	pools := make([]*Pool, 70)
+	for i := range pools {
+		pools[i] = newPool(env, store, 3*rn101, LRU{})
+	}
+	pools[65].Preload(m.Expert(4)) // held before the move
+	loaded, stride := PresizeAll(pools, m.NumExperts())
+	if stride != 2 || len(loaded) != 2*m.NumExperts() {
+		t.Fatalf("stride %d, %d words; want 2 and %d", stride, len(loaded), 2*m.NumExperts())
+	}
+	check := func(when string) {
+		t.Helper()
+		for i, p := range pools {
+			for id := 0; id < m.NumExperts(); id++ {
+				e := p.entry(coe.ExpertID(id))
+				want := e != nil && e.Status == Loaded
+				bit := loaded[id*stride+i>>6]&(1<<(i&63)) != 0
+				if bit != want || p.IsLoaded(coe.ExpertID(id)) != want {
+					t.Fatalf("%s: pool %d expert %d: row bit %v, IsLoaded %v, status scan %v", when, i, id, bit, p.IsLoaded(coe.ExpertID(id)), want)
+				}
+			}
+		}
+	}
+	check("presize")
+	rng := rand.New(rand.NewSource(32))
+	for step := 0; step < 400; step++ {
+		p := pools[rng.Intn(len(pools))]
+		e := m.Expert(coe.ExpertID(rng.Intn(m.NumExperts())))
+		if rng.Intn(4) == 0 {
+			p.Preload(e)
+			check("preload")
+			continue
+		}
+		if p.Resident(e.ID) {
+			continue
+		}
+		p.Acquire(e, func() {})
+		env.Run()
+		check("load")
+		p.Release(e.ID)
+	}
+	var evictions int64
+	for _, p := range pools {
+		evictions += p.Evictions()
+	}
+	if evictions == 0 {
+		t.Fatal("no eviction; the test exercises too little")
+	}
+}

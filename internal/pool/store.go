@@ -38,7 +38,7 @@ type Store struct {
 // cacheBytes sets the host cache capacity; pass 0 for no cache (UMA
 // devices load experts straight from SSD, §5.1). Every architecture's
 // switch-in is priced here, once per destination tier and source, so
-// PredictLoad is a table read.
+// pricing one is a table read (Prices).
 func NewStore(env *sim.Env, dev *hw.Device, cacheBytes int64, m *coe.Model) *Store {
 	archs, archOf := m.Archs()
 	s := &Store{env: env, engine: xfer.NewEngine(env, dev), archOf: archOf, lat: make([][memory.TierSSD][2]time.Duration, len(archs))}
@@ -50,14 +50,23 @@ func NewStore(env *sim.Env, dev *hw.Device, cacheBytes int64, m *coe.Model) *Sto
 		}
 	}
 	if cacheBytes > 0 {
-		s.cache = &hostCache{arena: memory.NewArena("hostcache", cacheBytes), in: make([]bool, m.NumExperts())}
+		s.cache = &hostCache{arena: memory.NewArena("hostcache", cacheBytes), in: make([]uint8, m.NumExperts())}
 	}
 	return s
 }
 
-// Cached reports whether the expert currently sits in the host cache.
-func (s *Store) Cached(id coe.ExpertID) bool {
-	return s.cache != nil && s.cache.in[id]
+// Prices returns what the scheduler prices a switch-in from
+// (sched.Prices): archOf maps each ExpertID to its architecture index,
+// lat[a][dst][src] is architecture a's uncontended load latency into
+// dst from SSD (src 0) or the host cache (src 1), and cached[id] is the
+// source expert id would be fetched from — 1 while it sits in the host
+// cache — or nil without a cache. The flags are the cache's own, so
+// they follow it.
+func (s *Store) Prices() (archOf []uint8, lat [][memory.TierSSD][2]time.Duration, cached []uint8) {
+	if s.cache != nil {
+		cached = s.cache.in
+	}
+	return s.archOf, s.lat, cached
 }
 
 // Fetch brings the expert's weights into the destination tier,
@@ -73,17 +82,6 @@ func (s *Store) Fetch(e *coe.Expert, dst memory.Tier, done func(tag any, elapsed
 	}
 	s.engine.Load(xfer.FromSSD, dst, bytes, done, tag)
 	return srcSSD
-}
-
-// PredictLoad reports the expected uncontended switch latency for the
-// expert into dst (the GPU or CPU tier), given current cache contents —
-// the scheduler's expert-switching-latency estimate (§4.2).
-func (s *Store) PredictLoad(e *coe.Expert, dst memory.Tier) time.Duration {
-	src := xfer.FromSSD
-	if s.Cached(e.ID) {
-		src = xfer.FromHost
-	}
-	return s.lat[s.archOf[e.ID]][dst][src]
 }
 
 // demote records an expert evicted from a pool in the given tier. GPU
@@ -103,8 +101,10 @@ type hostCache struct {
 	// lru holds the cached experts least recently demoted first. It holds
 	// a few dozen experts at most; only a fetch or re-demotion scans it.
 	lru []cached
-	// in flags the cached experts by ExpertID, so membership is one read.
-	in []bool
+	// in is 1 for the cached experts by ExpertID, 0 for the rest, so
+	// membership is one read and doubles as the fetch source's index in
+	// Store.lat (xfer.FromHost vs xfer.FromSSD).
+	in []uint8
 }
 
 type cached struct {
@@ -124,11 +124,11 @@ func (c *hostCache) find(id coe.ExpertID) int {
 
 // take removes the expert from the cache, reporting whether it was there.
 func (c *hostCache) take(id coe.ExpertID) bool {
-	if !c.in[id] {
+	if c.in[id] == 0 {
 		return false
 	}
 	i := c.find(id)
-	c.in[id] = false
+	c.in[id] = 0
 	c.arena.Release(c.lru[i].bytes)
 	c.lru = slices.Delete(c.lru, i, i+1)
 	return true
@@ -143,7 +143,7 @@ func (c *hostCache) insert(e *coe.Expert) {
 	if bytes > c.arena.Capacity() {
 		return
 	}
-	if c.in[e.ID] {
+	if c.in[e.ID] != 0 {
 		i := c.find(e.ID)
 		hit := c.lru[i]
 		c.lru = append(slices.Delete(c.lru, i, i+1), hit)
@@ -151,12 +151,12 @@ func (c *hostCache) insert(e *coe.Expert) {
 	}
 	for c.arena.Free() < bytes { // bytes fits the capacity: the list never runs dry
 		c.arena.Release(c.lru[0].bytes)
-		c.in[c.lru[0].id] = false
+		c.in[c.lru[0].id] = 0
 		c.lru = slices.Delete(c.lru, 0, 1)
 	}
 	if err := c.arena.Reserve(bytes); err != nil {
 		panic("pool: host cache accounting broken: " + err.Error())
 	}
 	c.lru = append(c.lru, cached{id: e.ID, bytes: bytes})
-	c.in[e.ID] = true
+	c.in[e.ID] = 1
 }

@@ -185,3 +185,33 @@ func TestTopologySweepPicksBest(t *testing.T) {
 		t.Errorf("runner error = %v, want %v", err, wantErr)
 	}
 }
+
+// TestExecTableMatchesExecLatency: an executor's execution-latency table
+// must serve exactly model.ExecLatency, the reference, for every
+// architecture at every batch size up to twice its profiled MaxBatch, on
+// both processors of both devices — in the architecture order the table
+// was built in, whichever that is.
+func TestExecTableMatchesExecLatency(t *testing.T) {
+	for _, dev := range []*hw.Device{hw.NUMADevice(), hw.UMADevice()} {
+		archs := []model.Architecture{model.YOLOv5l, model.ResNet101, model.YOLOv5m}
+		perf, err := Matrix(dev, archs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []hw.ProcKind{hw.GPU, hw.CPU} {
+			proc := dev.Proc(kind)
+			table := model.NewExecTable(archs, proc)
+			for i, a := range archs {
+				maxBatch := perf.MustLookup(a.Name, kind).MaxBatch
+				if maxBatch < 1 {
+					t.Fatalf("%s %s %s: MaxBatch %d", dev.Name, kind, a.Name, maxBatch)
+				}
+				for n := 1; n <= 2*maxBatch; n++ {
+					if got, want := table.Latency(uint8(i), n), model.ExecLatency(a, proc, n); got != want {
+						t.Fatalf("%s %s %s batch %d: table %v, ExecLatency %v", dev.Name, kind, a.Name, n, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -15,7 +15,7 @@ func TestPurgeReturnsBacklogInOrder(t *testing.T) {
 	env := sim.NewEnv()
 	q := testQueue(t, env, ModeGrouped)
 	for i, e := range []coe.ExpertID{1, 1, 2, 2, 1} {
-		q.Enqueue(expert(e), req(int64(i), e))
+		push(q, expert(e), req(int64(i), e))
 	}
 	// Start the head group (expert 1: requests 0,1,4) and drain one item,
 	// as a crashed-mid-batch executor would have.
@@ -41,7 +41,7 @@ func TestPurgeReturnsBacklogInOrder(t *testing.T) {
 
 	// The expert index was reset: a post-purge enqueue opens a fresh
 	// group instead of merging into a purged one, and drains normally.
-	q.Enqueue(expert(1), req(10, 1))
+	push(q, expert(1), req(10, 1))
 	if q.Len() != 1 || q.Groups() != 1 {
 		t.Fatalf("post-purge enqueue: len=%d groups=%d", q.Len(), q.Groups())
 	}
@@ -81,8 +81,8 @@ func TestCountIntoTracksBacklog(t *testing.T) {
 	}
 	want("attach", 0)
 	for i, e := range []coe.ExpertID{1, 1, 2, 3} {
-		a.Enqueue(expert(e), req(int64(i), e))
-		b.Enqueue(expert(e), req(int64(10+i), e))
+		push(a, expert(e), req(int64(i), e))
+		push(b, expert(e), req(int64(10+i), e))
 	}
 	want("enqueue", 8)
 	a.TakeFromHead(1)
@@ -97,20 +97,20 @@ func TestCountIntoTracksBacklog(t *testing.T) {
 	b.TakeFromHead(1)
 	b.TakeFromHead(1)
 	want("drained", 0)
-	b.Enqueue(expert(4), req(19, 4))
+	push(b, expert(4), req(19, 4))
 	want("refilled", 1)
 	b.Purge()
 	want("purge to empty", 0)
 
-	b.Enqueue(expert(4), req(22, 4))
+	push(b, expert(4), req(22, 4))
 	b.CountInto(nil)
 	attached = attached[:1]
 	owner.Set(backlog - b.Len()) // the owner recounts without b
 	want("detach", 0)
-	b.Enqueue(expert(4), req(20, 4))
+	push(b, expert(4), req(20, 4))
 	b.TakeFromHead(1)
 	b.Purge()
 	want("detached queue moves", 0)
-	a.Enqueue(expert(5), req(21, 5))
+	push(a, expert(5), req(21, 5))
 	want("attached queue's enqueue", 1)
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/coe"
+	"repro/internal/memory"
 	"repro/internal/sim"
 )
 
@@ -38,21 +39,166 @@ func (m Mode) String() string {
 	}
 }
 
-// Costs supplies the profiled quantities predictions need: the §4.2
-// linear execution coefficients of the queue's processor, as tables
-// filled once when the system is built, and the predicted expert
-// switch-in latency.
+// Costs supplies what a queue's predictions need beyond what its node
+// shares: the §4.2 linear execution coefficients of the queue's
+// processor, as tables filled once when the system is built, the tier
+// its pool holds experts in, and the pool's place in the node's Loaded
+// rows.
 type Costs struct {
-	// Arch maps each ExpertID to its architecture's index in K and B.
-	Arch []uint8
 	// K and B hold the §4.2 execution-latency coefficients of each
-	// architecture on this queue's processor.
+	// architecture on this queue's processor, indexed like the node's
+	// architecture table.
 	K, B []time.Duration
-	// SwitchIn returns the expected switch latency if the expert were
-	// acquired now: 0 when it is Loaded in this queue's executor pool,
-	// the predicted load latency otherwise.
-	SwitchIn func(e *coe.Expert) time.Duration
+	// Tier is the memory tier the queue's pool loads experts into; it
+	// selects the switch-in latency.
+	Tier memory.Tier
+	// Pool is the index of the queue's pool among the node's pools: it
+	// owns bit Pool%64 of word Pool/64 in every Loaded row.
+	Pool int
 }
+
+// Prices is a node's switch-in price list (§4.2), as its store keeps it
+// (pool.Store.Prices): Arch maps every ExpertID to its architecture
+// index, Lat[a][t][src] is architecture a's uncontended load latency
+// into tier t from SSD (src 0) or from the host cache (src 1), and
+// Cached[id] is the source expert id would be fetched from — 1 while it
+// sits in the host cache — nil when there is no cache. Cached is a live
+// view of the cache.
+type Prices struct {
+	Arch   []uint8
+	Lat    [][memory.TierSSD][2]time.Duration
+	Cached []uint8
+}
+
+// Node is the per-expert state one node's queues share, kept
+// expert-major so that pricing an expert on every queue of the node
+// reads one row of each table: the expert's architecture, the queues'
+// execution coefficients for it, its Loaded row across the node's pools,
+// and its index cell in each queue.
+type Node struct {
+	arch []uint8
+	// lat and cached are the node's Prices; cached is all 0 when the
+	// node has no host cache.
+	lat    [][memory.TierSSD][2]time.Duration
+	cached []uint8
+	// coef holds the queues' §4.2 coefficients, architecture-major: row
+	// a is the nq entries from a*nq, one per queue in NewQueue order.
+	coef []coef
+	// loaded is the node's pools' Loaded table (pool.PresizeAll): row id
+	// is the lstride words from id*lstride, and each queue's pool owns
+	// one bit of every row.
+	loaded  []uint64
+	lstride int
+	// cells holds the queues' index cells, expert-major like loaded, so
+	// the per-arrival questions — "is there a group to merge into?" and
+	// "does any group use this expert?" — are a slice read instead of a
+	// scan over a queue's groups. A cell means, by the queue's mode:
+	//   - ModeGrouped: 1 + the slot of the expert's open group (its one
+	//     unstarted group, which accepts merges), or 0. Any other group of
+	//     the expert can only be the started head.
+	//   - ModeFIFO: the number of queued groups using the expert (only the
+	//     tail group merges).
+	cells []int32
+	nq    int
+	// queues holds the node's queues, carved from one block in column
+	// order; made counts those NewQueue has handed out.
+	queues []Queue
+	made   int
+}
+
+// coef is one architecture's §4.2 execution-latency coefficients on one
+// queue's processor.
+type coef struct{ k, b time.Duration }
+
+// NewNode returns the shared state of a node of nq queues, carving
+// their tables out of one block each: prices prices switch-ins, and
+// loaded holds the node's pools' Loaded rows, stride words per expert.
+func NewNode(nq int, prices Prices, loaded []uint64, stride int) *Node {
+	arch := prices.Arch
+	if nq < 1 || stride < 1 || len(loaded) < len(arch)*stride || (prices.Cached != nil && len(prices.Cached) < len(arch)) {
+		panic("sched: node tables incomplete")
+	}
+	archs := 0
+	for _, a := range arch {
+		archs = max(archs, int(a)+1)
+	}
+	if archs > len(prices.Lat) {
+		panic("sched: node prices miss an architecture")
+	}
+	cached := prices.Cached
+	if cached == nil {
+		cached = make([]uint8, len(arch))
+	}
+	return &Node{
+		arch: arch, lat: prices.Lat, cached: cached,
+		coef:   make([]coef, archs*nq),
+		loaded: loaded, lstride: stride,
+		cells: make([]int32, len(arch)*nq), nq: nq,
+		queues: make([]Queue, nq),
+	}
+}
+
+// NewQueue returns an empty queue of the node, in the next of its nq
+// columns.
+func (n *Node) NewQueue(env *sim.Env, name string, mode Mode, costs Costs) *Queue {
+	col := n.made
+	if col == n.nq {
+		panic(fmt.Sprintf("sched: node has no room for queue %s beyond its %d", name, n.nq))
+	}
+	if len(costs.K) != len(costs.B) || len(costs.K)*n.nq < len(n.coef) || costs.Tier < 0 || costs.Tier >= memory.TierSSD || costs.Pool < 0 || costs.Pool>>6 >= n.lstride {
+		panic("sched: queue costs incomplete")
+	}
+	for a := col; a < len(n.coef); a += n.nq {
+		n.coef[a] = coef{costs.K[a/n.nq], costs.B[a/n.nq]}
+	}
+	n.made++
+	q := &n.queues[col]
+	*q = Queue{
+		mode: mode, tier: costs.Tier,
+		col: int32(col), lword: int32(costs.Pool >> 6), lbit: 1 << (costs.Pool & 63),
+		head: coe.NoExpert, tailID: coe.NoExpert,
+		node: n, name: name, gate: sim.NewGate(env),
+	}
+	return q
+}
+
+// quote holds the terms every queue of a node shares when pricing one
+// expert, read once per dispatch: its rows of coefficients, index cells
+// and Loaded bits, and its switch-in latencies by tier from where it
+// would be fetched.
+type quote struct {
+	id     coe.ExpertID
+	coef   []coef
+	cells  []int32
+	loaded []uint64
+	sw     *[memory.TierSSD][2]time.Duration
+	src    int
+}
+
+// read points the quote at the node's rows for the expert.
+func (s *quote) read(n *Node, id coe.ExpertID) {
+	a, i := int(n.arch[id]), int(id)
+	s.id, s.sw, s.src = id, &n.lat[a], int(n.cached[i])
+	s.coef, s.cells = n.coef[a*n.nq:(a+1)*n.nq], n.cells[i*n.nq:(i+1)*n.nq]
+	s.loaded = n.loaded[i*n.lstride : (i+1)*n.lstride]
+}
+
+// switchIn returns the expert's switch-in latency into the tier.
+func (s *quote) switchIn(t memory.Tier) time.Duration { return s.sw[t][s.src] }
+
+// Prediction is what a request for one expert adds to one queue
+// (§4.2), as Predict or an Assigner prices it and Enqueue applies it:
+// joining the expert's open group costs K; a fresh group costs Base + K,
+// Base being B plus the expert's switch-in unless a group of the expert
+// is queued or the queue's pool has it Loaded.
+type Prediction struct {
+	Base, K time.Duration
+	// open is 1 + the slot of the group the request joins, or 0.
+	open int32
+}
+
+// Add reports the latency the request adds to the queue.
+func (p Prediction) Add() time.Duration { return p.Base + p.K }
 
 // Group is a run of queued requests that use the same expert. Once an
 // executor starts draining a group it is marked started; later arrivals
@@ -86,30 +232,37 @@ func (g *Group) PredictedRemaining() time.Duration {
 
 // Queue is one executor's request queue.
 type Queue struct {
-	name  string
-	mode  Mode
-	costs Costs
-	gate  *sim.Gate
+	// The fields a pick reads come first, side by side.
+	busyUntil sim.Time
+	pending   time.Duration // predicted cost of all unstarted groups
+	mode      Mode
+	// tier is the memory tier the queue's pool loads experts into.
+	tier memory.Tier
+	// col is the queue's column in its node's rows, and its pool's
+	// Loaded bits are bit lbit of word lword of each Loaded row.
+	col   int32
+	lword int32
+	lbit  uint64
+	// head is the expert of the started head group, NoExpert while the
+	// head is unstarted or the queue empty. tail is 1 + the slot of the
+	// tail group and tailID its expert while that group is unstarted — in
+	// ModeFIFO, the one group a request merges into — and 0 and NoExpert
+	// otherwise.
+	head   coe.ExpertID
+	tail   int32
+	tailID coe.ExpertID
 
-	groups  []*Group
-	items   int
-	pending time.Duration // predicted cost of all unstarted groups
+	node *Node
+	name string
+	gate *sim.Gate
+
+	groups []*Group
+	items  int
 
 	// backlog is the owner's request counter this queue keeps current
 	// (see CountInto); nil when the queue counts into nothing.
 	backlog *Backlog
 
-	// index holds one cell per ExpertID so the per-arrival questions —
-	// "is there a group to merge into?" (mergeTarget) and "does any group
-	// use this expert?" (hasExpert) — are a slice read instead of a scan
-	// over all groups; MinMax asks them once per queue per arrival. A cell
-	// means, by mode:
-	//   - ModeGrouped: 1 + the slot of the expert's open group (its one
-	//     unstarted group, which accepts merges), or 0. Any other group of
-	//     the expert can only be the started head.
-	//   - ModeFIFO: the number of queued groups using the expert (only the
-	//     tail group merges).
-	index []int32
 	// slots holds every Group object the queue owns, by Group.slot.
 	slots []*Group
 
@@ -121,27 +274,6 @@ type Queue struct {
 	// slices aliasing its item array — until its next TakeFromHead.
 	retired *Group
 	free    []*Group
-
-	busyUntil sim.Time
-}
-
-// NewQueue returns an empty queue.
-func NewQueue(env *sim.Env, name string, mode Mode, costs Costs) *Queue {
-	if costs.SwitchIn == nil || len(costs.K) != len(costs.B) {
-		panic("sched: queue costs incomplete")
-	}
-	return &Queue{
-		name: name, mode: mode, costs: costs,
-		gate: sim.NewGate(env),
-	}
-}
-
-// Presize sizes the expert index for a model of n experts, so enqueues
-// during a serve never grow it.
-func (q *Queue) Presize(n int) {
-	if n > len(q.index) {
-		q.index = append(q.index, make([]int32, n-len(q.index))...)
-	}
 }
 
 // Name reports the queue name.
@@ -212,85 +344,64 @@ func (q *Queue) FinishTime(now sim.Time) sim.Time {
 	return base.Add(q.pending)
 }
 
-// cell reads the expert's index cell; experts past the index are absent.
-func (q *Queue) cell(e coe.ExpertID) int32 {
-	if uint(e) < uint(len(q.index)) {
-		return q.index[e]
-	}
-	return 0
+// cell returns the queue's index cell of the expert.
+func (q *Queue) cell(e coe.ExpertID) *int32 {
+	n := q.node
+	return &n.cells[int(e)*n.nq+int(q.col)]
 }
 
-// mergeTarget finds the group a new request for expert e would join, or
-// nil if it needs a fresh group. Only unstarted groups accept merges.
-// O(1): grouped mode consults the expert index, FIFO mode the tail.
-func (q *Queue) mergeTarget(e coe.ExpertID) *Group {
-	switch q.mode {
-	case ModeGrouped:
-		if c := q.cell(e); c > 0 {
-			return q.slots[c-1]
-		}
-	case ModeFIFO:
-		if n := len(q.groups); n > 0 {
-			tail := q.groups[n-1]
-			if tail.Expert.ID == e && !tail.started {
-				return tail
-			}
-		}
-	}
-	return nil
-}
-
-// hasExpert reports whether any group (started or not) uses the expert.
-func (q *Queue) hasExpert(e coe.ExpertID) bool {
-	if q.cell(e) > 0 {
-		return true
-	}
-	return q.mode == ModeGrouped && len(q.groups) > 0 && q.groups[0].started && q.groups[0].Expert.ID == e
-}
-
-// Predict computes the additional inference latency the request would
-// add to this queue (§4.2): K when it joins an existing group of the
-// same expert; K + B for a fresh group; plus the expert switching
+// Predict prices a request for the expert on this queue (§4.2; see
+// Prediction): its Add is K when the request joins an existing group of
+// the same expert; K + B for a fresh group; plus the expert switching
 // latency, which is zero when the expert is resident or the queue
 // already contains requests for it, and the predicted load latency
 // otherwise.
-func (q *Queue) Predict(e *coe.Expert) time.Duration {
-	a := q.costs.Arch[e.ID]
-	cost := q.costs.K[a]
-	if q.mergeTarget(e.ID) != nil {
-		return cost
+func (q *Queue) Predict(e *coe.Expert) Prediction {
+	var s quote
+	s.read(q.node, e.ID)
+	p, sw := q.predict(&s)
+	if sw {
+		p.Base += s.switchIn(q.tier)
 	}
-	cost += q.costs.B[a]
-	if !q.hasExpert(e.ID) {
-		cost += q.costs.SwitchIn(e)
-	}
-	return cost
+	return p
 }
 
-// Enqueue adds the request, arranging per the queue mode, updates the
-// pending prediction, and wakes the executor.
-func (q *Queue) Enqueue(e *coe.Expert, r *coe.Request) {
-	a := q.costs.Arch[e.ID]
-	k := q.costs.K[a]
-	if g := q.mergeTarget(e.ID); g != nil {
+// predict is the one implementation of the §4.2 cost rules, on the
+// quoted expert's shared terms. It leaves out the one term the queues
+// share, the switch-in latency into the queue's tier, and reports
+// whether Base needs it added.
+func (q *Queue) predict(s *quote) (p Prediction, sw bool) {
+	kb, c := s.coef[q.col], s.cells[q.col]
+	if q.mode == ModeFIFO {
+		if q.tailID == s.id {
+			return Prediction{K: kb.k, open: q.tail}, false
+		}
+	} else if c > 0 {
+		return Prediction{K: kb.k, open: c}, false
+	}
+	return Prediction{Base: kb.b, K: kb.k}, c == 0 && q.head != s.id && s.loaded[q.lword]&q.lbit == 0
+}
+
+// Enqueue adds the request for expert e as p prices it — the queue's
+// Prediction of e, taken since the queue last changed — arranging per
+// the queue mode, updates the pending prediction, and wakes the
+// executor.
+func (q *Queue) Enqueue(e *coe.Expert, r *coe.Request, p Prediction) {
+	if p.open > 0 {
+		g := q.slots[p.open-1]
 		g.items = append(g.items, r)
-		q.pending += k
 	} else {
 		g := q.newGroup()
-		g.Expert, g.perItem, g.base = e, k, q.costs.B[a]
-		if !q.hasExpert(e.ID) {
-			g.base += q.costs.SwitchIn(e)
-		}
+		g.Expert, g.perItem, g.base = e, p.K, p.Base
 		g.items = append(g.items, r)
 		q.insertGroup(g)
-		q.Presize(int(e.ID) + 1)
-		if q.mode == ModeGrouped {
-			q.index[e.ID] = g.slot + 1
+		if c := q.cell(e.ID); q.mode == ModeGrouped {
+			*c = g.slot + 1
 		} else {
-			q.index[e.ID]++
+			*c++
 		}
-		q.pending += g.base + k
 	}
+	q.pending += p.Add()
 	q.count(1)
 	q.gate.Notify()
 }
@@ -333,13 +444,16 @@ func (q *Queue) retire(g *Group) {
 // so the already-loaded expert keeps serving ("arranged to follow
 // existing requests utilizing the same expert").
 func (q *Queue) insertGroup(g *Group) {
-	if len(q.groups) > 0 && q.groups[0].started && q.groups[0].Expert.ID == g.Expert.ID {
+	if q.head == g.Expert.ID {
 		q.groups = append(q.groups, nil)
 		copy(q.groups[2:], q.groups[1:])
 		q.groups[1] = g
-		return
+	} else {
+		q.groups = append(q.groups, g)
 	}
-	q.groups = append(q.groups, g)
+	if q.groups[len(q.groups)-1] == g {
+		q.tail, q.tailID = g.slot+1, g.Expert.ID
+	}
 }
 
 // Head returns the head group without removing it, or nil when empty.
@@ -360,8 +474,12 @@ func (q *Queue) TakeFromHead(n int) []*coe.Request {
 	g := q.groups[0]
 	if !g.started {
 		g.started = true
+		q.head = g.Expert.ID
 		if q.mode == ModeGrouped {
-			q.index[g.Expert.ID] = 0 // the open group is the only unstarted one
+			*q.cell(g.Expert.ID) = 0 // the open group is the only unstarted one
+		}
+		if len(q.groups) == 1 {
+			q.tail, q.tailID = 0, coe.NoExpert // the tail is the head, started
 		}
 		q.pending -= g.base + g.perItem*time.Duration(g.Len())
 	}
@@ -373,11 +491,12 @@ func (q *Queue) TakeFromHead(n int) []*coe.Request {
 	q.count(-n)
 	if g.Len() == 0 {
 		if q.mode == ModeFIFO {
-			q.index[g.Expert.ID]--
+			*q.cell(g.Expert.ID)--
 		}
 		copy(q.groups, q.groups[1:])
 		q.groups[len(q.groups)-1] = nil
 		q.groups = q.groups[:len(q.groups)-1]
+		q.head = coe.NoExpert // a group starts only when taken
 		q.retire(g)
 	}
 	return batch
@@ -410,7 +529,11 @@ func (q *Queue) Purge() []*coe.Request {
 	q.groups = q.groups[:0]
 	q.count(-q.items)
 	q.pending = 0
-	clear(q.index)
+	n := q.node
+	for i := int(q.col); i < len(n.cells); i += n.nq {
+		n.cells[i] = 0
+	}
+	q.head, q.tail, q.tailID = coe.NoExpert, 0, coe.NoExpert
 	return out
 }
 

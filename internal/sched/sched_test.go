@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/coe"
+	"repro/internal/memory"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -20,26 +21,43 @@ const (
 // architecture, so every expert costs testK and testB.
 var testArch = make([]uint8, 1<<14)
 
-// testQueue builds a queue with constant costs; loaded experts are
-// listed in resident.
+// testQueues builds n queues of one node with constant costs, each on a
+// pool of its own; the experts listed in resident are Loaded in every
+// pool.
+func testQueues(t *testing.T, env *sim.Env, n int, mode Mode, resident ...coe.ExpertID) []*Queue {
+	t.Helper()
+	stride := (n + 63) >> 6
+	loaded := make([]uint64, len(testArch)*stride)
+	for _, id := range resident {
+		for i := 0; i < n; i++ {
+			loaded[int(id)*stride+i>>6] |= 1 << (i & 63)
+		}
+	}
+	prices := Prices{
+		Arch: testArch,
+		Lat:  [][memory.TierSSD][2]time.Duration{{{testLoad, testLoad}, {testLoad, testLoad}}},
+	}
+	node := NewNode(n, prices, loaded, stride)
+	qs := make([]*Queue, n)
+	for i := range qs {
+		qs[i] = node.NewQueue(env, "q", mode, Costs{
+			K:    []time.Duration{testK},
+			B:    []time.Duration{testB},
+			Pool: i,
+		})
+	}
+	return qs
+}
+
+// testQueue builds a queue alone on its node with constant costs; loaded
+// experts are listed in resident.
 func testQueue(t *testing.T, env *sim.Env, mode Mode, resident ...coe.ExpertID) *Queue {
 	t.Helper()
-	set := make(map[coe.ExpertID]bool)
-	for _, id := range resident {
-		set[id] = true
-	}
-	return NewQueue(env, "q", mode, Costs{
-		Arch: testArch,
-		K:    []time.Duration{testK},
-		B:    []time.Duration{testB},
-		SwitchIn: func(e *coe.Expert) time.Duration {
-			if set[e.ID] {
-				return 0
-			}
-			return testLoad
-		},
-	})
+	return testQueues(t, env, 1, mode, resident...)[0]
 }
+
+// push enqueues the request on the queue as the queue prices it.
+func push(q *Queue, e *coe.Expert, r *coe.Request) { q.Enqueue(e, r, q.Predict(e)) }
 
 func expert(id coe.ExpertID) *coe.Expert {
 	return &coe.Expert{ID: id, Name: "e", Arch: model.ResNet101}
@@ -53,23 +71,23 @@ func TestPredictCostsPerPaper(t *testing.T) {
 	env := sim.NewEnv()
 	q := testQueue(t, env, ModeGrouped, 7)
 	// Fresh expert, not loaded: K + B + load.
-	if got := q.Predict(expert(1)); got != testK+testB+testLoad {
+	if got := q.Predict(expert(1)).Add(); got != testK+testB+testLoad {
 		t.Errorf("unloaded fresh = %v, want %v", got, testK+testB+testLoad)
 	}
 	// Fresh group for a loaded expert: K + B, no switch.
-	if got := q.Predict(expert(7)); got != testK+testB {
+	if got := q.Predict(expert(7)).Add(); got != testK+testB {
 		t.Errorf("loaded fresh = %v, want %v", got, testK+testB)
 	}
 	// After enqueueing expert 1, another request for it merges: just K.
-	q.Enqueue(expert(1), req(0, 1))
-	if got := q.Predict(expert(1)); got != testK {
+	push(q, expert(1), req(0, 1))
+	if got := q.Predict(expert(1)).Add(); got != testK {
 		t.Errorf("merge = %v, want %v", got, testK)
 	}
 	// A different unloaded expert whose requests are queued avoids only
 	// the switch (second zero-switch condition of §4.2).
-	q.Enqueue(expert(2), req(1, 2))
-	q.Enqueue(expert(1), req(2, 1)) // head grows; expert 2 group not last
-	if got := q.Predict(expert(2)); got != testK {
+	push(q, expert(2), req(1, 2))
+	push(q, expert(1), req(2, 1)) // head grows; expert 2 group not last
+	if got := q.Predict(expert(2)).Add(); got != testK {
 		t.Errorf("grouped merge across groups = %v, want K=%v", got, testK)
 	}
 }
@@ -80,8 +98,8 @@ func TestEnqueuePendingMatchesPredict(t *testing.T) {
 	var want time.Duration
 	for i := 0; i < 10; i++ {
 		e := expert(coe.ExpertID(i % 3))
-		want += q.Predict(e)
-		q.Enqueue(e, req(int64(i), e.ID))
+		want += q.Predict(e).Add()
+		push(q, e, req(int64(i), e.ID))
 	}
 	if q.Pending() != want {
 		t.Errorf("pending = %v, want sum of predictions %v", q.Pending(), want)
@@ -96,7 +114,7 @@ func TestGroupedArrangingGroupsSameExpert(t *testing.T) {
 	q := testQueue(t, env, ModeGrouped)
 	// Interleaved arrivals: 1,2,1,2,1 -> two groups.
 	for i, e := range []coe.ExpertID{1, 2, 1, 2, 1} {
-		q.Enqueue(expert(e), req(int64(i), e))
+		push(q, expert(e), req(int64(i), e))
 	}
 	if q.Groups() != 2 {
 		t.Fatalf("groups = %d, want 2", q.Groups())
@@ -110,7 +128,7 @@ func TestFIFOArrangingOnlyMergesTail(t *testing.T) {
 	env := sim.NewEnv()
 	q := testQueue(t, env, ModeFIFO)
 	for i, e := range []coe.ExpertID{1, 1, 2, 1, 1} {
-		q.Enqueue(expert(e), req(int64(i), e))
+		push(q, expert(e), req(int64(i), e))
 	}
 	// FIFO: [1 1] [2] [1 1] -> 3 groups, preserving arrival order.
 	if q.Groups() != 3 {
@@ -128,7 +146,7 @@ func TestArrangingPreservesMultiset(t *testing.T) {
 		want := map[int64]bool{}
 		seq := []coe.ExpertID{3, 1, 3, 2, 2, 3, 1}
 		for i, e := range seq {
-			q.Enqueue(expert(e), req(int64(i), e))
+			push(q, expert(e), req(int64(i), e))
 			want[int64(i)] = true
 		}
 		got := map[int64]bool{}
@@ -151,7 +169,7 @@ func TestTakeFromHeadDrainsPending(t *testing.T) {
 	q := testQueue(t, env, ModeGrouped)
 	for i := 0; i < 6; i++ {
 		e := expert(coe.ExpertID(i % 2))
-		q.Enqueue(e, req(int64(i), e.ID))
+		push(q, e, req(int64(i), e.ID))
 	}
 	for !q.Empty() {
 		q.TakeFromHead(2)
@@ -167,13 +185,13 @@ func TestTakeFromHeadDrainsPending(t *testing.T) {
 func TestStartedGroupNotMerged(t *testing.T) {
 	env := sim.NewEnv()
 	q := testQueue(t, env, ModeGrouped)
-	q.Enqueue(expert(1), req(0, 1))
-	q.Enqueue(expert(1), req(1, 1))
+	push(q, expert(1), req(0, 1))
+	push(q, expert(1), req(1, 1))
 	got := q.TakeFromHead(1) // starts the group, takes req 0
 	if len(got) != 1 || got[0].ID != 0 {
 		t.Fatalf("TakeFromHead = %v", got)
 	}
-	q.Enqueue(expert(1), req(2, 1))
+	push(q, expert(1), req(2, 1))
 	// The started head group must not have absorbed request 2...
 	if q.Head().Len() != 1 {
 		t.Errorf("started head has %d items, want 1", q.Head().Len())
@@ -187,21 +205,21 @@ func TestStartedGroupNotMerged(t *testing.T) {
 func TestFreshGroupBehindStartedHeadOfSameExpert(t *testing.T) {
 	env := sim.NewEnv()
 	q := testQueue(t, env, ModeGrouped)
-	q.Enqueue(expert(1), req(0, 1))
-	q.Enqueue(expert(2), req(1, 2))
+	push(q, expert(1), req(0, 1))
+	push(q, expert(2), req(1, 2))
 	q.TakeFromHead(1) // drains group 1 entirely? No: group had 1 item -> removed.
 	// Head is now expert 2. Start it.
 	if q.Head().Expert.ID != 2 {
 		t.Fatalf("head = %d, want 2", q.Head().Expert.ID)
 	}
-	q.Enqueue(expert(3), req(2, 3))
+	push(q, expert(3), req(2, 3))
 	q.TakeFromHead(0) // no-op
 	taken := q.TakeFromHead(1)
 	if len(taken) != 1 || taken[0].ID != 1 {
 		t.Fatalf("taken = %v", taken)
 	}
 	// Queue: [3]. Nothing started. Enqueue 3 merges.
-	q.Enqueue(expert(3), req(3, 3))
+	push(q, expert(3), req(3, 3))
 	if q.Groups() != 1 || q.Head().Len() != 2 {
 		t.Errorf("groups=%d headLen=%d, want 1/2", q.Groups(), q.Head().Len())
 	}
@@ -210,11 +228,11 @@ func TestFreshGroupBehindStartedHeadOfSameExpert(t *testing.T) {
 func TestInsertBehindStartedHead(t *testing.T) {
 	env := sim.NewEnv()
 	q := testQueue(t, env, ModeGrouped)
-	q.Enqueue(expert(1), req(0, 1))
-	q.Enqueue(expert(1), req(1, 1))
-	q.Enqueue(expert(2), req(2, 2))
+	push(q, expert(1), req(0, 1))
+	push(q, expert(1), req(1, 1))
+	push(q, expert(2), req(2, 2))
 	q.TakeFromHead(1) // head (expert 1) started, 1 item left
-	q.Enqueue(expert(1), req(3, 1))
+	push(q, expert(1), req(3, 1))
 	// Expected order: started head [1], fresh [1], then [2].
 	if q.Groups() != 3 {
 		t.Fatalf("groups = %d, want 3", q.Groups())
@@ -232,7 +250,7 @@ func TestFinishTime(t *testing.T) {
 	if q.FinishTime(now) != now {
 		t.Error("empty queue finish != now")
 	}
-	q.Enqueue(expert(1), req(0, 1))
+	push(q, expert(1), req(0, 1))
 	want := now.Add(testK + testB + testLoad)
 	if q.FinishTime(now) != want {
 		t.Errorf("finish = %v, want %v", q.FinishTime(now), want)
@@ -249,17 +267,18 @@ func TestFinishTime(t *testing.T) {
 
 func TestSingleAndRoundRobinAssigners(t *testing.T) {
 	env := sim.NewEnv()
-	qs := []*Queue{testQueue(t, env, ModeFIFO), testQueue(t, env, ModeFIFO), testQueue(t, env, ModeFIFO)}
+	qs := testQueues(t, env, 3, ModeFIFO)
 	s := Single{}
 	for i := 0; i < 5; i++ {
-		if s.Pick(0, qs, expert(1)) != 0 {
+		if i, _ := s.Pick(0, qs, expert(1)); i != 0 {
 			t.Fatal("Single picked non-zero queue")
 		}
 	}
 	rr := &RoundRobin{}
 	var picks []int
 	for i := 0; i < 6; i++ {
-		picks = append(picks, rr.Pick(0, qs, expert(1)))
+		i, _ := rr.Pick(0, qs, expert(1))
+		picks = append(picks, i)
 	}
 	want := []int{0, 1, 2, 0, 1, 2}
 	for i := range want {
@@ -271,14 +290,14 @@ func TestSingleAndRoundRobinAssigners(t *testing.T) {
 
 func TestMinMaxPrefersShortQueue(t *testing.T) {
 	env := sim.NewEnv()
-	q0 := testQueue(t, env, ModeGrouped)
-	q1 := testQueue(t, env, ModeGrouped)
+	qs := testQueues(t, env, 2, ModeGrouped)
+	q0 := qs[0]
 	// Load q0 with a long backlog.
 	for i := 0; i < 50; i++ {
-		q0.Enqueue(expert(coe.ExpertID(i)), req(int64(i), coe.ExpertID(i)))
+		push(q0, expert(coe.ExpertID(i)), req(int64(i), coe.ExpertID(i)))
 	}
 	mm := MinMax{}
-	if got := mm.Pick(0, []*Queue{q0, q1}, expert(100)); got != 1 {
+	if got, _ := mm.Pick(0, qs, expert(100)); got != 1 {
 		t.Errorf("MinMax picked queue %d, want 1", got)
 	}
 }
@@ -289,15 +308,14 @@ func TestMinMaxTieBreaksBySmallestAddition(t *testing.T) {
 	// maximum; queues 0 and 1 are shorter. Queue 1 already groups the
 	// expert (cheap merge), so it must win over queue 0.
 	env := sim.NewEnv()
-	q0 := testQueue(t, env, ModeGrouped)
-	q1 := testQueue(t, env, ModeGrouped)
-	q2 := testQueue(t, env, ModeGrouped)
-	q1.Enqueue(expert(5), req(0, 5))
+	qs := testQueues(t, env, 3, ModeGrouped)
+	q1, q2 := qs[1], qs[2]
+	push(q1, expert(5), req(0, 5))
 	for i := 0; i < 80; i++ {
-		q2.Enqueue(expert(coe.ExpertID(10+i)), req(int64(1+i), coe.ExpertID(10+i)))
+		push(q2, expert(coe.ExpertID(10+i)), req(int64(1+i), coe.ExpertID(10+i)))
 	}
 	mm := MinMax{}
-	if got := mm.Pick(0, []*Queue{q0, q1, q2}, expert(5)); got != 1 {
+	if got, _ := mm.Pick(0, qs, expert(5)); got != 1 {
 		t.Errorf("MinMax picked queue %d, want 1 (smallest addition)", got)
 	}
 }
@@ -307,23 +325,22 @@ func TestMinMaxTieBreaksBySmallestAddition(t *testing.T) {
 func TestMinMaxOptimalProperty(t *testing.T) {
 	prop := func(backlogs [4]uint8, eRaw uint8) bool {
 		env := sim.NewEnv()
-		qs := make([]*Queue, 4)
+		qs := testQueues(t, env, 4, ModeGrouped)
 		id := int64(0)
 		for i := range qs {
-			qs[i] = testQueue(t, env, ModeGrouped)
 			for j := 0; j < int(backlogs[i]%16); j++ {
 				e := coe.ExpertID(i*100 + j%5)
-				qs[i].Enqueue(expert(e), req(id, e))
+				push(qs[i], expert(e), req(id, e))
 				id++
 			}
 		}
 		e := expert(coe.ExpertID(eRaw % 8))
-		pick := MinMax{}.Pick(0, qs, e)
+		pick, _ := MinMax{}.Pick(0, qs, e)
 
 		// Brute force the optimal total.
 		bestTotal := sim.Time(1<<62 - 1)
 		for i := range qs {
-			total := qs[i].FinishTime(0).Add(qs[i].Predict(e))
+			total := qs[i].FinishTime(0).Add(qs[i].Predict(e).Add())
 			for j := range qs {
 				if j != i && qs[j].FinishTime(0) > total {
 					total = qs[j].FinishTime(0)
@@ -333,7 +350,7 @@ func TestMinMaxOptimalProperty(t *testing.T) {
 				bestTotal = total
 			}
 		}
-		total := qs[pick].FinishTime(0).Add(qs[pick].Predict(e))
+		total := qs[pick].FinishTime(0).Add(qs[pick].Predict(e).Add())
 		for j := range qs {
 			if j != pick && qs[j].FinishTime(0) > total {
 				total = qs[j].FinishTime(0)
@@ -349,9 +366,9 @@ func TestMinMaxOptimalProperty(t *testing.T) {
 func TestReplayAssigner(t *testing.T) {
 	r := NewReplay([]int{2, 0, 1})
 	env := sim.NewEnv()
-	qs := []*Queue{testQueue(t, env, ModeFIFO), testQueue(t, env, ModeFIFO), testQueue(t, env, ModeFIFO)}
+	qs := testQueues(t, env, 3, ModeFIFO)
 	for _, want := range []int{2, 0, 1} {
-		if got := r.Pick(0, qs, expert(1)); got != want {
+		if got, _ := r.Pick(0, qs, expert(1)); got != want {
 			t.Fatalf("replay pick = %d, want %d", got, want)
 		}
 	}
@@ -387,7 +404,7 @@ func TestGatesNotifyOnEnqueue(t *testing.T) {
 	q := testQueue(t, env, ModeGrouped)
 	var woke bool
 	q.Gate().Wait(func() { woke = true })
-	env.After(time.Second, func() { q.Enqueue(expert(1), req(0, 1)) })
+	env.After(time.Second, func() { push(q, expert(1), req(0, 1)) })
 	env.Run()
 	if !woke {
 		t.Error("executor not woken by enqueue")
@@ -405,13 +422,13 @@ func TestModeStrings(t *testing.T) {
 
 func TestByExpertPartitions(t *testing.T) {
 	env := sim.NewEnv()
-	qs := []*Queue{testQueue(t, env, ModeFIFO), testQueue(t, env, ModeFIFO), testQueue(t, env, ModeFIFO)}
+	qs := testQueues(t, env, 3, ModeFIFO)
 	a := ByExpert{}
 	// Same expert always lands on the same queue; distinct experts spread.
 	seen := map[coe.ExpertID]int{}
 	for trial := 0; trial < 3; trial++ {
 		for id := coe.ExpertID(0); id < 9; id++ {
-			pick := a.Pick(0, qs, expert(id))
+			pick, _ := a.Pick(0, qs, expert(id))
 			if prev, ok := seen[id]; ok && prev != pick {
 				t.Fatalf("expert %d moved from queue %d to %d", id, prev, pick)
 			}
@@ -441,7 +458,7 @@ func TestExpertIndexConsistency(t *testing.T) {
 			if step%5 == 4 {
 				q.TakeFromHead(1 + step%3)
 			} else {
-				q.Enqueue(expert(id), req(seq, id))
+				push(q, expert(id), req(seq, id))
 				seq++
 			}
 			for e := coe.ExpertID(0); e < 13; e++ {
@@ -485,7 +502,7 @@ func TestPredictEnqueueScaleIndependence(t *testing.T) {
 	const groups = 10000
 	for i := 0; i < groups; i++ {
 		id := coe.ExpertID(i)
-		q.Enqueue(expert(id), req(int64(i), id))
+		push(q, expert(id), req(int64(i), id))
 	}
 	if q.Groups() != groups {
 		t.Fatalf("groups = %d, want %d", q.Groups(), groups)
@@ -519,16 +536,16 @@ func TestPredictEnqueueScaleIndependence(t *testing.T) {
 	}
 	seq := int64(groups)
 	for cap(target.items)-len(target.items) < iters+10 {
-		q.Enqueue(probe, req(seq, probe.ID))
+		push(q, probe, req(seq, probe.ID))
 		seq++
 	}
 	r := req(seq, probe.ID)
-	if allocs := testing.AllocsPerRun(iters, func() { q.Enqueue(probe, r) }); allocs > 0 {
+	if allocs := testing.AllocsPerRun(iters, func() { push(q, probe, r) }); allocs > 0 {
 		t.Errorf("Enqueue merge on a 10k-group queue allocated %.2f objects/op, want 0", allocs)
 	}
 	start = time.Now()
 	for i := 0; i < 100000; i++ {
-		q.Enqueue(probe, r)
+		push(q, probe, r)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("100k enqueues on a 10k-group queue took %v; groups scanned linearly?", elapsed)
@@ -542,17 +559,17 @@ func TestEnqueueMergeZeroAllocs(t *testing.T) {
 	q := testQueue(t, env, ModeGrouped)
 	const iters = 200
 	id := coe.ExpertID(1)
-	q.Enqueue(expert(id), req(0, id))
+	push(q, expert(id), req(0, id))
 	// Grow the group's item capacity past what the measured runs append,
 	// so the measurement sees the steady-state path, not slice growth.
 	seq := int64(1)
 	for cap(q.groups[0].items)-q.groups[0].Len() < iters+10 {
-		q.Enqueue(expert(id), req(seq, id))
+		push(q, expert(id), req(seq, id))
 		seq++
 	}
 	r := req(seq, id)
 	e := expert(id)
-	if allocs := testing.AllocsPerRun(iters, func() { q.Enqueue(e, r) }); allocs > 0 {
+	if allocs := testing.AllocsPerRun(iters, func() { push(q, e, r) }); allocs > 0 {
 		t.Errorf("Enqueue into an existing group allocated %.2f objects/op, want 0", allocs)
 	}
 }
@@ -566,14 +583,14 @@ func TestPurgeDropsRetiredGroup(t *testing.T) {
 	for _, mode := range []Mode{ModeGrouped, ModeFIFO} {
 		env := sim.NewEnv()
 		q := testQueue(t, env, mode)
-		q.Enqueue(expert(1), req(0, 1))
-		q.Enqueue(expert(1), req(1, 1))
+		push(q, expert(1), req(0, 1))
+		push(q, expert(1), req(1, 1))
 		batch := q.TakeFromHead(2) // drains the group: it is now the retired one
 		if out := q.Purge(); len(out) != 0 {
 			t.Fatalf("%v: purge of an empty queue returned %d requests", mode, len(out))
 		}
 		for i := int64(2); i < 6; i++ { // the restarted executor drains fresh groups
-			q.Enqueue(expert(2), req(i, 2))
+			push(q, expert(2), req(i, 2))
 			q.TakeFromHead(1)
 		}
 		for i, r := range batch {
@@ -593,7 +610,7 @@ func TestPurgeMidBatchKeepsSlotsBounded(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 6; i++ {
 			id := coe.ExpertID(i % 3)
-			q.Enqueue(expert(id), req(int64(i), id))
+			push(q, expert(id), req(int64(i), id))
 		}
 		q.TakeFromHead(1) // the head group is started mid-batch
 		if out := q.Purge(); len(out) != 5 {
@@ -617,14 +634,13 @@ func TestWarmQueueZeroAllocs(t *testing.T) {
 	for _, mode := range []Mode{ModeGrouped, ModeFIFO} {
 		env := sim.NewEnv()
 		q := testQueue(t, env, mode, 3)
-		q.Presize(8)
 		experts := []*coe.Expert{expert(1), expert(2), expert(3)}
 		reqs := []*coe.Request{req(0, 1), req(1, 2), req(2, 3)}
 		cycle := func() {
 			for i, e := range experts {
 				q.Predict(e)
-				q.Enqueue(e, reqs[i])
-				q.Enqueue(e, reqs[i])
+				push(q, e, reqs[i])
+				push(q, e, reqs[i])
 			}
 			for !q.Empty() {
 				q.TakeFromHead(4)

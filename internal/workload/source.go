@@ -619,5 +619,6 @@ func newBoardUnchecked(name string, m *coe.Model, probs []float64) *Board {
 		Model:     m,
 		TypeProbs: probs,
 		cumProbs:  cum,
+		guide:     newGuide(cum),
 	}
 }

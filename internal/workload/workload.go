@@ -100,6 +100,25 @@ type Board struct {
 	TypeProbs []float64
 	// cumProbs is the prefix-sum of TypeProbs for sampling.
 	cumProbs []float64
+	// guide indexes cumProbs for SampleType (Chen and Asau's guide
+	// table): guide[j] is the first type whose cumProbs lands in bucket
+	// j or above, a bucket being int(x*len(cumProbs)).
+	guide []int32
+}
+
+// newGuide builds the guide table of the prefix sums cum. Its last entry
+// serves u*len(cum) rounding up to len(cum).
+func newGuide(cum []float64) []int32 {
+	m := float64(len(cum))
+	guide := make([]int32, len(cum)+1)
+	i := 0
+	for j := range guide {
+		for i < len(cum)-1 && int(cum[i]*m) < j {
+			i++
+		}
+		guide[j] = int32(i)
+	}
+	return guide
 }
 
 // Build generates the board deterministically from its spec.
@@ -184,7 +203,7 @@ func (s BoardSpec) Build() (*Board, error) {
 		run += p
 		cum[i] = run
 	}
-	return &Board{Spec: s, Model: m, TypeProbs: probs, cumProbs: cum}, nil
+	return &Board{Spec: s, Model: m, TypeProbs: probs, cumProbs: cum, guide: newGuide(cum)}, nil
 }
 
 // NewBoard wraps an arbitrary CoE model and class distribution as a
@@ -215,22 +234,20 @@ func NewBoard(m *coe.Model, typeProbs []float64) (*Board, error) {
 		Model:     m,
 		TypeProbs: append([]float64(nil), typeProbs...),
 		cumProbs:  cum,
+		guide:     newGuide(cum),
 	}, nil
 }
 
 // SampleType draws a component type from the board's quantity
-// distribution using u ∈ [0,1).
+// distribution using u ∈ [0,1): the first type whose cumulative
+// probability exceeds u, or the last type. The guide table starts the
+// search at or before that type, and the scan forward ends on it.
 func (b *Board) SampleType(u float64) int {
-	lo, hi := 0, len(b.cumProbs)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if b.cumProbs[mid] <= u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	i := int(b.guide[int(u*float64(len(b.cumProbs)))])
+	for i < len(b.cumProbs)-1 && b.cumProbs[i] <= u {
+		i++
 	}
-	return lo
+	return i
 }
 
 // Task is a fixed-length closed-loop request stream against one board:
