@@ -20,6 +20,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
+	"repro/internal/xfer"
 )
 
 // benchCtx memoizes boards, perf matrices, and the evaluation grid, so
@@ -301,16 +302,15 @@ func BenchmarkTimerChurn(b *testing.B) {
 // experts: one architecture with K = 2ms and B = 5ms, and a 1s switch-in
 // for every expert (none is ever loaded, and there is no host cache).
 func constQueues(env *sim.Env, n, experts int) []*sched.Queue {
-	prices := sched.Prices{
-		Arch: make([]uint8, experts),
-		Lat:  [][memory.TierSSD][2]time.Duration{{{time.Second, time.Second}, {time.Second, time.Second}}},
-	}
-	node := sched.NewNode(n, prices, make([]uint64, experts), 1)
+	prices := xfer.NewPrices(make([]uint8, experts), func(int, xfer.Source, memory.Tier) time.Duration { return time.Second })
+	loaded := memory.NewResidency(n, experts)
+	node := sched.NewNode(n, prices, loaded)
 	qs := make([]*sched.Queue, n)
 	for i := range qs {
 		qs[i] = node.NewQueue(env, fmt.Sprintf("q%d", i), sched.ModeGrouped, sched.Costs{
-			K: []time.Duration{2 * time.Millisecond},
-			B: []time.Duration{5 * time.Millisecond},
+			K:    []time.Duration{2 * time.Millisecond},
+			B:    []time.Duration{5 * time.Millisecond},
+			Slot: loaded.Slot(i),
 		})
 	}
 	return qs
@@ -412,6 +412,7 @@ func BenchmarkDepAwareEviction(b *testing.B) {
 	}
 	store := pool.NewStore(env, hw.NUMADevice(), 0, m)
 	p := pool.New("bench", 61*model.ResNet101.WeightBytes(), store, 0, pool.DepAware{}, env.Now)
+	pool.Carve([]*pool.Pool{p})
 	for _, id := range ids {
 		p.Preload(m.Expert(id))
 	}

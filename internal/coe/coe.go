@@ -263,7 +263,7 @@ func (b *Builder) Build() (*Model, error) {
 			}
 		}
 	}
-	m := &Model{name: b.name, experts: b.experts, router: newRuleRouter(b.rules), archOf: make([]uint8, len(b.experts))}
+	m := &Model{name: b.name, experts: b.experts, router: &RuleRouter{rules: b.rules}, archOf: make([]uint8, len(b.experts))}
 	var names []string
 	for _, e := range b.experts {
 		if !slices.Contains(names, e.Arch.Name) {

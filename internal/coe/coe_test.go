@@ -391,66 +391,3 @@ func TestArchsIndexExpertsByName(t *testing.T) {
 		t.Error("a model with 257 architectures built")
 	}
 }
-
-// TestRouterTableMatchesRules: a router indexes its rules by class when
-// they are dense enough, and Rule, Route and AppendRoute must answer
-// exactly what the rule set says for every class — ruled, unruled (a
-// hole in the table, past its end, negative) — whether the table exists
-// or the classes are too sparse for one.
-func TestRouterTableMatchesRules(t *testing.T) {
-	for _, classes := range [][]int{
-		{0, 1, 2, 3},
-		{0, 2, 5, 9},          // holes
-		{-3, 0, 1, 7},         // a negative class: looked up beside the table
-		{4, 1 << 20, 1 << 21}, // too sparse for a table
-	} {
-		b := NewBuilder("router")
-		cls := b.AddExpert("c", model.ResNet101, Preliminary)
-		det := b.AddExpert("d", model.YOLOv5m, Subsequent)
-		want := map[int]Rule{}
-		for i, class := range classes {
-			rule := Rule{Classifier: cls, Detector: NoExpert}
-			if i%2 == 0 {
-				rule = Rule{Classifier: cls, Detector: det, PassProb: 0.5}
-			}
-			b.AddRule(class, rule)
-			want[class] = rule
-		}
-		m, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := m.Router()
-		sparse := classes[len(classes)-1] > 1<<16
-		if (len(r.byClass) == 0) != sparse {
-			t.Fatalf("classes %v: table of %d entries", classes, len(r.byClass))
-		}
-		for class := -5; class <= 12; class++ {
-			rule, ok := want[class]
-			got, gotOK := r.Rule(class)
-			if gotOK != ok || (ok && got != rule) {
-				t.Fatalf("classes %v: Rule(%d) = %+v, %v; want %+v, %v", classes, class, got, gotOK, rule, ok)
-			}
-			for _, u := range []float64{0.25, 0.75} {
-				chain, err := r.AppendRoute(nil, class, u)
-				if (err == nil) != ok {
-					t.Fatalf("classes %v: AppendRoute(%d) error %v, want a rule %v", classes, class, err, ok)
-				}
-				if ok {
-					wantChain := []ExpertID{cls}
-					if rule.Detector != NoExpert && u < rule.PassProb {
-						wantChain = append(wantChain, det)
-					}
-					if fmt.Sprint(chain) != fmt.Sprint(wantChain) {
-						t.Fatalf("classes %v: AppendRoute(%d, %v) = %v, want %v", classes, class, u, chain, wantChain)
-					}
-				}
-			}
-		}
-		for _, class := range classes {
-			if got, ok := r.Rule(class); !ok || got != want[class] {
-				t.Fatalf("classes %v: Rule(%d) = %+v, %v", classes, class, got, ok)
-			}
-		}
-	}
-}

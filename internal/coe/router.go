@@ -24,44 +24,10 @@ type Rule struct {
 // from MoE expert management (§2.1, §3.2).
 type RuleRouter struct {
 	rules map[int]Rule
-	// byClass indexes rules by class for every class from 0 up to the
-	// largest, a classifier of NoExpert marking a class without a rule,
-	// so routing an arrival is a slice read. Classes outside it (none,
-	// unless they are negative or very sparse) are looked up in rules.
-	byClass []Rule
-}
-
-// newRuleRouter returns the router of the rules, indexed by class when
-// the classes are dense enough for a table.
-func newRuleRouter(rules map[int]Rule) *RuleRouter {
-	r := &RuleRouter{rules: rules}
-	top := -1
-	//detlint:allow max only: the largest class does not depend on visiting order
-	for class := range rules {
-		top = max(top, class)
-	}
-	if top >= 4*len(rules)+1024 {
-		return r // too sparse for a table
-	}
-	r.byClass = make([]Rule, top+1)
-	for i := range r.byClass {
-		r.byClass[i].Classifier = NoExpert
-	}
-	//detlint:allow each rule lands in its own cell, whatever the visiting order
-	for class, rule := range rules {
-		if class >= 0 {
-			r.byClass[class] = rule
-		}
-	}
-	return r
 }
 
 // Rule returns the routing rule for an input class.
 func (r *RuleRouter) Rule(class int) (Rule, bool) {
-	if uint(class) < uint(len(r.byClass)) {
-		rule := r.byClass[class]
-		return rule, rule.Classifier != NoExpert
-	}
 	rule, ok := r.rules[class]
 	return rule, ok
 }
@@ -76,7 +42,7 @@ func (r *RuleRouter) Classes() []int {
 // u ∈ [0,1), which the caller draws from its seeded stream so that
 // workloads are reproducible.
 func (r *RuleRouter) Route(class int, u float64) ([]ExpertID, error) {
-	rule, ok := r.Rule(class)
+	rule, ok := r.rules[class]
 	if !ok {
 		return nil, fmt.Errorf("coe: no routing rule for class %d", class)
 	}
@@ -92,7 +58,7 @@ func (r *RuleRouter) Route(class int, u float64) ([]ExpertID, error) {
 // chain), routing is allocation-free. The pass decision is identical
 // to Route for the same u.
 func (r *RuleRouter) AppendRoute(dst []ExpertID, class int, u float64) ([]ExpertID, error) {
-	rule, ok := r.Rule(class)
+	rule, ok := r.rules[class]
 	if !ok {
 		return dst, fmt.Errorf("coe: no routing rule for class %d", class)
 	}

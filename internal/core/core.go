@@ -234,12 +234,10 @@ func NewSystemInEnv(cfg Config, m *coe.Model, env *sim.Env) (*System, error) {
 	for i := 0; i < cfg.CPUExecutors; i++ {
 		add(fmt.Sprintf("%scpu%d", prefix, i), cpu)
 	}
-	loaded, stride := pool.PresizeAll(s.pools, m.NumExperts())
-	arch, lat, cached := s.store.Prices()
-	node := sched.NewNode(len(slots), sched.Prices{Arch: arch, Lat: lat, Cached: cached}, loaded, stride)
+	node := sched.NewNode(len(slots), s.store.Prices(), pool.Carve(s.pools))
 	for _, sl := range slots {
 		kc := sl.kc
-		q := node.NewQueue(s.env, sl.name, cfg.Variant.queueMode(), sched.Costs{K: kc.k, B: kc.b, Tier: kc.tier, Pool: sl.pool})
+		q := node.NewQueue(s.env, sl.name, cfg.Variant.queueMode(), sched.Costs{K: kc.k, B: kc.b, Tier: kc.tier, Slot: s.pools[sl.pool].Slot()})
 		ex := &executor.Executor{
 			Name:    sl.name,
 			Env:     s.env,

@@ -9,7 +9,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
-	"repro/internal/xfer"
 )
 
 // pricingCheck wraps a system's assigner and, before every pick, prices
@@ -44,11 +43,8 @@ func (c *pricingCheck) Pick(now sim.Time, qs []*sched.Queue, e *coe.Expert) (int
 			if gi >= s.cfg.GPUExecutors {
 				tier = memory.TierCPU
 			}
-			src := xfer.FromSSD
-			if _, _, cached := s.store.Prices(); cached != nil && cached[e.ID] == 1 {
-				src = xfer.FromHost
-			}
-			want += xfer.LoadLatency(s.cfg.Device, src, tier, e.WeightBytes())
+			_, lat := s.store.Prices().Row(int(e.ID))
+			want += lat[tier]
 		}
 		if got := q.Predict(e).Add(); got != want {
 			c.t.Fatalf("%s: Predict(%d) = %v, its executor prices %v", q.Name(), e.ID, got, want)

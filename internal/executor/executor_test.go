@@ -87,14 +87,13 @@ func gpuPerfs(m *coe.Model, dev *hw.Device, maxBatch int) ([]model.Perf, []uint8
 // with the model's per-architecture cost tables.
 func gpuQueue(env *sim.Env, name string, m *coe.Model, dev *hw.Device, store *pool.Store, pl *pool.Pool) *sched.Queue {
 	archs, _ := m.Archs()
-	loaded, stride := pool.PresizeAll([]*pool.Pool{pl}, m.NumExperts())
-	c := sched.Costs{Tier: memory.TierGPU}
+	node := sched.NewNode(1, store.Prices(), pool.Carve([]*pool.Pool{pl}))
+	c := sched.Costs{Tier: memory.TierGPU, Slot: pl.Slot()}
 	for _, a := range archs {
 		c.K = append(c.K, model.KCoeff(a, dev.GPU))
 		c.B = append(c.B, dev.GPU.LaunchOverhead)
 	}
-	arch, lat, cached := store.Prices()
-	return sched.NewNode(1, sched.Prices{Arch: arch, Lat: lat, Cached: cached}, loaded, stride).NewQueue(env, name, sched.ModeGrouped, c)
+	return node.NewQueue(env, name, sched.ModeGrouped, c)
 }
 
 // execTable builds the GPU's execution-latency table for the model.
@@ -244,8 +243,8 @@ func TestTwoExecutorsShareComputeSerially(t *testing.T) {
 	var finished int
 	mk := func(name string, preload coe.ExpertID) *Executor {
 		pl := pool.New(name, 4*rn101Bytes, store, memory.TierGPU, pool.LRU{}, env.Now)
-		pl.Preload(m.Expert(preload))
 		q := gpuQueue(env, name, m, dev, store, pl)
+		pl.Preload(m.Expert(preload))
 		perfs, archOf := gpuPerfs(m, dev, 16)
 		return &Executor{
 			Name:    name,

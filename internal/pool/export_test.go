@@ -4,27 +4,13 @@ import (
 	"time"
 
 	"repro/internal/coe"
-	"repro/internal/memory"
-	"repro/internal/xfer"
 )
 
 // Test-only accessors: nothing outside this package's tests needs them.
 
 // Cached reports whether the expert currently sits in the host cache.
 func (s *Store) Cached(id coe.ExpertID) bool {
-	return s.cache != nil && s.cache.in[id] != 0
-}
-
-// PredictLoad reports the expected uncontended switch latency for the
-// expert into dst (the GPU or CPU tier), given current cache contents —
-// the scheduler's expert-switching-latency estimate (§4.2), as
-// sched.Prices serves it.
-func (s *Store) PredictLoad(e *coe.Expert, dst memory.Tier) time.Duration {
-	src := xfer.FromSSD
-	if s.Cached(e.ID) {
-		src = xfer.FromHost
-	}
-	return s.lat[s.archOf[e.ID]][dst][src]
+	return s.cache != nil && s.cache.has(id)
 }
 
 // SwitchIn returns the scheduler's switch-in estimate for the expert
@@ -35,7 +21,7 @@ func (p *Pool) SwitchIn(e *coe.Expert) time.Duration {
 	if p.IsLoaded(e.ID) {
 		return 0
 	}
-	return p.store.PredictLoad(e, p.tier)
+	return switchPrice(p.store, e.ID, p.tier)
 }
 
 // PolicyByName returns a policy implementation by its Name.

@@ -84,21 +84,15 @@ type Pool struct {
 	Observer func(e *coe.Expert, source string, elapsed time.Duration)
 
 	// entries is indexed by ExpertID (IDs are dense per model); a nil
-	// cell is an absent expert. Presize sizes it to the model up front so
-	// the serve path never grows it.
+	// cell is an absent expert. It is sized to the store's model up
+	// front, so the serve path never grows it.
 	entries []*Entry
-	// rows is an expert-major Loaded table, lstride words per expert:
-	// bit lbit of word lword in row id is set while expert id is Loaded
-	// here. Preload and loaded set it and evict clears it, so IsLoaded
-	// reads one word. A pool's own table has one word per expert;
-	// PresizeAll moves a node's pools into one table, where one row
-	// answers for all of them (carved).
-	rows    []uint64
-	lstride int
-	lword   int
-	lbit    uint64
-	carved  bool
-	seq     int64
+	// table has the pool's slot set in row id while expert id is Loaded
+	// here: Preload and loaded set it and evict clears it, so IsLoaded
+	// reads one word. Carve shares one table among a node's pools.
+	table memory.Residency
+	slot  memory.Slot
+	seq   int64
 	// resident holds the same entries in ascending (UsageProb, ID) order
 	// — stage 2's eviction order, fixed per model — so the usage-ordered
 	// policies walk it instead of sorting. An expert's UsageProb must not
@@ -141,7 +135,8 @@ type Pool struct {
 }
 
 // New returns an empty pool with the given expert-memory capacity,
-// backed by the device store, holding experts in the given tier.
+// backed by the device store, holding experts in the given tier. Carve
+// sizes its tables: it holds no expert until then.
 func New(name string, capacity int64, store *Store, tier memory.Tier, policy Policy, now func() sim.Time) *Pool {
 	if policy == nil {
 		panic("pool: nil policy")
@@ -153,70 +148,43 @@ func New(name string, capacity int64, store *Store, tier memory.Tier, policy Pol
 		tier:   tier,
 		policy: policy,
 		now:    now,
-
-		lstride: 1,
-		lbit:    1,
 	}
 	p.loadedFn = p.loaded
 	return p
 }
 
-// Presize sizes the expert table and the Loaded table for a model of n
-// experts, so inserts during a serve never grow them. A pool carved into
-// a node's Loaded table cannot grow past it.
-func (p *Pool) Presize(n int) {
-	if n > len(p.entries) {
-		p.entries = append(p.entries, make([]*Entry, n-len(p.entries))...)
-	}
-	if w := n * p.lstride; w > len(p.rows) {
-		if p.carved {
-			panic(fmt.Sprintf("pool %s: expert %d beyond its node's Loaded table", p.name, n-1))
-		}
-		p.rows = append(p.rows, make([]uint64, w-len(p.rows))...)
-	}
-}
-
-// PresizeAll presizes the pools for a model of n experts like Presize,
-// carving every expert table out of one block and moving their Loaded
-// bits into one expert-major table, which it returns with its row
-// stride: row id holds stride words, and pools[i] owns bit i%64 of word
-// i/64 in every row, so one row tells which of a node's pools have
-// expert id Loaded. A node's pools cost two allocations however many
-// there are. What a pool already holds is kept.
-func PresizeAll(pools []*Pool, n int) (loaded []uint64, stride int) {
-	stride = words(len(pools))
+// Carve sizes the pools' tables to their store's model and carves them
+// out of shared blocks: every expert table out of one, and the Loaded
+// bits into one Residency, which it returns, with pools[i] in slot i. A
+// node's pools cost two allocations however many there are, and one row
+// of the table tells which of them have an expert Loaded. What a pool
+// already holds is kept. The pools must share a store.
+func Carve(pools []*Pool) memory.Residency {
+	n := pools[0].store.prices.Experts()
 	entries := make([]*Entry, len(pools)*n)
-	loaded = make([]uint64, n*stride)
+	table := memory.NewResidency(len(pools), n)
 	for i, p := range pools {
-		if len(p.entries) > n {
-			panic(fmt.Sprintf("pool %s: presize to %d experts below its %d", p.name, n, len(p.entries)))
+		if p.store != pools[0].store {
+			panic(fmt.Sprintf("pool %s: carved beside a pool of another store", p.name))
 		}
 		e := entries[i*n : (i+1)*n : (i+1)*n]
 		copy(e, p.entries)
-		word, bit := i>>6, uint64(1)<<(i&63)
+		slot := table.Slot(i)
 		for id := range p.entries {
 			if p.IsLoaded(coe.ExpertID(id)) {
-				loaded[id*stride+word] |= bit
+				table.Set(id, slot, true)
 			}
 		}
-		p.entries = e
-		p.rows, p.lstride, p.lword, p.lbit, p.carved = loaded, stride, word, bit, true
+		p.entries, p.table, p.slot = e, table, slot
 	}
-	return loaded, stride
+	return table
 }
 
-// words returns the number of 64-bit words a bitset of n bits needs.
-func words(n int) int { return (n + 63) >> 6 }
+// Slot reports the pool's slot in its Loaded table (Carve).
+func (p *Pool) Slot() memory.Slot { return p.slot }
 
 // setLoaded sets or clears expert id's bit in the Loaded table.
-func (p *Pool) setLoaded(id coe.ExpertID, on bool) {
-	w := &p.rows[int(id)*p.lstride+p.lword]
-	if on {
-		*w |= p.lbit
-	} else {
-		*w &^= p.lbit
-	}
-}
+func (p *Pool) setLoaded(id coe.ExpertID, on bool) { p.table.Set(int(id), p.slot, on) }
 
 // count moves the dependency counts as e becomes Loaded (delta +1) or
 // stops being Loaded (-1): e's own standing as an orphan, then the live
@@ -292,7 +260,6 @@ func (p *Pool) put(e *Entry) {
 		}
 	}
 	id := e.Expert.ID
-	p.Presize(int(id) + 1)
 	p.entries[id] = e
 	p.resident = slices.Insert(p.resident, p.place(e), e)
 	p.track(id, true)
@@ -321,8 +288,7 @@ func (p *Pool) Name() string { return p.name }
 // IsLoaded reports whether the expert is resident (status Loaded): one
 // word of the Loaded table.
 func (p *Pool) IsLoaded(id coe.ExpertID) bool {
-	i := uint(id)*uint(p.lstride) + uint(p.lword)
-	return i < uint(len(p.rows)) && p.rows[i]&p.lbit != 0
+	return p.table.Has(int(id), p.slot)
 }
 
 // Status reports the expert's status in the pool.
@@ -344,8 +310,8 @@ func (p *Pool) Resident(id coe.ExpertID) bool { return p.entry(id) != nil }
 // Loaded returns the number of resident experts.
 func (p *Pool) Loaded() int {
 	n := 0
-	for i := p.lword; i < len(p.rows); i += p.lstride {
-		if p.rows[i]&p.lbit != 0 {
+	for id := range p.table.Experts() {
+		if p.table.Has(id, p.slot) {
 			n++
 		}
 	}

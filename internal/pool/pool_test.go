@@ -44,8 +44,11 @@ func testWorld(t *testing.T, cacheBytes int64, nCls int) (*sim.Env, *Store, *coe
 	return env, NewStore(env, hw.NUMADevice(), cacheBytes, m), m
 }
 
+// newPool returns a GPU pool with a Loaded table of its own.
 func newPool(env *sim.Env, store *Store, capacity int64, pol Policy) *Pool {
-	return New("gpu0", capacity, store, memory.TierGPU, pol, env.Now)
+	p := New("gpu0", capacity, store, memory.TierGPU, pol, env.Now)
+	Carve([]*Pool{p})
+	return p
 }
 
 const rn101 = 178_196_640 // ResNet101 weight bytes
@@ -338,19 +341,26 @@ func TestCPUEvictionsDoNotEnterCache(t *testing.T) {
 	}
 }
 
+// switchPrice reads the store's switch-in price of the expert into the
+// tier.
+func switchPrice(s *Store, id coe.ExpertID, t memory.Tier) time.Duration {
+	_, lat := s.Prices().Row(int(id))
+	return lat[t]
+}
+
 func TestPredictLoad(t *testing.T) {
 	_, store, m := testWorld(t, 4*rn101, 2)
 	e := m.Expert(0)
-	ssd := store.PredictLoad(e, memory.TierGPU)
+	ssd := switchPrice(store, e.ID, memory.TierGPU)
 	wantSSD := xfer.LoadLatency(hw.NUMADevice(), xfer.FromSSD, memory.TierGPU, e.WeightBytes())
 	if ssd != wantSSD {
-		t.Errorf("PredictLoad uncached = %v, want %v", ssd, wantSSD)
+		t.Errorf("price uncached = %v, want %v", ssd, wantSSD)
 	}
 	store.demote(e, memory.TierGPU)
-	cached := store.PredictLoad(e, memory.TierGPU)
+	cached := switchPrice(store, e.ID, memory.TierGPU)
 	wantHost := xfer.LoadLatency(hw.NUMADevice(), xfer.FromHost, memory.TierGPU, e.WeightBytes())
 	if cached != wantHost {
-		t.Errorf("PredictLoad cached = %v, want %v", cached, wantHost)
+		t.Errorf("price cached = %v, want %v", cached, wantHost)
 	}
 }
 
@@ -364,6 +374,7 @@ func TestSwitchInMatchesLoadLatency(t *testing.T) {
 			for _, cached := range []bool{false, true} {
 				env, store, m := testWorld(t, 4*model.YOLOv5m.WeightBytes(), 3)
 				p := New("p", 8*model.YOLOv5m.WeightBytes(), store, tier, LRU{}, env.Now)
+				Carve([]*Pool{p})
 				for _, e := range m.Experts() {
 					if cached {
 						store.demote(e, memory.TierGPU)
@@ -376,8 +387,8 @@ func TestSwitchInMatchesLoadLatency(t *testing.T) {
 						src = xfer.FromHost
 					}
 					want := xfer.LoadLatency(hw.NUMADevice(), src, tier, e.WeightBytes())
-					if got := store.PredictLoad(e, tier); got != want {
-						t.Errorf("%v cached=%v expert %d: PredictLoad = %v, want %v", tier, cached, e.ID, got, want)
+					if got := switchPrice(store, e.ID, tier); got != want {
+						t.Errorf("%v cached=%v expert %d: store price %v, want %v", tier, cached, e.ID, got, want)
 					}
 					if loaded {
 						want = 0
@@ -452,7 +463,6 @@ func TestRandomAcquireReleaseInvariants(t *testing.T) {
 func TestLoadedUnpinnedIDOrder(t *testing.T) {
 	env, store, m := testWorld(t, 0, 6)
 	p := newPool(env, store, 10*rn101, LRU{})
-	p.Presize(m.NumExperts())
 	for _, id := range []coe.ExpertID{5, 2, 4, 0, 3} {
 		if !p.Preload(m.Expert(id)) {
 			t.Fatalf("preload of expert %d failed", id)
@@ -488,6 +498,7 @@ func TestTrackResidency(t *testing.T) {
 	env, store, m := testWorld(t, 0, 3)
 	a := newPool(env, store, rn101+rn101/2, LRU{})
 	b := New("gpu1", 2*rn101+rn101/2, store, memory.TierGPU, LRU{}, env.Now)
+	Carve([]*Pool{b})
 	a.Preload(m.Expert(0))
 	b.Preload(m.Expert(0))
 	b.Preload(m.Expert(1))
@@ -521,16 +532,16 @@ func TestTrackResidency(t *testing.T) {
 	env.Run()
 }
 
-// TestLoadedBitsMatchStatus: the Loaded bitset answers IsLoaded, so it
+// TestLoadedBitsMatchStatus: the Loaded table answers IsLoaded, so it
 // must equal a scan of the entries' statuses after every preload, load
-// start, load completion and eviction — including in a pool that was
-// never presized and grows its tables as it goes.
+// start, load completion and eviction — in the pool's own table, and
+// carved into a table it shares in slot 1.
 func TestLoadedBitsMatchStatus(t *testing.T) {
-	for _, presize := range []bool{false, true} {
+	for _, shared := range []bool{false, true} {
 		env, store, m := testWorld(t, rn101, 70)
 		p := newPool(env, store, 3*rn101, DepAware{})
-		if presize {
-			PresizeAll([]*Pool{p}, m.NumExperts())
+		if shared {
+			Carve([]*Pool{newPool(env, store, rn101, LRU{}), p})
 		}
 		check := func(when string) {
 			t.Helper()
@@ -542,11 +553,11 @@ func TestLoadedBitsMatchStatus(t *testing.T) {
 					loaded++
 				}
 				if p.IsLoaded(coe.ExpertID(id)) != want {
-					t.Fatalf("presize=%v %s: expert %d IsLoaded = %v, status scan %v", presize, when, id, !want, want)
+					t.Fatalf("shared=%v %s: expert %d IsLoaded = %v, status scan %v", shared, when, id, !want, want)
 				}
 			}
 			if p.Loaded() != loaded {
-				t.Fatalf("presize=%v %s: Loaded() = %d, status scan %d", presize, when, p.Loaded(), loaded)
+				t.Fatalf("shared=%v %s: Loaded() = %d, status scan %d", shared, when, p.Loaded(), loaded)
 			}
 		}
 		p.Preload(m.Expert(69))
@@ -568,7 +579,7 @@ func TestLoadedBitsMatchStatus(t *testing.T) {
 			p.Release(e.ID)
 		}
 		if p.Evictions() == 0 {
-			t.Fatalf("presize=%v: no eviction; the test exercises too little", presize)
+			t.Fatalf("shared=%v: no eviction; the test exercises too little", shared)
 		}
 	}
 }
@@ -730,7 +741,6 @@ func TestVictimsSteadyStateAllocations(t *testing.T) {
 func TestSwitchSteadyStateAllocations(t *testing.T) {
 	env, store, m := testWorld(t, 2*rn101, 5)
 	p := newPool(env, store, 3*rn101, DepAware{})
-	p.Presize(m.NumExperts())
 	classifiers := m.Experts()[:5]
 	switchOnce := func() {
 		for _, e := range classifiers {
@@ -944,6 +954,7 @@ func TestHostCacheRedemoteBecomesMostRecent(t *testing.T) {
 	env, store, m := testWorld(t, 2*rn101, 5)
 	a := newPool(env, store, rn101, LRU{})
 	b := New("gpu1", rn101, store, memory.TierGPU, LRU{}, env.Now)
+	Carve([]*Pool{b})
 	a.Preload(m.Expert(0))
 	b.Preload(m.Expert(0))
 	for _, step := range []struct {
@@ -1114,6 +1125,7 @@ func TestLiveDepsMatchScan(t *testing.T) {
 				}
 				pools[i] = New(fmt.Sprintf("gpu%d", i), 8*model.YOLOv5l.WeightBytes(), store, memory.TierGPU, DepAware{}, env.Now)
 			}
+			Carve(distinct)
 			check := func(when string) {
 				steps++
 				for _, p := range distinct {
@@ -1153,22 +1165,27 @@ func TestLiveDepsMatchScan(t *testing.T) {
 	}
 }
 
-// TestPresizeAllSharesOneLoadedTable: PresizeAll moves a node's pools
-// into one expert-major Loaded table, pools[i] owning bit i%64 of word
-// i/64 of every row — two words a row for the 70 pools here. Bits a pool
-// held before are kept, and after every preload, load and eviction each
-// pool's bit in every row must equal a scan of its entries, whatever its
-// neighbours in the row do.
-func TestPresizeAllSharesOneLoadedTable(t *testing.T) {
+// TestCarveSharesOneLoadedTable: Carve moves a node's pools into one
+// expert-major Loaded table, pools[i] in slot i of every row — two words
+// a row for the 70 pools here. Bits a pool held before are kept, and
+// after every preload, load and eviction each pool's bit in every row
+// must equal a scan of its entries, whatever its neighbours in the row
+// do.
+func TestCarveSharesOneLoadedTable(t *testing.T) {
 	env, store, m := testWorld(t, rn101, 30)
 	pools := make([]*Pool, 70)
 	for i := range pools {
 		pools[i] = newPool(env, store, 3*rn101, LRU{})
 	}
 	pools[65].Preload(m.Expert(4)) // held before the move
-	loaded, stride := PresizeAll(pools, m.NumExperts())
-	if stride != 2 || len(loaded) != 2*m.NumExperts() {
-		t.Fatalf("stride %d, %d words; want 2 and %d", stride, len(loaded), 2*m.NumExperts())
+	table := Carve(pools)
+	if n := len(table.Row(0)); n != 2 || table.Experts() != m.NumExperts() {
+		t.Fatalf("%d words a row, %d rows; want 2 and %d", n, table.Experts(), m.NumExperts())
+	}
+	for i, p := range pools {
+		if p.Slot() != table.Slot(i) {
+			t.Fatalf("pool %d in slot %+v, want %+v", i, p.Slot(), table.Slot(i))
+		}
 	}
 	check := func(when string) {
 		t.Helper()
@@ -1176,14 +1193,14 @@ func TestPresizeAllSharesOneLoadedTable(t *testing.T) {
 			for id := 0; id < m.NumExperts(); id++ {
 				e := p.entry(coe.ExpertID(id))
 				want := e != nil && e.Status == Loaded
-				bit := loaded[id*stride+i>>6]&(1<<(i&63)) != 0
+				bit := table.Has(id, table.Slot(i))
 				if bit != want || p.IsLoaded(coe.ExpertID(id)) != want {
 					t.Fatalf("%s: pool %d expert %d: row bit %v, IsLoaded %v, status scan %v", when, i, id, bit, p.IsLoaded(coe.ExpertID(id)), want)
 				}
 			}
 		}
 	}
-	check("presize")
+	check("carve")
 	rng := rand.New(rand.NewSource(32))
 	for step := 0; step < 400; step++ {
 		p := pools[rng.Intn(len(pools))]

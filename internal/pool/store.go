@@ -28,10 +28,9 @@ type Store struct {
 	env    *sim.Env
 	engine *xfer.Engine
 	cache  *hostCache
-	// lat holds each architecture's uncontended switch-in latency by
-	// destination tier and source; archOf maps an ExpertID to its row.
-	lat    [][memory.TierSSD][2]time.Duration
-	archOf []uint8
+	// prices holds every expert's switch-in latency by destination tier
+	// from where it would be fetched; the host cache keeps the sources.
+	prices *xfer.Prices
 }
 
 // NewStore returns a store for the device holding the model's experts.
@@ -41,33 +40,19 @@ type Store struct {
 // pricing one is a table read (Prices).
 func NewStore(env *sim.Env, dev *hw.Device, cacheBytes int64, m *coe.Model) *Store {
 	archs, archOf := m.Archs()
-	s := &Store{env: env, engine: xfer.NewEngine(env, dev), archOf: archOf, lat: make([][memory.TierSSD][2]time.Duration, len(archs))}
-	for i, a := range archs {
-		for dst := range memory.TierSSD {
-			for src := range xfer.FromHost + 1 {
-				s.lat[i][dst][src] = xfer.LoadLatency(dev, src, dst, a.WeightBytes())
-			}
-		}
-	}
+	s := &Store{env: env, engine: xfer.NewEngine(env, dev)}
+	s.prices = xfer.NewPrices(archOf, func(a int, src xfer.Source, dst memory.Tier) time.Duration {
+		return xfer.LoadLatency(dev, src, dst, archs[a].WeightBytes())
+	})
 	if cacheBytes > 0 {
-		s.cache = &hostCache{arena: memory.NewArena("hostcache", cacheBytes), in: make([]uint8, m.NumExperts())}
+		s.cache = &hostCache{arena: memory.NewArena("hostcache", cacheBytes), prices: s.prices}
 	}
 	return s
 }
 
-// Prices returns what the scheduler prices a switch-in from
-// (sched.Prices): archOf maps each ExpertID to its architecture index,
-// lat[a][dst][src] is architecture a's uncontended load latency into
-// dst from SSD (src 0) or the host cache (src 1), and cached[id] is the
-// source expert id would be fetched from — 1 while it sits in the host
-// cache — or nil without a cache. The flags are the cache's own, so
-// they follow it.
-func (s *Store) Prices() (archOf []uint8, lat [][memory.TierSSD][2]time.Duration, cached []uint8) {
-	if s.cache != nil {
-		cached = s.cache.in
-	}
-	return s.archOf, s.lat, cached
-}
+// Prices returns the store's switch-in price list (§4.2), which follows
+// the host cache's contents.
+func (s *Store) Prices() *xfer.Prices { return s.prices }
 
 // Fetch brings the expert's weights into the destination tier,
 // contending on the physical transfer resources, and calls done with tag
@@ -101,10 +86,10 @@ type hostCache struct {
 	// lru holds the cached experts least recently demoted first. It holds
 	// a few dozen experts at most; only a fetch or re-demotion scans it.
 	lru []cached
-	// in is 1 for the cached experts by ExpertID, 0 for the rest, so
-	// membership is one read and doubles as the fetch source's index in
-	// Store.lat (xfer.FromHost vs xfer.FromSSD).
-	in []uint8
+	// prices is the store's price list: an expert is cached exactly
+	// while its source there is FromHost, so membership is one read and
+	// the scheduler's prices follow the cache.
+	prices *xfer.Prices
 }
 
 type cached struct {
@@ -124,11 +109,11 @@ func (c *hostCache) find(id coe.ExpertID) int {
 
 // take removes the expert from the cache, reporting whether it was there.
 func (c *hostCache) take(id coe.ExpertID) bool {
-	if c.in[id] == 0 {
+	if !c.has(id) {
 		return false
 	}
 	i := c.find(id)
-	c.in[id] = 0
+	c.prices.SetSource(int(id), xfer.FromSSD)
 	c.arena.Release(c.lru[i].bytes)
 	c.lru = slices.Delete(c.lru, i, i+1)
 	return true
@@ -143,7 +128,7 @@ func (c *hostCache) insert(e *coe.Expert) {
 	if bytes > c.arena.Capacity() {
 		return
 	}
-	if c.in[e.ID] != 0 {
+	if c.has(e.ID) {
 		i := c.find(e.ID)
 		hit := c.lru[i]
 		c.lru = append(slices.Delete(c.lru, i, i+1), hit)
@@ -151,12 +136,15 @@ func (c *hostCache) insert(e *coe.Expert) {
 	}
 	for c.arena.Free() < bytes { // bytes fits the capacity: the list never runs dry
 		c.arena.Release(c.lru[0].bytes)
-		c.in[c.lru[0].id] = 0
+		c.prices.SetSource(int(c.lru[0].id), xfer.FromSSD)
 		c.lru = slices.Delete(c.lru, 0, 1)
 	}
 	if err := c.arena.Reserve(bytes); err != nil {
 		panic("pool: host cache accounting broken: " + err.Error())
 	}
 	c.lru = append(c.lru, cached{id: e.ID, bytes: bytes})
-	c.in[e.ID] = 1
+	c.prices.SetSource(int(e.ID), xfer.FromHost)
 }
+
+// has reports whether the expert is cached.
+func (c *hostCache) has(id coe.ExpertID) bool { return c.prices.Source(int(id)) == xfer.FromHost }

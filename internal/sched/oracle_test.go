@@ -8,6 +8,7 @@ import (
 	"repro/internal/coe"
 	"repro/internal/memory"
 	"repro/internal/sim"
+	"repro/internal/xfer"
 )
 
 // refLoad prices a switch-in as the device would: by architecture, 3x
@@ -28,7 +29,7 @@ func refLoad(a uint8, dst memory.Tier, cached bool) time.Duration {
 // use this expert?" come from a scan of the queue's groups, and the
 // switch-in from the pool's residency and the device's load latency,
 // asked per queue.
-func refPredict(q *Queue, e *coe.Expert, arch []uint8, k, b []time.Duration, loaded func(*Queue, coe.ExpertID) bool, cached []uint8) time.Duration {
+func refPredict(q *Queue, e *coe.Expert, arch []uint8, k, b []time.Duration, loaded func(*Queue, coe.ExpertID) bool, cached []bool) time.Duration {
 	a := arch[e.ID]
 	var merge, has bool
 	for i, g := range q.groups {
@@ -48,7 +49,7 @@ func refPredict(q *Queue, e *coe.Expert, arch []uint8, k, b []time.Duration, loa
 	}
 	cost := k[a] + b[a]
 	if !has && !loaded(q, e.ID) {
-		cost += refLoad(a, q.tier, cached[e.ID] == 1)
+		cost += refLoad(a, q.tier, cached[e.ID])
 	}
 	return cost
 }
@@ -110,15 +111,12 @@ func TestMinMaxMatchesReference(t *testing.T) {
 		env := sim.NewEnv()
 		// Queues 2 and 3 share a pool, as shared-pool variants do.
 		pools := [nq]int{0, 1, 2, 2, 3, 4}
-		loaded := make([]uint64, experts)
-		prices := Prices{Arch: arch, Lat: make([][memory.TierSSD][2]time.Duration, archs), Cached: make([]uint8, experts)}
-		for a := range prices.Lat {
-			for t := range memory.TierSSD {
-				prices.Lat[a][t] = [2]time.Duration{refLoad(uint8(a), t, false), refLoad(uint8(a), t, true)}
-			}
-		}
-		cached := prices.Cached
-		node := NewNode(nq, prices, loaded, 1)
+		loaded := memory.NewResidency(5, experts)
+		prices := xfer.NewPrices(arch, func(a int, src xfer.Source, dst memory.Tier) time.Duration {
+			return refLoad(uint8(a), dst, src == xfer.FromHost)
+		})
+		cached := make([]bool, experts)
+		node := NewNode(nq, prices, loaded)
 		qs := make([]*Queue, nq)
 		ks, bs := make([][]time.Duration, nq), make([][]time.Duration, nq)
 		for i := range qs {
@@ -128,19 +126,25 @@ func TestMinMaxMatchesReference(t *testing.T) {
 			if !gpu {
 				tier = memory.TierCPU
 			}
-			qs[i] = node.NewQueue(env, "q", modes[i], Costs{K: ks[i], B: bs[i], Tier: tier, Pool: pools[i]})
+			qs[i] = node.NewQueue(env, "q", modes[i], Costs{K: ks[i], B: bs[i], Tier: tier, Slot: loaded.Slot(pools[i])})
 		}
 		col := func(q *Queue) int { return int(q.col) }
-		isLoaded := func(q *Queue, id coe.ExpertID) bool { return loaded[id]&(1<<pools[col(q)]) != 0 }
+		isLoaded := func(q *Queue, id coe.ExpertID) bool { return loaded.Has(int(id), loaded.Slot(pools[col(q)])) }
 		var seq int64
 		for step := 0; step < 3000; step++ {
 			// Mutate the world: residency, cache, queue contents.
 			for n := rng.Intn(3); n > 0; n-- {
-				loaded[rng.Intn(experts)] ^= 1 << rng.Intn(5)
+				id, slot := rng.Intn(experts), loaded.Slot(rng.Intn(5))
+				loaded.Set(id, slot, !loaded.Has(id, slot))
 			}
 			if rng.Intn(4) == 0 {
 				id := rng.Intn(experts)
-				cached[id] ^= 1
+				cached[id] = !cached[id]
+				src := xfer.FromSSD
+				if cached[id] {
+					src = xfer.FromHost
+				}
+				prices.SetSource(id, src)
 			}
 			q := qs[rng.Intn(nq)]
 			switch r := rng.Intn(20); {

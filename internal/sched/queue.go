@@ -13,6 +13,7 @@ import (
 	"repro/internal/coe"
 	"repro/internal/memory"
 	"repro/internal/sim"
+	"repro/internal/xfer"
 )
 
 // Mode selects how a queue arranges incoming requests.
@@ -42,53 +43,33 @@ func (m Mode) String() string {
 // Costs supplies what a queue's predictions need beyond what its node
 // shares: the §4.2 linear execution coefficients of the queue's
 // processor, as tables filled once when the system is built, the tier
-// its pool holds experts in, and the pool's place in the node's Loaded
-// rows.
+// its pool holds experts in, and the pool's slot in the node's Loaded
+// table.
 type Costs struct {
 	// K and B hold the §4.2 execution-latency coefficients of each
-	// architecture on this queue's processor, indexed like the node's
-	// architecture table.
+	// architecture on this queue's processor, indexed as the node's
+	// price list numbers architectures (coe.Model.Archs).
 	K, B []time.Duration
 	// Tier is the memory tier the queue's pool loads experts into; it
 	// selects the switch-in latency.
 	Tier memory.Tier
-	// Pool is the index of the queue's pool among the node's pools: it
-	// owns bit Pool%64 of word Pool/64 in every Loaded row.
-	Pool int
-}
-
-// Prices is a node's switch-in price list (§4.2), as its store keeps it
-// (pool.Store.Prices): Arch maps every ExpertID to its architecture
-// index, Lat[a][t][src] is architecture a's uncontended load latency
-// into tier t from SSD (src 0) or from the host cache (src 1), and
-// Cached[id] is the source expert id would be fetched from — 1 while it
-// sits in the host cache — nil when there is no cache. Cached is a live
-// view of the cache.
-type Prices struct {
-	Arch   []uint8
-	Lat    [][memory.TierSSD][2]time.Duration
-	Cached []uint8
+	// Slot is the queue's pool's slot in the node's Loaded table.
+	Slot memory.Slot
 }
 
 // Node is the per-expert state one node's queues share, kept
 // expert-major so that pricing an expert on every queue of the node
-// reads one row of each table: the expert's architecture, the queues'
-// execution coefficients for it, its Loaded row across the node's pools,
-// and its index cell in each queue.
+// reads one row of each table: the expert's architecture and switch-in
+// prices, the queues' execution coefficients for it, its Loaded row
+// across the node's pools, and its index cell in each queue.
 type Node struct {
-	arch []uint8
-	// lat and cached are the node's Prices; cached is all 0 when the
-	// node has no host cache.
-	lat    [][memory.TierSSD][2]time.Duration
-	cached []uint8
+	prices *xfer.Prices
 	// coef holds the queues' §4.2 coefficients, architecture-major: row
 	// a is the nq entries from a*nq, one per queue in NewQueue order.
 	coef []coef
-	// loaded is the node's pools' Loaded table (pool.PresizeAll): row id
-	// is the lstride words from id*lstride, and each queue's pool owns
-	// one bit of every row.
-	loaded  []uint64
-	lstride int
+	// loaded is the node's pools' Loaded table (pool.Carve); each
+	// queue's pool owns one slot of every row.
+	loaded memory.Residency
 	// cells holds the queues' index cells, expert-major like loaded, so
 	// the per-arrival questions — "is there a group to merge into?" and
 	// "does any group use this expert?" — are a slice read instead of a
@@ -111,29 +92,19 @@ type Node struct {
 type coef struct{ k, b time.Duration }
 
 // NewNode returns the shared state of a node of nq queues, carving
-// their tables out of one block each: prices prices switch-ins, and
-// loaded holds the node's pools' Loaded rows, stride words per expert.
-func NewNode(nq int, prices Prices, loaded []uint64, stride int) *Node {
-	arch := prices.Arch
-	if nq < 1 || stride < 1 || len(loaded) < len(arch)*stride || (prices.Cached != nil && len(prices.Cached) < len(arch)) {
+// their tables out of one block each: prices is the node's store's
+// switch-in price list, which also maps every expert to its
+// architecture, and loaded is the node's pools' Loaded table.
+func NewNode(nq int, prices *xfer.Prices, loaded memory.Residency) *Node {
+	experts := prices.Experts()
+	if nq < 1 || loaded.Experts() < experts {
 		panic("sched: node tables incomplete")
 	}
-	archs := 0
-	for _, a := range arch {
-		archs = max(archs, int(a)+1)
-	}
-	if archs > len(prices.Lat) {
-		panic("sched: node prices miss an architecture")
-	}
-	cached := prices.Cached
-	if cached == nil {
-		cached = make([]uint8, len(arch))
-	}
 	return &Node{
-		arch: arch, lat: prices.Lat, cached: cached,
-		coef:   make([]coef, archs*nq),
-		loaded: loaded, lstride: stride,
-		cells: make([]int32, len(arch)*nq), nq: nq,
+		prices: prices,
+		coef:   make([]coef, prices.Archs()*nq),
+		loaded: loaded,
+		cells:  make([]int32, experts*nq), nq: nq,
 		queues: make([]Queue, nq),
 	}
 }
@@ -145,7 +116,7 @@ func (n *Node) NewQueue(env *sim.Env, name string, mode Mode, costs Costs) *Queu
 	if col == n.nq {
 		panic(fmt.Sprintf("sched: node has no room for queue %s beyond its %d", name, n.nq))
 	}
-	if len(costs.K) != len(costs.B) || len(costs.K)*n.nq < len(n.coef) || costs.Tier < 0 || costs.Tier >= memory.TierSSD || costs.Pool < 0 || costs.Pool>>6 >= n.lstride {
+	if len(costs.K) != len(costs.B) || len(costs.K)*n.nq < len(n.coef) || costs.Tier < 0 || costs.Tier >= memory.TierSSD {
 		panic("sched: queue costs incomplete")
 	}
 	for a := col; a < len(n.coef); a += n.nq {
@@ -155,7 +126,7 @@ func (n *Node) NewQueue(env *sim.Env, name string, mode Mode, costs Costs) *Queu
 	q := &n.queues[col]
 	*q = Queue{
 		mode: mode, tier: costs.Tier,
-		col: int32(col), lword: int32(costs.Pool >> 6), lbit: 1 << (costs.Pool & 63),
+		slot: costs.Slot, col: int32(col),
 		head: coe.NoExpert, tailID: coe.NoExpert,
 		node: n, name: name, gate: sim.NewGate(env),
 	}
@@ -164,27 +135,26 @@ func (n *Node) NewQueue(env *sim.Env, name string, mode Mode, costs Costs) *Queu
 
 // quote holds the terms every queue of a node shares when pricing one
 // expert, read once per dispatch: its rows of coefficients, index cells
-// and Loaded bits, and its switch-in latencies by tier from where it
-// would be fetched.
+// and Loaded bits, and its switch-in latencies by tier.
 type quote struct {
 	id     coe.ExpertID
 	coef   []coef
 	cells  []int32
 	loaded []uint64
-	sw     *[memory.TierSSD][2]time.Duration
-	src    int
+	sw     *[memory.TierSSD]time.Duration
 }
 
 // read points the quote at the node's rows for the expert.
 func (s *quote) read(n *Node, id coe.ExpertID) {
-	a, i := int(n.arch[id]), int(id)
-	s.id, s.sw, s.src = id, &n.lat[a], int(n.cached[i])
+	i := int(id)
+	a, sw := n.prices.Row(i)
+	s.id, s.sw = id, sw
 	s.coef, s.cells = n.coef[a*n.nq:(a+1)*n.nq], n.cells[i*n.nq:(i+1)*n.nq]
-	s.loaded = n.loaded[i*n.lstride : (i+1)*n.lstride]
+	s.loaded = n.loaded.Row(i)
 }
 
 // switchIn returns the expert's switch-in latency into the tier.
-func (s *quote) switchIn(t memory.Tier) time.Duration { return s.sw[t][s.src] }
+func (s *quote) switchIn(t memory.Tier) time.Duration { return s.sw[t] }
 
 // Prediction is what a request for one expert adds to one queue
 // (§4.2), as Predict or an Assigner prices it and Enqueue applies it:
@@ -238,11 +208,10 @@ type Queue struct {
 	mode      Mode
 	// tier is the memory tier the queue's pool loads experts into.
 	tier memory.Tier
-	// col is the queue's column in its node's rows, and its pool's
-	// Loaded bits are bit lbit of word lword of each Loaded row.
-	col   int32
-	lword int32
-	lbit  uint64
+	// slot is the queue's pool's slot in each Loaded row, and col the
+	// queue's column in its node's other rows.
+	slot memory.Slot
+	col  int32
 	// head is the expert of the started head group, NoExpert while the
 	// head is unstarted or the queue empty. tail is 1 + the slot of the
 	// tail group and tailID its expert while that group is unstarted — in
@@ -379,7 +348,7 @@ func (q *Queue) predict(s *quote) (p Prediction, sw bool) {
 	} else if c > 0 {
 		return Prediction{K: kb.k, open: c}, false
 	}
-	return Prediction{Base: kb.b, K: kb.k}, c == 0 && q.head != s.id && s.loaded[q.lword]&q.lbit == 0
+	return Prediction{Base: kb.b, K: kb.k}, c == 0 && q.head != s.id && s.loaded[q.slot.Word]&q.slot.Mask == 0
 }
 
 // Enqueue adds the request for expert e as p prices it — the queue's

@@ -9,6 +9,7 @@ import (
 	"repro/internal/memory"
 	"repro/internal/model"
 	"repro/internal/sim"
+	"repro/internal/xfer"
 )
 
 const (
@@ -26,24 +27,20 @@ var testArch = make([]uint8, 1<<14)
 // pool.
 func testQueues(t *testing.T, env *sim.Env, n int, mode Mode, resident ...coe.ExpertID) []*Queue {
 	t.Helper()
-	stride := (n + 63) >> 6
-	loaded := make([]uint64, len(testArch)*stride)
+	loaded := memory.NewResidency(n, len(testArch))
 	for _, id := range resident {
 		for i := 0; i < n; i++ {
-			loaded[int(id)*stride+i>>6] |= 1 << (i & 63)
+			loaded.Set(int(id), loaded.Slot(i), true)
 		}
 	}
-	prices := Prices{
-		Arch: testArch,
-		Lat:  [][memory.TierSSD][2]time.Duration{{{testLoad, testLoad}, {testLoad, testLoad}}},
-	}
-	node := NewNode(n, prices, loaded, stride)
+	prices := xfer.NewPrices(testArch, func(int, xfer.Source, memory.Tier) time.Duration { return testLoad })
+	node := NewNode(n, prices, loaded)
 	qs := make([]*Queue, n)
 	for i := range qs {
 		qs[i] = node.NewQueue(env, "q", mode, Costs{
 			K:    []time.Duration{testK},
 			B:    []time.Duration{testB},
-			Pool: i,
+			Slot: loaded.Slot(i),
 		})
 	}
 	return qs
