@@ -11,9 +11,13 @@ test:
 	$(GO) test ./...
 
 # vet covers both modules: bench/ is its own module (compiled against
-# core, cluster and workload), so the root `go vet ./...` skips it.
+# core, cluster and workload), so the root `go vet ./...` skips it. The
+# root module is vetted for 386 too, so code or a test that only
+# compiles with a 64-bit int (a constant past math.MaxInt32) fails here
+# and not only in CI's 386 job.
 vet:
 	$(GO) vet ./...
+	GOARCH=386 $(GO) vet ./...
 	cd bench && $(GO) vet ./...
 
 fmt-check:

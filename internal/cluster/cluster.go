@@ -149,9 +149,9 @@ func (n *Node) Queued() int { return n.sys.Queued() }
 
 // Resident reports whether the expert is Loaded or Loading in any of
 // the node's pools — the router's affinity signal. It is one bit of the
-// fleet's holder bitset.
+// fleet's holder table.
 func (n *Node) Resident(id coe.ExpertID) bool {
-	return n.f.row(id)[n.idx>>6]&(1<<(n.idx&63)) != 0
+	return n.f.holders.Has(int(id), n.f.holders.Slot(n.idx))
 }
 
 // PredictLatency predicts the end-to-end latency the request would

@@ -42,7 +42,7 @@ func checkResidency(c *Cluster) error {
 		}
 	}
 	for id := 0; id < experts; id++ {
-		for k, w := range f.row(coe.ExpertID(id)) {
+		for k, w := range f.holders.Row(id) {
 			if w&^f.all[k] != 0 {
 				return fmt.Errorf("expert %d: holder bits %#x set past the fleet's %d nodes", id, w&^f.all[k], len(c.nodes))
 			}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/coe"
 	"repro/internal/core"
+	"repro/internal/memory"
 	"repro/internal/sim"
 )
 
@@ -61,7 +62,7 @@ func (Affinity) Name() string { return "affinity" }
 func (Affinity) Pick(_ sim.Time, nodes []*Node, r *coe.Request) int {
 	f := nodes[0].f
 	routable := f.routableFor(nodes)
-	row, idle := f.row(r.Expert()), f.idle
+	row, idle := f.holders.Row(int(r.Expert())), f.idle
 	for k, w := range routable {
 		if x := row[k] & idle[k] & w; x != 0 {
 			return rank(routable, k<<6|bits.TrailingZeros64(x))
@@ -127,13 +128,11 @@ func RouterByName(name string) (Router, error) {
 // one bit per node (node i is bit i%64 of word i/64) so that a routing
 // decision is a few word operations rather than a walk of the nodes.
 type fleet struct {
-	// words is the length of every node bitset: ⌈nodes/64⌉.
-	words int
-	// holders has one row of words per expert: node i's bit is set while
-	// any of its pools holds the expert, Loaded or Loading. tally counts
-	// those pools, one row of a byte per expert for each node; the pools
-	// keep both current (pool.TrackResidency).
-	holders []uint64
+	// holders has node i in slot i: its bit in an expert's row is set
+	// while any of its pools holds the expert, Loaded or Loading. tally
+	// counts those pools, one row of a byte per expert for each node; the
+	// pools keep both current (pool.TrackResidency).
+	holders memory.Residency
 	tally   []uint8
 	// backlog is each node's queued requests across its active queues,
 	// and idle has node i's bit set while backlog[i] is 0; the nodes'
@@ -175,8 +174,7 @@ func (s *subset) add(n *Node) {
 func newFleet(n, experts int) *fleet {
 	w := (n + 63) >> 6
 	f := &fleet{
-		words:   w,
-		holders: make([]uint64, experts*w),
+		holders: memory.NewResidency(n, experts),
 		tally:   make([]uint8, n*experts),
 		backlog: make([]int, n),
 	}
@@ -190,19 +188,14 @@ func newFleet(n, experts int) *fleet {
 }
 
 // join makes sys node i of the view: its pools report residency into
-// the holder bitset and its queues count into backlog[i] and idle.
+// the holder table and its queues count into backlog[i] and idle.
 func (f *fleet) join(i int, id string, sys *core.System) *Node {
-	experts := len(f.tally) / len(f.backlog)
+	experts := f.holders.Experts()
 	for _, pl := range sys.Pools() {
-		pl.TrackResidency(f.tally[i*experts:(i+1)*experts], f.holders, f.words, i)
+		pl.TrackResidency(f.tally[i*experts:(i+1)*experts], f.holders, f.holders.Slot(i))
 	}
 	sys.CountBacklogInto(&f.backlog[i], &f.idle[i>>6], 1<<(i&63))
 	return &Node{id: id, sys: sys, f: f, idx: i}
-}
-
-// row returns the expert's holder bitset.
-func (f *fleet) row(id coe.ExpertID) []uint64 {
-	return f.holders[int(id)*f.words : (int(id)+1)*f.words]
 }
 
 // routableFor returns the routable mask of nodes: all for the fleet's

@@ -62,13 +62,9 @@ func TestRoutersMatchFullScan(t *testing.T) {
 		// backlogs on the real queues, which keep the fleet's backlog
 		// slice and idle bitset current.
 		density := rng.Float64()
-		clear(f.holders)
 		for id := 0; id < m.NumExperts(); id++ {
-			row := f.row(coe.ExpertID(id))
 			for i := 0; i < fleet; i++ {
-				if rng.Float64() < density {
-					row[i>>6] |= 1 << (i & 63)
-				}
+				f.holders.Set(id, f.holders.Slot(i), rng.Float64() < density)
 			}
 		}
 		for _, n := range cl.nodes {

@@ -1,8 +1,8 @@
 package coe
 
 // Arena is a free-list of Request objects. Every sampled arrival
-// process (workload.Poisson, Bursty, Steady) leases its requests from
-// one, so a stream allocates request objects (and chains) up to its
+// process (workload.Poisson, Bursty, Steady and a Task's stream) leases
+// its requests from one, so a stream allocates request objects (and chains) up to its
 // in-flight high-water mark, not one per arrival: the serving layer
 // recycles a request when it completes or is rejected, and the next
 // arrival reuses the object and its chain capacity.

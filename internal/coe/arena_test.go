@@ -1,6 +1,7 @@
 package coe
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/model"
@@ -72,9 +73,11 @@ func TestRecycleSafeOnForeignAndDouble(t *testing.T) {
 	}
 }
 
-// TestAppendRouteMatchesRoute: the alloc-free router entry point must
-// produce exactly the chains Route does, for both the pass and fail
-// outcome of every class.
+// TestAppendRouteMatchesRoute: the router appends exactly each rule's
+// route — the classifier, then the detector when the class has one and
+// u < PassProb — for both outcomes of every class, whether it appends
+// to a fresh chain or into a recycled one's capacity, and leaves what
+// dst already held in place.
 func TestAppendRouteMatchesRoute(t *testing.T) {
 	b := NewBuilder("m")
 	cls := b.AddExpert("cls", model.ResNet101, Preliminary)
@@ -87,24 +90,23 @@ func TestAppendRouteMatchesRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	router := m.Router()
-	buf := make([]ExpertID, 0, 2)
+	buf := make([]ExpertID, 0, 3)
 	for class := 0; class <= 1; class++ {
 		for _, u := range []float64{0, 0.25, 0.5, 0.75, 0.99} {
-			want, err := router.Route(class, u)
+			want := []ExpertID{cls}
+			if class == 0 && u < 0.5 {
+				want = append(want, det)
+			}
+			fresh, err := router.AppendRoute(nil, class, u)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := router.AppendRoute(buf[:0], class, u)
+			recycled, err := router.AppendRoute(append(buf[:0], det), class, u)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("class %d u=%v: AppendRoute len %d, Route len %d", class, u, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("class %d u=%v: chain %v, want %v", class, u, got, want)
-				}
+			if !slices.Equal(fresh, want) || !slices.Equal(recycled, append([]ExpertID{det}, want...)) {
+				t.Fatalf("class %d u=%v: chains %v and %v, want %v", class, u, fresh, recycled, want)
 			}
 		}
 	}

@@ -127,7 +127,7 @@ func TestRouteChains(t *testing.T) {
 	m, cls, det := buildTestModel(t)
 	r := m.Router()
 	// u below pass prob -> classification passed -> detector stage.
-	chain, err := r.Route(0, 0.5)
+	chain, err := r.AppendRoute(nil, 0, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestRouteChains(t *testing.T) {
 		t.Errorf("chain = %v, want [%d %d]", chain, cls[0], det)
 	}
 	// u above pass prob -> failed -> classifier only.
-	chain, err = r.Route(0, 0.95)
+	chain, err = r.AppendRoute(nil, 0, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,14 +143,14 @@ func TestRouteChains(t *testing.T) {
 		t.Errorf("failed classification chain = %v, want 1 stage", chain)
 	}
 	// class without detector.
-	chain, err = r.Route(2, 0.0)
+	chain, err = r.AppendRoute(nil, 2, 0.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(chain) != 1 || chain[0] != cls[2] {
 		t.Errorf("detector-less chain = %v", chain)
 	}
-	if _, err := r.Route(42, 0.5); err == nil {
+	if _, err := r.AppendRoute(nil, 42, 0.5); err == nil {
 		t.Error("unknown class not rejected")
 	}
 }

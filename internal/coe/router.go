@@ -37,26 +37,13 @@ func (r *RuleRouter) Classes() []int {
 	return slices.Sorted(maps.Keys(r.rules))
 }
 
-// Route returns the expert chain for one request of the given class.
-// The pass outcome of the classification stage is decided by the sample
-// u ∈ [0,1), which the caller draws from its seeded stream so that
-// workloads are reproducible.
-func (r *RuleRouter) Route(class int, u float64) ([]ExpertID, error) {
-	rule, ok := r.rules[class]
-	if !ok {
-		return nil, fmt.Errorf("coe: no routing rule for class %d", class)
-	}
-	if rule.Detector == NoExpert || u >= rule.PassProb {
-		return []ExpertID{rule.Classifier}, nil
-	}
-	return []ExpertID{rule.Classifier, rule.Detector}, nil
-}
-
-// AppendRoute is Route without the allocation: it appends the chain
-// for one request of the given class to dst and returns the extended
-// slice. With a dst that retains capacity (an arena-recycled request's
-// chain), routing is allocation-free. The pass decision is identical
-// to Route for the same u.
+// AppendRoute appends the expert chain for one request of the given
+// class to dst and returns the extended slice. The pass outcome of the
+// classification stage is decided by the sample u ∈ [0,1), which the
+// caller draws from its seeded stream so that workloads are
+// reproducible: the detector, when the class has one, runs only when u
+// < PassProb. With a dst that retains capacity (an arena-recycled
+// request's chain), routing is allocation-free.
 func (r *RuleRouter) AppendRoute(dst []ExpertID, class int, u float64) ([]ExpertID, error) {
 	rule, ok := r.rules[class]
 	if !ok {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/coe"
 	"repro/internal/control"
 	"repro/internal/hw"
+	"repro/internal/memory"
 	"repro/internal/model"
 	"repro/internal/profiler"
 	"repro/internal/trace"
@@ -409,9 +410,9 @@ func TestPreloadPlanOverridesUsageOrder(t *testing.T) {
 // hold each expert.
 func residency(t *testing.T, s *System, experts int) []uint8 {
 	t.Helper()
-	cells, holders := make([]uint8, experts), make([]uint64, experts)
+	cells, holders := make([]uint8, experts), memory.NewResidency(1, experts)
 	for _, pl := range s.Pools() {
-		pl.TrackResidency(cells, holders, 1, 0)
+		pl.TrackResidency(cells, holders, holders.Slot(0))
 	}
 	return cells
 }

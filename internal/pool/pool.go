@@ -107,13 +107,11 @@ type Pool struct {
 	orphans int
 
 	// tally and holders are set by TrackResidency: tally[id] counts the
-	// node's pools holding expert id, and the pool keeps bit hbit of
-	// holders[id*hwords+hword] set while that count is nonzero.
+	// node's pools holding expert id, and the pool keeps its node's slot
+	// of holders set in row id while that count is nonzero.
 	tally   []uint8
-	holders []uint64
-	hwords  int
-	hword   int
-	hbit    uint64
+	holders memory.Residency
+	node    memory.Slot
 
 	// scratch backs LoadedUnpinned and the policies' candidate lists and
 	// victims backs their results, so every eviction decision reuses one
@@ -213,14 +211,13 @@ func (p *Pool) count(e *Entry, delta int32) {
 // shared with the other pools of its node and of its fleet. tally holds
 // the node's counters, one per expert: tally[id] is incremented while
 // the pool holds expert id (Loaded or Loading) and decremented when it
-// lets go. holders is the fleet's holder bitset, words words per expert:
-// node's bit in expert id's row is set while tally[id] is nonzero, so
+// lets go. holders is the fleet's holder table, one slot per node: the
+// node's slot in expert id's row is set while tally[id] is nonzero, so
 // the pools flip it when their node's count crosses 0 and 1. The pool's
 // current experts are counted immediately. Counters are bytes, so at
 // most 255 pools may share one tally.
-func (p *Pool) TrackResidency(tally []uint8, holders []uint64, words, node int) {
-	p.tally, p.holders, p.hwords = tally, holders, words
-	p.hword, p.hbit = node>>6, uint64(1)<<(node&63)
+func (p *Pool) TrackResidency(tally []uint8, holders memory.Residency, node memory.Slot) {
+	p.tally, p.holders, p.node = tally, holders, node
 	for _, e := range p.resident {
 		p.track(e.Expert.ID, true)
 	}
@@ -233,12 +230,11 @@ func (p *Pool) track(id coe.ExpertID, in bool) {
 	if p.tally == nil {
 		return
 	}
-	w := &p.holders[int(id)*p.hwords+p.hword]
 	if in {
 		p.tally[id]++
-		*w |= p.hbit
+		p.holders.Set(int(id), p.node, true)
 	} else if p.tally[id]--; p.tally[id] == 0 {
-		*w &^= p.hbit
+		p.holders.Set(int(id), p.node, false)
 	}
 }
 

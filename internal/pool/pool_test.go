@@ -504,20 +504,21 @@ func TestTrackResidency(t *testing.T) {
 	b.Preload(m.Expert(1))
 	// A 70-node fleet: two words per expert, and the node is bit 3 of
 	// the second.
-	const words, node = 2, 67
+	const fleet, node = 70, 67
 	tally := make([]uint8, m.NumExperts())
-	holders := make([]uint64, m.NumExperts()*words)
-	a.TrackResidency(tally, holders, words, node)
-	b.TrackResidency(tally, holders, words, node)
+	holders := memory.NewResidency(fleet, m.NumExperts())
+	a.TrackResidency(tally, holders, holders.Slot(node))
+	b.TrackResidency(tally, holders, holders.Slot(node))
 	check := func(when string, want ...uint8) {
 		t.Helper()
 		for id, w := range want {
 			if tally[id] != w {
 				t.Errorf("%s: expert %d tally = %d, want %d", when, id, tally[id], w)
 			}
-			held := holders[id*words+1] == 1<<3 && holders[id*words] == 0
-			if empty := holders[id*words+1] == 0 && holders[id*words] == 0; !(w > 0 && held || w == 0 && empty) {
-				t.Errorf("%s: expert %d holder row %#x/%#x with tally %d", when, id, holders[id*words], holders[id*words+1], w)
+			row := holders.Row(id)
+			held := row[1] == 1<<3 && row[0] == 0
+			if empty := row[1] == 0 && row[0] == 0; !(w > 0 && held || w == 0 && empty) {
+				t.Errorf("%s: expert %d holder row %#x/%#x with tally %d", when, id, row[0], row[1], w)
 			}
 		}
 	}

@@ -56,12 +56,7 @@ type RecordingSource struct {
 func (r *RecordingSource) Name() string { return r.src.Name() }
 
 // Model forwards the wrapped source's model, if it exposes one.
-func (r *RecordingSource) Model() *coe.Model {
-	if m, ok := r.src.(interface{ Model() *coe.Model }); ok {
-		return m.Model()
-	}
-	return nil
-}
+func (r *RecordingSource) Model() *coe.Model { return modelOf(r.src) }
 
 // Unbounded forwards the wrapped source's unboundedness.
 func (r *RecordingSource) Unbounded() bool { return IsUnbounded(r.src) }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -29,11 +30,10 @@ type Source interface {
 	Next() (tr TimedRequest, ok bool)
 }
 
-// sampler draws request chains from a board's distribution. All arrival
-// processes share it so that class sampling and routing consume the rng
-// identically regardless of arrival shape. Requests are leased from the
-// arena's free list and routed in place, so a stream whose requests the
-// serving layer recycles allocates none once the pool is warm.
+// sampler draws request chains from a board's distribution. Requests
+// are leased from the arena's free list and routed in place, so a stream
+// whose requests the serving layer recycles allocates none once the pool
+// is warm.
 type sampler struct {
 	board *Board
 	rng   *rand.Rand
@@ -50,64 +50,93 @@ func newSampler(board *Board, seed int64, arena *coe.Arena) sampler {
 	return sampler{board: board, rng: rand.New(rand.NewSource(seed)), arena: arena}
 }
 
-// draw produces the next request: one uniform draw for the class, one
-// for the routing pass outcome — the same consumption order as
-// Task.Generate.
-func (s *sampler) draw() (*coe.Request, error) {
+// draw produces the next request: one uniform draw for the class, then
+// one for the routing pass outcome.
+func (s *sampler) draw() *coe.Request {
 	class := s.board.SampleType(s.rng.Float64())
 	u := s.rng.Float64()
 	r := s.arena.Lease()
 	chain, err := s.board.Model.Router().AppendRoute(r.Chain, class, u)
 	if err != nil {
-		coe.Recycle(r)
-		return nil, err
+		// Every Board constructor checks that each class has a rule.
+		panic("workload: stream routing failed: " + err.Error())
 	}
 	r.Chain, r.ID, r.Class = chain, s.next, class
 	s.next++
-	return r, nil
+	return r
 }
 
-// sliceSource replays a pre-materialized stream.
-type sliceSource struct {
-	name  string
-	model *coe.Model
-	items []TimedRequest
-	pos   int
+// sampled is the one arrival generator: Poisson, Steady, Bursty and Task
+// streams all draw their requests from a sampler and time them by one of
+// two rules. With a positive rate, each arrival sits one exponential gap
+// after its predecessor (the first after the stream's start), the gap
+// drawn after the request's own draws. Otherwise arrivals come every
+// period during ON windows of length on, separated by idle OFF windows
+// of length off; a Task is one window that never closes.
+type sampled struct {
+	name    string
+	sampler sampler
+	// n bounds the stream length; 0 means unbounded.
+	n, emitted      int
+	rate            float64
+	period, on, off time.Duration
+	// at is the last arrival under exponential gaps and the next one
+	// under windows; onEnd ends the current ON window.
+	at, onEnd time.Duration
 }
 
-func (s *sliceSource) Name() string { return s.name }
+func (s *sampled) Name() string { return s.name }
 
 // Model reports the CoE model the stream's chains route over; the
 // serving layer checks it against the System's model.
-func (s *sliceSource) Model() *coe.Model { return s.model }
+func (s *sampled) Model() *coe.Model { return s.sampler.board.Model }
 
-func (s *sliceSource) Next() (TimedRequest, bool) {
-	if s.pos >= len(s.items) {
+// Unbounded marks a stream with no length bound: it must be wrapped in a
+// Horizon before serving or draining.
+func (s *sampled) Unbounded() bool { return s.n == 0 }
+
+func (s *sampled) Next() (TimedRequest, bool) {
+	if s.n > 0 && s.emitted >= s.n {
 		return TimedRequest{}, false
 	}
-	tr := s.items[s.pos]
-	s.pos++
+	s.emitted++
+	tr := TimedRequest{Req: s.sampler.draw()}
+	if s.rate > 0 {
+		gap := s.sampler.rng.ExpFloat64() / s.rate
+		s.at += time.Duration(gap * float64(time.Second))
+		tr.At = s.at
+		return tr, true
+	}
+	if s.at >= s.onEnd {
+		// The window closed before this arrival: idle through OFF and
+		// restart arrivals at the top of the next ON window.
+		s.at = s.onEnd + s.off
+		s.onEnd = s.at + s.on
+	}
+	tr.At = s.at
+	s.at += s.period
 	return tr, true
 }
 
-// Stream materializes the task as a closed-loop fixed-period source: the
-// paper's arrival process (§5.1, one image every ArrivalPeriod). The
-// request sequence is exactly Task.Generate — same seeds, same IDs, same
-// chains — with arrival offsets i*ArrivalPeriod, so serving a task
-// through Stream is bit-for-bit the stream RunTask always fed.
+// Stream returns the task as a closed-loop fixed-period source: the
+// paper's arrival process (§5.1, one image every ArrivalPeriod), with
+// arrival offsets i*ArrivalPeriod. Requests are drawn lazily from a
+// private arena, so a serving layer that recycles them reuses a handful
+// of request objects for the whole task.
 func (t Task) Stream() (Source, error) {
-	reqs, err := t.Generate()
-	if err != nil {
-		return nil, err
+	if t.Board == nil {
+		return nil, fmt.Errorf("workload: task %q needs a board", t.Name)
+	}
+	if t.N < 1 {
+		return nil, fmt.Errorf("workload: task %q has no requests", t.Name)
 	}
 	if t.ArrivalPeriod < 0 {
 		return nil, fmt.Errorf("workload: task %q has negative arrival period", t.Name)
 	}
-	items := make([]TimedRequest, len(reqs))
-	for i, r := range reqs {
-		items[i] = TimedRequest{Req: r, At: time.Duration(i) * t.ArrivalPeriod}
-	}
-	return &sliceSource{name: t.Name, model: t.Board.Model, items: items}, nil
+	return &sampled{
+		name: t.Name, sampler: newSampler(t.Board, t.Seed, nil), n: t.N,
+		period: t.ArrivalPeriod, onEnd: math.MaxInt64,
+	}, nil
 }
 
 // Poisson is an open-loop arrival process: N requests against a board
@@ -132,13 +161,6 @@ type Poisson struct {
 	Arena *coe.Arena
 }
 
-type poissonSource struct {
-	spec    Poisson
-	sampler sampler
-	emitted int
-	at      time.Duration
-}
-
 // NewSource validates the spec and returns the stream.
 func (p Poisson) NewSource() (Source, error) {
 	if p.Board == nil {
@@ -150,33 +172,7 @@ func (p Poisson) NewSource() (Source, error) {
 	if p.N < 1 {
 		return nil, fmt.Errorf("workload: poisson %q has no requests", p.Name)
 	}
-	return &poissonSource{
-		spec:    p,
-		sampler: newSampler(p.Board, p.Seed, p.Arena),
-	}, nil
-}
-
-func (s *poissonSource) Name() string { return s.spec.Name }
-
-// Model reports the CoE model the stream's chains route over.
-func (s *poissonSource) Model() *coe.Model { return s.spec.Board.Model }
-
-func (s *poissonSource) Next() (TimedRequest, bool) {
-	if s.emitted >= s.spec.N {
-		return TimedRequest{}, false
-	}
-	r, err := s.sampler.draw()
-	if err != nil {
-		// Routing over a validated board cannot fail; a custom board
-		// with missing rules is a construction bug.
-		panic("workload: poisson stream routing failed: " + err.Error())
-	}
-	// Gap first, then the request: every arrival (including the first)
-	// sits one exponential gap after its predecessor.
-	gap := s.sampler.rng.ExpFloat64() / s.spec.Rate
-	s.at += time.Duration(gap * float64(time.Second))
-	s.emitted++
-	return TimedRequest{Req: r, At: s.at}, true
+	return &sampled{name: p.Name, sampler: newSampler(p.Board, p.Seed, p.Arena), n: p.N, rate: p.Rate}, nil
 }
 
 // Bursty is an on/off arrival process: fixed-period arrivals at Period
@@ -199,14 +195,6 @@ type Bursty struct {
 	Arena *coe.Arena
 }
 
-type burstySource struct {
-	spec    Bursty
-	sampler sampler
-	emitted int
-	at      time.Duration // next arrival instant
-	onEnd   time.Duration // end of the current ON window
-}
-
 // NewSource validates the spec and returns the stream.
 func (b Bursty) NewSource() (Source, error) {
 	if b.Board == nil {
@@ -218,36 +206,10 @@ func (b Bursty) NewSource() (Source, error) {
 	if b.N < 1 {
 		return nil, fmt.Errorf("workload: bursty %q has no requests", b.Name)
 	}
-	return &burstySource{
-		spec:    b,
-		sampler: newSampler(b.Board, b.Seed, b.Arena),
-		onEnd:   b.On,
+	return &sampled{
+		name: b.Name, sampler: newSampler(b.Board, b.Seed, b.Arena), n: b.N,
+		period: b.Period, on: b.On, off: b.Off, onEnd: b.On,
 	}, nil
-}
-
-func (s *burstySource) Name() string { return s.spec.Name }
-
-// Model reports the CoE model the stream's chains route over.
-func (s *burstySource) Model() *coe.Model { return s.spec.Board.Model }
-
-func (s *burstySource) Next() (TimedRequest, bool) {
-	if s.emitted >= s.spec.N {
-		return TimedRequest{}, false
-	}
-	r, err := s.sampler.draw()
-	if err != nil {
-		panic("workload: bursty stream routing failed: " + err.Error())
-	}
-	if s.at >= s.onEnd {
-		// The window closed before this arrival: idle through OFF and
-		// restart arrivals at the top of the next ON window.
-		s.at = s.onEnd + s.spec.Off
-		s.onEnd = s.at + s.spec.On
-	}
-	tr := TimedRequest{Req: r, At: s.at}
-	s.at += s.spec.Period
-	s.emitted++
-	return tr, true
 }
 
 // Steady is an infinite open-loop Poisson arrival process: the
@@ -269,12 +231,6 @@ type Steady struct {
 	Arena *coe.Arena
 }
 
-type steadySource struct {
-	spec    Steady
-	sampler sampler
-	at      time.Duration
-}
-
 // NewSource validates the spec and returns the (unbounded) stream.
 func (s Steady) NewSource() (Source, error) {
 	if s.Board == nil {
@@ -283,29 +239,7 @@ func (s Steady) NewSource() (Source, error) {
 	if s.Rate <= 0 {
 		return nil, fmt.Errorf("workload: steady %q rate %f must be positive", s.Name, s.Rate)
 	}
-	return &steadySource{
-		spec:    s,
-		sampler: newSampler(s.Board, s.Seed, s.Arena),
-	}, nil
-}
-
-func (s *steadySource) Name() string { return s.spec.Name }
-
-// Model reports the CoE model the stream's chains route over.
-func (s *steadySource) Model() *coe.Model { return s.spec.Board.Model }
-
-// Unbounded marks the stream as infinite: it must be wrapped in a
-// Horizon before serving or draining.
-func (s *steadySource) Unbounded() bool { return true }
-
-func (s *steadySource) Next() (TimedRequest, bool) {
-	r, err := s.sampler.draw()
-	if err != nil {
-		panic("workload: steady stream routing failed: " + err.Error())
-	}
-	gap := s.sampler.rng.ExpFloat64() / s.spec.Rate
-	s.at += time.Duration(gap * float64(time.Second))
-	return TimedRequest{Req: r, At: s.at}, true
+	return &sampled{name: s.Name, sampler: newSampler(s.Board, s.Seed, s.Arena), rate: s.Rate}, nil
 }
 
 // Horizon bounds a source at a virtual-time horizon: the wrapped stream
@@ -329,12 +263,7 @@ type horizonSource struct {
 func (h *horizonSource) Name() string { return h.src.Name() }
 
 // Model forwards the wrapped source's model, if it exposes one.
-func (h *horizonSource) Model() *coe.Model {
-	if m, ok := h.src.(interface{ Model() *coe.Model }); ok {
-		return m.Model()
-	}
-	return nil
-}
+func (h *horizonSource) Model() *coe.Model { return modelOf(h.src) }
 
 func (h *horizonSource) Next() (TimedRequest, bool) {
 	if h.closed {
@@ -390,6 +319,15 @@ func IsUnbounded(src Source) bool {
 	return ok && u.Unbounded()
 }
 
+// modelOf reports the CoE model src's chains route over, or nil when the
+// source does not say.
+func modelOf(src Source) *coe.Model {
+	if m, ok := src.(interface{ Model() *coe.Model }); ok {
+		return m.Model()
+	}
+	return nil
+}
+
 // CheckStream rejects a source the serving layers cannot serve over
 // model m: an unbounded one, which would keep the arrival loop alive
 // forever, and one whose chains come from another model.
@@ -398,9 +336,9 @@ func CheckStream(src Source, m *coe.Model) error {
 		return fmt.Errorf("stream %q is unbounded; wrap it in workload.Horizon to give it a terminating horizon",
 			src.Name())
 	}
-	if sm, ok := src.(interface{ Model() *coe.Model }); ok && sm.Model() != nil && sm.Model() != m {
+	if sm := modelOf(src); sm != nil && sm != m {
 		return fmt.Errorf("stream %q draws from model %q, not the served model %q",
-			src.Name(), sm.Model().Name(), m.Name())
+			src.Name(), sm.Name(), m.Name())
 	}
 	return nil
 }
@@ -445,14 +383,12 @@ func (m Mix) NewSource() (Source, error) {
 			return nil, fmt.Errorf("workload: mix %q has two tenants named %q", m.Name, t.Name())
 		}
 		names[t.Name()] = struct{}{}
-		if tm, ok := t.(interface{ Model() *coe.Model }); ok {
-			switch {
-			case model == nil:
-				model = tm.Model()
-			case model != tm.Model():
-				return nil, fmt.Errorf("workload: mix %q tenants draw from different models (%q vs %q); merge boards first",
-					m.Name, model.Name(), tm.Model().Name())
-			}
+		switch tm := modelOf(t); {
+		case model == nil:
+			model = tm
+		case tm != nil && tm != model:
+			return nil, fmt.Errorf("workload: mix %q tenants draw from different models (%q vs %q); merge boards first",
+				m.Name, model.Name(), tm.Name())
 		}
 	}
 	s := &mixSource{
@@ -580,7 +516,7 @@ func MergeBoards(name string, shares []float64, boards ...*Board) (*Board, []*Bo
 	if err := coe.ComputeUsage(m, classProbs); err != nil {
 		return nil, nil, err
 	}
-	merged := newBoardUnchecked(name, m, mergedProbs)
+	merged := newBoard(BoardSpec{Name: name, Types: len(mergedProbs)}, m, mergedProbs)
 
 	// Per-tenant views: the merged model with the tenant's original
 	// distribution mapped into its class range (zero elsewhere — the
@@ -589,36 +525,7 @@ func MergeBoards(name string, shares []float64, boards ...*Board) (*Board, []*Bo
 	for bi, board := range boards {
 		probs := make([]float64, len(mergedProbs))
 		copy(probs[bases[bi]:], board.TypeProbs)
-		tenantViews[bi] = newBoardUnchecked(board.Spec.Name, m, probs)
+		tenantViews[bi] = newBoard(BoardSpec{Name: board.Spec.Name, Types: len(probs)}, m, probs)
 	}
 	return merged, tenantViews, nil
-}
-
-// newBoardUnchecked builds a Board directly from a model and a (possibly
-// sparse) class distribution, bypassing NewBoard's positivity check —
-// tenant views legitimately carry zero probability outside their class
-// range.
-func newBoardUnchecked(name string, m *coe.Model, probs []float64) *Board {
-	cum := make([]float64, len(probs))
-	var run float64
-	last := -1
-	for i, p := range probs {
-		run += p
-		cum[i] = run
-		if p > 0 {
-			last = i
-		}
-	}
-	// Absorb floating-point drift into the last positive class so a draw
-	// of u→1 can never land on a zero-probability tail entry.
-	for j := last; j >= 0 && j < len(cum); j++ {
-		cum[j] = 1
-	}
-	return &Board{
-		Spec:      BoardSpec{Name: name, Types: len(probs)},
-		Model:     m,
-		TypeProbs: probs,
-		cumProbs:  cum,
-		guide:     newGuide(cum),
-	}
 }

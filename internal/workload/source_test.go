@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 )
@@ -41,17 +42,14 @@ func assertSameStream(t *testing.T, a, b []TimedRequest) {
 	}
 }
 
-// TestTaskStreamMatchesGenerate: the closed-loop source is bit-for-bit
-// the stream Generate always produced, with offsets i*period — the
-// paper-shape preservation contract.
+// TestTaskStreamMatchesGenerate: a task's stream yields the reference
+// Generate loop's requests with offsets i*period — the paper-shape
+// preservation contract — and Generate yields the same requests.
 func TestTaskStreamMatchesGenerate(t *testing.T) {
 	board := buildA(t)
 	task := TaskA1(board)
 	task.N = 500
-	reqs, err := task.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := refGenerate(t, task)
 	src, err := task.Stream()
 	if err != nil {
 		t.Fatal(err)
@@ -59,22 +57,18 @@ func TestTaskStreamMatchesGenerate(t *testing.T) {
 	if src.Name() != task.Name {
 		t.Errorf("source name %q, want %q", src.Name(), task.Name)
 	}
-	stream := Drain(src)
-	if len(stream) != len(reqs) {
-		t.Fatalf("stream has %d requests, Generate %d", len(stream), len(reqs))
+	assertMatchesReference(t, "stream", src, want)
+	reqs, err := task.Generate()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range stream {
-		if want := time.Duration(i) * task.ArrivalPeriod; stream[i].At != want {
-			t.Fatalf("request %d at %v, want %v", i, stream[i].At, want)
-		}
-		got, ref := stream[i].Req, reqs[i]
-		if got.ID != ref.ID || got.Class != ref.Class || len(got.Chain) != len(ref.Chain) {
-			t.Fatalf("request %d differs from Generate: %v vs %v", i, got, ref)
-		}
-		for j := range got.Chain {
-			if got.Chain[j] != ref.Chain[j] {
-				t.Fatalf("request %d chain differs at stage %d", i, j)
-			}
+	if len(reqs) != len(want) {
+		t.Fatalf("Generate made %d requests, reference %d", len(reqs), len(want))
+	}
+	for i, r := range reqs {
+		if w := want[i]; r.ID != w.ID || r.Class != w.Class || !slices.Equal(r.Chain, w.Chain) {
+			t.Fatalf("request %d is (id %d, class %d, chain %v), reference (id %d, class %d, chain %v)",
+				i, r.ID, r.Class, r.Chain, w.ID, w.Class, w.Chain)
 		}
 	}
 }

@@ -197,13 +197,7 @@ func (s BoardSpec) Build() (*Board, error) {
 		return nil, err
 	}
 
-	cum := make([]float64, len(probs))
-	var run float64
-	for i, p := range probs {
-		run += p
-		cum[i] = run
-	}
-	return &Board{Spec: s, Model: m, TypeProbs: probs, cumProbs: cum, guide: newGuide(cum)}, nil
+	return newBoard(s, m, probs), nil
 }
 
 // NewBoard wraps an arbitrary CoE model and class distribution as a
@@ -215,7 +209,6 @@ func NewBoard(m *coe.Model, typeProbs []float64) (*Board, error) {
 		return nil, fmt.Errorf("workload: NewBoard needs a model and a class distribution")
 	}
 	var total float64
-	cum := make([]float64, len(typeProbs))
 	for c, p := range typeProbs {
 		if p <= 0 {
 			return nil, fmt.Errorf("workload: class %d has non-positive probability", c)
@@ -224,18 +217,35 @@ func NewBoard(m *coe.Model, typeProbs []float64) (*Board, error) {
 			return nil, fmt.Errorf("workload: class %d has no routing rule", c)
 		}
 		total += p
-		cum[c] = total
 	}
 	if math.Abs(total-1) > 1e-6 {
 		return nil, fmt.Errorf("workload: class probabilities sum to %f, want 1", total)
 	}
-	return &Board{
-		Spec:      BoardSpec{Name: m.Name(), Types: len(typeProbs)},
-		Model:     m,
-		TypeProbs: append([]float64(nil), typeProbs...),
-		cumProbs:  cum,
-		guide:     newGuide(cum),
-	}, nil
+	return newBoard(BoardSpec{Name: m.Name(), Types: len(typeProbs)}, m, append([]float64(nil), typeProbs...)), nil
+}
+
+// newBoard assembles a Board over model m with class distribution probs,
+// which it keeps, building the prefix sums and their guide table. Float
+// drift is absorbed into the last positive class, so a draw of u→1 can
+// never land on a zero-probability tail class (a MergeBoards tenant view
+// has zeros outside its class range). SampleType and newGuide never read
+// the last prefix sum, so on a distribution without a zero tail no draw
+// changes.
+func newBoard(spec BoardSpec, m *coe.Model, probs []float64) *Board {
+	cum := make([]float64, len(probs))
+	var run float64
+	last := -1
+	for i, p := range probs {
+		run += p
+		cum[i] = run
+		if p > 0 {
+			last = i
+		}
+	}
+	for j := last; j >= 0 && j < len(cum); j++ {
+		cum[j] = 1
+	}
+	return &Board{Spec: spec, Model: m, TypeProbs: probs, cumProbs: cum, guide: newGuide(cum)}
 }
 
 // SampleType draws a component type from the board's quantity
@@ -278,22 +288,16 @@ func TaskB2(b *Board) Task {
 
 // Generate materializes the task's request stream: N requests, types
 // drawn from the board's quantity distribution, chains decided by the
-// routing rules with seeded pass outcomes. The same task always
-// generates the same stream.
+// routing rules with seeded pass outcomes. It drains Task.Stream, so the
+// same task always generates the same stream.
 func (t Task) Generate() ([]*coe.Request, error) {
-	if t.N < 1 {
-		return nil, fmt.Errorf("workload: task %q has no requests", t.Name)
+	src, err := t.Stream()
+	if err != nil {
+		return nil, err
 	}
-	rng := rand.New(rand.NewSource(t.Seed))
-	router := t.Board.Model.Router()
 	reqs := make([]*coe.Request, 0, t.N)
-	for i := 0; i < t.N; i++ {
-		class := t.Board.SampleType(rng.Float64())
-		chain, err := router.Route(class, rng.Float64())
-		if err != nil {
-			return nil, err
-		}
-		reqs = append(reqs, coe.NewRequest(int64(i), class, chain))
+	for tr, ok := src.Next(); ok; tr, ok = src.Next() {
+		reqs = append(reqs, tr.Req)
 	}
 	return reqs, nil
 }
