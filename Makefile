@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check detlint ci examples bench-smoke bench race bench-cluster bench-fleet bench-chaos bench-kernel cover
+.PHONY: all build test vet fmt-check detlint ci examples bench-smoke bench race bench-cluster bench-fleet bench-chaos bench-kernel cover fuzz
 
 all: build
 
@@ -62,6 +62,17 @@ cover:
 	$(GO) test -coverprofile=cover.out -covermode=atomic ./...
 	$(GO) tool cover -func=cover.out | tail -20
 	@$(GO) tool cover -func=cover.out | grep total:
+
+# fuzz runs every fuzz target for 30 s each: the pooled timed-message
+# path, the arrival-trace reader, and the text forms of a fault plan
+# (-chaos) and an interconnect (-interconnect). go test fuzzes one target
+# per run, so each -fuzz pattern is anchored to one name. Outside the
+# tier-1 gate; `go test ./...` runs only the targets' seed corpora.
+fuzz:
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzPooledMessageDeterminism$$' -fuzztime 30s
+	$(GO) test ./internal/workload -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 30s
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzParseFaultPlan$$' -fuzztime 30s
+	$(GO) test ./internal/cluster -run '^$$' -fuzz '^FuzzParseInterconnect$$' -fuzztime 30s
 
 # race runs the whole test suite under the race detector: the parallel
 # run engine (internal/runner, the experiments fan-out) must stay clean

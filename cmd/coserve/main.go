@@ -40,21 +40,21 @@ package main
 import (
 	"flag"
 	"fmt"
-	"maps"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"slices"
-	"strconv"
 	"strings"
 	"text/tabwriter"
 	"time"
 
 	coserve "repro"
+	"repro/internal/cluster"
 	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/model"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -101,36 +101,8 @@ commands:
                fig19's wall-clock sched-cost cells vary run to run;
                -cpuprofile/-memprofile write pprof profiles of the run)
   run          run one task under one serving system
-  serve        serve an arrival stream (poisson, fixed, bursty, mix,
-               steady, replay) with SLOs, admission control, executor
-               autoscaling, and multi-node clustering:
-               -admit accept|bounded|token|shed|tenant-quota selects the
-               admission policy (-queue-bound, -admit-rate/-admit-burst,
-               -tenant-rate/-tenant-burst, -slo set its knobs),
-               -autoscale resizes the active executor set on windowed
-               utilization (-autoscale-reachable guards scale-downs
-               against the working set), -arrival steady -horizon 10s
-               serves an infinite steady-state stream bounded by a
-               horizon, -record/-arrival replay -trace capture and
-               replay arrival traces, and -nodes N -router R
-               -placement P serves the stream across an N-node cluster
-               (-nodes 1 is the plain single-node system; router and
-               placement apply from 2 nodes up), -chaos / -chaos-mtbf
-               inject node faults into the cluster — fail-stop
-               crash/drain/recover (crashed nodes' requests redeliver
-               under lease tracking, completions stay exactly-once) and
-               gray slow/jitter/stall kinds that degrade service while
-               the node stays Up — countered by -health-window
-               (latency-scored node health), -breaker (quarantine +
-               half-open probing), and -hedge-after (deadline-fired
-               hedged redelivery, first completion wins),
-               -cluster-admit puts an admission policy in front of the
-               router, -fleet-autoscale R drains/resumes nodes to
-               track the offered rate at R req/s per node (needs
-               -window), and -interconnect d/i/x@b models front-end→
-               node dispatch latency — every offer and ack becomes a
-               timed hop;
-               -cpuprofile/-memprofile write pprof profiles of the serve
+  serve        serve an arrival stream on one node or a cluster
+               (coserve serve -h lists its flags)
   profile      run the offline profiler and print the performance matrix`)
 }
 
@@ -248,84 +220,133 @@ func closeProfile(f *os.File) {
 	}
 }
 
-// systemsByName maps CLI names to variants.
-func systemsByName() map[string]core.Variant {
-	m := make(map[string]core.Variant)
-	for _, v := range core.Variants() {
-		m[v.String()] = v
+// textFlag is a flag whose text parse turns into a config field: the
+// field holds the parsed value and the flag keeps the text it was given.
+type textFlag[T any] struct {
+	dst   *T
+	parse func(string) (T, error)
+	text  string
+}
+
+func (f *textFlag[T]) String() string { return f.text }
+
+func (f *textFlag[T]) Set(s string) error {
+	v, err := f.parse(s)
+	if err != nil {
+		return err
 	}
-	return m
+	*f.dst, f.text = v, s
+	return nil
+}
+
+// textVar defines a flag that writes parse(text) into *dst, starting
+// from the value of def.
+func textVar[T any](fs *flag.FlagSet, dst *T, name, def, usage string, parse func(string) (T, error)) *textFlag[T] {
+	f := &textFlag[T]{dst: dst, parse: parse}
+	if err := f.Set(def); err != nil {
+		panic(err) // a default its own parser refuses
+	}
+	fs.Var(f, name, usage)
+	return f
+}
+
+// named returns a parser that picks the value whose String is the text.
+func named[T fmt.Stringer](what string, values ...T) func(string) (T, error) {
+	return func(s string) (T, error) {
+		names := make([]string, len(values))
+		for i, v := range values {
+			if v.String() == s {
+				return v, nil
+			}
+			names[i] = v.String()
+		}
+		var zero T
+		return zero, fmt.Errorf("unknown %s %q (want %s)", what, s, strings.Join(names, ", "))
+	}
+}
+
+// deviceAndSystem defines the -device and -system flags of run and
+// serve, which write into cfg.
+func deviceAndSystem(fs *flag.FlagSet, cfg *core.Config) {
+	textVar(fs, &cfg.Device, "device", "numa", "device profile: numa or uma", hw.ByName)
+	textVar(fs, &cfg.Variant, "system", "coserve", "serving system variant", named("system", core.Variants()...))
+}
+
+// buildBoard builds board A, B, or their merged multi-tenant model A+B,
+// whose per-tenant boards it also returns.
+func buildBoard(name string) (*workload.Board, []*workload.Board, error) {
+	switch strings.ToUpper(name) {
+	case "A":
+		b, err := workload.BoardA().Build()
+		return b, nil, err
+	case "B":
+		b, err := workload.BoardB().Build()
+		return b, nil, err
+	case "A+B", "AB":
+		a, err := workload.BoardA().Build()
+		if err != nil {
+			return nil, nil, err
+		}
+		b, err := workload.BoardB().Build()
+		if err != nil {
+			return nil, nil, err
+		}
+		return workload.MergeBoards("board-a+b", []float64{1, 1}, a, b)
+	}
+	return nil, nil, fmt.Errorf("unknown board %q (want A, B, or A+B)", name)
+}
+
+// tasks are the paper's tasks by name; each runs on the board its name
+// begins with.
+var tasks = map[string]func(*workload.Board) workload.Task{
+	"A1": workload.TaskA1, "A2": workload.TaskA2, "B1": workload.TaskB1, "B2": workload.TaskB2,
 }
 
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	devName := fs.String("device", "numa", "device profile: numa or uma")
-	sysName := fs.String("system", "coserve", "serving system variant")
+	var cfg core.Config
+	deviceAndSystem(fs, &cfg)
 	taskName := fs.String("task", "A1", "task: A1, A2, B1, B2")
 	n := fs.Int("n", 0, "override request count (0 = task default)")
 	perfFile := fs.String("perf", "", "load a persisted performance matrix instead of profiling")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	dev, err := hw.ByName(*devName)
-	if err != nil {
-		return err
-	}
-	variant, ok := systemsByName()[*sysName]
+	newTask, ok := tasks[*taskName]
 	if !ok {
-		names := slices.Sorted(maps.Keys(systemsByName()))
-		return fmt.Errorf("unknown system %q (known: %s)", *sysName, strings.Join(names, ", "))
-	}
-
-	spec := workload.BoardA()
-	if strings.HasPrefix(*taskName, "B") {
-		spec = workload.BoardB()
-	}
-	board, err := spec.Build()
-	if err != nil {
-		return err
-	}
-	var task workload.Task
-	switch *taskName {
-	case "A1":
-		task = workload.TaskA1(board)
-	case "A2":
-		task = workload.TaskA2(board)
-	case "B1":
-		task = workload.TaskB1(board)
-	case "B2":
-		task = workload.TaskB2(board)
-	default:
 		return fmt.Errorf("unknown task %q", *taskName)
 	}
+	board, _, err := buildBoard((*taskName)[:1])
+	if err != nil {
+		return err
+	}
+	task := newTask(board)
 	if *n > 0 {
 		task.N = *n
 	}
 
-	var perf coserve.PerfMatrix
 	if *perfFile != "" {
 		f, err := os.Open(*perfFile)
 		if err != nil {
 			return err
 		}
-		perf, err = model.ReadPerfMatrix(f, coserve.EvalArchitectures())
+		cfg.Perf, err = model.ReadPerfMatrix(f, coserve.EvalArchitectures())
 		f.Close()
 		if err != nil {
 			return err
 		}
 		fmt.Printf("loaded performance matrix from %s\n", *perfFile)
 	} else {
-		fmt.Printf("profiling %s (offline phase)...\n", dev.Name)
-		perf, err = coserve.Profile(dev, coserve.EvalArchitectures())
-		if err != nil {
+		fmt.Printf("profiling %s (offline phase)...\n", cfg.Device.Name)
+		if cfg.Perf, err = coserve.Profile(cfg.Device, coserve.EvalArchitectures()); err != nil {
 			return err
 		}
 	}
-	sys, err := core.NewSystem(core.Config{Device: dev, Variant: variant, Perf: perf}, board.Model)
+	sys, err := core.NewSystem(cfg, board.Model)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("running task %s (%d requests) on %s under %s...\n", task.Name, task.N, dev.Name, variant)
+	fmt.Printf("running task %s (%d requests) on %s under %s...\n", task.Name, task.N, cfg.Device.Name, cfg.Variant)
 	start := time.Now()
 	rep, err := sys.RunTask(task)
 	if err != nil {
@@ -336,61 +357,65 @@ func cmdRun(args []string) error {
 	return nil
 }
 
-// cmdServe drives the streaming serving layer: it builds one System and
-// serves the requested arrival process against it, optionally several
-// consecutive times on warm pools.
+// arrivals are the processes -arrival names.
+var arrivals = []string{"poisson", "fixed", "bursty", "mix", "steady", "replay"}
+
+// cmdServe drives the streaming serving layer: it builds one System, or
+// a cluster of them, and serves the requested arrival process against
+// it, optionally several consecutive times on warm pools. Its flags write
+// into the library's configs, and the library checks them.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	prof := profileFlags(fs, "serve")
-	devName := fs.String("device", "numa", "device profile: numa or uma")
-	sysName := fs.String("system", "coserve", "serving system variant")
+	// popts parameterizes every admission policy, node is each node's
+	// config, and fleet the cluster's.
+	var (
+		popts control.PolicyOptions
+		node  core.Config
+		fleet cluster.Config
+	)
+	deviceAndSystem(fs, &node)
 	boardName := fs.String("board", "A", "board: A, B, or A+B (merged multi-tenant model)")
-	arrival := fs.String("arrival", "poisson", "arrival process: poisson, fixed, bursty, mix, steady, replay")
+	arrival := fs.String("arrival", "poisson", "arrival process: "+strings.Join(arrivals, ", "))
 	rate := fs.Float64("rate", 40, "offered load in req/s (poisson, mix, steady)")
 	period := fs.Duration("period", workload.DefaultArrivalPeriod, "interarrival period (fixed, bursty)")
 	on := fs.Duration("on", 100*time.Millisecond, "burst ON window (bursty)")
 	off := fs.Duration("off", 400*time.Millisecond, "burst OFF window (bursty)")
 	n := fs.Int("n", 1000, "stream length in requests")
 	horizon := fs.Duration("horizon", 10*time.Second, "virtual-time horizon bounding the infinite steady arrival process")
-	slo := fs.Duration("slo", 0, "per-request latency objective (0 = none)")
+	fs.DurationVar(&node.SLO, "slo", 0, "per-request latency objective (0 = none)")
 	seed := fs.Int64("seed", 1, "stream seed")
 	repeat := fs.Int("repeat", 1, "serve the stream this many consecutive times (warm restarts)")
 	admit := fs.String("admit", "accept", "admission policy: accept, bounded, token, shed (needs -slo), tenant-quota")
-	queueBound := fs.Int("queue-bound", 64, "backlog bound for -admit bounded")
-	admitRate := fs.Float64("admit-rate", 20, "token refill rate in req/s for -admit token")
-	admitBurst := fs.Float64("admit-burst", 10, "token burst for -admit token")
-	tenantRate := fs.Float64("tenant-rate", 10, "per-tenant refill rate in req/s for -admit tenant-quota")
-	tenantBurst := fs.Float64("tenant-burst", 5, "per-tenant token burst for -admit tenant-quota")
+	fs.IntVar(&popts.QueueBound, "queue-bound", 64, "backlog bound for -admit bounded")
+	fs.Float64Var(&popts.Rate, "admit-rate", 20, "token refill rate in req/s for -admit token")
+	fs.Float64Var(&popts.Burst, "admit-burst", 10, "token burst for -admit token")
+	fs.Float64Var(&popts.TenantRate, "tenant-rate", 10, "per-tenant refill rate in req/s for -admit tenant-quota")
+	fs.Float64Var(&popts.TenantBurst, "tenant-burst", 5, "per-tenant token burst for -admit tenant-quota")
 	autoscale := fs.Bool("autoscale", false, "autoscale the active executor set on windowed utilization (hysteresis 0.3/0.85)")
 	reachable := fs.Bool("autoscale-reachable", false, "with -autoscale, refuse scale-downs whose surviving pools cannot hold the working set")
-	window := fs.Duration("window", 0, "windowed-metrics interval and autoscale cadence (0 = default when autoscaling, else disabled)")
-	percentiles := fs.String("percentiles", "exact", "latency percentile accounting: exact (store every sample) or sketch (O(1) mergeable sketch, ±1% values)")
+	fs.DurationVar(&node.Window, "window", 0, "windowed-metrics interval and autoscale cadence (0 = default when autoscaling, else disabled)")
+	textVar(fs, &node.Percentiles, "percentiles", "exact", "latency percentile accounting: exact (store every sample) or sketch (O(1) mergeable sketch, ±1% values)",
+		named("percentile mode", core.PercentilesExact, core.PercentilesSketch))
 	nodes := fs.Int("nodes", 1, "cluster size: serve across this many nodes sharing one simulation (1 = single-node system)")
-	routerName := fs.String("router", "least-loaded", "cluster request router (with -nodes >= 2): least-loaded, affinity, predict")
-	placementName := fs.String("placement", "mirror", "cluster expert placement (with -nodes >= 2): mirror, partition, usage")
-	chaosSpec := fs.String("chaos", "", `scripted cluster fault schedule: comma-separated kind@offset:node events, e.g. "crash@2s:1,recover@3.5s:1,drain@6s:2"; gray kinds take a parameter after the node — "slow@2s:1x4" (4× service time), "jitter@2s:1x8" (×[1,8] per batch), "stall@2s:1x1.5s" (frozen 1.5s) (needs -nodes >= 2)`)
+	textVar(fs, &fleet.Router, "router", "least-loaded", "cluster request router (with -nodes >= 2): least-loaded, affinity, predict", cluster.RouterByName)
+	textVar(fs, &fleet.Placement, "placement", "mirror", "cluster expert placement (with -nodes >= 2): mirror, partition, usage", cluster.PlacementByName)
+	textVar(fs, &fleet.Faults, "chaos", "", `scripted cluster fault schedule: comma-separated kind@offset:node events, e.g. "crash@2s:1,recover@3.5s:1,drain@6s:2"; gray kinds take a parameter after the node — "slow@2s:1x4" (4× service time), "jitter@2s:1x8" (×[1,8] per batch), "stall@2s:1x1.5s" (frozen 1.5s) (needs -nodes >= 2)`, sim.ParseFaultPlan)
 	chaosMTBF := fs.Duration("chaos-mtbf", 0, "generate an MTBF-style fault schedule: mean up time between crashes per node (needs -nodes >= 2; schedule horizon is -horizon)")
 	chaosMTTR := fs.Duration("chaos-mttr", time.Second, "mean down time before recovery for -chaos-mtbf")
 	chaosSeed := fs.Int64("chaos-seed", 1, "seed for -chaos-mtbf schedule generation")
-	healthWindow := fs.Duration("health-window", 0, "score per-node health from windowed completion latency at this interval (0 = off; needs -nodes >= 2)")
-	breakerOn := fs.Bool("breaker", false, "arm the health circuit breaker: quarantine nodes scoring < 0.5, probe half-open, reinstate >= 0.8 (needs -health-window)")
-	hedgeAfter := fs.Duration("hedge-after", 0, "hedge requests still leased after this deadline to another node; first completion wins, losers count as wasted work (0 = off; needs -nodes >= 2)")
+	fs.DurationVar(&fleet.Health.Window, "health-window", 0, "score per-node health from windowed completion latency at this interval (0 = off; needs -nodes >= 2)")
+	fs.BoolVar(&fleet.Health.Breaker, "breaker", false, "arm the health circuit breaker: quarantine nodes scoring < 0.5, probe half-open, reinstate >= 0.8 (needs -health-window)")
+	fs.DurationVar(&fleet.Hedge.After, "hedge-after", 0, "hedge requests still leased after this deadline to another node; first completion wins, losers count as wasted work (0 = off; needs -nodes >= 2)")
 	clusterAdmit := fs.String("cluster-admit", "", "cluster-level admission policy in front of the router: accept, bounded, token, shed (same knobs as -admit; empty = admit everything)")
 	fleetScale := fs.Float64("fleet-autoscale", 0, "drain/resume cluster nodes to track the offered rate at this many req/s per node (0 = off; needs -window and -nodes >= 2)")
-	interconnect := fs.String("interconnect", "", `cluster interconnect hop model: dispatch/intra-board/inter-node one-way latencies with an optional @board-size, e.g. "200us/100us/600us@2" (nodes past board-size pay the inter-node class); every offer and ack then lands one hop after it is sent (needs -nodes >= 2; each hop at most 1m; empty = zero-latency offers)`)
+	interconnect := textVar(fs, &fleet.Interconnect, "interconnect", "", `cluster interconnect hop model: dispatch/intra-board/inter-node one-way latencies with an optional @board-size, e.g. "200us/100us/600us@2" (nodes past board-size pay the inter-node class); every offer and ack then lands one hop after it is sent (needs -nodes >= 2; each hop at most 1m; empty = zero-latency offers)`, cluster.ParseInterconnect)
 	record := fs.String("record", "", "record the served arrival stream to this trace file (first round)")
 	traceFile := fs.String("trace", "", "arrival trace file to serve for -arrival replay")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	dev, err := hw.ByName(*devName)
-	if err != nil {
-		return err
-	}
-	variant, ok := systemsByName()[*sysName]
-	if !ok {
-		return fmt.Errorf("unknown system %q", *sysName)
-	}
+	popts.Objective, fleet.SLO, fleet.Window, fleet.Percentiles = node.SLO, node.SLO, node.Window, node.Percentiles
 	if *repeat < 1 {
 		return fmt.Errorf("repeat must be at least 1")
 	}
@@ -400,101 +425,29 @@ func cmdServe(args []string) error {
 	if *horizon < 0 {
 		return fmt.Errorf("-horizon must not be negative")
 	}
-	if (*chaosSpec != "" || *chaosMTBF > 0 || *clusterAdmit != "" || *fleetScale > 0 ||
-		*healthWindow > 0 || *hedgeAfter > 0 || *interconnect != "") && *nodes < 2 {
-		return fmt.Errorf("-chaos, -chaos-mtbf, -cluster-admit, -fleet-autoscale, -health-window, -hedge-after, and -interconnect need a cluster (-nodes >= 2)")
+	if *nodes < 2 && (fleet.Faults != nil || *chaosMTBF > 0 || *clusterAdmit != "" || *fleetScale > 0 ||
+		fleet.Health != (cluster.HealthConfig{}) || fleet.Hedge != (cluster.HedgeConfig{}) || interconnect.text != "") {
+		return fmt.Errorf("-chaos, -chaos-mtbf, -cluster-admit, -fleet-autoscale, -health-window, -breaker, -hedge-after, and -interconnect need a cluster (-nodes >= 2)")
 	}
-	ic, err := parseInterconnect(*interconnect)
-	if err != nil {
-		return err
-	}
-	if *breakerOn && *healthWindow <= 0 {
-		return fmt.Errorf("-breaker needs -health-window (the scoring interval)")
-	}
-	if *chaosSpec != "" && *chaosMTBF > 0 {
+	if fleet.Faults != nil && *chaosMTBF > 0 {
 		return fmt.Errorf("-chaos and -chaos-mtbf are mutually exclusive: script the schedule or generate it, not both")
 	}
-	if *fleetScale > 0 && *window <= 0 {
-		return fmt.Errorf("-fleet-autoscale needs -window (the scaling interval)")
+	if !slices.Contains(arrivals, *arrival) {
+		return fmt.Errorf("unknown arrival process %q (want %s)", *arrival, strings.Join(arrivals, ", "))
 	}
-	switch *arrival {
-	case "poisson", "fixed", "bursty", "mix", "steady":
-	case "replay":
-		if *traceFile == "" {
-			return fmt.Errorf("-arrival replay needs a -trace file")
-		}
-	default:
-		return fmt.Errorf("unknown arrival process %q (want poisson, fixed, bursty, mix, steady, replay)", *arrival)
-	}
-	if *admit == "shed" && *slo <= 0 {
-		return fmt.Errorf("-admit shed needs a positive -slo objective")
-	}
-	var pmode coserve.PercentileMode
-	switch *percentiles {
-	case "exact":
-		pmode = coserve.PercentilesExact
-	case "sketch":
-		pmode = coserve.PercentilesSketch
-	default:
-		return fmt.Errorf("unknown percentile mode %q (want exact or sketch)", *percentiles)
+	if *arrival == "replay" && *traceFile == "" {
+		return fmt.Errorf("-arrival replay needs a -trace file")
 	}
 	stop, err := prof.start()
 	if err != nil {
 		return err
 	}
 	defer stop()
-	// Admission policies and autoscalers carry per-stream state, so every
-	// node needs its own instances; newAdmission/newAutoscaler build them.
-	newAdmission := func() (control.AdmissionPolicy, error) {
-		return control.PolicyByName(*admit, control.PolicyOptions{
-			QueueBound: *queueBound,
-			Rate:       *admitRate, Burst: *admitBurst,
-			Objective:  *slo,
-			TenantRate: *tenantRate, TenantBurst: *tenantBurst,
-		})
-	}
-	newAutoscaler := func() (control.Autoscaler, error) {
-		if !*autoscale {
-			return nil, nil
-		}
-		if *reachable {
-			return control.NewReachableHysteresisScaler(0.3, 0.85)
-		}
-		return control.NewHysteresisScaler(0.3, 0.85)
-	}
-	admission, err := newAdmission()
+
+	board, views, err := buildBoard(*boardName)
 	if err != nil {
 		return err
 	}
-
-	// Resolve the board (merging A and B for the multi-tenant model).
-	var board *workload.Board
-	var views []*workload.Board
-	switch strings.ToUpper(*boardName) {
-	case "A", "B":
-		spec := workload.BoardA()
-		if strings.ToUpper(*boardName) == "B" {
-			spec = workload.BoardB()
-		}
-		if board, err = spec.Build(); err != nil {
-			return err
-		}
-	case "A+B", "AB":
-		a, err := workload.BoardA().Build()
-		if err != nil {
-			return err
-		}
-		b, err := workload.BoardB().Build()
-		if err != nil {
-			return err
-		}
-		if board, views, err = workload.MergeBoards("board-a+b", []float64{1, 1}, a, b); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown board %q (want A, B, or A+B)", *boardName)
-	}
-
 	// An arrival trace replays against the model the board resolved to;
 	// it is read once and re-replayed per round.
 	var arrivalTrace *workload.ArrivalTrace
@@ -519,17 +472,24 @@ func cmdServe(args []string) error {
 		n: *n, seed: *seed, trace: arrivalTrace, arena: coserve.NewRequestArena(),
 	}
 
-	fmt.Printf("profiling %s (offline phase)...\n", dev.Name)
-	perf, err := coserve.Profile(dev, coserve.EvalArchitectures())
-	if err != nil {
+	fmt.Printf("profiling %s (offline phase)...\n", node.Device.Name)
+	if node.Perf, err = coserve.Profile(node.Device, coserve.EvalArchitectures()); err != nil {
 		return err
 	}
-	cfg := core.Config{
-		Device: dev, Variant: variant, Perf: perf, SLO: *slo,
-		Admission: admission, Window: *window, Percentiles: pmode,
-	}
-	if cfg.Autoscaler, err = newAutoscaler(); err != nil {
-		return err
+	// Admission policies and autoscalers carry per-stream state, so every
+	// node gets its own instances: newNode copies node and builds them.
+	newNode := func() (core.Config, error) {
+		nc := node
+		var err error
+		if nc.Admission, err = control.PolicyByName(*admit, popts); err != nil || !*autoscale {
+			return nc, err
+		}
+		if *reachable {
+			nc.Autoscaler, err = control.NewReachableHysteresisScaler(0.3, 0.85)
+		} else {
+			nc.Autoscaler, err = control.NewHysteresisScaler(0.3, 0.85)
+		}
+		return nc, err
 	}
 
 	// saveTrace writes the recorded arrival log after a served round.
@@ -555,7 +515,7 @@ func cmdServe(args []string) error {
 	}
 
 	// serveRounds drives the repeat loop over any serve function.
-	serveRounds := func(where string, serve func(src workload.Source) error) error {
+	serveRounds := func(admission, where string, serve func(src workload.Source) error) error {
 		for round := 0; round < *repeat; round++ {
 			src, err := streams.source(round)
 			if err != nil {
@@ -571,7 +531,7 @@ func cmdServe(args []string) error {
 				warmth = "warm pools"
 			}
 			fmt.Printf("serving %s stream %d/%d (%s, %s, admit %s) on %s...\n",
-				*arrival, round+1, *repeat, length, warmth, admission.Name(), where)
+				*arrival, round+1, *repeat, length, warmth, admission, where)
 			start := time.Now()
 			if err := serve(src); err != nil {
 				return err
@@ -586,98 +546,68 @@ func cmdServe(args []string) error {
 		return nil
 	}
 
-	if *nodes > 1 {
-		// Cluster path: N copies of the node config, each with its own
-		// control-plane instances, behind the requested router/placement.
-		router, err := coserve.ClusterRouterByName(*routerName)
+	if *nodes == 1 {
+		cfg, err := newNode()
 		if err != nil {
 			return err
 		}
-		placement, err := coserve.ClusterPlacementByName(*placementName)
+		sys, err := core.NewSystem(cfg, board.Model)
 		if err != nil {
 			return err
 		}
-		nodeCfgs := make([]core.Config, *nodes)
-		for i := range nodeCfgs {
-			nc := cfg
-			if nc.Admission, err = newAdmission(); err != nil {
-				return err
-			}
-			if nc.Autoscaler, err = newAutoscaler(); err != nil {
-				return err
-			}
-			nodeCfgs[i] = nc
-		}
-		var plan *coserve.FaultPlan
-		switch {
-		case *chaosSpec != "":
-			if plan, err = parseFaultPlan(*chaosSpec); err != nil {
-				return err
-			}
-		case *chaosMTBF > 0:
-			if plan, err = coserve.GenerateFaultPlan(*nodes, *chaosMTBF, *chaosMTTR, *horizon, *chaosSeed); err != nil {
-				return err
-			}
-			fmt.Printf("generated MTBF fault schedule: %d events over %v (mtbf %v, mttr %v, seed %d)\n",
-				len(plan.Events), *horizon, *chaosMTBF, *chaosMTTR, *chaosSeed)
-		}
-		var fleetAdmission control.AdmissionPolicy
-		if *clusterAdmit != "" {
-			fleetAdmission, err = control.PolicyByName(*clusterAdmit, control.PolicyOptions{
-				QueueBound: *queueBound,
-				Rate:       *admitRate, Burst: *admitBurst,
-				Objective: *slo,
-			})
+		where := fmt.Sprintf("%s under %s", node.Device.Name, node.Variant)
+		return serveRounds(cfg.Admission.Name(), where, func(src workload.Source) error {
+			rep, err := sys.Serve(src)
 			if err != nil {
 				return err
 			}
-		}
-		var fleetScaler coserve.FleetAutoscaler
-		if *fleetScale > 0 {
-			if fleetScaler, err = coserve.NewRateFleetScaler(*fleetScale); err != nil {
-				return err
-			}
-		}
-		cl, err := coserve.NewCluster(coserve.ClusterConfig{
-			Nodes: nodeCfgs, Router: router, Placement: placement,
-			SLO: *slo, Window: *window, Percentiles: pmode,
-			Faults: plan, Admission: fleetAdmission, Autoscaler: fleetScaler,
-			Health:       coserve.HealthConfig{Window: *healthWindow, Breaker: *breakerOn},
-			Hedge:        coserve.HedgeConfig{After: *hedgeAfter},
-			Interconnect: ic,
-			Arena:        streams.arena,
-		}, board.Model)
-		if err != nil {
-			return err
-		}
-		where := fmt.Sprintf("%d×%s under %s (router %s, placement %s)",
-			*nodes, dev.Name, variant, router.Name(), placement.Name())
-		if ic.Enabled() {
-			where += fmt.Sprintf(", interconnect %s", *interconnect)
-		}
-		if plan != nil && !plan.Empty() {
-			where += fmt.Sprintf(", %d faults scheduled", len(plan.Events))
-		}
-		return serveRounds(where, func(src workload.Source) error {
-			rep, err := cl.Serve(src)
-			if err != nil {
-				return err
-			}
-			printClusterReport(rep)
+			printReport(rep)
 			return nil
 		})
 	}
 
-	sys, err := core.NewSystem(cfg, board.Model)
+	fleet.Nodes = make([]core.Config, *nodes)
+	for i := range fleet.Nodes {
+		if fleet.Nodes[i], err = newNode(); err != nil {
+			return err
+		}
+	}
+	if *chaosMTBF > 0 {
+		if fleet.Faults, err = sim.GenerateFaultPlan(*nodes, *chaosMTBF, *chaosMTTR, *horizon, *chaosSeed); err != nil {
+			return err
+		}
+		fmt.Printf("generated MTBF fault schedule: %d events over %v (mtbf %v, mttr %v, seed %d)\n",
+			len(fleet.Faults.Events), *horizon, *chaosMTBF, *chaosMTTR, *chaosSeed)
+	}
+	if *clusterAdmit != "" {
+		if fleet.Admission, err = control.PolicyByName(*clusterAdmit, popts); err != nil {
+			return err
+		}
+	}
+	if *fleetScale > 0 {
+		if fleet.Autoscaler, err = cluster.NewRateFleetScaler(*fleetScale); err != nil {
+			return err
+		}
+	}
+	fleet.Arena = streams.arena
+	cl, err := cluster.New(fleet, board.Model)
 	if err != nil {
 		return err
 	}
-	return serveRounds(fmt.Sprintf("%s under %s", dev.Name, variant), func(src workload.Source) error {
-		rep, err := sys.Serve(src)
+	where := fmt.Sprintf("%d×%s under %s (router %s, placement %s)",
+		*nodes, node.Device.Name, node.Variant, fleet.Router.Name(), fleet.Placement.Name())
+	if fleet.Interconnect.Enabled() {
+		where += fmt.Sprintf(", interconnect %s", interconnect.text)
+	}
+	if !fleet.Faults.Empty() {
+		where += fmt.Sprintf(", %d faults scheduled", len(fleet.Faults.Events))
+	}
+	return serveRounds(fleet.Nodes[0].Admission.Name(), where, func(src workload.Source) error {
+		rep, err := cl.Serve(src)
 		if err != nil {
 			return err
 		}
-		printReport(rep)
+		printClusterReport(rep)
 		return nil
 	})
 }
@@ -701,6 +631,7 @@ type roundStreams struct {
 }
 
 // source builds round's stream; each round draws from its own seed.
+// serve has already checked the arrival name.
 func (rs roundStreams) source(round int) (workload.Source, error) {
 	rseed := rs.seed + int64(round)*1000
 	board := rs.board
@@ -726,139 +657,24 @@ func (rs roundStreams) source(round int) (workload.Source, error) {
 			return nil, err
 		}
 		return workload.Horizon(src, rs.horizon), nil
-	case "mix":
-		// Two equal tenants: over the merged views for A+B, or two
-		// streams on the same board otherwise.
-		b1, b2 := board, board
-		name1, name2 := "tenant-1", "tenant-2"
-		if len(rs.views) == 2 {
-			b1, b2 = rs.views[0], rs.views[1]
-			name1, name2 = "board-a", "board-b"
-		}
-		t1, err := workload.Poisson{Name: name1, Board: b1, Rate: rs.rate / 2, N: rs.n / 2, Seed: rseed, Arena: rs.arena}.NewSource()
-		if err != nil {
-			return nil, err
-		}
-		t2, err := workload.Poisson{Name: name2, Board: b2, Rate: rs.rate / 2, N: rs.n - rs.n/2, Seed: rseed + 1, Arena: rs.arena}.NewSource()
-		if err != nil {
-			return nil, err
-		}
-		return workload.Mix{Name: "mix", Tenants: []workload.Source{t1, t2}}.NewSource()
-	default:
-		return nil, fmt.Errorf("unknown arrival process %q (want poisson, fixed, bursty, mix)", rs.arrival)
 	}
-}
-
-// parseInterconnect parses the -interconnect hop-model syntax:
-// dispatch/intra-board/inter-node one-way latencies with an optional
-// @board-size suffix, e.g. "200us/100us/600us@2". An empty spec returns
-// the zero model (interconnect disabled). The cluster validates the
-// assembled model (non-negative hops, a positive hop to every node, no
-// hop above the ceiling) when it is configured.
-func parseInterconnect(spec string) (coserve.Interconnect, error) {
-	var ic coserve.Interconnect
-	if spec == "" {
-		return ic, nil
+	// mix: two equal tenants, over the merged views for A+B, or two
+	// streams on the same board otherwise.
+	b1, b2 := board, board
+	name1, name2 := "tenant-1", "tenant-2"
+	if len(rs.views) == 2 {
+		b1, b2 = rs.views[0], rs.views[1]
+		name1, name2 = "board-a", "board-b"
 	}
-	spec, boardStr, hasBoard := strings.Cut(spec, "@")
-	parts := strings.Split(spec, "/")
-	if len(parts) != 3 {
-		return ic, fmt.Errorf("bad -interconnect %q: want dispatch/intra-board/inter-node durations, e.g. 200us/100us/600us@2", spec)
+	t1, err := workload.Poisson{Name: name1, Board: b1, Rate: rs.rate / 2, N: rs.n / 2, Seed: rseed, Arena: rs.arena}.NewSource()
+	if err != nil {
+		return nil, err
 	}
-	for i, dst := range []*time.Duration{&ic.Dispatch, &ic.IntraBoard, &ic.InterNode} {
-		d, err := time.ParseDuration(strings.TrimSpace(parts[i]))
-		if err != nil {
-			return ic, fmt.Errorf("bad -interconnect hop %q: %w", parts[i], err)
-		}
-		*dst = d
+	t2, err := workload.Poisson{Name: name2, Board: b2, Rate: rs.rate / 2, N: rs.n - rs.n/2, Seed: rseed + 1, Arena: rs.arena}.NewSource()
+	if err != nil {
+		return nil, err
 	}
-	if hasBoard {
-		n, err := strconv.Atoi(strings.TrimSpace(boardStr))
-		if err != nil || n < 1 {
-			return ic, fmt.Errorf("bad -interconnect board size %q: want a positive node count", boardStr)
-		}
-		ic.BoardSize = n
-	}
-	return ic, nil
-}
-
-// parseFaultPlan parses the -chaos schedule syntax: comma-separated
-// kind@offset:node events, e.g. "crash@2s:1,recover@3.5s:1,drain@6s:2".
-// The gray kinds take a parameter after the node, separated by 'x':
-// "slow@2s:1x4" multiplies node 1's service time by 4 from 2s on,
-// "jitter@2s:1x8" inflates each batch by a seeded factor in [1, 8], and
-// "stall@2s:1x1.5s" freezes the node for 1.5s. The cluster validates
-// the assembled plan (event ordering, node range, and the per-node
-// lifecycle state machine) when it is configured.
-func parseFaultPlan(spec string) (*coserve.FaultPlan, error) {
-	plan := &coserve.FaultPlan{}
-	for _, tok := range strings.Split(spec, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		kindStr, rest, ok := strings.Cut(tok, "@")
-		if !ok {
-			return nil, fmt.Errorf("bad -chaos event %q: want kind@offset:node", tok)
-		}
-		var kind coserve.FaultKind
-		switch kindStr {
-		case "crash":
-			kind = coserve.FaultCrash
-		case "drain":
-			kind = coserve.FaultDrain
-		case "recover":
-			kind = coserve.FaultRecover
-		case "slow":
-			kind = coserve.FaultSlow
-		case "jitter":
-			kind = coserve.FaultJitter
-		case "stall":
-			kind = coserve.FaultStall
-		default:
-			return nil, fmt.Errorf("bad -chaos event %q: unknown kind %q (want crash, drain, recover, slow, jitter, stall)", tok, kindStr)
-		}
-		offStr, nodeStr, ok := strings.Cut(rest, ":")
-		if !ok {
-			return nil, fmt.Errorf("bad -chaos event %q: want kind@offset:node", tok)
-		}
-		off, err := time.ParseDuration(offStr)
-		if err != nil {
-			return nil, fmt.Errorf("bad -chaos event %q: %v", tok, err)
-		}
-		ev := coserve.FaultEvent{At: off, Kind: kind}
-		// Gray kinds carry a parameter after the node: nodexPARAM, where
-		// PARAM is a multiplier (slow, jitter) or a duration (stall).
-		nodeStr, param, hasParam := strings.Cut(nodeStr, "x")
-		switch kind {
-		case coserve.FaultSlow, coserve.FaultJitter:
-			if !hasParam {
-				return nil, fmt.Errorf("bad -chaos event %q: %s needs a factor, e.g. %s@2s:1x4", tok, kindStr, kindStr)
-			}
-			if _, err := fmt.Sscanf(param, "%g", &ev.Factor); err != nil {
-				return nil, fmt.Errorf("bad -chaos event %q: factor %q is not a number", tok, param)
-			}
-		case coserve.FaultStall:
-			if !hasParam {
-				return nil, fmt.Errorf("bad -chaos event %q: stall needs a duration, e.g. stall@2s:1x1.5s", tok)
-			}
-			if ev.For, err = time.ParseDuration(param); err != nil {
-				return nil, fmt.Errorf("bad -chaos event %q: %v", tok, err)
-			}
-		default:
-			if hasParam {
-				return nil, fmt.Errorf("bad -chaos event %q: %s takes no parameter", tok, kindStr)
-			}
-		}
-		if _, err := fmt.Sscanf(nodeStr, "%d", &ev.Node); err != nil {
-			return nil, fmt.Errorf("bad -chaos event %q: node %q is not an integer", tok, nodeStr)
-		}
-		plan.Events = append(plan.Events, ev)
-	}
-	if plan.Empty() {
-		return nil, fmt.Errorf("-chaos %q contains no events", spec)
-	}
-	return plan, nil
+	return workload.Mix{Name: "mix", Tenants: []workload.Source{t1, t2}}.NewSource()
 }
 
 // printClusterReport renders a fleet report: the cluster-wide summary

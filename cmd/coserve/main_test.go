@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,7 +44,6 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"experiment", "fig99"},
 		{"run", "-device", "quantum"},
 		{"run", "-system", "magic"},
-		{"run", "-task", "Z9"},
 		{"profile", "-device", "quantum"},
 		{"serve", "-device", "quantum"},
 		{"serve", "-system", "magic"},
@@ -51,7 +51,6 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"serve", "-arrival", "telepathic"},
 		{"serve", "-repeat", "0"},
 		{"serve", "-admit", "nope"},
-		{"serve", "-admit", "shed"}, // shed without -slo
 		{"serve", "-slo", "-1s"},
 		{"serve", "-nodes", "2", "-slo", "-1s"},
 		{"serve", "-admit", "bounded", "-queue-bound", "0"},
@@ -80,10 +79,32 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"serve", "-nodes", "2", "-health-window", "100us", "-n", "20"},
 		{"serve", "-nodes", "2", "-window", "100us", "-fleet-autoscale", "1", "-n", "20"},
 	}
+	// Inputs whose error must come from a given check. serve leaves
+	// -breaker without -health-window, -fleet-autoscale without -window
+	// and shed without -slo to the library; -chaos node numbers and
+	// factors are whole numbers, never a number with text after it.
+	checked := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"run", "-task", "Z9"}, "unknown task"},
+		{[]string{"serve", "-admit", "shed"}, "control: shed objective"},
+		{[]string{"serve", "-nodes", "2", "-n", "20", "-cluster-admit", "shed"}, "control: shed objective"},
+		{[]string{"serve", "-nodes", "2", "-n", "20", "-breaker"}, "cluster: Health.Breaker needs Health.Window"},
+		{[]string{"serve", "-nodes", "2", "-n", "20", "-fleet-autoscale", "1"}, "cluster: a fleet autoscaler needs Window"},
+		{[]string{"serve", "-n", "20", "-breaker"}, "need a cluster"},
+		{[]string{"serve", "-nodes", "2", "-n", "50", "-chaos", "crash@1s:1junk,recover@2s:1"}, `node "1junk" is not an integer`},
+		{[]string{"serve", "-nodes", "2", "-n", "50", "-chaos", "slow@1s:1x4junk"}, `factor "4junk" is not a number`},
+	}
 	silence(t)
 	for _, args := range cases {
 		if err := run(args); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+	for _, tc := range checked {
+		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: got error %v, want one containing %q", tc.args, err, tc.want)
 		}
 	}
 }

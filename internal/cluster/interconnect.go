@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -47,6 +49,39 @@ func (ic Interconnect) NodeLatency(i int) time.Duration {
 		hop = ic.InterNode
 	}
 	return ic.Dispatch + hop
+}
+
+// ParseInterconnect reads the model's text form: dispatch/intra-board/
+// inter-node one-way latencies with an optional @board-size suffix, e.g.
+// "200us/100us/600us@2". An empty spec is the zero model (interconnect
+// disabled). Parsing checks the text only; the cluster validates the
+// model (non-negative hops, a positive hop to every node, no hop above
+// the ceiling) when it is configured.
+func ParseInterconnect(spec string) (Interconnect, error) {
+	var ic Interconnect
+	if spec == "" {
+		return ic, nil
+	}
+	hops, boardStr, hasBoard := strings.Cut(spec, "@")
+	parts := strings.Split(hops, "/")
+	if len(parts) != 3 {
+		return ic, fmt.Errorf("cluster: bad interconnect %q: want dispatch/intra-board/inter-node durations, e.g. 200us/100us/600us@2", spec)
+	}
+	for i, dst := range []*time.Duration{&ic.Dispatch, &ic.IntraBoard, &ic.InterNode} {
+		d, err := time.ParseDuration(strings.TrimSpace(parts[i]))
+		if err != nil {
+			return ic, fmt.Errorf("cluster: bad interconnect hop %q: %w", parts[i], err)
+		}
+		*dst = d
+	}
+	if hasBoard {
+		n, err := strconv.Atoi(strings.TrimSpace(boardStr))
+		if err != nil || n < 1 {
+			return ic, fmt.Errorf("cluster: bad interconnect board size %q: want a positive node count", boardStr)
+		}
+		ic.BoardSize = n
+	}
+	return ic, nil
 }
 
 // maxHop is the longest one-way hop validate accepts. Modeled hops are

@@ -439,16 +439,7 @@ func (s *System) initializeExperts() {
 			full[i] = true
 		}
 		if !placed {
-			allFull := true
-			for _, f := range full {
-				if !f {
-					allFull = false
-					break
-				}
-			}
-			if allFull {
-				break
-			}
+			break // every pool refused it, so every pool is now marked full
 		}
 	}
 	for _, pl := range s.pools {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/coe"
 	"repro/internal/memory"
 	"repro/internal/sim"
+	"repro/internal/xfer"
 )
 
 // Status describes an expert's state within one pool.
@@ -62,7 +63,7 @@ type Entry struct {
 	// The switch-in in flight: the loading acquirer's continuation and
 	// the tier it loads from.
 	k   func()
-	src source
+	src xfer.Source
 	// live counts the expert's DependsOn that are Loaded in this pool,
 	// kept while the entry is in the pool.
 	live int32
@@ -415,16 +416,14 @@ func (p *Pool) load(e *coe.Expert, k func()) {
 func (p *Pool) loaded(tag any, d time.Duration) {
 	entry := tag.(*Entry)
 	p.loadTime += d
-	srcName := "ssd"
-	if entry.src == srcHost {
+	if entry.src == xfer.FromHost {
 		p.hostHits++
-		srcName = "host"
 	} else {
 		p.ssdLoads++
 	}
 	p.switches++
 	if p.Observer != nil {
-		p.Observer(entry.Expert, srcName, d)
+		p.Observer(entry.Expert, entry.src.String(), d)
 	}
 
 	entry.Status = Loaded

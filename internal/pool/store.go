@@ -11,14 +11,6 @@ import (
 	"repro/internal/xfer"
 )
 
-// source tags where a fetch was served from.
-type source int
-
-const (
-	srcSSD source = iota
-	srcHost
-)
-
 // Store is the device-level expert storage hierarchy. Every expert
 // permanently resides on SSD; on NUMA devices a host-memory cache holds
 // experts recently evicted from GPU pools (Samba-CoE's DDR tier, §2.2).
@@ -59,14 +51,13 @@ func (s *Store) Prices() *xfer.Prices { return s.prices }
 // and the elapsed time once they arrive. It serves from the host cache
 // when possible (removing the cached copy at once — the tiers swap, they
 // do not replicate) and from SSD otherwise, and reports which.
-func (s *Store) Fetch(e *coe.Expert, dst memory.Tier, done func(tag any, elapsed time.Duration), tag any) source {
-	bytes := e.WeightBytes()
+func (s *Store) Fetch(e *coe.Expert, dst memory.Tier, done func(tag any, elapsed time.Duration), tag any) xfer.Source {
+	src := xfer.FromSSD
 	if s.cache != nil && s.cache.take(e.ID) {
-		s.engine.Load(xfer.FromHost, dst, bytes, done, tag)
-		return srcHost
+		src = xfer.FromHost
 	}
-	s.engine.Load(xfer.FromSSD, dst, bytes, done, tag)
-	return srcSSD
+	s.engine.Load(src, dst, e.WeightBytes(), done, tag)
+	return src
 }
 
 // demote records an expert evicted from a pool in the given tier. GPU

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
+	"strings"
 	"time"
 )
 
@@ -177,6 +179,89 @@ func (p *FaultPlan) Validate(nodes int) error {
 		}
 	}
 	return nil
+}
+
+// ParseFaultPlan reads a plan's text form: comma-separated
+// kind@offset:node events, e.g. "crash@2s:1,recover@3.5s:1,drain@6s:2",
+// with each kind spelled as FaultKind.String gives it. The gray kinds
+// take a parameter after the node, separated by 'x': "slow@2s:1x4"
+// multiplies node 1's service time by 4 from 2s on, "jitter@2s:1x8"
+// inflates each batch by a seeded factor in [1, 8], and "stall@2s:1x1.5s"
+// freezes the node for 1.5s. Node numbers and factors are strict: the
+// whole field must be the number, spaces around it aside. An empty spec
+// is the empty (nil) plan; a non-empty one must hold an event. Parsing
+// checks the text only; Validate checks the plan against a fleet.
+func ParseFaultPlan(spec string) (*FaultPlan, error) {
+	if spec == "" {
+		return nil, nil
+	}
+	plan := &FaultPlan{}
+	for _, tok := range strings.Split(spec, ",") {
+		tok = strings.TrimSpace(tok)
+		if tok == "" {
+			continue
+		}
+		ev, err := parseFaultEvent(tok)
+		if err != nil {
+			return nil, fmt.Errorf("sim: bad fault event %q: %w", tok, err)
+		}
+		plan.Events = append(plan.Events, ev)
+	}
+	if plan.Empty() {
+		return nil, fmt.Errorf("sim: fault plan %q contains no events", spec)
+	}
+	return plan, nil
+}
+
+// parseFaultEvent reads one kind@offset:node[xPARAM] event.
+func parseFaultEvent(tok string) (FaultEvent, error) {
+	var ev FaultEvent
+	kindStr, rest, ok := strings.Cut(tok, "@")
+	if !ok {
+		return ev, fmt.Errorf("want kind@offset:node")
+	}
+	ev.Kind = -1
+	for k := FaultCrash; k <= FaultStall; k++ {
+		if k.String() == kindStr {
+			ev.Kind = k
+		}
+	}
+	if ev.Kind < 0 {
+		return ev, fmt.Errorf("unknown kind %q (want crash, drain, recover, slow, jitter, stall)", kindStr)
+	}
+	offStr, nodeStr, ok := strings.Cut(rest, ":")
+	if !ok {
+		return ev, fmt.Errorf("want kind@offset:node")
+	}
+	var err error
+	if ev.At, err = time.ParseDuration(offStr); err != nil {
+		return ev, err
+	}
+	// Gray kinds carry a parameter after the node: nodexPARAM, where
+	// PARAM is a multiplier (slow, jitter) or a duration (stall).
+	nodeStr, param, hasParam := strings.Cut(nodeStr, "x")
+	switch {
+	case ev.Kind == FaultSlow || ev.Kind == FaultJitter:
+		if !hasParam {
+			return ev, fmt.Errorf("%s needs a factor, e.g. %s@2s:1x4", ev.Kind, ev.Kind)
+		}
+		if ev.Factor, err = strconv.ParseFloat(strings.TrimSpace(param), 64); err != nil {
+			return ev, fmt.Errorf("factor %q is not a number", param)
+		}
+	case ev.Kind == FaultStall:
+		if !hasParam {
+			return ev, fmt.Errorf("stall needs a duration, e.g. stall@2s:1x1.5s")
+		}
+		if ev.For, err = time.ParseDuration(param); err != nil {
+			return ev, err
+		}
+	case hasParam:
+		return ev, fmt.Errorf("%s takes no parameter", ev.Kind)
+	}
+	if ev.Node, err = strconv.Atoi(strings.TrimSpace(nodeStr)); err != nil {
+		return ev, fmt.Errorf("node %q is not an integer", nodeStr)
+	}
+	return ev, nil
 }
 
 // GenerateFaultPlan builds an MTBF-style schedule: each node alternates

@@ -51,28 +51,34 @@ func bwDuration(bytes int64, bw float64) time.Duration {
 }
 
 // LoadLatency reports the modeled time to bring bytes of expert weights
-// to the destination tier from the given source, without contention.
+// to the destination tier from the given source, without contention:
+// the sum of the transfer's stages, so it equals Engine.Load's elapsed
+// time on idle resources.
 //
 //   - FromSSD to CPU: SSD read + deserialization + fixed overhead.
 //   - FromSSD to GPU: the CPU path plus the host→GPU copy.
 //   - FromHost to GPU: host→GPU copy + fixed overhead.
 //   - FromHost to CPU: fixed overhead only (weights already usable).
 func LoadLatency(d *hw.Device, src Source, dst memory.Tier, bytes int64) time.Duration {
-	lat := d.LoadFixed
+	first, link := stages(d, src, dst, bytes)
+	return first + link
+}
+
+// stages splits a transfer into its contended stages: first runs on the
+// loader for an SSD load and on the host link for a host load; link is
+// the host→GPU copy that follows an SSD load into the GPU, and zero for
+// every other transfer.
+func stages(d *hw.Device, src Source, dst memory.Tier, bytes int64) (first, link time.Duration) {
+	if dst == memory.TierGPU {
+		link = bwDuration(bytes, hostLinkBW(d))
+	}
 	switch src {
 	case FromSSD:
-		lat += bwDuration(bytes, d.SSDReadBW) + bwDuration(bytes, d.DeserBW)
-		if dst == memory.TierGPU {
-			lat += bwDuration(bytes, hostLinkBW(d))
-		}
+		return d.LoadFixed + bwDuration(bytes, d.SSDReadBW) + bwDuration(bytes, d.DeserBW), link
 	case FromHost:
-		if dst == memory.TierGPU {
-			lat += bwDuration(bytes, hostLinkBW(d))
-		}
-	default:
-		panic(fmt.Sprintf("xfer: unknown source %v", src))
+		return d.LoadFixed + link, 0
 	}
-	return lat
+	panic(fmt.Sprintf("xfer: unknown source %v", src))
 }
 
 // Engine executes transfers under contention. The loader resource covers
@@ -132,23 +138,15 @@ func (e *Engine) Load(src Source, dst memory.Tier, bytes int64, done func(tag an
 		t.fn = t.step
 	}
 	t.start, t.done, t.tag = e.env.Now(), done, tag
-	switch src {
-	case FromSSD:
-		stage := e.dev.LoadFixed + bwDuration(bytes, e.dev.SSDReadBW) + bwDuration(bytes, e.dev.DeserBW)
-		t.overLink = dst == memory.TierGPU
-		if t.overLink {
-			t.link = bwDuration(bytes, hostLinkBW(e.dev))
-		}
-		e.loader.Use(stage, t.fn)
-	case FromHost:
-		stage := e.dev.LoadFixed
-		if dst == memory.TierGPU {
-			stage += bwDuration(bytes, hostLinkBW(e.dev))
-		}
-		e.hostLink.Use(stage, t.fn)
-	default:
-		panic(fmt.Sprintf("xfer: unknown source %v", src))
+	first, link := stages(e.dev, src, dst, bytes)
+	if src == FromHost {
+		e.hostLink.Use(first, t.fn)
+		return
 	}
+	// An SSD load into the GPU always takes its host-link stage, even a
+	// zero-length one.
+	t.overLink, t.link = dst == memory.TierGPU, link
+	e.loader.Use(first, t.fn)
 }
 
 // step follows a finished stage: the host-link copy after an SSD load's
