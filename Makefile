@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check detlint ci examples bench-smoke bench race bench-cluster bench-fleet bench-chaos bench-kernel cover fuzz
+.PHONY: all build test vet fmt-check detlint ci examples bench-smoke bench race bench-cluster bench-fleet bench-chaos bench-kernel cover fuzz lines
 
 all: build
 
@@ -54,6 +54,14 @@ examples:
 # the root `go test ./...` never reaches it.
 bench-smoke:
 	cd bench && $(GO) test ./...
+
+# lines prints the non-test Go lines of each package directory, then the
+# module total, bench/ left out (it is its own module): the size the
+# simplicity work is measured by.
+lines:
+	@files=$$(find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print); \
+	awk '{ d = FILENAME; sub("/[^/]*$$", "", d); n[d]++ } END { for (d in n) printf "%6d %s\n", n[d], d }' $$files | sort -k2; \
+	cat $$files | awk 'END { printf "%6d total\n", NR }'
 
 # cover runs the whole suite with coverage and prints the per-function
 # summary plus the total; cover.out is left behind for `go tool cover

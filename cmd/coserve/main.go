@@ -38,6 +38,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -59,10 +60,27 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "coserve:", err)
-		os.Exit(1)
+	err := run(os.Args[1:])
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return // -h: the flag package printed the flag list
 	}
+	if !errors.As(err, new(printed)) {
+		fmt.Fprintln(os.Stderr, "coserve:", err)
+	}
+	os.Exit(1)
+}
+
+// printed marks a flag-parse error: the flag package has already
+// printed it, with the flag list.
+type printed struct{ error }
+
+// parse parses args into fs, marking a bad flag's error printed.
+func parse(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return printed{err}
+	}
+	return err
 }
 
 func run(args []string) error {
@@ -120,7 +138,7 @@ func cmdExperiment(args []string) error {
 	prof := profileFlags(fs, "experiment run")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"worker count for independent simulations (1 = fully sequential; tables are byte-identical at every setting, except fig19's wall-clock sched-cost cells which vary between any two runs)")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
@@ -309,7 +327,7 @@ func cmdRun(args []string) error {
 	taskName := fs.String("task", "A1", "task: A1, A2, B1, B2")
 	n := fs.Int("n", 0, "override request count (0 = task default)")
 	perfFile := fs.String("perf", "", "load a persisted performance matrix instead of profiling")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	newTask, ok := tasks[*taskName]
@@ -412,7 +430,7 @@ func cmdServe(args []string) error {
 	interconnect := textVar(fs, &fleet.Interconnect, "interconnect", "", `cluster interconnect hop model: dispatch/intra-board/inter-node one-way latencies with an optional @board-size, e.g. "200us/100us/600us@2" (nodes past board-size pay the inter-node class); every offer and ack then lands one hop after it is sent (needs -nodes >= 2; each hop at most 1m; empty = zero-latency offers)`, cluster.ParseInterconnect)
 	record := fs.String("record", "", "record the served arrival stream to this trace file (first round)")
 	traceFile := fs.String("trace", "", "arrival trace file to serve for -arrival replay")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	popts.Objective, fleet.SLO, fleet.Window, fleet.Percentiles = node.SLO, node.SLO, node.Window, node.Percentiles
@@ -810,7 +828,7 @@ func cmdProfile(args []string) error {
 	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
 	devName := fs.String("device", "numa", "device profile: numa or uma")
 	out := fs.String("o", "", "write the performance matrix as JSON to this file")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	dev, err := hw.ByName(*devName)

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -116,6 +117,58 @@ func TestListAndHelp(t *testing.T) {
 	}
 	if err := run([]string{"help"}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestErrorsPrintedOnce runs main in a child process and reads its
+// stderr and exit status: a bad flag value is reported once, by the
+// flag package with the flag list, -h prints the flag list alone and
+// exits 0, and any other error is one "coserve: " line.
+func TestErrorsPrintedOnce(t *testing.T) {
+	if args, ok := os.LookupEnv("COSERVE_MAIN_ARGS"); ok {
+		os.Args = append([]string{"coserve"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, tc := range []struct {
+		args string
+		code int
+		// want is stderr's whole text, or, when it ends in "…", a prefix.
+		want string
+		// once appears in stderr exactly once.
+		once string
+	}{
+		{"serve -system magic", 1, `invalid value "magic" for flag -system: unknown system "magic"…`, `invalid value "magic"`},
+		{"serve -n abc", 1, `invalid value "abc" for flag -n: parse error…`, `invalid value "abc"`},
+		{"serve -h", 0, "Usage of serve:…", "-system"},
+		{"run -h", 0, "Usage of run:…", "-task"},
+		{"serve -repeat 0", 1, "coserve: repeat must be at least 1\n", "coserve:"},
+		{"frobnicate", 1, "usage: coserve <command> [flags]…", `coserve: unknown subcommand "frobnicate"`},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestErrorsPrintedOnce$")
+		cmd.Env = append(os.Environ(), "COSERVE_MAIN_ARGS="+tc.args)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		code := 0
+		if exit, ok := err.(*exec.ExitError); ok {
+			code = exit.ExitCode()
+		} else if err != nil {
+			t.Fatalf("%s: %v", tc.args, err)
+		}
+		got := stderr.String()
+		if code != tc.code {
+			t.Errorf("coserve %s: exit status %d, want %d", tc.args, code, tc.code)
+		}
+		if prefix, ok := strings.CutSuffix(tc.want, "…"); ok && !strings.HasPrefix(got, prefix) || !ok && got != tc.want {
+			t.Errorf("coserve %s: stderr\n%s\nwant %q", tc.args, got, tc.want)
+		}
+		if n := strings.Count(got, tc.once); n != 1 {
+			t.Errorf("coserve %s: stderr holds %q %d times, want once:\n%s", tc.args, tc.once, n, got)
+		}
+		if tc.code == 0 && strings.Contains(got, "coserve:") {
+			t.Errorf("coserve %s: stderr reports an error:\n%s", tc.args, got)
+		}
 	}
 }
 

@@ -100,13 +100,7 @@ func (c *Cluster) fleetAutoscale() {
 			Rejections:  rej - lastRej,
 		}
 		lastArr, lastComp, lastRej = arr, comp, rej
-		up := 0
-		for _, n := range c.nodes {
-			if n.sys.State() == core.NodeUp {
-				up++
-			}
-		}
-		if up > 0 { // mid-blackout there is nothing to scale
+		if up := count(c.fleet.up); up > 0 { // mid-blackout there is nothing to scale
 			desired := c.cfg.Autoscaler.Scale(now, w, window, up, len(c.nodes))
 			c.applyScale(now, min(max(desired, 1), len(c.nodes)), up)
 		}
@@ -120,8 +114,7 @@ func (c *Cluster) fleetAutoscale() {
 // plan drains are out of bounds in both directions.
 func (c *Cluster) applyScale(now sim.Time, desired, up int) {
 	for i := len(c.nodes) - 1; i >= 0 && up > desired; i-- {
-		n := c.nodes[i]
-		if n.sys.State() != core.NodeUp {
+		if !hasBit(c.fleet.up, i) {
 			continue
 		}
 		c.startDrain(now, i, true)

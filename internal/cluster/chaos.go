@@ -281,9 +281,8 @@ func (c *Cluster) applyFault(now sim.Time, ev sim.FaultEvent) {
 		}
 		cs.Crashes++
 		cs.lastCrash[ev.Node] = now
-		if st == core.NodeUp {
-			c.unroutable++
-		} else { // Draining: already unroutable; the drain is moot now
+		setBit(c.fleet.up, ev.Node, false)
+		if st == core.NodeDraining { // the drain is moot now
 			c.endDrain(ev.Node, false)
 		}
 		// Walk the node's hold list in accept order, voiding primaries
@@ -352,7 +351,7 @@ func (c *Cluster) applyFault(now sim.Time, ev sim.FaultEvent) {
 		cs.Recoveries++
 		if st == core.NodeDown {
 			n.sys.Restart()
-			c.unroutable--
+			setBit(c.fleet.up, ev.Node, true)
 		} else {
 			c.endDrain(ev.Node, true)
 		}

@@ -35,6 +35,8 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"strings"
 	"time"
 
@@ -222,12 +224,6 @@ type Cluster struct {
 	lastHeld   []*hold
 	freeLeases *lease
 	leases     int
-
-	// unroutable counts nodes currently not Up. While it is zero (and
-	// no breaker restricts a node) the router sees c.nodes directly —
-	// the fault-free fast path; otherwise pickNode routes over the
-	// eligible subset it builds in fleet.sub.
-	unroutable int
 
 	// health is the per-stream scoring and breaker state; nil unless
 	// Config.Health is enabled. delegates gives each node an
@@ -520,12 +516,13 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 // and cleared drain timing.
 func (c *Cluster) beginLifecycle() {
 	c.closedAll = false
-	c.unroutable, c.draining = 0, 0
+	c.draining = 0
+	copy(c.fleet.up, c.fleet.all)
 	c.drainRecords = nil
 	c.chaos = &chaosState{lastCrash: make([]sim.Time, len(c.nodes))}
 	c.health = nil
 	if c.cfg.Health.Enabled() {
-		c.health = newHealthState(c.cfg.Health.withDefaults(), len(c.nodes))
+		c.health = newHealthState(c.cfg.Health.withDefaults(), c.fleet)
 	}
 	clear(c.drainOn)
 	clear(c.drainStart)
@@ -572,64 +569,53 @@ func (c *Cluster) deliver(now sim.Time, tr workload.TimedRequest) {
 	c.postOffer(now, idx, l, tr.Req, false)
 }
 
-// pickNode asks the router for a node. While every node is Up and no
-// breaker restricts one, it routes over the full fleet — the fault-free
-// fast path, unchanged from the pre-chaos cluster; otherwise it
-// presents the router with the eligible subset (Up, and breaker-closed
-// or within a half-open node's probe budget), so a draining, crashed,
-// or quarantined node stops receiving work. When every Up node is
-// quarantined the breaker yields rather than blackhole the fleet: the
-// router picks over the full Up set. Returns -1 when no node is Up at
-// all (only possible mid-fault).
+// pickNode routes an arrival, a redelivery or a bounced offer over the
+// Up nodes the breaker does not hold, so a draining, crashed or
+// quarantined node stops receiving work. When the breaker holds every
+// Up node it yields rather than blackhole the fleet: the router picks
+// over the whole Up set. Returns -1 when no node is Up at all (only
+// possible mid-fault).
 func (c *Cluster) pickNode(now sim.Time, r *coe.Request) int {
-	h := c.health
-	if c.unroutable == 0 && (h == nil || h.restricted == 0) {
-		idx := c.router.Pick(now, c.nodes, r)
-		if idx < 0 || idx >= len(c.nodes) {
-			panic(fmt.Sprintf("cluster: router %s picked node %d of %d", c.router.Name(), idx, len(c.nodes)))
-		}
-		return idx
-	}
-	sub := &c.fleet.sub
-	sub.reset()
-	for i, n := range c.nodes {
-		if n.sys.State() != core.NodeUp {
-			continue
-		}
-		if h != nil && !h.eligible(i) {
-			continue
-		}
-		sub.add(n)
-	}
-	if len(sub.nodes) == 0 && h != nil && h.restricted > 0 {
-		// Every Up node is quarantined or out of probe budget. Liveness
-		// beats the breaker: route over whatever is Up.
-		for _, n := range c.nodes {
-			if n.sys.State() == core.NodeUp {
-				sub.add(n)
+	f, h := c.fleet, c.health
+	mask := f.up
+	if h != nil && count(h.open) > 0 {
+		mask = f.pick
+		h.holdOut(mask, f.up)
+		if count(mask) == 0 {
+			mask = f.up
+			if count(mask) > 0 {
+				h.BreakerBypasses++
 			}
 		}
-		if len(sub.nodes) > 0 {
-			h.BreakerBypasses++
+	}
+	return c.route(now, mask, r)
+}
+
+// route asks the router for one of the nodes mask sets and returns its
+// fleet index, or -1 when mask is empty. A full mask hands the router
+// the fleet's own slice, any other the in-order subset of its nodes.
+func (c *Cluster) route(now sim.Time, mask []uint64, r *coe.Request) int {
+	f := c.fleet
+	nodes := f.nodes
+	if !slices.Equal(mask, f.all) {
+		if nodes = f.subset(mask); len(nodes) == 0 {
+			return -1
 		}
 	}
-	if len(sub.nodes) == 0 {
-		return -1
+	j := c.router.Pick(now, nodes, r)
+	if j < 0 || j >= len(nodes) {
+		panic(fmt.Sprintf("cluster: router %s picked node %d of %d", c.router.Name(), j, len(nodes)))
 	}
-	j := c.router.Pick(now, sub.nodes, r)
-	if j < 0 || j >= len(sub.nodes) {
-		panic(fmt.Sprintf("cluster: router %s picked node %d of %d routable", c.router.Name(), j, len(sub.nodes)))
-	}
-	return sub.nodes[j].idx
+	return nodes[j].idx
 }
 
 // Queued implements control.View for cluster-level admission: the fleet
 // backlog across routable nodes.
 func (c *Cluster) Queued() int {
 	n := 0
-	for _, node := range c.nodes {
-		if node.sys.State() == core.NodeUp {
-			n += node.sys.Queued()
+	for k, w := range c.fleet.up {
+		for ; w != 0; w &= w - 1 {
+			n += c.fleet.backlog[k<<6|bits.TrailingZeros64(w)]
 		}
 	}
 	return n
@@ -640,18 +626,14 @@ func (c *Cluster) Queued() int {
 // would obtain, the right optimistic bias for shedding decisions.
 func (c *Cluster) PredictLatency(r *coe.Request) time.Duration {
 	best := time.Duration(-1)
-	for _, node := range c.nodes {
-		if node.sys.State() != core.NodeUp {
-			continue
-		}
-		if d := node.sys.PredictLatency(r); best < 0 || d < best {
-			best = d
+	for k, w := range c.fleet.up {
+		for ; w != 0; w &= w - 1 {
+			if d := c.nodes[k<<6|bits.TrailingZeros64(w)].PredictLatency(r); best < 0 || d < best {
+				best = d
+			}
 		}
 	}
-	if best < 0 {
-		return 0
-	}
-	return best
+	return max(best, 0)
 }
 
 // maybeClose closes every node's stream once the source is exhausted
@@ -682,7 +664,7 @@ func (c *Cluster) maybeClose() {
 // owns it (only those drains does the autoscaler resume).
 func (c *Cluster) startDrain(now sim.Time, i int, byScaler bool) {
 	c.nodes[i].sys.Drain()
-	c.unroutable++
+	setBit(c.fleet.up, i, false)
 	c.draining++
 	c.drainOn[i] = true
 	c.drainStart[i] = now
@@ -691,11 +673,11 @@ func (c *Cluster) startDrain(now sim.Time, i int, byScaler bool) {
 
 // endDrain ends node i's drain. With resume the node returns to service
 // and routing; without, the node crashed mid-drain and stays
-// unroutable, Down.
+// Down, out of routing.
 func (c *Cluster) endDrain(i int, resume bool) {
 	if resume {
 		c.nodes[i].sys.Resume()
-		c.unroutable--
+		setBit(c.fleet.up, i, true)
 	}
 	c.draining--
 	c.drainOn[i] = false

@@ -184,15 +184,15 @@ func TestGrayMonitorOnlyIsPassive(t *testing.T) {
 // not reinstate it.
 func TestBreakerCapAndQuorum(t *testing.T) {
 	cl := grayCluster(t, nil, HealthConfig{}, HedgeConfig{})
-	h := newHealthState(grayHealth.withDefaults(), len(cl.nodes))
+	h := newHealthState(grayHealth.withDefaults(), cl.fleet)
 	cl.health = h
 
 	for i := range h.score {
 		h.score[i] = 0.1
 	}
 	cl.breakerTick()
-	if h.restricted != 2 || h.BreakerTrips != 2 {
-		t.Errorf("fleet-wide collapse: restricted = %d, trips = %d, want 2 and 2 (cap is half the fleet)", h.restricted, h.BreakerTrips)
+	if open := count(h.open); open != 2 || h.BreakerTrips != 2 {
+		t.Errorf("fleet-wide collapse: %d open, trips = %d, want 2 and 2 (cap is half the fleet)", open, h.BreakerTrips)
 	}
 	if got := cl.routableHealthy(); got != 2 {
 		t.Errorf("routableHealthy = %d, want 2", got)

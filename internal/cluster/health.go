@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -111,15 +112,17 @@ type healthState struct {
 	done   []int64
 	latSum []float64
 	means  []float64 // scratch for the median reference
-
-	// restricted counts nodes whose phase is not closed; while zero the
-	// router fast path stays untouched.
-	restricted int
+	// open has node i's bit set while its phase is not closed.
+	open []uint64
 
 	HealthStats // the report's breaker counters, incremented in place
 }
 
-func newHealthState(cfg HealthConfig, nodes int) *healthState {
+// newHealthState returns fresh health bookkeeping for the fleet's
+// nodes, every breaker closed.
+func newHealthState(cfg HealthConfig, f *fleet) *healthState {
+	nodes := len(f.backlog)
+	clear(f.open)
 	h := &healthState{
 		cfg:    cfg,
 		score:  make([]float64, nodes),
@@ -130,6 +133,7 @@ func newHealthState(cfg HealthConfig, nodes int) *healthState {
 		done:   make([]int64, nodes),
 		latSum: make([]float64, nodes),
 		means:  make([]float64, 0, nodes),
+		open:   f.open,
 	}
 	for i := range h.score {
 		h.score[i] = 1
@@ -137,16 +141,19 @@ func newHealthState(cfg HealthConfig, nodes int) *healthState {
 	return h
 }
 
-// eligible reports whether routing may send ordinary traffic to node i:
-// breaker closed, or half-open with a probe slot free.
-func (h *healthState) eligible(i int) bool {
-	switch h.phase[i] {
-	case breakerClosed:
-		return true
-	case breakerHalfOpen:
-		return h.probes[i] < h.cfg.Probes
+// holdOut sets mask to up less the nodes the breaker holds out of
+// ordinary routing: open, or half-open with every probe slot taken.
+func (h *healthState) holdOut(mask, up []uint64) {
+	for k, w := range h.open {
+		m := up[k]
+		for ; w != 0; w &= w - 1 {
+			i := k<<6 | bits.TrailingZeros64(w)
+			if h.phase[i] == breakerOpen || h.probes[i] >= h.cfg.Probes {
+				m &^= 1 << (i & 63)
+			}
+		}
+		mask[k] = m
 	}
-	return false
 }
 
 // onAdmit records a successful admission to node i.
@@ -171,10 +178,8 @@ func (h *healthState) onComplete(i int, latSeconds float64) {
 // the node itself, so the restarted instance is presumed healthy until
 // measured again.
 func (h *healthState) resetNode(i int) {
-	if h.phase[i] != breakerClosed {
-		h.restricted--
-	}
 	h.phase[i] = breakerClosed
+	setBit(h.open, i, false)
 	h.score[i] = 1
 	h.cool[i] = 0
 	h.probes[i] = 0
@@ -196,8 +201,8 @@ func (c *Cluster) healthTick() bool {
 	// healthy homogeneous fleet scores ~1 everywhere; one straggler sits
 	// far above the median and scores ~median/self.
 	h.means = h.means[:0]
-	for i, n := range c.nodes {
-		if n.sys.State() != core.NodeUp || h.done[i] == 0 {
+	for i := range c.nodes {
+		if !hasBit(c.fleet.up, i) || h.done[i] == 0 {
 			continue
 		}
 		h.means = append(h.means, h.latSum[i]/float64(h.done[i]))
@@ -208,7 +213,7 @@ func (c *Cluster) healthTick() bool {
 		ref = h.means[len(h.means)/2]
 	}
 	for i, n := range c.nodes {
-		if n.sys.State() != core.NodeUp {
+		if !hasBit(c.fleet.up, i) {
 			// Down/Draining nodes are the lifecycle layer's problem; their
 			// health resets so they come back presumed healthy.
 			continue
@@ -265,16 +270,16 @@ func (c *Cluster) breakerTick() {
 	if maxOpen < 1 {
 		maxOpen = 1
 	}
-	for i, n := range c.nodes {
-		if n.sys.State() != core.NodeUp {
+	for i := range c.nodes {
+		if !hasBit(c.fleet.up, i) {
 			continue
 		}
 		switch h.phase[i] {
 		case breakerClosed:
-			if h.score[i] < tripBelow && h.restricted < maxOpen && c.routableHealthy() > 1 {
+			if h.score[i] < tripBelow && count(h.open) < maxOpen && c.routableHealthy() > 1 {
 				h.phase[i] = breakerOpen
 				h.cool[i] = h.cfg.Cooldown
-				h.restricted++
+				setBit(h.open, i, true)
 				h.BreakerTrips++
 			}
 		case breakerOpen:
@@ -293,7 +298,7 @@ func (c *Cluster) breakerTick() {
 			}
 			if h.score[i] >= restoreAbove {
 				h.phase[i] = breakerClosed
-				h.restricted--
+				setBit(h.open, i, false)
 				h.BreakerReinstates++
 			} else if h.score[i] < tripBelow {
 				h.phase[i] = breakerOpen
@@ -307,10 +312,8 @@ func (c *Cluster) breakerTick() {
 // routableHealthy counts Up nodes whose breaker is closed.
 func (c *Cluster) routableHealthy() int {
 	n := 0
-	for i, node := range c.nodes {
-		if node.sys.State() == core.NodeUp && c.health.phase[i] == breakerClosed {
-			n++
-		}
+	for k, w := range c.fleet.up {
+		n += bits.OnesCount64(w &^ c.health.open[k])
 	}
 	return n
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/coe"
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -23,7 +22,7 @@ type HedgeConfig struct {
 }
 
 // hedgeRetries bounds the re-arms when a hedge attempt finds no
-// eligible node or is refused by node admission; each retry backs off
+// node to route to or is refused by node admission; each retry backs off
 // exponentially (After, 2·After, 4·After).
 const hedgeRetries = 3
 
@@ -83,7 +82,7 @@ func (c *Cluster) hedgeDue(l *lease) {
 // fireHedge re-offers an overdue lease's request to a healthy node. Once
 // the acceptance lands the lease is served by both copies; whichever
 // completes first resolves it and the other surfaces as wasted work.
-// When no eligible node exists (or node admission refuses or bounces the
+// When no node may take the copy (or node admission refuses or bounces the
 // copy) the primary keeps the lease untouched and the timer re-arms with
 // exponential backoff, up to hedgeRetries times.
 func (c *Cluster) fireHedge(l *lease) {
@@ -144,31 +143,21 @@ func (c *Cluster) rearmHedge(l *lease) {
 	c.armHedge(l, c.cfg.Hedge.After<<uint(l.retries))
 }
 
-// pickHedgeNode routes a hedge copy: the router chooses over Up nodes
-// that are not the primary holder and — when the breaker is armed — not
-// quarantined or probing. Returns -1 when no such node exists.
+// pickHedgeNode routes a hedge copy over the Up nodes whose breaker is
+// closed, less the primary holder's. Returns -1 when no such node
+// exists.
 func (c *Cluster) pickHedgeNode(now sim.Time, l *lease) int {
-	sub := &c.fleet.sub
-	sub.reset()
-	for i, n := range c.nodes {
-		if i == l.primary.node || n.sys.State() != core.NodeUp {
-			continue
+	mask := c.fleet.pick
+	copy(mask, c.fleet.up)
+	if c.health != nil {
+		for k, w := range c.health.open {
+			mask[k] &^= w
 		}
-		if c.health != nil && c.health.phase[i] != breakerClosed {
-			continue
-		}
-		sub.add(n)
 	}
-	if len(sub.nodes) == 0 {
-		return -1
-	}
+	setBit(mask, l.primary.node, false)
 	// The router only reads the request (ID, class, chain), so the pick
 	// runs against a reusable probe built from the lease's own chain
 	// copy — no allocation, and the probe never reaches a queue.
 	c.probe = coe.Request{ID: l.id, Class: l.class, Chain: l.chain}
-	j := c.router.Pick(now, sub.nodes, &c.probe)
-	if j < 0 || j >= len(sub.nodes) {
-		panic(fmt.Sprintf("cluster: router %s picked node %d of %d hedge-eligible", c.router.Name(), j, len(sub.nodes)))
-	}
-	return sub.nodes[j].idx
+	return c.route(now, mask, &c.probe)
 }

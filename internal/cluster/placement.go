@@ -48,12 +48,8 @@ func (Mirror) Plan(*coe.Model, []NodeCapacity) ([][]coe.ExpertID, error) { retur
 // most remaining capacity that fits it (ties to the lowest index). The
 // fleet's effective pool is the sum of the nodes' pools — maximal
 // coverage, no replication — so a partitioned fleet wants an
-// affinity-style router to send requests where their expert lives.
-//
-// Plan sorts the experts once and keeps the nodes ordered widest first,
-// so each expert costs one look at the widest node and, when it lands,
-// one reorder of that node: O(E log E + E·N) worst case for E experts
-// and N nodes, the N being a memmove.
+// affinity-style router to send requests where their expert lives. It
+// is UsageProportional's deal capped at one instance per expert.
 type Partition struct{}
 
 // Name implements Placement.
@@ -61,18 +57,7 @@ func (Partition) Name() string { return "partition" }
 
 // Plan implements Placement.
 func (Partition) Plan(m *coe.Model, nodes []NodeCapacity) ([][]coe.ExpertID, error) {
-	plan := make([][]coe.ExpertID, len(nodes))
-	for i := range plan {
-		plan[i] = []coe.ExpertID{}
-	}
-	space := newSpace(nodes)
-	for _, e := range m.ExpertsByUsage() {
-		if at := space.widest(e.WeightBytes(), nil); at >= 0 {
-			i := space.take(at, e.WeightBytes())
-			plan[i] = append(plan[i], e.ID)
-		}
-	}
-	return plan, nil
+	return deal(m, nodes, 1), nil
 }
 
 // UsageProportional generalizes the paper's §4.4 capacity planning to a
@@ -86,15 +71,6 @@ func (Partition) Plan(m *coe.Model, nodes []NodeCapacity) ([][]coe.ExpertID, err
 // experts end up replicated on several (heterogeneously sized) nodes,
 // cold experts keep at most one home, and the split between replication
 // and coverage follows the usage distribution instead of a fixed rule.
-//
-// Plan keeps the candidates in a max-heap keyed by (gain descending,
-// usage rank ascending) and the nodes ordered widest first. The top
-// candidate either lands, and sinks to its next gain, or has no node to
-// land on and is dropped for good: capacities only shrink and the
-// nodes holding it only grow, so no later round could place it. A
-// placement costs O(log E) heap work plus a walk past the nodes that
-// already hold the expert and one reorder of the node it lands on, so
-// the plan is O(P·(log E + N)) for P placements, E experts and N nodes.
 type UsageProportional struct{}
 
 // Name implements Placement.
@@ -102,6 +78,21 @@ func (UsageProportional) Name() string { return "usage" }
 
 // Plan implements Placement.
 func (UsageProportional) Plan(m *coe.Model, nodes []NodeCapacity) ([][]coe.ExpertID, error) {
+	return deal(m, nodes, len(nodes)), nil
+}
+
+// deal plans up to most instances of each expert by marginal gain. It
+// keeps the candidates in a max-heap keyed by (gain descending, usage
+// rank ascending) and the nodes ordered widest first. The top candidate
+// either lands, and sinks to its next gain, or has no node to land on
+// and is dropped for good: capacities only shrink and the nodes holding
+// it only grow, so no later round could place it. A placement costs
+// O(log E) heap work plus a walk past the nodes that already hold the
+// expert and one reorder of the node it lands on, so the plan is
+// O(P·(log E + N)) for P placements, E experts and N nodes. With most
+// 1 every gain stays its usage probability, so the experts are dealt in
+// usage order.
+func deal(m *coe.Model, nodes []NodeCapacity, most int) [][]coe.ExpertID {
 	plan := make([][]coe.ExpertID, len(nodes))
 	for i := range plan {
 		plan[i] = []coe.ExpertID{}
@@ -131,14 +122,14 @@ func (UsageProportional) Plan(m *coe.Model, nodes []NodeCapacity) ([][]coe.Exper
 		plan[node] = append(plan[node], e.ID)
 		homes(rank)[node] = true
 		instances[rank]++
-		if instances[rank] == len(nodes) {
+		if instances[rank] == most {
 			h.pop()
 			continue
 		}
 		h.gain[rank] = e.UsageProb / float64(instances[rank]+1)
 		h.down(0)
 	}
-	return plan, nil
+	return plan
 }
 
 // gainHeap is UsageProportional's candidate max-heap: expert usage
@@ -210,7 +201,7 @@ func (s *space) compare(i, j int) int {
 // does not exclude: when it does not fit, no narrower node can.
 func (s *space) widest(need int64, excluded []bool) int {
 	for at, i := range s.order {
-		if excluded != nil && excluded[i] {
+		if excluded[i] {
 			continue
 		}
 		if s.remaining[i] < need {

@@ -139,38 +139,23 @@ type fleet struct {
 	// active queues keep both current (core.System.CountBacklogInto).
 	backlog []int
 	idle    []uint64
-	// nodes is the fleet in index order, the slice the fault-free path
-	// routes over; all has every node's bit, its routable mask. sub is
-	// the subset the front end routes over otherwise, and mask backs the
-	// mask of any other slice a router is handed (routableFor).
-	nodes     []*Node
-	all, mask []uint64
-	sub       subset
-}
-
-// subset is an in-order subset of the fleet that the front end hands a
-// router — the eligible nodes while some are faulted or quarantined, or
-// a hedge's candidates — built with its routable mask beside it. Only
-// reset and add change either, so the mask always matches the nodes.
-type subset struct {
-	nodes []*Node
-	mask  []uint64
-}
-
-func (s *subset) reset() {
-	s.nodes = s.nodes[:0]
-	clear(s.mask)
-}
-
-// add appends n, which must follow every node already in the subset in
-// fleet order.
-func (s *subset) add(n *Node) {
-	s.nodes = append(s.nodes, n)
-	s.mask[n.idx>>6] |= 1 << (n.idx & 63)
+	// up has node i's bit set while the node is Up; the front end sets
+	// and clears it at every lifecycle move it drives. open backs the
+	// breaker's bitset (healthState.open), which a stream with health
+	// scoring clears when it starts. all has every node's bit.
+	up, open, all []uint64
+	// nodes is the fleet in index order. sub is the in-order subset
+	// route built last and subMask its mask; pick is scratch for the
+	// masks the front end builds, and mask backs the mask of any other
+	// slice a router is handed (routableFor).
+	nodes      []*Node
+	sub        []*Node
+	subMask    []uint64
+	pick, mask []uint64
 }
 
 // newFleet returns the empty view of a fleet of n nodes serving a model
-// with the given number of experts.
+// with the given number of experts, every node Up.
 func newFleet(n, experts int) *fleet {
 	w := (n + 63) >> 6
 	f := &fleet{
@@ -178,12 +163,15 @@ func newFleet(n, experts int) *fleet {
 		tally:   make([]uint8, n*experts),
 		backlog: make([]int, n),
 	}
-	// One block for the four node bitsets.
-	sets := make([]uint64, 4*w)
-	f.idle, f.all, f.mask, f.sub.mask = sets[:w:w], sets[w:2*w:2*w], sets[2*w:3*w:3*w], sets[3*w:]
-	for i := 0; i < n; i++ {
-		f.all[i>>6] |= 1 << (i & 63)
+	// One block for the six node bitsets.
+	sets := make([]uint64, 6*w)
+	for k, set := range []*[]uint64{&f.idle, &f.up, &f.open, &f.all, &f.pick, &f.mask} {
+		*set = sets[k*w : (k+1)*w : (k+1)*w]
 	}
+	for i := 0; i < n; i++ {
+		setBit(f.all, i, true)
+	}
+	copy(f.up, f.all)
 	return f
 }
 
@@ -198,16 +186,29 @@ func (f *fleet) join(i int, id string, sys *core.System) *Node {
 	return &Node{id: id, sys: sys, f: f, idx: i}
 }
 
+// subset returns the nodes mask sets, in fleet order, in the view's
+// scratch slice, and records mask as that slice's routable mask.
+func (f *fleet) subset(mask []uint64) []*Node {
+	sub := f.sub[:0]
+	for k, w := range mask {
+		for ; w != 0; w &= w - 1 {
+			sub = append(sub, f.nodes[k<<6|bits.TrailingZeros64(w)])
+		}
+	}
+	f.sub, f.subMask = sub, mask
+	return sub
+}
+
 // routableFor returns the routable mask of nodes: all for the fleet's
-// own slice, the subset's mask for the subset the front end built, and
+// own slice, the recorded mask for the subset route built, and
 // otherwise a mask marked from the slice, which must list fleet nodes in
 // index order.
 func (f *fleet) routableFor(nodes []*Node) []uint64 {
 	switch {
 	case len(nodes) == len(f.nodes) && &nodes[0] == &f.nodes[0]:
 		return f.all
-	case len(nodes) == len(f.sub.nodes) && &nodes[0] == &f.sub.nodes[0]:
-		return f.sub.mask
+	case len(nodes) == len(f.sub) && &nodes[0] == &f.sub[0]:
+		return f.subMask
 	}
 	clear(f.mask)
 	prev := -1
@@ -216,9 +217,30 @@ func (f *fleet) routableFor(nodes []*Node) []uint64 {
 			panic("cluster: a router takes the fleet's nodes or an in-order subset of them")
 		}
 		prev = n.idx
-		f.mask[n.idx>>6] |= 1 << (n.idx & 63)
+		setBit(f.mask, n.idx, true)
 	}
 	return f.mask
+}
+
+// setBit sets or clears node i's bit in mask.
+func setBit(mask []uint64, i int, on bool) {
+	if on {
+		mask[i>>6] |= 1 << (i & 63)
+	} else {
+		mask[i>>6] &^= 1 << (i & 63)
+	}
+}
+
+// hasBit reports whether node i's bit is set in mask.
+func hasBit(mask []uint64, i int) bool { return mask[i>>6]>>(i&63)&1 == 1 }
+
+// count returns the number of nodes mask sets.
+func count(mask []uint64) int {
+	n := 0
+	for _, w := range mask {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // leastLoaded returns the fleet index of the routable node with the
@@ -246,9 +268,5 @@ func (f *fleet) leastLoaded(routable []uint64) int {
 // rank returns the position of fleet node i in the node slice whose
 // mask is routable: the number of routable nodes below it.
 func rank(routable []uint64, i int) int {
-	n := bits.OnesCount64(routable[i>>6] & (1<<(i&63) - 1))
-	for _, w := range routable[:i>>6] {
-		n += bits.OnesCount64(w)
-	}
-	return n
+	return bits.OnesCount64(routable[i>>6]&(1<<(i&63)-1)) + count(routable[:i>>6])
 }

@@ -41,13 +41,13 @@ func scanAffinity(nodes []*Node, r *coe.Request) int {
 
 // TestRoutersMatchFullScan: on random holder bitsets and backlogs the
 // bitset routers pick exactly the node a full scan picks — over the
-// whole fleet, over in-order subsets built as pickNode and hedging
-// build theirs (mask beside them), over prefixes of the fleet's own
-// slice, over copies of each of those in a slice of the test's own (the
-// router marks the mask), and for experts no node holds (the
-// least-loaded fallback). The fleet spans two bitset words, so a rank
-// off by one word or bit shows. Backlogs are mostly 0 and 1, so an exit
-// on the wrong backlog or before the residency test shows.
+// whole fleet, over in-order subsets built as route builds them (mask
+// beside them), over prefixes of the fleet's own slice, over copies of
+// each of those in a slice of the test's own (the router marks the
+// mask), and for experts no node holds (the least-loaded fallback).
+// The fleet spans two bitset words, so a rank off by one word or bit
+// shows. Backlogs are mostly 0 and 1, so an exit on the wrong backlog
+// or before the residency test shows.
 func TestRoutersMatchFullScan(t *testing.T) {
 	const fleet = 70
 	board := boardFor(t, workload.BoardA())
@@ -79,18 +79,16 @@ func TestRoutersMatchFullScan(t *testing.T) {
 		set := cl.nodes
 		switch trial % 3 {
 		case 1:
-			// An in-order subset built as pickNode and hedging build
-			// theirs, with its mask beside it.
-			f.sub.reset()
-			for _, n := range cl.nodes {
-				if rng.Intn(3) > 0 {
-					f.sub.add(n)
-				}
+			// An in-order subset built as route builds one, from a
+			// mask that stays beside it.
+			mask := make([]uint64, len(f.all))
+			for i := range cl.nodes {
+				setBit(mask, i, rng.Intn(3) > 0)
 			}
-			if len(f.sub.nodes) == 0 {
-				f.sub.add(cl.nodes[1])
+			if count(mask) == 0 {
+				setBit(mask, 1, true)
 			}
-			set = f.sub.nodes
+			set = f.subset(mask)
 			subsets++
 		case 2:
 			// A prefix of the fleet's own slice: same first node, so

@@ -51,18 +51,16 @@ type Executor struct {
 	OnBatch func(now sim.Time, r *coe.Request)
 	// Observer, when set, is invoked once per executed batch.
 	Observer func(e *coe.Expert, n int, lat time.Duration)
-	// Epoch, when set, reports the data plane's crash epoch. The
-	// executor snapshots it before taking a batch; if it changed by the
-	// time the batch finishes — the node crashed mid-batch — the batch's
-	// results are discarded and its requests handed to OnVoid instead of
-	// OnBatch, so a since-restarted node never acks work the crash
-	// voided. Nil on fault-free systems (the zero-cost default).
+	// Epoch reports the data plane's crash epoch. The executor snapshots
+	// it before taking a batch; if it changed by the time the batch
+	// finishes — the node crashed mid-batch — the batch's results are
+	// discarded and its requests handed to OnVoid instead of OnBatch, so
+	// a since-restarted node never acks work the crash voided.
 	Epoch func() int
 	// OnVoid receives the requests of a batch voided by a mid-execution
-	// crash, once per request, in queue order. Required when Epoch is
-	// set.
+	// crash, once per request, in queue order.
 	OnVoid func(now sim.Time, r *coe.Request)
-	// Degrade, when set, maps a batch's profiled execution latency to the
+	// Degrade maps a batch's profiled execution latency to the
 	// latency actually served — the gray-failure seam. It is consulted
 	// once per batch, after the busy-until estimate is published but
 	// before execution starts: the executor's own prediction stays at the
@@ -100,7 +98,7 @@ func (ex *Executor) ResetStats() {
 // may start a run while a crashed epoch's run still unwinds its last
 // batch, so each run keeps its own state.
 func (ex *Executor) Start() {
-	if ex.Env == nil || ex.OnBatch == nil || ex.Done == nil || (ex.Epoch != nil && ex.OnVoid == nil) {
+	if ex.Env == nil || ex.OnBatch == nil || ex.Done == nil || ex.Epoch == nil || ex.OnVoid == nil || ex.Degrade == nil {
 		panic(fmt.Sprintf("executor %s: incomplete wiring", ex.Name))
 	}
 	r := &run{ex: ex}
@@ -131,17 +129,9 @@ type run struct {
 	nextFn, proceedFn, reservedFn, executedFn func()
 }
 
-// epoch reports the crash epoch, 0 on a fault-free system.
-func (ex *Executor) epoch() int {
-	if ex.Epoch == nil {
-		return 0
-	}
-	return ex.Epoch()
-}
-
 // begin snapshots the crash epoch the run belongs to and starts serving.
 func (r *run) begin() {
-	r.epoch = r.ex.epoch()
+	r.epoch = r.ex.Epoch()
 	r.next()
 }
 
@@ -151,7 +141,7 @@ func (r *run) begin() {
 func (r *run) next() {
 	ex := r.ex
 	for {
-		if ex.epoch() != r.epoch {
+		if ex.Epoch() != r.epoch {
 			// This run belongs to a crashed epoch: the node restarted and
 			// launched a fresh run. End so the executor is never served
 			// by two runs at once.
@@ -192,7 +182,7 @@ func (r *run) proceed() {
 func (r *run) serve() bool {
 	ex, g := r.ex, r.g
 	if ex.Queue.Head() == g && g.Len() > 0 {
-		r.batchEpoch = ex.epoch()
+		r.batchEpoch = ex.Epoch()
 		bound := sched.SplitBound(r.perf.MaxBatch, ex.Acts.Free(), r.perf.ActPerImage)
 		r.batch = ex.Queue.TakeFromHead(bound)
 		if len(r.batch) > 0 {
@@ -213,11 +203,8 @@ func (r *run) reserved() {
 	now := ex.Env.Now()
 	lat := ex.Exec.Latency(r.arch, len(r.batch))
 	ex.Queue.SetBusyUntil(now.Add(lat + r.g.PredictedRemaining()))
-	if ex.Degrade != nil {
-		lat = ex.Degrade(now, lat)
-	}
-	r.lat = lat
-	ex.Compute.Use(lat, r.executedFn)
+	r.lat = ex.Degrade(now, lat)
+	ex.Compute.Use(r.lat, r.executedFn)
 }
 
 // executed hands a finished batch's requests on and continues the group.
@@ -225,7 +212,7 @@ func (r *run) executed() {
 	ex := r.ex
 	ex.Acts.Release(r.actBytes)
 	now := ex.Env.Now()
-	if ex.epoch() != r.batchEpoch {
+	if ex.Epoch() != r.batchEpoch {
 		// The node crashed while this batch was in flight (waiting for
 		// memory, compute, or mid-execution). Its results are void: the
 		// crash already purged the queue and the dispatcher is

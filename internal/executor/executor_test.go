@@ -62,9 +62,19 @@ func newRig(t *testing.T, poolCap, actCap int64, maxBatch int) *rig {
 		ArchOf:  archOf,
 		Done:    func() bool { return r.done },
 		OnBatch: func(_ sim.Time, req *coe.Request) { r.finished = append(r.finished, req) },
+		Epoch:   noEpoch,
+		OnVoid:  noVoid,
+		Degrade: healthy,
 	}
 	return r
 }
+
+// The rig's node never crashes and is never gray-degraded: its crash
+// epoch stays 0, no batch is voided, and every batch runs at its
+// profiled latency.
+func noEpoch() int                                        { return 0 }
+func noVoid(sim.Time, *coe.Request)                       {}
+func healthy(_ sim.Time, lat time.Duration) time.Duration { return lat }
 
 // gpuPerfs builds a GPU executor's per-architecture performance table
 // for the model, indexed by the returned expert-to-architecture index.
@@ -258,6 +268,9 @@ func TestTwoExecutorsShareComputeSerially(t *testing.T) {
 			ArchOf:  archOf,
 			Done:    func() bool { return done },
 			OnBatch: func(sim.Time, *coe.Request) { finished++ },
+			Epoch:   noEpoch,
+			OnVoid:  noVoid,
+			Degrade: healthy,
 		}
 	}
 	ex0, ex1 := mk("g0", e0), mk("g1", e1)
