@@ -755,10 +755,13 @@ func BenchmarkPostMsg(b *testing.B) {
 
 // BenchmarkChaosServe measures the fault-injected serving path: a
 // 4-node cluster per iteration serving a Poisson stream with the fault
-// plan, leases and holds, and (in the gray case) health scoring, breaker,
+// plan, leases and holds, and (in the gray cases) health scoring, breaker,
 // and hedging all active. The failstop sub-benchmark prices the
 // crash/redeliver machinery; the gray one prices the full mitigation
-// stack against a fail-slow straggler. Absolute allocs/op and bytes/op
+// stack against a fail-slow straggler. gray/warm serves the gray stream
+// on one cluster built and warmed by a first stream before the timer
+// starts, one stream per iteration: the warm-restart path, health state
+// reset in place rather than rebuilt. Absolute allocs/op and bytes/op
 // are the regression gate pinned in BENCH_chaos.json (`make
 // bench-chaos` regenerates and checks it) — the chaos layer must stay
 // cheap enough that arming it is never a serving-path tax.
@@ -784,6 +787,7 @@ func BenchmarkChaosServe(b *testing.B) {
 		plan   *coserve.FaultPlan
 		health coserve.HealthConfig
 		hedge  coserve.HedgeConfig
+		warm   bool
 	}{
 		{
 			name: "faults=failstop",
@@ -804,11 +808,14 @@ func BenchmarkChaosServe(b *testing.B) {
 			hedge:  coserve.HedgeConfig{After: time.Second},
 		},
 	}
+	warm := cases[1]
+	warm.name, warm.warm = "faults=gray/warm", true
+	cases = append(cases, warm)
 	for _, tc := range cases {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
+			build := func() *coserve.Cluster {
 				cl, err := coserve.NewCluster(coserve.ClusterConfig{
 					Nodes:     coserve.UniformNodes(4, node),
 					Router:    cluster.Affinity{},
@@ -821,6 +828,9 @@ func BenchmarkChaosServe(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				return cl
+			}
+			serve := func(cl *coserve.Cluster) {
 				src, err := workload.Poisson{
 					Name: "bench-chaos", Board: board, Rate: 8, N: 240, Seed: 20260730,
 				}.NewSource()
@@ -837,6 +847,18 @@ func BenchmarkChaosServe(b *testing.B) {
 					b.Fatalf("%d completions + %d terminal rejections != %d arrivals",
 						rep.Completions, rep.RedeliveredRejected, rep.N)
 				}
+			}
+			var cl *coserve.Cluster
+			if tc.warm {
+				cl = build()
+				serve(cl)
+				b.ResetTimer()
+			}
+			for i := 0; i < b.N; i++ {
+				if !tc.warm {
+					cl = build()
+				}
+				serve(cl)
 			}
 		})
 	}

@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/coe"
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -37,8 +39,8 @@ func TestInterconnectSteadyStateAllocsPin(t *testing.T) {
 	}
 
 	// Warm everything: the first stream grows the arena to the in-flight
-	// peak, stocks the per-partition message lists and the hold and lease
-	// pools, and sizes the recorder sketches.
+	// peak, stocks the message free list and the hold and lease pools,
+	// and sizes the recorder sketches.
 	if _, err := c.Serve(stream()); err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +52,9 @@ func TestInterconnectSteadyStateAllocsPin(t *testing.T) {
 	})
 	// The interconnect path itself — pooled messages, holds and leases,
 	// all kept across streams — contributes ~0 here; the budget covers
-	// what remains: per-stream fixed overhead (a fresh chaosState,
-	// recorder reset, source construction) and node-internal
-	// expert-cache eviction churn at under one allocation per request.
+	// what remains: per-stream fixed overhead (the report, source
+	// construction) and node-internal expert-cache eviction churn at
+	// under one allocation per request.
 	// The closure-era kernel's ~10 allocs/request blows through the
 	// bound seven-fold, so any message-, hold- or lease-pool leak fails
 	// loudly.
@@ -61,5 +63,31 @@ func TestInterconnectSteadyStateAllocsPin(t *testing.T) {
 	if perReq > 1.5 {
 		t.Errorf("steady-state interconnect serve allocates %.3f per request (%.0f total for %d), want <= 1.5",
 			perReq, avg, n)
+	}
+}
+
+// TestWarmLifecycleAllocatesNothing: a cluster starts each stream on the
+// state the last one left. The durable-delivery and health state, the
+// nodes' drain timing and tenant tags are reset in place, so once a
+// stream has been served beginLifecycle allocates nothing, with health
+// and breaker, hedging, a fault plan and an interconnect all armed.
+func TestWarmLifecycleAllocatesNothing(t *testing.T) {
+	board := boardFor(t, workload.BoardA())
+	plan := &sim.FaultPlan{Events: []sim.FaultEvent{
+		{At: time.Second, Node: 1, Kind: sim.FaultSlow, Factor: 150},
+		{At: 3 * time.Second, Node: 2, Kind: sim.FaultCrash},
+		{At: 5 * time.Second, Node: 2, Kind: sim.FaultRecover},
+		{At: 20 * time.Second, Node: 1, Kind: sim.FaultRecover},
+	}}
+	c := buildCluster(t, interconnectConfig(t, plan, grayHealth, HedgeConfig{After: time.Second}), board.Model)
+	rep, err := c.Serve(tenantMix(t, board, 8, 120, 2, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.BreakerTrips == 0 || rep.HedgesFired == 0 || rep.Crashes == 0 {
+		t.Fatalf("%d trips, %d hedges, %d crashes: the stream exercises nothing", rep.BreakerTrips, rep.HedgesFired, rep.Crashes)
+	}
+	if allocs := testing.AllocsPerRun(10, c.beginLifecycle); allocs != 0 {
+		t.Errorf("beginLifecycle allocates %v times after a served stream, want 0", allocs)
 	}
 }

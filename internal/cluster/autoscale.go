@@ -125,7 +125,7 @@ func (c *Cluster) applyScale(now sim.Time, desired, up int) {
 	resumed := false
 	for i := 0; i < len(c.nodes) && up < desired; i++ {
 		n := c.nodes[i]
-		if !c.scalerDrained[i] || n.sys.State() != core.NodeDraining {
+		if !n.scalerDrained || n.sys.State() != core.NodeDraining {
 			continue
 		}
 		c.endDrain(i, true)

@@ -9,14 +9,15 @@ import (
 	"repro/internal/sim"
 )
 
-// chaosState is the durable-delivery bookkeeping of one stream. The
-// cluster front end is the lease holder: every arrival opens a lease
-// (with a private copy of the request's expert chain — the request
-// object is recycled once its node is done with it), completions
-// resolve leases exactly once, and a crash voids the dead node's leases
-// so their requests can be redelivered to surviving nodes. Every stream
-// runs over it, faults or not: one lease per request in flight, one
-// hold per request copy a node has been handed (see hold).
+// chaosState is the durable-delivery bookkeeping of one stream, built
+// with the cluster and reset in place each stream. The cluster front
+// end is the lease holder: every arrival opens a lease (with a private
+// copy of the request's expert chain — the request object is recycled
+// once its node is done with it), completions resolve leases exactly
+// once, and a crash voids the dead node's leases so their requests can
+// be redelivered to surviving nodes. Every stream runs over it, faults
+// or not: one lease per request in flight, one hold per request copy a
+// node has been handed (see hold).
 type chaosState struct {
 	// pending holds voided (or never-delivered) leases waiting for a
 	// routable node, in void order; flushed on every recovery.
@@ -39,11 +40,6 @@ type chaosState struct {
 	offersInFlight   int64 // primary/redelivery offers on the wire
 	hedgeOffers      int64 // hedge offers on the wire
 	violations       []string
-
-	// lastCrash holds each node's latest crash instant this stream.
-	// Over an interconnect an accept fold still on the wire when its
-	// node crashed names an admission the crash already purged.
-	lastCrash []sim.Time
 
 	// The report's counter groups, incremented in place. Every copy a
 	// node admits ends in exactly one of Completions, HedgeWasted,
@@ -151,14 +147,15 @@ func (c *Cluster) freeHold(h *hold) {
 
 // link appends a hold to its node's hold list: accept order.
 func (c *Cluster) link(h *hold) {
+	n := c.nodes[h.node]
 	h.held = true
-	h.prev = c.lastHeld[h.node]
+	h.prev = n.lastHeld
 	if h.prev == nil {
-		c.firstHeld[h.node] = h
+		n.firstHeld = h
 	} else {
 		h.prev.next = h
 	}
-	c.lastHeld[h.node] = h
+	n.lastHeld = h
 }
 
 // unlink takes a hold off its node's hold list, if it is on it.
@@ -166,13 +163,14 @@ func (c *Cluster) unlink(h *hold) {
 	if !h.held {
 		return
 	}
+	n := c.nodes[h.node]
 	if h.prev == nil {
-		c.firstHeld[h.node] = h.next
+		n.firstHeld = h.next
 	} else {
 		h.prev.next = h.next
 	}
 	if h.next == nil {
-		c.lastHeld[h.node] = h.prev
+		n.lastHeld = h.prev
 	} else {
 		h.next.prev = h.prev
 	}
@@ -280,7 +278,7 @@ func (c *Cluster) applyFault(now sim.Time, ev sim.FaultEvent) {
 			break
 		}
 		cs.Crashes++
-		cs.lastCrash[ev.Node] = now
+		n.lastCrash = now
 		setBit(c.fleet.up, ev.Node, false)
 		if st == core.NodeDraining { // the drain is moot now
 			c.endDrain(ev.Node, false)
@@ -294,7 +292,7 @@ func (c *Cluster) applyFault(now sim.Time, ev sim.FaultEvent) {
 		// before redelivering also keeps every voided lease visible to
 		// the close check while the redeliveries land. Each killed copy
 		// keeps its hold, marked with its fate, until its drop folds back.
-		for h := c.firstHeld[ev.Node]; h != nil; h = c.firstHeld[ev.Node] {
+		for h := n.firstHeld; h != nil; h = n.firstHeld {
 			c.unlink(h)
 			l := h.l
 			h.l = nil
@@ -325,7 +323,7 @@ func (c *Cluster) applyFault(now sim.Time, ev sim.FaultEvent) {
 			}
 		}
 		if c.health != nil {
-			c.health.resetNode(ev.Node)
+			c.health.resetNode(n)
 		}
 		n.sys.CrashAt(now)
 		c.flushPending(now)

@@ -21,7 +21,7 @@
 // short chains the residency-aware first-stage decision captures
 // nearly all of the benefit.
 //
-// Every request travels one protocol (shard.go): the front end opens a
+// Every request travels one protocol (wire.go): the front end opens a
 // lease for it, offers it to a node under a hold — its record of that
 // one copy — and lands the node's answers — accepted, rejected,
 // bounced, completed, dropped — as folds that resolve the lease exactly
@@ -130,7 +130,8 @@ func Uniform(n int, node core.Config) []core.Config {
 }
 
 // Node is one member of the cluster: a single-device data plane plus
-// the read-only view routers consult.
+// the read-only view routers consult. It also carries the front end's
+// record of the node, built with it and kept across streams.
 type Node struct {
 	id  string
 	sys *core.System
@@ -138,6 +139,41 @@ type Node struct {
 	// and slot idx in its backlog slice.
 	f   *fleet
 	idx int
+
+	// c is the front end. hop is the one-way hop latency to the node, 0
+	// when Config.Interconnect is disabled and hops are synchronous.
+	c   *Cluster
+	hop time.Duration
+	// routed counts arrivals handed to the node (admitted or not) this
+	// stream — the imbalance numerator.
+	routed int64
+	// firstHeld and lastHeld bound the node's hold list (accept order).
+	firstHeld, lastHeld *hold
+	// lastCrash is the node's latest crash instant this stream. Over an
+	// interconnect an accept fold still on the wire when the node crashed
+	// names an admission the crash already purged.
+	lastCrash sim.Time
+	// drainOn marks a drain in progress whose completion is not yet
+	// recorded, begun at drainStart; scalerDrained marks a drain the
+	// fleet autoscaler owns.
+	drainOn, scalerDrained bool
+	drainStart             sim.Time
+	// tags holds this stream's latency tag of each of the node's tenant
+	// slots (coe.Request.TenantSlot, less one); 0 until the slot's first
+	// completion.
+	tags []uint16
+
+	// Health scoring and the breaker (healthState): score and phase;
+	// cool, the windows left before open → half-open; probes, in-flight
+	// probe admissions while half-open; dry, consecutive windows with
+	// work held but nothing completed (one is routine, a run is a
+	// stall); done and latSum, this window's completion count and
+	// latency sum (seconds).
+	score             float64
+	phase             breakerPhase
+	cool, probes, dry int
+	done              int64
+	latSum            float64
 }
 
 // ID reports the node's identifier.
@@ -174,14 +210,16 @@ type Cluster struct {
 
 	// recorder is the fleet's one latency record: the front end samples
 	// each completion once, when it resolves its lease, under the tag
-	// tag returns. tagNode maps every tag to the node that served it: tag i below
-	// the fleet size is node i's completions without a tenant; the
-	// higher tags are (node, tenant) pairs, assigned in pairTags at a
-	// pair's first completion and kept across streams. tagsFull records
-	// that a stream ran out of 16-bit tags.
+	// tag returns. tagNode maps every tag to the node that served it:
+	// tag i below the fleet size is node i's untenanted completions, and
+	// tags from the fleet size up (tags is the next) are (node, tenant
+	// slot) pairs, numbered at a pair's first completion in the stream.
+	// tagNode keeps earlier streams' pairs, whose records are empty, as a
+	// sketch recorder keeps a sketch per tag seen. tagsFull records that
+	// a stream ran out of 16-bit tags.
 	recorder *metrics.Recorder
 	tagNode  []int
-	pairTags map[nodeTenant]uint16
+	tags     int
 	tagsFull bool
 
 	// fleet is the routing view of the nodes: residency, backlogs and
@@ -189,22 +227,15 @@ type Cluster struct {
 	// nodes' pools and queues.
 	fleet *fleet
 
-	// latency caches each node's one-way hop cost; nil when
-	// Config.Interconnect is disabled and hops are synchronous.
-	latency []time.Duration
 	// msgFree is the free list of pooled protocol messages.
-	msgFree *shardMsg
+	msgFree *wireMsg
 
 	runs    int
 	serving bool
 	broken  error
 
-	// routed counts arrivals handed to each node (admitted or not) this
-	// stream — the imbalance numerator.
-	routed []int64
-
-	// chaos is the per-stream durable-delivery state (redelivery queue,
-	// exactly-once counters).
+	// chaos is the stream's durable-delivery state (redelivery queue,
+	// exactly-once counters), reset in place each stream.
 	chaos *chaosState
 	// closedAll records that every node's stream has been closed. The
 	// close waits until the source is exhausted and the leases,
@@ -214,32 +245,23 @@ type Cluster struct {
 
 	// The hold and lease pools, kept across streams so a warm serve
 	// allocates neither. holds is every hold ever made, indexed by
-	// coe.Request.Hold; firstHeld/lastHeld bound each node's hold list
-	// (accept order); leases counts the leases ever made. arena is
+	// coe.Request.Hold; leases counts the leases ever made. arena is
 	// Config.Arena, or the cluster's own when that is nil.
 	arena      *coe.Arena
 	holds      []*hold
 	freeHolds  *hold
-	firstHeld  []*hold
-	lastHeld   []*hold
 	freeLeases *lease
 	leases     int
 
-	// health is the per-stream scoring and breaker state; nil unless
-	// Config.Health is enabled. delegates gives each node an
-	// identity-carrying StreamDelegate so completions attribute to the
-	// reporting node.
-	health    *healthState
-	delegates []nodeDelegate
-	probe     coe.Request
+	// health is the scoring and breaker state, reset in place each
+	// stream; nil unless Config.Health is enabled.
+	health *healthState
+	probe  coe.Request
 
-	// draining counts nodes currently Draining; the slices below time
-	// each drain and record which ones the fleet autoscaler owns.
-	draining      int
-	drainOn       []bool     // drain in progress, completion not yet recorded
-	drainStart    []sim.Time // when the drain began
-	scalerDrained []bool     // drain owned by the fleet autoscaler
-	drainRecords  []DrainRecord
+	// draining counts nodes currently Draining; drainRecords times each
+	// drain completed this stream.
+	draining     int
+	drainRecords []DrainRecord
 }
 
 // New builds a cluster for the CoE model: the placement plan is
@@ -258,24 +280,13 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 		router:    cfg.Router,
 		placement: cfg.Placement,
 		recorder:  metrics.NewRecorder(),
-		routed:    make([]int64, len(cfg.Nodes)),
 		fleet:     newFleet(len(cfg.Nodes), m.NumExperts()),
+		chaos:     &chaosState{},
 	}
 	if err := cfg.Interconnect.validate(len(cfg.Nodes)); err != nil {
 		return nil, err
 	}
-	c.firstHeld = make([]*hold, len(cfg.Nodes))
-	c.lastHeld = make([]*hold, len(cfg.Nodes))
-	c.drainOn = make([]bool, len(cfg.Nodes))
-	c.drainStart = make([]sim.Time, len(cfg.Nodes))
-	c.scalerDrained = make([]bool, len(cfg.Nodes))
 	c.env = sim.NewEnv()
-	if cfg.Interconnect.Enabled() {
-		c.latency = make([]time.Duration, len(cfg.Nodes))
-		for i := range c.latency {
-			c.latency[i] = cfg.Interconnect.NodeLatency(i)
-		}
-	}
 	if c.router == nil {
 		c.router = LeastLoaded{}
 	}
@@ -307,10 +318,6 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 	c.recorder.SetWindow(cfg.Window)
 	if cfg.Percentiles == core.PercentilesSketch {
 		c.recorder.UseSketch(len(cfg.Nodes))
-	}
-	c.tagNode = make([]int, len(cfg.Nodes))
-	for i := range c.tagNode {
-		c.tagNode[i] = i
 	}
 
 	caps := make([]NodeCapacity, len(cfg.Nodes))
@@ -347,70 +354,63 @@ func New(cfg Config, m *coe.Model) (*Cluster, error) {
 		if n := len(sys.Pools()); n > math.MaxUint8 {
 			return nil, fmt.Errorf("cluster: node %s: %d pools overflow the residency table's byte counters", nc.ID, n)
 		}
-		c.nodes = append(c.nodes, c.fleet.join(i, nc.ID, sys))
+		n := c.fleet.join(i, nc.ID, sys)
+		n.c, n.hop = c, cfg.Interconnect.NodeLatency(i)
+		c.nodes = append(c.nodes, n)
+		c.tagNode = append(c.tagNode, i)
 	}
 	c.fleet.nodes = c.nodes
-	c.delegates = make([]nodeDelegate, len(c.nodes))
-	for i := range c.delegates {
-		c.delegates[i] = nodeDelegate{c: c, idx: i}
+	if cfg.Health.Enabled() {
+		c.health = &healthState{cfg: cfg.Health.withDefaults(), means: make([]float64, 0, len(c.nodes)), open: c.fleet.open}
 	}
 	return c, nil
 }
 
-// nodeDelegate is the StreamDelegate one node reports completions
-// through: it carries the node's index so the cluster can attribute the
-// completion — health scoring per node, hedge-race resolution by
-// whichever copy's node acked first.
-type nodeDelegate struct {
-	c   *Cluster
-	idx int
-}
+// delegate is the core.StreamDelegate a node reports through: the node
+// itself, so the front end attributes each completion to it — health
+// scoring per node, hedge-race resolution by whichever copy's node
+// acked first.
+type delegate Node
 
 // RequestDone implements core.StreamDelegate: the completion acks the
 // request's lease with a fold to the front end (completionFold). It runs
 // in the node's context, so it may only capture and post.
-func (d *nodeDelegate) RequestDone(now sim.Time, r *coe.Request) {
-	d.c.postFold(d.idx, now, opCompletion, r)
+func (d *delegate) RequestDone(now sim.Time, r *coe.Request) {
+	d.c.postFold((*Node)(d), now, opCompletion, r)
 }
 
 // RequestDropped implements core.StreamDelegate: a crash-voided request
 // folds back to the front end, which owns the arena, for recycling. The
 // node's own drop accounting already ran.
-func (d *nodeDelegate) RequestDropped(now sim.Time, r *coe.Request) {
-	d.c.postFold(d.idx, now, opRecycle, r)
+func (d *delegate) RequestDropped(now sim.Time, r *coe.Request) {
+	d.c.postFold((*Node)(d), now, opRecycle, r)
 }
 
-// nodeTenant names one (serving node, tenant) pair among the front
-// end's latency tags.
-type nodeTenant struct {
-	node   int
-	tenant string
-}
-
-// tag returns the front end's latency tag for a completion node idx
-// resolved for tenant: idx itself without a tenant, otherwise the
-// pair's tag, assigned at its first completion. Pairs past the 16-bit
-// tag space share the last tag and set tagsFull, and Serve refuses
-// their stream.
-func (c *Cluster) tag(idx int, tenant string) uint16 {
-	if tenant == "" {
-		return uint16(idx)
+// tag returns the front end's latency tag for a completion on node n
+// in tenant slot (coe.Request.TenantSlot): n's index without a tenant,
+// otherwise the pair's tag, assigned at its first completion this
+// stream. Pairs past the 16-bit tag space share the last tag and set
+// tagsFull, and Serve refuses their stream.
+func (c *Cluster) tag(n *Node, slot int32) uint16 {
+	if slot == 0 {
+		return uint16(n.idx)
 	}
-	k := nodeTenant{idx, tenant}
-	t, ok := c.pairTags[k]
-	if !ok {
-		if len(c.tagNode) > math.MaxUint16 {
+	for int(slot) > len(n.tags) {
+		n.tags = append(n.tags, 0)
+	}
+	t := &n.tags[slot-1]
+	if *t == 0 {
+		if c.tags > math.MaxUint16 {
 			c.tagsFull = true
 			return math.MaxUint16
 		}
-		if c.pairTags == nil {
-			c.pairTags = make(map[nodeTenant]uint16)
+		if c.tags == len(c.tagNode) {
+			c.tagNode = append(c.tagNode, 0)
 		}
-		t = uint16(len(c.tagNode))
-		c.pairTags[k] = t
-		c.tagNode = append(c.tagNode, idx)
+		*t, c.tagNode[c.tags] = uint16(c.tags), n.idx
+		c.tags++
 	}
-	return t
+	return *t
 }
 
 // Nodes exposes the fleet (read-only use).
@@ -438,15 +438,10 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 	c.serving = true
 	defer func() { c.serving = false }()
 
-	if c.runs > 0 {
-		c.recorder.Reset()
-		clear(c.routed)
-	}
-	c.tagsFull = false
 	c.runs++
 	c.beginLifecycle()
-	for i, n := range c.nodes {
-		if err := n.sys.JoinStream(src.Name(), &c.delegates[i]); err != nil {
+	for _, n := range c.nodes {
+		if err := n.sys.JoinStream(src.Name(), (*delegate)(n)); err != nil {
 			// New refuses the one config that fails a healthy node's join
 			// (a one-stream replay node), so this node was driven from
 			// outside the cluster. The cluster stays poisoned.
@@ -511,22 +506,25 @@ func (c *Cluster) Serve(src workload.Source) (*Report, error) {
 	return c.report(src.Name(), reports), nil
 }
 
-// beginLifecycle arms the per-stream lifecycle state: fresh
-// durable-delivery bookkeeping, fresh health scoring when configured,
-// and cleared drain timing.
+// beginLifecycle resets the per-stream state in place: the recorder,
+// durable-delivery bookkeeping, health scoring when configured, drain
+// timing and tenant tags. After the first stream it allocates nothing.
 func (c *Cluster) beginLifecycle() {
+	c.recorder.Reset()
+	c.tags, c.tagsFull = len(c.nodes), false
 	c.closedAll = false
 	c.draining = 0
 	copy(c.fleet.up, c.fleet.all)
-	c.drainRecords = nil
-	c.chaos = &chaosState{lastCrash: make([]sim.Time, len(c.nodes))}
-	c.health = nil
-	if c.cfg.Health.Enabled() {
-		c.health = newHealthState(c.cfg.Health.withDefaults(), c.fleet)
+	c.drainRecords = c.drainRecords[:0]
+	*c.chaos = chaosState{pending: c.chaos.pending[:0]}
+	for _, n := range c.nodes {
+		n.routed, n.lastCrash = 0, 0
+		n.drainOn, n.scalerDrained, n.drainStart = false, false, 0
+		clear(n.tags)
 	}
-	clear(c.drainOn)
-	clear(c.drainStart)
-	clear(c.scalerDrained)
+	if c.health != nil {
+		c.health.reset(c.nodes)
+	}
 }
 
 // arrive takes one arrival from the stream into cluster admission and
@@ -580,7 +578,7 @@ func (c *Cluster) pickNode(now sim.Time, r *coe.Request) int {
 	mask := f.up
 	if h != nil && count(h.open) > 0 {
 		mask = f.pick
-		h.holdOut(mask, f.up)
+		h.holdOut(mask, f.up, f.nodes)
 		if count(mask) == 0 {
 			mask = f.up
 			if count(mask) > 0 {
@@ -663,12 +661,11 @@ func (c *Cluster) maybeClose() {
 // timed from now, and byScaler records whether the fleet autoscaler
 // owns it (only those drains does the autoscaler resume).
 func (c *Cluster) startDrain(now sim.Time, i int, byScaler bool) {
-	c.nodes[i].sys.Drain()
+	n := c.nodes[i]
+	n.sys.Drain()
 	setBit(c.fleet.up, i, false)
 	c.draining++
-	c.drainOn[i] = true
-	c.drainStart[i] = now
-	c.scalerDrained[i] = byScaler
+	n.drainOn, n.drainStart, n.scalerDrained = true, now, byScaler
 }
 
 // endDrain ends node i's drain. With resume the node returns to service
@@ -680,19 +677,18 @@ func (c *Cluster) endDrain(i int, resume bool) {
 		setBit(c.fleet.up, i, true)
 	}
 	c.draining--
-	c.drainOn[i] = false
-	c.scalerDrained[i] = false
+	c.nodes[i].drainOn, c.nodes[i].scalerDrained = false, false
 }
 
 // checkDrains records the completion time of any drain that has just
 // finished: a Draining node with nothing outstanding has drained, and
 // the record is the time from the drain order to this instant.
 func (c *Cluster) checkDrains(now sim.Time) {
-	for i, n := range c.nodes {
-		if c.drainOn[i] && n.sys.State() == core.NodeDraining && n.sys.Outstanding() == 0 {
-			c.drainOn[i] = false
+	for _, n := range c.nodes {
+		if n.drainOn && n.sys.State() == core.NodeDraining && n.sys.Outstanding() == 0 {
+			n.drainOn = false
 			c.drainRecords = append(c.drainRecords, DrainRecord{
-				Node: n.id, Took: now.Sub(c.drainStart[i]),
+				Node: n.id, Took: now.Sub(n.drainStart),
 			})
 		}
 	}

@@ -183,12 +183,11 @@ func TestGrayMonitorOnlyIsPassive(t *testing.T) {
 // full probe quorum of completions is not judged — one fast batch must
 // not reinstate it.
 func TestBreakerCapAndQuorum(t *testing.T) {
-	cl := grayCluster(t, nil, HealthConfig{}, HedgeConfig{})
-	h := newHealthState(grayHealth.withDefaults(), cl.fleet)
-	cl.health = h
+	cl := grayCluster(t, nil, grayHealth, HedgeConfig{})
+	h := cl.health
 
-	for i := range h.score {
-		h.score[i] = 0.1
+	for _, n := range cl.nodes {
+		n.score = 0.1
 	}
 	cl.breakerTick()
 	if open := count(h.open); open != 2 || h.BreakerTrips != 2 {
@@ -200,19 +199,20 @@ func TestBreakerCapAndQuorum(t *testing.T) {
 
 	// Drive node 0 to half-open and score it healthy: without a full
 	// probe quorum of completions this window, it must stay half-open.
-	for h.phase[0] != breakerHalfOpen {
+	n0 := cl.nodes[0]
+	for n0.phase != breakerHalfOpen {
 		cl.breakerTick()
 	}
-	h.score[0] = 1
-	h.onComplete(0, 0.01) // one completion < Probes (2)
+	n0.score = 1
+	h.onComplete(n0, 0.01) // one completion < Probes (2)
 	cl.breakerTick()
-	if h.phase[0] != breakerHalfOpen {
-		t.Fatalf("phase[0] = %v after a single completion, want half-open held (quorum is %d)", h.phase[0], h.cfg.Probes)
+	if n0.phase != breakerHalfOpen {
+		t.Fatalf("phase[0] = %v after a single completion, want half-open held (quorum is %d)", n0.phase, h.cfg.Probes)
 	}
-	h.onComplete(0, 0.01)
+	h.onComplete(n0, 0.01)
 	cl.breakerTick()
-	if h.phase[0] != breakerClosed || h.BreakerReinstates != 1 {
-		t.Errorf("phase[0] = %v, reinstates = %d after quorum, want closed and 1", h.phase[0], h.BreakerReinstates)
+	if n0.phase != breakerClosed || h.BreakerReinstates != 1 {
+		t.Errorf("phase[0] = %v, reinstates = %d after quorum, want closed and 1", n0.phase, h.BreakerReinstates)
 	}
 }
 

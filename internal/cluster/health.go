@@ -90,101 +90,70 @@ func (b breakerPhase) String() string {
 	return fmt.Sprintf("breakerPhase(%d)", int(b))
 }
 
-// healthState is the per-stream health bookkeeping: windowed per-node
-// completion latency (a count and a sum each, reset every window), the
-// scores derived from it, and the breaker FSM. Nil on streams without
-// HealthConfig — those pay nothing.
+// healthState is the fleet's health bookkeeping, built once and reset
+// each stream. Each Node holds its own windowed completion latency (a
+// count and a sum, reset every window), the score derived from it and
+// its breaker phase; healthState holds the breaker's bitset and
+// counters. Nil on clusters without HealthConfig — those pay nothing.
 type healthState struct {
 	cfg   HealthConfig
-	score []float64
-	phase []breakerPhase
-	cool  []int // windows left before open → half-open
-	// probes counts a half-open node's in-flight probe admissions; it
-	// caps routing, decrements on completion, and resets each window.
-	probes []int
-	// dry counts consecutive windows a node completed nothing while
-	// holding work. One silent window is routine — a cold start or a
-	// batch spanning the window boundary looks exactly like this — so
-	// only a run of them reads as a stall.
-	dry []int
-	// done and latSum are this window's completion count and latency
-	// sum (seconds) per node.
-	done   []int64
-	latSum []float64
-	means  []float64 // scratch for the median reference
+	means []float64 // scratch for the median reference
 	// open has node i's bit set while its phase is not closed.
 	open []uint64
 
 	HealthStats // the report's breaker counters, incremented in place
 }
 
-// newHealthState returns fresh health bookkeeping for the fleet's
-// nodes, every breaker closed.
-func newHealthState(cfg HealthConfig, f *fleet) *healthState {
-	nodes := len(f.backlog)
-	clear(f.open)
-	h := &healthState{
-		cfg:    cfg,
-		score:  make([]float64, nodes),
-		phase:  make([]breakerPhase, nodes),
-		cool:   make([]int, nodes),
-		probes: make([]int, nodes),
-		dry:    make([]int, nodes),
-		done:   make([]int64, nodes),
-		latSum: make([]float64, nodes),
-		means:  make([]float64, 0, nodes),
-		open:   f.open,
+// reset closes every node's breaker and zeroes the counters: the state
+// each stream starts from.
+func (h *healthState) reset(nodes []*Node) {
+	h.HealthStats = HealthStats{}
+	for _, n := range nodes {
+		h.resetNode(n)
 	}
-	for i := range h.score {
-		h.score[i] = 1
-	}
-	return h
 }
 
 // holdOut sets mask to up less the nodes the breaker holds out of
 // ordinary routing: open, or half-open with every probe slot taken.
-func (h *healthState) holdOut(mask, up []uint64) {
+func (h *healthState) holdOut(mask, up []uint64, nodes []*Node) {
 	for k, w := range h.open {
 		m := up[k]
 		for ; w != 0; w &= w - 1 {
-			i := k<<6 | bits.TrailingZeros64(w)
-			if h.phase[i] == breakerOpen || h.probes[i] >= h.cfg.Probes {
-				m &^= 1 << (i & 63)
+			n := nodes[k<<6|bits.TrailingZeros64(w)]
+			if n.phase == breakerOpen || n.probes >= h.cfg.Probes {
+				m &^= 1 << (n.idx & 63)
 			}
 		}
 		mask[k] = m
 	}
 }
 
-// onAdmit records a successful admission to node i.
-func (h *healthState) onAdmit(i int) {
-	if h.phase[i] == breakerHalfOpen {
-		h.probes[i]++
+// onAdmit records a successful admission to node n.
+func (h *healthState) onAdmit(n *Node) {
+	if n.phase == breakerHalfOpen {
+		n.probes++
 		h.ProbesSent++
 	}
 }
 
-// onComplete records a lease-resolved completion on node i with the
+// onComplete records a lease-resolved completion on node n with the
 // given end-to-end latency.
-func (h *healthState) onComplete(i int, latSeconds float64) {
-	h.done[i]++
-	h.latSum[i] += latSeconds
-	if h.probes[i] > 0 {
-		h.probes[i]--
+func (h *healthState) onComplete(n *Node, latSeconds float64) {
+	n.done++
+	n.latSum += latSeconds
+	if n.probes > 0 {
+		n.probes--
 	}
 }
 
-// resetNode wipes node i's health bookkeeping — a crash already resets
+// resetNode wipes node n's health bookkeeping — a crash already resets
 // the node itself, so the restarted instance is presumed healthy until
 // measured again.
-func (h *healthState) resetNode(i int) {
-	h.phase[i] = breakerClosed
-	setBit(h.open, i, false)
-	h.score[i] = 1
-	h.cool[i] = 0
-	h.probes[i] = 0
-	h.dry[i] = 0
-	h.done[i], h.latSum[i] = 0, 0
+func (h *healthState) resetNode(n *Node) {
+	setBit(h.open, n.idx, false)
+	n.score, n.phase = 1, breakerClosed
+	n.cool, n.probes, n.dry = 0, 0, 0
+	n.done, n.latSum = 0, 0
 }
 
 // healthTick is the scoring loop's window: it folds per-node scores from
@@ -201,11 +170,11 @@ func (c *Cluster) healthTick() bool {
 	// healthy homogeneous fleet scores ~1 everywhere; one straggler sits
 	// far above the median and scores ~median/self.
 	h.means = h.means[:0]
-	for i := range c.nodes {
-		if !hasBit(c.fleet.up, i) || h.done[i] == 0 {
+	for i, n := range c.nodes {
+		if !hasBit(c.fleet.up, i) || n.done == 0 {
 			continue
 		}
-		h.means = append(h.means, h.latSum[i]/float64(h.done[i]))
+		h.means = append(h.means, n.latSum/float64(n.done))
 	}
 	ref := 0.0
 	if len(h.means) > 0 {
@@ -218,7 +187,7 @@ func (c *Cluster) healthTick() bool {
 			// health resets so they come back presumed healthy.
 			continue
 		}
-		cnt := h.done[i]
+		cnt := n.done
 		switch {
 		case cnt == 0 && n.sys.Outstanding() > 0:
 			// Completed nothing while holding work. One window of silence
@@ -226,33 +195,32 @@ func (c *Cluster) healthTick() bool {
 			// so the score is left where it was until the silence repeats;
 			// from the second consecutive dry window on, the node reads as
 			// stalled.
-			h.dry[i]++
-			if h.dry[i] >= 2 {
-				h.score[i] = 0
+			n.dry++
+			if n.dry >= 2 {
+				n.score = 0
 			}
 		case cnt == 0:
 			// Idle: nothing to hold against it.
-			h.dry[i] = 0
-			h.score[i] = 1
+			n.dry, n.score = 0, 1
 		default:
-			h.dry[i] = 0
+			n.dry = 0
 			// Relative latency only. A raw completions/admissions ratio
 			// would also read queue growth — which any node shows under a
 			// Poisson burst — as sickness and trip healthy nodes; queueing
 			// surfaces in the sojourn latencies soon enough, and the
 			// cnt == 0 case above catches the true zero-throughput stall.
-			h.score[i] = 1
-			if mean := h.latSum[i] / float64(cnt); ref > 0 && mean > ref {
-				h.score[i] = ref / mean
+			n.score = 1
+			if mean := n.latSum / float64(cnt); ref > 0 && mean > ref {
+				n.score = ref / mean
 			}
 		}
 	}
 	if h.cfg.Breaker {
 		c.breakerTick()
 	}
-	clear(h.done)
-	clear(h.latSum)
-	clear(h.probes)
+	for _, n := range c.nodes {
+		n.done, n.latSum, n.probes = 0, 0, 0
+	}
 	return true
 }
 
@@ -270,22 +238,20 @@ func (c *Cluster) breakerTick() {
 	if maxOpen < 1 {
 		maxOpen = 1
 	}
-	for i := range c.nodes {
+	for i, n := range c.nodes {
 		if !hasBit(c.fleet.up, i) {
 			continue
 		}
-		switch h.phase[i] {
+		switch n.phase {
 		case breakerClosed:
-			if h.score[i] < tripBelow && count(h.open) < maxOpen && c.routableHealthy() > 1 {
-				h.phase[i] = breakerOpen
-				h.cool[i] = h.cfg.Cooldown
+			if n.score < tripBelow && count(h.open) < maxOpen && c.routableHealthy() > 1 {
+				n.phase, n.cool = breakerOpen, h.cfg.Cooldown
 				setBit(h.open, i, true)
 				h.BreakerTrips++
 			}
 		case breakerOpen:
-			h.cool[i]--
-			if h.cool[i] <= 0 {
-				h.phase[i] = breakerHalfOpen
+			if n.cool--; n.cool <= 0 {
+				n.phase = breakerHalfOpen
 			}
 		case breakerHalfOpen:
 			// Judge only on windows with a full quorum of completions; an
@@ -293,16 +259,15 @@ func (c *Cluster) breakerTick() {
 			// backlog) keeps the node half-open, and a single lucky
 			// completion from a jittering node is not evidence of health —
 			// one fast batch must not reinstate a sick node.
-			if h.done[i] < int64(h.cfg.Probes) {
+			if n.done < int64(h.cfg.Probes) {
 				break
 			}
-			if h.score[i] >= restoreAbove {
-				h.phase[i] = breakerClosed
+			if n.score >= restoreAbove {
+				n.phase = breakerClosed
 				setBit(h.open, i, false)
 				h.BreakerReinstates++
-			} else if h.score[i] < tripBelow {
-				h.phase[i] = breakerOpen
-				h.cool[i] = h.cfg.Cooldown
+			} else if n.score < tripBelow {
+				n.phase, n.cool = breakerOpen, h.cfg.Cooldown
 				h.BreakerTrips++
 			}
 		}

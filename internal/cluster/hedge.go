@@ -98,7 +98,7 @@ func (c *Cluster) fireHedge(l *lease) {
 	// still ambiguous, so only the breaker's verdict releases a hedge.
 	// Without health armed there is no such signal and the deadline is
 	// trusted as-is.
-	if h := c.health; h != nil && h.phase[l.primary.node] == breakerClosed {
+	if c.health != nil && c.nodes[l.primary.node].phase == breakerClosed {
 		c.rearmHedge(l)
 		return
 	}

@@ -33,7 +33,7 @@ func checkPools(t testing.TB, c *Cluster) {
 // heldOn counts node i's hold list.
 func (c *Cluster) heldOn(i int) int {
 	n := 0
-	for h := c.firstHeld[i]; h != nil; h = h.next {
+	for h := c.nodes[i].firstHeld; h != nil; h = h.next {
 		n++
 	}
 	return n

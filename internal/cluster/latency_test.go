@@ -115,3 +115,83 @@ func TestFleetNodeLatencyMatchesTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetTenantLatencyMatchesTrace: on a fault-free, hedge-free fleet
+// without an interconnect each node's tenant rows equal, bit for bit,
+// stats.SummarizeInPlace and stats.Attainment over that tenant's
+// completion durations in the node's own trace. Two warm streams see
+// their tenants first in opposite orders, so every node's tenant slots
+// swap between them and the front end's slot-keyed tags must follow.
+func TestFleetTenantLatencyMatchesTrace(t *testing.T) {
+	board := boardFor(t, workload.BoardA())
+	const slo = 500 * time.Millisecond
+	cfg := Config{Nodes: Uniform(3, nodeConfig(t, hw.NUMADevice())), Router: Affinity{}, SLO: slo}
+	for i := range cfg.Nodes {
+		cfg.Nodes[i].Trace = trace.New()
+		cfg.Nodes[i].SLO = slo
+	}
+	c := buildCluster(t, cfg, board.Model)
+	// mix yields tenant fast at 40 req/s and tenant slow at 4, so every
+	// node admits fast's requests first.
+	mix := func(fast, slow string, seed int64) *workload.RecordingSource {
+		a, err := workload.Poisson{Name: fast, Board: board, Rate: 40, N: 400, Seed: seed}.NewSource()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := workload.Poisson{Name: slow, Board: board, Rate: 4, N: 60, Seed: seed + 1}.NewSource()
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := workload.Mix{Name: "tenants", Tenants: []workload.Source{a, b}}.NewSource()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return workload.Record(src)
+	}
+	firstSeen := make([]string, len(cfg.Nodes))
+	for round, names := range [][2]string{{"flood", "quiet"}, {"quiet", "flood"}} {
+		marks := make([]int, len(cfg.Nodes))
+		for i, nc := range cfg.Nodes {
+			marks[i] = len(nc.Trace.Events())
+		}
+		src := mix(names[0], names[1], int64(31+2*round))
+		rep, err := c.Serve(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The mix numbers its requests from 0 in arrival order.
+		entries := src.Trace().Entries
+		for i, nr := range rep.PerNode {
+			if len(nr.PerTenant) != 2 || nr.PerTenant[0].Name != names[0] {
+				t.Fatalf("round %d node %d: tenant rows %+v, want %s then %s", round, i, nr.PerTenant, names[0], names[1])
+			}
+			if round > 0 && nr.PerTenant[0].Name == firstSeen[i] {
+				t.Fatalf("node %d saw %s first in both streams; its tenant slots did not swap", i, firstSeen[i])
+			}
+			firstSeen[i] = nr.PerTenant[0].Name
+			durs := map[string][]float64{}
+			for _, ev := range cfg.Nodes[i].Trace.Events()[marks[i]:] {
+				if ev.Kind != trace.KindComplete {
+					continue
+				}
+				if ev.Request < 0 || ev.Request >= int64(len(entries)) {
+					t.Fatalf("round %d node %d: completed request %d of %d arrivals", round, i, ev.Request, len(entries))
+				}
+				name := entries[ev.Request].Tenant
+				durs[name] = append(durs[name], ev.Dur.Seconds())
+			}
+			for _, ts := range nr.PerTenant {
+				d := durs[ts.Name]
+				if len(d) == 0 || int64(len(d)) != ts.Completions {
+					t.Fatalf("round %d node %d tenant %s: %d completion events for %d completions", round, i, ts.Name, len(d), ts.Completions)
+				}
+				if want := stats.SummarizeInPlace(slices.Clone(d)); ts.Latency != want {
+					t.Errorf("round %d node %d tenant %s: latency %+v, want the trace's %+v", round, i, ts.Name, ts.Latency, want)
+				}
+				if want := stats.Attainment(d, slo.Seconds()); ts.SLOAttainment != want {
+					t.Errorf("round %d node %d tenant %s: attainment %v, want the trace's %v", round, i, ts.Name, ts.SLOAttainment, want)
+				}
+			}
+		}
+	}
+}

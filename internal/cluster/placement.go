@@ -81,17 +81,16 @@ func (UsageProportional) Plan(m *coe.Model, nodes []NodeCapacity) ([][]coe.Exper
 	return deal(m, nodes, len(nodes)), nil
 }
 
-// deal plans up to most instances of each expert by marginal gain. It
-// keeps the candidates in a max-heap keyed by (gain descending, usage
-// rank ascending) and the nodes ordered widest first. The top candidate
-// either lands, and sinks to its next gain, or has no node to land on
-// and is dropped for good: capacities only shrink and the nodes holding
-// it only grow, so no later round could place it. A placement costs
-// O(log E) heap work plus a walk past the nodes that already hold the
-// expert and one reorder of the node it lands on, so the plan is
-// O(P·(log E + N)) for P placements, E experts and N nodes. With most
-// 1 every gain stays its usage probability, so the experts are dealt in
-// usage order.
+// deal plans up to most instances of each expert by marginal gain,
+// ordered by (gain descending, usage rank ascending), with the nodes
+// ordered widest first. An expert's gain is its usage probability until
+// its first instance lands, so first instances come from a cursor over
+// the usage order; only an expert with an instance and room for another
+// waits in a max-heap at its next gain, and each step takes the better
+// of the two. A candidate with no node to land on is dropped for good:
+// capacities only shrink and the nodes holding it only grow. The plan
+// is O(P·(log E + N)) for P placements, E experts and N nodes; with most
+// 1 the heap stays empty.
 func deal(m *coe.Model, nodes []NodeCapacity, most int) [][]coe.ExpertID {
 	plan := make([][]coe.ExpertID, len(nodes))
 	for i := range plan {
@@ -99,50 +98,62 @@ func deal(m *coe.Model, nodes []NodeCapacity, most int) [][]coe.ExpertID {
 	}
 	space := newSpace(nodes)
 	experts := m.ExpertsByUsage()
-	h := gainHeap{gain: make([]float64, len(experts)), ranks: make([]int, len(experts))}
+	h := gainHeap{gain: make([]float64, len(experts)), ranks: make([]int, 0, len(experts))}
 	instances := make([]int, len(experts))
 	// homes(rank) marks the nodes already holding expert rank.
 	held := make([]bool, len(experts)*len(nodes))
 	homes := func(rank int) []bool { return held[rank*len(nodes) : (rank+1)*len(nodes)] }
 	for rank, e := range experts {
 		h.gain[rank] = e.UsageProb
-		h.ranks[rank] = rank
 	}
-	// Ranks in usage order are already sorted by (gain descending, rank
-	// ascending), so they form a valid heap as they stand.
-	for len(h.ranks) > 0 {
-		rank := h.ranks[0]
+	// next is the cursor: experts[next:] have no instance yet.
+	for next := 0; next < len(experts) || len(h.ranks) > 0; {
+		rank, first := next, next < len(experts) && (len(h.ranks) == 0 || h.above(next, h.ranks[0]))
+		if first {
+			next++
+		} else {
+			rank = h.ranks[0]
+		}
 		e := experts[rank]
 		at := space.widest(e.WeightBytes(), homes(rank))
-		if at < 0 {
-			h.pop()
-			continue
+		if at >= 0 {
+			node := space.take(at, e.WeightBytes())
+			plan[node] = append(plan[node], e.ID)
+			homes(rank)[node] = true
+			instances[rank]++
+			h.gain[rank] = e.UsageProb / float64(instances[rank]+1)
 		}
-		node := space.take(at, e.WeightBytes())
-		plan[node] = append(plan[node], e.ID)
-		homes(rank)[node] = true
-		instances[rank]++
-		if instances[rank] == most {
+		switch again := at >= 0 && instances[rank] < most; {
+		case again && first:
+			h.push(rank)
+		case again:
+			h.down(0)
+		case !first:
 			h.pop()
-			continue
 		}
-		h.gain[rank] = e.UsageProb / float64(instances[rank]+1)
-		h.down(0)
 	}
 	return plan
 }
 
-// gainHeap is UsageProportional's candidate max-heap: expert usage
-// ranks ordered by (gain descending, rank ascending), so the top is the
-// candidate the water-filling rule deals the next instance to.
+// gainHeap is deal's candidate max-heap: expert usage ranks ordered by
+// (gain descending, rank ascending), so the top is the candidate the
+// water-filling rule deals the next instance to.
 type gainHeap struct {
 	gain  []float64 // by rank: the next instance's marginal gain
 	ranks []int     // the heap
 }
 
-func (h *gainHeap) less(i, j int) bool {
-	a, b := h.ranks[i], h.ranks[j]
+// above reports whether expert rank a goes before rank b.
+func (h *gainHeap) above(a, b int) bool {
 	return h.gain[a] > h.gain[b] || (h.gain[a] == h.gain[b] && a < b)
+}
+
+// push adds a candidate and lifts it to its place.
+func (h *gainHeap) push(rank int) {
+	h.ranks = append(h.ranks, rank)
+	for i := len(h.ranks) - 1; i > 0 && h.above(rank, h.ranks[(i-1)/2]); i = (i - 1) / 2 {
+		h.ranks[i], h.ranks[(i-1)/2] = h.ranks[(i-1)/2], h.ranks[i]
+	}
 }
 
 // pop removes the top candidate.
@@ -162,10 +173,10 @@ func (h *gainHeap) down(i int) {
 		if c >= n {
 			return
 		}
-		if c+1 < n && h.less(c+1, c) {
+		if c+1 < n && h.above(h.ranks[c+1], h.ranks[c]) {
 			c++
 		}
-		if !h.less(c, i) {
+		if !h.above(h.ranks[c], h.ranks[i]) {
 			return
 		}
 		h.ranks[i], h.ranks[c] = h.ranks[c], h.ranks[i]

@@ -205,7 +205,7 @@ func (c *Cluster) report(stream string, perNode []*core.Report) *Report {
 		Latency:       c.recorder.LatencySummary(),
 		SLO:           c.cfg.SLO,
 		SLOAttainment: c.recorder.SLOAttainment(c.cfg.SLO),
-		Routed:        append([]int64(nil), c.routed...),
+		Routed:        make([]int64, len(c.nodes)),
 		PerNode:       perNode,
 	}
 	if r.Offered > 0 {
@@ -218,12 +218,31 @@ func (c *Cluster) report(stream string, perNode []*core.Report) *Report {
 		r.Windows = append([]metrics.Window(nil), ws...)
 	}
 	c.foldNodeLatency(perNode)
-	for _, rep := range perNode {
+	if h := c.health; h != nil {
+		r.HealthStats, r.HealthScores = h.HealthStats, make([]float64, len(c.nodes))
+	}
+	if !c.cfg.Faults.Empty() || c.cfg.Hedge.Enabled() || c.cfg.Interconnect.Enabled() || c.cfg.Autoscaler != nil {
+		r.FinalStates = make([]core.NodeState, len(c.nodes))
+	}
+	var total, most int64
+	for i, rep := range perNode {
+		n := c.nodes[i]
+		r.Routed[i] = n.routed
+		total, most = total+n.routed, max(most, n.routed)
+		if r.HealthScores != nil {
+			r.HealthScores[i] = n.score
+		}
+		if r.FinalStates != nil {
+			r.FinalStates[i] = n.sys.State()
+		}
 		r.Switches += rep.Switches
 		r.SSDLoads += rep.SSDLoads
 		r.HostHits += rep.HostHits
 		r.Evictions += rep.Evictions
 		r.Dropped += rep.Dropped
+	}
+	if total > 0 {
+		r.Imbalance = float64(most) * float64(len(c.nodes)) / float64(total)
 	}
 	if len(c.drainRecords) > 0 {
 		r.TimeToDrain = append([]DrainRecord(nil), c.drainRecords...)
@@ -235,45 +254,26 @@ func (c *Cluster) report(stream string, perNode []*core.Report) *Report {
 		r.FailoverMean = cs.failoverSum / time.Duration(cs.failoverN)
 		r.FailoverMax = cs.failoverMax
 	}
-	if h := c.health; h != nil {
-		r.HealthStats = h.HealthStats
-		r.HealthScores = append([]float64(nil), h.score...)
-	}
-	if !c.cfg.Faults.Empty() || c.cfg.Hedge.Enabled() || c.cfg.Interconnect.Enabled() || c.cfg.Autoscaler != nil {
-		r.FinalStates = make([]core.NodeState, len(c.nodes))
-		for i, n := range c.nodes {
-			r.FinalStates[i] = n.sys.State()
-		}
-	}
-	var total, max int64
-	for _, n := range r.Routed {
-		total += n
-		if n > max {
-			max = n
-		}
-	}
-	if total > 0 {
-		r.Imbalance = float64(max) * float64(len(c.nodes)) / float64(total)
-	}
 	return r
 }
 
 // foldNodeLatency fills each node report's latency and SLO attainment,
 // and its tenants', from the front end's tagged record, scoring each
-// against the node's own objective.
+// against the node's own objective. A node's tenant row j is its tenant
+// slot j+1, so the node's tag table indexes the rows directly.
 func (c *Cluster) foldNodeLatency(perNode []*core.Report) {
 	nodeSLO := func(i int) time.Duration { return perNode[i].SLO }
 	for i, lat := range c.recorder.GroupLatency(len(perNode), c.tagNode, nodeSLO) {
 		perNode[i].Latency, perNode[i].SLOAttainment = lat.Summary, lat.SLOAttainment
 	}
-	if len(c.pairTags) == 0 {
+	if c.tags == len(perNode) {
 		return
 	}
 	pairs := c.recorder.GroupLatency(len(c.tagNode), nil, func(t int) time.Duration { return nodeSLO(c.tagNode[t]) })
 	for i, rep := range perNode {
-		for j := range rep.PerTenant {
-			ts := &rep.PerTenant[j]
-			if t, ok := c.pairTags[nodeTenant{i, ts.Name}]; ok {
+		for j, t := range c.nodes[i].tags {
+			if t != 0 {
+				ts := &rep.PerTenant[j]
 				ts.Latency, ts.SLOAttainment = pairs[t].Summary, pairs[t].SLOAttainment
 			}
 		}

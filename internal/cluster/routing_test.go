@@ -41,8 +41,8 @@ func (c *routeChecker) Pick(now sim.Time, nodes []*Node, r *coe.Request) int {
 		if up := n.sys.State() == core.NodeUp; hasBit(cl.fleet.up, i) != up {
 			c.errorf("pick %d at %v: %s up bit %v in state %v", c.picks, now, n.id, !up, n.sys.State())
 		}
-		if h != nil && hasBit(h.open, i) != (h.phase[i] != breakerClosed) {
-			c.errorf("pick %d at %v: %s open bit %v in phase %v", c.picks, now, n.id, hasBit(h.open, i), h.phase[i])
+		if h != nil && hasBit(h.open, i) != (n.phase != breakerClosed) {
+			c.errorf("pick %d at %v: %s open bit %v in phase %v", c.picks, now, n.id, hasBit(h.open, i), n.phase)
 		}
 	}
 	c.want = c.want[:0]
@@ -50,16 +50,16 @@ func (c *routeChecker) Pick(now sim.Time, nodes []*Node, r *coe.Request) int {
 		c.hedges++
 		primary := c.primary(r.ID)
 		for i, n := range cl.nodes {
-			if n.sys.State() == core.NodeUp && i != primary && (h == nil || h.phase[i] == breakerClosed) {
+			if n.sys.State() == core.NodeUp && i != primary && (h == nil || n.phase == breakerClosed) {
 				c.want = append(c.want, n)
 			}
 		}
 	} else {
-		for i, n := range cl.nodes {
+		for _, n := range cl.nodes {
 			if n.sys.State() != core.NodeUp {
 				continue
 			}
-			if h != nil && (h.phase[i] == breakerOpen || h.phase[i] == breakerHalfOpen && h.probes[i] >= h.cfg.Probes) {
+			if h != nil && (n.phase == breakerOpen || n.phase == breakerHalfOpen && n.probes >= h.cfg.Probes) {
 				continue
 			}
 			c.want = append(c.want, n)
@@ -89,8 +89,8 @@ func (c *routeChecker) Pick(now sim.Time, nodes []*Node, r *coe.Request) int {
 // primary returns the node holding lease id's primary copy, found on
 // the nodes' hold lists; -1 when no node holds it.
 func (c *routeChecker) primary(id int64) int {
-	for i := range c.cl.nodes {
-		for h := c.cl.firstHeld[i]; h != nil; h = h.next {
+	for i, n := range c.cl.nodes {
+		for h := n.firstHeld; h != nil; h = h.next {
 			if h.l != nil && h.l.id == id && h.l.primary == h {
 				return i
 			}

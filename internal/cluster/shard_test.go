@@ -190,8 +190,10 @@ func TestShardedZeroInterconnectUnsharded(t *testing.T) {
 	shardy := base
 	shardy.Shards = 4
 	cl := buildCluster(t, shardy, board.Model)
-	if plain.latency != nil || cl.latency != nil {
-		t.Fatal("a cluster without an Interconnect has timed hops")
+	for _, n := range append(plain.nodes, cl.nodes...) {
+		if n.hop != 0 {
+			t.Fatal("a cluster without an Interconnect has timed hops")
+		}
 	}
 	a, err := plain.Serve(poissonFor(t, board, 40, 200, 13))
 	if err != nil {
@@ -233,8 +235,10 @@ func TestInterconnectConfigValidation(t *testing.T) {
 			t.Errorf("%s: New accepted the config", tc.name)
 		}
 	}
-	if cl := buildCluster(t, interconnectConfig(t, nil, HealthConfig{}, HedgeConfig{}), board.Model); cl.latency == nil {
-		t.Error("an enabled Interconnect did not make hops timed")
+	for _, n := range buildCluster(t, interconnectConfig(t, nil, HealthConfig{}, HedgeConfig{}), board.Model).nodes {
+		if n.hop == 0 {
+			t.Error("an enabled Interconnect did not make hops timed")
+		}
 	}
 	cfg := interconnectConfig(t, nil, HealthConfig{}, HedgeConfig{})
 	cfg.Interconnect = Interconnect{Dispatch: maxHop}

@@ -34,47 +34,47 @@ import (
 // injection, drains, restarts, and stream close call into node state
 // directly, at the instant they run.
 //
-// Every hop is a pooled shardMsg — one typed union covering the whole
+// Every hop is a pooled wireMsg — one typed union covering the whole
 // protocol — drawn from one free list and released on delivery, so the
 // steady-state offer→accept→completion cycle allocates nothing: the
 // offer's message is freed at the node and immediately reused for the
 // fold, the fold's for the next offer.
 
-// shardOp selects a shardMsg's handler — the protocol's full verb set.
-type shardOp uint8
+// wireOp selects a wireMsg's handler — the protocol's full verb set.
+type wireOp uint8
 
 const (
-	opOffer      shardOp = iota // front end → node: deliver a request to admission
-	opAccept                    // node → front end: admission succeeded
-	opReject                    // node → front end: admission refused
-	opBounce                    // node → front end: node not Up, request unopened
-	opCompletion                // node → front end: request finished, ack the lease
-	opRecycle                   // node → front end: return a dropped request to the arena
+	opOffer      wireOp = iota // front end → node: deliver a request to admission
+	opAccept                   // node → front end: admission succeeded
+	opReject                   // node → front end: admission refused
+	opBounce                   // node → front end: node not Up, request unopened
+	opCompletion               // node → front end: request finished, ack the lease
+	opRecycle                  // node → front end: return a dropped request to the arena
 )
 
-// shardMsg is the pooled protocol message: one union for every hop, so
+// wireMsg is the pooled protocol message: one union for every hop, so
 // a free list of them serves the entire request path. The request names
 // its hold (coe.Request.Hold), which names the node — the offer's
 // target, the fold's origin — and the lease. A fold carries the node
 // instant it was sent; an accept's is the instant the node admitted the
 // request.
-type shardMsg struct {
+type wireMsg struct {
 	c    *Cluster
-	op   shardOp
+	op   wireOp
 	r    *coe.Request
 	sent sim.Time
-	next *shardMsg // free-list link
+	next *wireMsg // free-list link
 }
 
 // Deliver implements sim.Message: the environment invokes it at the
 // instant the hop lands.
-func (m *shardMsg) Deliver(at sim.Time) { m.c.deliverMsg(m, at) }
+func (m *wireMsg) Deliver(at sim.Time) { m.c.deliverMsg(m, at) }
 
 // newMsg draws a message from the free list.
-func (c *Cluster) newMsg() *shardMsg {
+func (c *Cluster) newMsg() *wireMsg {
 	m := c.msgFree
 	if m == nil {
-		return &shardMsg{c: c}
+		return &wireMsg{c: c}
 	}
 	c.msgFree = m.next
 	m.next = nil
@@ -83,7 +83,7 @@ func (c *Cluster) newMsg() *shardMsg {
 
 // freeMsg returns a delivered message to the free list, clearing
 // payload pointers so the list pins nothing.
-func (c *Cluster) freeMsg(m *shardMsg) {
+func (c *Cluster) freeMsg(m *wireMsg) {
 	m.r = nil
 	m.next = c.msgFree
 	c.msgFree = m
@@ -93,7 +93,7 @@ func (c *Cluster) freeMsg(m *shardMsg) {
 // message before the handler runs so a handler that immediately posts
 // the next hop (nodeOffer folding the outcome back, a fold routing the
 // next offer) reuses the very message that carried this one.
-func (c *Cluster) deliverMsg(m *shardMsg, at sim.Time) {
+func (c *Cluster) deliverMsg(m *wireMsg, at sim.Time) {
 	op, r, sent := m.op, m.r, m.sent
 	c.freeMsg(m)
 	h := c.holds[r.Hold]
@@ -134,10 +134,11 @@ func (c *Cluster) deliverMsg(m *shardMsg, at sim.Time) {
 // meanwhile), a hedge offer carries only duplicate work.
 func (c *Cluster) postOffer(now sim.Time, idx int, l *lease, r *coe.Request, hedge bool) {
 	cs := c.chaos
+	n := c.nodes[idx]
 	h := c.newHold(idx)
 	h.l = l
 	r.Hold = h.idx
-	c.routed[idx]++
+	n.routed++
 	if hedge {
 		l.hedge = h
 		cs.hedgeOffers++
@@ -147,44 +148,41 @@ func (c *Cluster) postOffer(now sim.Time, idx int, l *lease, r *coe.Request, hed
 	}
 	m := c.newMsg()
 	m.op, m.r = opOffer, r
-	c.post(idx, now, m)
+	c.post(n, now, m)
 }
 
-// postFold posts a fold verb from node idx to the front end: delivered
-// at once with no interconnect, one hop after now with one.
-func (c *Cluster) postFold(idx int, now sim.Time, op shardOp, r *coe.Request) {
+// postFold posts a fold verb from node n to the front end: delivered at
+// once with no interconnect, one hop after now with one.
+func (c *Cluster) postFold(n *Node, now sim.Time, op wireOp, r *coe.Request) {
 	m := c.newMsg()
 	m.op, m.r, m.sent = op, r, now
-	c.post(idx, now, m)
+	c.post(n, now, m)
 }
 
-// post carries m across node idx's link, sent at now: the two
-// transports.
-func (c *Cluster) post(idx int, now sim.Time, m *shardMsg) {
-	if c.latency == nil {
+// post carries m across node n's link, sent at now: the two transports.
+func (c *Cluster) post(n *Node, now sim.Time, m *wireMsg) {
+	if n.hop == 0 {
 		c.deliverMsg(m, now)
 		return
 	}
-	c.env.PostMsg(now.Add(c.latency[idx]), m)
+	c.env.PostMsg(now.Add(n.hop), m)
 }
 
 // nodeOffer runs in the context of the offer's node at its arrival
 // instant (now). It advances only node-local state, and reports the
 // outcome with a fold, which lands one hop later over an interconnect.
 func (c *Cluster) nodeOffer(now sim.Time, h *hold, r *coe.Request) {
-	idx := h.node
-	sys := c.nodes[idx].sys
-	if sys.State() != core.NodeUp {
+	n := c.nodes[h.node]
+	switch {
+	case n.sys.State() != core.NodeUp:
 		// The node went down or started draining while the offer was on
 		// the wire: bounce it back unopened for the front end to
 		// re-route.
-		c.postFold(idx, now, opBounce, r)
-		return
-	}
-	if sys.OfferAt(now, r) {
-		c.postFold(idx, now, opAccept, r)
-	} else {
-		c.postFold(idx, now, opReject, r)
+		c.postFold(n, now, opBounce, r)
+	case n.sys.OfferAt(now, r):
+		c.postFold(n, now, opAccept, r)
+	default:
+		c.postFold(n, now, opReject, r)
 	}
 }
 
@@ -196,8 +194,8 @@ func (c *Cluster) nodeOffer(now sim.Time, h *hold, r *coe.Request) {
 // lease is voided on landing instead.
 func (c *Cluster) acceptFold(now sim.Time, h *hold, hedge bool, issued sim.Time) {
 	cs := c.chaos
-	l := h.l
-	crashed := cs.lastCrash[h.node] > issued
+	l, n := h.l, c.nodes[h.node]
+	crashed := n.lastCrash > issued
 	if hedge {
 		switch {
 		case crashed:
@@ -209,7 +207,7 @@ func (c *Cluster) acceptFold(now sim.Time, h *hold, hedge bool, issued sim.Time)
 			cs.HedgesFired++
 			c.link(h)
 			if hl := c.health; hl != nil {
-				hl.onAdmit(h.node)
+				hl.onAdmit(n)
 			}
 		default:
 			// The lease resolved — or was voided into a redelivery — while
@@ -236,7 +234,7 @@ func (c *Cluster) acceptFold(now sim.Time, h *hold, hedge bool, issued sim.Time)
 		// had the copy been held.
 		h.fate = &cs.LostLeases
 		h.l, l.primary = nil, nil
-		l.voidedAt = cs.lastCrash[h.node]
+		l.voidedAt = n.lastCrash
 		if !c.redeliverOne(now, l) {
 			cs.parkLease(l)
 		}
@@ -244,7 +242,7 @@ func (c *Cluster) acceptFold(now sim.Time, h *hold, hedge bool, issued sim.Time)
 		c.link(h)
 		cs.leased++
 		if hl := c.health; hl != nil {
-			hl.onAdmit(h.node)
+			hl.onAdmit(n)
 		}
 		c.armHedge(l, c.cfg.Hedge.After)
 	}
@@ -313,7 +311,7 @@ func (c *Cluster) bounceFold(now sim.Time, h *hold, hedge bool, r *coe.Request) 
 func (c *Cluster) completionFold(now sim.Time, h *hold, r *coe.Request) {
 	cs := c.chaos
 	c.unlink(h)
-	l, idx := h.l, h.node
+	l, n := h.l, c.nodes[h.node]
 	if l == nil {
 		if h.fate != nil {
 			cs.DupAcks++
@@ -334,12 +332,12 @@ func (c *Cluster) completionFold(now sim.Time, h *hold, r *coe.Request) {
 	}
 	lat := now.Sub(l.arrival).Seconds()
 	if hl := c.health; hl != nil {
-		hl.onComplete(idx, lat)
+		hl.onComplete(n, lat)
 	}
 	cs.leased--
 	cs.completions++
 	c.recorder.Completion(l.arrival, now)
-	c.recorder.Sample(lat, c.tag(idx, l.tenant))
+	c.recorder.Sample(lat, c.tag(n, r.TenantSlot))
 	if l.redeliveries > 0 {
 		d := now.Sub(l.voidedAt)
 		cs.failoverSum += d

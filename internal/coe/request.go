@@ -21,7 +21,8 @@ type Request struct {
 	// to whoever offers it: at admission the node stamps the index plus
 	// one of Tenant in its own tenant table (0: no tenant), so that its
 	// completion accounting reads the index instead of looking the name
-	// up again.
+	// up again. A cluster front end reads it too, when it folds the
+	// completion, to tag the latency sample with the (node, tenant) pair.
 	TenantSlot int32
 
 	// Tenant names the stream the request came from in a multi-tenant
