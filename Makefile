@@ -97,12 +97,13 @@ race:
 # BENCH_fleet.json, BENCH_chaos.json, BENCH_kernel.json, or
 # BENCH_cluster.json regresses past its recorded allocs/op or bytes/op. Wall time is advisory: an
 # ns_factor breach prints a WARN line but never fails the run.
-# BenchmarkPostMsg runs at its recorded -benchtime 20x instead, in its
-# own run: a single iteration of it sometimes catches a stray runtime
-# allocation that doubles its bytes/op.
+# BenchmarkPostMsg, BenchmarkGateWake and BenchmarkSketchObserve run at
+# their recorded -benchtime 20x instead, in a run of their own: a single
+# iteration of them sometimes catches a stray runtime allocation, which
+# doubles PostMsg's bytes/op and fails the other two's 0 allocs/op.
 bench:
-	{ $(GO) test -bench . -skip '^BenchmarkPostMsg$$' -benchtime 1x -run '^$$' ./... ; \
-	  $(GO) test -bench '^BenchmarkPostMsg$$' -benchtime 20x -run '^$$' . ; } | $(GO) run ./cmd/benchguard -baseline BENCH_fleet.json -baseline BENCH_chaos.json -baseline BENCH_kernel.json -baseline BENCH_cluster.json
+	{ $(GO) test -bench . -skip '^(BenchmarkPostMsg|BenchmarkGateWake|BenchmarkSketchObserve)$$' -benchtime 1x -run '^$$' ./... ; \
+	  $(GO) test -bench '^(BenchmarkPostMsg|BenchmarkGateWake|BenchmarkSketchObserve)$$' -benchtime 20x -run '^$$' . ; } | $(GO) run ./cmd/benchguard -baseline BENCH_fleet.json -baseline BENCH_chaos.json -baseline BENCH_kernel.json -baseline BENCH_cluster.json
 
 # bench-cluster reproduces (and gates) the BENCH_cluster.json
 # measurement: the zero-latency multi-node serving path at 1 and 4
@@ -138,12 +139,14 @@ bench-chaos:
 # (BenchmarkSampleType), a warm dependency-aware victim selection
 # (BenchmarkDepAwareEviction) and the exact latency summary at 10k and
 # 200k samples (BenchmarkSummarize) once each; then, in a run of their
-# own at -benchtime 20x, the classic event loop (BenchmarkSimKernel) and
-# the pooled timed-message path in isolation (BenchmarkPostMsg). A single
+# own at -benchtime 20x, the classic event loop (BenchmarkSimKernel),
+# the pooled timed-message path in isolation (BenchmarkPostMsg),
+# wake-ups due now behind a 64-deep heap (BenchmarkGateWake) and the
+# sketch's bucket lookup (BenchmarkSketchObserve). A single
 # iteration of a benchmark of a few KB, the first of its process above
 # all, sometimes catches a stray runtime allocation that multiplies its
 # bytes/op. `make bench` (and the CI bench job) already executes these;
 # this target is the recorded baseline's regeneration recipe.
 bench-kernel:
 	{ $(GO) test -bench 'BenchmarkTimerChurn|BenchmarkPoissonServe$$|BenchmarkMinMaxAssign|BenchmarkSampleType|BenchmarkDepAwareEviction|BenchmarkSummarize' -benchtime 1x -run '^$$' . ; \
-	  $(GO) test -bench '^(BenchmarkSimKernel|BenchmarkPostMsg)$$' -benchtime 20x -run '^$$' . ; } | $(GO) run ./cmd/benchguard -baseline BENCH_kernel.json
+	  $(GO) test -bench '^(BenchmarkSimKernel|BenchmarkPostMsg|BenchmarkGateWake|BenchmarkSketchObserve)$$' -benchtime 20x -run '^$$' . ; } | $(GO) run ./cmd/benchguard -baseline BENCH_kernel.json

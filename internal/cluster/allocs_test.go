@@ -91,3 +91,33 @@ func TestWarmLifecycleAllocatesNothing(t *testing.T) {
 		t.Errorf("beginLifecycle allocates %v times after a served stream, want 0", allocs)
 	}
 }
+
+// TestHedgeDueAllocatesNothing: a lease whose deadline fires schedules
+// its re-offer through a callback bound once per lease, with the
+// generation it serves stored on the lease, so a fired deadline
+// allocates nothing. The re-offer here finds the lease reused (its
+// generation moved on) and does nothing.
+func TestHedgeDueAllocatesNothing(t *testing.T) {
+	board := boardFor(t, workload.BoardA())
+	c := buildCluster(t, interconnectConfig(t, nil, HealthConfig{}, HedgeConfig{After: time.Second}), board.Model)
+	if _, err := c.Serve(tenantMix(t, board, 8, 120, 2, 30)); err != nil {
+		t.Fatal(err)
+	}
+	l := c.newLease()
+	l.primary = c.newHold(0)
+	l.primary.l, l.primary.held = l, true
+	c.armHedge(l, time.Second)
+	c.cancelHedge(l)
+	allocs := testing.AllocsPerRun(10, func() {
+		c.hedgeDue(l)
+		l.gen++
+		c.env.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("hedgeDue allocates %v times per fired deadline, want 0", allocs)
+	}
+	h := l.primary
+	l.primary, l.done = nil, true
+	c.freeHold(h)
+	c.settle(l)
+}

@@ -84,13 +84,15 @@ type lease struct {
 	voidedAt     sim.Time
 	redeliveries int
 
-	// Hedging state: the pending deadline timer, the callback it runs
-	// (built on first use and kept across recyclings, so arming allocates
-	// nothing), and how many times the deadline has re-armed after failed
-	// hedge attempts.
-	timer   sim.Timer
-	due     func()
-	retries int
+	// Hedging state: the pending deadline timer, the callback it runs,
+	// the re-offer it schedules when it fires and the generation that
+	// re-offer serves (both callbacks are built on first use and kept
+	// across recyclings, so a deadline allocates nothing), and how many
+	// times the deadline has re-armed after failed hedge attempts.
+	timer     sim.Timer
+	due, fire func()
+	fireGen   uint32
+	retries   int
 
 	nextFree *lease // free-list link, meaningful only while released
 }
@@ -199,7 +201,7 @@ func (c *Cluster) newLease() *lease {
 // settle recycles a lease once it is done and no hold points at it. A
 // hedge offer still on the wire keeps a resolved lease alive until it
 // lands. The lease is reset field by field: only its chain capacity,
-// generation and hedge callback carry over (primary and hedge are nil
+// generation and hedge callbacks carry over (primary and hedge are nil
 // already).
 func (c *Cluster) settle(l *lease) {
 	if !l.done || l.primary != nil || l.hedge != nil {

@@ -45,6 +45,11 @@ func (c *Cluster) armHedge(l *lease, d time.Duration) {
 	}
 	if l.due == nil {
 		l.due = func() { c.hedgeDue(l) }
+		l.fire = func() {
+			if l.gen == l.fireGen {
+				c.fireHedge(l)
+			}
+		}
 	}
 	l.timer = c.env.AfterFunc(d, l.due)
 	l.timerSet = true
@@ -65,18 +70,14 @@ func hedgeable(l *lease) bool { return l.held() && l.hedge == nil }
 // hedgeDue is the timer callback: the lease outlived its deadline
 // budget. The re-offer runs in a callback at the same instant, after the
 // events already due now — by which time the lease may have resolved and
-// been reused, so the callback checks its generation.
+// been reused, so the callback checks the generation stored here.
 func (c *Cluster) hedgeDue(l *lease) {
 	if !hedgeable(l) {
 		return // voided, or already hedged since arming
 	}
 	l.timerSet = false
-	gen := l.gen
-	c.env.After(0, func() {
-		if l.gen == gen {
-			c.fireHedge(l)
-		}
-	})
+	l.fireGen = l.gen
+	c.env.After(0, l.fire)
 }
 
 // fireHedge re-offers an overdue lease's request to a healthy node. Once

@@ -10,8 +10,9 @@ import (
 
 // TestSettledLeaseReadsFresh: settle resets a lease field by field, so a
 // recycled lease must read exactly like one fresh from its block except
-// for what is meant to carry over — its chain's capacity, its generation
-// and its hedge callback. Every field is made non-zero first (a field
+// for what is meant to carry over — its chain's capacity, its generation,
+// its hedge callbacks and the generation a pending re-offer serves, which
+// must not match the recycled lease's. Every field is made non-zero first (a field
 // added to lease without a value here fails the test), so a field settle
 // forgets to reset shows.
 func TestSettledLeaseReadsFresh(t *testing.T) {
@@ -27,7 +28,7 @@ func TestSettledLeaseReadsFresh(t *testing.T) {
 	l.hasArrival, l.timerSet = true, true
 	l.arrival, l.voidedAt, l.redeliveries = 11, 12, 2
 	l.timer = env.AfterFunc(1, due)
-	l.due, l.retries = due, 3
+	l.due, l.fire, l.fireGen, l.retries = due, due, 4, 3
 	l.nextFree = &lease{}
 	v := reflect.ValueOf(l).Elem()
 	for i := 0; i < v.NumField(); i++ {
@@ -52,11 +53,14 @@ func TestSettledLeaseReadsFresh(t *testing.T) {
 	if l.gen != 6 {
 		t.Errorf("gen = %d after recycling, want 6", l.gen)
 	}
-	if l.due == nil {
+	if l.due == nil || l.fire == nil {
 		t.Error("hedge callback dropped by settle")
 	}
+	if l.fireGen != 4 {
+		t.Errorf("fireGen = %d after recycling, want 4 (a pending re-offer must see a stale generation)", l.fireGen)
+	}
 	got := *l
-	got.chain, got.gen, got.due = nil, 0, nil
+	got.chain, got.gen, got.due, got.fire, got.fireGen = nil, 0, nil, nil, 0
 	fresh.chain = nil
 	if !reflect.DeepEqual(got, fresh) {
 		t.Errorf("recycled lease\n%+v\nwant fresh\n%+v", got, fresh)

@@ -75,6 +75,9 @@ type Executor struct {
 	processed int64
 	batches   int64
 	busy      time.Duration
+
+	// idle lists the runs that have returned, for Start to reuse.
+	idle *run
 }
 
 // Processed reports the number of requests executed.
@@ -96,19 +99,25 @@ func (ex *Executor) ResetStats() {
 // events already due now. The run drains the queue until it is empty
 // and Done reports true, or until the crash epoch moves on. A restart
 // may start a run while a crashed epoch's run still unwinds its last
-// batch, so each run keeps its own state.
+// batch, so each run keeps its own state, and Start reuses only a run
+// that has returned.
 func (ex *Executor) Start() {
 	if ex.Env == nil || ex.OnBatch == nil || ex.Done == nil || ex.Epoch == nil || ex.OnVoid == nil || ex.Degrade == nil {
 		panic(fmt.Sprintf("executor %s: incomplete wiring", ex.Name))
 	}
-	r := &run{ex: ex}
-	r.nextFn, r.proceedFn, r.reservedFn, r.executedFn = r.next, r.proceed, r.reserved, r.executed
-	ex.Env.After(0, r.begin)
+	r := ex.idle
+	if r != nil {
+		ex.idle, r.nextIdle = r.nextIdle, nil
+	} else {
+		r = &run{ex: ex}
+		r.beginFn, r.nextFn, r.proceedFn, r.reservedFn, r.executedFn = r.begin, r.next, r.proceed, r.reserved, r.executed
+	}
+	ex.Env.After(0, r.beginFn)
 }
 
 // run is one serving run of an executor: the state its continuations
-// share, which are bound once as method values when the run starts, so
-// a batch allocates nothing.
+// share, which are bound once as method values when the run is first
+// made, so neither a batch nor a later run on it allocates.
 type run struct {
 	ex    *Executor
 	epoch int // the crash epoch the run serves
@@ -126,8 +135,14 @@ type run struct {
 	actBytes   int64
 	lat        time.Duration
 
-	nextFn, proceedFn, reservedFn, executedFn func()
+	beginFn, nextFn, proceedFn, reservedFn, executedFn func()
+
+	nextIdle *run // link in the executor's idle list
 }
+
+// end returns a run that has nothing left scheduled to its executor's
+// idle list.
+func (r *run) end() { r.nextIdle, r.ex.idle = r.ex.idle, r }
 
 // begin snapshots the crash epoch the run belongs to and starts serving.
 func (r *run) begin() {
@@ -145,11 +160,13 @@ func (r *run) next() {
 			// This run belongs to a crashed epoch: the node restarted and
 			// launched a fresh run. End so the executor is never served
 			// by two runs at once.
+			r.end()
 			return
 		}
 		g := ex.Queue.Head()
 		if g == nil {
 			if ex.Done() {
+				r.end()
 				return
 			}
 			ex.Queue.Gate().Wait(r.nextFn)

@@ -288,3 +288,41 @@ func TestTwoExecutorsShareComputeSerially(t *testing.T) {
 		t.Errorf("finished = %d, want 2", finished)
 	}
 }
+
+// TestStartReusesOnlyReturnedRuns: a restart mid-batch starts a fresh
+// run beside the crashed epoch's, which still unwinds its batch; once
+// both have returned, later streams' Starts reuse them and allocate
+// nothing.
+func TestStartReusesOnlyReturnedRuns(t *testing.T) {
+	r := newRig(t, 4*rn101Bytes, 8<<30, 4)
+	r.pool.Preload(r.model.Expert(0))
+	epoch, voided := 0, 0
+	r.ex.Epoch = func() int { return epoch }
+	r.ex.OnVoid = func(sim.Time, *coe.Request) { voided++ }
+	for i := 0; i < 8; i++ {
+		r.enqueue(mkReq(int64(i), 0))
+	}
+	r.finish()
+	r.ex.Start()
+	r.env.After(model.ExecLatency(model.ResNet101, r.dev.GPU, 4)/2, func() {
+		epoch++
+		if r.ex.idle != nil {
+			t.Error("a run is idle while the crashed epoch's run still holds its batch")
+		}
+		r.ex.Start()
+	})
+	r.env.Run()
+	if voided != 4 || len(r.finished) != 4 {
+		t.Fatalf("%d voided and %d finished, want the crashed batch's 4 and the restart's 4", voided, len(r.finished))
+	}
+	idle := 0
+	for x := r.ex.idle; x != nil && idle < 10; x = x.nextIdle {
+		idle++
+	}
+	if idle != 2 {
+		t.Fatalf("%d runs idle after both returned, want 2", idle)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { r.ex.Start(); r.env.Run() }); allocs != 0 {
+		t.Errorf("a warm Start allocates %v times, want 0", allocs)
+	}
+}

@@ -58,18 +58,96 @@ func NewSketch() *Sketch {
 // target rank.
 func (s *Sketch) RelativeAccuracy() float64 { return sketchAlpha }
 
+// logKey is the bucket rule: the least k with x <= sketchMin·γ^k, or -1
+// for the underflow bucket (x at or below 1e-9, zero and NaN included),
+// clamped to the top bucket. Values above 1e9 go to the top bucket
+// before the division, which overflows for x near the largest float.
+// key reads the same rule from tables built from it at init.
+func logKey(x float64) int {
+	if !(x > sketchMin) {
+		return -1
+	}
+	if x > sketchMax {
+		return sketchBuckets - 1
+	}
+	k := int(math.Ceil(math.Log(x/sketchMin) * sketchInvLogGamma))
+	return min(max(k, 0), sketchBuckets-1)
+}
+
+// The tables key files a sample by. The top 18 bits of a positive
+// float64 (exponent and six leading mantissa bits) name one of 64 bins
+// per binade; binBase is sketchMin's bin. A bin spans at most 1/64 of
+// its start, less than a bucket's factor γ ≈ 1.02, so past the first
+// value key sees in it the bin holds at most one more bucket bound:
+// binKey[i] is logKey at that first value, and one compare against
+// bound decides the rest.
+const binShift = 52 - 6
+
+var (
+	binBase = math.Float64bits(sketchMin) >> binShift
+	// bound[k] is the least x that logKey files in bucket k or above;
+	// bound[sketchBuckets] is +Inf.
+	bound  = make([]float64, sketchBuckets+1)
+	binKey = make([]int16, math.Float64bits(sketchMax)>>binShift-binBase+1)
+)
+
+func init() {
+	bound[0] = math.Nextafter(sketchMin, math.Inf(1))
+	bound[sketchBuckets] = math.Inf(1)
+	est := bound[0]
+	for k := 1; k < sketchBuckets; k++ {
+		bound[k] = leastAtOrAbove(k, est)
+		est = bound[k] * sketchGamma
+	}
+	k := 0
+	for i := range binKey {
+		lo := max(math.Float64frombits((binBase+uint64(i))<<binShift), bound[0])
+		for bound[k+1] <= lo {
+			k++
+		}
+		binKey[i] = int16(k)
+	}
+}
+
+// leastAtOrAbove returns the least x with logKey(x) >= k, searching the
+// float64 bit patterns (ordered like the positive values they encode)
+// outward from the estimate est, then bisecting. The search relies on
+// logKey being monotone, which TestSketchKeyMatchesLogRule checks.
+func leastAtOrAbove(k int, est float64) float64 {
+	at := func(b uint64) bool { return logKey(math.Float64frombits(b)) >= k }
+	b := math.Float64bits(est)
+	lo, hi := b, b // at(hi) and !at(lo) once the walk ends
+	if at(b) {
+		for step := uint64(8); at(lo); step *= 2 {
+			hi, lo = lo, b-step
+		}
+	} else {
+		for step := uint64(8); !at(hi); step *= 2 {
+			lo, hi = hi, b+step
+		}
+	}
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; at(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return math.Float64frombits(hi)
+}
+
 // key returns the bucket every Sketch files x under, or -1 for the
-// underflow bucket (x at or below 1e-9, zero included).
+// underflow bucket: logKey's answer, read from its tables.
 func key(x float64) int {
 	if !(x > sketchMin) {
 		return -1
 	}
-	k := int(math.Ceil(math.Log(x/sketchMin) * sketchInvLogGamma))
-	if k < 0 {
-		k = 0
+	if x > sketchMax {
+		return sketchBuckets - 1
 	}
-	if k >= sketchBuckets {
-		k = sketchBuckets - 1
+	k := int(binKey[math.Float64bits(x)>>binShift-binBase])
+	if x >= bound[k+1] {
+		k++
 	}
 	return k
 }
@@ -78,7 +156,7 @@ func key(x float64) int {
 func (s *Sketch) Add(x float64) { s.add(x, key(x)) }
 
 // Observe records one observation in each of the sketches, computing
-// its bucket once: one logarithm however many sketches it feeds.
+// its bucket once however many sketches it feeds.
 func Observe(x float64, sketches ...*Sketch) {
 	k := key(x)
 	for _, s := range sketches {

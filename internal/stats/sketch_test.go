@@ -317,3 +317,55 @@ func TestObserveMatchesAdd(t *testing.T) {
 		t.Errorf("Observe allocated %.1f objects, want 0", allocs)
 	}
 }
+
+// TestSketchKeyMatchesLogRule: key reads logKey's bucket from tables,
+// so the two must agree on every float64. The check covers each bucket
+// bound and bin edge with the floats around it, seeded random values
+// across and beyond the sketch's span, and the special values.
+func TestSketchKeyMatchesLogRule(t *testing.T) {
+	check := func(x float64) {
+		if got, want := key(x), logKey(x); got != want {
+			t.Fatalf("key(%v) = %d, logKey = %d", x, got, want)
+		}
+	}
+	around := func(x float64, ulps int64) {
+		b := int64(math.Float64bits(x))
+		for d := -ulps; d <= ulps; d++ {
+			check(math.Float64frombits(uint64(b + d)))
+		}
+	}
+	for _, x := range bound[:sketchBuckets] {
+		around(x, 2048)
+	}
+	for i := range binKey {
+		around(math.Float64frombits((binBase+uint64(i))<<binShift), 64)
+	}
+	rng := rand.New(rand.NewSource(37))
+	for i := 0; i < 2_000_000; i++ {
+		check(sketchMin / 10 * math.Pow(10, 20*rng.Float64()))
+		check(math.Float64frombits(rng.Uint64()))
+	}
+	for _, x := range []float64{
+		0, math.Copysign(0, -1), -1, -sketchMax, sketchMin, sketchMax,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+		math.MaxFloat64, math.SmallestNonzeroFloat64, -math.MaxFloat64,
+	} {
+		around(x, 4)
+	}
+}
+
+// TestSketchHugeValuesFileInTopBucket: values above 1e9 clamp to the
+// top bucket however large, +Inf and the largest float included (their
+// quotient by 1e-9 overflows to +Inf, whose integer conversion Go leaves
+// to the platform).
+func TestSketchHugeValuesFileInTopBucket(t *testing.T) {
+	for _, x := range []float64{sketchMax * 1.5, 1e299, 2e299, 1e300, math.MaxFloat64, math.Inf(1)} {
+		if got := key(x); got != sketchBuckets-1 {
+			t.Errorf("key(%v) = %d, want the top bucket %d", x, got, sketchBuckets-1)
+		}
+	}
+	s := sketchOf([]float64{1, 1e300, 1e300})
+	if p50 := s.Quantile(0.5); p50 < sketchMax {
+		t.Errorf("P50 of {1, 1e300, 1e300} = %v, want the top bucket's value (at least %v)", p50, sketchMax)
+	}
+}
