@@ -407,6 +407,7 @@ func BenchmarkGroupedEnqueue(b *testing.B) {
 	e := &coe.Expert{ID: 1, Arch: model.ResNet101}
 	r := coe.NewRequest(0, 0, []coe.ExpertID{e.ID})
 	push(q, e, r)
+	var batch []*coe.Request
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -415,7 +416,7 @@ func BenchmarkGroupedEnqueue(b *testing.B) {
 		// steady-state size instead of growing with b.N.
 		if q.Len() >= 1024 {
 			for q.Len() > 0 {
-				q.TakeFromHead(512)
+				batch = q.TakeFromHead(batch[:0], 512)
 			}
 		}
 	}

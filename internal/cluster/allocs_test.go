@@ -92,29 +92,34 @@ func TestWarmLifecycleAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestHedgeDueAllocatesNothing: a lease whose deadline fires schedules
-// its re-offer through a callback bound once per lease, with the
-// generation it serves stored on the lease, so a fired deadline
-// allocates nothing. The re-offer here finds the lease reused (its
-// generation moved on) and does nothing.
+// TestHedgeDueAllocatesNothing: a lease's deadline runs a callback bound
+// once per lease, so a fired deadline allocates nothing. The lease's
+// primary is held on a node whose breaker is closed, so each deadline
+// holds the hedge back and re-arms, three times, before the primary
+// keeps the lease.
 func TestHedgeDueAllocatesNothing(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
-	c := buildCluster(t, interconnectConfig(t, nil, HealthConfig{}, HedgeConfig{After: time.Second}), board.Model)
+	c := buildCluster(t, interconnectConfig(t, nil, HealthConfig{Window: 500 * time.Millisecond, Breaker: true}, HedgeConfig{After: time.Second}), board.Model)
 	if _, err := c.Serve(tenantMix(t, board, 8, 120, 2, 30)); err != nil {
 		t.Fatal(err)
+	}
+	if c.nodes[0].phase != breakerClosed {
+		t.Fatalf("node 0's breaker is %v after the serve, want closed", c.nodes[0].phase)
 	}
 	l := c.newLease()
 	l.primary = c.newHold(0)
 	l.primary.l, l.primary.held = l, true
-	c.armHedge(l, time.Second)
-	c.cancelHedge(l)
+	fired := c.chaos.HedgeRetries
 	allocs := testing.AllocsPerRun(10, func() {
-		c.hedgeDue(l)
-		l.gen++
+		l.retries = 0
+		c.armHedge(l, time.Second)
 		c.env.Run()
 	})
 	if allocs != 0 {
-		t.Errorf("hedgeDue allocates %v times per fired deadline, want 0", allocs)
+		t.Errorf("a fired deadline allocates %v times, want 0", allocs)
+	}
+	if got := c.chaos.HedgeRetries - fired; got != 11*hedgeRetries {
+		t.Errorf("%d deadlines re-armed over 11 runs, want %d", got, 11*hedgeRetries)
 	}
 	h := l.primary
 	l.primary, l.done = nil, true

@@ -71,11 +71,9 @@ type lease struct {
 	// parked, voided or resolved. hedge is the speculative second copy,
 	// on the wire or held, nil while unhedged. A lease is recycled once
 	// done (completed or terminally rejected) and neither points at a
-	// hold; gen counts its recyclings so a hedge callback scheduled for an
-	// earlier use never acts on a reused lease.
+	// hold.
 	primary *hold
 	hedge   *hold
-	gen     uint32
 	done    bool
 
 	hasArrival   bool
@@ -84,15 +82,13 @@ type lease struct {
 	voidedAt     sim.Time
 	redeliveries int
 
-	// Hedging state: the pending deadline timer, the callback it runs,
-	// the re-offer it schedules when it fires and the generation that
-	// re-offer serves (both callbacks are built on first use and kept
-	// across recyclings, so a deadline allocates nothing), and how many
-	// times the deadline has re-armed after failed hedge attempts.
-	timer     sim.Timer
-	due, fire func()
-	fireGen   uint32
-	retries   int
+	// Hedging state: the pending deadline timer, the callback it runs
+	// (built on first use and kept across recyclings, so a deadline
+	// allocates nothing), and how many times the deadline has re-armed
+	// after failed hedge attempts.
+	timer   sim.Timer
+	due     func()
+	retries int
 
 	nextFree *lease // free-list link, meaningful only while released
 }
@@ -200,16 +196,14 @@ func (c *Cluster) newLease() *lease {
 
 // settle recycles a lease once it is done and no hold points at it. A
 // hedge offer still on the wire keeps a resolved lease alive until it
-// lands. The lease is reset field by field: only its chain capacity,
-// generation and hedge callbacks carry over (primary and hedge are nil
-// already).
+// lands. The lease is reset field by field: only its chain capacity and
+// hedge callback carry over (primary and hedge are nil already).
 func (c *Cluster) settle(l *lease) {
 	if !l.done || l.primary != nil || l.hedge != nil {
 		return
 	}
 	l.id, l.class, l.tenant = 0, 0, ""
 	l.chain, l.buf = l.chain[:0], [len(l.buf)]coe.ExpertID{}
-	l.gen++
 	l.done, l.hasArrival, l.timerSet = false, false, false
 	l.arrival, l.voidedAt, l.redeliveries = 0, 0, 0
 	l.timer, l.retries = sim.Timer{}, 0

@@ -152,28 +152,46 @@ func TestGrayDeterministic(t *testing.T) {
 }
 
 // TestGrayMonitorOnlyIsPassive: health scoring without the breaker
-// observes but never steers — a fault-free stream serves exactly as it
-// would with health disabled, down to every latency and routing count;
-// only the health/breaker report fields differ.
+// observes but never steers — a stream serves exactly as it would with
+// health disabled, down to every latency, routing and hedge count; only
+// the health/breaker report fields differ. That holds on a fault-free
+// stream and on a straggler fleet with hedging on, where only the
+// breaker's verdict may hold a hedge back.
 func TestGrayMonitorOnlyIsPassive(t *testing.T) {
 	board := boardFor(t, workload.BoardA())
-	run := func(health HealthConfig) *Report {
-		cl := grayCluster(t, nil, health, HedgeConfig{})
-		rep, err := cl.Serve(poissonFor(t, board, 8, 120, 20260807))
-		if err != nil {
-			t.Fatal(err)
+	straggler := &sim.FaultPlan{Events: []sim.FaultEvent{
+		{At: time.Second, Node: 1, Kind: sim.FaultSlow, Factor: 150},
+		{At: 8 * time.Second, Node: 1, Kind: sim.FaultRecover},
+	}}
+	for _, tc := range []struct {
+		name  string
+		plan  *sim.FaultPlan
+		hedge HedgeConfig
+	}{
+		{"fault-free", nil, HedgeConfig{}},
+		{"straggler-hedged", straggler, HedgeConfig{After: time.Second}},
+	} {
+		run := func(health HealthConfig) *Report {
+			cl := grayCluster(t, tc.plan, health, tc.hedge)
+			rep, err := cl.Serve(poissonFor(t, board, 8, 120, 20260807))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := normalize(rep)
+			out.HealthScores = nil
+			return out
 		}
-		out := normalize(rep)
-		out.HealthScores = nil
-		return out
-	}
-	monitored := run(HealthConfig{Window: 500 * time.Millisecond})
-	if monitored.BreakerTrips != 0 {
-		t.Errorf("BreakerTrips = %d with Breaker off, want 0", monitored.BreakerTrips)
-	}
-	plain := run(HealthConfig{})
-	if !reflect.DeepEqual(monitored, plain) {
-		t.Errorf("monitor-only health changed the serve:\nmonitored: %+v\nplain:     %+v", monitored, plain)
+		monitored := run(HealthConfig{Window: 500 * time.Millisecond})
+		if monitored.BreakerTrips != 0 {
+			t.Errorf("%s: BreakerTrips = %d with Breaker off, want 0", tc.name, monitored.BreakerTrips)
+		}
+		plain := run(HealthConfig{})
+		if tc.hedge.Enabled() && plain.HedgesFired == 0 {
+			t.Errorf("%s: no hedge fired without health; the case shows nothing", tc.name)
+		}
+		if !reflect.DeepEqual(monitored, plain) {
+			t.Errorf("%s: monitor-only health changed the serve:\nmonitored: %+v\nplain:     %+v", tc.name, monitored, plain)
+		}
 	}
 }
 

@@ -45,11 +45,6 @@ func (c *Cluster) armHedge(l *lease, d time.Duration) {
 	}
 	if l.due == nil {
 		l.due = func() { c.hedgeDue(l) }
-		l.fire = func() {
-			if l.gen == l.fireGen {
-				c.fireHedge(l)
-			}
-		}
 	}
 	l.timer = c.env.AfterFunc(d, l.due)
 	l.timerSet = true
@@ -63,43 +58,28 @@ func (c *Cluster) cancelHedge(l *lease) {
 	}
 }
 
-// hedgeable reports whether the lease may fire a hedge now: its primary
-// held by a node, and no hedge copy on the wire or held.
-func hedgeable(l *lease) bool { return l.held() && l.hedge == nil }
-
 // hedgeDue is the timer callback: the lease outlived its deadline
-// budget. The re-offer runs in a callback at the same instant, after the
-// events already due now — by which time the lease may have resolved and
-// been reused, so the callback checks the generation stored here.
+// budget, so its request is re-offered to a healthy node, unless the
+// lease was voided or hedged since arming. Once the acceptance lands the
+// lease is served by both copies; whichever completes first resolves it
+// and the other surfaces as wasted work. When no node may take the copy
+// (or node admission refuses or bounces the copy) the primary keeps the
+// lease untouched and the timer re-arms with exponential backoff, up to
+// hedgeRetries times.
 func (c *Cluster) hedgeDue(l *lease) {
-	if !hedgeable(l) {
-		return // voided, or already hedged since arming
-	}
-	l.timerSet = false
-	l.fireGen = l.gen
-	c.env.After(0, l.fire)
-}
-
-// fireHedge re-offers an overdue lease's request to a healthy node. Once
-// the acceptance lands the lease is served by both copies; whichever
-// completes first resolves it and the other surfaces as wasted work.
-// When no node may take the copy (or node admission refuses or bounces the
-// copy) the primary keeps the lease untouched and the timer re-arms with
-// exponential backoff, up to hedgeRetries times.
-func (c *Cluster) fireHedge(l *lease) {
-	cs := c.chaos
-	if !hedgeable(l) {
+	if !l.held() || l.hedge != nil {
 		return
 	}
+	l.timerSet = false
 	// With the breaker armed, hedge only leases whose holder is actually
 	// quarantined or probing. A deadline alone cannot tell a gray
 	// failure from an honest queue — hedging every overdue request
 	// under load duplicates most of the fleet's work and melts the
 	// healthy nodes too — and a transient score dip short of a trip is
 	// still ambiguous, so only the breaker's verdict releases a hedge.
-	// Without health armed there is no such signal and the deadline is
-	// trusted as-is.
-	if c.health != nil && c.nodes[l.primary.node].phase == breakerClosed {
+	// Without the breaker there is no such signal and the deadline is
+	// trusted as-is: health scoring alone only observes.
+	if c.cfg.Health.Breaker && c.nodes[l.primary.node].phase == breakerClosed {
 		c.rearmHedge(l)
 		return
 	}
@@ -115,7 +95,7 @@ func (c *Cluster) fireHedge(l *lease) {
 	// A hedge moves no lease between accounting buckets — one arrival,
 	// one lease, still exactly one completion ahead — so the invariant
 	// must hold unchanged at this boundary.
-	if cs.accounted() != cs.arrivals {
+	if cs := c.chaos; cs.accounted() != cs.arrivals {
 		cs.verify(now, fmt.Sprintf("hedge %d", l.id))
 	}
 }

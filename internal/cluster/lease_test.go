@@ -10,11 +10,10 @@ import (
 
 // TestSettledLeaseReadsFresh: settle resets a lease field by field, so a
 // recycled lease must read exactly like one fresh from its block except
-// for what is meant to carry over — its chain's capacity, its generation,
-// its hedge callbacks and the generation a pending re-offer serves, which
-// must not match the recycled lease's. Every field is made non-zero first (a field
-// added to lease without a value here fails the test), so a field settle
-// forgets to reset shows.
+// for what is meant to carry over — its chain's capacity and its hedge
+// callback. Every field is made non-zero first (a field added to lease
+// without a value here fails the test), so a field settle forgets to
+// reset shows.
 func TestSettledLeaseReadsFresh(t *testing.T) {
 	c := &Cluster{}
 	l := c.newLease()
@@ -24,11 +23,11 @@ func TestSettledLeaseReadsFresh(t *testing.T) {
 	l.id, l.class, l.tenant = 7, 3, "tenant-a"
 	l.chain = append(l.chain, 1, 2, 3, 4, 5, 6) // outgrows buf
 	l.buf = [len(l.buf)]coe.ExpertID{9, 9, 9, 9}
-	l.gen, l.done = 5, true
+	l.done = true
 	l.hasArrival, l.timerSet = true, true
 	l.arrival, l.voidedAt, l.redeliveries = 11, 12, 2
 	l.timer = env.AfterFunc(1, due)
-	l.due, l.fire, l.fireGen, l.retries = due, due, 4, 3
+	l.due, l.retries = due, 3
 	l.nextFree = &lease{}
 	v := reflect.ValueOf(l).Elem()
 	for i := 0; i < v.NumField(); i++ {
@@ -50,17 +49,11 @@ func TestSettledLeaseReadsFresh(t *testing.T) {
 	if cap(l.chain) != chainCap || len(l.chain) != 0 {
 		t.Errorf("chain len %d cap %d after recycling, want 0 and %d", len(l.chain), cap(l.chain), chainCap)
 	}
-	if l.gen != 6 {
-		t.Errorf("gen = %d after recycling, want 6", l.gen)
-	}
-	if l.due == nil || l.fire == nil {
+	if l.due == nil {
 		t.Error("hedge callback dropped by settle")
 	}
-	if l.fireGen != 4 {
-		t.Errorf("fireGen = %d after recycling, want 4 (a pending re-offer must see a stale generation)", l.fireGen)
-	}
 	got := *l
-	got.chain, got.gen, got.due, got.fire, got.fireGen = nil, 0, nil, nil, 0
+	got.chain, got.due = nil, nil
 	fresh.chain = nil
 	if !reflect.DeepEqual(got, fresh) {
 		t.Errorf("recycled lease\n%+v\nwant fresh\n%+v", got, fresh)

@@ -48,7 +48,7 @@ func cpuActReserve(dev *hw.Device, perf model.PerfMatrix, cpuExecutors int) int6
 // the casual split otherwise. Resolve applies it to a zero Config.Alloc,
 // so a new variant's allocation rule has one home.
 func DefaultAllocation(v Variant, dev *hw.Device, perf model.PerfMatrix, gpuExecutors, cpuExecutors int) Allocation {
-	if v == Samba || v == SambaFIFO {
+	if v.row().single {
 		return SambaAllocation(dev, perf)
 	}
 	return CasualAllocation(dev, perf, gpuExecutors, cpuExecutors)

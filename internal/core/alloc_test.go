@@ -1,11 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/hw"
 	"repro/internal/model"
-	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -129,37 +129,37 @@ func TestDefaultExecutors(t *testing.T) {
 	}
 }
 
+// TestVariantProperties pins every variant's traits per §5.1/§5.3, and
+// that an unknown variant has none of them.
 func TestVariantProperties(t *testing.T) {
-	if !Samba.singleExecutor() || !SambaFIFO.singleExecutor() || CoServe.singleExecutor() {
-		t.Error("singleExecutor wrong")
+	type traits struct {
+		policy, mode, assigner string
+		single, shared, cold   bool
 	}
-	if !SambaParallel.sharedPools() || CoServe.sharedPools() {
-		t.Error("sharedPools wrong")
+	want := map[Variant]traits{
+		Samba:         {"lru", "fifo", "sched.Single", true, false, true},
+		SambaFIFO:     {"fifo", "fifo", "sched.Single", true, false, true},
+		SambaParallel: {"lru", "fifo", "*sched.RoundRobin", false, true, true},
+		CoServeNone:   {"fifo", "fifo", "*sched.RoundRobin", false, false, false},
+		CoServeEM:     {"dep-aware", "fifo", "*sched.RoundRobin", false, false, false},
+		CoServeEMRA:   {"dep-aware", "grouped", "*sched.RoundRobin", false, false, false},
+		CoServe:       {"dep-aware", "grouped", "sched.MinMax", false, false, false},
 	}
-	for _, v := range []Variant{Samba, SambaFIFO, SambaParallel} {
-		if !v.coldStart() {
-			t.Errorf("%v should cold start", v)
+	if len(Variants()) != len(want) {
+		t.Fatalf("%d variants, want %d", len(Variants()), len(want))
+	}
+	for _, v := range Variants() {
+		r := v.row()
+		got := traits{r.policy.Name(), r.mode.String(), fmt.Sprintf("%T", r.assigner()), r.single, r.shared, r.cold}
+		if got != want[v] {
+			t.Errorf("%v: traits %+v, want %+v", v, got, want[v])
 		}
 	}
-	for _, v := range []Variant{CoServeNone, CoServeEM, CoServeEMRA, CoServe} {
-		if v.coldStart() {
-			t.Errorf("%v should preload", v)
-		}
+	if a, b := CoServeEM.row().assigner(), CoServeEM.row().assigner(); a == b {
+		t.Error("two systems share one round-robin assigner")
 	}
-	// Policy mapping per §5.1/§5.3.
-	if Samba.policy().Name() != "lru" || SambaFIFO.policy().Name() != "fifo" {
-		t.Error("Samba policies wrong")
-	}
-	if CoServeNone.policy().Name() != "fifo" || CoServe.policy().Name() != "dep-aware" {
-		t.Error("CoServe policies wrong")
-	}
-	_, minMax := CoServe.assigner().(sched.MinMax)
-	_, single := Samba.assigner().(sched.Single)
-	if !minMax || !single {
-		t.Error("assigners wrong")
-	}
-	if CoServeEMRA.queueMode().String() != "grouped" || CoServeEM.queueMode().String() != "fifo" {
-		t.Error("queue modes wrong")
+	if r := Variant(len(Variants())).row(); r.policy != nil || r.assigner != nil || r.single || r.shared || r.cold {
+		t.Errorf("unknown variant has traits %+v", r)
 	}
 }
 

@@ -52,83 +52,77 @@ const (
 	CoServe
 )
 
-var variantNames = map[Variant]string{
-	Samba:         "samba-coe",
-	SambaFIFO:     "samba-coe-fifo",
-	SambaParallel: "samba-coe-parallel",
-	CoServeNone:   "coserve-none",
-	CoServeEM:     "coserve-em",
-	CoServeEMRA:   "coserve-em-ra",
-	CoServe:       "coserve",
+// variant is one serving system design's row of the variants table.
+type variant struct {
+	name string
+	// policy is the eviction policy and mode the request-arranging mode.
+	policy pool.Policy
+	mode   sched.Mode
+	// assigner returns a fresh request assigner: round-robin keeps a
+	// cursor, so every system gets its own.
+	assigner func() sched.Assigner
+	// single pins the topology to one GPU executor (the Samba-CoE serving
+	// arrangement), which also runs under SambaAllocation.
+	single bool
+	// shared gives the executors of one processor one model pool.
+	// Samba-CoE Parallel adds executors to Samba's design, whose expert
+	// store is a single HBM pool; CoServe gives every executor its own
+	// pool (Figure 7).
+	shared bool
+	// cold starts the system with empty pools. The Samba-CoE baselines
+	// manage experts by historical statistics only — they have no
+	// pre-assessed usage probabilities to preload by (§2.2, §3.2) — so
+	// their tiers warm organically under LRU/FIFO. CoServe's expert
+	// initializer (§4.1) is one of its contributions and applies to all
+	// CoServe variants, including the ablations.
+	cold bool
+}
+
+// The assigners: Samba-CoE's one queue; round-robin, by which Samba-CoE
+// Parallel and the ablation baselines distribute requests evenly across
+// executors in arrival order (§5.1, §5.3); and CoServe's
+// dependency-aware assigning.
+func newSingle() sched.Assigner     { return sched.Single{} }
+func newRoundRobin() sched.Assigner { return &sched.RoundRobin{} }
+func newMinMax() sched.Assigner     { return sched.MinMax{} }
+
+// variants holds every Variant's row, in evaluation order.
+var variants = [...]variant{
+	Samba:         {name: "samba-coe", policy: pool.LRU{}, mode: sched.ModeFIFO, assigner: newSingle, single: true, cold: true},
+	SambaFIFO:     {name: "samba-coe-fifo", policy: pool.FIFO{}, mode: sched.ModeFIFO, assigner: newSingle, single: true, cold: true},
+	SambaParallel: {name: "samba-coe-parallel", policy: pool.LRU{}, mode: sched.ModeFIFO, assigner: newRoundRobin, shared: true, cold: true},
+	CoServeNone:   {name: "coserve-none", policy: pool.FIFO{}, mode: sched.ModeFIFO, assigner: newRoundRobin},
+	CoServeEM:     {name: "coserve-em", policy: pool.DepAware{}, mode: sched.ModeFIFO, assigner: newRoundRobin},
+	CoServeEMRA:   {name: "coserve-em-ra", policy: pool.DepAware{}, mode: sched.ModeGrouped, assigner: newRoundRobin},
+	CoServe:       {name: "coserve", policy: pool.DepAware{}, mode: sched.ModeGrouped, assigner: newMinMax},
+}
+
+// known reports whether v names a row of the variants table.
+func (v Variant) known() bool { return v >= 0 && int(v) < len(variants) }
+
+// row returns the variant's row; an unknown variant, which validation
+// refuses, reads as the zero row.
+func (v Variant) row() variant {
+	if !v.known() {
+		return variant{}
+	}
+	return variants[v]
 }
 
 func (v Variant) String() string {
-	if s, ok := variantNames[v]; ok {
-		return s
+	if v.known() {
+		return variants[v].name
 	}
 	return fmt.Sprintf("Variant(%d)", int(v))
 }
 
 // Variants lists all variants in evaluation order.
 func Variants() []Variant {
-	return []Variant{Samba, SambaFIFO, SambaParallel, CoServeNone, CoServeEM, CoServeEMRA, CoServe}
-}
-
-// policy returns the variant's eviction policy.
-func (v Variant) policy() pool.Policy {
-	switch v {
-	case Samba, SambaParallel:
-		return pool.LRU{}
-	case SambaFIFO, CoServeNone:
-		return pool.FIFO{}
-	default:
-		return pool.DepAware{}
+	vs := make([]Variant, len(variants))
+	for i := range vs {
+		vs[i] = Variant(i)
 	}
-}
-
-// queueMode returns the variant's request-arranging mode.
-func (v Variant) queueMode() sched.Mode {
-	switch v {
-	case CoServeEMRA, CoServe:
-		return sched.ModeGrouped
-	default:
-		return sched.ModeFIFO
-	}
-}
-
-// assigner returns a fresh assigner for the variant.
-func (v Variant) assigner() sched.Assigner {
-	switch v {
-	case Samba, SambaFIFO:
-		return sched.Single{}
-	case CoServe:
-		return sched.MinMax{}
-	default:
-		// Samba-CoE Parallel and the ablation baselines distribute
-		// requests evenly across executors in arrival order (§5.1,
-		// §5.3).
-		return &sched.RoundRobin{}
-	}
-}
-
-// singleExecutor reports whether the variant pins the topology to one
-// GPU executor (the Samba-CoE serving arrangement).
-func (v Variant) singleExecutor() bool { return v == Samba || v == SambaFIFO }
-
-// sharedPools reports whether executors of the same processor share one
-// model pool. Samba-CoE Parallel adds executors to Samba's design, whose
-// expert store is a single HBM pool; CoServe gives every executor its
-// own pool (Figure 7).
-func (v Variant) sharedPools() bool { return v == SambaParallel }
-
-// coldStart reports whether the system starts with empty pools. The
-// Samba-CoE baselines manage experts by historical statistics only —
-// they have no pre-assessed usage probabilities to preload by (§2.2,
-// §3.2) — so their tiers warm organically under LRU/FIFO. CoServe's
-// expert initializer (§4.1) is one of its contributions and applies to
-// all CoServe variants, including the ablations.
-func (v Variant) coldStart() bool {
-	return v == Samba || v == SambaFIFO || v == SambaParallel
+	return vs
 }
 
 // Allocation divides device memory between expert storage, the host
@@ -249,7 +243,7 @@ func (c Config) evictPolicy() pool.Policy {
 	if c.EvictPolicy != nil {
 		return c.EvictPolicy
 	}
-	return c.Variant.policy()
+	return c.Variant.row().policy
 }
 
 // Resolve returns the config with its defaults filled in, so a node's
@@ -263,7 +257,7 @@ func (c Config) evictPolicy() pool.Policy {
 // NewSystemInEnv resolves every config it builds from, and cluster.New
 // resolves each node's before it sizes placement from the allocation.
 func Resolve(c Config) Config {
-	if c.Variant.singleExecutor() {
+	if c.Variant.row().single {
 		c.GPUExecutors, c.CPUExecutors = 1, 0
 	}
 	if c.Autoscaler != nil && c.Window <= 0 {
@@ -284,6 +278,9 @@ func Resolve(c Config) Config {
 // validate checks the configuration against the device profile and the
 // deadlock-freedom requirements of the executors.
 func (c Config) validate(largestWeight, largestGPUAct, largestCPUAct int64) error {
+	if !c.Variant.known() {
+		return fmt.Errorf("core: unknown %v", c.Variant)
+	}
 	if c.Device == nil {
 		return fmt.Errorf("core: config needs a device")
 	}
@@ -317,7 +314,7 @@ func (c Config) validate(largestWeight, largestGPUAct, largestCPUAct int64) erro
 	// Every pool must hold one pinned expert per sharing executor plus
 	// the incoming expert, or Acquire could be unable to evict.
 	perGPUPool, gpuSharers := a.GPUExpertBytes/int64(c.GPUExecutors), 1
-	if c.Variant.sharedPools() {
+	if c.Variant.row().shared {
 		perGPUPool, gpuSharers = a.GPUExpertBytes, c.GPUExecutors
 	}
 	if perGPUPool < int64(gpuSharers+1)*largestWeight {
@@ -326,7 +323,7 @@ func (c Config) validate(largestWeight, largestGPUAct, largestCPUAct int64) erro
 	}
 	if c.CPUExecutors > 0 {
 		perCPUPool, cpuSharers := a.CPUExpertBytes/int64(c.CPUExecutors), 1
-		if c.Variant.sharedPools() {
+		if c.Variant.row().shared {
 			perCPUPool, cpuSharers = a.CPUExpertBytes, c.CPUExecutors
 		}
 		if perCPUPool < int64(cpuSharers+1)*largestWeight {

@@ -151,7 +151,7 @@ func NewSystemInEnv(cfg Config, m *coe.Model, env *sim.Env) (*System, error) {
 	if cfg.PreschedPicks != nil {
 		s.assigner = sched.NewReplay(cfg.PreschedPicks)
 	} else {
-		s.assigner = cfg.Variant.assigner()
+		s.assigner = cfg.Variant.row().assigner()
 	}
 
 	s.gpuActs = memory.NewArena("gpu/acts", cfg.Alloc.GPUActBytes)
@@ -206,7 +206,7 @@ func NewSystemInEnv(cfg Config, m *coe.Model, env *sim.Env) (*System, error) {
 	// executor owns a pool. Every executor is named and given its pool
 	// first, so the node's pools can share one Loaded table before its
 	// queues read it.
-	if cfg.Variant.sharedPools() {
+	if cfg.Variant.row().shared {
 		gpu.shared = len(s.pools)
 		s.pools = append(s.pools, pool.New(prefix+"gpu-shared", cfg.Alloc.GPUExpertBytes, s.store, memory.TierGPU, cfg.evictPolicy(), s.env.Now))
 		if cpu != nil {
@@ -237,7 +237,7 @@ func NewSystemInEnv(cfg Config, m *coe.Model, env *sim.Env) (*System, error) {
 	node := sched.NewNode(len(slots), s.store.Prices(), pool.Carve(s.pools))
 	for _, sl := range slots {
 		kc := sl.kc
-		q := node.NewQueue(s.env, sl.name, cfg.Variant.queueMode(), sched.Costs{K: kc.k, B: kc.b, Tier: kc.tier, Slot: s.pools[sl.pool].Slot()})
+		q := node.NewQueue(s.env, sl.name, cfg.Variant.row().mode, sched.Costs{K: kc.k, B: kc.b, Tier: kc.tier, Slot: s.pools[sl.pool].Slot()})
 		ex := &executor.Executor{
 			Name:    sl.name,
 			Env:     s.env,
@@ -278,7 +278,7 @@ func NewSystemInEnv(cfg Config, m *coe.Model, env *sim.Env) (*System, error) {
 		}
 	}
 
-	if cfg.Autoscaler != nil && !cfg.Variant.sharedPools() {
+	if cfg.Autoscaler != nil && !cfg.Variant.row().shared {
 		// Reachability inputs for the autoscaler: the working-set tracker
 		// and the per-executor expert-slot estimate (pool capacity over
 		// the model's mean expert size). Only maintained when a control
@@ -410,7 +410,7 @@ func (s *System) PredictLatency(r *coe.Request) time.Duration {
 // Config.Preload replaces the usage order with an explicit plan — the
 // cluster placement hook — preloaded round-robin in plan order.
 func (s *System) initializeExperts() {
-	if s.cfg.Variant.coldStart() {
+	if s.cfg.Variant.row().cold {
 		return
 	}
 	var order []*coe.Expert

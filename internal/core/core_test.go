@@ -58,7 +58,7 @@ func buildSystemTraced(t testing.TB, dev *hw.Device, v Variant, board *workload.
 	pm := perfFor(t, dev)
 	g, c := DefaultExecutors(dev)
 	cfg := Config{Device: dev, Variant: v, GPUExecutors: g, CPUExecutors: c, Perf: pm, Trace: log}
-	if v.singleExecutor() {
+	if v.row().single {
 		cfg.Alloc = SambaAllocation(dev, pm)
 	} else {
 		cfg.Alloc = CasualAllocation(dev, pm, g, c)
@@ -305,6 +305,12 @@ func TestSystemRejectsBadConfigs(t *testing.T) {
 	for _, as := range []control.Autoscaler{nil, scaler} {
 		cfg := ok
 		cfg.Window, cfg.Autoscaler = MinWindow/10, as
+		bad = append(bad, cfg)
+	}
+	// A variant outside the table, on either side.
+	for _, v := range []Variant{-1, Variant(len(Variants()))} {
+		cfg := ok
+		cfg.Variant = v
 		bad = append(bad, cfg)
 	}
 	if _, err := NewSystem(ok, board.Model); err != nil {

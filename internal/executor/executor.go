@@ -51,11 +51,12 @@ type Executor struct {
 	OnBatch func(now sim.Time, r *coe.Request)
 	// Observer, when set, is invoked once per executed batch.
 	Observer func(e *coe.Expert, n int, lat time.Duration)
-	// Epoch reports the data plane's crash epoch. The executor snapshots
-	// it before taking a batch; if it changed by the time the batch
-	// finishes — the node crashed mid-batch — the batch's results are
-	// discarded and its requests handed to OnVoid instead of OnBatch, so
-	// a since-restarted node never acks work the crash voided.
+	// Epoch reports the data plane's crash epoch. A run snapshots it
+	// when it begins and takes no batch once it has changed; if it
+	// changed by the time a batch finishes — the node crashed mid-batch —
+	// the batch's results are discarded and its requests handed to
+	// OnVoid instead of OnBatch, so a since-restarted node never acks
+	// work the crash voided.
 	Epoch func() int
 	// OnVoid receives the requests of a batch voided by a mid-execution
 	// crash, once per request, in queue order.
@@ -122,18 +123,19 @@ type run struct {
 	ex    *Executor
 	epoch int // the crash epoch the run serves
 
-	// The group being drained, its expert, the expert's architecture
-	// index and profile.
+	// The group being drained, nil once a take drains it; its expert,
+	// the expert's architecture index and profile.
 	g    *sched.Group
 	e    *coe.Expert
 	arch uint8
 	perf *model.Perf
-	// The batch in flight, the crash epoch when it was taken, its
-	// activation bytes and its served latency.
-	batch      []*coe.Request
-	batchEpoch int
-	actBytes   int64
-	lat        time.Duration
+	// The batch in flight, in a buffer the run owns and reuses; the
+	// group's predicted remaining time when it was taken, its activation
+	// bytes and its served latency.
+	batch    []*coe.Request
+	rest     time.Duration
+	actBytes int64
+	lat      time.Duration
 
 	beginFn, nextFn, proceedFn, reservedFn, executedFn func()
 
@@ -191,24 +193,27 @@ func (r *run) proceed() {
 
 // serve takes the next batch of the group being drained — at most one
 // expert switch per group, then as many batches as the split bound
-// allows — and starts it, reporting false. Once the group is drained it
-// unpins the expert and reports true. The head group may keep growing
-// while a batch executes (same-expert arrivals slot in behind it as
-// fresh groups; see sched); only this group is drained, and the loop in
-// next picks up successors.
+// allows — and starts it, reporting false. Once the group is drained, or
+// the node crashed since the run began, it unpins the expert and reports
+// true. The head group may keep growing while a batch executes
+// (same-expert arrivals slot in behind it as fresh groups; see sched);
+// only this group is drained, and the loop in next picks up successors.
 func (r *run) serve() bool {
 	ex, g := r.ex, r.g
-	if ex.Queue.Head() == g && g.Len() > 0 {
-		r.batchEpoch = ex.Epoch()
+	// A crash purges the queue, recycling its groups for the restarted
+	// epoch's arrivals, so a crashed epoch's run must not touch g again.
+	if g != nil && ex.Epoch() == r.epoch {
 		bound := sched.SplitBound(r.perf.MaxBatch, ex.Acts.Free(), r.perf.ActPerImage)
-		r.batch = ex.Queue.TakeFromHead(bound)
-		if len(r.batch) > 0 {
-			r.actBytes = r.perf.ActPerImage * int64(len(r.batch))
-			if ex.Acts.WaitReserve(ex.Env, r.actBytes, r.reservedFn) {
-				r.reserved()
-			}
-			return false
+		r.batch = ex.Queue.TakeFromHead(r.batch[:0], bound)
+		r.rest = g.PredictedRemaining()
+		if g.Len() == 0 {
+			r.g = nil // drained: the queue has recycled it
 		}
+		r.actBytes = r.perf.ActPerImage * int64(len(r.batch))
+		if ex.Acts.WaitReserve(ex.Env, r.actBytes, r.reservedFn) {
+			r.reserved()
+		}
+		return false
 	}
 	ex.Pool.Release(r.e.ID)
 	return true
@@ -219,7 +224,7 @@ func (r *run) reserved() {
 	ex := r.ex
 	now := ex.Env.Now()
 	lat := ex.Exec.Latency(r.arch, len(r.batch))
-	ex.Queue.SetBusyUntil(now.Add(lat + r.g.PredictedRemaining()))
+	ex.Queue.SetBusyUntil(now.Add(lat + r.rest))
 	r.lat = ex.Degrade(now, lat)
 	ex.Compute.Use(r.lat, r.executedFn)
 }
@@ -229,7 +234,7 @@ func (r *run) executed() {
 	ex := r.ex
 	ex.Acts.Release(r.actBytes)
 	now := ex.Env.Now()
-	if ex.Epoch() != r.batchEpoch {
+	if ex.Epoch() != r.epoch {
 		// The node crashed while this batch was in flight (waiting for
 		// memory, compute, or mid-execution). Its results are void: the
 		// crash already purged the queue and the dispatcher is

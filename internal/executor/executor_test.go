@@ -326,3 +326,65 @@ func TestStartReusesOnlyReturnedRuns(t *testing.T) {
 		t.Errorf("a warm Start allocates %v times, want 0", allocs)
 	}
 }
+
+// TestRunLetsGoOfDrainedGroup: a take that drains its group recycles the
+// group at once, and a request for another expert arriving during the
+// batch reuses it. The run must go back to the queue's head and switch
+// experts, not serve the reused group under the expert it still holds.
+func TestRunLetsGoOfDrainedGroup(t *testing.T) {
+	r := newRig(t, 4*rn101Bytes, 8<<30, 4)
+	r.pool.Preload(r.model.Expert(0))
+	var served []coe.ExpertID
+	r.ex.Observer = func(e *coe.Expert, _ int, _ time.Duration) { served = append(served, e.ID) }
+	r.enqueue(mkReq(0, 0))
+	r.finish()
+	r.ex.Start()
+	r.env.After(model.ExecLatency(model.ResNet101, r.dev.GPU, 1)/2, func() { r.enqueue(mkReq(1, 1)) })
+	r.env.RunUntil(sim.Time(time.Minute))
+	if len(served) != 2 || served[0] != 0 || served[1] != 1 {
+		t.Fatalf("batches served under experts %v, want [0 1]", served)
+	}
+	if len(r.finished) != 2 || r.pool.Switches() != 1 {
+		t.Errorf("%d finished with %d switches, want 2 and 1", len(r.finished), r.pool.Switches())
+	}
+	if err := r.env.Drained(); err != nil {
+		t.Errorf("run did not return: %v", err)
+	}
+}
+
+// TestCrashedRunTakesNothing: a node crashes while a run waits on an
+// expert load, restarts at once and admits a request for another
+// expert. The crash's purge recycled the crashed run's group for that
+// request, so when the load lands the crashed epoch's run must end and
+// leave the request to the restarted run: nothing is voided, and the
+// request is served under its own expert.
+func TestCrashedRunTakesNothing(t *testing.T) {
+	r := newRig(t, 4*rn101Bytes, 8<<30, 4)
+	epoch, voided := 0, 0
+	r.ex.Epoch = func() int { return epoch }
+	r.ex.OnVoid = func(sim.Time, *coe.Request) { voided++ }
+	var served []coe.ExpertID
+	r.ex.Observer = func(e *coe.Expert, _ int, _ time.Duration) { served = append(served, e.ID) }
+	r.enqueue(mkReq(0, 0))
+	r.finish()
+	r.ex.Start()
+	load := xfer.LoadLatency(r.dev, xfer.FromSSD, memory.TierGPU, r.model.Expert(0).WeightBytes())
+	r.env.After(load/2, func() {
+		epoch++
+		if out := r.queue.Purge(); len(out) != 1 || out[0].ID != 0 {
+			t.Errorf("crash purged %v, want request 0", out)
+		}
+		r.enqueue(mkReq(1, 1))
+		r.ex.Start()
+	})
+	r.env.RunUntil(sim.Time(time.Minute))
+	if voided != 0 || len(r.finished) != 1 || r.finished[0].ID != 1 {
+		t.Fatalf("%d voided, finished %v, want 0 voided and request 1 finished", voided, r.finished)
+	}
+	if len(served) != 1 || served[0] != 1 {
+		t.Errorf("batches served under experts %v, want [1]", served)
+	}
+	if err := r.env.Drained(); err != nil {
+		t.Errorf("a run did not return: %v", err)
+	}
+}

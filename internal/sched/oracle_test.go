@@ -149,7 +149,7 @@ func TestMinMaxMatchesReference(t *testing.T) {
 			q := qs[rng.Intn(nq)]
 			switch r := rng.Intn(20); {
 			case r < 4:
-				q.TakeFromHead(1 + rng.Intn(3))
+				q.TakeFromHead(nil, 1+rng.Intn(3))
 			case r == 4 && rng.Intn(10) == 0:
 				q.Purge()
 			case r == 5:

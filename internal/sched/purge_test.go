@@ -19,7 +19,7 @@ func TestPurgeReturnsBacklogInOrder(t *testing.T) {
 	}
 	// Start the head group (expert 1: requests 0,1,4) and drain one item,
 	// as a crashed-mid-batch executor would have.
-	if batch := q.TakeFromHead(1); len(batch) != 1 || batch[0].ID != 0 {
+	if batch := q.TakeFromHead(nil, 1); len(batch) != 1 || batch[0].ID != 0 {
 		t.Fatalf("TakeFromHead = %v", batch)
 	}
 	got := q.Purge()
@@ -45,7 +45,7 @@ func TestPurgeReturnsBacklogInOrder(t *testing.T) {
 	if q.Len() != 1 || q.Groups() != 1 {
 		t.Fatalf("post-purge enqueue: len=%d groups=%d", q.Len(), q.Groups())
 	}
-	if batch := q.TakeFromHead(4); len(batch) != 1 || batch[0].ID != 10 {
+	if batch := q.TakeFromHead(nil, 4); len(batch) != 1 || batch[0].ID != 10 {
 		t.Fatalf("post-purge drain = %v", batch)
 	}
 }
@@ -85,17 +85,17 @@ func TestCountIntoTracksBacklog(t *testing.T) {
 		push(b, expert(e), req(int64(10+i), e))
 	}
 	want("enqueue", 8)
-	a.TakeFromHead(1)
+	a.TakeFromHead(nil, 1)
 	want("take one", 7)
-	a.TakeFromHead(4) // the rest of the expert-1 group: one request
-	b.TakeFromHead(2)
+	a.TakeFromHead(nil, 4) // the rest of the expert-1 group: one request
+	b.TakeFromHead(nil, 2)
 	want("take groups", 4)
 	if got := len(a.Purge()); got != 2 {
 		t.Fatalf("purged %d requests, want 2", got)
 	}
 	want("purge", 2)
-	b.TakeFromHead(1)
-	b.TakeFromHead(1)
+	b.TakeFromHead(nil, 1)
+	b.TakeFromHead(nil, 1)
 	want("drained", 0)
 	push(b, expert(4), req(19, 4))
 	want("refilled", 1)
@@ -108,7 +108,7 @@ func TestCountIntoTracksBacklog(t *testing.T) {
 	owner.Set(backlog - b.Len()) // the owner recounts without b
 	want("detach", 0)
 	push(b, expert(4), req(20, 4))
-	b.TakeFromHead(1)
+	b.TakeFromHead(nil, 1)
 	b.Purge()
 	want("detached queue moves", 0)
 	push(a, expert(5), req(21, 5))

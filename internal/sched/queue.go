@@ -178,7 +178,7 @@ type Group struct {
 	items  []*coe.Request
 	// off is the drained prefix of items: TakeFromHead advances it
 	// instead of re-slicing, so a recycled group keeps its full item
-	// capacity (see Queue.retire).
+	// capacity.
 	off     int
 	base    time.Duration // predicted one-time cost: B + switch
 	perItem time.Duration // predicted per-request cost: K
@@ -200,7 +200,11 @@ func (g *Group) PredictedRemaining() time.Duration {
 	return d
 }
 
-// Queue is one executor's request queue.
+// Queue is one executor's request queue: a list of groups, each a run
+// of requests for one expert, drained from the head. A group belongs to
+// the queue alone. The executor takes requests into a buffer of its own
+// (TakeFromHead), so a group that drains or is purged is wiped and
+// reused at once.
 type Queue struct {
 	// The fields a pick reads come first, side by side.
 	busyUntil sim.Time
@@ -235,14 +239,10 @@ type Queue struct {
 	// slots holds every Group object the queue owns, by Group.slot.
 	slots []*Group
 
-	// Drained groups are recycled so a long stream enqueues into a
-	// steady-state set of Group objects instead of allocating one per
-	// fresh group. retired is the most recently drained group; it moves
-	// to free (and is wiped) only when the NEXT group drains, because the
-	// executor that drained it may still hold its pointer — and batch
-	// slices aliasing its item array — until its next TakeFromHead.
-	retired *Group
-	free    []*Group
+	// free holds wiped groups for newGroup to reuse, so a long stream
+	// enqueues into a steady-state set of Group objects instead of
+	// allocating one per fresh group.
+	free []*Group
 }
 
 // Name reports the queue name.
@@ -376,7 +376,7 @@ func (q *Queue) Enqueue(e *coe.Expert, r *coe.Request, p Prediction) {
 }
 
 // newGroup pops a recycled group or allocates a fresh one. Recycled
-// groups were wiped in retire and keep their item capacity.
+// groups were wiped in recycle and keep their item capacity.
 func (q *Queue) newGroup() *Group {
 	if n := len(q.free); n > 0 {
 		g := q.free[n-1]
@@ -389,23 +389,12 @@ func (q *Queue) newGroup() *Group {
 	return g
 }
 
-// retire recycles a drained group one drain late: g itself parks in
-// retired, and the previously retired group — whose last consumer has
-// by now moved past it — is wiped and pushed on the free list. The lag
-// guarantees a group is never handed back to Enqueue while the executor
-// that drained it can still observe its pointer or a batch slice
-// aliasing its item array.
-func (q *Queue) retire(g *Group) {
-	if p := q.retired; p != nil {
-		clear(p.items)
-		p.items = p.items[:0]
-		p.off = 0
-		p.Expert = nil
-		p.base, p.perItem = 0, 0
-		p.started = false
-		q.free = append(q.free, p)
-	}
-	q.retired = g
+// recycle wipes a group that left the queue and pushes it on the free
+// list, its item capacity kept.
+func (q *Queue) recycle(g *Group) {
+	clear(g.items)
+	*g = Group{items: g.items[:0], slot: g.slot}
+	q.free = append(q.free, g)
 }
 
 // insertGroup places a fresh group: normally at the tail, but a group
@@ -434,11 +423,13 @@ func (q *Queue) Head() *Group {
 }
 
 // TakeFromHead marks the head group started (removing its prediction
-// from pending — the executor now accounts for it via SetBusyUntil) and
-// removes up to n of its requests, dropping the group once drained.
-func (q *Queue) TakeFromHead(n int) []*coe.Request {
+// from pending — the executor now accounts for it via SetBusyUntil),
+// moves up to n of its requests onto dst and returns the extended
+// slice. A group the take drains leaves the queue and is recycled at
+// once.
+func (q *Queue) TakeFromHead(dst []*coe.Request, n int) []*coe.Request {
 	if len(q.groups) == 0 || n < 1 {
-		return nil
+		return dst
 	}
 	g := q.groups[0]
 	if !g.started {
@@ -455,7 +446,7 @@ func (q *Queue) TakeFromHead(n int) []*coe.Request {
 	if n > g.Len() {
 		n = g.Len()
 	}
-	batch := g.items[g.off : g.off+n : g.off+n]
+	dst = append(dst, g.items[g.off:g.off+n]...)
 	g.off += n
 	q.count(-n)
 	if g.Len() == 0 {
@@ -466,33 +457,25 @@ func (q *Queue) TakeFromHead(n int) []*coe.Request {
 		q.groups[len(q.groups)-1] = nil
 		q.groups = q.groups[:len(q.groups)-1]
 		q.head = coe.NoExpert // a group starts only when taken
-		q.retire(g)
+		q.recycle(g)
 	}
-	return batch
+	return dst
 }
 
 // Purge removes every queued request — the started head group's
 // undrained tail included — and returns them in queue order: the crash
 // path, which voids a dead node's backlog so the dispatcher can
-// redeliver it elsewhere. The purged groups and the retired group are
-// dropped rather than recycled: a batch taken before the crash may still
-// alias their item arrays while it waits on memory or compute, and the
-// restarted executor's next drain would otherwise wipe them under it.
-// Each dropped group's slot passes to a fresh Group on the free list, so
-// the slot table stays bounded; the free list itself was wiped under the
-// one-drain-late protocol and stays safe to reuse.
+// redeliver it elsewhere. Every purged group is recycled; a batch taken
+// before the crash lives in its executor's own buffer and is not
+// touched.
 func (q *Queue) Purge() []*coe.Request {
-	if q.retired != nil {
-		q.rehome(q.retired)
-		q.retired = nil
-	}
 	if len(q.groups) == 0 {
 		return nil
 	}
 	out := make([]*coe.Request, 0, q.items)
 	for i, g := range q.groups {
 		out = append(out, g.items[g.off:]...)
-		q.rehome(g)
+		q.recycle(g)
 		q.groups[i] = nil
 	}
 	q.groups = q.groups[:0]
@@ -504,13 +487,6 @@ func (q *Queue) Purge() []*coe.Request {
 	}
 	q.head, q.tail, q.tailID = coe.NoExpert, 0, coe.NoExpert
 	return out
-}
-
-// rehome hands a dropped group's slot to a fresh group on the free list.
-func (q *Queue) rehome(g *Group) {
-	fresh := &Group{slot: g.slot}
-	q.slots[g.slot] = fresh
-	q.free = append(q.free, fresh)
 }
 
 // SplitBound computes the current maximum executable batch size (§4.2

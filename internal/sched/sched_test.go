@@ -148,7 +148,7 @@ func TestArrangingPreservesMultiset(t *testing.T) {
 		}
 		got := map[int64]bool{}
 		for !q.Empty() {
-			for _, r := range q.TakeFromHead(100) {
+			for _, r := range q.TakeFromHead(nil, 100) {
 				if got[r.ID] {
 					t.Fatalf("%v: request %d dequeued twice", mode, r.ID)
 				}
@@ -169,7 +169,7 @@ func TestTakeFromHeadDrainsPending(t *testing.T) {
 		push(q, e, req(int64(i), e.ID))
 	}
 	for !q.Empty() {
-		q.TakeFromHead(2)
+		q.TakeFromHead(nil, 2)
 	}
 	if q.Pending() != 0 {
 		t.Errorf("pending = %v after drain, want 0", q.Pending())
@@ -184,7 +184,7 @@ func TestStartedGroupNotMerged(t *testing.T) {
 	q := testQueue(t, env, ModeGrouped)
 	push(q, expert(1), req(0, 1))
 	push(q, expert(1), req(1, 1))
-	got := q.TakeFromHead(1) // starts the group, takes req 0
+	got := q.TakeFromHead(nil, 1) // starts the group, takes req 0
 	if len(got) != 1 || got[0].ID != 0 {
 		t.Fatalf("TakeFromHead = %v", got)
 	}
@@ -204,14 +204,14 @@ func TestFreshGroupBehindStartedHeadOfSameExpert(t *testing.T) {
 	q := testQueue(t, env, ModeGrouped)
 	push(q, expert(1), req(0, 1))
 	push(q, expert(2), req(1, 2))
-	q.TakeFromHead(1) // drains group 1 entirely? No: group had 1 item -> removed.
+	q.TakeFromHead(nil, 1) // drains group 1 entirely? No: group had 1 item -> removed.
 	// Head is now expert 2. Start it.
 	if q.Head().Expert.ID != 2 {
 		t.Fatalf("head = %d, want 2", q.Head().Expert.ID)
 	}
 	push(q, expert(3), req(2, 3))
-	q.TakeFromHead(0) // no-op
-	taken := q.TakeFromHead(1)
+	q.TakeFromHead(nil, 0) // no-op
+	taken := q.TakeFromHead(nil, 1)
 	if len(taken) != 1 || taken[0].ID != 1 {
 		t.Fatalf("taken = %v", taken)
 	}
@@ -228,13 +228,13 @@ func TestInsertBehindStartedHead(t *testing.T) {
 	push(q, expert(1), req(0, 1))
 	push(q, expert(1), req(1, 1))
 	push(q, expert(2), req(2, 2))
-	q.TakeFromHead(1) // head (expert 1) started, 1 item left
+	q.TakeFromHead(nil, 1) // head (expert 1) started, 1 item left
 	push(q, expert(1), req(3, 1))
 	// Expected order: started head [1], fresh [1], then [2].
 	if q.Groups() != 3 {
 		t.Fatalf("groups = %d, want 3", q.Groups())
 	}
-	q.TakeFromHead(10) // drain started head
+	q.TakeFromHead(nil, 10) // drain started head
 	if q.Head().Expert.ID != 1 {
 		t.Errorf("second group expert = %d, want 1 (inserted behind head)", q.Head().Expert.ID)
 	}
@@ -453,7 +453,7 @@ func TestExpertIndexConsistency(t *testing.T) {
 		for step := 0; step < 2000; step++ {
 			id := coe.ExpertID(step * 7919 % 13)
 			if step%5 == 4 {
-				q.TakeFromHead(1 + step%3)
+				q.TakeFromHead(nil, 1+step%3)
 			} else {
 				push(q, expert(id), req(seq, id))
 				seq++
@@ -572,35 +572,41 @@ func TestEnqueueMergeZeroAllocs(t *testing.T) {
 }
 
 // TestPurgeDropsRetiredGroup is the quick-recovery crash regression: a
-// batch taken before a crash aliases its drained group's item array
-// while it waits on memory or compute. Purge must retire that group for
-// good, even on an empty queue, so the restarted executor's next drain
-// recycles something else instead of wiping the batch under it.
+// batch taken before a crash waits on memory or compute while the purge
+// recycles every group and the restarted executor drains fresh ones,
+// which reuse the recycled groups' item arrays. The batch lives in the
+// taker's buffer, so it must come through intact — whether its take
+// drained the group or left the group's tail for the purge.
 func TestPurgeDropsRetiredGroup(t *testing.T) {
 	for _, mode := range []Mode{ModeGrouped, ModeFIFO} {
-		env := sim.NewEnv()
-		q := testQueue(t, env, mode)
-		push(q, expert(1), req(0, 1))
-		push(q, expert(1), req(1, 1))
-		batch := q.TakeFromHead(2) // drains the group: it is now the retired one
-		if out := q.Purge(); len(out) != 0 {
-			t.Fatalf("%v: purge of an empty queue returned %d requests", mode, len(out))
-		}
-		for i := int64(2); i < 6; i++ { // the restarted executor drains fresh groups
-			push(q, expert(2), req(i, 2))
-			q.TakeFromHead(1)
-		}
-		for i, r := range batch {
-			if r == nil || r.ID != int64(i) {
-				t.Fatalf("%v: batch[%d] = %v after purge and restart, want request %d", mode, i, r, i)
+		for _, queued := range []int64{2, 3} {
+			env := sim.NewEnv()
+			q := testQueue(t, env, mode)
+			for i := int64(0); i < queued; i++ {
+				push(q, expert(1), req(i, 1))
+			}
+			batch := q.TakeFromHead(make([]*coe.Request, 0, 4), 2)
+			if out := q.Purge(); len(out) != int(queued-2) {
+				t.Fatalf("%v, %d queued: purge returned %d requests, want %d", mode, queued, len(out), queued-2)
+			}
+			var buf []*coe.Request
+			for i := int64(10); i < 16; i++ { // the restarted executor drains fresh groups
+				push(q, expert(2), req(i, 2))
+				push(q, expert(2), req(i+10, 2))
+				buf = q.TakeFromHead(buf[:0], 2)
+			}
+			for i, r := range batch {
+				if r == nil || r.ID != int64(i) {
+					t.Fatalf("%v, %d queued: batch[%d] = %v after purge and restart, want request %d", mode, queued, i, r, i)
+				}
 			}
 		}
 	}
 }
 
 // TestPurgeMidBatchKeepsSlotsBounded: crashes with a started head group
-// hand every dropped group's slot to a fresh group, so repeated crashes
-// neither grow the slot table nor break the expert index.
+// recycle every purged group, so repeated crashes neither grow the slot
+// table nor break the expert index.
 func TestPurgeMidBatchKeepsSlotsBounded(t *testing.T) {
 	env := sim.NewEnv()
 	q := testQueue(t, env, ModeGrouped)
@@ -609,7 +615,7 @@ func TestPurgeMidBatchKeepsSlotsBounded(t *testing.T) {
 			id := coe.ExpertID(i % 3)
 			push(q, expert(id), req(int64(i), id))
 		}
-		q.TakeFromHead(1) // the head group is started mid-batch
+		q.TakeFromHead(nil, 1) // the head group is started mid-batch
 		if out := q.Purge(); len(out) != 5 {
 			t.Fatalf("round %d: purge returned %d requests, want 5", round, len(out))
 		}
@@ -625,14 +631,16 @@ func TestPurgeMidBatchKeepsSlotsBounded(t *testing.T) {
 }
 
 // TestWarmQueueZeroAllocs pins the steady state of a presized queue: once
-// recycled groups have item capacity, Predict and Enqueue — merges and
-// fresh groups alike — allocate nothing.
+// recycled groups have item capacity and the taker reuses its batch
+// buffer, Predict, Enqueue — merges and fresh groups alike — and
+// TakeFromHead allocate nothing.
 func TestWarmQueueZeroAllocs(t *testing.T) {
 	for _, mode := range []Mode{ModeGrouped, ModeFIFO} {
 		env := sim.NewEnv()
 		q := testQueue(t, env, mode, 3)
 		experts := []*coe.Expert{expert(1), expert(2), expert(3)}
 		reqs := []*coe.Request{req(0, 1), req(1, 2), req(2, 3)}
+		var dst []*coe.Request
 		cycle := func() {
 			for i, e := range experts {
 				q.Predict(e)
@@ -640,7 +648,7 @@ func TestWarmQueueZeroAllocs(t *testing.T) {
 				push(q, e, reqs[i])
 			}
 			for !q.Empty() {
-				q.TakeFromHead(4)
+				dst = q.TakeFromHead(dst[:0], 4)
 			}
 		}
 		for i := 0; i < 4; i++ {
